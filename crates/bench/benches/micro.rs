@@ -69,17 +69,16 @@ fn bench_schedulers(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
+    use ups_netsim::event::{Event, EventQueue};
+    let timer = |key| Event::Timer {
+        agent: AgentId(0),
+        key,
+    };
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter(|| {
-            let mut q = ups_netsim::event::EventQueue::new();
+            let mut q = EventQueue::new();
             for i in 0..10_000u64 {
-                q.push(
-                    SimTime::from_ns((i * 7919) % 1_000_000),
-                    ups_netsim::event::Event::Timer {
-                        agent: AgentId(0),
-                        key: i,
-                    },
-                );
+                q.push(SimTime::from_ns((i * 7919) % 1_000_000), timer(i));
             }
             let mut n = 0u64;
             while q.pop().is_some() {
@@ -88,6 +87,55 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(n)
         })
     });
+
+    // What `run_with_injections` does with one 30 MB UDP flow: 20,000
+    // pushes at one instant with a `peek_time` after each, then the drain,
+    // every pop followed by a peek and a push 1.2 µs on (the port's next
+    // `PortReady`). Quadratic when the head is found by scanning.
+    c.bench_function("event_queue_same_instant_burst_20k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            let at = SimTime::from_us(700);
+            for i in 0..20_000u64 {
+                q.push(at, timer(i));
+                black_box(q.peek_time());
+            }
+            let mut n = 0u64;
+            while let Some((now, Event::Timer { key, .. })) = q.pop() {
+                if key < 20_000 {
+                    q.push(now + Dur::from_ns(1_200), timer(key + 20_000));
+                }
+                black_box(q.peek_time());
+                n += 1;
+            }
+            black_box(n)
+        })
+    });
+
+    // Hold model at 1,000 pending events — pop the earliest, push one a
+    // pseudo-random delay later — with the delay bounded by 131 µs (level
+    // 0: port and link events), 32 ms (level 1: an eagerly injected
+    // train, WAN propagation) and 8 s (the far heap: backed-off
+    // retransmission timers).
+    let mut group = c.benchmark_group("event_queue_hold_1k");
+    for (label, max_delay_ns) in [("131us", 1u64 << 17), ("32ms", 1 << 25), ("8s", 1 << 33)] {
+        let mut q = EventQueue::new();
+        let mut state = 7u64;
+        for i in 0..1_000 {
+            q.push(SimTime::from_ns(i * max_delay_ns / 1_000), timer(i));
+        }
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let (at, _) = q.pop().expect("the queue holds 1,000 events");
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let delay = (state >> 20) & (max_delay_ns - 1);
+                q.push(at + Dur::from_ns(delay), timer(delay));
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_end_to_end(c: &mut Criterion) {

@@ -17,8 +17,8 @@
 //! * [`time`] — picosecond clock, durations, bandwidths
 //! * [`arena`] — slab storage for in-flight packets; the hot path moves
 //!   4-byte [`PacketRef`](arena::PacketRef)s, never packet bodies
-//! * [`event`] — calendar-queue future-event list with deterministic
-//!   tie-breaking (heap-backed overflow for far-future events)
+//! * [`event`] — two-level timing-wheel future-event list with
+//!   deterministic tie-breaking (a heap only beyond 2.2 s)
 //! * [`packet`] — packets and the dynamic scheduling header
 //! * [`queue`] — the [`Scheduler`](queue::Scheduler) trait and the shared
 //!   rank heap

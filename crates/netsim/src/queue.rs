@@ -159,7 +159,7 @@ pub trait Scheduler: std::fmt::Debug + Send {
 
 // ---------------------------------------------------------------------------
 // Shared rank-heap storage used by the heap-ordered disciplines
-// (FIFO, LIFO, Priority, SJF, EDF, LSTF, FQ, FIFO+, Omniscient reuse this).
+// (Priority, SJF, EDF, LSTF, FQ, FIFO+, Omniscient reuse this).
 // ---------------------------------------------------------------------------
 
 /// Explicit binary min-heap of [`QueuedPacket`]s on `(rank, arrival_seq)`

@@ -1,15 +1,19 @@
 //! First-in first-out with drop-tail.
 
+use std::collections::VecDeque;
+
 use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use crate::queue::{PortCtx, QueuedPacket, Scheduler};
 use crate::time::SimTime;
 
 /// Classic FIFO. All packets share rank 0, so service order is the
-/// deterministic arrival order; `select_drop` evicts the newest arrival,
-/// i.e. drop-tail.
+/// deterministic arrival order — which the port's monotone `arrival_seq`
+/// already is, so the queue is a plain deque; `select_drop` evicts the
+/// newest arrival, i.e. drop-tail.
 #[derive(Debug, Default)]
 pub struct Fifo {
-    q: RankHeap,
+    q: VecDeque<QueuedPacket>,
+    bytes: u64,
 }
 
 impl Fifo {
@@ -28,12 +32,15 @@ impl Scheduler for Fifo {
         arrival_seq: u64,
         _ctx: PortCtx,
     ) {
-        self.q.push(QueuedPacket {
+        debug_assert!(self.q.back().is_none_or(|b| b.arrival_seq < arrival_seq));
+        let size = arena.get(pkt).size;
+        self.bytes += size as u64;
+        self.q.push_back(QueuedPacket {
             pkt,
             rank: 0,
             enqueued_at: now,
             arrival_seq,
-            size: arena.get(pkt).size,
+            size,
         });
     }
 
@@ -43,11 +50,13 @@ impl Scheduler for Fifo {
         _now: SimTime,
         _ctx: PortCtx,
     ) -> Option<QueuedPacket> {
-        self.q.pop_min()
+        let qp = self.q.pop_front()?;
+        self.bytes -= qp.size as u64;
+        Some(qp)
     }
 
     fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
+        self.q.front().map(|qp| qp.rank)
     }
 
     fn len(&self) -> usize {
@@ -55,11 +64,13 @@ impl Scheduler for Fifo {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
+        self.bytes
     }
 
     fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
+        let qp = self.q.pop_back()?;
+        self.bytes -= qp.size as u64;
+        Some(qp)
     }
 
     fn name(&self) -> &'static str {

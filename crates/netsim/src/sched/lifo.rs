@@ -1,7 +1,9 @@
 //! Last-in first-out.
 
+use std::collections::VecDeque;
+
 use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use crate::queue::{PortCtx, QueuedPacket, Scheduler};
 use crate::time::SimTime;
 
 /// LIFO: the most recent arrival is served first. One of the adversarial
@@ -9,11 +11,13 @@ use crate::time::SimTime;
 /// distribution, which is what makes its replay hard (§2.3(5)).
 ///
 /// Rank is the negated arrival sequence, so newer packets rank lower
-/// (earlier). `select_drop` evicts the packet that would be served last —
-/// the *oldest* arrival at the bottom of the stack.
+/// (earlier); the port's `arrival_seq` is monotone, so the queue is a
+/// plain stack. `select_drop` evicts the packet that would be served
+/// last — the *oldest* arrival at the bottom of the stack.
 #[derive(Debug, Default)]
 pub struct Lifo {
-    q: RankHeap,
+    q: VecDeque<QueuedPacket>,
+    bytes: u64,
 }
 
 impl Lifo {
@@ -32,12 +36,15 @@ impl Scheduler for Lifo {
         arrival_seq: u64,
         _ctx: PortCtx,
     ) {
-        self.q.push(QueuedPacket {
+        debug_assert!(self.q.back().is_none_or(|b| b.arrival_seq < arrival_seq));
+        let size = arena.get(pkt).size;
+        self.bytes += size as u64;
+        self.q.push_back(QueuedPacket {
             pkt,
             rank: -(arrival_seq as i128),
             enqueued_at: now,
             arrival_seq,
-            size: arena.get(pkt).size,
+            size,
         });
     }
 
@@ -47,11 +54,13 @@ impl Scheduler for Lifo {
         _now: SimTime,
         _ctx: PortCtx,
     ) -> Option<QueuedPacket> {
-        self.q.pop_min()
+        let qp = self.q.pop_back()?;
+        self.bytes -= qp.size as u64;
+        Some(qp)
     }
 
     fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
+        self.q.back().map(|qp| qp.rank)
     }
 
     fn len(&self) -> usize {
@@ -59,11 +68,13 @@ impl Scheduler for Lifo {
     }
 
     fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
+        self.bytes
     }
 
     fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
+        let qp = self.q.pop_front()?;
+        self.bytes -= qp.size as u64;
+        Some(qp)
     }
 
     fn name(&self) -> &'static str {

@@ -305,7 +305,59 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use super::testutil::{pkt, Bench};
     use super::*;
+    use crate::queue::{QueuedPacket, RankHeap};
+    use crate::time::SimTime;
+
+    /// FIFO and LIFO are deques because the port's monotone `arrival_seq`
+    /// already is their order. The reference is what they were before: a
+    /// [`RankHeap`] ordered by the rank each one reports.
+    fn matches_rank_heap<S: Scheduler>(s: S, rank_of: fn(u64) -> i128) {
+        let mut b = Bench::new(s);
+        let mut reference = RankHeap::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut seq = 0u64;
+        let same = |got: Option<QueuedPacket>, want: Option<QueuedPacket>| {
+            let fields =
+                |qp: QueuedPacket| (qp.pkt, qp.rank, qp.enqueued_at, qp.arrival_seq, qp.size);
+            assert_eq!(got.map(fields), want.map(fields));
+        };
+        for step in 0..20_000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let now = SimTime::from_ns(step);
+            // Enqueue-heavy, then drain-heavy, so the depth wanders.
+            let grow = if (step / 200) % 2 == 0 { 5 } else { 3 };
+            match (state >> 60) % 8 {
+                op if op < grow => {
+                    let size = 40 + ((state >> 20) % 1461) as u32;
+                    let pkt = b.enqueue_at(pkt(seq, 0, size), now, seq);
+                    reference.push(QueuedPacket {
+                        pkt,
+                        rank: rank_of(seq),
+                        enqueued_at: now,
+                        arrival_seq: seq,
+                        size,
+                    });
+                    seq += 1;
+                }
+                7 => same(b.s.select_drop(), reference.pop_max()),
+                _ => same(b.dequeue_at(now), reference.pop_min()),
+            }
+            assert_eq!(b.s.peek_rank(), reference.peek_rank());
+            assert_eq!(b.s.len(), reference.len());
+            assert_eq!(b.s.queued_bytes(), reference.bytes());
+        }
+        assert!(seq > 5_000);
+    }
+
+    #[test]
+    fn deque_fifo_and_lifo_match_a_rank_heap_reference() {
+        matches_rank_heap(Fifo::new(), |_| 0);
+        matches_rank_heap(Lifo::new(), |seq| -(seq as i128));
+    }
 
     #[test]
     fn kinds_build_and_name() {

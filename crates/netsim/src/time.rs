@@ -219,8 +219,8 @@ impl fmt::Display for Dur {
 
 /// Link bandwidth in bits per second.
 ///
-/// Transmission times are computed with 128-bit intermediates so they are
-/// exact for any packet size / bandwidth combination used in the paper.
+/// Transmission times are exact integer arithmetic (128-bit intermediates
+/// where 64 would overflow) for any packet size / bandwidth combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bandwidth(pub u64);
 
@@ -260,6 +260,16 @@ impl Bandwidth {
     #[inline]
     pub fn tx_time(self, bytes: u32) -> Dur {
         debug_assert!(self.0 > 0, "zero-bandwidth link");
+        // bits × 10¹² fits a u64 below 2.3 MB — every packet the simulator
+        // carries — which spares the hot path a 128-bit division.
+        match (bytes as u64 * 8).checked_mul(PS_PER_SEC) {
+            Some(bit_ps) => Dur(bit_ps.div_ceil(self.0)),
+            None => self.tx_time_wide(bytes),
+        }
+    }
+
+    /// [`Self::tx_time`] with 128-bit intermediates: exact for any size.
+    fn tx_time_wide(self, bytes: u32) -> Dur {
         let bits = bytes as u128 * 8;
         let ps = (bits * PS_PER_SEC as u128).div_ceil(self.0 as u128);
         Dur(ps as u64)
@@ -322,6 +332,35 @@ mod tests {
         let bw = Bandwidth::from_bps(3);
         let t = bw.tx_time(1);
         assert_eq!(t.as_ps(), (8 * PS_PER_SEC).div_ceil(3));
+    }
+
+    #[test]
+    fn tx_time_narrow_and_wide_paths_agree() {
+        // The first size whose bits × 10¹² overflows a u64.
+        let first_wide = (u64::MAX / (8 * PS_PER_SEC) + 1) as u32;
+        assert!(((first_wide - 1) as u64 * 8)
+            .checked_mul(PS_PER_SEC)
+            .is_some());
+        assert!((first_wide as u64 * 8).checked_mul(PS_PER_SEC).is_none());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        let edges = [0, 1, 40, 1500, first_wide - 1, first_wide, u32::MAX];
+        for i in 0..20_000 {
+            // Rates from 1 bps to ~1 Tbps, sizes across the whole u32 range
+            // (a random shift spreads them over both sides of the split).
+            let bw = Bandwidth::from_bps(1 + next() % (1u64 << (1 + next() % 40)));
+            let bytes = if i % 4 == 0 {
+                edges[(i / 4) % edges.len()]
+            } else {
+                (next() >> (next() % 32)) as u32
+            };
+            assert_eq!(bw.tx_time(bytes), bw.tx_time_wide(bytes), "{bw:?} {bytes}");
+        }
     }
 
     #[test]
