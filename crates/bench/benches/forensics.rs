@@ -249,6 +249,6 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_divergence.json");
     std::fs::write(out, &json).expect("write BENCH_divergence.json");
     // The artifact must pass the same gate CI applies.
-    ups_sweep::validate_bench_divergence(&json).expect("artifact validates");
+    ups_sweep::validate_artifact(&json).expect("artifact validates");
     println!("wrote {out}");
 }

@@ -223,6 +223,8 @@ fn main() {
         speedup
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    std::fs::write(out, json).expect("write BENCH_throughput.json");
+    std::fs::write(out, &json).expect("write BENCH_throughput.json");
+    // The artifact must pass the same gate CI applies.
+    ups_sweep::validate_artifact(&json).expect("artifact validates");
     println!("wrote {out}");
 }

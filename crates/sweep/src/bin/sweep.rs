@@ -12,8 +12,8 @@
 //!       --traffic open-loop              # link-failure (churn) sweeps
 //! sweep --list                            # registries and disciplines
 //! sweep --validate BENCH_sweep.json BENCH_quantized.json \
-//!       BENCH_divergence.json             # schema-check artifacts (the
-//!                                         # validator dispatches per tag)
+//!       BENCH_divergence.json             # schema-check artifacts (one
+//!                                         # entry point, dispatch per tag)
 //! sweep explain --topos "Line(3)" --scheds Random --queues 1 \
 //!       --top 5 --perfetto explain.json   # attribute one job's divergence
 //! ```
@@ -30,8 +30,9 @@ use std::time::{Duration, Instant};
 
 use ups_netsim::prelude::Dur;
 use ups_sweep::{
-    bench_sweep_json, explain_job, grid::is_original_scheduler, pool, runner, validate_bench_sweep,
-    Exclude, Heartbeat, HeartbeatConfig, JobSpec, PoolTelemetry, ResultStream, ScenarioGrid,
+    bench_sweep_json, explain_job, grid::is_original_scheduler, pool, runner, validate_artifact,
+    validate_bench_sweep, Exclude, Heartbeat, HeartbeatConfig, JobSpec, PoolTelemetry,
+    ResultStream, ScenarioGrid,
 };
 
 struct Args {
@@ -380,72 +381,6 @@ fn list_registries() {
     println!("  UPS_RACE_RANDOM_SCHEDULES  seeded random schedules per test (default 64)");
 }
 
-/// Schema-check one artifact, dispatching on its parsed schema tag: each
-/// bench family has its own validator; everything else goes through the
-/// sweep validator (which names any unexpected tag).
-fn validate_artifact(path: &std::path::Path) -> Result<String, String> {
-    let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let schema_tag = ups_sweep::json::parse(&doc)
-        .ok()
-        .and_then(|v| v.get("schema").and_then(|s| s.as_str().map(String::from)));
-    if schema_tag.as_deref() == Some(ups_sweep::QUANTIZED_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_quantized(&doc).map(|d| {
-            format!(
-                "{} finite-K rows, exact-LSTF match rate {:.4}",
-                d.rows, d.exact_match_rate
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::FAILURES_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_failures(&doc).map(|d| {
-            format!(
-                "{} intensity rows, match rate {:.4} (static) -> {:.4} (worst)",
-                d.rows, d.baseline_match_rate, d.worst_match_rate
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::SCALE_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_scale(&doc).map(|d| {
-            format!(
-                "{} packets / {} flows streamed, peak RSS {:.1} MiB, match rate {:.4}",
-                d.packets,
-                d.flows,
-                d.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-                d.replay_match_rate
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_obs::TIMESERIES_SCHEMA) {
-        ups_sweep::validate_obs_timeseries(&doc).map(|d| {
-            format!(
-                "{} heartbeat ticks over {:.2}s, {} jobs on {} workers",
-                d.ticks, d.wall_s, d.jobs, d.workers
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::OBS_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_obs(&doc).map(|d| {
-            format!(
-                "{} packets, probe-off overhead {:+.2}% (tolerance {:.0}%), probe-on {:+.2}%",
-                d.packets,
-                d.probe_off_overhead * 100.0,
-                d.tolerance * 100.0,
-                d.probe_on_overhead * 100.0
-            )
-        })
-    } else if schema_tag.as_deref() == Some(ups_sweep::DIVERGENCE_BENCH_SCHEMA) {
-        ups_sweep::validate_bench_divergence(&doc).map(|d| {
-            format!(
-                "{} quantization rows + {} failure rows, {} mismatches attributed (conserved)",
-                d.quantization_rows, d.failure_rows, d.total_mismatches
-            )
-        })
-    } else {
-        validate_bench_sweep(&doc).map(|d| {
-            format!(
-                "{} jobs, {} workers, {:.2} jobs/sec",
-                d.jobs, d.workers, d.jobs_per_sec
-            )
-        })
-    }
-}
-
 /// `sweep explain`: expand the grid, pick the one job (by `--job` id when
 /// the axes expand to several), re-run it with per-hop recording and
 /// print the blame tables; `--perfetto` additionally exports the replay's
@@ -539,7 +474,10 @@ fn main() -> ExitCode {
         // the full damage report), then fail if anything failed.
         let mut failed = false;
         for path in &args.validate {
-            match validate_artifact(path) {
+            let verdict = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|doc| validate_artifact(&doc));
+            match verdict {
                 Ok(line) => println!("{} valid: {line}", path.display()),
                 Err(e) => {
                     eprintln!("sweep: {}: {e}", path.display());
@@ -557,10 +495,8 @@ fn main() -> ExitCode {
         return run_explain(&args);
     }
 
-    // Specs are shared into each record via `Arc` (see `JobRecord`), so
-    // wrap them once at expansion instead of cloning per record.
-    let jobs: Vec<std::sync::Arc<ups_sweep::JobSpec>> = match args.grid.expand() {
-        Ok(j) => j.into_iter().map(std::sync::Arc::new).collect(),
+    let jobs = match args.grid.expand() {
+        Ok(j) => j,
         Err(e) => {
             eprintln!("sweep: {e}");
             return ExitCode::FAILURE;
@@ -648,7 +584,7 @@ fn main() -> ExitCode {
     );
     // One topology build + all-pairs BFS per *distinct* topology, shared
     // read-only across workers, instead of one per job.
-    let shared = runner::SharedScenarios::for_jobs(jobs.iter().map(|j| j.as_ref()));
+    let shared = runner::SharedScenarios::for_jobs(&jobs);
     let shared_ref = &shared;
     let (records, stats) = pool::run_jobs_telemetry(
         &jobs,
@@ -656,7 +592,7 @@ fn main() -> ExitCode {
         Some(&telemetry),
         |_, spec| spec.label(),
         move |_, spec| {
-            let rec = runner::run_job_arc(spec, shared_ref);
+            let rec = runner::run_job_shared(spec, shared_ref);
             stream_ref.append(&rec);
             if !quiet {
                 let s = &rec.summary;
@@ -748,7 +684,7 @@ fn main() -> ExitCode {
             ticks.len()
         );
         // The artifact we just wrote must pass the same gate CI applies.
-        if let Err(e) = ups_sweep::validate_obs_timeseries(&ts_doc) {
+        if let Err(e) = validate_artifact(&ts_doc) {
             eprintln!("sweep: telemetry artifact failed validation: {e}");
             return ExitCode::FAILURE;
         }

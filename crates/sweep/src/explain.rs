@@ -18,16 +18,15 @@
 use std::sync::Arc;
 
 use ups_core::{compare_with_sink, replay_packets, run_schedule, HeaderInit, ReplayReport};
-use ups_dynamics::FailureSchedule;
-use ups_dynamics::{churn_replay_with_sink, parse_failure_spec, run_schedule_with_failures};
+use ups_dynamics::{churn_replay_with_sink, run_schedule_with_failures};
 use ups_forensics::{BlameCollector, ReplayFlavor};
-use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind, RecordMode, SchedulerKind};
+use ups_netsim::prelude::{Dur, MapperKind, RecordMode, SchedulerKind};
 use ups_obs::{InstantMarker, SharedProbe, TimeSeries};
-use ups_topology::{build_simulator, BuildOptions, Routing, SchedulerAssignment};
-use ups_workload::{profile_by_name, udp_packet_train, MTU};
+use ups_topology::{build_simulator, SchedulerAssignment};
+use ups_workload::MTU;
 
 use crate::grid::{JobSpec, TrafficMode};
-use crate::runner::{assignment_for, SharedScenarios};
+use crate::runner::{open_loop_train, Scenario, SharedScenarios};
 
 /// Everything `sweep explain` learned about one job's divergence.
 pub struct Explanation {
@@ -110,7 +109,7 @@ impl Explanation {
 /// Errors (as text for the CLI) when the job cannot be explained: a
 /// closed-loop job (endpoints decide their own packet sets; the sweep
 /// record is the right surface there), a job whose spec disabled the
-/// replay, or a drop-free gate violation mirroring `run_job`'s.
+/// replay, or a drop-free gate violation mirroring `run_job_shared`'s.
 pub fn explain_job(
     spec: &Arc<JobSpec>,
     shared: &SharedScenarios,
@@ -126,38 +125,23 @@ pub fn explain_job(
     if !spec.replay {
         return Err("this job's spec has replay: false — nothing to explain".into());
     }
-    let (topo, routing_core) = shared.get(&spec.topology);
-    let topo = &*topo;
-    let profile = profile_by_name(&spec.profile)
-        .ok_or_else(|| format!("unknown profile {:?}", spec.profile))?;
-    let assign = assignment_for(topo, &spec.scheduler)
-        .ok_or_else(|| format!("unknown scheduler {:?}", spec.scheduler))?;
-    let mut routing = Routing::from_core(routing_core);
-    let flows = profile.flows(topo, &mut routing, spec.utilization, spec.window, spec.seed);
-    let mut packets = udp_packet_train(&flows, MTU);
-    if let Some(cap) = spec.max_packets {
-        packets.truncate(cap);
-    }
     // Per-hop recording on both sides: the whole point of the re-run.
-    let opts = BuildOptions {
-        record: RecordMode::PerHop,
-        seed: spec.seed,
-        router_buffer_bytes: spec.buffer_bytes,
-        ..BuildOptions::default()
-    };
+    let Scenario {
+        topo,
+        assign,
+        flows,
+        opts,
+        failure,
+        ..
+    } = Scenario::build(spec, shared, RecordMode::PerHop).map_err(|e| format!("bad {e}"))?;
+    let topo = &*topo;
+    let packets = open_loop_train(&flows, spec.max_packets);
 
-    if let Some(f) = spec.failures.as_deref() {
+    if let Some((schedule, policy)) = failure {
         // The churn flavor: replay the delivered subset along observed
         // paths. The churn replay itself records end-to-end (it is the
         // sweep's bounded-memory path), so hop blame degrades to drop
         // causes and exit lateness — still attributed, just coarser.
-        let (fprofile, rate) = parse_failure_spec(f)?;
-        let policy = match spec.inflight.as_deref() {
-            Some("drop") => DeadLinkPolicy::Drop,
-            Some("reroute") => DeadLinkPolicy::Reroute,
-            other => return Err(format!("bad in-flight policy {other:?}")),
-        };
-        let schedule = FailureSchedule::generate(topo, fprofile, rate, spec.window, spec.seed);
         let churn = run_schedule_with_failures(
             topo,
             &assign,

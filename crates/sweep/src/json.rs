@@ -170,11 +170,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next delimiter at once.
+                // Both delimiters are ASCII, so the run ends on a scalar
+                // boundary and only the run itself needs validating —
+                // which keeps parsing linear in the document.
+                let run = &b[*pos..];
+                let len = run.iter().position(|&c| c == b'"' || c == b'\\');
+                let run = &run[..len.unwrap_or(run.len())];
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += run.len();
             }
         }
     }
@@ -309,5 +313,48 @@ mod tests {
     fn unicode_and_escapes() {
         let v = parse(r#""café → naïve""#).unwrap();
         assert_eq!(v.as_str(), Some("café → naïve"));
+    }
+
+    /// Whether parsing `large` — `small` doubled — takes under three times
+    /// as long, judged on each document's best time: of three rounds, and
+    /// of up to nine more while the verdict is still "no", so a noisy
+    /// neighbour delays the answer without changing it.
+    fn doubling_less_than_triples(small: &str, large: &str) -> bool {
+        let secs = |doc: &str| {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(parse(std::hint::black_box(doc)).expect("parses"));
+            t0.elapsed().as_secs_f64()
+        };
+        let (mut t1, mut t2) = (f64::INFINITY, f64::INFINITY);
+        (0..12).any(|round| {
+            t1 = t1.min(secs(small));
+            t2 = t2.min(secs(large));
+            round >= 2 && t2 < 3.0 * t1
+        })
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_document() {
+        // One long string with multi-byte scalars and escapes mixed in:
+        // 24 source bytes per unit, decoding to `abcdefgh é→ "q"\x` + LF.
+        let unit_src = r#"abcdefgh é→ \"q\"\\x\n"#;
+        let unit_out = "abcdefgh é→ \"q\"\\x\n";
+        let long = |units: usize| format!("\"{}\"", unit_src.repeat(units));
+        let v = parse(&long(90_000)).unwrap(); // ≈ 2 MB
+        assert_eq!(v.as_str(), Some(unit_out.repeat(90_000).as_str()));
+        // Many short strings (keys and values), as in a sweep artifact.
+        let many = |n: usize| {
+            let fields: Vec<String> = (0..n).map(|i| format!(r#""k{i}":"v{i}é""#)).collect();
+            format!("{{{}}}", fields.join(","))
+        };
+        let v = parse(&many(10_000)).unwrap(); // 20,000 strings
+        assert_eq!(v.get("k9999").and_then(JsonValue::as_str), Some("v9999é"));
+        // Doubling either document must about double the time. The
+        // per-character whole-remainder validation this replaced
+        // quadrupled it.
+        let linear = doubling_less_than_triples(&long(90_000), &long(180_000));
+        assert!(linear, "one long string: doubling it tripled the time");
+        let linear = doubling_less_than_triples(&many(10_000), &many(20_000));
+        assert!(linear, "many short strings: doubling them tripled the time");
     }
 }

@@ -31,7 +31,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use ups_sweep::{pool, runner, ScenarioGrid};
+//! use ups_sweep::{pool, run_job_shared, ScenarioGrid, SharedScenarios};
 //! use ups_netsim::prelude::Dur;
 //!
 //! let grid = ScenarioGrid {
@@ -46,7 +46,9 @@
 //!     ..ScenarioGrid::default()
 //! };
 //! let jobs = grid.expand().unwrap();
-//! let (records, stats) = pool::run_jobs(&jobs, 2, |_, spec| runner::run_job(spec));
+//! // One topology build + all-pairs routing per distinct topology.
+//! let shared = SharedScenarios::for_jobs(&jobs);
+//! let (records, stats) = pool::run_jobs(&jobs, 2, |_, spec| run_job_shared(spec, &shared));
 //! assert_eq!(records.len(), 2);
 //! assert_eq!(stats.jobs, 2);
 //! ```
@@ -65,19 +67,13 @@ pub mod telemetry;
 pub use explain::{explain_job, Explanation};
 pub use grid::{Exclude, GridError, JobSpec, ScenarioGrid, TrafficMode, MIXED_FQ_FIFOPLUS};
 pub use pool::{
-    effective_workers, run_jobs, run_jobs_labeled, run_jobs_telemetry, PoolStats, PoolTelemetry,
-    WorkerStats,
+    effective_workers, run_jobs, run_jobs_telemetry, PoolStats, PoolTelemetry, WorkerStats,
 };
 pub use runner::{
-    run_job, run_job_arc, run_job_shared, slack_policy_for, summarize_trace, JobRecord,
-    SharedScenarios, RECORD_SCHEMA,
+    run_job_shared, slack_policy_for, summarize_trace, JobRecord, SharedScenarios, RECORD_SCHEMA,
 };
 pub use store::{
-    bench_sweep_json, validate_bench_divergence, validate_bench_failures, validate_bench_obs,
-    validate_bench_quantized, validate_bench_scale, validate_bench_sweep, validate_obs_timeseries,
-    DivergenceDigest, FailuresDigest, ObsDigest, QuantizedDigest, ResultStream, ScaleDigest,
-    SweepDigest, TimeSeriesDigest, ACCEPTED_SWEEP_SCHEMAS, DIVERGENCE_BENCH_SCHEMA,
-    FAILURES_BENCH_SCHEMA, OBS_BENCH_SCHEMA, QUANTIZED_BENCH_SCHEMA, SCALE_BENCH_SCHEMA,
+    bench_sweep_json, validate_artifact, validate_bench_sweep, ResultStream, SweepDigest,
     SWEEP_SCHEMA,
 };
 pub use telemetry::{Heartbeat, HeartbeatConfig};

@@ -141,41 +141,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// # Panics
 /// A job that panics is caught on its worker (the rest of the sweep
 /// still runs) and re-raised from the collector with the job id attached
-/// — use [`run_jobs_labeled`] to also name the scenario.
+/// — use [`run_jobs_telemetry`] to also name the scenario.
 pub fn run_jobs<J, R, F>(jobs: &[J], workers: usize, f: F) -> (Vec<R>, PoolStats)
 where
     J: Sync,
     R: Send,
     F: Fn(usize, &J) -> R + Sync,
 {
-    run_jobs_labeled(jobs, workers, |i, _| format!("job {i}"), f)
+    run_jobs_telemetry(jobs, workers, None, |i, _| format!("job {i}"), f)
 }
 
-/// [`run_jobs`] with a diagnostic label per job: when job *i* panics,
-/// the re-raised collector panic reads
+/// [`run_jobs`] with a diagnostic label per job and live accounting.
+///
+/// When job *i* panics, the re-raised collector panic reads
 /// `"sweep job {i} ({label}) panicked: {original message}"` instead of a
 /// bogus bookkeeping error, so the failing scenario is identifiable from
-/// the report alone.
-pub fn run_jobs_labeled<J, R, F, L>(
-    jobs: &[J],
-    workers: usize,
-    label: L,
-    f: F,
-) -> (Vec<R>, PoolStats)
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-    L: Fn(usize, &J) -> String + Sync,
-{
-    run_jobs_telemetry(jobs, workers, None, label, f)
-}
-
-/// [`run_jobs_labeled`] with live accounting published into `telemetry`
-/// as the sweep runs, so a heartbeat thread can report progress and
-/// per-worker utilization mid-flight. When `telemetry` is `None` an
-/// internal one is used (the final [`PoolStats::per_worker`] rows are
-/// filled either way).
+/// the report alone. Accounting is published into `telemetry` as the
+/// sweep runs, so a heartbeat thread can report progress and per-worker
+/// utilization mid-flight; when `telemetry` is `None` an internal one is
+/// used (the final [`PoolStats::per_worker`] rows are filled either way).
 ///
 /// # Panics
 /// If a provided telemetry was sized for a different worker count than
@@ -347,9 +331,10 @@ mod tests {
         // surface as the collector's misleading "job {i} never executed".
         let jobs: Vec<usize> = (0..8).collect();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_jobs_labeled(
+            run_jobs_telemetry(
                 &jobs,
                 2,
+                None,
                 |i, &j| format!("scenario-{j}/seed-{i}"),
                 |_, &j| {
                     if j == 5 {

@@ -35,7 +35,7 @@ use ups_metrics::{
     TransportSummary, FIG2_BUCKETS,
 };
 use ups_netsim::prelude::{
-    DeadLinkPolicy, Dur, MapperKind, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
+    DeadLinkPolicy, Dur, MapperKind, Packet, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
 };
 use ups_topology::{
     topology_by_name, BuildOptions, Routing, RoutingCore, SchedulerAssignment, Topology,
@@ -180,77 +180,119 @@ impl JobRecord {
     }
 }
 
-/// Execute one job to completion, building its topology and routing
-/// from scratch. Prefer [`run_job_shared`] when running many jobs — it
-/// reuses one all-pairs BFS per distinct topology.
+/// What [`run_job_shared`] and [`crate::explain::explain_job`] both build
+/// from a spec before simulating anything: the registry lookups, the
+/// workload and, for a churn job, the seeded outage schedule.
+pub(crate) struct Scenario {
+    pub(crate) topo: Arc<Topology>,
+    pub(crate) assign: SchedulerAssignment,
+    pub(crate) routing: Routing,
+    pub(crate) flows: Vec<FlowSpec>,
+    pub(crate) opts: BuildOptions,
+    pub(crate) failure: Option<(FailureSchedule, DeadLinkPolicy)>,
+}
+
+impl Scenario {
+    /// Build the scenario `spec` names, recording in `record` mode. An
+    /// `Err` names the spec field a grid would have rejected at expansion.
+    pub(crate) fn build(
+        spec: &JobSpec,
+        shared: &SharedScenarios,
+        record: RecordMode,
+    ) -> Result<Scenario, String> {
+        let (topo, routing_core) = shared.get(&spec.topology);
+        let profile =
+            profile_by_name(&spec.profile).ok_or_else(|| format!("profile {:?}", spec.profile))?;
+        let assign = assignment_for(&topo, &spec.scheduler)
+            .ok_or_else(|| format!("scheduler {:?}", spec.scheduler))?;
+        let mut routing = Routing::from_core(routing_core);
+        let flows = profile.flows(
+            &topo,
+            &mut routing,
+            spec.utilization,
+            spec.window,
+            spec.seed,
+        );
+        let opts = BuildOptions {
+            record,
+            seed: spec.seed,
+            router_buffer_bytes: spec.buffer_bytes,
+            ..BuildOptions::default()
+        };
+        // The failure sub-axis: generate the seeded outage schedule up
+        // front so its distinct-link count lands in the disruption block
+        // even when the replay is skipped.
+        let failure = match spec.failures.as_deref() {
+            None => None,
+            // Grids reject this combination
+            // (GridError::FailuresNeedOpenLoop); a hand-built spec must
+            // fail just as loudly, not run a silently static TCP scenario
+            // labeled as churn.
+            Some(f) if spec.traffic != TrafficMode::OpenLoop => {
+                return Err(format!(
+                    "failure spec {f:?} on a closed-loop job — \
+                     link churn drives open-loop schedules only"
+                ))
+            }
+            Some(f) => {
+                let (profile, rate) =
+                    parse_failure_spec(f).map_err(|e| format!("failure spec: {e}"))?;
+                let policy = match spec.inflight.as_deref() {
+                    Some("drop") => DeadLinkPolicy::Drop,
+                    Some("reroute") => DeadLinkPolicy::Reroute,
+                    other => return Err(format!("in-flight policy {other:?}")),
+                };
+                let schedule =
+                    FailureSchedule::generate(&topo, profile, rate, spec.window, spec.seed);
+                Some((schedule, policy))
+            }
+        };
+        Ok(Scenario {
+            topo,
+            assign,
+            routing,
+            flows,
+            opts,
+            failure,
+        })
+    }
+}
+
+/// The open-loop packet train of `flows`, capped at `max_packets`.
+pub(crate) fn open_loop_train(flows: &[FlowSpec], max_packets: Option<usize>) -> Vec<Packet> {
+    let mut packets = udp_packet_train(flows, MTU);
+    if let Some(cap) = max_packets {
+        packets.truncate(cap);
+    }
+    packets
+}
+
+/// Execute one job to completion against a [`SharedScenarios`] cache —
+/// one topology build and all-pairs BFS per distinct topology, reused by
+/// every job that names it (a topology the cache was not primed with is
+/// built on the spot).
 ///
 /// # Panics
 /// On registry/label lookups the grid already validated, and on the
 /// internal invariants of the replay framework.
-pub fn run_job(spec: &JobSpec) -> JobRecord {
-    run_job_shared(spec, &SharedScenarios::for_jobs(std::slice::from_ref(spec)))
-}
-
-/// [`run_job`] against a prebuilt [`SharedScenarios`] cache. Clones the
-/// spec once into the record's `Arc`; callers that already hold
-/// `Arc<JobSpec>`s (the sweep binary) should use [`run_job_arc`].
 pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
-    run_job_arc(&Arc::new(spec.clone()), shared)
-}
-
-/// [`run_job_shared`] for callers holding shared specs: the record reuses
-/// the caller's `Arc` instead of cloning the spec.
-pub fn run_job_arc(spec: &Arc<JobSpec>, shared: &SharedScenarios) -> JobRecord {
     // lint:allow(wall-clock): feeds only the record's wall_s field,
     // which to_json(false) excludes from the determinism surface.
     let t0 = Instant::now();
-    let (topo, routing_core) = shared.get(&spec.topology);
+    let Scenario {
+        topo,
+        assign,
+        mut routing,
+        flows,
+        opts,
+        failure,
+    } = Scenario::build(spec, shared, RecordMode::EndToEnd)
+        .unwrap_or_else(|e| panic!("unvalidated {e}"));
     let topo = &*topo;
-    let profile = profile_by_name(&spec.profile)
-        .unwrap_or_else(|| panic!("unvalidated profile {:?}", spec.profile));
-    let assign = assignment_for(topo, &spec.scheduler)
-        .unwrap_or_else(|| panic!("unvalidated scheduler {:?}", spec.scheduler));
-
-    let mut routing = Routing::from_core(routing_core);
-    let flows = profile.flows(topo, &mut routing, spec.utilization, spec.window, spec.seed);
-    let opts = BuildOptions {
-        record: RecordMode::EndToEnd,
-        seed: spec.seed,
-        router_buffer_bytes: spec.buffer_bytes,
-        ..BuildOptions::default()
-    };
-
-    // The failure sub-axis: generate the seeded outage schedule up front
-    // so its distinct-link count lands in the disruption block even when
-    // the replay is skipped.
-    let failure = spec.failures.as_deref().map(|f| {
-        // Grids reject this combination (GridError::FailuresNeedOpenLoop);
-        // a hand-built spec must fail just as loudly, not run a silently
-        // static TCP scenario labeled as churn.
-        assert_eq!(
-            spec.traffic,
-            TrafficMode::OpenLoop,
-            "failure spec {f:?} on a closed-loop job — link churn drives open-loop schedules only"
-        );
-        let (profile, rate) =
-            parse_failure_spec(f).unwrap_or_else(|e| panic!("unvalidated failure spec: {e}"));
-        let policy = match spec.inflight.as_deref() {
-            Some("drop") => DeadLinkPolicy::Drop,
-            Some("reroute") => DeadLinkPolicy::Reroute,
-            other => panic!("unvalidated in-flight policy {other:?}"),
-        };
-        (
-            FailureSchedule::generate(topo, profile, rate, spec.window, spec.seed),
-            policy,
-        )
-    });
 
     let (original, mut summary, as_executed) = match spec.traffic {
         TrafficMode::OpenLoop => {
-            let mut packets = udp_packet_train(&flows, MTU);
-            if let Some(cap) = spec.max_packets {
-                packets.truncate(cap);
-            }
+            let packets = open_loop_train(&flows, spec.max_packets);
             match &failure {
                 Some((schedule, policy)) => {
                     let churn = run_schedule_with_failures(
@@ -269,10 +311,10 @@ pub fn run_job_arc(spec: &Arc<JobSpec>, shared: &SharedScenarios) -> JobRecord {
                         dropped_at_dead_link: churn.stats.dropped_dead_link,
                         churn_replay_match_rate: None, // filled below
                     });
-                    // The replay targets what actually ran: the delivered
-                    // packets at their observed paths.
-                    let executed = as_executed_packets(&churn.trace);
-                    (churn.trace, summary, executed)
+                    // The churn replay below reads the trace itself (the
+                    // delivered packets at their observed paths), so no
+                    // packet set is materialised here.
+                    (churn.trace, summary, Vec::new())
                 }
                 None => {
                     let original = run_schedule(topo, &assign, packets.iter().cloned(), &opts);
@@ -379,7 +421,7 @@ pub fn run_job_arc(spec: &Arc<JobSpec>, shared: &SharedScenarios) -> JobRecord {
     }
 
     JobRecord {
-        spec: spec.clone(),
+        spec: Arc::new(spec.clone()),
         summary,
         wall_s: t0.elapsed().as_secs_f64(),
     }
@@ -497,6 +539,11 @@ mod tests {
     use super::*;
     use ups_netsim::prelude::Dur;
 
+    /// Run one job with nothing cached: the topology is built on demand.
+    fn run(spec: &JobSpec) -> JobRecord {
+        run_job_shared(spec, &SharedScenarios::for_jobs(&[]))
+    }
+
     fn spec(scheduler: &str, replay: bool) -> JobSpec {
         // fixed-mtu on a line: dense single-packet flows at a small
         // window (the empirical profiles' multi-MB means make 2-host
@@ -549,7 +596,7 @@ mod tests {
 
     #[test]
     fn fifo_job_produces_consistent_metrics() {
-        let rec = run_job(&spec("FIFO", false));
+        let rec = run(&spec("FIFO", false));
         let s = &rec.summary;
         assert!(s.packets > 100, "workload too small: {}", s.packets);
         assert_eq!(s.delivered, s.packets, "unbuffered line drops nothing");
@@ -570,7 +617,7 @@ mod tests {
     #[test]
     fn replay_on_a_line_matches_well() {
         // ≤ 2 congestion points on a line ⇒ near-perfect LSTF replay.
-        let rec = run_job(&spec("Random", true));
+        let rec = run(&spec("Random", true));
         let rate = rec.summary.replay_match_rate.expect("replay ran");
         assert!(rate > 0.95, "LSTF matched only {rate}");
         assert!(rec.summary.replay_frac_gt_t.unwrap() <= 1.0 - rate + 1e-12);
@@ -578,8 +625,8 @@ mod tests {
 
     #[test]
     fn identical_specs_yield_identical_records() {
-        let a = run_job(&spec("SJF", true));
-        let b = run_job(&spec("SJF", true));
+        let a = run(&spec("SJF", true));
+        let b = run(&spec("SJF", true));
         assert_eq!(a.to_json(false), b.to_json(false));
         // And the record parses back.
         let v = crate::json::parse(&a.to_json(true)).unwrap();
@@ -594,7 +641,7 @@ mod tests {
     fn quantized_job_reports_degradation_against_exact_replay() {
         // K=1 degrades the replay to per-port FIFO: on a Random original
         // the quantized match rate must fall visibly below exact LSTF's.
-        let rec = run_job(&quantized_spec("Random", 1, "dynamic"));
+        let rec = run(&quantized_spec("Random", 1, "dynamic"));
         let s = &rec.summary;
         let exact = s.replay_match_rate.expect("exact replay ran");
         let quant = s.quantized_match_rate.expect("quantized replay ran");
@@ -610,7 +657,7 @@ mod tests {
     fn large_k_dynamic_quantization_is_exact() {
         // With K far above the distinct ranks in flight, the dynamic
         // mapper is bit-exact: identical match rate and zero FCT delta.
-        let rec = run_job(&quantized_spec("Random", 4096, "dynamic"));
+        let rec = run(&quantized_spec("Random", 4096, "dynamic"));
         let s = &rec.summary;
         assert_eq!(s.quantized_match_rate, s.replay_match_rate);
         assert_eq!(s.quantized_frac_gt_t, s.replay_frac_gt_t);
@@ -619,7 +666,7 @@ mod tests {
 
     #[test]
     fn jobs_without_the_queues_axis_skip_quantized_metrics() {
-        let rec = run_job(&spec("Random", true));
+        let rec = run(&spec("Random", true));
         assert!(rec.summary.replay_match_rate.is_some());
         assert!(rec.summary.quantized_match_rate.is_none());
         assert!(rec.summary.quantized_fct_delta_s.is_none());
@@ -627,7 +674,7 @@ mod tests {
 
     #[test]
     fn failure_job_reports_a_disruption_block_and_churn_replay() {
-        let rec = run_job(&failure_spec("FIFO", "random-links:0.6", "reroute", true));
+        let rec = run(&failure_spec("FIFO", "random-links:0.6", "reroute", true));
         let s = &rec.summary;
         let d = s.disruption.as_ref().expect("failure job disruption block");
         assert!(d.links_failed > 0, "schedule must actually fail links");
@@ -647,7 +694,7 @@ mod tests {
 
     #[test]
     fn failure_job_drop_policy_counts_dead_link_losses() {
-        let rec = run_job(&failure_spec("FIFO", "burst:0.5", "drop", false));
+        let rec = run(&failure_spec("FIFO", "burst:0.5", "drop", false));
         let s = &rec.summary;
         let d = s.disruption.as_ref().unwrap();
         assert_eq!(d.rerouted, 0, "drop policy never reroutes");
@@ -665,19 +712,19 @@ mod tests {
         let mut s = failure_spec("FIFO", "burst:0.5", "drop", false);
         s.traffic = TrafficMode::ClosedLoop;
         s.horizon = Some(Dur::from_ms(20));
-        let _ = run_job(&s);
+        let _ = run(&s);
     }
 
     #[test]
     fn static_jobs_carry_no_disruption_block() {
-        let rec = run_job(&spec("FIFO", false));
+        let rec = run(&spec("FIFO", false));
         assert!(rec.summary.disruption.is_none());
     }
 
     #[test]
     fn failure_jobs_are_deterministic() {
-        let a = run_job(&failure_spec("Random", "random-links:0.4", "reroute", true));
-        let b = run_job(&failure_spec("Random", "random-links:0.4", "reroute", true));
+        let a = run(&failure_spec("Random", "random-links:0.4", "reroute", true));
+        let b = run(&failure_spec("Random", "random-links:0.4", "reroute", true));
         assert_eq!(a.to_json(false), b.to_json(false));
     }
 
@@ -690,7 +737,7 @@ mod tests {
         for s in &specs {
             assert_eq!(
                 run_job_shared(s, &shared).to_json(false),
-                run_job(s).to_json(false)
+                run(s).to_json(false)
             );
         }
     }
@@ -699,7 +746,7 @@ mod tests {
     fn max_packets_caps_the_workload() {
         let mut s = spec("FIFO", false);
         s.max_packets = Some(50);
-        let rec = run_job(&s);
+        let rec = run(&s);
         assert_eq!(rec.summary.packets, 50);
     }
 
@@ -732,7 +779,7 @@ mod tests {
 
     #[test]
     fn closed_loop_job_reports_transport_metrics_and_replays() {
-        let rec = run_job(&closed_spec("FIFO", true));
+        let rec = run(&closed_spec("FIFO", true));
         let s = &rec.summary;
         let t = s.transport.as_ref().expect("closed-loop transport block");
         assert!(t.completed_flows > 0, "single-MTU flows complete fast");
@@ -747,8 +794,8 @@ mod tests {
 
     #[test]
     fn closed_loop_jobs_are_deterministic() {
-        let a = run_job(&closed_spec("SJF", true));
-        let b = run_job(&closed_spec("SJF", true));
+        let a = run(&closed_spec("SJF", true));
+        let b = run(&closed_spec("SJF", true));
         assert_eq!(a.to_json(false), b.to_json(false));
     }
 
@@ -756,7 +803,7 @@ mod tests {
     fn closed_loop_respects_the_packet_cap() {
         let mut s = closed_spec("FIFO", false);
         s.max_packets = Some(60);
-        let rec = run_job(&s);
+        let rec = run(&s);
         assert!(rec.summary.packets >= 60, "cap binds");
         assert!(
             rec.summary.packets < 600,
@@ -770,7 +817,7 @@ mod tests {
         let mut s = closed_spec("LSTF", false);
         s.profile = "long-lived".into();
         s.rest_bps = Some(100_000_000);
-        let rec = run_job(&s);
+        let rec = run(&s);
         let t = rec.summary.transport.as_ref().unwrap();
         assert_eq!(t.completed_flows, 0, "persistent flows never finish");
         assert!(t.goodput_bytes > 0, "but they move data");

@@ -71,7 +71,11 @@ fn sorted_records(workers: usize) -> (Vec<String>, PoolStats) {
         16,
         "2 topologies × 2 schedulers × 2 traffic modes × 2 seeds"
     );
-    let (records, stats) = pool::run_jobs(&jobs, workers, |_, spec| runner::run_job(spec));
+    // Nothing cached: every job builds its own topology on demand.
+    let cold = runner::SharedScenarios::for_jobs(&[]);
+    let (records, stats) = pool::run_jobs(&jobs, workers, |_, spec| {
+        runner::run_job_shared(spec, &cold)
+    });
     let mut lines: Vec<String> = records.iter().map(|r| r.to_json(false)).collect();
     lines.sort();
     (lines, stats)
@@ -170,7 +174,7 @@ fn failure_axis_grid_is_deterministic_across_worker_counts() {
                 || l.contains(r#""churn_replay_match_rate":1"#)),
         "churn replay reported a rate somewhere"
     );
-    // The static rows are plain v4 records with a null disruption.
+    // The static rows are plain records with a null disruption.
     let baseline: Vec<&String> = serial
         .iter()
         .filter(|l| l.contains(r#""failures":null"#))
@@ -193,9 +197,12 @@ fn aggregate_artifact_from_parallel_run_validates() {
     let grid = tiny_grid();
     let jobs = grid.expand().unwrap();
     let t0 = std::time::Instant::now();
-    let (records, stats) = pool::run_jobs(&jobs, 4, |_, spec| runner::run_job(spec));
+    let shared = runner::SharedScenarios::for_jobs(&jobs);
+    let (records, stats) =
+        pool::run_jobs(&jobs, 4, |_, spec| runner::run_job_shared(spec, &shared));
     let doc = store::bench_sweep_json(&grid, &records, &stats, t0.elapsed().as_secs_f64());
-    let digest = store::validate_bench_sweep(&doc).expect("artifact conforms to ups-sweep/v3");
+    let digest = store::validate_bench_sweep(&doc)
+        .expect("artifact conforms to ups-sweep/v4 with ups-sweep-record/v5 lines");
     assert_eq!(digest.jobs, 16);
     assert!(digest.jobs_per_sec > 0.0);
 }

@@ -3,14 +3,14 @@
 //! crate's minimal parser — the pair must agree on every field,
 //! including the `eta_s: null` case. Then the same plumbing end to end:
 //! a real (tiny) sweep through `run_jobs_telemetry` + `Heartbeat`
-//! produces a run-level document that `validate_obs_timeseries` accepts.
+//! produces a run-level document that `validate_artifact` accepts.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ups_obs::{HeartbeatRecord, WorkerRow};
 use ups_sweep::json::{parse, JsonValue};
-use ups_sweep::{pool, validate_obs_timeseries, Heartbeat, HeartbeatConfig, PoolTelemetry};
+use ups_sweep::{pool, validate_artifact, Heartbeat, HeartbeatConfig, PoolTelemetry};
 
 fn worker_back(v: &JsonValue) -> WorkerRow {
     let num = |f: &str| v.get(f).and_then(JsonValue::as_f64).expect(f);
@@ -113,8 +113,12 @@ fn live_sweep_timeseries_document_validates() {
     assert_eq!(ticks.last().unwrap().done, jobs.len() as u64);
 
     let doc = ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, stats.steals, 0.05);
-    let digest = validate_obs_timeseries(&doc).expect("live telemetry document validates");
-    assert_eq!(digest.workers as usize, stats.workers);
-    assert_eq!(digest.jobs, jobs.len() as u64);
-    assert_eq!(digest.ticks, ticks.len());
+    let line = validate_artifact(&doc).expect("live telemetry document validates");
+    let want = format!(
+        "{} heartbeat ticks over 0.05s, {} jobs on {} workers",
+        ticks.len(),
+        jobs.len(),
+        stats.workers
+    );
+    assert_eq!(line, want);
 }

@@ -1,0 +1,82 @@
+//! The committed `BENCH_*.json` artifacts against the store's validators,
+//! through the public facade: what `sweep --validate` checks in CI, pinned
+//! in the tier-1 suite.
+
+use ups::sweep::validate_artifact;
+
+/// Every committed artifact that carries a top-level `schema` tag.
+/// `BENCH_obs_trace.json` is left out by name: it is a Perfetto
+/// trace-event export for a trace viewer, with no `schema` tag to
+/// dispatch on.
+const TAGGED: [&str; 7] = [
+    "BENCH_sweep.json",
+    "BENCH_quantized.json",
+    "BENCH_failures.json",
+    "BENCH_scale.json",
+    "BENCH_obs.json",
+    "BENCH_divergence.json",
+    "BENCH_throughput.json",
+];
+
+fn committed(name: &str) -> String {
+    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `name` with its first `from` rewritten to `to` must be rejected, and the
+/// message must name `field`.
+fn rejects(name: &str, from: &str, to: &str, field: &str) {
+    let doc = committed(name);
+    assert!(doc.contains(from), "{name} no longer contains {from:?}");
+    let err = validate_artifact(&doc.replacen(from, to, 1))
+        .expect_err("a mutated artifact must be rejected");
+    assert!(
+        err.contains(field),
+        "{name}: {err:?} does not name {field:?}"
+    );
+}
+
+#[test]
+fn every_committed_artifact_validates() {
+    for name in TAGGED {
+        let line = validate_artifact(&committed(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!line.is_empty(), "{name}: empty confirmation");
+    }
+}
+
+#[test]
+fn only_the_current_version_of_a_tag_is_accepted() {
+    let sweep = "BENCH_sweep.json";
+    rejects(sweep, "ups-sweep/v4", "ups-sweep/v3", "ups-sweep/v3");
+    let (v5, v4) = ("ups-sweep-record/v5", "ups-sweep-record/v4");
+    rejects(sweep, v5, v4, "$.results[0].schema \"ups-sweep-record/v4\"");
+}
+
+#[test]
+fn one_mutated_field_per_family_is_named() {
+    let sweep = "BENCH_sweep.json";
+    rejects(sweep, r#""jain":"#, r#""gain":"#, "metrics.jain missing");
+    // One cause count inflated by a leading 1: Σ causes ≠ mismatches.
+    let (cause, inflated) = (r#""overdue_within_t":"#, r#""overdue_within_t":1"#);
+    let divergence = "BENCH_divergence.json";
+    rejects(divergence, cause, inflated, "overdue_within_t +");
+    rejects(sweep, cause, inflated, "overdue_within_t +");
+    // A failure-rate axis that steps back down.
+    let failures = "BENCH_failures.json";
+    rejects(
+        failures,
+        r#""rate": 0.2"#,
+        r#""rate": 0.05"#,
+        "[2].rate must ascend",
+    );
+    let (green, red) = (
+        r#""records_identical": true"#,
+        r#""records_identical": false"#,
+    );
+    rejects(
+        "BENCH_scale.json",
+        green,
+        red,
+        "records_identical must be true",
+    );
+}
