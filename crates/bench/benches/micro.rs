@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the simulation engine: per-discipline
-//! enqueue/dequeue throughput, event-queue operations, and end-to-end
-//! simulator event rate. These are engineering benchmarks (not paper
-//! artifacts) — they track the cost of the LSTF/EDF machinery against
-//! FIFO, the paper's §5 "no more complex than fine-grained priorities"
-//! claim in microcosm.
+//! enqueue/dequeue throughput, event-queue operations, end-to-end
+//! simulator event rate, and utilization calibration. These are
+//! engineering benchmarks (not paper artifacts) — they track the cost of
+//! the LSTF/EDF machinery against FIFO, the paper's §5 "no more complex
+//! than fine-grained priorities" claim in microcosm.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -176,6 +176,35 @@ fn bench_end_to_end(c: &mut Criterion) {
     }
 }
 
+fn bench_calibration(c: &mut Criterion) {
+    // Utilization calibration on the three topologies the paper grid and
+    // the streaming replay calibrate on. `fresh_core` is what the first
+    // job of a topology pays (the one-time host-pair pass; the BFS is in
+    // the untimed set-up), `shared_core` what every later one does. Both
+    // rows include dropping the job's `Routing`.
+    use ups_topology::{Routing, RoutingCore};
+    let mut group = c.benchmark_group("calibrate_flow_rate");
+    for name in ["I2:1Gbps-10Gbps", "RocketFuel", "FatTree(k=8)"] {
+        let topo = ups_topology::topology_by_name(name).expect("registered topology");
+        let calibrate = |mut routing: Routing| {
+            ups_workload::calibrate_flow_rate(&topo, &mut routing, black_box(100_000.0), 0.7)
+        };
+        group.bench_function(&format!("{name}/fresh_core"), |b| {
+            b.iter_batched(
+                || Routing::new(&topo),
+                calibrate,
+                criterion::BatchSize::SmallInput,
+            )
+        });
+        let core = Arc::new(RoutingCore::new(&topo));
+        calibrate(Routing::from_core(core.clone()));
+        group.bench_function(&format!("{name}/shared_core"), |b| {
+            b.iter(|| calibrate(Routing::from_core(core.clone())))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     // Short measurement windows: these are coarse engineering trackers,
@@ -185,6 +214,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_schedulers, bench_event_queue, bench_end_to_end
+    targets = bench_schedulers, bench_event_queue, bench_end_to_end, bench_calibration
 }
 criterion_main!(benches);

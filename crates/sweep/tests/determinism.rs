@@ -183,6 +183,47 @@ fn failure_axis_grid_is_deterministic_across_worker_counts() {
     assert!(baseline.iter().all(|l| l.contains(r#""disruption":null"#)));
 }
 
+/// Large-host topologies (RocketFuel: 166 hosts, 27,390 ordered pairs),
+/// where the calibration summary a topology's jobs share is worth racing
+/// for: the first workers to reach a topology find its core un-calibrated.
+fn large_host_grid() -> ScenarioGrid {
+    ScenarioGrid {
+        topologies: vec!["RocketFuel".into(), "I2:1Gbps-10Gbps".into()],
+        schedulers: vec!["FIFO".into(), "LSTF".into()],
+        failures: Vec::new(),
+        max_packets: Some(2_000),
+        // fixed-mtu, open-loop, seeds {1, 2}, 2 ms window, replay on.
+        ..failure_grid()
+    }
+}
+
+#[test]
+fn workers_racing_for_a_calibration_summary_change_nothing() {
+    let jobs = large_host_grid().expand().expect("grid expands");
+    assert_eq!(jobs.len(), 8, "2 topologies × 2 schedulers × 2 seeds");
+    let sorted = |mut lines: Vec<String>| {
+        lines.sort();
+        lines
+    };
+    // A fresh cache per run, so every run starts from un-calibrated cores.
+    let through_one_cache = |workers: usize| {
+        let shared = runner::SharedScenarios::for_jobs(&jobs);
+        let (records, _) = pool::run_jobs(&jobs, workers, |_, spec| {
+            runner::run_job_shared(spec, &shared)
+        });
+        sorted(records.iter().map(|r| r.to_json(false)).collect())
+    };
+    let serial = through_one_cache(1);
+    assert_eq!(serial, through_one_cache(4));
+    // Nothing cached: a core, and so a summary, per job.
+    let cold = runner::SharedScenarios::for_jobs(&[]);
+    let per_job = jobs
+        .iter()
+        .map(|spec| runner::run_job_shared(spec, &cold).to_json(false));
+    assert_eq!(serial, sorted(per_job.collect()));
+    assert!(serial.iter().all(|l| l.contains(r#""delivered":"#)));
+}
+
 #[test]
 fn repeated_parallel_runs_agree_too() {
     // Same worker count twice: steal patterns may differ run to run, the

@@ -39,5 +39,5 @@ pub use registry::{topology_by_name, topology_entry, topology_names, TopologyEnt
 pub use rocketfuel::{rocketfuel, rocketfuel_default, RocketFuelParams};
 pub use routing::{
     attach_tmin, bfs_dist_avoiding, shortest_path_avoiding, shortest_path_from_dist, tmin,
-    tmin_rem_table, tmin_suffix, Routing, RoutingCore,
+    tmin_rem_table, tmin_suffix, CalibrationSummary, Routing, RoutingCore,
 };

@@ -10,24 +10,49 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ups_netsim::packet::Packet;
 use ups_netsim::prelude::{Dur, NodeId};
 
-use crate::graph::Topology;
+use crate::graph::{LinkSpec, NodeRole, Topology};
+
+/// The topology-only half of utilization calibration (§2.3's "70 %"): how
+/// uniformly chosen host pairs load the links utilization is measured on.
+///
+/// With `f_l` the share of ordered host pairs whose path crosses
+/// calibration link `l`, a flow arrival rate `λ` of `F`-bit flows gives a
+/// mean utilization of `(λ·F/L) · Σ_l f_l/bw_l`; this is `L` and the sum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CalibrationSummary {
+    /// `L`: the number of calibration links.
+    pub links: usize,
+    /// `Σ_l f_l / bw_l`, in seconds per bit, summed in link order.
+    pub sum_f_over_bw: f64,
+}
 
 /// The immutable, shareable part of [`Routing`]: per-source BFS distance
-/// fields and a sorted adjacency copy. Computing this is the O(V·(V+E))
-/// cost of routing; the sweep engine builds it **once per distinct
-/// topology** and shares it across jobs behind an `Arc` (every job then
-/// carries only its own cheap path cache).
+/// fields, a sorted adjacency copy and the [`CalibrationSummary`].
+/// The BFS is the O(V·(V+E)) cost of routing and the summary walks every
+/// host pair; the sweep engine builds one core **per distinct topology**
+/// and shares it across jobs behind an `Arc`.
 pub struct RoutingCore {
     /// `dist[s][n]` = hop distance from source `s` to `n`.
     dist: Vec<Vec<u32>>,
     /// Sorted adjacency copy (path reconstruction needs neighbor sets
     /// without borrowing the topology).
     adjacency: Vec<Vec<NodeId>>,
+    /// Hosts, in id order.
+    hosts: Vec<NodeId>,
+    /// The links utilization is calibrated against, as `(a, b, bits/s)` in
+    /// `Topology::links` order: the core–core links, or every
+    /// router–router link when there are none (a network of edge routers
+    /// only — calibrate on the global bottleneck instead).
+    calibration_links: Vec<(NodeId, NodeId, f64)>,
+    /// Computed by the first [`Routing::calibration`] through any clone of
+    /// the `Arc`, never in `new`: a topology whose jobs all run long-lived
+    /// flows never pays for it, and building the core stays BFS-only.
+    calibration: OnceLock<CalibrationSummary>,
 }
 
 impl RoutingCore {
@@ -39,7 +64,88 @@ impl RoutingCore {
             dist.push(bfs_dist(topo, s, &alive_all));
         }
         let adjacency = topo.nodes().map(|u| topo.neighbors(u).collect()).collect();
-        RoutingCore { dist, adjacency }
+        let rated = |l: &LinkSpec| (l.a, l.b, l.bandwidth.as_bps() as f64);
+        let mut calibration_links: Vec<_> = topo.core_links().into_iter().map(rated).collect();
+        if calibration_links.is_empty() {
+            calibration_links = topo
+                .links()
+                .iter()
+                .filter(|l| topo.role(l.a) != NodeRole::Host && topo.role(l.b) != NodeRole::Host)
+                .map(rated)
+                .collect();
+        }
+        RoutingCore {
+            dist,
+            adjacency,
+            hosts: topo.hosts(),
+            calibration_links,
+            calibration: OnceLock::new(),
+        }
+    }
+
+    /// Count, per calibration link, the ordered host pairs routed across
+    /// it, and fold the counts into the summary. Each pair is walked
+    /// straight off the BFS field into one reused buffer, and each hop
+    /// finds its link through a table parallel to the adjacency lists, so
+    /// the pass is O(pairs · hops).
+    fn calibrate(&self) -> CalibrationSummary {
+        const NO_LINK: u32 = u32::MAX;
+        let links = &self.calibration_links;
+        assert!(!links.is_empty(), "no router-router links to calibrate on");
+        // link_at[u][i] = the calibration link between u and adjacency[u][i].
+        let mut link_at: Vec<Vec<u32>> = self
+            .adjacency
+            .iter()
+            .map(|adj| vec![NO_LINK; adj.len()])
+            .collect();
+        for (i, &(a, b, _)) in links.iter().enumerate() {
+            for (u, v) in [(a, b), (b, a)] {
+                let at = self.adjacency[u.index()]
+                    .binary_search(&v)
+                    .expect("a link's endpoints are neighbors");
+                link_at[u.index()][at] = i as u32;
+            }
+        }
+
+        let adjacency = &self.adjacency;
+        let neighbors = |cur: NodeId, out: &mut Vec<NodeId>| {
+            out.extend_from_slice(&adjacency[cur.index()]);
+        };
+        let mut crossings = vec![0u64; links.len()];
+        let (mut path, mut candidates) = (Vec::new(), Vec::new());
+        for &s in &self.hosts {
+            let dist = &self.dist[s.index()];
+            for &d in &self.hosts {
+                if s == d {
+                    continue;
+                }
+                assert_ne!(dist[d.index()], u32::MAX, "{d} unreachable from {s}");
+                // Reversed (d → s): a crossing is unordered, so it counts
+                // the same from either end.
+                walk_back(dist, s, d, neighbors, &mut candidates, &mut path);
+                for w in path.windows(2) {
+                    let u = w[0].index();
+                    let at = adjacency[u]
+                        .binary_search(&w[1])
+                        .expect("consecutive path nodes are neighbors");
+                    let i = link_at[u][at];
+                    if i != NO_LINK {
+                        crossings[i as usize] += 1;
+                    }
+                }
+            }
+        }
+
+        let n_pairs = (self.hosts.len() * self.hosts.len().saturating_sub(1)) as f64;
+        let sum_f_over_bw: f64 = links
+            .iter()
+            .zip(&crossings)
+            .map(|(&(_, _, bw), &c)| (c as f64 / n_pairs) / bw)
+            .sum();
+        CalibrationSummary {
+            links: links.len(),
+            sum_f_over_bw,
+        }
     }
 }
 
@@ -71,29 +177,44 @@ fn alive_all(_a: NodeId, _b: NodeId) -> bool {
 /// static table by construction.
 ///
 /// `neighbors_of(cur, out)` must fill `out` with `cur`'s neighbors whose
-/// link to `cur` is alive, in ascending-id order.
+/// link to `cur` is alive, in ascending-id order. The walk is left in
+/// `rev` **reversed** (`dst` first, `src` last); `candidates` is scratch.
+/// Both are cleared here, so a caller walking many pairs reuses them.
 fn walk_back(
     dist: &[u32],
     src: NodeId,
     dst: NodeId,
     mut neighbors_of: impl FnMut(NodeId, &mut Vec<NodeId>),
-) -> Vec<NodeId> {
+    candidates: &mut Vec<NodeId>,
+    rev: &mut Vec<NodeId>,
+) {
     let seed = mix(((src.0 as u64) << 32) | dst.0 as u64);
-    let mut rev = vec![dst];
+    rev.clear();
+    rev.push(dst);
     let mut cur = dst;
-    let mut candidates = Vec::new();
     while cur != src {
         let want = dist[cur.index()] - 1;
         candidates.clear();
-        neighbors_of(cur, &mut candidates);
+        neighbors_of(cur, candidates);
         candidates.retain(|n| dist[n.index()] == want);
         debug_assert!(!candidates.is_empty(), "broken BFS field");
         let pick = mix(seed ^ cur.0 as u64) as usize % candidates.len();
         cur = candidates[pick];
         rev.push(cur);
     }
+}
+
+/// One [`walk_back`] as an owned `src → dst` path.
+fn walk_back_path(
+    dist: &[u32],
+    src: NodeId,
+    dst: NodeId,
+    neighbors_of: impl FnMut(NodeId, &mut Vec<NodeId>),
+) -> Arc<[NodeId]> {
+    let mut rev = Vec::new();
+    walk_back(dist, src, dst, neighbors_of, &mut Vec::new(), &mut rev);
     rev.reverse();
-    rev
+    rev.into()
 }
 
 impl Routing {
@@ -104,7 +225,8 @@ impl Routing {
     }
 
     /// Wrap an already-computed (typically shared) core. The path cache
-    /// starts empty and is private to this instance.
+    /// starts empty, is private to this instance and holds only the pairs
+    /// this instance is asked for.
     pub fn from_core(core: Arc<RoutingCore>) -> Self {
         Routing {
             core,
@@ -124,12 +246,21 @@ impl Routing {
         let dist = &self.core.dist[src.index()];
         assert_ne!(dist[dst.index()], u32::MAX, "{dst} unreachable from {src}");
         let adjacency = &self.core.adjacency;
-        let rev = walk_back(dist, src, dst, |cur, out| {
+        let path = walk_back_path(dist, src, dst, |cur, out| {
             out.extend_from_slice(&adjacency[cur.index()]);
         });
-        let path: Arc<[NodeId]> = rev.into();
         self.cache.insert((src, dst), path.clone());
         path
+    }
+
+    /// The shared core's [`CalibrationSummary`], computed by whichever
+    /// `Routing` over that core asks first.
+    ///
+    /// # Panics
+    /// If the topology has no router–router link, or a host pair is
+    /// disconnected.
+    pub fn calibration(&self) -> CalibrationSummary {
+        *self.core.calibration.get_or_init(|| self.core.calibrate())
     }
 
     /// Hop count (number of links) between two nodes.
@@ -179,10 +310,9 @@ pub fn shortest_path_from_dist(
     if dist[dst.index()] == u32::MAX {
         return None;
     }
-    let rev = walk_back(dist, src, dst, |cur, out| {
+    Some(walk_back_path(dist, src, dst, |cur, out| {
         out.extend(topo.neighbors(cur).filter(|&n| alive(n, cur)));
-    });
-    Some(rev.into())
+    }))
 }
 
 /// BFS hop distances from `s` over the links `alive` admits.

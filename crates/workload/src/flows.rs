@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ups_netsim::prelude::{Dur, FlowId, NodeId, SimTime, PS_PER_SEC};
-use ups_topology::{NodeRole, Routing, Topology};
+use ups_topology::{Routing, Topology};
 
 use crate::dist::{Exponential, SizeDist};
 
@@ -117,57 +117,20 @@ impl PoissonWorkload {
 /// transiently overload it — which is the regime the paper's §2.3(2)
 /// discussion describes (more queueing ⇒ more slack ⇒ easier replay at
 /// 90%). Experiments use finite arrival windows, so queues always drain.
+///
+/// `L` and the sum depend on the topology alone: they are
+/// [`Routing::calibration`], computed once per routing core (`routing`
+/// must be the routing of `topo`), and every call after the first is the
+/// arithmetic above.
 pub fn calibrate_flow_rate(
-    topo: &Topology,
+    _topo: &Topology,
     routing: &mut Routing,
     mean_flow_bytes: f64,
     target: f64,
 ) -> f64 {
-    let hosts = topo.hosts();
-    let core: Vec<(NodeId, NodeId, f64)> = topo
-        .core_links()
-        .iter()
-        .map(|l| (l.a, l.b, l.bandwidth.as_bps() as f64))
-        .collect();
-    // Fall back to *all* links if the topology has no core-core links
-    // (dumbbells, lines): calibrate on the global bottleneck instead.
-    let use_all = core.is_empty();
-    let links: Vec<(NodeId, NodeId, f64)> = if use_all {
-        topo.links()
-            .iter()
-            .filter(|l| topo.role(l.a) != NodeRole::Host && topo.role(l.b) != NodeRole::Host)
-            .map(|l| (l.a, l.b, l.bandwidth.as_bps() as f64))
-            .collect()
-    } else {
-        core
-    };
-    assert!(!links.is_empty(), "no router-router links to calibrate on");
-
-    let n_pairs = (hosts.len() * (hosts.len() - 1)) as f64;
-    // Count path crossings per link (unordered match on consecutive nodes).
-    let mut crossings = vec![0u64; links.len()];
-    for &s in &hosts {
-        for &d in &hosts {
-            if s == d {
-                continue;
-            }
-            let path = routing.path(s, d);
-            for w in path.windows(2) {
-                for (i, &(a, b, _)) in links.iter().enumerate() {
-                    if (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a) {
-                        crossings[i] += 1;
-                    }
-                }
-            }
-        }
-    }
-    let sum_f_over_bw: f64 = links
-        .iter()
-        .zip(&crossings)
-        .map(|(&(_, _, bw), &c)| (c as f64 / n_pairs) / bw)
-        .sum();
+    let summary = routing.calibration();
     let mean_flow_bits = mean_flow_bytes * 8.0;
-    let lambda = target * links.len() as f64 / (mean_flow_bits * sum_f_over_bw);
+    let lambda = target * summary.links as f64 / (mean_flow_bits * summary.sum_f_over_bw);
     assert!(lambda.is_finite() && lambda > 0.0, "calibration failed");
     lambda
 }

@@ -152,8 +152,19 @@ impl WorkloadProfile {
         window: Dur,
         seed: u64,
     ) -> CalibratedTrain {
-        let mut routing = Routing::new(topo);
-        let flows = self.flows(topo, &mut routing, utilization, window, seed);
+        self.train(topo, &mut Routing::new(topo), utilization, window, seed)
+    }
+
+    /// [`Self::udp_train`] over a routing the caller keeps.
+    fn train(
+        &self,
+        topo: &Topology,
+        routing: &mut Routing,
+        utilization: f64,
+        window: Dur,
+        seed: u64,
+    ) -> CalibratedTrain {
+        let flows = self.flows(topo, routing, utilization, window, seed);
         let packets = udp_packet_train(&flows, MTU);
         CalibratedTrain {
             packets,
@@ -176,9 +187,12 @@ impl WorkloadProfile {
         start_window: Dur,
         seed: u64,
     ) -> CalibratedTrain {
+        // One all-pairs BFS and one calibration, however often the window
+        // doubles.
+        let mut routing = Routing::new(topo);
         let mut window = start_window;
         loop {
-            let train = self.udp_train(topo, utilization, window, seed);
+            let train = self.train(topo, &mut routing, utilization, window, seed);
             if train.packets.len() >= min_packets {
                 return train;
             }
@@ -258,5 +272,13 @@ mod tests {
         let train = profile.udp_train_with_floor(&topo, 0.5, 2_000, Dur::from_ms(1), 3);
         assert!(train.packets.len() >= 2_000);
         assert!(train.window > Dur::from_ms(1), "window must have grown");
+        // The routing kept across doublings changes nothing: a fresh one
+        // at the final window gives the same train, packet for packet.
+        let direct = profile.udp_train(&topo, 0.5, train.window, 3);
+        assert_eq!(train.flows, direct.flows);
+        assert_eq!(
+            format!("{:?}", train.packets),
+            format!("{:?}", direct.packets)
+        );
     }
 }
