@@ -4,19 +4,17 @@
 //!
 //! * [`scenarios`] + [`replay_exp`] — Table 1 and Figure 1 (replay),
 //! * [`objectives`] — Figures 2 (FCT), 3 (tail delay), 4 (fairness),
-//! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`),
-//! * [`baseline`] — the pre-refactor heap-based hot path, kept as the
-//!   reference point for `benches/throughput.rs` / `BENCH_throughput.json`.
+//! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`).
 //!
 //! The `benches/` directory contains one `harness = false` target per
 //! table/figure that prints paper-style rows, plus Criterion
-//! microbenchmarks of the engine (`benches/micro.rs`) and the end-to-end
-//! engine throughput benchmark (`benches/throughput.rs`).
+//! microbenchmarks of the engine (`benches/micro.rs`). How fast the engine
+//! is and what observability costs are measured in one place only: the
+//! repository's benchmark, `examples/perf`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod objectives;
 pub mod replay_exp;
 pub mod scale;

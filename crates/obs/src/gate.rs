@@ -4,9 +4,9 @@
 //! Hot engine code calls [`count`], [`count_max`] or [`timer`]
 //! unconditionally; each hook loads the gate with `Ordering::Relaxed`
 //! and branches. While the gate is off that branch is never taken, so
-//! the cost per hook is a handful of cycles and perfectly predictable —
-//! the property the `obs_overhead` bench gate asserts (≤2% vs the
-//! hook-free build of the same event loop).
+//! the cost per hook is a handful of cycles and perfectly predictable.
+//! What the hooks cost with the gate *on* is the `obs.trace_overhead`
+//! row of the repository's benchmark (`examples/perf`).
 //!
 //! All cells are relaxed atomics: counters are statistically merged
 //! across threads, never used for synchronization, and the reader

@@ -1,8 +1,7 @@
 //! Plain-text observability report.
 //!
 //! [`render_report`] turns a final gate snapshot plus an optional
-//! recorded [`TimeSeries`] into the aligned-table summary `sweep
-//! --obs-report` and the `obs_overhead` bench print: a phase table
+//! recorded [`TimeSeries`] into an aligned-table summary: a phase table
 //! (calls, total time, mean span), a counter table, and — when a series
 //! was recorded — quantiles of the sampled queue/occupancy/load
 //! distributions.

@@ -361,10 +361,6 @@ fn list_registries() {
     println!("  UPS_SCALE_FLOW_BYTES     fixed per-flow size in bytes (default 150000)");
     println!("  UPS_SCALE_RSS_BUDGET_MB  peak-RSS budget asserted via VmHWM (default 512)");
     println!("  UPS_SCALE_DIFF_PACKETS   differential-gate workload floor (default 120000)");
-    println!("obs overhead bench (cargo bench -p ups-bench --bench obs_overhead; env knobs):");
-    println!("  UPS_OBS_MIN_PACKETS      packet floor for the three-mode run (default 120000)");
-    println!("  UPS_OBS_RUNS             timed repetitions, best-of (default 5)");
-    println!("  UPS_OBS_TOLERANCE        two-sided |probe-off delta| ceiling (default 0.10)");
     println!("divergence forensics (sweep explain; ups-forensics taxonomy):");
     println!("  causes             overdue_within_t, overdue_beyond_t, missing_in_replay,");
     println!("                     dead_link_drop, buffer_drop (conserved vs the report)");

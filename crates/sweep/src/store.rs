@@ -589,33 +589,6 @@ fn timeseries(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-/// `BENCH_obs.json`, the `obs_overhead` bench's zero-cost-when-off
-/// contract: probe-off throughput within the recorded tolerance of the
-/// un-instrumented baseline, bit-identical fingerprints across all three
-/// modes, and a non-empty sampled series in probe-on mode.
-fn obs(doc: &Cur) -> Result<String, String> {
-    scenario(doc, &["topology", "scheduler"], &[])?;
-    let packets = doc.positive("packets")?;
-    doc.within("runs", 1.0..)?;
-    let tolerance = doc.positive("tolerance")?;
-    for mode in ["uninstrumented", "probe_off", "probe_on"] {
-        doc.obj(mode)?.positive("packets_per_sec")?;
-    }
-    doc.obj("probe_on")?.within("samples", 1.0..)?;
-    // Two-sided on purpose: a large *negative* overhead means probe-off
-    // beat the hook-free loop, i.e. the baseline run (or the machine)
-    // cannot be trusted — as invalid as a slowdown.
-    let probe_off = doc.within("probe_off_overhead", -tolerance..=tolerance)?;
-    let probe_on = doc.num("probe_on_overhead")?;
-    doc.asserts_true("fingerprints_identical")?;
-    Ok(format!(
-        "{packets} packets, probe-off overhead {:+.2}% (tolerance {:.0}%), probe-on {:+.2}%",
-        probe_off * 100.0,
-        tolerance * 100.0,
-        probe_on * 100.0
-    ))
-}
-
 /// `BENCH_divergence.json`, the `forensics` bench's blame distribution:
 /// both axes present ([`k_axis`], [`rate_axis`]) and a conserved
 /// [`forensics_block`] on every row.
@@ -635,48 +608,18 @@ fn divergence(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-/// `BENCH_throughput.json`, the `throughput` bench's engine comparison:
-/// the seed-architecture row then the current-engine row, both delivering
-/// the whole scenario, and a speedup that is the ratio of the two rows.
-fn throughput(doc: &Cur) -> Result<String, String> {
-    let s = scenario(
-        doc,
-        &["topology", "scheduler"],
-        &["utilization", "window_ms", "seed", "flows", "packets"],
-    )?;
-    let delivered = s.num("delivered")?;
-    let rows = doc.rows("results")?;
-    let rule = "must be the heap_baseline row, then the arena_calendar row";
-    let engines = rows.iter().map(|r| r.str("impl"));
-    let engines = engines.collect::<Result<Vec<_>, _>>()?;
-    let in_order = engines == ["heap_baseline", "arena_calendar"];
-    doc.ensure(in_order, "results", rule)?;
-    for r in &rows {
-        r.positive("events_per_sec")?;
-        r.within("delivered", delivered..=delivered)?;
-    }
-    // The artifact prints the speedup to three decimals.
-    let ratio = rows[1].positive("packets_per_sec")? / rows[0].positive("packets_per_sec")?;
-    let speedup = doc.within("speedup_packets_per_sec", ratio - 0.001..=ratio + 0.001)?;
-    Ok(format!(
-        "{delivered} packets on both engines, arena_calendar {speedup:.3}x heap_baseline"
-    ))
-}
-
 type Validator = fn(&Cur) -> Result<String, String>;
 
 /// Every schema tag the store accepts, with its validator. A tag is
 /// listed only while a committed artifact or a CI step produces it; an
 /// older version of a listed tag is rejected like any unknown one.
-const FAMILIES: [(&str, Validator); 8] = [
+const FAMILIES: [(&str, Validator); 6] = [
     (SWEEP_SCHEMA, sweep),
     ("ups-bench-quantized/v1", quantized),
     ("ups-bench-failures/v1", failures),
     ("ups-bench-scale/v1", scale),
-    ("ups-bench-obs/v1", obs),
     (ups_obs::TIMESERIES_SCHEMA, timeseries),
     ("ups-bench-divergence/v1", divergence),
-    ("ups-bench-throughput/v1", throughput),
 ];
 
 /// Validate any tagged artifact — the one entry point behind
@@ -1057,68 +1000,6 @@ mod tests {
             empty,
             "$.heartbeats is empty (the completion tick always fires)",
         );
-    }
-
-    const OBS_DOC: &str = r#"{
-  "schema": "ups-bench-obs/v1",
-  "scenario": {"topology": "FatTree(4)", "scheduler": "LSTF", "utilization": 0.7, "seed": 42},
-  "packets": 250000,
-  "runs": 3,
-  "tolerance": 0.02,
-  "uninstrumented": {"packets_per_sec": 1000000.0, "best_s": 0.25},
-  "probe_off": {"packets_per_sec": 995000.0, "best_s": 0.2512},
-  "probe_on": {"packets_per_sec": 930000.0, "best_s": 0.2688, "samples": 120},
-  "probe_off_overhead": 0.005,
-  "probe_on_overhead": 0.07,
-  "fingerprints_identical": true
-}"#;
-
-    #[test]
-    fn obs_bench_artifact_validates() {
-        let line = validate_artifact(OBS_DOC);
-        let want = "250000 packets, probe-off overhead +0.50% (tolerance 2%), probe-on +7.00%";
-        assert_eq!(line.as_deref(), Ok(want));
-        // The zero-cost-when-off contract is the point of the artifact.
-        let off = |x: &str| OBS_DOC.replace("overhead\": 0.005", &format!("overhead\": {x}"));
-        rejects(&off("0.05"), "$.probe_off_overhead 0.05 outside -0.02");
-        // A probe-off run that *beats* the hook-free loop by more than
-        // the tolerance is a broken baseline, not a win.
-        rejects(&off("-0.05"), "$.probe_off_overhead -0.05 outside -0.02");
-        assert!(validate_artifact(&off("-0.015")).is_ok());
-        // Instrumentation must never change the schedule.
-        let diverged = OBS_DOC.replace("identical\": true", "identical\": false");
-        rejects(&diverged, "$.fingerprints_identical must be true");
-        // Probe-on must have actually sampled something.
-        let unsampled = OBS_DOC.replace(r#""samples": 120"#, r#""samples": 0"#);
-        rejects(&unsampled, "$.probe_on.samples 0 outside 1.0..");
-    }
-
-    const THROUGHPUT_DOC: &str = r#"{
-  "schema": "ups-bench-throughput/v1",
-  "scenario": {"topology": "FatTree(k=4)", "scheduler": "FIFO", "utilization": 0.7,
-               "window_ms": 16, "seed": 42, "flows": 92, "packets": 1000, "delivered": 1000},
-  "results": [
-    {"impl": "heap_baseline", "packets_per_sec": 2500, "events_per_sec": 30000, "delivered": 1000},
-    {"impl": "arena_calendar", "packets_per_sec": 10000, "events_per_sec": 120000, "delivered": 1000}
-  ],
-  "speedup_packets_per_sec": 4.000
-}"#;
-
-    #[test]
-    fn throughput_bench_artifact_validates() {
-        let line = validate_artifact(THROUGHPUT_DOC);
-        let want = "1000 packets on both engines, arena_calendar 4.000x heap_baseline";
-        assert_eq!(line.as_deref(), Ok(want));
-        // Baseline first, then the current engine.
-        let swapped = THROUGHPUT_DOC.replace("heap_baseline", "arena_calendar");
-        rejects(&swapped, "$.results must be the heap_baseline row, then");
-        // Both engines must deliver the whole scenario.
-        let short =
-            THROUGHPUT_DOC.replace(r#"30000, "delivered": 1000"#, r#"30000, "delivered": 999"#);
-        rejects(&short, "$.results[0].delivered 999 outside 1000.0..=1000.0");
-        // The headline number is the ratio of the two rows, not free text.
-        let inflated = THROUGHPUT_DOC.replace("4.000", "4.5");
-        rejects(&inflated, "$.speedup_packets_per_sec 4.5 outside 3.999");
     }
 
     #[test]

@@ -33,98 +33,64 @@ fn lock() -> SurfaceMap {
     parse_lock(&text).expect("SCHEMAS.lock parses")
 }
 
-/// Keys of an artifact document: `json_keys` over the raw text. The
-/// artifacts are trusted well-formed here — `sweep --validate` (its own
-/// CI step and `store::validate_*` tests) checks structure and values.
-fn artifact_keys(name: &str) -> BTreeSet<String> {
-    let text = fs::read_to_string(repo_root().join(name))
-        .unwrap_or_else(|e| panic!("committed artifact {name}: {e}"));
-    json_keys(&text).into_iter().collect()
-}
-
-/// Assert every key in `artifact` is covered by the union of the lock
-/// surfaces of `tags`.
-fn assert_covered(artifact: &str, tags: &[&str]) {
-    let lock = lock();
-    let mut allowed: BTreeSet<&str> = BTreeSet::new();
-    for tag in tags {
-        let surface = lock
-            .get(*tag)
-            .unwrap_or_else(|| panic!("{tag} missing from SCHEMAS.lock"));
-        allowed.extend(surface.iter().map(String::as_str));
-    }
-    let missing: Vec<String> = artifact_keys(artifact)
-        .into_iter()
-        .filter(|k| !allowed.contains(k.as_str()))
+/// Every `BENCH_*.json` at the repository root with its text, sorted by
+/// name: the directory is the list of committed artifacts.
+fn artifacts() -> Vec<(String, String)> {
+    let root = repo_root();
+    let mut found: Vec<(String, String)> = fs::read_dir(&root)
+        .expect("repository root")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .map(|name| {
+            let text = fs::read_to_string(root.join(&name))
+                .unwrap_or_else(|e| panic!("committed artifact {name}: {e}"));
+            (name, text)
+        })
         .collect();
-    assert!(
-        missing.is_empty(),
-        "{artifact} carries keys outside the SCHEMAS.lock surface of {tags:?}: {missing:?} — \
-         an emitter lost its lint:schema annotation, or the lock is stale \
-         (cargo run -p ups-lint -- --update)"
-    );
+    found.sort();
+    found
 }
 
-#[test]
-fn sweep_artifact_is_covered_by_the_lock() {
-    // The envelope (ups-sweep/v4) embeds one record line per job
-    // (ups-sweep-record/v5), each of which may embed a forensics block
-    // (ups-forensics/v1), so the artifact's keys live in the union.
-    assert_covered(
-        "BENCH_sweep.json",
-        &["ups-sweep/v4", "ups-sweep-record/v5", "ups-forensics/v1"],
-    );
+/// Every `"schema": "<tag>"` value in `text`: the envelope's tag plus
+/// the tag of each embedded document (a sweep artifact's record lines,
+/// a forensics block per row).
+fn schema_tags(text: &str) -> BTreeSet<&str> {
+    text.split("\"schema\"")
+        .filter_map(|part| part.trim_start().strip_prefix(':'))
+        .filter_map(|rest| rest.trim_start().strip_prefix('"')?.split('"').next())
+        .collect()
 }
 
+/// Each artifact is covered by the tags it declares: every tag is in the
+/// lock, and every key the artifact carries is in the union of their
+/// surfaces. The artifacts are trusted well-formed here — structure and
+/// values are `validate_artifact`'s business (`tests/artifacts.rs`).
 #[test]
-fn bench_artifacts_are_covered_by_the_lock() {
-    for (artifact, tag) in [
-        ("BENCH_throughput.json", "ups-bench-throughput/v1"),
-        ("BENCH_quantized.json", "ups-bench-quantized/v1"),
-        ("BENCH_failures.json", "ups-bench-failures/v1"),
-        ("BENCH_scale.json", "ups-bench-scale/v1"),
-        ("BENCH_obs.json", "ups-bench-obs/v1"),
-    ] {
-        assert_covered(artifact, &[tag]);
-    }
-    // The divergence bench embeds one forensics block per row.
-    assert_covered(
-        "BENCH_divergence.json",
-        &["ups-bench-divergence/v1", "ups-forensics/v1"],
-    );
-}
-
-#[test]
-fn every_artifact_schema_tag_is_locked() {
+fn committed_artifacts_are_covered_by_the_lock() {
     let lock = lock();
-    for artifact in [
-        "BENCH_sweep.json",
-        "BENCH_throughput.json",
-        "BENCH_quantized.json",
-        "BENCH_failures.json",
-        "BENCH_scale.json",
-        "BENCH_obs.json",
-        "BENCH_divergence.json",
-    ] {
-        let text = fs::read_to_string(repo_root().join(artifact)).expect("committed artifact");
-        // Every `"schema": "<tag>"` value in the document (the envelope
-        // plus, for the sweep artifact, each embedded record line).
-        let mut found = 0;
-        for part in text.split("\"schema\"") {
-            let Some(rest) = part.trim_start().strip_prefix(':') else {
-                continue;
-            };
-            let rest = rest.trim_start().trim_start_matches('"');
-            let Some(tag) = rest.split('"').next() else {
-                continue;
-            };
-            found += 1;
-            assert!(
-                lock.contains_key(tag),
-                "{artifact} declares schema {tag:?} which SCHEMAS.lock does not cover"
-            );
+    let artifacts = artifacts();
+    assert!(artifacts.len() >= 5, "artifacts missing from the root");
+    for (artifact, text) in &artifacts {
+        let tags = schema_tags(text);
+        assert!(!tags.is_empty(), "{artifact} carries no schema tag");
+        let mut allowed: BTreeSet<&str> = BTreeSet::new();
+        for tag in &tags {
+            let surface = lock.get(*tag).unwrap_or_else(|| {
+                panic!("{artifact} declares schema {tag:?} which SCHEMAS.lock does not cover")
+            });
+            allowed.extend(surface.iter().map(String::as_str));
         }
-        assert!(found > 0, "{artifact} carries no schema tag");
+        let missing: Vec<String> = json_keys(text)
+            .into_iter()
+            .filter(|k| !allowed.contains(k.as_str()))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{artifact} carries keys outside the SCHEMAS.lock surface of {tags:?}: {missing:?} — \
+             an emitter lost its lint:schema annotation, or the lock is stale \
+             (cargo run -p ups-lint -- --update)"
+        );
     }
 }
 

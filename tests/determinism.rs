@@ -5,7 +5,7 @@
 //! compared with `Trace == Trace`.
 //!
 //! This pins the determinism contract across the whole zero-copy hot
-//! path: calendar-queue event ordering (`(time, seq)`), arena slot
+//! path: timing-wheel event ordering (`(time, seq)`), arena slot
 //! recycling, per-port arrival sequencing, and the seeded `Random`
 //! discipline.
 
@@ -65,6 +65,42 @@ fn seeded_fattree_runs_are_bit_identical() {
             kind.name()
         );
     }
+}
+
+/// Store-and-forward FIFO timing against the seed architecture, as a
+/// golden. The seed's engine (`BinaryHeap` event list, per-port
+/// `BinaryHeap` queues, packets moved by value) lived on as
+/// `ups_bench::baseline::BaselineSim` until commit e638527, where it and
+/// this engine agreed on exactly this triple for exactly this workload —
+/// the cross-check the deleted `throughput` bench made before timing
+/// anything. `Σ exit` moves when any packet leaves at another time;
+/// `Σ (id + 1) · exit` also moves when two packets trade places in a
+/// queue, which leaves the set of exit times as it was.
+#[test]
+fn fifo_fattree_schedule_matches_the_seed_engine_golden() {
+    let (topo, train) = ups_bench::fattree_throughput_workload(0.7, 20_000, 42);
+    let mut sim = build_simulator(
+        &topo,
+        &SchedulerAssignment::uniform(SchedulerKind::Fifo),
+        &BuildOptions {
+            record: RecordMode::EndToEnd,
+            ..BuildOptions::default()
+        },
+    );
+    for p in train.packets {
+        sim.inject(p);
+    }
+    sim.run();
+    let (mut exit_sum_ps, mut weighted_ps) = (0u128, 0u128);
+    for (id, r) in sim.trace().delivered().expect("resident trace") {
+        let exit = r.exited.expect("delivered").as_ps() as u128;
+        exit_sum_ps += exit;
+        weighted_ps += (id.0 as u128 + 1) * exit;
+    }
+    assert_eq!(
+        (sim.stats().delivered, exit_sum_ps, weighted_ps),
+        (38_025, 547_008_235_843_533, 12_440_606_358_381_795_426)
+    );
 }
 
 /// Different port seeds must change a Random schedule (the equality check

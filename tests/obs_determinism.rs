@@ -2,8 +2,8 @@
 //! instrumentation live (global gate enabled, time-series probe
 //! attached) is **bit-identical** — trace, stats, replay report — to the
 //! same seeded run with everything off. This is the determinism half of
-//! the zero-cost-when-off contract (`BENCH_obs.json` pins the cost
-//! half).
+//! the zero-cost-when-off contract; the cost half is the
+//! `obs.trace_overhead` row of the benchmark (`examples/perf`).
 //!
 //! The gate is process-global and `cargo test` runs `#[test]`s on
 //! threads, so every test that toggles it serializes on one lock —
