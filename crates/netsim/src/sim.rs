@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use ups_obs::{Counter, Phase, PhaseTimer, SimProbe, SimSample};
+use ups_obs::{Counter, Phase, SimProbe, SimSample};
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
@@ -351,16 +351,6 @@ impl Simulator {
         while self.step() {}
     }
 
-    /// [`Self::run`] through a build of the event loop with every
-    /// observability hook compiled out (`step_impl::<false>`): no gate
-    /// loads, no sample-tick compare, no inert timer guards. This is the
-    /// reference the `obs_overhead` bench measures the gated loop
-    /// against — it produces the identical schedule, as every run of
-    /// that bench asserts. Not for probing: an attached probe is ignored.
-    pub fn run_uninstrumented(&mut self) {
-        while self.step_impl::<false>() {}
-    }
-
     /// Run to completion while pulling packets from `packets` on demand
     /// instead of injecting the whole workload up front. The iterator must
     /// be sorted by `injected_at` (ties in any order); each packet is
@@ -423,47 +413,32 @@ impl Simulator {
     }
 
     /// Process one event. Returns false when the queue is exhausted.
+    ///
+    /// The observability hooks (`ups_obs::timer`/`count`/`count_max`) cost
+    /// one relaxed load and a predictable branch each while the gate is
+    /// off, and none of them mutates engine state.
     pub fn step(&mut self) -> bool {
-        self.step_impl::<true>()
-    }
-
-    /// One event dispatch, monomorphized with (`OBS = true`) or without
-    /// (`OBS = false`) observability hooks. The shipped [`Self::step`] is
-    /// the `true` instantiation — its hooks cost one relaxed load and a
-    /// predictable branch each while the gate is off. The `false`
-    /// instantiation ([`Self::run_uninstrumented`]) is the hook-free
-    /// baseline the overhead bench compares against. Both produce
-    /// bit-identical schedules: no hook mutates engine state.
-    fn step_impl<const OBS: bool>(&mut self) -> bool {
-        let _dispatch = if OBS {
-            ups_obs::timer(Phase::Dispatch)
-        } else {
-            PhaseTimer::off()
-        };
+        let _dispatch = ups_obs::timer(Phase::Dispatch);
         let Some((now, event)) = self.events.pop() else {
             return false;
         };
         self.stats.events += 1;
-        if OBS {
-            ups_obs::count(
-                match event {
-                    Event::Inject(_) => Counter::EventsInject,
-                    Event::Arrive { .. } => Counter::EventsArrive,
-                    Event::PortReady { .. } => Counter::EventsPortReady,
-                    Event::Timer { .. } => Counter::EventsTimer,
-                    Event::LinkState { .. } => Counter::EventsLinkState,
-                },
-                1,
-            );
-        }
+        ups_obs::count(
+            match event {
+                Event::Inject(_) => Counter::EventsInject,
+                Event::Arrive { .. } => Counter::EventsArrive,
+                Event::PortReady { .. } => Counter::EventsPortReady,
+                Event::Timer { .. } => Counter::EventsTimer,
+                Event::LinkState { .. } => Counter::EventsLinkState,
+            },
+            1,
+        );
         match event {
             Event::Inject(pkt) => {
                 self.stats.injected += 1;
-                if OBS {
-                    ups_obs::count_max(Counter::ArenaHighWater, self.arena.live() as u64);
-                }
+                ups_obs::count_max(Counter::ArenaHighWater, self.arena.live() as u64);
                 self.trace.on_inject(self.arena.get(pkt), now);
-                self.route::<OBS>(pkt, now);
+                self.route(pkt, now);
             }
             Event::Arrive { node, pkt } => {
                 let packet = self.arena.get(pkt);
@@ -471,15 +446,11 @@ impl Simulator {
                 if packet.at_destination() {
                     self.deliver(node, pkt, now);
                 } else {
-                    self.route::<OBS>(pkt, now);
+                    self.route(pkt, now);
                 }
             }
             Event::PortReady { node, port, token } => {
-                let _t = if OBS {
-                    ups_obs::timer(Phase::Dequeue)
-                } else {
-                    PhaseTimer::off()
-                };
+                let _t = ups_obs::timer(Phase::Dequeue);
                 // lint:allow(panic-path): node and port ids are dense handles issued by this simulator
                 self.nodes[node.index()].ports[port.index()].on_ready(
                     token,
@@ -499,9 +470,9 @@ impl Simulator {
                 };
                 self.agents[agent.index()].on_timer(key, &mut api); // lint:allow(panic-path): agent ids are dense handles issued by this simulator
             }
-            Event::LinkState { a, b, up } => self.apply_link_state::<OBS>(a, b, up, now),
+            Event::LinkState { a, b, up } => self.apply_link_state(a, b, up, now),
         }
-        if OBS && now.as_ps() >= self.next_sample_ps {
+        if now.as_ps() >= self.next_sample_ps {
             self.sample(now);
         }
         true
@@ -548,7 +519,7 @@ impl Simulator {
     /// oracle hears about the change first so its reroutes never use the
     /// newly-dead link; both ports are marked before any packet is
     /// diverted so a reroute cannot sneak through the reverse direction.
-    fn apply_link_state<const OBS: bool>(&mut self, a: NodeId, b: NodeId, up: bool, now: SimTime) {
+    fn apply_link_state(&mut self, a: NodeId, b: NodeId, up: bool, now: SimTime) {
         self.stats.link_events += 1;
         if let Some(oracle) = self.oracle.as_mut() {
             oracle.link_state_changed(a, b, up, now);
@@ -571,19 +542,15 @@ impl Simulator {
             }
         }
         for pkt in displaced {
-            self.divert::<OBS>(pkt, now);
+            self.divert(pkt, now);
         }
     }
 
     /// Apply the dead-link policy to a packet whose next link is down:
     /// reroute it at its current hop (splicing the oracle's fresh path
     /// onto the executed prefix) or drop it with [`DropCause::DeadLink`].
-    fn divert<const OBS: bool>(&mut self, pkt: PacketRef, now: SimTime) {
-        let _t = if OBS {
-            ups_obs::timer(Phase::Reroute)
-        } else {
-            PhaseTimer::off()
-        };
+    fn divert(&mut self, pkt: PacketRef, now: SimTime) {
+        let _t = ups_obs::timer(Phase::Reroute);
         let (here, dst) = {
             let p = self.arena.get(pkt);
             (p.current_node(), p.dst())
@@ -609,7 +576,7 @@ impl Simulator {
                 p.tmin_rem = None;
                 self.stats.rerouted += 1;
                 self.trace.on_reroute(self.arena.get(pkt));
-                self.forward::<OBS>(pkt, now);
+                self.forward(pkt, now);
             }
             None => {
                 self.stats.dropped += 1;
@@ -622,17 +589,17 @@ impl Simulator {
 
     /// Record the hop arrival and enqueue `pkt` at the output port of its
     /// current node towards its next hop.
-    fn route<const OBS: bool>(&mut self, pkt: PacketRef, now: SimTime) {
+    fn route(&mut self, pkt: PacketRef, now: SimTime) {
         let packet = self.arena.get(pkt);
         let here = packet.current_node();
         self.trace.on_arrive_at_hop(packet, here, now);
-        self.forward::<OBS>(pkt, now);
+        self.forward(pkt, now);
     }
 
     /// [`Self::route`] minus the hop-arrival record — also the re-entry
     /// point after a reroute, whose hop arrival was already recorded when
     /// the packet first reached this node.
-    fn forward<const OBS: bool>(&mut self, pkt: PacketRef, now: SimTime) {
+    fn forward(&mut self, pkt: PacketRef, now: SimTime) {
         let packet = self.arena.get(pkt);
         let here = packet.current_node();
         let next = packet
@@ -644,15 +611,11 @@ impl Simulator {
                                                                                     // lint:allow(panic-path): node and port ids are dense handles issued by this simulator
         if !self.nodes[here.index()].ports[port.index()].up {
             // The precomputed path runs over a dead link.
-            self.divert::<OBS>(pkt, now);
+            self.divert(pkt, now);
             return;
         }
         let drops = {
-            let _t = if OBS {
-                ups_obs::timer(Phase::Enqueue)
-            } else {
-                PhaseTimer::off()
-            };
+            let _t = ups_obs::timer(Phase::Enqueue);
             // lint:allow(panic-path): node and port ids are dense handles issued by this simulator
             self.nodes[here.index()].ports[port.index()].accept(
                 pkt,
@@ -1151,23 +1114,6 @@ mod tests {
         for w in series.rows.windows(2) {
             assert!(w[1].sample.t_ps > w[0].sample.t_ps);
         }
-    }
-
-    #[test]
-    fn uninstrumented_run_matches_instrumented() {
-        let run = |instrumented: bool| {
-            let mut sim = line_network(3, SchedulerKind::Lstf { preemptive: true });
-            for i in 0..30 {
-                sim.inject(pkt_on(&[0, 1, 2], i, SimTime::from_us(i)));
-            }
-            if instrumented {
-                sim.run();
-            } else {
-                sim.run_uninstrumented();
-            }
-            (sim.stats(), sim.into_trace())
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

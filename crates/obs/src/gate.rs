@@ -220,15 +220,6 @@ pub struct PhaseTimer {
     armed: Option<(Phase, Instant)>,
 }
 
-impl PhaseTimer {
-    /// An inert guard (records nothing). The `const OBS: bool`
-    /// instrumentation-free event loop uses this to keep one code path.
-    #[inline(always)]
-    pub fn off() -> PhaseTimer {
-        PhaseTimer { armed: None }
-    }
-}
-
 impl Drop for PhaseTimer {
     #[inline]
     fn drop(&mut self) {
