@@ -158,8 +158,8 @@ pub trait Scheduler: std::fmt::Debug + Send {
 }
 
 // ---------------------------------------------------------------------------
-// Shared rank-heap storage used by the heap-ordered disciplines
-// (Priority, SJF, EDF, LSTF, FQ, FIFO+, Omniscient reuse this).
+// Shared rank-heap storage: the queue under `sched::rank_queue`, and so
+// under Priority, SJF, EDF, LSTF, FQ, FIFO+ and Omniscient.
 // ---------------------------------------------------------------------------
 
 /// Explicit binary min-heap of [`QueuedPacket`]s on `(rank, arrival_seq)`

@@ -1,7 +1,8 @@
 //! Network-wide earliest deadline first (App. E).
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use super::rank_queue::{Rank, RankQueue};
+use crate::packet::Packet;
+use crate::queue::PortCtx;
 use crate::time::SimTime;
 
 /// The static-header formulation of LSTF from Appendix E: the header
@@ -19,90 +20,28 @@ use crate::time::SimTime;
 /// Requires packets built with a `tmin_rem` table (the routing layer
 /// attaches it); panics otherwise, since silently scheduling with a wrong
 /// deadline would invalidate any experiment using it.
+pub type Edf = RankQueue<EdfRank>;
+
+/// [`Edf`]'s rank: the App. E local deadline.
 #[derive(Debug, Default)]
-pub struct Edf {
-    q: RankHeap,
+pub struct EdfRank {
     preemptive: bool,
 }
 
 impl Edf {
-    /// New non-preemptive EDF queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Preemptive EDF — matches preemptive LSTF exactly (App. E).
     pub fn preemptive() -> Self {
-        Edf {
-            q: RankHeap::new(),
-            preemptive: true,
-        }
+        Self::with(EdfRank { preemptive: true })
     }
 }
 
-impl Scheduler for Edf {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        ctx: PortCtx,
-    ) {
-        let rank = self
-            .rank_for(pkt, arena, now, ctx)
-            .expect("EDF ranks every packet"); // lint:allow(panic-path): rank_for keyed every packet this discipline admitted
-        self.q.push(QueuedPacket {
-            pkt,
-            rank,
-            enqueued_at: now,
-            arrival_seq,
-            size: arena.get(pkt).size,
-        });
-    }
-
-    fn dequeue(
-        &mut self,
-        _arena: &mut PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        self.q.pop_min()
-    }
-
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
-    }
-
-    fn is_preemptive(&self) -> bool {
-        self.preemptive
-    }
-
+impl Rank for EdfRank {
     /// The App. E local deadline `o(p) − tmin(p, α, dest) + T(p, α)`.
     ///
     /// # Panics
     /// If the packet carries no `tmin_rem` table — silently scheduling
     /// with a wrong deadline would invalidate any experiment using it.
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        _now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        let p = arena.get(pkt);
+    fn rank_for(&self, p: &Packet, _now: SimTime, ctx: PortCtx) -> Option<i128> {
         let tmin_rem = p
             .tmin_remaining()
             .expect("EDF needs packets with a tmin_rem table (attach via routing layer)"); // lint:allow(panic-path): config contract: EDF without tmin tables must fail loudly, not misschedule
@@ -111,15 +50,12 @@ impl Scheduler for Edf {
     }
 
     /// Time until the local deadline — stationary form of the rank.
-    fn quantize_key(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        self.rank_for(pkt, arena, now, ctx)
-            .map(|r| r - now.as_ps() as i128)
+    fn quantize_key(&self, p: &Packet, now: SimTime, ctx: PortCtx) -> Option<i128> {
+        self.rank_for(p, now, ctx).map(|r| r - now.as_ps() as i128)
+    }
+
+    fn is_preemptive(&self) -> bool {
+        self.preemptive
     }
 
     fn name(&self) -> &'static str {
@@ -131,7 +67,8 @@ impl Scheduler for Edf {
 mod tests {
     use super::*;
     use crate::id::{FlowId, NodeId, PacketId};
-    use crate::packet::{Header, Packet, PacketBuilder};
+    use crate::packet::{Header, PacketBuilder};
+    use crate::queue::Scheduler;
     use crate::sched::testutil::Bench;
     use crate::time::Dur;
     use std::sync::Arc;

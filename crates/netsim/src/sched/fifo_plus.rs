@@ -1,7 +1,9 @@
 //! FIFO+ — FIFO corrected by upstream queueing excess.
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use super::rank_queue::{Rank, RankQueue};
+use crate::arena::PacketArena;
+use crate::packet::Packet;
+use crate::queue::{PortCtx, QueuedPacket};
 use crate::time::SimTime;
 
 /// FIFO+ from Clark–Shenker–Zhang [11] (§3.2): each hop measures the mean
@@ -14,20 +16,18 @@ use crate::time::SimTime;
 /// The paper observes (§3.2) that LSTF with a uniform initial slack is
 /// identical to FIFO+ up to the per-hop mean-delay normalization; both are
 /// exercised in the test suite and the Figure 3 bench.
+pub type FifoPlus = RankQueue<FifoPlusRank>;
+
+/// [`FifoPlus`]'s rank — expected arrival time — and the delay history
+/// of this port it is corrected by.
 #[derive(Debug, Default)]
-pub struct FifoPlus {
-    q: RankHeap,
+pub struct FifoPlusRank {
     /// Running mean of queueing delays imposed by this port, in ps.
     total_wait_ps: u128,
     served: u64,
 }
 
-impl FifoPlus {
-    /// New FIFO+ queue with an empty delay history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl FifoPlusRank {
     fn mean_wait_ps(&self) -> i64 {
         if self.served == 0 {
             0
@@ -37,61 +37,18 @@ impl FifoPlus {
     }
 }
 
-impl Scheduler for FifoPlus {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        ctx: PortCtx,
-    ) {
-        let rank = self
-            .rank_for(pkt, arena, now, ctx)
-            .expect("FIFO+ ranks every packet"); // lint:allow(panic-path): rank_for keyed every packet this discipline admitted
-        self.q.push(QueuedPacket {
-            pkt,
-            rank,
-            enqueued_at: now,
-            arrival_seq,
-            size: arena.get(pkt).size,
-        });
-    }
-
-    fn dequeue(
-        &mut self,
-        arena: &mut PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        let qp = self.q.pop_min()?;
-        self.on_serve(&qp, arena, now, ctx);
-        Some(qp)
-    }
-
+impl Rank for FifoPlusRank {
     /// Expected arrival = actual arrival − upstream excess. A positive
     /// offset (delayed more than average so far) ranks the packet as if
     /// it had arrived earlier.
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<i128> {
-        Some(now.as_ps() as i128 - arena.get(pkt).header.fifo_plus_offset as i128)
+    fn rank_for(&self, p: &Packet, now: SimTime, _ctx: PortCtx) -> Option<i128> {
+        Some(now.as_ps() as i128 - p.header.fifo_plus_offset as i128)
     }
 
     /// The negated upstream excess (`rank − now`): the header field a
     /// hardware mapper quantizes, stationary across the run.
-    fn quantize_key(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<i128> {
-        Some(-(arena.get(pkt).header.fifo_plus_offset as i128))
+    fn quantize_key(&self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
+        Some(-(p.header.fifo_plus_offset as i128))
     }
 
     /// Fold this hop's excess into the header before the packet moves on.
@@ -107,22 +64,6 @@ impl Scheduler for FifoPlus {
         arena.get_mut(qp.pkt).header.fifo_plus_offset += wait as i64 - mean;
         self.total_wait_ps += wait as u128;
         self.served += 1;
-    }
-
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
     }
 
     fn name(&self) -> &'static str {

@@ -2,9 +2,11 @@
 
 use std::collections::HashMap;
 
-use crate::arena::{PacketArena, PacketRef};
+use super::rank_queue::{Rank, RankQueue};
+use crate::arena::PacketArena;
 use crate::id::FlowId;
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use crate::packet::Packet;
+use crate::queue::{PortCtx, QueuedPacket};
 use crate::time::SimTime;
 
 /// Packet-level fair queueing in the spirit of Demers–Keshav–Shenker [12],
@@ -18,9 +20,12 @@ use crate::time::SimTime;
 /// one-MTU-per-flow fairness bound — plenty for the paper's uses: an
 /// original schedule in Table 1, a half-FQ/half-FIFO+ network, and the
 /// fairness reference ("FQ") of Figure 4.
+pub type FairQueueing = RankQueue<FqRank>;
+
+/// [`FairQueueing`]'s rank — the SFQ start tag — and the per-port tags it
+/// is drawn from.
 #[derive(Debug, Default)]
-pub struct FairQueueing {
-    q: RankHeap,
+pub struct FqRank {
     /// Last assigned finish tag per flow, in virtual byte units.
     // lint:allow(hash-container): per-packet hot path, lookup-only —
     // never iterated, so map order cannot reach the schedule.
@@ -29,66 +34,28 @@ pub struct FairQueueing {
     vtime: i128,
 }
 
-impl FairQueueing {
-    /// New empty fair queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for FairQueueing {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        _ctx: PortCtx,
-    ) {
-        let p = arena.get(pkt);
+impl Rank for FqRank {
+    fn admit(&mut self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> i128 {
         let prev_finish = self.finish.get(&p.flow).copied().unwrap_or(i128::MIN);
         let start = prev_finish.max(self.vtime);
-        let finish = start + p.size as i128;
-        self.finish.insert(p.flow, finish);
-        self.q.push(QueuedPacket {
-            pkt,
-            rank: start,
-            enqueued_at: now,
-            arrival_seq,
-            size: p.size,
-        });
+        self.finish.insert(p.flow, start + p.size as i128);
+        start
     }
 
-    fn dequeue(
+    fn on_serve(
         &mut self,
+        qp: &QueuedPacket,
         _arena: &mut PacketArena,
         _now: SimTime,
         _ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        let qp = self.q.pop_min()?;
+    ) {
         self.vtime = qp.rank;
-        if self.q.is_empty() {
-            // Idle period: reset tags so a returning flow doesn't inherit
-            // stale credit/debt against flows that were active long ago.
-            self.finish.clear();
-        }
-        Some(qp)
     }
 
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
+    /// Idle period: reset tags so a returning flow doesn't inherit stale
+    /// credit/debt against flows that were active long ago.
+    fn on_idle(&mut self) {
+        self.finish.clear();
     }
 
     fn name(&self) -> &'static str {

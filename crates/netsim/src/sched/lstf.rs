@@ -1,7 +1,9 @@
 //! Least slack time first — the paper's near-universal scheduler.
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use super::rank_queue::{Rank, RankQueue};
+use crate::arena::PacketArena;
+use crate::packet::Packet;
+use crate::queue::{PortCtx, QueuedPacket};
 use crate::time::SimTime;
 
 /// LSTF (§2.2): every packet carries its remaining slack — the queueing
@@ -33,76 +35,35 @@ use crate::time::SimTime;
 /// With `preemptive = true` the port may interrupt an ongoing transmission
 /// when a strictly smaller-rank packet arrives (§2.3(5) ablation; the
 /// paper's replay default is non-preemptive, its theory preemptive).
+///
+/// # Drop rule
+///
+/// §3: "packets with the highest slack are dropped when the buffer is
+/// full".
+pub type Lstf = RankQueue<LstfRank>;
+
+/// [`Lstf`]'s rank: `header.slack` at the last bit, shifted by arrival.
 #[derive(Debug)]
-pub struct Lstf {
-    q: RankHeap,
+pub struct LstfRank {
     preemptive: bool,
 }
 
 impl Lstf {
     /// New LSTF queue. `preemptive` allows mid-transmission preemption.
     pub fn new(preemptive: bool) -> Self {
-        Lstf {
-            q: RankHeap::new(),
-            preemptive,
-        }
+        Self::with(LstfRank { preemptive })
     }
 }
 
-impl Scheduler for Lstf {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        ctx: PortCtx,
-    ) {
-        let rank = self
-            .rank_for(pkt, arena, now, ctx)
-            .expect("LSTF ranks every packet"); // lint:allow(panic-path): rank_for keyed every packet this discipline admitted
-        self.q.push(QueuedPacket {
-            pkt,
-            rank,
-            enqueued_at: now,
-            arrival_seq,
-            size: arena.get(pkt).size,
-        });
-    }
-
-    fn dequeue(
-        &mut self,
-        arena: &mut PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        let qp = self.q.pop_min()?;
-        self.on_serve(&qp, arena, now, ctx);
-        Some(qp)
-    }
-
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        let p = arena.get(pkt);
+impl Rank for LstfRank {
+    fn rank_for(&self, p: &Packet, now: SimTime, ctx: PortCtx) -> Option<i128> {
         let last_bit = ctx.bandwidth.tx_time(p.size).as_ps() as i128;
         Some(p.header.slack + now.as_ps() as i128 + last_bit)
     }
 
     /// Remaining slack at the last transmitted bit — the §2.2 header field
     /// a hardware mapper quantizes (`rank − now`, so it does not drift).
-    fn quantize_key(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        _now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        let p = arena.get(pkt);
+    fn quantize_key(&self, p: &Packet, _now: SimTime, ctx: PortCtx) -> Option<i128> {
         let last_bit = ctx.bandwidth.tx_time(p.size).as_ps() as i128;
         Some(p.header.slack + last_bit)
     }
@@ -122,24 +83,6 @@ impl Scheduler for Lstf {
         arena.get_mut(qp.pkt).header.slack -= waited;
     }
 
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    /// §3 drop rule: "packets with the highest slack are dropped when the
-    /// buffer is full".
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
-    }
-
     fn is_preemptive(&self) -> bool {
         self.preemptive
     }
@@ -156,7 +99,8 @@ impl Scheduler for Lstf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Header, Packet};
+    use crate::packet::Header;
+    use crate::queue::Scheduler;
     use crate::sched::testutil::{pkt_with, Bench};
     use crate::time::Dur;
 

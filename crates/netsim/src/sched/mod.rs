@@ -12,6 +12,10 @@
 //! Each port owns one scheduler instance, built from a [`SchedulerKind`]
 //! so that per-port state (virtual time, DRR rounds, RNG streams, FIFO+
 //! delay averages) is never shared across ports.
+//!
+//! Seven of them — [`Priority`], [`Sjf`], [`Edf`], [`Lstf`], [`FifoPlus`],
+//! [`Omniscient`], [`FairQueueing`] — are one queue body (`rank_queue`)
+//! under seven ranks; each of their files holds only the rank.
 
 mod drr;
 mod edf;
@@ -24,6 +28,7 @@ mod omniscient;
 mod priority;
 mod quantized;
 mod random;
+mod rank_queue;
 mod sjf;
 mod srpt;
 

@@ -1,7 +1,8 @@
 //! Omniscient per-hop replay scheduling (Appendix B).
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use super::rank_queue::{Rank, RankQueue};
+use crate::packet::Packet;
+use crate::queue::PortCtx;
 use crate::time::SimTime;
 
 /// The omniscient-initialization UPS of Appendix B: the ingress writes the
@@ -19,28 +20,16 @@ use crate::time::SimTime;
 /// `header.omniscient` with one entry per path node; panics otherwise
 /// (scheduling with a missing oracle would silently degrade to FIFO and
 /// invalidate the experiment).
+pub type Omniscient = RankQueue<OmniscientRank>;
+
+/// [`Omniscient`]'s rank: this hop's entry of `header.omniscient`. An
+/// n-entry vector is not a field a rank→queue mapper reads, so the rank
+/// is assigned in `admit` and never offered for quantization.
 #[derive(Debug, Default)]
-pub struct Omniscient {
-    q: RankHeap,
-}
+pub struct OmniscientRank;
 
-impl Omniscient {
-    /// New empty omniscient queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for Omniscient {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        _ctx: PortCtx,
-    ) {
-        let p = arena.get(pkt);
+impl Rank for OmniscientRank {
+    fn admit(&mut self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> i128 {
         let vec = p
             .header
             .omniscient
@@ -51,39 +40,7 @@ impl Scheduler for Omniscient {
             p.path.len(),
             "omniscient vector must have one entry per path node"
         );
-        let rank = vec[p.hop as usize].as_ps() as i128;
-        self.q.push(QueuedPacket {
-            pkt,
-            rank,
-            enqueued_at: now,
-            arrival_seq,
-            size: p.size,
-        });
-    }
-
-    fn dequeue(
-        &mut self,
-        _arena: &mut PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        self.q.pop_min()
-    }
-
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
+        vec[p.hop as usize].as_ps() as i128
     }
 
     fn name(&self) -> &'static str {
@@ -95,7 +52,7 @@ impl Scheduler for Omniscient {
 mod tests {
     use super::*;
     use crate::id::{FlowId, NodeId, PacketId};
-    use crate::packet::{Header, Packet, PacketBuilder};
+    use crate::packet::{Header, PacketBuilder};
     use crate::sched::testutil::Bench;
     use std::sync::Arc;
 

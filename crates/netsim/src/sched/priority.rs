@@ -1,7 +1,8 @@
 //! Static priority scheduling.
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use super::rank_queue::{Rank, RankQueue};
+use crate::packet::Packet;
+use crate::queue::PortCtx;
 use crate::time::SimTime;
 
 /// Simple (static) priority scheduling: the ingress assigns `header.prio`
@@ -12,83 +13,26 @@ use crate::time::SimTime;
 /// replays any viable schedule with ≤ 1 congestion point per packet but
 /// fails at 2 (App. F's priority cycle), and the intuitive assignment
 /// `prio = o(p)` replays far worse than LSTF empirically (§2.3(7)).
+pub type Priority = RankQueue<PriorityRank>;
+
+/// [`Priority`]'s rank: `header.prio`.
 #[derive(Debug, Default)]
-pub struct Priority {
-    q: RankHeap,
+pub struct PriorityRank {
     preemptive: bool,
 }
 
 impl Priority {
-    /// New non-preemptive priority queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Priority queue that may interrupt an ongoing transmission for a
     /// strictly better-priority arrival (the theory's UPS candidates are
     /// preemptive; §2.1 footnote 3).
     pub fn preemptive() -> Self {
-        Priority {
-            q: RankHeap::new(),
-            preemptive: true,
-        }
+        Self::with(PriorityRank { preemptive: true })
     }
 }
 
-impl Scheduler for Priority {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        _ctx: PortCtx,
-    ) {
-        let rank = self
-            .rank_for(pkt, arena, now, _ctx)
-            .expect("Priority ranks every packet"); // lint:allow(panic-path): rank_for keyed every packet this discipline admitted
-        self.q.push(QueuedPacket {
-            pkt,
-            rank,
-            enqueued_at: now,
-            arrival_seq,
-            size: arena.get(pkt).size,
-        });
-    }
-
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<i128> {
-        Some(arena.get(pkt).header.prio)
-    }
-
-    fn dequeue(
-        &mut self,
-        _arena: &mut PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        self.q.pop_min()
-    }
-
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
+impl Rank for PriorityRank {
+    fn rank_for(&self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
+        Some(p.header.prio)
     }
 
     fn is_preemptive(&self) -> bool {
@@ -103,7 +47,7 @@ impl Scheduler for Priority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Header, Packet};
+    use crate::packet::Header;
     use crate::sched::testutil::{pkt_with, service_order, Bench};
 
     fn prio_pkt(id: u64, prio: i128) -> Packet {

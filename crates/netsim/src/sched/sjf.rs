@@ -1,7 +1,8 @@
 //! Shortest job first.
 
-use crate::arena::{PacketArena, PacketRef};
-use crate::queue::{PortCtx, QueuedPacket, RankHeap, Scheduler};
+use super::rank_queue::{Rank, RankQueue};
+use crate::packet::Packet;
+use crate::queue::PortCtx;
 use crate::time::SimTime;
 
 /// SJF: packets of smaller flows are served first ("shortest job first
@@ -12,72 +13,15 @@ use crate::time::SimTime;
 ///
 /// Under heavy-tailed workloads SJF is near-optimal for mean FCT [3], which
 /// is why Figure 2 uses it (with SRPT) as the benchmark LSTF must match.
+pub type Sjf = RankQueue<SjfRank>;
+
+/// [`Sjf`]'s rank: `header.flow_size`.
 #[derive(Debug, Default)]
-pub struct Sjf {
-    q: RankHeap,
-}
+pub struct SjfRank;
 
-impl Sjf {
-    /// New empty SJF queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for Sjf {
-    fn enqueue(
-        &mut self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        arrival_seq: u64,
-        _ctx: PortCtx,
-    ) {
-        let rank = self
-            .rank_for(pkt, arena, now, _ctx)
-            .expect("SJF ranks every packet"); // lint:allow(panic-path): rank_for keyed every packet this discipline admitted
-        self.q.push(QueuedPacket {
-            pkt,
-            rank,
-            enqueued_at: now,
-            arrival_seq,
-            size: arena.get(pkt).size,
-        });
-    }
-
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<i128> {
-        Some(arena.get(pkt).header.flow_size as i128)
-    }
-
-    fn dequeue(
-        &mut self,
-        _arena: &mut PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<QueuedPacket> {
-        self.q.pop_min()
-    }
-
-    fn peek_rank(&self) -> Option<i128> {
-        self.q.peek_rank()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn queued_bytes(&self) -> u64 {
-        self.q.bytes()
-    }
-
-    fn select_drop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_max()
+impl Rank for SjfRank {
+    fn rank_for(&self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
+        Some(p.header.flow_size as i128)
     }
 
     fn name(&self) -> &'static str {
@@ -88,7 +32,7 @@ impl Scheduler for Sjf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Header, Packet};
+    use crate::packet::Header;
     use crate::sched::testutil::{pkt_with, service_order, Bench};
 
     fn sized(id: u64, flow: u64, flow_size: u64) -> Packet {
