@@ -1,7 +1,7 @@
 //! The divergence taxonomy and the pluggable sink the comparison
 //! reports through.
 //!
-//! [`compare_streams_with_sink`](crate::compare_streams_with_sink)
+//! [`compare_with_sink`](crate::compare_with_sink)
 //! classifies every packet that misses its `o′(p) ≤ o(p)` target into
 //! exactly one [`DivergenceCause`] and hands the full record pair to a
 //! [`DivergenceSink`] as it streams past the merge-join cursor. The sink
@@ -88,15 +88,15 @@ pub struct Divergence<'a> {
 }
 
 /// Observer of divergent packets, invoked by
-/// [`compare_streams_with_sink`](crate::compare_streams_with_sink) once
-/// per mismatch, in canonical `(i(p), id)` stream order.
+/// [`compare_with_sink`](crate::compare_with_sink) once per mismatch, in
+/// canonical `(i(p), id)` stream order.
 pub trait DivergenceSink {
     /// One mismatched packet.
     fn divergence(&mut self, d: &Divergence<'_>);
 }
 
-/// The no-op sink — [`compare_streams`](crate::compare_streams) is the
-/// sink-free comparison running through `()`.
+/// The no-op sink — [`compare_with_tolerance`](crate::compare_with_tolerance)
+/// is the sink-free comparison running through `()`.
 impl DivergenceSink for () {
     fn divergence(&mut self, _d: &Divergence<'_>) {}
 }

@@ -324,31 +324,22 @@ pub fn compare_with_tolerance(
     threshold: Dur,
     tolerance: Dur,
 ) -> ReplayReport {
-    compare_streams(original.stream(), replay.stream(), threshold, tolerance)
+    compare_with_sink(original, replay, threshold, tolerance, &mut ())
 }
 
 /// [`compare_with_tolerance`] with a [`DivergenceSink`] observing every
-/// mismatch — the entry point the forensics layer attaches through.
-pub fn compare_with_sink(
-    original: &Trace,
-    replay: &Trace,
-    threshold: Dur,
-    tolerance: Dur,
-    sink: &mut dyn DivergenceSink,
-) -> ReplayReport {
-    compare_streams_with_sink(
-        original.stream(),
-        replay.stream(),
-        threshold,
-        tolerance,
-        sink,
-    )
-}
-
-/// Streaming form of [`compare_with_tolerance`]: a merge-join over two
-/// record streams sorted by the canonical `(i(p), id)` key — exactly what
-/// [`Trace::stream`] yields in both layouts — so neither trace is ever
-/// held as a dense id-indexed map.
+/// mismatch — the entry point the forensics layer attaches through. Each
+/// mismatched packet is reported to `sink` exactly once, under exactly one
+/// [`DivergenceCause`](crate::DivergenceCause), so the sink's per-cause
+/// counts sum to the returned report's `overdue` field (the conservation
+/// invariant the forensics layer property-tests). The sink never
+/// influences the report: running with `&mut ()` is bit-identical to
+/// running with any other sink.
+///
+/// The comparison is a merge-join over the two record streams, sorted by
+/// the canonical `(i(p), id)` key — exactly what [`Trace::stream`] yields
+/// in both layouts — so neither trace is ever held as a dense id-indexed
+/// map.
 ///
 /// Replay records are buffered in a small reorder window only while their
 /// key is `≤` the original cursor's key; once the original cursor passes a
@@ -356,27 +347,10 @@ pub fn compare_with_sink(
 /// and are evicted. The window is therefore bounded by the key-skew
 /// between the two streams — zero for a faithful replay, which preserves
 /// every `(i(p), id)` — and is asserted to stay under
-/// [`REORDER_WINDOW`] as a misuse guard against unsorted inputs.
-pub fn compare_streams(
-    original: impl IntoIterator<Item = (PacketId, PacketRecord)>,
-    replay: impl IntoIterator<Item = (PacketId, PacketRecord)>,
-    threshold: Dur,
-    tolerance: Dur,
-) -> ReplayReport {
-    compare_streams_with_sink(original, replay, threshold, tolerance, &mut ())
-}
-
-/// [`compare_streams`] with a [`DivergenceSink`] observing every
-/// mismatch. Each mismatched packet is reported to `sink` exactly once,
-/// under exactly one [`DivergenceCause`](crate::DivergenceCause), so the
-/// sink's per-cause counts sum to the returned report's `overdue` field
-/// (the conservation invariant the forensics layer property-tests).
-///
-/// The sink never influences the report: running with `&mut ()` is
-/// bit-identical to running with any other sink.
-pub fn compare_streams_with_sink(
-    original: impl IntoIterator<Item = (PacketId, PacketRecord)>,
-    replay: impl IntoIterator<Item = (PacketId, PacketRecord)>,
+/// [`REORDER_WINDOW`] as a guard against a stream that is not sorted.
+pub fn compare_with_sink(
+    original: &Trace,
+    replay: &Trace,
     threshold: Dur,
     tolerance: Dur,
     sink: &mut dyn DivergenceSink,
@@ -398,8 +372,8 @@ pub fn compare_streams_with_sink(
     // mismatch from the replay side's hop timeline and drop cause; the
     // window stays bounded by REORDER_WINDOW entries regardless.
     let mut window: BTreeMap<(SimTime, PacketId), PacketRecord> = BTreeMap::new();
-    let mut rep = replay.into_iter().peekable();
-    for (id, orig) in original {
+    let mut rep = replay.stream().peekable();
+    for (id, orig) in original.stream() {
         let Some(o_orig) = orig.exited else {
             continue; // only originally-delivered packets participate
         };
@@ -479,7 +453,7 @@ pub fn compare_streams_with_sink(
     report
 }
 
-/// Upper bound on the [`compare_streams`] reorder window — a guard rail,
+/// Upper bound on the [`compare_with_sink`] reorder window — a guard rail,
 /// not a working size: two streams over the same packet set share every
 /// `(i(p), id)` key, so the window holds at most the records of one key
 /// pulled ahead of the join cursor.
@@ -868,12 +842,10 @@ mod tests {
         assert_eq!((r.total, r.missing, r.overdue), (2, 1, 1));
     }
 
-    /// The streamed comparison is the comparison: feeding the two streams
-    /// to `compare_streams` by hand matches `compare`, lazy replay-set
-    /// construction matches the eager one, and comparing a trace against
-    /// itself is perfect with every queueing ratio exactly 1.
+    /// Lazy replay-set construction matches the eager one, and comparing a
+    /// trace against itself is perfect with every queueing ratio exactly 1.
     #[test]
-    fn compare_streams_matches_compare() {
+    fn lazy_replay_set_matches_eager_and_self_compare_is_perfect() {
         let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
         let packets = line_packets(&topo, 30, 1);
         let exp = ReplayExperiment {
@@ -886,13 +858,6 @@ mod tests {
         };
         let out = exp.run(&packets, Dur::ZERO);
         let threshold = topo.bottleneck_bandwidth().tx_time(1500);
-        let streamed = compare_streams(
-            out.original.stream(),
-            out.replay.stream(),
-            threshold,
-            Dur::ZERO,
-        );
-        assert_eq!(streamed, out.report);
 
         let lazy: Vec<Packet> = as_executed_stream(&out.original).collect();
         let mut eager = as_executed_packets(&out.original);

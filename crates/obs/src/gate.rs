@@ -93,7 +93,7 @@ pub enum Counter {
     RankHeapSiftSteps,
     /// Packet records finalized into a streaming trace store.
     TraceRecordsFinalized,
-    /// `compare_streams` reorder-window occupancy high-water mark (a
+    /// `compare` reorder-window occupancy high-water mark (a
     /// max, not a sum). Bounded by `REORDER_WINDOW` on sorted inputs —
     /// the scale bench asserts the bound holds at 5M+ packets.
     CompareWindow,
@@ -145,7 +145,7 @@ impl Counter {
             Counter::ArenaHighWater => "packet-arena occupancy high-water mark",
             Counter::RankHeapSiftSteps => "rank-heap sift steps (levels moved)",
             Counter::TraceRecordsFinalized => "records finalized into streaming traces",
-            Counter::CompareWindow => "compare_streams reorder-window high-water mark",
+            Counter::CompareWindow => "compare reorder-window high-water mark",
         }
     }
 }
