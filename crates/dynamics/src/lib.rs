@@ -18,7 +18,7 @@
 //!   tables **by construction** — both call the same walk-back
 //!   tie-break;
 //! * [`run_schedule_with_failures`] — the churn runner: wires the
-//!   schedule into the simulator's calendar queue as `LinkState` events
+//!   schedule into the simulator's event list as `LinkState` events
 //!   and installs the oracle for the configured in-flight policy
 //!   (`DeadLinkPolicy::Reroute` at the packet's current hop vs
 //!   `DeadLinkPolicy::Drop` at the dead link). With an empty schedule it

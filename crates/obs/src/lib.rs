@@ -14,7 +14,7 @@
 //! 2. **The [`SimProbe`] trait** and its standard [`TimeSeriesProbe`]
 //!    implementation: a sampled recorder the simulator drives on a
 //!    configurable *virtual-time* interval — per-port queue depth and
-//!    occupancy, packets in flight, calendar-queue load — accumulated
+//!    occupancy, packets in flight, event-list load — accumulated
 //!    into [`ups_metrics::QuantileSketch`]es plus an explicit row per
 //!    sample for export.
 //! 3. **Exporters**: a chrome://tracing-compatible trace-event JSON

@@ -78,7 +78,7 @@ pub struct TimeSeries {
     pub occupancy_sketch: QuantileSketch,
     /// Packets in flight across ticks.
     pub in_flight_sketch: QuantileSketch,
-    /// Calendar-queue load (pending events) across ticks.
+    /// Event-list load (pending events) across ticks.
     pub pending_events_sketch: QuantileSketch,
 }
 

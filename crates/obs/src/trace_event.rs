@@ -7,7 +7,7 @@
 //! * each [`Phase`] becomes a thread track of complete-duration (`"X"`)
 //!   events — one span per sample interval, with the phase's accumulated
 //!   wall time in that interval as the span duration;
-//! * the sampled series (in-flight packets, queue depth, calendar load,
+//! * the sampled series (in-flight packets, queue depth, event-list load,
 //!   spill bytes, ...) become counter (`"C"`) tracks.
 //!
 //! The time axis is the *wall* time of the instrumented run,

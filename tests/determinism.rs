@@ -69,9 +69,9 @@ fn seeded_fattree_runs_are_bit_identical() {
 
 /// Store-and-forward FIFO timing against the seed architecture, as a
 /// golden. The seed's engine (`BinaryHeap` event list, per-port
-/// `BinaryHeap` queues, packets moved by value) lived on as
-/// `ups_bench::baseline::BaselineSim` until commit e638527, where it and
-/// this engine agreed on exactly this triple for exactly this workload —
+/// `BinaryHeap` queues, packets moved by value) lived on in `ups-bench`
+/// as a benchmark baseline until commit e638527, where it and this
+/// engine agreed on exactly this triple for exactly this workload —
 /// the cross-check the deleted `throughput` bench made before timing
 /// anything. `Σ exit` moves when any packet leaves at another time;
 /// `Σ (id + 1) · exit` also moves when two packets trade places in a
