@@ -70,7 +70,10 @@ fn schema_tags(text: &str) -> BTreeSet<&str> {
 fn committed_artifacts_are_covered_by_the_lock() {
     let lock = lock();
     let artifacts = artifacts();
-    assert!(artifacts.len() >= 5, "artifacts missing from the root");
+    assert!(
+        !artifacts.is_empty(),
+        "no BENCH_*.json at the repository root"
+    );
     for (artifact, text) in &artifacts {
         let tags = schema_tags(text);
         assert!(!tags.is_empty(), "{artifact} carries no schema tag");

@@ -40,7 +40,7 @@ fn rejects(name: &str, from: &str, to: &str, field: &str) {
 #[test]
 fn every_committed_artifact_validates() {
     let names = artifacts();
-    assert!(names.len() >= 5, "only {names:?} found at the root");
+    assert!(!names.is_empty(), "no BENCH_*.json at the repository root");
     for name in &names {
         let line = validate_artifact(&committed(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(!line.is_empty(), "{name}: empty confirmation");
