@@ -19,127 +19,14 @@
 //! `UPS_SCALE_RSS_BUDGET_MB` (default 512),
 //! `UPS_SCALE_DIFF_PACKETS` (default 120_000 — differential-gate floor).
 
-use std::time::Instant;
-
 use ups_bench::peak_rss_bytes;
-use ups_core::{compare, lstf_replay_stream};
-use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind, Trace};
-use ups_topology::{
-    build_simulator, fattree, BuildOptions, FatTreeParams, Routing, SchedulerAssignment, Topology,
+use ups_bench::scale::{
+    differential_gate, env_u64, flows_with_floor, streaming_run, train_packets,
 };
-use ups_workload::{profile_by_name, udp_packet_stream, Fixed, FlowSpec, PoissonWorkload, MTU};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Packets a flow list packetizes into at MTU granularity.
-fn train_packets(flows: &[FlowSpec]) -> u64 {
-    flows.iter().map(|f| f.size.div_ceil(MTU as u64)).sum()
-}
-
-/// Run the full streaming pipeline over `flows`: original schedule under
-/// `sched` with a `Streaming` trace, LSTF replay streamed straight from
-/// the spilled original, merge-join comparison. Returns
-/// `(original, replay, original_wall_s)`.
-fn streaming_run(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    sched: SchedulerKind,
-    record: RecordMode,
-    spill_caps: Option<(usize, usize)>,
-    seed: u64,
-) -> (Trace, Trace, f64) {
-    let opts = BuildOptions {
-        record,
-        trace_spill_caps: spill_caps,
-        seed,
-        ..BuildOptions::default()
-    };
-    let mut sim = build_simulator(topo, &SchedulerAssignment::uniform(sched), &opts);
-    let t0 = Instant::now();
-    sim.run_with_injections(udp_packet_stream(flows, MTU));
-    let wall = t0.elapsed().as_secs_f64();
-    let original = sim.into_trace();
-
-    let replay_opts = BuildOptions {
-        record,
-        trace_spill_caps: spill_caps,
-        seed,
-        ..BuildOptions::default()
-    };
-    let mut rep_sim = build_simulator(
-        topo,
-        &SchedulerAssignment::uniform(SchedulerKind::Lstf { preemptive: false }),
-        &replay_opts,
-    );
-    rep_sim.run_with_injections(lstf_replay_stream(topo, &original));
-    (original, rep_sim.into_trace(), wall)
-}
-
-/// The differential gate: on the engine-benchmark workload, the resident
-/// and streaming layouts must agree bit for bit on records, report and
-/// summary. Returns the three booleans for the artifact.
-fn differential_gate(diff_packets: u64) -> (bool, bool, bool) {
-    let topo = fattree(FatTreeParams::default());
-    let profile = profile_by_name("web-search").expect("registered profile");
-    let mut window = Dur::from_ms(4);
-    let flows = loop {
-        let mut routing = Routing::new(&topo);
-        let flows = profile.flows(&topo, &mut routing, 0.7, window, 42);
-        if train_packets(&flows) >= diff_packets {
-            break flows;
-        }
-        window = window.times(2);
-        assert!(
-            window <= Dur::from_secs(5),
-            "differential workload never reached {diff_packets} packets"
-        );
-    };
-    let n = train_packets(&flows);
-    println!(
-        "# differential gate: {n} packets / {} flows on {}",
-        flows.len(),
-        topo.name
-    );
-
-    let (orig_res, rep_res, _) = streaming_run(
-        &topo,
-        &flows,
-        SchedulerKind::Fifo,
-        RecordMode::EndToEnd,
-        None,
-        42,
-    );
-    // Tiny spill caps so the streaming arm spills heavily: ~n/4096 chunks
-    // on disk, exercising the codec and the k-way merge at full depth.
-    let (orig_str, rep_str, _) = streaming_run(
-        &topo,
-        &flows,
-        SchedulerKind::Fifo,
-        RecordMode::Streaming,
-        Some((4096, 2)),
-        42,
-    );
-
-    let records_identical = orig_res.stream().eq(orig_str.stream());
-    let threshold = topo.bottleneck_bandwidth().tx_time(MTU);
-    let report_res = compare(&orig_res, &rep_res, threshold);
-    let report_str = compare(&orig_str, &rep_str, threshold);
-    let reports_identical = report_res == report_str;
-    let sum_res = ups_sweep::summarize_trace(&orig_res, &flows, n, None);
-    let sum_str = ups_sweep::summarize_trace(&orig_str, &flows, n, None);
-    let summaries_identical = sum_res == sum_str;
-
-    assert!(records_identical, "streaming trace diverged from resident");
-    assert!(reports_identical, "streamed replay report diverged");
-    assert!(summaries_identical, "streamed run summary diverged");
-    println!("# differential gate: records, reports and summaries bit-identical");
-    (records_identical, reports_identical, summaries_identical)
-}
+use ups_core::{compare, overdue_threshold};
+use ups_netsim::prelude::{Dur, RecordMode};
+use ups_topology::{fattree, FatTreeParams, Routing};
+use ups_workload::{Fixed, PoissonWorkload};
 
 // lint:schema(ups-bench-scale/v1)
 fn main() {
@@ -149,7 +36,10 @@ fn main() {
     let rss_budget = env_u64("UPS_SCALE_RSS_BUDGET_MB", 512) * 1024 * 1024;
     let diff_packets = env_u64("UPS_SCALE_DIFF_PACKETS", 120_000);
 
-    let (records_ok, reports_ok, summaries_ok) = differential_gate(diff_packets);
+    // Tiny spill caps so the streaming arm spills heavily: ~n/4096 chunks
+    // on disk, exercising the codec and the k-way merge at full depth.
+    let n = differential_gate(diff_packets, (4096, 2));
+    println!("# differential gate: {n} packets; records, reports and summaries bit-identical");
 
     // The scale scenario: fat-tree k=8 (128 hosts), fixed ~100-packet
     // flows so the packet floor forces a five-digit flow count, window
@@ -158,23 +48,13 @@ fn main() {
         k: 8,
         ..FatTreeParams::default()
     });
-    let mut window = Dur::from_ms(4);
-    let flows = loop {
-        let mut routing = Routing::new(&topo);
-        let flows = PoissonWorkload::at_utilization(0.7, window, 42).generate(
+    let (flows, window) = flows_with_floor(packet_floor, Dur::from_secs(60), |window| {
+        PoissonWorkload::at_utilization(0.7, window, 42).generate(
             &topo,
-            &mut routing,
+            &mut Routing::new(&topo),
             &Fixed(flow_bytes),
-        );
-        if train_packets(&flows) >= packet_floor {
-            break flows;
-        }
-        window = window.times(2);
-        assert!(
-            window <= Dur::from_secs(60),
-            "scale workload never reached {packet_floor} packets"
-        );
-    };
+        )
+    });
     let packets = train_packets(&flows);
     assert!(
         flows.len() as u64 >= min_flows,
@@ -187,25 +67,20 @@ fn main() {
         topo.name
     );
 
-    let (original, replay, wall) = streaming_run(
-        &topo,
-        &flows,
-        SchedulerKind::Fifo,
-        RecordMode::Streaming,
-        None,
-        42,
-    );
-    let pps = packets as f64 / wall;
-    let threshold = topo.bottleneck_bandwidth().tx_time(MTU);
-    // Gate on for the comparison only: the merge-join's reorder window
-    // must stay bounded at full scale, and the high-water counter is the
-    // direct witness (the compare also asserts it inline, but that check
-    // fires per-step; this one pins the whole-run maximum).
+    let run = streaming_run(&topo, &flows, RecordMode::Streaming, None);
+    let (original, report) = (&run.original, &run.report);
+    let pps = packets as f64 / run.original_wall_s;
+    // Gate on for a second comparison only (not the timed run): the
+    // merge-join's reorder window must stay bounded at full scale, and the
+    // high-water counter is the direct witness (the compare also asserts
+    // it inline, but that check fires per-step; this one pins the
+    // whole-run maximum).
     ups_obs::enable();
     ups_obs::reset();
-    let report = compare(&original, &replay, threshold);
+    let gated = compare(original, &run.replay, overdue_threshold(&topo));
     let window_high_water = ups_obs::snapshot().counter(ups_obs::Counter::CompareWindow);
     ups_obs::disable();
+    assert_eq!(&gated, report, "observation moved the comparison");
     assert!(
         window_high_water <= ups_core::REORDER_WINDOW as u64,
         "compare reorder window hit {window_high_water} records \
@@ -214,14 +89,15 @@ fn main() {
     );
     println!("# compare reorder-window high-water: {window_high_water} records");
     let match_rate = report.match_rate().expect("scale run delivers packets");
-    let summary = ups_sweep::summarize_trace(&original, &flows, packets, None);
+    let summary = ups_sweep::summarize_trace(original, &flows, packets, None);
     assert_eq!(summary.delivered + summary.dropped, packets);
 
     let peak = peak_rss_bytes();
     println!(
-        "original run     {pps:>12.0} pkts/s  ({wall:.2}s wall)\n\
+        "original run     {pps:>12.0} pkts/s  ({:.2}s wall)\n\
          replay match     {match_rate:>12.4}\n\
          peak RSS         {:>9.1} MiB  (budget {} MiB)",
+        run.original_wall_s,
         peak as f64 / (1024.0 * 1024.0),
         rss_budget / (1024 * 1024)
     );
@@ -252,9 +128,9 @@ fn main() {
   "replay_frac_gt_t": {:.6},
   "differential": {{
     "workload_packets": {diff_packets},
-    "records_identical": {records_ok},
-    "reports_identical": {reports_ok},
-    "summaries_identical": {summaries_ok}
+    "records_identical": true,
+    "reports_identical": true,
+    "summaries_identical": true
   }}
 }}
 "#,

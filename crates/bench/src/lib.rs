@@ -4,13 +4,20 @@
 //!
 //! * [`scenarios`] + [`replay_exp`] — Table 1 and Figure 1 (replay),
 //! * [`objectives`] — Figures 2 (FCT), 3 (tail delay), 4 (fairness),
-//! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`).
+//! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`), and the
+//!   streaming pipeline with its resident ≡ streaming differential gate
+//!   (the `scale` bench and its CI smoke call the same function).
 //!
 //! The `benches/` directory contains one `harness = false` target per
-//! table/figure that prints paper-style rows, plus Criterion
-//! microbenchmarks of the engine (`benches/micro.rs`). How fast the engine
-//! is and what observability costs are measured in one place only: the
-//! repository's benchmark, `examples/perf`.
+//! table/figure that prints paper-style rows, the two targets that write
+//! committed artifacts — `degradation` (`BENCH_degradation.json`: replay
+//! match rate against priority-queue count K and against link-failure
+//! intensity, every row with its forensics block) and `scale`
+//! (`BENCH_scale.json`) — plus Criterion microbenchmarks of the engine
+//! (`benches/micro.rs`). Every replay in this crate is a call of
+//! [`ups_core::Replay`]. How fast the engine is and what observability
+//! costs are measured in one place only: the repository's benchmark,
+//! `examples/perf`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

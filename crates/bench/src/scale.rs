@@ -1,4 +1,5 @@
-//! Experiment scaling.
+//! Experiment scaling, and the streaming pipeline the scale bench and
+//! its CI smoke both gate on.
 //!
 //! The paper's runs simulate seconds of traffic over 100–800-host
 //! topologies; regenerating every table/figure at that scale takes tens
@@ -8,7 +9,14 @@
 //! restores paper-scale durations. EXPERIMENTS.md records which setting
 //! produced the committed numbers.
 
-use ups_netsim::prelude::Dur;
+use std::time::Instant;
+
+use ups_core::{Replay, ReplayReport};
+use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind, Trace};
+use ups_topology::{
+    build_simulator, fattree, BuildOptions, FatTreeParams, Routing, SchedulerAssignment, Topology,
+};
+use ups_workload::{profile_by_name, udp_packet_stream, FlowSpec, MTU};
 
 /// Resolved scale parameters.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +95,123 @@ pub fn peak_rss_bytes() -> u64 {
         }
     }
     0
+}
+
+/// An unsigned scale knob from the environment; `default` when unset
+/// or unparsable.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Packets a flow list packetizes into at MTU granularity.
+pub fn train_packets(flows: &[FlowSpec]) -> u64 {
+    flows.iter().map(|f| f.size.div_ceil(MTU as u64)).sum()
+}
+
+/// Grow the arrival window (doubling from 4 ms, up to `max_window`) until
+/// the flows `generate` makes for it packetize to at least `packet_floor`
+/// packets. Returns the flows and the window that produced them.
+pub fn flows_with_floor(
+    packet_floor: u64,
+    max_window: Dur,
+    mut generate: impl FnMut(Dur) -> Vec<FlowSpec>,
+) -> (Vec<FlowSpec>, Dur) {
+    let mut window = Dur::from_ms(4);
+    loop {
+        let flows = generate(window);
+        if train_packets(&flows) >= packet_floor {
+            return (flows, window);
+        }
+        window = window.times(2);
+        assert!(
+            window <= max_window,
+            "workload never reached {packet_floor} packets"
+        );
+    }
+}
+
+/// What [`streaming_run`] produced.
+pub struct StreamingRun {
+    /// The FIFO original schedule.
+    pub original: Trace,
+    /// Its LSTF replay.
+    pub replay: Trace,
+    /// The comparison of the two.
+    pub report: ReplayReport,
+    /// Wall-clock seconds of the original run alone.
+    pub original_wall_s: f64,
+}
+
+/// The streaming pipeline over `flows`, seed 42: a FIFO original driven
+/// lazily from the flow list, then the lazy replay entry
+/// ([`Replay::lazy`]) straight off the recorded (possibly spilled)
+/// trace. Both runs record in `record` mode with `spill_caps`.
+pub fn streaming_run(
+    topo: &Topology,
+    flows: &[FlowSpec],
+    record: RecordMode,
+    spill_caps: Option<(usize, usize)>,
+) -> StreamingRun {
+    let opts = BuildOptions {
+        record,
+        trace_spill_caps: spill_caps,
+        seed: 42,
+        ..BuildOptions::default()
+    };
+    let fifo = SchedulerAssignment::uniform(SchedulerKind::Fifo);
+    let mut sim = build_simulator(topo, &fifo, &opts);
+    let t0 = Instant::now();
+    sim.run_with_injections(udp_packet_stream(flows, MTU));
+    let original_wall_s = t0.elapsed().as_secs_f64();
+    let original = sim.into_trace();
+    let (replay, report) = Replay {
+        opts,
+        ..Replay::new(topo, &original, opts.seed)
+    }
+    .lazy(&mut ());
+    StreamingRun {
+        original,
+        replay,
+        report,
+        original_wall_s,
+    }
+}
+
+/// The differential gate: on the engine-benchmark workload (fat-tree
+/// k=4, web-search at 70 %, window grown until the train clears
+/// `packet_floor`) the resident and the streaming trace layouts must
+/// agree bit for bit on records, replay report and run summary.
+/// `spill_caps` are the streaming arm's, tiny so that it spills heavily.
+/// Returns the packet count of the workload.
+///
+/// # Panics
+/// When any of the three differs — the caller writes nothing.
+pub fn differential_gate(packet_floor: u64, spill_caps: (usize, usize)) -> u64 {
+    let topo = fattree(FatTreeParams::default());
+    let profile = profile_by_name("web-search").expect("registered profile");
+    let (flows, _) = flows_with_floor(packet_floor, Dur::from_secs(5), |window| {
+        profile.flows(&topo, &mut Routing::new(&topo), 0.7, window, 42)
+    });
+    let packets = train_packets(&flows);
+    let resident = streaming_run(&topo, &flows, RecordMode::EndToEnd, None);
+    let streaming = streaming_run(&topo, &flows, RecordMode::Streaming, Some(spill_caps));
+    assert!(
+        resident.original.stream().eq(streaming.original.stream()),
+        "streaming trace diverged from resident"
+    );
+    assert_eq!(
+        resident.report, streaming.report,
+        "streamed replay report diverged"
+    );
+    assert_eq!(
+        ups_sweep::summarize_trace(&resident.original, &flows, packets, None),
+        ups_sweep::summarize_trace(&streaming.original, &flows, packets, None),
+        "streamed run summary diverged"
+    );
+    packets
 }
 
 #[cfg(test)]

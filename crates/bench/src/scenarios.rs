@@ -2,11 +2,9 @@
 //! workload/calibration setup shared by the figure and throughput
 //! benches (previously copy-pasted per bench target).
 
-use ups_netsim::prelude::{Dur, SchedulerKind};
-use ups_topology::{
-    fattree, i2_10g_10g, i2_1g_1g, i2_default, rocketfuel_default, FatTreeParams,
-    SchedulerAssignment, Topology,
-};
+use ups_netsim::prelude::Dur;
+use ups_sweep::runner::assignment_for;
+use ups_topology::{fattree, i2_default, topology_by_name, FatTreeParams, Topology};
 use ups_workload::{profile_by_name, CalibratedTrain};
 
 use crate::replay_exp::ReplayScenario;
@@ -71,70 +69,46 @@ pub const PAPER_TABLE1: [(&str, f64, &str, f64, f64); 13] = [
 /// Paper Table 1 also has the FQ/FIFO+ mixed row.
 pub const PAPER_FQ_FIFOPLUS: (f64, f64) = (0.0152, 0.0004);
 
-/// Build an original-schedule assignment by scheduler label.
-fn assign_for(topo: &Topology, label: &str) -> SchedulerAssignment {
-    match label {
-        "Random" => SchedulerAssignment::uniform(SchedulerKind::Random),
-        "FIFO" => SchedulerAssignment::uniform(SchedulerKind::Fifo),
-        "FQ" => SchedulerAssignment::uniform(SchedulerKind::Fq),
-        "SJF" => SchedulerAssignment::uniform(SchedulerKind::Sjf),
-        "LIFO" => SchedulerAssignment::uniform(SchedulerKind::Lifo),
-        "FQ/FIFO+" => SchedulerAssignment::half_half(
-            topo,
-            SchedulerKind::Fq,
-            SchedulerKind::FifoPlus,
-            SchedulerKind::Fifo,
-        ),
-        other => panic!("unknown scheduler label {other:?}"),
-    }
-}
+/// The default network's row label — its registry name.
+const I2_DEFAULT: &str = "I2:1Gbps-10Gbps";
 
-/// Build a topology by Table 1 label. `fattree_k` sizes the datacenter
-/// row (the paper's pFabric fat-tree; k=4 for quick runs, k=8 for full).
-fn topo_for(label: &str, fattree_k: usize) -> Topology {
-    match label {
-        "I2:1Gbps-10Gbps" => i2_default(),
-        "I2:1Gbps-1Gbps" => i2_1g_1g(),
-        "I2:10Gbps-10Gbps" => i2_10g_10g(),
-        "RocketFuel" => rocketfuel_default(),
-        "Datacenter" => fattree(FatTreeParams {
-            k: fattree_k,
-            ..FatTreeParams::default()
-        }),
-        other => panic!("unknown topology label {other:?}"),
+/// One row by its Table 1 labels. Scheduler labels are the sweep
+/// engine's; topology labels are registry names, except the one
+/// bench-side mapping: `Datacenter` is the paper's pFabric fat-tree, sized
+/// by `fattree_k` (k=4 for quick runs, k=8 for full).
+fn scenario(
+    (topology_label, utilization, sched_label): (&'static str, f64, &'static str),
+    window: Dur,
+    seed: u64,
+    fattree_k: usize,
+) -> ReplayScenario {
+    let topo = match topology_label {
+        "Datacenter" => topology_by_name(&format!("FatTree(k={fattree_k})")),
+        registered => topology_by_name(registered),
+    }
+    .unwrap_or_else(|| panic!("unknown topology label {topology_label:?}"));
+    let assign = assignment_for(&topo, sched_label)
+        .unwrap_or_else(|| panic!("unknown scheduler label {sched_label:?}"));
+    ReplayScenario {
+        topology_label,
+        topo,
+        utilization,
+        sched_label,
+        assign,
+        window,
+        seed,
     }
 }
 
 /// Materialize the full Table 1 scenario list (13 uniform rows + the
 /// FQ/FIFO+ mix).
 pub fn table1_scenarios(window: Dur, seed: u64, fattree_k: usize) -> Vec<ReplayScenario> {
-    let mut out = Vec::new();
-    for &(topo_label, util, sched_label, _, _) in PAPER_TABLE1.iter() {
-        let topo = topo_for(topo_label, fattree_k);
-        let assign = assign_for(&topo, sched_label);
-        out.push(ReplayScenario {
-            topology_label: leak_label(topo_label),
-            topo,
-            utilization: util,
-            sched_label: leak_label(sched_label),
-            assign,
-            window,
-            seed,
-        });
-    }
-    // The mixed FQ/FIFO+ row.
-    let topo = i2_default();
-    let assign = assign_for(&topo, "FQ/FIFO+");
-    out.push(ReplayScenario {
-        topology_label: "I2:1Gbps-10Gbps",
-        topo,
-        utilization: 0.7,
-        sched_label: "FQ/FIFO+",
-        assign,
-        window,
-        seed,
-    });
-    out
+    PAPER_TABLE1
+        .iter()
+        .map(|&(topo, util, sched, _, _)| (topo, util, sched))
+        .chain([(I2_DEFAULT, 0.7, "FQ/FIFO+")])
+        .map(|row| scenario(row, window, seed, fattree_k))
+        .collect()
 }
 
 /// The Figure 1 scenario list: the six disciplines on the default
@@ -142,39 +116,8 @@ pub fn table1_scenarios(window: Dur, seed: u64, fattree_k: usize) -> Vec<ReplayS
 pub fn fig1_scenarios(window: Dur, seed: u64) -> Vec<ReplayScenario> {
     ["Random", "FIFO", "FQ", "SJF", "LIFO", "FQ/FIFO+"]
         .into_iter()
-        .map(|label| {
-            let topo = i2_default();
-            let assign = assign_for(&topo, label);
-            ReplayScenario {
-                topology_label: "I2:1Gbps-10Gbps",
-                topo,
-                utilization: 0.7,
-                sched_label: leak_label(label),
-                assign,
-                window,
-                seed,
-            }
-        })
+        .map(|sched| scenario((I2_DEFAULT, 0.7, sched), window, seed, 4))
         .collect()
-}
-
-fn leak_label(s: &str) -> &'static str {
-    // Labels come from the two const tables above; avoid threading
-    // lifetimes through ReplayScenario for what is static data.
-    match s {
-        "I2:1Gbps-10Gbps" => "I2:1Gbps-10Gbps",
-        "I2:1Gbps-1Gbps" => "I2:1Gbps-1Gbps",
-        "I2:10Gbps-10Gbps" => "I2:10Gbps-10Gbps",
-        "RocketFuel" => "RocketFuel",
-        "Datacenter" => "Datacenter",
-        "Random" => "Random",
-        "FIFO" => "FIFO",
-        "FQ" => "FQ",
-        "SJF" => "SJF",
-        "LIFO" => "LIFO",
-        "FQ/FIFO+" => "FQ/FIFO+",
-        _ => "unknown",
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +147,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown scheduler")]
     fn unknown_scheduler_rejected() {
-        let topo = i2_default();
-        let _ = assign_for(&topo, "WFQ2");
+        let _ = scenario((I2_DEFAULT, 0.7, "WFQ2"), Dur::from_ms(1), 1, 4);
     }
 }

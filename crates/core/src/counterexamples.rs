@@ -22,11 +22,9 @@ use ups_netsim::prelude::{
     SimTime, Trace,
 };
 use ups_topology::micro::{appendix_c, appendix_f, appendix_g, NamedTopology, UNIT, UNIT_PKT};
-use ups_topology::{BuildOptions, SchedulerAssignment};
+use ups_topology::BuildOptions;
 
-use crate::replay::{
-    compare_with_tolerance, replay_packets, run_schedule, HeaderInit, ReplayOutcome,
-};
+use crate::replay::{HeaderInit, Replay, ReplayOutcome};
 
 /// Comparison tolerance for unit-scale schedules (see module docs).
 pub const TOLERANCE: Dur = Dur::from_us(1);
@@ -71,15 +69,13 @@ impl CounterexampleSchedule {
     /// Replay this schedule under `init` and compare against the table.
     pub fn replay(&self, init: HeaderInit, preemptive: bool) -> ReplayOutcome {
         let original = self.original_trace();
-        let replay_set = replay_packets(&self.net.topo, &original, &self.packets, init);
-        let replay = run_schedule(
-            &self.net.topo,
-            &SchedulerAssignment::uniform(init.scheduler(preemptive)),
-            replay_set,
-            &BuildOptions::default(),
-        );
-        let threshold = UNIT; // T = one congestion-point transmission time
-        let report = compare_with_tolerance(&original, &replay, threshold, TOLERANCE);
+        let (replay, report) = Replay {
+            kind: init.scheduler(preemptive),
+            threshold: UNIT, // T = one congestion-point transmission time
+            tolerance: TOLERANCE,
+            ..Replay::new(&self.net.topo, &original, BuildOptions::default().seed)
+        }
+        .eager(&self.packets, init, &mut ());
         ReplayOutcome {
             original,
             replay,
@@ -437,8 +433,9 @@ pub fn appendix_g_schedule() -> CounterexampleSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::max_congestion_points;
+    use crate::replay::{max_congestion_points, replay_packets, run_schedule};
     use ups_netsim::prelude::SchedulerKind;
+    use ups_topology::SchedulerAssignment;
 
     /// The table walks are internally consistent and carry the appendix's
     /// congestion-point structure.
@@ -505,19 +502,12 @@ mod tests {
             );
             // Now the real assertion: omniscient replay of the *recorded*
             // schedule is perfect, with zero tolerance.
-            let replay_set = replay_packets(
-                &sched.net.topo,
-                &original,
-                &sched.packets,
-                HeaderInit::Omniscient,
-            );
-            let replay = run_schedule(
-                &sched.net.topo,
-                &SchedulerAssignment::uniform(SchedulerKind::Omniscient),
-                replay_set,
-                &BuildOptions::default(),
-            );
-            let report = compare_with_tolerance(&original, &replay, UNIT, Dur::ZERO);
+            let (_, report) = Replay {
+                kind: SchedulerKind::Omniscient,
+                threshold: UNIT,
+                ..Replay::new(&sched.net.topo, &original, BuildOptions::default().seed)
+            }
+            .eager(&sched.packets, HeaderInit::Omniscient, &mut ());
             assert_eq!(report.total, sched.packets.len());
             assert!(
                 report.perfect(),

@@ -95,8 +95,8 @@ pub trait DivergenceSink {
     fn divergence(&mut self, d: &Divergence<'_>);
 }
 
-/// The no-op sink — [`compare_with_tolerance`](crate::compare_with_tolerance)
-/// is the sink-free comparison running through `()`.
+/// The no-op sink — [`compare`](crate::compare) is the sink-free
+/// comparison running through `()`.
 impl DivergenceSink for () {
     fn divergence(&mut self, _d: &Divergence<'_>) {}
 }

@@ -16,8 +16,10 @@ use std::sync::Arc;
 use crate::divergence::DivergenceSink;
 use ups_metrics::QuantileSketch;
 use ups_netsim::prelude::{
-    Dur, Header, Packet, PacketId, PacketRecord, RecordMode, SchedulerKind, SimTime, Trace,
+    Dur, Header, Packet, PacketId, PacketRecord, RecordMode, SchedulerKind, SimTime, Simulator,
+    Trace,
 };
+use ups_obs::SimProbe;
 use ups_topology::{
     attach_tmin, build_simulator, tmin, BuildOptions, SchedulerAssignment, Topology,
 };
@@ -318,23 +320,14 @@ impl ReplayReport {
 /// Every packet the original delivered participates: one the replay
 /// dropped (or never finished) counts as `missing` *and* overdue in both
 /// columns, so a lossy replay scores strictly worse than a late one.
-pub fn compare_with_tolerance(
-    original: &Trace,
-    replay: &Trace,
-    threshold: Dur,
-    tolerance: Dur,
-) -> ReplayReport {
-    compare_with_sink(original, replay, threshold, tolerance, &mut ())
-}
-
-/// [`compare_with_tolerance`] with a [`DivergenceSink`] observing every
-/// mismatch — the entry point the forensics layer attaches through. Each
-/// mismatched packet is reported to `sink` exactly once, under exactly one
-/// [`DivergenceCause`](crate::DivergenceCause), so the sink's per-cause
-/// counts sum to the returned report's `overdue` field (the conservation
-/// invariant the forensics layer property-tests). The sink never
-/// influences the report: running with `&mut ()` is bit-identical to
-/// running with any other sink.
+///
+/// `sink` observes every mismatch — the entry point the forensics layer
+/// attaches through. Each mismatched packet is reported to it exactly
+/// once, under exactly one [`DivergenceCause`](crate::DivergenceCause),
+/// so the sink's per-cause counts sum to the returned report's `overdue`
+/// field (the conservation invariant the forensics layer property-tests).
+/// The sink never influences the report: running with `&mut ()` is
+/// bit-identical to running with any other sink.
 ///
 /// The comparison is a merge-join over the two record streams, sorted by
 /// the canonical `(i(p), id)` key — exactly what [`Trace::stream`] yields
@@ -459,9 +452,130 @@ pub fn compare_with_sink(
 /// pulled ahead of the join cursor.
 pub const REORDER_WINDOW: usize = 4096;
 
-/// [`compare_with_tolerance`] with zero tolerance — the paper-scale form.
+/// [`compare_with_sink`] with zero tolerance and no sink — the
+/// paper-scale form, for two traces the caller already holds.
 pub fn compare(original: &Trace, replay: &Trace, threshold: Dur) -> ReplayReport {
-    compare_with_tolerance(original, replay, threshold, Dur::ZERO)
+    compare_with_sink(original, replay, threshold, Dur::ZERO, &mut ())
+}
+
+/// The paper's overdue threshold `T`: one MTU transmission time on the
+/// bottleneck link (§2.3) — the one place the workspace states it.
+pub fn overdue_threshold(topo: &Topology) -> Dur {
+    topo.bottleneck_bandwidth().tx_time(1500)
+}
+
+/// Everything after the original run, stated once: the replay network
+/// (discipline, build options), the run, the threshold `T`, the tolerance
+/// and the comparison. Every "original → replay → compare" in the
+/// workspace is [`Replay::new`], a struct update for what differs, and one
+/// of the two drive forms:
+///
+/// * **eager** ([`Replay::eager`], [`Replay::eager_set`]) — inject the
+///   whole replay set, then run: the form of the static sweep rows and the
+///   paper tables;
+/// * **lazy** ([`Replay::lazy`]) — pull [`lstf_replay_stream`] through
+///   [`Simulator::run_with_injections`], so a spilled original replays in
+///   bounded memory: the form of the churn rows and the scale run.
+///
+/// There are two because they are separate determinism domains (same-time
+/// events fire in push order, and lazy pulls interleave pushes differently
+/// than inject-all; see [`Simulator::run_with_injections`]) and committed
+/// results are pinned in each. Nothing selects between them but the call:
+/// a caller with a packet set passes it, a caller without one cannot.
+pub struct Replay<'a> {
+    /// Network (intact, whatever the original run did to it).
+    pub topo: &'a Topology,
+    /// The recorded schedule to reproduce.
+    pub original: &'a Trace,
+    /// Replay discipline at every router.
+    pub kind: SchedulerKind,
+    /// Replay-run construction: record detail, seed, spill caps.
+    pub opts: BuildOptions,
+    /// `T` of the report's second column.
+    pub threshold: Dur,
+    /// Lateness the comparison forgives (zero at paper scale).
+    pub tolerance: Dur,
+    /// Sampling probe for the replay run; observation only.
+    pub probe: Option<Box<dyn SimProbe>>,
+}
+
+impl<'a> Replay<'a> {
+    /// The paper's default replay of `original` on `topo`: non-preemptive
+    /// black-box LSTF, end-to-end records, `T` from
+    /// [`overdue_threshold`], zero tolerance, no probe.
+    pub fn new(topo: &'a Topology, original: &'a Trace, seed: u64) -> Self {
+        Replay {
+            topo,
+            original,
+            kind: SchedulerKind::Lstf { preemptive: false },
+            opts: BuildOptions {
+                record: RecordMode::EndToEnd,
+                seed,
+                ..BuildOptions::default()
+            },
+            threshold: overdue_threshold(topo),
+            tolerance: Dur::ZERO,
+            probe: None,
+        }
+    }
+
+    /// Eager drive over the packet set the original ran: re-initialize
+    /// headers per `init` ([`replay_packets`]), inject all, run, compare.
+    pub fn eager(
+        self,
+        packets: &[Packet],
+        init: HeaderInit,
+        sink: &mut dyn DivergenceSink,
+    ) -> (Trace, ReplayReport) {
+        let set = replay_packets(self.topo, self.original, packets, init);
+        self.eager_set(set, sink)
+    }
+
+    /// Eager drive over a replay set [`replay_packets`] already built —
+    /// for one set replayed under several disciplines.
+    pub fn eager_set(
+        self,
+        set: impl IntoIterator<Item = Packet>,
+        sink: &mut dyn DivergenceSink,
+    ) -> (Trace, ReplayReport) {
+        self.drive(sink, |sim| {
+            for p in set {
+                sim.inject(p);
+            }
+            sim.run();
+        })
+    }
+
+    /// Lazy drive: the delivered packets of `original`, LSTF slack
+    /// attached, streamed in `(i(p), id)` order as the clock reaches them.
+    pub fn lazy(self, sink: &mut dyn DivergenceSink) -> (Trace, ReplayReport) {
+        let (topo, original) = (self.topo, self.original);
+        self.drive(sink, |sim| {
+            sim.run_with_injections(lstf_replay_stream(topo, original))
+        })
+    }
+
+    fn drive(
+        self,
+        sink: &mut dyn DivergenceSink,
+        run: impl FnOnce(&mut Simulator),
+    ) -> (Trace, ReplayReport) {
+        let assign = SchedulerAssignment::uniform(self.kind);
+        let mut sim = build_simulator(self.topo, &assign, &self.opts);
+        if let Some(probe) = self.probe {
+            sim.set_probe(probe);
+        }
+        run(&mut sim);
+        debug_assert_eq!(
+            sim.stats().delivered + sim.stats().dropped,
+            sim.stats().injected,
+            "packets vanished"
+        );
+        let replay = sim.into_trace();
+        let report =
+            compare_with_sink(self.original, &replay, self.threshold, self.tolerance, sink);
+        (replay, report)
+    }
 }
 
 /// End-to-end convenience: original run → header init → replay run →
@@ -506,16 +620,12 @@ impl ReplayExperiment<'_> {
             packets.iter().cloned(),
             &opts,
         );
-        let replay_set = replay_packets(self.topo, &original, packets, self.init);
-        let replay_assign = SchedulerAssignment::uniform(self.init.scheduler(self.preemptive));
-        let replay_opts = BuildOptions {
-            record: RecordMode::EndToEnd,
-            seed: self.seed,
-            ..BuildOptions::default()
-        };
-        let replay = run_schedule(self.topo, &replay_assign, replay_set, &replay_opts);
-        let threshold = self.topo.bottleneck_bandwidth().tx_time(1500);
-        let report = compare_with_tolerance(&original, &replay, threshold, tolerance);
+        let (replay, report) = Replay {
+            kind: self.init.scheduler(self.preemptive),
+            tolerance,
+            ..Replay::new(self.topo, &original, self.seed)
+        }
+        .eager(packets, self.init, &mut ());
         ReplayOutcome {
             original,
             replay,
@@ -857,7 +967,7 @@ mod tests {
             seed: 7,
         };
         let out = exp.run(&packets, Dur::ZERO);
-        let threshold = topo.bottleneck_bandwidth().tx_time(1500);
+        let threshold = overdue_threshold(&topo);
 
         let lazy: Vec<Packet> = as_executed_stream(&out.original).collect();
         let mut eager = as_executed_packets(&out.original);
@@ -902,6 +1012,33 @@ mod tests {
             assert_eq!(s.injected_at, e.injected_at);
             assert_eq!(s.path, e.path);
         }
+    }
+
+    /// The entry's drive forms: `eager` is `eager_set` over
+    /// `replay_packets`, and every form ends in the one comparison at the
+    /// one `T`. The lazy replay covers the same packets but need not be
+    /// the same schedule — it is its own determinism domain.
+    #[test]
+    fn replay_entry_forms_end_in_the_one_comparison() {
+        let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
+        let packets = line_packets(&topo, 25, 2);
+        let original = run_schedule(
+            &topo,
+            &SchedulerAssignment::uniform(SchedulerKind::Lifo),
+            packets.iter().cloned(),
+            &BuildOptions::default(),
+        );
+        let entry = || Replay::new(&topo, &original, 3);
+        let t = overdue_threshold(&topo);
+        assert_eq!(entry().threshold, t);
+        let (eager, report) = entry().eager(&packets, HeaderInit::LstfSlack, &mut ());
+        let set = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
+        let (from_set, from_set_report) = entry().eager_set(set, &mut ());
+        assert_eq!((&from_set, &from_set_report), (&eager, &report));
+        assert_eq!(report, compare(&original, &eager, t));
+        let (lazy, lazy_report) = entry().lazy(&mut ());
+        assert_eq!(lazy_report, compare(&original, &lazy, t));
+        assert_eq!((report.total, lazy_report.total), (25, 25));
     }
 
     /// Regression (accounting bug 2): a comparison that covered no

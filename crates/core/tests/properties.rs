@@ -253,7 +253,7 @@ proptest! {
     fn quantized_lstf_replay_is_bit_identical_when_k_covers_ranks(
         scenario in scenario_strategy(3, 25, &[400, 1000, 1500])
     ) {
-        use ups_core::replay::{compare, replay_packets, run_schedule};
+        use ups_core::replay::{replay_packets, run_schedule, Replay};
         let (topo, packets) = scenario.materialize();
         prop_assume!(packets.len() >= 2);
         let opts = BuildOptions {
@@ -268,28 +268,20 @@ proptest! {
             &opts,
         );
         let replay_set = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
-        let exact = run_schedule(
-            &topo,
-            &SchedulerAssignment::uniform(SchedulerKind::Lstf { preemptive: false }),
-            replay_set.iter().cloned(),
-            &opts,
-        );
+        let (exact, a) = Replay::new(&topo, &original, scenario.seed)
+            .eager_set(replay_set.iter().cloned(), &mut ());
         let k = packets.len() as u32; // ≥ #distinct ranks, trivially
-        let quant = run_schedule(
-            &topo,
-            &SchedulerAssignment::uniform(SchedulerKind::quantized_lstf(k, MapperKind::Dynamic)),
-            replay_set.iter().cloned(),
-            &opts,
-        );
+        let (quant, b) = Replay {
+            kind: SchedulerKind::quantized_lstf(k, MapperKind::Dynamic),
+            ..Replay::new(&topo, &original, scenario.seed)
+        }
+        .eager_set(replay_set, &mut ());
         prop_assert_eq!(
             &quant, &exact,
             "quantized K={} trace diverged from exact LSTF under {:?}",
             k, scenario.discipline
         );
         // And the reports agree, trivially, since the traces do.
-        let threshold = topo.bottleneck_bandwidth().tx_time(1500);
-        let a = compare(&original, &exact, threshold);
-        let b = compare(&original, &quant, threshold);
         prop_assert_eq!(a.match_rate(), b.match_rate());
         prop_assert_eq!(a.missing, b.missing);
     }

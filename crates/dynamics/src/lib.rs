@@ -24,7 +24,7 @@
 //!   `DeadLinkPolicy::Drop` at the dead link). With an empty schedule it
 //!   adds no events and no oracle, so a zero-failure run is bit-identical
 //!   to `ups_core::run_schedule`;
-//! * [`churn_replay`] — the §2 replay kept well-defined under churn: the
+//! * [`churn_replay_with_sink`] — the §2 replay kept well-defined under churn: the
 //!   delivered packets, re-injected at their observed `i(p)` along their
 //!   observed **as-executed** paths (the trace records reroutes), through
 //!   black-box LSTF on the intact topology, scored against the original
@@ -38,7 +38,7 @@ pub mod run;
 pub mod schedule;
 
 pub use routing::DynamicRouting;
-pub use run::{churn_replay, churn_replay_with_sink, run_schedule_with_failures, ChurnOutcome};
+pub use run::{churn_replay_with_sink, run_schedule_with_failures, ChurnOutcome};
 pub use schedule::{
     parse_failure_spec, FailureProfile, FailureSchedule, LinkEvent, FAILURE_PROFILES,
 };

@@ -2,10 +2,8 @@
 
 use std::sync::Arc;
 
-use ups_core::lstf_replay_stream;
-use ups_netsim::prelude::{
-    DeadLinkPolicy, Dur, Packet, RecordMode, SchedulerKind, SimStats, Trace,
-};
+use ups_core::Replay;
+use ups_netsim::prelude::{DeadLinkPolicy, Packet, SimStats, Trace};
 use ups_topology::{build_simulator, BuildOptions, SchedulerAssignment, Topology};
 
 use crate::routing::DynamicRouting;
@@ -72,40 +70,21 @@ pub fn run_schedule_with_failures(
 ///
 /// Packets the churn run dropped are excluded on both sides (they have
 /// no `o(p)` to target), so the comparison covers exactly the packets
-/// the original schedule got out. Returns the comparison report; the
-/// threshold `T` is one MTU transmission on the bottleneck link, as
-/// everywhere else in the repository.
+/// the original schedule got out. `sink` observes every mismatch — how
+/// the forensics layer attributes churn-replay failures — and never
+/// influences the report; pass `&mut ()` for none.
 ///
-/// The whole path is streaming: the replay set is never materialized —
-/// [`lstf_replay_stream`] walks the original trace in canonical
-/// `(i(p), id)` order straight into
-/// [`Simulator::run_with_injections`](ups_netsim::prelude::Simulator::run_with_injections),
-/// and the comparison merge-joins the two record streams — so a spilled
-/// original trace replays in bounded memory.
-pub fn churn_replay(topo: &Topology, original: &Trace, seed: u64) -> ups_core::ReplayReport {
-    churn_replay_with_sink(topo, original, seed, &mut ())
-}
-
-/// [`churn_replay`] with a [`ups_core::DivergenceSink`] observing every
-/// mismatch — how the forensics layer attributes churn-replay failures.
-/// The sink never influences the report.
+/// This is the lazy form of the replay entry ([`Replay::lazy`]): the
+/// replay set is never materialized and the comparison merge-joins the
+/// two record streams, so a spilled original trace replays in bounded
+/// memory.
 pub fn churn_replay_with_sink(
     topo: &Topology,
     original: &Trace,
     seed: u64,
     sink: &mut dyn ups_core::DivergenceSink,
 ) -> ups_core::ReplayReport {
-    let opts = BuildOptions {
-        record: RecordMode::EndToEnd,
-        seed,
-        ..BuildOptions::default()
-    };
-    let assign = SchedulerAssignment::uniform(SchedulerKind::Lstf { preemptive: false });
-    let mut sim = build_simulator(topo, &assign, &opts);
-    sim.run_with_injections(lstf_replay_stream(topo, original));
-    let replay = sim.into_trace();
-    let threshold = topo.bottleneck_bandwidth().tx_time(1500);
-    ups_core::compare_with_sink(original, &replay, threshold, Dur::ZERO, sink)
+    Replay::new(topo, original, seed).lazy(sink).1
 }
 
 #[cfg(test)]
@@ -113,7 +92,7 @@ mod tests {
     use super::*;
     use crate::schedule::FailureProfile;
     use ups_core::{as_executed_packets, run_schedule};
-    use ups_netsim::prelude::{DropCause, Dur, PacketKind};
+    use ups_netsim::prelude::{DropCause, Dur, PacketKind, SchedulerKind};
     use ups_topology::{topology_by_name, Routing};
 
     /// A dense many-pair workload on the fat-tree: every ordered host
@@ -241,7 +220,7 @@ mod tests {
             DeadLinkPolicy::Reroute,
             &BuildOptions::default(),
         );
-        let report = churn_replay(&topo, &churn.trace, 5);
+        let report = churn_replay_with_sink(&topo, &churn.trace, 5, &mut ());
         assert_eq!(report.total as u64, churn.stats.delivered);
         assert_eq!(report.missing, 0, "replay runs drop-free");
         let rate = report.match_rate().expect("delivered > 0");

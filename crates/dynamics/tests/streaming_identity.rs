@@ -8,7 +8,9 @@
 
 use proptest::prelude::*;
 use proptest::sample;
-use ups_dynamics::{churn_replay, run_schedule_with_failures, FailureProfile, FailureSchedule};
+use ups_dynamics::{
+    churn_replay_with_sink, run_schedule_with_failures, FailureProfile, FailureSchedule,
+};
 use ups_netsim::prelude::{
     DeadLinkPolicy, FlowId, Packet, PacketBuilder, PacketId, RecordMode, SchedulerKind, SimTime,
 };
@@ -87,8 +89,8 @@ proptest! {
             "streaming records diverged from resident under churn"
         );
         prop_assert_eq!(
-            churn_replay(&topo, &resident.trace, seed),
-            churn_replay(&topo, &streaming.trace, seed),
+            churn_replay_with_sink(&topo, &resident.trace, seed, &mut ()),
+            churn_replay_with_sink(&topo, &streaming.trace, seed, &mut ()),
             "churn replay reports diverged across trace layouts"
         );
     }

@@ -10,15 +10,13 @@
 //!    `DivergenceSummary` and report to the resident layout.
 
 use proptest::prelude::*;
-use ups_core::{compare_with_sink, lstf_replay_stream, run_schedule, ReplayReport};
+use ups_core::{run_schedule, Replay, ReplayReport};
 use ups_forensics::{BlameCollector, ReplayFlavor};
 use ups_metrics::DivergenceSummary;
 use ups_netsim::prelude::{
-    Dur, FlowId, MapperKind, Packet, PacketBuilder, PacketId, RecordMode, SchedulerKind, SimTime,
+    FlowId, MapperKind, Packet, PacketBuilder, PacketId, RecordMode, SchedulerKind, SimTime,
 };
-use ups_topology::{
-    build_simulator, topology_by_name, BuildOptions, Routing, SchedulerAssignment, Topology,
-};
+use ups_topology::{topology_by_name, BuildOptions, Routing, SchedulerAssignment, Topology};
 
 /// A dense many-pair workload: every host sends a short train to the
 /// host three places ahead, staggered so trains overlap in the core.
@@ -75,14 +73,15 @@ fn attributed_replay(
             SchedulerKind::Lstf { preemptive: false },
         ),
     };
-    let mut sim = build_simulator(topo, &SchedulerAssignment::uniform(sched), &opts);
-    // Streamed replay injection: works identically for resident and
-    // spill-backed originals (no random access into the trace).
-    sim.run_with_injections(lstf_replay_stream(topo, &original));
-    let replay = sim.into_trace();
-    let threshold = topo.bottleneck_bandwidth().tx_time(1500);
+    // The lazy drive: works identically for resident and spill-backed
+    // originals (no random access into the trace).
     let mut forensics = BlameCollector::new(flavor);
-    let report = compare_with_sink(&original, &replay, threshold, Dur::ZERO, &mut forensics);
+    let (_, report) = Replay {
+        kind: sched,
+        opts,
+        ..Replay::new(topo, &original, seed)
+    }
+    .lazy(&mut forensics);
     (report, forensics)
 }
 

@@ -17,10 +17,9 @@
 //!    occupancy, packets in flight, event-list load — accumulated
 //!    into [`ups_metrics::QuantileSketch`]es plus an explicit row per
 //!    sample for export.
-//! 3. **Exporters**: a chrome://tracing-compatible trace-event JSON
-//!    writer ([`trace_event::trace_event_json`]) whose output opens
-//!    directly in Perfetto, and a plain-text [`report::render_report`]
-//!    summary table built on [`ups_metrics::table`].
+//! 3. **The exporter**: a chrome://tracing-compatible trace-event JSON
+//!    writer ([`trace_event_json_with_markers`]) whose output opens
+//!    directly in Perfetto.
 //!
 //! Observation never feeds back into simulation: no hook mutates engine
 //! state, so a run with probes enabled is bit-identical (trace, stats,
@@ -38,7 +37,6 @@
 pub mod gate;
 pub mod heartbeat;
 pub mod probe;
-pub mod report;
 pub mod trace_event;
 
 pub use gate::{
@@ -49,4 +47,4 @@ pub use heartbeat::{HeartbeatRecord, WorkerRow, HEARTBEAT_SCHEMA, TIMESERIES_SCH
 pub use probe::{
     describe_probes, SeriesRow, SharedProbe, SimProbe, SimSample, TimeSeries, TimeSeriesProbe,
 };
-pub use trace_event::{trace_event_json, trace_event_json_with_markers, InstantMarker};
+pub use trace_event::{trace_event_json_with_markers, InstantMarker};

@@ -85,14 +85,9 @@ fn marker_ts_us(series: &TimeSeries, wall_axis: bool, t_ps: u64) -> f64 {
         .unwrap_or(t_ps as f64 / 1e6)
 }
 
-/// Render `series` as a Trace Event Format JSON document.
-pub fn trace_event_json(series: &TimeSeries) -> String {
-    trace_event_json_with_markers(series, &[])
-}
-
-/// [`trace_event_json`] with instant markers pinned onto the timeline
-/// (rendered as global-scope `"i"` events, which Perfetto draws as
-/// flags above the tracks).
+/// Render `series` as a Trace Event Format JSON document, with
+/// `markers` pinned onto the timeline (rendered as global-scope `"i"`
+/// events, which Perfetto draws as flags above the tracks).
 pub fn trace_event_json_with_markers(series: &TimeSeries, markers: &[InstantMarker]) -> String {
     let wall_axis = series.final_gate().phase_ns(Phase::Dispatch) > 0;
     let mut ev: Vec<String> = Vec::new();
@@ -193,7 +188,7 @@ mod tests {
             rows: vec![row(1000, 10_000, 3), row(2000, 25_000, 4)],
             ..TimeSeries::default()
         };
-        let j = trace_event_json(&series);
+        let j = trace_event_json_with_markers(&series, &[]);
         assert!(j.contains("\"traceEvents\""));
         assert!(j.contains("phase:dispatch"));
         assert!(j.contains(r#""ph": "X""#), "phase spans present");
@@ -235,12 +230,6 @@ mod tests {
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(j.matches(open).count(), j.matches(close).count());
         }
-        // And the no-marker wrapper stays byte-identical to the explicit
-        // empty-marker call.
-        assert_eq!(
-            trace_event_json(&series),
-            trace_event_json_with_markers(&series, &[])
-        );
     }
 
     #[test]
@@ -250,7 +239,7 @@ mod tests {
             rows: vec![row(1_000_000, 0, 1)],
             ..TimeSeries::default()
         };
-        let j = trace_event_json(&series);
+        let j = trace_event_json_with_markers(&series, &[]);
         // t_ps = 1e6 ps = 1 µs on the virtual axis.
         assert!(j.contains("\"ts\": 1.000"), "virtual-time fallback: {j}");
     }

@@ -11,8 +11,8 @@
 //! sweep --failures none,random-links:0.3 \
 //!       --traffic open-loop              # link-failure (churn) sweeps
 //! sweep --list                            # registries and disciplines
-//! sweep --validate BENCH_sweep.json BENCH_quantized.json \
-//!       BENCH_divergence.json             # schema-check artifacts (one
+//! sweep --validate BENCH_sweep.json \
+//!       BENCH_degradation.json            # schema-check artifacts (one
 //!                                         # entry point, dispatch per tag)
 //! sweep explain --topos "Line(3)" --scheds Random --queues 1 \
 //!       --top 5 --perfetto explain.json   # attribute one job's divergence
@@ -369,9 +369,6 @@ fn list_registries() {
     println!("  --job ID           which expanded grid job to explain");
     println!("  --top K            rows per blame table (default 10)");
     println!("  --perfetto PATH    replay timeline + divergence instant markers");
-    println!("forensics bench (cargo bench -p ups-bench --bench forensics; env knobs):");
-    println!("  UPS_FORENSICS_PACKETS  packet floor per bench row (default 30000)");
-    println!("  UPS_FORENSICS_SEED     workload seed for both axes (default 7)");
     println!("model checker (cargo test -p ups-race; env knobs):");
     println!("  UPS_RACE_PREEMPTION_BOUND  DFS preemption budget per execution (default 2)");
     println!("  UPS_RACE_RANDOM_SCHEDULES  seeded random schedules per test (default 64)");

@@ -17,13 +17,11 @@
 
 use std::sync::Arc;
 
-use ups_core::{compare_with_sink, replay_packets, run_schedule, HeaderInit, ReplayReport};
+use ups_core::{run_schedule, HeaderInit, Replay, ReplayReport};
 use ups_dynamics::{churn_replay_with_sink, run_schedule_with_failures};
 use ups_forensics::{BlameCollector, ReplayFlavor};
-use ups_netsim::prelude::{Dur, MapperKind, RecordMode, SchedulerKind};
+use ups_netsim::prelude::{MapperKind, RecordMode, SchedulerKind};
 use ups_obs::{InstantMarker, SharedProbe, TimeSeries};
-use ups_topology::{build_simulator, SchedulerAssignment};
-use ups_workload::MTU;
 
 use crate::grid::{JobSpec, TrafficMode};
 use crate::runner::{open_loop_train, Scenario, SharedScenarios};
@@ -176,8 +174,7 @@ pub fn explain_job(
              (the sweep skips the replay on this job too)"
         ));
     }
-    let replay_set = replay_packets(topo, &original, &packets, HeaderInit::LstfSlack);
-    let (flavor, replay_assign) = match spec.queues {
+    let (flavor, kind) = match spec.queues {
         Some(k) => {
             let mapper = spec
                 .mapper
@@ -186,31 +183,27 @@ pub fn explain_job(
                 .ok_or_else(|| format!("bad mapper {:?}", spec.mapper))?;
             (
                 ReplayFlavor::Quantized { k },
-                SchedulerAssignment::uniform(SchedulerKind::quantized_lstf(k, mapper)),
+                SchedulerKind::quantized_lstf(k, mapper),
             )
         }
         None => (
             ReplayFlavor::Exact,
-            SchedulerAssignment::uniform(SchedulerKind::Lstf { preemptive: false }),
+            SchedulerKind::Lstf { preemptive: false },
         ),
     };
-    let mut sim = build_simulator(topo, &replay_assign, &opts);
     let probe = with_series.then(|| {
         // Sample at ~1/512 of the job window (floor 1 µs) — enough rows
         // for a readable Perfetto timeline without drowning short jobs.
         SharedProbe::new((spec.window.as_ps() / 512).max(1_000_000))
     });
-    if let Some(p) = &probe {
-        sim.set_probe(p.attachment());
-    }
-    for p in replay_set {
-        sim.inject(p);
-    }
-    sim.run();
-    let replay = sim.into_trace();
-    let threshold = topo.bottleneck_bandwidth().tx_time(MTU);
     let mut forensics = BlameCollector::new(flavor);
-    let report = compare_with_sink(&original, &replay, threshold, Dur::ZERO, &mut forensics);
+    let (_, report) = Replay {
+        kind,
+        opts,
+        probe: probe.as_ref().map(SharedProbe::attachment),
+        ..Replay::new(topo, &original, spec.seed)
+    }
+    .eager(&packets, HeaderInit::LstfSlack, &mut forensics);
     Ok(Explanation {
         spec: spec.clone(),
         flavor,
@@ -224,6 +217,7 @@ pub fn explain_job(
 mod tests {
     use super::*;
     use crate::grid::TrafficMode;
+    use ups_netsim::prelude::Dur;
 
     fn base_spec() -> JobSpec {
         JobSpec {

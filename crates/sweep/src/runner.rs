@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ups_core::{as_executed_packets, compare_with_sink, replay_packets, run_schedule, HeaderInit};
+use ups_core::{as_executed_packets, replay_packets, run_schedule, HeaderInit, Replay};
 use ups_dynamics::{
     churn_replay_with_sink, parse_failure_spec, run_schedule_with_failures, FailureSchedule,
 };
@@ -368,22 +368,12 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
     // packet sets are already restricted to delivered packets, so a
     // horizon-truncated run still replays its delivered prefix.
     if spec.replay && summary.dropped == 0 && summary.delivered > 0 && failure.is_none() {
+        // One replay set, built once: the exact replay and (under the
+        // queues axis) the quantized one inject the identical packets.
         let replay_set = replay_packets(topo, &original, &as_executed, HeaderInit::LstfSlack);
-        let replay_assign = SchedulerAssignment::uniform(SchedulerKind::Lstf { preemptive: false });
-        let replay_opts = BuildOptions {
-            record: RecordMode::EndToEnd,
-            seed: spec.seed,
-            ..BuildOptions::default()
-        };
-        let replay = run_schedule(
-            topo,
-            &replay_assign,
-            replay_set.iter().cloned(),
-            &replay_opts,
-        );
-        let threshold = topo.bottleneck_bandwidth().tx_time(MTU);
         let mut forensics = BlameCollector::new(ReplayFlavor::Exact);
-        let report = compare_with_sink(&original, &replay, threshold, Dur::ZERO, &mut forensics);
+        let (replay, report) = Replay::new(topo, &original, spec.seed)
+            .eager_set(replay_set.iter().cloned(), &mut forensics);
         // An empty comparison matched nothing: null, not a perfect 1.0.
         summary.replay_match_rate = report.match_rate();
         summary.replay_frac_gt_t = report.frac_gt_t_rate();
@@ -399,14 +389,15 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
                 .as_deref()
                 .and_then(MapperKind::from_name)
                 .unwrap_or_else(|| panic!("unvalidated mapper {:?}", spec.mapper));
-            let q_assign = SchedulerAssignment::uniform(SchedulerKind::quantized_lstf(k, mapper));
-            let q_replay = run_schedule(topo, &q_assign, replay_set, &replay_opts);
             // The quantized comparison's forensics replace the exact
             // replay's: when the queues axis is present the record
             // explains the quantized divergence (the interesting one).
             let mut q_forensics = BlameCollector::new(ReplayFlavor::Quantized { k });
-            let q_report =
-                compare_with_sink(&original, &q_replay, threshold, Dur::ZERO, &mut q_forensics);
+            let (q_replay, q_report) = Replay {
+                kind: SchedulerKind::quantized_lstf(k, mapper),
+                ..Replay::new(topo, &original, spec.seed)
+            }
+            .eager_set(replay_set, &mut q_forensics);
             summary.quantized_match_rate = q_report.match_rate();
             summary.quantized_frac_gt_t = q_report.frac_gt_t_rate();
             summary.divergence = Some(q_forensics.summary());
@@ -431,7 +422,7 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
 /// packet exit minus the flow's start, averaged in flow-id order. `None`
 /// when the trace delivered nothing — the quantized-vs-exact FCT delta
 /// has no meaning on an empty run.
-fn trace_mean_fct(trace: &Trace, flows: &[FlowSpec]) -> Option<f64> {
+pub fn trace_mean_fct(trace: &Trace, flows: &[FlowSpec]) -> Option<f64> {
     let mut last_exit = vec![None::<SimTime>; flows.len()];
     for (_, rec) in trace.stream() {
         if rec.kind != PacketKind::Data {

@@ -267,10 +267,6 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// What the three replay benches (quantized, failures, divergence) record
-/// about the workload they share.
-const REPLAY_WORKLOAD: [&str; 3] = ["packets", "seed", "utilization"];
-
 /// The `scenario` block every record and bench artifact opens with.
 fn scenario<'a>(doc: &Cur<'a>, strs: &[&str], nums: &[&str]) -> Result<Cur<'a>, String> {
     let s = doc.obj("scenario")?;
@@ -279,7 +275,7 @@ fn scenario<'a>(doc: &Cur<'a>, strs: &[&str], nums: &[&str]) -> Result<Cur<'a>, 
     Ok(s)
 }
 
-/// The quantization axis (quantized and divergence benches): at least one
+/// The quantization axis of the degradation bench: at least one
 /// finite-`k` row, `k ≥ 1` strictly ascending, then exactly one `k: null`
 /// row — the exact-LSTF (K = ∞) reference. Returns `(finite, exact)`.
 fn k_axis<'a>(doc: &Cur<'a>, field: &str) -> Result<(Vec<Cur<'a>>, Cur<'a>), String> {
@@ -297,7 +293,7 @@ fn k_axis<'a>(doc: &Cur<'a>, field: &str) -> Result<(Vec<Cur<'a>>, Cur<'a>), Str
     Ok((rows, exact))
 }
 
-/// The failure-intensity axis (failures and divergence benches): the
+/// The failure-intensity axis of the degradation bench: the
 /// zero-failure baseline first, then at least one churn row, `rate`
 /// strictly ascending within [0, 1].
 fn rate_axis<'a>(doc: &Cur<'a>, field: &str) -> Result<Vec<Cur<'a>>, String> {
@@ -333,7 +329,7 @@ const DIVERGENCE_INVERSIONS: [&str; 5] = [
 ];
 
 /// One `ups-forensics/v1` object wherever it appears (a record's
-/// `divergence` block, every divergence-bench row). Each mismatched
+/// `divergence` block, every degradation-bench row). Each mismatched
 /// packet got exactly one cause and one inversion class, so both families
 /// must sum back to `mismatches` — a block that doesn't is corrupt
 /// attribution, not a schema quirk. Returns the mismatch count.
@@ -472,51 +468,6 @@ fn sweep(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-/// `BENCH_quantized.json`, the `quantized` bench's K-sweep: the
-/// [`k_axis`] rule, and the exact row must assert bit-identity with
-/// exact LSTF.
-fn quantized(doc: &Cur) -> Result<String, String> {
-    scenario(doc, &["topology", "original", "mapper"], &REPLAY_WORKLOAD)?;
-    let (finite, exact) = k_axis(doc, "results")?;
-    for r in finite.iter().chain([&exact]) {
-        r.nums(&["match_rate", "frac_gt_t", "mean_fct_s"])?;
-    }
-    exact.asserts_true("bit_identical_to_exact_lstf")?;
-    Ok(format!(
-        "{} finite-K rows, exact-LSTF match rate {:.4}",
-        finite.len(),
-        exact.num("match_rate")?
-    ))
-}
-
-/// `BENCH_failures.json`, the `failures` bench's match-rate-vs-intensity
-/// curve: the [`rate_axis`] rule, and the zero row must assert
-/// bit-identity with the static-routing run.
-fn failures(doc: &Cur) -> Result<String, String> {
-    let strs = ["topology", "original", "profile", "inflight"];
-    scenario(doc, &strs, &REPLAY_WORKLOAD)?;
-    let rows = rate_axis(doc, "results")?;
-    for r in &rows {
-        r.nums(&[
-            "links_failed",
-            "rerouted",
-            "dropped_at_dead_link",
-            "delivered",
-            "match_rate",
-            "frac_gt_t",
-        ])?;
-    }
-    // `rate_axis` returned at least two rows.
-    let (baseline, worst) = (&rows[0], &rows[rows.len() - 1]);
-    baseline.asserts_true("bit_identical_to_static_routing")?;
-    Ok(format!(
-        "{} intensity rows, match rate {:.4} (static) -> {:.4} (worst)",
-        rows.len(),
-        baseline.num("match_rate")?,
-        worst.num("match_rate")?
-    ))
-}
-
 /// `BENCH_scale.json`, the `scale` bench's bounded-memory streaming run:
 /// the ≥5M-packet and ≥10k-flow floors, packet conservation, peak RSS
 /// within the recorded budget, and a fully-green differential block (the
@@ -589,22 +540,53 @@ fn timeseries(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-/// `BENCH_divergence.json`, the `forensics` bench's blame distribution:
-/// both axes present ([`k_axis`], [`rate_axis`]) and a conserved
-/// [`forensics_block`] on every row.
-fn divergence(doc: &Cur) -> Result<String, String> {
-    scenario(doc, &["topology", "original", "profile"], &REPLAY_WORKLOAD)?;
+/// `BENCH_degradation.json`, the `degradation` bench's two curves with
+/// their attribution: both axes present ([`k_axis`], [`rate_axis`]), the
+/// curve fields and a conserved [`forensics_block`] on every row, both
+/// bit-identity flags asserted — and the one cell the axes share. The
+/// `k = null` row (exact LSTF, eager drive) and the `rate = 0` row (no
+/// churn, lazy drive) replay the same static schedule, so they must agree
+/// on what was compared and how much of it matched.
+fn degradation(doc: &Cur) -> Result<String, String> {
+    let strs = ["topology", "original", "mapper", "profile", "inflight"];
+    scenario(doc, &strs, &["packets", "seed", "utilization"])?;
     let (finite, exact) = k_axis(doc, "quantization")?;
     let failures = rate_axis(doc, "failures")?;
+    for r in finite.iter().chain([&exact]) {
+        r.num("mean_fct_s")?;
+    }
+    for r in &failures {
+        r.nums(&[
+            "links_failed",
+            "rerouted",
+            "dropped_at_dead_link",
+            "delivered",
+        ])?;
+    }
     let mut mismatches = 0;
     for r in finite.iter().chain([&exact]).chain(&failures) {
-        r.nums(&["compared", "match_rate"])?;
+        r.nums(&["compared", "match_rate", "frac_gt_t"])?;
         mismatches += forensics_block(&r.obj("divergence")?)?;
     }
+    exact.asserts_true("bit_identical_to_exact_lstf")?;
+    // `rate_axis` returned at least two rows.
+    let (baseline, worst) = (&failures[0], &failures[failures.len() - 1]);
+    baseline.asserts_true("bit_identical_to_static_routing")?;
+    for field in ["compared", "match_rate"] {
+        let (eager, lazy) = (exact.num(field)?, baseline.num(field)?);
+        let rule = format!(
+            "is {lazy} but {} is {eager} — both rows replay the static schedule exactly",
+            exact.name(field)
+        );
+        baseline.ensure(eager == lazy, field, &rule)?;
+    }
     Ok(format!(
-        "{} quantization rows + {} failure rows, {mismatches} mismatches attributed (conserved)",
+        "{} quantization rows + {} failure rows, match rate {:.4} (exact, static) -> {:.4} (worst churn), \
+         {mismatches} mismatches attributed (conserved)",
         finite.len() + 1,
-        failures.len()
+        failures.len(),
+        baseline.num("match_rate")?,
+        worst.num("match_rate")?
     ))
 }
 
@@ -613,13 +595,11 @@ type Validator = fn(&Cur) -> Result<String, String>;
 /// Every schema tag the store accepts, with its validator. A tag is
 /// listed only while a committed artifact or a CI step produces it; an
 /// older version of a listed tag is rejected like any unknown one.
-const FAMILIES: [(&str, Validator); 6] = [
+const FAMILIES: [(&str, Validator); 4] = [
     (SWEEP_SCHEMA, sweep),
-    ("ups-bench-quantized/v1", quantized),
-    ("ups-bench-failures/v1", failures),
+    ("ups-bench-degradation/v1", degradation),
     ("ups-bench-scale/v1", scale),
     (ups_obs::TIMESERIES_SCHEMA, timeseries),
-    ("ups-bench-divergence/v1", divergence),
 ];
 
 /// Validate any tagged artifact — the one entry point behind
@@ -797,40 +777,6 @@ mod tests {
         );
     }
 
-    const FAIL_DOC: &str = r#"{
-  "schema": "ups-bench-failures/v1",
-  "scenario": {"topology": "FatTree(k=4)", "original": "Random", "profile": "random-links",
-               "inflight": "reroute", "utilization": 0.7, "seed": 42, "packets": 20000},
-  "results": [
-    {"rate": 0, "links_failed": 0, "rerouted": 0, "dropped_at_dead_link": 0,
-     "delivered": 20000, "match_rate": 0.99, "frac_gt_t": 0.001,
-     "bit_identical_to_static_routing": true},
-    {"rate": 0.25, "links_failed": 8, "rerouted": 900, "dropped_at_dead_link": 12,
-     "delivered": 19988, "match_rate": 0.93, "frac_gt_t": 0.02},
-    {"rate": 0.5, "links_failed": 16, "rerouted": 2100, "dropped_at_dead_link": 60,
-     "delivered": 19940, "match_rate": 0.81, "frac_gt_t": 0.09}
-  ]
-}"#;
-
-    #[test]
-    fn failures_bench_artifact_validates() {
-        let line = validate_artifact(FAIL_DOC);
-        let want = "3 intensity rows, match rate 0.9900 (static) -> 0.8100 (worst)";
-        assert_eq!(line.as_deref(), Ok(want));
-        // The tag picks the validator: a relabelled document fails the
-        // other family's first requirement.
-        let relabelled = FAIL_DOC.replace("ups-bench-failures/v1", SWEEP_SCHEMA);
-        rejects(&relabelled, "$.grid missing");
-        // The zero row must assert bit-identity with static routing.
-        let lax = FAIL_DOC.replace("routing\": true", "routing\": false");
-        rejects(&lax, "bit_identical_to_static_routing must be true");
-        // Rates must ascend.
-        let shuffled = FAIL_DOC.replace(r#""rate": 0.25"#, r#""rate": 0.75"#);
-        rejects(&shuffled, "$.results[2].rate must ascend");
-        let missing = FAIL_DOC.replace(r#""rerouted": 900, "#, "");
-        rejects(&missing, "$.results[1].rerouted missing");
-    }
-
     /// One conserved `ups-forensics/v1` block as a JSON fragment:
     /// causes 5 + 2 + 1 = 8, inversions 4 + 3 + 1 = 8.
     const DIV_BLOCK: &str = r#"{"schema":"ups-forensics/v1","mismatches":8,
@@ -840,20 +786,31 @@ mod tests {
       "hop_lateness_p50_s":1.2e-6,"hop_lateness_p99_s":9.0e-6,
       "top_nodes":[{"node":2,"mismatches":5},{"node":9,"mismatches":3}]}"#;
 
-    fn divergence_doc() -> String {
+    fn degradation_doc() -> String {
         format!(
             r#"{{
-  "schema": "ups-bench-divergence/v1",
-  "scenario": {{"topology": "FatTree(k=4)", "original": "Random", "profile": "fixed-mtu",
+  "schema": "ups-bench-degradation/v1",
+  "scenario": {{"topology": "FatTree(k=4)", "original": "Random", "mapper": "sppifo",
+               "profile": "random-links", "inflight": "reroute",
                "utilization": 0.7, "seed": 42, "packets": 20000}},
   "quantization": [
-    {{"k": 1, "compared": 20000, "match_rate": 0.42, "divergence": {d}}},
-    {{"k": 8, "compared": 20000, "match_rate": 0.9, "divergence": {d}}},
-    {{"k": null, "compared": 20000, "match_rate": 0.99, "divergence": {d}}}
+    {{"k": 1, "mean_fct_s": 0.011, "compared": 20000, "match_rate": 0.42, "frac_gt_t": 0.3,
+      "divergence": {d}}},
+    {{"k": 8, "mean_fct_s": 0.009, "compared": 20000, "match_rate": 0.9, "frac_gt_t": 0.01,
+      "divergence": {d}}},
+    {{"k": null, "mean_fct_s": 0.008, "compared": 20000, "match_rate": 0.99, "frac_gt_t": 0.0,
+      "bit_identical_to_exact_lstf": true, "divergence": {d}}}
   ],
   "failures": [
-    {{"rate": 0, "compared": 20000, "match_rate": 0.99, "divergence": {d}}},
-    {{"rate": 0.5, "compared": 19900, "match_rate": 0.8, "divergence": {d}}}
+    {{"rate": 0, "links_failed": 0, "rerouted": 0, "dropped_at_dead_link": 0,
+      "delivered": 20000, "compared": 20000, "match_rate": 0.99, "frac_gt_t": 0.0,
+      "bit_identical_to_static_routing": true, "divergence": {d}}},
+    {{"rate": 0.25, "links_failed": 8, "rerouted": 900, "dropped_at_dead_link": 12,
+      "delivered": 19988, "compared": 19988, "match_rate": 0.93, "frac_gt_t": 0.02,
+      "divergence": {d}}},
+    {{"rate": 0.5, "links_failed": 16, "rerouted": 2100, "dropped_at_dead_link": 60,
+      "delivered": 19940, "compared": 19940, "match_rate": 0.81, "frac_gt_t": 0.09,
+      "divergence": {d}}}
   ]
 }}"#,
             d = DIV_BLOCK
@@ -861,18 +818,24 @@ mod tests {
     }
 
     #[test]
-    fn divergence_bench_artifact_validates() {
-        let doc = divergence_doc();
-        // 8 mismatches per row × 5 rows.
-        let want = "3 quantization rows + 2 failure rows, 40 mismatches attributed (conserved)";
+    fn degradation_bench_artifact_validates() {
+        let doc = degradation_doc();
+        // 8 mismatches per row × 6 rows.
+        let want = "3 quantization rows + 3 failure rows, match rate 0.9900 (exact, static) -> \
+                    0.8100 (worst churn), 48 mismatches attributed (conserved)";
         assert_eq!(validate_artifact(&doc).as_deref(), Ok(want));
+        // The tag picks the validator: a relabelled document fails the
+        // other family's first requirement.
+        let relabelled = doc.replace("ups-bench-degradation/v1", SWEEP_SCHEMA);
+        rejects(&relabelled, "$.grid missing");
         // Conservation is enforced per row.
         let unconserved = doc.replacen(r#""overdue_within_t":5"#, r#""overdue_within_t":6"#, 1);
         rejects(
             &unconserved,
             "$.quantization[0].divergence.mismatches is 8 but",
         );
-        // K must ascend and end at the k = null exact row.
+        // K must ascend and end at the k = null exact row, which asserts
+        // bit-identity with the unbounded dynamic mapper.
         let shuffled = doc.replace(r#""k": 8"#, r#""k": 1"#);
         rejects(&shuffled, "$.quantization[1].k must be ≥ 1 and ascend");
         let no_exact = doc.replace(r#""k": null"#, r#""k": 64"#);
@@ -880,37 +843,48 @@ mod tests {
             &no_exact,
             "$.quantization needs finite-K rows, then the k = null (exact)",
         );
-        // The failure axis starts at the zero-failure baseline.
+        let lax = doc.replace("lstf\": true", "lstf\": false");
+        rejects(&lax, "bit_identical_to_exact_lstf must be true");
+        let missing = doc.replace(r#""mean_fct_s": 0.009, "#, "");
+        rejects(&missing, "$.quantization[1].mean_fct_s missing");
+        // The failure axis ascends from the zero-failure baseline, which
+        // asserts bit-identity with static routing.
         let no_zero = doc.replace(r#""rate": 0,"#, r#""rate": 0.1,"#);
         rejects(&no_zero, "$.failures needs the zero-failure (rate 0) row");
-        // Both axes are mandatory — a one-axis artifact is not "both
-        // axes present", which the bench's acceptance criterion demands.
+        let shuffled = doc.replace(r#""rate": 0.25"#, r#""rate": 0.75"#);
+        rejects(&shuffled, "$.failures[2].rate must ascend");
+        let lax = doc.replace("routing\": true", "routing\": false");
+        rejects(&lax, "bit_identical_to_static_routing must be true");
+        let missing = doc.replace(r#""rerouted": 900, "#, "");
+        rejects(&missing, "$.failures[1].rerouted missing");
+        // Both axes are mandatory.
         let axisless = doc.replace(r#""failures""#, r#""failurez""#);
         rejects(&axisless, "$.failures missing");
     }
 
-    const QUANT_DOC: &str = r#"{
-  "schema": "ups-bench-quantized/v1",
-  "scenario": {"topology": "FatTree(k=4)", "original": "Random", "mapper": "dynamic",
-               "utilization": 0.7, "seed": 42, "packets": 20000},
-  "results": [
-    {"k": 1, "match_rate": 0.42, "frac_gt_t": 0.3, "mean_fct_s": 0.011},
-    {"k": 8, "match_rate": 0.9, "frac_gt_t": 0.01, "mean_fct_s": 0.009},
-    {"k": null, "match_rate": 0.99, "frac_gt_t": 0.0, "mean_fct_s": 0.008,
-     "bit_identical_to_exact_lstf": true}
-  ]
-}"#;
-
+    /// The `k = null` and `rate = 0` rows are one cell — the exact replay
+    /// of the static schedule — reached through the two drive forms.
     #[test]
-    fn quantized_bench_artifact_validates() {
-        let line = validate_artifact(QUANT_DOC);
-        let want = "2 finite-K rows, exact-LSTF match rate 0.9900";
-        assert_eq!(line.as_deref(), Ok(want));
-        // The ∞ row must assert bit-identity with exact LSTF.
-        let lax = QUANT_DOC.replace("lstf\": true", "lstf\": false");
-        rejects(&lax, "bit_identical_to_exact_lstf must be true");
-        let missing = QUANT_DOC.replace(r#""match_rate": 0.9, "#, "");
-        rejects(&missing, "$.results[1].match_rate missing");
+    fn degradation_axes_must_agree_on_their_shared_cell() {
+        let doc = degradation_doc();
+        let baseline = r#""delivered": 20000, "compared": 20000, "match_rate": 0.99"#;
+        assert!(doc.contains(baseline));
+        let fewer = doc.replace(
+            baseline,
+            r#""delivered": 20000, "compared": 19999, "match_rate": 0.99"#,
+        );
+        rejects(
+            &fewer,
+            "$.failures[0].compared is 19999 but $.quantization[2].compared is 20000",
+        );
+        let worse = doc.replace(
+            baseline,
+            r#""delivered": 20000, "compared": 20000, "match_rate": 0.57"#,
+        );
+        rejects(
+            &worse,
+            "$.failures[0].match_rate is 0.57 but $.quantization[2].match_rate is 0.99",
+        );
     }
 
     const SCALE_DOC: &str = r#"{

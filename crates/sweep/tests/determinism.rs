@@ -8,7 +8,7 @@
 //! which job, in what order, or what got stolen.
 
 use ups_netsim::prelude::Dur;
-use ups_sweep::{pool, runner, store, PoolStats, ScenarioGrid};
+use ups_sweep::{pool, runner, store, JobSpec, PoolStats, ScenarioGrid, TrafficMode};
 
 fn tiny_grid() -> ScenarioGrid {
     ScenarioGrid {
@@ -246,4 +246,91 @@ fn aggregate_artifact_from_parallel_run_validates() {
         .expect("artifact conforms to ups-sweep/v4 with ups-sweep-record/v5 lines");
     assert_eq!(digest.jobs, 16);
     assert!(digest.jobs_per_sec > 0.0);
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The open-loop `fixed-mtu` job on `Line(3)` that `runner.rs`'s unit
+/// tests build; the other three flavours are struct updates of it.
+fn line_spec(scheduler: &str) -> JobSpec {
+    JobSpec {
+        job_id: 0,
+        topology: "Line(3)".into(),
+        profile: "fixed-mtu".into(),
+        scheduler: scheduler.into(),
+        traffic: TrafficMode::OpenLoop,
+        rest_bps: None,
+        utilization: 0.6,
+        seed: 11,
+        window: Dur::from_ms(4),
+        horizon: None,
+        buffer_bytes: None,
+        replay: true,
+        queues: None,
+        mapper: None,
+        failures: None,
+        inflight: None,
+        max_packets: None,
+    }
+}
+
+/// Records as they were **before** the replay pipeline became one entry
+/// (taken at 8b572ab): the eager form (open-loop exact, quantized,
+/// closed-loop as-executed) and the lazy form (churn) each still produce
+/// the bytes they produced when every call site assembled its own replay.
+#[test]
+fn four_record_flavours_match_their_pre_refactor_golden() {
+    let flavours = [
+        (
+            "open-loop exact",
+            line_spec("Random"),
+            0xb03e_99c2_9a93_71ab_u64,
+        ),
+        (
+            "quantized K=1 dynamic",
+            JobSpec {
+                queues: Some(1),
+                mapper: Some("dynamic".into()),
+                ..line_spec("Random")
+            },
+            0xf2ad_69bc_9281_2a56,
+        ),
+        (
+            "churn random-links:0.6 reroute",
+            JobSpec {
+                topology: "FatTree(k=4)".into(),
+                failures: Some("random-links:0.6".into()),
+                inflight: Some("reroute".into()),
+                ..line_spec("FIFO")
+            },
+            0xf9b9_7bd8_8773_7a16,
+        ),
+        (
+            "closed-loop",
+            JobSpec {
+                traffic: TrafficMode::ClosedLoop,
+                horizon: Some(Dur::from_ms(80)),
+                ..line_spec("FIFO")
+            },
+            0x71a7_562e_0878_2bb3,
+        ),
+    ];
+    let cold = runner::SharedScenarios::for_jobs(&[]);
+    for (label, spec, golden) in flavours {
+        let line = runner::run_job_shared(&spec, &cold).to_json(false);
+        assert!(
+            line.contains(r#""replay_match_rate":0"#) || line.contains(r#""replay_match_rate":1"#),
+            "{label}: the replay ran"
+        );
+        assert_eq!(
+            fnv1a(line.as_bytes()),
+            golden,
+            "{label}: record bytes moved — {line}"
+        );
+    }
 }

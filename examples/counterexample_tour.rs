@@ -61,7 +61,7 @@ fn main() {
     // this very topology, replay it with per-hop omniscient headers —
     // perfect, even where LSTF fails.
     {
-        use ups::core::replay::{compare, replay_packets, run_schedule};
+        use ups::core::replay::{replay_packets, run_schedule};
         use ups::prelude::*;
         let seeded = replay_packets(
             &sched.net.topo,
@@ -75,19 +75,12 @@ fn main() {
             ..BuildOptions::default()
         };
         let recorded = run_schedule(&sched.net.topo, &assign, seeded, &opts);
-        let replay_set = replay_packets(
-            &sched.net.topo,
-            &recorded,
-            &sched.packets,
-            HeaderInit::Omniscient,
-        );
-        let replayed = run_schedule(
-            &sched.net.topo,
-            &assign,
-            replay_set,
-            &BuildOptions::default(),
-        );
-        let report = compare(&recorded, &replayed, Dur::from_ms(1));
+        let (_, report) = Replay {
+            kind: SchedulerKind::Omniscient,
+            threshold: Dur::from_ms(1),
+            ..Replay::new(&sched.net.topo, &recorded, opts.seed)
+        }
+        .eager(&sched.packets, HeaderInit::Omniscient, &mut ());
         println!(
             "  omniscient replay of a recorded schedule on this network: {} overdue (App. B)",
             report.overdue

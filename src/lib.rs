@@ -77,11 +77,12 @@ pub use ups_workload as workload;
 /// Everything needed for typical experiments.
 pub mod prelude {
     pub use ups_core::{
-        compare, compare_with_tolerance, fct_slack, max_congestion_points, tail_slack,
-        FairnessSlackAssigner, HeaderInit, ReplayExperiment, ReplayOutcome, ReplayReport, FCT_D,
+        compare, fct_slack, max_congestion_points, tail_slack, FairnessSlackAssigner, HeaderInit,
+        Replay, ReplayExperiment, ReplayOutcome, ReplayReport, FCT_D,
     };
     pub use ups_dynamics::{
-        churn_replay, run_schedule_with_failures, DynamicRouting, FailureProfile, FailureSchedule,
+        churn_replay_with_sink, run_schedule_with_failures, DynamicRouting, FailureProfile,
+        FailureSchedule,
     };
     pub use ups_forensics::{BlameCollector, ReplayFlavor};
     pub use ups_metrics::{jain_index, jain_series, mean_fct_by_bucket, Cdf, FlowSample};

@@ -61,16 +61,15 @@ fn one_mutated_field_per_family_is_named() {
     rejects(sweep, r#""jain":"#, r#""gain":"#, "metrics.jain missing");
     // One cause count inflated by a leading 1: Σ causes ≠ mismatches.
     let (cause, inflated) = (r#""overdue_within_t":"#, r#""overdue_within_t":1"#);
-    let divergence = "BENCH_divergence.json";
-    rejects(divergence, cause, inflated, "overdue_within_t +");
+    let degradation = "BENCH_degradation.json";
+    rejects(degradation, cause, inflated, "overdue_within_t +");
     rejects(sweep, cause, inflated, "overdue_within_t +");
     // A failure-rate axis that steps back down.
-    let failures = "BENCH_failures.json";
     rejects(
-        failures,
+        degradation,
         r#""rate": 0.2"#,
         r#""rate": 0.05"#,
-        "[2].rate must ascend",
+        "failures[2].rate must ascend",
     );
     let (green, red) = (
         r#""records_identical": true"#,
@@ -82,4 +81,23 @@ fn one_mutated_field_per_family_is_named() {
         red,
         "records_identical must be true",
     );
+}
+
+/// The `k: null` and `rate: 0` rows of the degradation artifact are one
+/// cell (the exact replay of the static schedule, eager and lazy): a
+/// document whose axes disagree on it is rejected naming the field.
+#[test]
+fn degradation_axes_agree_on_their_shared_cell() {
+    // "delivered" exists only on failure rows, so the first hit is rate 0.
+    let cell = r#""delivered": 38025, "compared": 38025, "match_rate": 0.999711"#;
+    for (field, moved) in [
+        (
+            "compared",
+            cell.replace("compared\": 38025", "compared\": 38024"),
+        ),
+        ("match_rate", cell.replace("0.999711", "0.565602")),
+    ] {
+        let named = format!("$.failures[0].{field} is");
+        rejects("BENCH_degradation.json", cell, &moved, &named);
+    }
 }

@@ -3,7 +3,7 @@
 //! would.
 
 use ups::core::replay::priorities_from_schedule;
-use ups::core::{appendix_c_case, appendix_f_schedule, appendix_g_schedule};
+use ups::core::{appendix_c_case, appendix_f_schedule, appendix_g_schedule, overdue_threshold};
 use ups::prelude::*;
 
 /// §2.2's hierarchy on the appendix schedules, through the facade:
@@ -70,7 +70,7 @@ fn threshold_is_one_bottleneck_transmission() {
         ups::topology::i2_1g_1g(),
         ups::topology::rocketfuel_default(),
     ] {
-        let t = topo.bottleneck_bandwidth().tx_time(1500);
+        let t = overdue_threshold(&topo);
         assert!(
             t >= Dur::from_us(12),
             "{}: T = {t} below the paper's 12us",
@@ -78,9 +78,7 @@ fn threshold_is_one_bottleneck_transmission() {
         );
     }
     assert_eq!(
-        ups::topology::i2_default()
-            .bottleneck_bandwidth()
-            .tx_time(1500),
+        overdue_threshold(&ups::topology::i2_default()),
         Dur::from_us(12)
     );
 }
