@@ -5,28 +5,14 @@
 //! * **§2.3(5)** — preemption: replaying SJF and LIFO originals with
 //!   non-preemptive vs preemptive LSTF (paper: SJF 18.33% → 0.24%, LIFO
 //!   14.77% → 0.25%).
+//!
+//! Each original is one sweep job whose schedule is replayed twice through
+//! the executor's `ablations` list.
 
-use ups_bench::{ReplayScenario, Scale};
+use ups_bench::{replay_job, run_jobs, Scale, I2_DEFAULT};
 use ups_core::HeaderInit;
 use ups_metrics::{frac, Table};
-use ups_netsim::prelude::SchedulerKind;
-use ups_topology::{i2_default, SchedulerAssignment};
-
-fn scenario(
-    kind: SchedulerKind,
-    label: &'static str,
-    window: ups_netsim::prelude::Dur,
-) -> ReplayScenario {
-    ReplayScenario {
-        topology_label: "I2:1Gbps-10Gbps",
-        topo: i2_default(),
-        utilization: 0.7,
-        sched_label: label,
-        assign: SchedulerAssignment::uniform(kind),
-        window,
-        seed: 42,
-    }
-}
+use ups_netsim::prelude::{RecordMode, SchedulerKind};
 
 fn main() {
     let scale = Scale::from_env();
@@ -34,21 +20,27 @@ fn main() {
         "# Ablations (scale={}, window={})",
         scale.label, scale.replay_window
     );
+    let job = |sched| replay_job(I2_DEFAULT, 0.7, sched, scale.replay_window, 42);
+    let lstf = |preemptive| (SchedulerKind::Lstf { preemptive }, HeaderInit::LstfSlack);
 
     println!("\n## §2.3(7): LSTF vs simple priorities (prio = o(p)), Random original");
     println!("# paper: priorities 21% overdue (20.69% > T) vs LSTF 0.21% (0.02% > T)");
-    let scen = scenario(SchedulerKind::Random, "Random", scale.replay_window);
+    let priorities = (
+        SchedulerKind::Priority { preemptive: false },
+        HeaderInit::PriorityOutputTime,
+    );
+    let (runs, _) = run_jobs(
+        &[job("Random")],
+        RecordMode::EndToEnd,
+        &[lstf(false), priorities],
+    );
     let mut t = Table::new(&["replay", "overdue", "overdue>T", "max lateness"]);
-    for (label, init) in [
-        ("LSTF", HeaderInit::LstfSlack),
-        ("Priorities", HeaderInit::PriorityOutputTime),
-    ] {
-        let res = scen.run(init, false);
+    for (label, report) in ["LSTF", "Priorities"].into_iter().zip(&runs[0].1) {
         t.row(&[
             label.to_string(),
-            frac(res.report.frac_overdue()),
-            frac(res.report.frac_overdue_gt_t()),
-            format!("{}", res.report.max_lateness),
+            frac(report.frac_overdue()),
+            frac(report.frac_overdue_gt_t()),
+            format!("{}", report.max_lateness),
         ]);
     }
     println!("{}", t.render());
@@ -62,16 +54,20 @@ fn main() {
         "LSTF >T",
         "LSTF-P >T",
     ]);
-    for (kind, label) in [(SchedulerKind::Sjf, "SJF"), (SchedulerKind::Lifo, "LIFO")] {
-        let scen = scenario(kind, label, scale.replay_window);
-        let nonp = scen.run(HeaderInit::LstfSlack, false);
-        let pre = scen.run(HeaderInit::LstfSlack, true);
+    let originals = ["SJF", "LIFO"];
+    let (runs, _) = run_jobs(
+        &originals.map(job),
+        RecordMode::EndToEnd,
+        &[lstf(false), lstf(true)],
+    );
+    for (label, (_, reports)) in originals.into_iter().zip(&runs) {
+        let (nonp, pre) = (&reports[0], &reports[1]);
         t.row(&[
             label.to_string(),
-            frac(nonp.report.frac_overdue()),
-            frac(pre.report.frac_overdue()),
-            frac(nonp.report.frac_overdue_gt_t()),
-            frac(pre.report.frac_overdue_gt_t()),
+            frac(nonp.frac_overdue()),
+            frac(pre.frac_overdue()),
+            frac(nonp.frac_overdue_gt_t()),
+            frac(pre.frac_overdue_gt_t()),
         ]);
     }
     println!("{}", t.render());

@@ -6,26 +6,28 @@
 //! One scenario feeds both axes — the engine benchmarks' fat-tree
 //! workload (web-search at 70 %, seed 42, ≥ 20 000 packets) under a
 //! **Random** original schedule ("completely arbitrary schedules", §2.3)
-//! — and every row is one call of the replay entry ([`Replay`]) with a
-//! [`BlameCollector`] attached, so each row carries its curve fields *and*
-//! its `ups-forensics/v1` attribution:
+//! — and every row is one sweep [`JobSpec`] on it, run through the sweep
+//! engine's job body ([`execute`]), so each row carries its curve fields
+//! *and* the `ups-forensics/v1` attribution of the replay it describes:
 //!
-//! - **Quantization axis** (K ∈ {1, 2, 4, 8, 32, ∞}): one replay set,
-//!   replayed eagerly through `Quantized{LSTF}` (SP-PIFO, whose adaptive
-//!   bounds degrade monotonically in K) at each finite K and through
-//!   exact LSTF for the `k: null` row. Both sides record per-hop, so each
-//!   mismatch is attributed to its first divergent hop — bucket
-//!   collisions for finite K, rank tie-breaks for exact LSTF. The exact
-//!   row is asserted **bit-identical** to the dynamic mapper with an
-//!   unbounded level budget (the one mapper provably exact at K = ∞).
+//! - **Quantization axis** (K ∈ {1, 2, 4, 8, 32, ∞}): the `queues`/`mapper`
+//!   sub-axis — the exact replay, then the identical set through
+//!   `Quantized{LSTF}` (SP-PIFO, whose adaptive bounds degrade
+//!   monotonically in K). Both sides record per-hop, so each mismatch is
+//!   attributed to its first divergent hop — bucket collisions for finite
+//!   K, rank tie-breaks for exact LSTF. The `k: null` row is the exact
+//!   replay of the K = ∞ job, whose quantized replay — the dynamic mapper
+//!   with an unbounded level budget, the one mapper provably exact there —
+//!   is asserted **bit-identical** to it.
 //! - **Failure axis** (`random-links` rate ∈ {0, 0.1, …, 0.5}, reroute
-//!   in-flight policy): per intensity, the delivered packets are replayed
-//!   lazily at their observed `i(p)` along their as-executed paths on the
-//!   intact topology. The rate-0 churn run is asserted **bit-identical**
-//!   to the plain static-routing run. Capped at 0.5: beyond that the k=4
-//!   fat-tree starts partitioning, packets die at dead links instead of
-//!   rerouting, and the *survivors* replay better — a survivorship
-//!   artifact that masks the congestion story this curve is about.
+//!   in-flight policy): the `failures`/`inflight` sub-axis — per
+//!   intensity, the delivered packets are replayed lazily at their
+//!   observed `i(p)` along their as-executed paths on the intact topology.
+//!   The rate-0 churn run is asserted **bit-identical** to the plain
+//!   static-routing run. Capped at 0.5: beyond that the k=4 fat-tree
+//!   starts partitioning, packets die at dead links instead of rerouting,
+//!   and the *survivors* replay better — a survivorship artifact that
+//!   masks the congestion story this curve is about.
 //!
 //! Every row's attribution is asserted **conserved** (Σ causes ≡
 //! Σ inversions ≡ the row's mismatch count). The `k: null` and `rate: 0`
@@ -37,17 +39,13 @@
 //! --validate`). The file has no wall-clock field: regenerating it must
 //! reproduce it byte for byte, which CI checks.
 
-use ups_bench::fattree_throughput_workload;
-use ups_core::{replay_packets, run_schedule, HeaderInit, Replay, ReplayReport};
-use ups_dynamics::{
-    churn_replay_with_sink, run_schedule_with_failures, FailureProfile, FailureSchedule,
-};
-use ups_forensics::{BlameCollector, ReplayFlavor};
+use ups_bench::{fattree_throughput_workload, replay_job};
+use ups_core::ReplayReport;
 use ups_metrics::DivergenceSummary;
 use ups_netsim::prelude::*;
-use ups_sweep::runner::trace_mean_fct;
-use ups_topology::{BuildOptions, Routing, SchedulerAssignment};
-use ups_workload::profile_by_name;
+use ups_sweep::runner::{execute, trace_mean_fct, ReplayRun, SharedScenarios};
+use ups_sweep::JobSpec;
+use ups_workload::FlowSpec;
 
 const UTILIZATION: f64 = 0.7;
 const SEED: u64 = 42;
@@ -75,12 +73,10 @@ struct Row {
 impl Row {
     /// Attribution must be conserved before a row is reported: each
     /// mismatched packet got exactly one cause and one inversion.
-    fn new(
-        label: String,
-        axis_json: String,
-        report: ReplayReport,
-        forensics: &BlameCollector,
-    ) -> Row {
+    fn new(label: String, axis_json: String, replay: ReplayRun) -> Row {
+        let ReplayRun {
+            report, forensics, ..
+        } = replay;
         let summary = forensics.summary();
         for (family, total) in [
             ("cause", summary.cause_total()),
@@ -124,125 +120,122 @@ impl Row {
     }
 }
 
+/// One quantization-axis row: an eager replay with the mean FCT of its
+/// schedule. `k: None` is the exact replay.
+// lint:schema(ups-bench-degradation/v1)
+fn k_row(k: Option<u32>, replay: ReplayRun, flows: &[FlowSpec]) -> Row {
+    let trace = replay
+        .trace
+        .as_ref()
+        .expect("eager replays keep their trace");
+    let fct = trace_mean_fct(trace, flows).expect("the replay delivers");
+    let (label, k) = k.map_or(("K=inf".into(), "null".into()), |k| {
+        (format!("K={k}"), k.to_string())
+    });
+    let axis_json = format!(r#""k": {k}, "mean_fct_s": {fct:.9}"#);
+    let mut row = Row::new(label, axis_json, replay);
+    row.mean_fct_s = Some(fct);
+    row
+}
+
 // lint:schema(ups-bench-degradation/v1)
 fn main() {
     let (topo, train) = fattree_throughput_workload(UTILIZATION, MIN_PACKETS, SEED);
-    let packets = train.packets;
-    // The flow list behind the train, for flow start times (mean FCT).
-    let flows = profile_by_name("web-search")
-        .expect("web-search is registered")
-        .flows(
-            &topo,
-            &mut Routing::new(&topo),
-            UTILIZATION,
-            train.window,
-            SEED,
-        );
-    assert_eq!(flows.len(), train.flows);
     println!(
         "# degradation: {} packets / {} flows on {} at {:.0}% util, Random original, \
          {} mapper, random-links churn, reroute in-flight policy",
-        packets.len(),
-        train.flows,
+        train.packets.len(),
+        train.flows.len(),
         topo.name,
         UTILIZATION * 100.0,
         MAPPER.name()
     );
-    let assign = SchedulerAssignment::uniform(SchedulerKind::Random);
+    // The scenario as a sweep job, at the calibrated window; each row
+    // sets one sub-axis on it.
+    let base = replay_job("FatTree(k=4)", UTILIZATION, "Random", train.window, SEED);
+    let shared = SharedScenarios::for_jobs([&base]);
+    let run = |spec: &JobSpec, record| {
+        execute(spec, &shared, record, &[], None).expect("a registered scenario")
+    };
 
     // ---- Quantization axis: per-hop records on both sides, so the
     // first divergent hop is real (bucket collisions, not exit-only).
-    let hop_opts = BuildOptions {
-        record: RecordMode::PerHop,
-        seed: SEED,
-        ..BuildOptions::default()
-    };
-    let original = run_schedule(&topo, &assign, packets.iter().cloned(), &hop_opts);
-    let replay_set = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
-    let replay_through = |k: Option<u32>, kind: SchedulerKind| {
-        let flavor = k.map_or(ReplayFlavor::Exact, |k| ReplayFlavor::Quantized { k });
-        let mut forensics = BlameCollector::new(flavor);
-        let (trace, report) = Replay {
-            kind,
-            opts: hop_opts,
-            ..Replay::new(&topo, &original, SEED)
-        }
-        .eager_set(replay_set.iter().cloned(), &mut forensics);
-        let fct = trace_mean_fct(&trace, &flows).expect("the replay delivers");
-        let (label, k) = k.map_or(("K=inf".into(), "null".into()), |k| {
-            (format!("K={k}"), k.to_string())
-        });
-        let axis_json = format!(r#""k": {k}, "mean_fct_s": {fct:.9}"#);
-        let mut row = Row::new(label, axis_json, report, &forensics);
-        row.mean_fct_s = Some(fct);
-        (trace, row)
+    let quantized_job = |k, mapper: MapperKind| {
+        let spec = JobSpec {
+            queues: Some(k),
+            mapper: Some(mapper.name().into()),
+            ..base.clone()
+        };
+        let mut job = run(&spec, RecordMode::PerHop);
+        let quantized = job.replays.pop().expect("the quantized replay ran");
+        let exact = job.replays.pop().expect("after the exact replay");
+        (exact, quantized, job.flows)
     };
     let mut quantization: Vec<Row> = KS
         .iter()
-        .map(|&k| replay_through(Some(k), SchedulerKind::quantized_lstf(k, MAPPER)).1)
+        .map(|&k| {
+            let (_, quantized, flows) = quantized_job(k, MAPPER);
+            k_row(Some(k), quantized, &flows)
+        })
         .collect();
-    let (exact_trace, mut exact) = replay_through(None, SchedulerKind::Lstf { preemptive: false });
     // K = ∞: the dynamic mapper with an unbounded level budget never
     // coerces, so the whole trace must be bit-identical to exact LSTF —
     // asserted, not assumed.
-    let unbounded = SchedulerKind::quantized_lstf(u32::MAX, MapperKind::Dynamic);
+    let (exact, unbounded, flows) = quantized_job(u32::MAX, MapperKind::Dynamic);
     assert_eq!(
-        replay_through(Some(u32::MAX), unbounded).0,
-        exact_trace,
+        unbounded.trace, exact.trace,
         "K=inf quantized LSTF must be bit-identical to exact LSTF"
     );
+    let mut exact = k_row(None, exact, &flows);
     exact.flag = r#", "bit_identical_to_exact_lstf": true"#;
     quantization.push(exact);
 
     // ---- Failure axis: churn runs at rising intensity, end-to-end
     // records (the churn replay is the bounded-memory path), Churn-flavor
     // attribution over the delivered subset.
-    let churn_opts = BuildOptions {
-        record: RecordMode::EndToEnd,
-        ..hop_opts
+    let static_spec = JobSpec {
+        replay: false,
+        ..base.clone()
     };
-    let plain = run_schedule(&topo, &assign, packets.iter().cloned(), &churn_opts);
+    let plain = run(&static_spec, RecordMode::EndToEnd).original;
     let failures: Vec<Row> = RATES
         .iter()
         .map(|&rate| {
-            let schedule = FailureSchedule::generate(
-                &topo,
-                FailureProfile::RandomLinks,
-                rate,
-                train.window,
-                SEED,
-            );
-            let churn = run_schedule_with_failures(
-                &topo,
-                &assign,
-                packets.iter().cloned(),
-                &schedule,
-                DeadLinkPolicy::Reroute,
-                &churn_opts,
-            );
-            let mut forensics = BlameCollector::new(ReplayFlavor::Churn);
-            let report = churn_replay_with_sink(&topo, &churn.trace, SEED, &mut forensics);
+            let spec = JobSpec {
+                failures: Some(format!("random-links:{rate}")),
+                inflight: Some("reroute".into()),
+                ..base.clone()
+            };
+            let mut job = run(&spec, RecordMode::EndToEnd);
+            let churn = job
+                .summary
+                .disruption
+                .expect("a failures job is a churn run");
             let axis_json = format!(
                 concat!(
                     r#""rate": {}, "links_failed": {}, "rerouted": {}, "#,
                     r#""dropped_at_dead_link": {}, "delivered": {}"#
                 ),
                 rate,
-                schedule.links_failed(),
-                churn.stats.rerouted,
-                churn.stats.dropped_dead_link,
-                churn.stats.delivered
+                churn.links_failed,
+                churn.rerouted,
+                churn.dropped_at_dead_link,
+                job.summary.delivered
             );
-            let mut row = Row::new(format!("f={rate}"), axis_json, report, &forensics);
+            let replay = job.replays.pop().expect("the churn replay ran");
+            let mut row = Row::new(format!("f={rate}"), axis_json, replay);
             if rate == 0.0 {
                 // The zero-failure gate: the churn machinery must cost
                 // exactly nothing when nothing fails.
-                assert!(schedule.is_empty(), "rate 0 must generate no events");
                 assert_eq!(
-                    churn.trace, plain,
+                    (churn.links_failed, churn.rerouted),
+                    (0, 0),
+                    "rate 0 must fail no link"
+                );
+                assert_eq!(
+                    job.original, plain,
                     "zero-failure churn run must be bit-identical to the static-routing run"
                 );
-                assert_eq!((churn.stats.rerouted, churn.stats.link_events), (0, 0));
                 row.flag = r#", "bit_identical_to_static_routing": true"#;
             }
             row
@@ -329,8 +322,8 @@ fn main() {
         MAPPER.name(),
         UTILIZATION,
         SEED,
-        packets.len(),
-        train.flows,
+        train.packets.len(),
+        train.flows.len(),
         train.window.as_secs_f64() * 1e3,
         k_rows.join(",\n"),
         rate_rows.join(",\n")

@@ -8,8 +8,9 @@
 //! "most of the packets actually have a smaller queuing delay in the
 //! LSTF replay").
 
-use ups_bench::{fig1_scenarios, Scale};
+use ups_bench::{fig1_jobs, run_jobs, Scale};
 use ups_metrics::render_series;
+use ups_netsim::prelude::RecordMode;
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,23 +20,21 @@ fn main() {
     );
     // The paper's x-axis: 0.0 to 2.0.
     let probes: Vec<f64> = (0..=40).map(|i| i as f64 * 0.05).collect();
-    for scenario in fig1_scenarios(scale.replay_window, 42) {
-        let res = scenario.run_lstf();
+    let jobs = fig1_jobs(&scale);
+    let (runs, _) = run_jobs(&jobs, RecordMode::EndToEnd, &[]);
+    for (job, (_, reports)) in jobs.iter().zip(&runs) {
         // The report keeps the ratio distribution as a quantile sketch;
         // its CDF reads are exact at the probe grid's bucket edges and at
         // most one log-bucket (≈2.2%) coarse in between.
-        let cdf = &res.report.queueing_ratios;
+        let cdf = &reports[0].queueing_ratios;
         if cdf.is_empty() {
-            println!("{}\t(no queued packets)", scenario.sched_label);
+            println!("{}\t(no queued packets)", job.scheduler);
             continue;
         }
-        print!(
-            "{}",
-            render_series(scenario.sched_label, &cdf.series(&probes))
-        );
+        print!("{}", render_series(&job.scheduler, &cdf.series(&probes)));
         println!(
             "# {}: {} ratio samples, {:.1}% of packets no worse than original",
-            scenario.sched_label,
+            job.scheduler,
             cdf.len(),
             cdf.fraction_le(1.0) * 100.0
         );

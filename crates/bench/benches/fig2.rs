@@ -3,57 +3,47 @@
 //! flows on the default Internet2 at 70% utilization and 5 MB router
 //! buffers.
 //!
-//! The four schemes are independent simulations, so they run as jobs on
-//! the `ups-sweep` work-stealing pool (`UPS_SWEEP_WORKERS` caps the
-//! width; default: one worker per scheme, at most the core count).
+//! The four schemes are independent closed-loop sweep jobs
+//! ([`ups_bench::fct_job`]), run through the sweep engine's executor on
+//! its work-stealing pool (`UPS_SWEEP_WORKERS` caps the width; default:
+//! one worker per scheme, at most the core count).
 //!
 //! Output: per scheme, the overall mean FCT (the figure's legend) and one
 //! row per Figure 2 size bucket.
 
-use ups_bench::{figure_setup, run_fct_experiment, FctScheme};
-use ups_metrics::{frac, mean_fct_by_bucket, overall_mean_fct, Table, FIG2_BUCKETS};
-
-fn workers_from_env(jobs: usize) -> usize {
-    std::env::var("UPS_SWEEP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, jobs)
-}
+use ups_bench::{fct_job, run_jobs, Scale, I2_DEFAULT};
+use ups_metrics::{frac, Table, FIG2_BUCKETS};
+use ups_netsim::prelude::RecordMode;
 
 fn main() {
-    let setup = figure_setup();
+    let scale = Scale::from_env();
     println!(
         "# Figure 2: mean FCT by flow size (scale={}, window={}, horizon={})",
-        setup.scale.label, setup.scale.fct_window, setup.scale.fct_horizon
+        scale.label, scale.fct_window, scale.fct_horizon
     );
     println!("# paper legend: FIFO 0.288s, SRPT 0.208s, SJF 0.194s, LSTF 0.195s");
-    let schemes = FctScheme::ALL;
-    let workers = workers_from_env(schemes.len());
-    let (all_samples, stats) = ups_sweep::pool::run_jobs(&schemes, workers, |_, &scheme| {
-        run_fct_experiment(
-            &setup.topo,
-            scheme,
-            0.7,
-            setup.scale.fct_window,
-            setup.scale.fct_horizon,
-            setup.seed,
+    let schemes = ["FIFO", "SRPT", "SJF", "LSTF"];
+    let jobs = schemes.map(|scheduler| {
+        fct_job(
+            I2_DEFAULT,
+            scheduler,
+            scale.fct_window,
+            scale.fct_horizon,
+            42,
         )
     });
+    // FCTs come from the receivers, not the trace: record nothing.
+    let (runs, stats) = run_jobs(&jobs, RecordMode::Off, &[]);
     let mut table = Table::new(&["bucket(B)", "FIFO", "SRPT", "SJF", "LSTF", "flows/bucket"]);
     let mut per_scheme = Vec::new();
-    for (scheme, samples) in schemes.iter().zip(&all_samples) {
+    for (scheme, (summary, _)) in schemes.iter().zip(&runs) {
         println!(
             "{}: mean FCT {} over {} completed flows",
-            scheme.label(),
-            frac(overall_mean_fct(samples)),
-            samples.len()
+            scheme,
+            frac(summary.fct_mean_s),
+            summary.transport.as_ref().map_or(0, |t| t.completed_flows)
         );
-        per_scheme.push(mean_fct_by_bucket(samples, &FIG2_BUCKETS));
+        per_scheme.push(&summary.fct_buckets);
     }
     for (i, &bucket) in FIG2_BUCKETS.iter().enumerate() {
         table.row(&[

@@ -8,27 +8,21 @@
 //! Output: mean and 99th-percentile delays per scheme (the figure's
 //! legend) plus tab-separated CCDF series.
 
-use ups_bench::{figure_setup, run_tail_experiment};
+use ups_bench::{run_tail_experiment, Scale};
 use ups_metrics::render_series;
 
 fn main() {
-    let setup = figure_setup();
+    let (topo, scale) = (ups_topology::i2_default(), Scale::from_env());
     println!(
         "# Figure 3: tail packet delays, FIFO vs LSTF/FIFO+ (scale={}, window={})",
-        setup.scale.label, setup.scale.replay_window
+        scale.label, scale.replay_window
     );
     println!(
         "# paper legend: FIFO mean 0.0780s / 99%ile 0.2142s; LSTF mean 0.0786s / 99%ile 0.1958s"
     );
     let lstf_on = [false, true];
     let (results, _stats) = ups_sweep::pool::run_jobs(&lstf_on, lstf_on.len(), |_, &lstf| {
-        run_tail_experiment(
-            &setup.topo,
-            lstf,
-            0.7,
-            setup.scale.replay_window,
-            setup.seed,
-        )
+        run_tail_experiment(&topo, lstf, 0.7, scale.replay_window, 42)
     });
     let (fifo, lstf) = (&results[0], &results[1]);
     let max_delay = fifo.delays.quantile(1.0).max(lstf.delays.quantile(1.0));

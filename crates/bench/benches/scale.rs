@@ -20,13 +20,11 @@
 //! `UPS_SCALE_DIFF_PACKETS` (default 120_000 — differential-gate floor).
 
 use ups_bench::peak_rss_bytes;
-use ups_bench::scale::{
-    differential_gate, env_u64, flows_with_floor, streaming_run, train_packets,
-};
+use ups_bench::scale::{differential_gate, env_u64, streaming_run};
 use ups_core::{compare, overdue_threshold};
 use ups_netsim::prelude::{Dur, RecordMode};
 use ups_topology::{fattree, FatTreeParams, Routing};
-use ups_workload::{Fixed, PoissonWorkload};
+use ups_workload::{flows_with_floor, train_packets, Fixed, PoissonWorkload};
 
 // lint:schema(ups-bench-scale/v1)
 fn main() {
@@ -48,13 +46,18 @@ fn main() {
         k: 8,
         ..FatTreeParams::default()
     });
-    let (flows, window) = flows_with_floor(packet_floor, Dur::from_secs(60), |window| {
-        PoissonWorkload::at_utilization(0.7, window, 42).generate(
-            &topo,
-            &mut Routing::new(&topo),
-            &Fixed(flow_bytes),
-        )
-    });
+    let (flows, window) = flows_with_floor(
+        packet_floor,
+        Dur::from_ms(4),
+        Dur::from_secs(60),
+        |window| {
+            PoissonWorkload::at_utilization(0.7, window, 42).generate(
+                &topo,
+                &mut Routing::new(&topo),
+                &Fixed(flow_bytes),
+            )
+        },
+    );
     let packets = train_packets(&flows);
     assert!(
         flows.len() as u64 >= min_flows,

@@ -6,13 +6,12 @@
 //! and overdue by more than `T` (one bottleneck transmission time),
 //! alongside the paper's numbers.
 
-use ups_bench::{table1_scenarios, Scale, PAPER_FQ_FIFOPLUS, PAPER_TABLE1};
-use ups_core::HeaderInit;
+use ups_bench::{run_jobs, table1_jobs, table1_rows, Scale, PAPER_FQ_FIFOPLUS, PAPER_TABLE1};
 use ups_metrics::{frac, Table};
+use ups_netsim::prelude::RecordMode;
 
 fn main() {
     let scale = Scale::from_env();
-    let fattree_k = if scale.seeds > 1 { 8 } else { 4 };
     println!(
         "# Table 1: LSTF replayability (scale={}, window={}, seeds={})",
         scale.label, scale.replay_window, scale.seeds
@@ -27,35 +26,29 @@ fn main() {
         "paper>T",
         "packets",
     ]);
-    let paper: Vec<(f64, f64)> = PAPER_TABLE1
+    let paper = PAPER_TABLE1
         .iter()
         .map(|&(_, _, _, o, t)| (o, t))
-        .chain(std::iter::once(PAPER_FQ_FIFOPLUS))
-        .collect();
-    for (row, scenario) in table1_scenarios(scale.replay_window, 42, fattree_k)
-        .into_iter()
-        .enumerate()
+        .chain([PAPER_FQ_FIFOPLUS]);
+    // Every (row, seed) is one job on the pool; a row averages its seeds.
+    let (runs, _) = run_jobs(&table1_jobs(&scale), RecordMode::EndToEnd, &[]);
+    let per_row = runs.chunks(scale.seeds as usize);
+    for (((topology, utilization, sched), (po, pt)), seeds) in table1_rows().zip(paper).zip(per_row)
     {
         let mut overdue = 0.0;
         let mut gt_t = 0.0;
-        let mut packets = 0usize;
-        for seed in 0..scale.seeds {
-            let scen = ups_bench::ReplayScenario {
-                seed: 42 + seed,
-                ..scenario_clone(&scenario)
-            };
-            let res = scen.run(HeaderInit::LstfSlack, false);
-            overdue += res.report.frac_overdue();
-            gt_t += res.report.frac_overdue_gt_t();
-            packets += res.packets;
+        let mut packets = 0;
+        for (summary, reports) in seeds {
+            overdue += reports[0].frac_overdue();
+            gt_t += reports[0].frac_overdue_gt_t();
+            packets += summary.packets;
         }
         overdue /= scale.seeds as f64;
         gt_t /= scale.seeds as f64;
-        let (po, pt) = paper[row];
         table.row(&[
-            scenario.topology_label.to_string(),
-            format!("{:.0}%", scenario.utilization * 100.0),
-            scenario.sched_label.to_string(),
+            topology.to_string(),
+            format!("{:.0}%", utilization * 100.0),
+            sched.to_string(),
             frac(overdue),
             frac(gt_t),
             frac(po),
@@ -65,18 +58,4 @@ fn main() {
     }
     println!("{}", table.render());
     println!("T = one bottleneck-link transmission time (12us at 1Gbps for 1500B).");
-}
-
-/// ReplayScenario isn't Clone (Topology is big); rebuild cheaply by
-/// borrowing fields.
-fn scenario_clone(s: &ups_bench::ReplayScenario) -> ups_bench::ReplayScenario {
-    ups_bench::ReplayScenario {
-        topology_label: s.topology_label,
-        topo: s.topo.clone(),
-        utilization: s.utilization,
-        sched_label: s.sched_label,
-        assign: s.assign.clone(),
-        window: s.window,
-        seed: s.seed,
-    }
 }

@@ -23,17 +23,14 @@
 #![forbid(unsafe_code)]
 
 pub mod objectives;
-pub mod replay_exp;
 pub mod scale;
 pub mod scenarios;
 
 pub use objectives::{
-    run_fairness_experiment, run_fct_experiment, run_tail_experiment, FairnessScheme, FctScheme,
-    TailResult,
+    fct_job, run_fairness_experiment, run_tail_experiment, FairnessScheme, TailResult,
 };
-pub use replay_exp::{ReplayResult, ReplayScenario};
 pub use scale::{peak_rss_bytes, Scale};
 pub use scenarios::{
-    fattree_throughput_workload, fig1_scenarios, figure_setup, table1_scenarios, FigureSetup,
-    PAPER_FQ_FIFOPLUS, PAPER_TABLE1,
+    fattree_throughput_workload, fig1_jobs, replay_job, run_jobs, table1_jobs, table1_rows,
+    I2_DEFAULT, PAPER_FQ_FIFOPLUS, PAPER_TABLE1,
 };

@@ -1,104 +1,29 @@
 //! Runners for the §3 objective experiments (Figures 2, 3, 4).
 
-use ups_metrics::{jain_series, Cdf, FlowSample};
+use ups_metrics::{jain_series, Cdf};
 use ups_netsim::prelude::{Dur, FlowId, PacketKind, RecordMode, SchedulerKind, SimTime, Simulator};
+use ups_sweep::{JobSpec, TrafficMode};
 use ups_topology::{
     build_simulator, i2_fairness, BuildOptions, Routing, SchedulerAssignment, Topology,
 };
 use ups_transport::{run_tcp, SlackPolicy, TcpConfig, TcpScenario};
 use ups_workload::{udp_packet_train, Empirical, PoissonWorkload, SizeDist};
 
-/// Figure 2 scheme under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FctScheme {
-    /// Baseline.
-    Fifo,
-    /// Near-optimal benchmark [3].
-    Srpt,
-    /// SJF via static priorities.
-    Sjf,
-    /// LSTF with `slack = flow_size × D` (§3.1).
-    LstfFct,
-}
+use crate::scenarios::replay_job;
 
-impl FctScheme {
-    /// All four Figure 2 curves.
-    pub const ALL: [FctScheme; 4] = [
-        FctScheme::Fifo,
-        FctScheme::Srpt,
-        FctScheme::Sjf,
-        FctScheme::LstfFct,
-    ];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FctScheme::Fifo => "FIFO",
-            FctScheme::Srpt => "SRPT",
-            FctScheme::Sjf => "SJF",
-            FctScheme::LstfFct => "LSTF",
-        }
+/// One Figure 2 curve as a sweep job: closed-loop TCP web-search flows at
+/// 70% with 5 MB per router (§3.1) under `scheduler` — `FIFO`, `SRPT`,
+/// `SJF`, or `LSTF`, which the sweep engine stamps with
+/// `slack = flow_size × D` ([`ups_sweep::slack_policy_for`]). No replay:
+/// the figure reads the summary's `fct_mean_s` and `fct_buckets`.
+pub fn fct_job(topology: &str, scheduler: &str, window: Dur, horizon: Dur, seed: u64) -> JobSpec {
+    JobSpec {
+        traffic: TrafficMode::ClosedLoop,
+        horizon: Some(horizon),
+        buffer_bytes: Some(5_000_000),
+        replay: false,
+        ..replay_job(topology, 0.7, scheduler, window, seed)
     }
-
-    fn scheduler(self) -> SchedulerKind {
-        match self {
-            FctScheme::Fifo => SchedulerKind::Fifo,
-            FctScheme::Srpt => SchedulerKind::Srpt,
-            FctScheme::Sjf => SchedulerKind::Sjf,
-            FctScheme::LstfFct => SchedulerKind::Lstf { preemptive: false },
-        }
-    }
-
-    fn policy(self) -> SlackPolicy {
-        match self {
-            FctScheme::LstfFct => SlackPolicy::FctSjf,
-            _ => SlackPolicy::None,
-        }
-    }
-}
-
-/// Figure 2: TCP flows on the default Internet2 at the given utilization
-/// with 5 MB router buffers; returns completed-flow samples. Runs on the
-/// shared closed-loop driver (`ups_transport::driver`) — the same code
-/// path as a `traffic: closed-loop` sweep job.
-pub fn run_fct_experiment(
-    topo: &Topology,
-    scheme: FctScheme,
-    utilization: f64,
-    window: Dur,
-    horizon: Dur,
-    seed: u64,
-) -> Vec<FlowSample> {
-    let mut routing = Routing::new(topo);
-    let flows = PoissonWorkload::at_utilization(utilization, window, seed).generate(
-        topo,
-        &mut routing,
-        &Empirical::web_search() as &dyn SizeDist,
-    );
-    let scenario = TcpScenario {
-        topo,
-        assign: &SchedulerAssignment::uniform(scheme.scheduler()),
-        opts: BuildOptions {
-            record: RecordMode::Off,
-            router_buffer_bytes: Some(5_000_000), // §3.1: 5 MB per router
-            ..BuildOptions::default()
-        },
-        flows: &flows,
-        config: TcpConfig::default(),
-        policy: scheme.policy(),
-        horizon,
-        max_packets: None,
-        goodput_bucket: Dur::from_ms(1),
-    };
-    let run = run_tcp(&scenario, &mut routing);
-    run.stats
-        .completions()
-        .into_iter()
-        .map(|c| FlowSample {
-            size: c.bytes,
-            fct_secs: c.fct().as_secs_f64(),
-        })
-        .collect()
 }
 
 /// Figure 3 result: the end-to-end delay distribution of data packets.
@@ -313,7 +238,8 @@ pub fn empty_sim_for(topo: &Topology, kind: SchedulerKind) -> Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ups_metrics::{mean_fct_by_bucket, overall_mean_fct, FIG2_BUCKETS};
+    use crate::scenarios::run_jobs;
+    use ups_metrics::FIG2_BUCKETS;
     use ups_topology::{internet2, Internet2Params};
 
     fn small_i2() -> Topology {
@@ -327,25 +253,20 @@ mod tests {
     fn fct_lstf_close_to_sjf_and_better_than_fifo() {
         // Scaled-down Figure 2: the *ordering* FIFO > LSTF ≈ SJF must
         // already show at small scale.
-        let topo = small_i2();
         let window = Dur::from_ms(60);
         let horizon = Dur::from_secs(6);
-        let fifo = run_fct_experiment(&topo, FctScheme::Fifo, 0.7, window, horizon, 7);
-        let sjf = run_fct_experiment(&topo, FctScheme::Sjf, 0.7, window, horizon, 7);
-        let lstf = run_fct_experiment(&topo, FctScheme::LstfFct, 0.7, window, horizon, 7);
-        assert!(fifo.len() > 20, "need completions, got {}", fifo.len());
-        let (mf, ms, ml) = (
-            overall_mean_fct(&fifo),
-            overall_mean_fct(&sjf),
-            overall_mean_fct(&lstf),
-        );
+        let jobs = ["FIFO", "SJF", "LSTF"].map(|s| fct_job("I2:small", s, window, horizon, 7));
+        let (rows, _) = run_jobs(&jobs, RecordMode::Off, &[]);
+        let [fifo, sjf, lstf] = [0, 1, 2].map(|i| &rows[i].0);
+        let completed = fifo.transport.as_ref().unwrap().completed_flows;
+        assert!(completed > 20, "need completions, got {completed}");
+        let (mf, ms, ml) = (fifo.fct_mean_s, sjf.fct_mean_s, lstf.fct_mean_s);
         assert!(ms < mf, "SJF {ms} must beat FIFO {mf}");
         assert!(ml < mf, "LSTF {ml} must beat FIFO {mf}");
         let rel = (ml - ms).abs() / ms;
         assert!(rel < 0.35, "LSTF {ml} vs SJF {ms}: rel diff {rel}");
         // Bucketing machinery works on real output (+1: overflow bucket).
-        let rows = mean_fct_by_bucket(&lstf, &FIG2_BUCKETS);
-        assert_eq!(rows.len(), FIG2_BUCKETS.len() + 1);
+        assert_eq!(lstf.fct_buckets.len(), FIG2_BUCKETS.len() + 1);
     }
 
     #[test]

@@ -16,7 +16,9 @@ use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind, Trace};
 use ups_topology::{
     build_simulator, fattree, BuildOptions, FatTreeParams, Routing, SchedulerAssignment, Topology,
 };
-use ups_workload::{profile_by_name, udp_packet_stream, FlowSpec, MTU};
+use ups_workload::{
+    flows_with_floor, profile_by_name, train_packets, udp_packet_stream, FlowSpec, MTU,
+};
 
 /// Resolved scale parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,6 +33,8 @@ pub struct Scale {
     pub fairness_horizon: Dur,
     /// Number of independent seeds averaged per scenario.
     pub seeds: u64,
+    /// Arity of the fat-tree behind Table 1's `Datacenter` row.
+    pub fattree_k: usize,
     /// Label for reports.
     pub label: &'static str,
 }
@@ -44,6 +48,7 @@ impl Scale {
             fct_horizon: Dur::from_secs(8),
             fairness_horizon: Dur::from_ms(25),
             seeds: 1,
+            fattree_k: 4,
             label: "quick",
         }
     }
@@ -56,22 +61,35 @@ impl Scale {
             fct_horizon: Dur::from_secs(30),
             fairness_horizon: Dur::from_ms(25),
             seeds: 3,
+            fattree_k: 8,
             label: "full",
         }
     }
 
     /// Resolve from the `UPS_SCALE` environment variable
-    /// (`quick`/`full`; default quick).
+    /// (`quick`/`full`; default quick). Any other value ends the process
+    /// with a non-zero status: a misspelt `full` must not run `quick`
+    /// under the wrong label.
     pub fn from_env() -> Self {
-        match std::env::var("UPS_SCALE").as_deref() {
-            Ok("full") => Scale::full(),
-            Ok("quick") | Err(_) => Scale::quick(),
-            Ok(other) => {
-                eprintln!("UPS_SCALE={other:?} not recognized; using quick");
-                Scale::quick()
-            }
+        or_exit(Scale::parse(std::env::var("UPS_SCALE").ok().as_deref()))
+    }
+
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            Some("full") => Ok(Scale::full()),
+            Some("quick") | None => Ok(Scale::quick()),
+            Some(other) => Err(format!("UPS_SCALE={other:?} not recognized (quick, full)")),
         }
     }
+}
+
+/// The value of a knob read from the environment, or exit status 2 with
+/// the reason on stderr.
+fn or_exit<T>(knob: Result<T, String>) -> T {
+    knob.unwrap_or_else(|e| {
+        eprintln!("ups-bench: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Peak resident-set size of this process in bytes, from `VmHWM` in
@@ -97,39 +115,23 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// An unsigned scale knob from the environment; `default` when unset
-/// or unparsable.
+/// An unsigned scale knob from the environment; `default` when unset. A
+/// value that does not parse (`UPS_SCALE_PACKETS=5e6`) ends the process
+/// with a non-zero status instead of running the default size.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    or_exit(parse_u64(
+        name,
+        std::env::var(name).ok().as_deref(),
+        default,
+    ))
 }
 
-/// Packets a flow list packetizes into at MTU granularity.
-pub fn train_packets(flows: &[FlowSpec]) -> u64 {
-    flows.iter().map(|f| f.size.div_ceil(MTU as u64)).sum()
-}
-
-/// Grow the arrival window (doubling from 4 ms, up to `max_window`) until
-/// the flows `generate` makes for it packetize to at least `packet_floor`
-/// packets. Returns the flows and the window that produced them.
-pub fn flows_with_floor(
-    packet_floor: u64,
-    max_window: Dur,
-    mut generate: impl FnMut(Dur) -> Vec<FlowSpec>,
-) -> (Vec<FlowSpec>, Dur) {
-    let mut window = Dur::from_ms(4);
-    loop {
-        let flows = generate(window);
-        if train_packets(&flows) >= packet_floor {
-            return (flows, window);
-        }
-        window = window.times(2);
-        assert!(
-            window <= max_window,
-            "workload never reached {packet_floor} packets"
-        );
+fn parse_u64(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not an unsigned integer")),
     }
 }
 
@@ -192,7 +194,7 @@ pub fn streaming_run(
 pub fn differential_gate(packet_floor: u64, spill_caps: (usize, usize)) -> u64 {
     let topo = fattree(FatTreeParams::default());
     let profile = profile_by_name("web-search").expect("registered profile");
-    let (flows, _) = flows_with_floor(packet_floor, Dur::from_secs(5), |window| {
+    let (flows, _) = flows_with_floor(packet_floor, Dur::from_ms(4), Dur::from_secs(5), |window| {
         profile.flows(&topo, &mut Routing::new(&topo), 0.7, window, 42)
     });
     let packets = train_packets(&flows);
@@ -232,5 +234,28 @@ mod tests {
         assert!(q.replay_window < f.replay_window);
         assert!(q.fct_window < f.fct_window);
         assert!(q.seeds <= f.seeds);
+        assert!(q.fattree_k < f.fattree_k);
+    }
+
+    #[test]
+    fn unrecognised_scale_is_an_error_naming_variable_and_value() {
+        assert_eq!(Scale::parse(None).unwrap().label, "quick");
+        assert_eq!(Scale::parse(Some("full")).unwrap().label, "full");
+        let err = Scale::parse(Some("ful")).unwrap_err();
+        assert!(
+            err.contains("UPS_SCALE") && err.contains("\"ful\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unparsable_knob_is_an_error_naming_variable_and_value() {
+        assert_eq!(parse_u64("UPS_SCALE_PACKETS", None, 7), Ok(7));
+        assert_eq!(parse_u64("UPS_SCALE_PACKETS", Some("12"), 7), Ok(12));
+        let err = parse_u64("UPS_SCALE_PACKETS", Some("5e6"), 7).unwrap_err();
+        assert!(
+            err.contains("UPS_SCALE_PACKETS") && err.contains("\"5e6\""),
+            "{err}"
+        );
     }
 }

@@ -17,14 +17,13 @@
 
 use std::sync::Arc;
 
-use ups_core::{run_schedule, HeaderInit, Replay, ReplayReport};
-use ups_dynamics::{churn_replay_with_sink, run_schedule_with_failures};
+use ups_core::ReplayReport;
 use ups_forensics::{BlameCollector, ReplayFlavor};
-use ups_netsim::prelude::{MapperKind, RecordMode, SchedulerKind};
+use ups_netsim::prelude::RecordMode;
 use ups_obs::{InstantMarker, SharedProbe, TimeSeries};
 
 use crate::grid::{JobSpec, TrafficMode};
-use crate::runner::{open_loop_train, Scenario, SharedScenarios};
+use crate::runner::{execute, ReplayRun, SharedScenarios};
 
 /// Everything `sweep explain` learned about one job's divergence.
 pub struct Explanation {
@@ -99,15 +98,23 @@ impl Explanation {
     }
 }
 
-/// Re-run `spec` with per-hop recording and attribute its replay
-/// divergence. `with_series` attaches a sampling probe to the replay run
-/// (for Perfetto export); it never changes the simulation results — the
-/// obs determinism contract.
+/// Re-run `spec` through the job body ([`execute`]) with per-hop
+/// recording and explain its last replay — the quantized one under the
+/// `queues` axis, the churn one under `failures`, else the exact one: the
+/// replay whose `divergence` block the sweep record carries.
+/// `with_series` attaches a sampling probe to that replay (for Perfetto
+/// export); it never changes the simulation results — the obs determinism
+/// contract.
+///
+/// The churn replay itself records end-to-end (it is the bounded-memory
+/// path) and runs inside the dynamics layer, so its hop blame degrades to
+/// drop causes and exit lateness — still attributed, just coarser — and it
+/// has no sampled series.
 ///
 /// Errors (as text for the CLI) when the job cannot be explained: a
 /// closed-loop job (endpoints decide their own packet sets; the sweep
 /// record is the right surface there), a job whose spec disabled the
-/// replay, or a drop-free gate violation mirroring `run_job_shared`'s.
+/// replay, or one the executor's drop-free gate left without a replay.
 pub fn explain_job(
     spec: &Arc<JobSpec>,
     shared: &SharedScenarios,
@@ -123,87 +130,35 @@ pub fn explain_job(
     if !spec.replay {
         return Err("this job's spec has replay: false — nothing to explain".into());
     }
-    // Per-hop recording on both sides: the whole point of the re-run.
-    let Scenario {
-        topo,
-        assign,
-        flows,
-        opts,
-        failure,
-        ..
-    } = Scenario::build(spec, shared, RecordMode::PerHop).map_err(|e| format!("bad {e}"))?;
-    let topo = &*topo;
-    let packets = open_loop_train(&flows, spec.max_packets);
-
-    if let Some((schedule, policy)) = failure {
-        // The churn flavor: replay the delivered subset along observed
-        // paths. The churn replay itself records end-to-end (it is the
-        // sweep's bounded-memory path), so hop blame degrades to drop
-        // causes and exit lateness — still attributed, just coarser.
-        let churn = run_schedule_with_failures(
-            topo,
-            &assign,
-            packets.iter().cloned(),
-            &schedule,
-            policy,
-            &opts,
-        );
-        if churn.stats.delivered == 0 {
-            return Err("the churn run delivered nothing; no replay to explain".into());
-        }
-        let mut forensics = BlameCollector::new(ReplayFlavor::Churn);
-        let report = churn_replay_with_sink(topo, &churn.trace, spec.seed, &mut forensics);
-        return Ok(Explanation {
-            spec: spec.clone(),
-            flavor: ReplayFlavor::Churn,
-            report,
-            forensics,
-            series: None,
-        });
-    }
-
-    let original = run_schedule(topo, &assign, packets.iter().cloned(), &opts);
-    let dropped = packets.len() as u64
-        - original
-            .stream()
-            .filter(|(_, r)| r.exited.is_some())
-            .count() as u64;
-    if dropped > 0 {
-        return Err(format!(
-            "the original run dropped {dropped} packets; §2.3 replays run drop-free \
-             (the sweep skips the replay on this job too)"
-        ));
-    }
-    let (flavor, kind) = match spec.queues {
-        Some(k) => {
-            let mapper = spec
-                .mapper
-                .as_deref()
-                .and_then(MapperKind::from_name)
-                .ok_or_else(|| format!("bad mapper {:?}", spec.mapper))?;
-            (
-                ReplayFlavor::Quantized { k },
-                SchedulerKind::quantized_lstf(k, mapper),
-            )
-        }
-        None => (
-            ReplayFlavor::Exact,
-            SchedulerKind::Lstf { preemptive: false },
-        ),
-    };
-    let probe = with_series.then(|| {
+    let probe = (with_series && spec.failures.is_none()).then(|| {
         // Sample at ~1/512 of the job window (floor 1 µs) — enough rows
         // for a readable Perfetto timeline without drowning short jobs.
         SharedProbe::new((spec.window.as_ps() / 512).max(1_000_000))
     });
-    let mut forensics = BlameCollector::new(flavor);
-    let (_, report) = Replay {
-        kind,
-        opts,
-        probe: probe.as_ref().map(SharedProbe::attachment),
-        ..Replay::new(topo, &original, spec.seed)
-    }
-    .eager(&packets, HeaderInit::LstfSlack, &mut forensics);
+    // Per-hop recording on both sides: the whole point of the re-run.
+    let mut run = execute(
+        spec,
+        shared,
+        RecordMode::PerHop,
+        &[],
+        probe.as_ref().map(SharedProbe::attachment),
+    )
+    .map_err(|e| format!("bad {e}"))?;
+    let Some(ReplayRun {
+        flavor,
+        report,
+        forensics,
+        ..
+    }) = run.replays.pop()
+    else {
+        return Err(match run.summary.dropped {
+            0 => "the run delivered nothing; no replay to explain".into(),
+            dropped => format!(
+                "the original run dropped {dropped} packets; §2.3 replays run drop-free \
+                 (the sweep skips the replay on this job too)"
+            ),
+        });
+    };
     Ok(Explanation {
         spec: spec.clone(),
         flavor,

@@ -1,7 +1,8 @@
-//! Executing one [`JobSpec`]: build the scenario from the registries,
-//! run the original schedule (open-loop UDP train or closed-loop TCP
-//! endpoints), optionally run the LSTF replay, and distill a
-//! [`RunSummary`].
+//! Executing one [`JobSpec`]. [`execute`] is the job body — build the
+//! scenario from the registries, run the original schedule (open-loop UDP
+//! train, the same under link churn, or closed-loop TCP endpoints), apply
+//! the drop-free gate and score each replay — and [`run_job_shared`]
+//! distills what it returns into a [`RunSummary`] record.
 //!
 //! A job is a pure function of its spec — the topology and workload are
 //! rebuilt from (name, seed) inside the worker thread, nothing is shared
@@ -25,7 +26,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ups_core::{as_executed_packets, replay_packets, run_schedule, HeaderInit, Replay};
+use ups_core::{
+    as_executed_packets, replay_packets, run_schedule, HeaderInit, Replay, ReplayReport,
+};
 use ups_dynamics::{
     churn_replay_with_sink, parse_failure_spec, run_schedule_with_failures, FailureSchedule,
 };
@@ -37,6 +40,7 @@ use ups_metrics::{
 use ups_netsim::prelude::{
     DeadLinkPolicy, Dur, MapperKind, Packet, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
 };
+use ups_obs::SimProbe;
 use ups_topology::{
     topology_by_name, BuildOptions, Routing, RoutingCore, SchedulerAssignment, Topology,
 };
@@ -180,119 +184,131 @@ impl JobRecord {
     }
 }
 
-/// What [`run_job_shared`] and [`crate::explain::explain_job`] both build
-/// from a spec before simulating anything: the registry lookups, the
-/// workload and, for a churn job, the seeded outage schedule.
-pub(crate) struct Scenario {
-    pub(crate) topo: Arc<Topology>,
-    pub(crate) assign: SchedulerAssignment,
-    pub(crate) routing: Routing,
-    pub(crate) flows: Vec<FlowSpec>,
-    pub(crate) opts: BuildOptions,
-    pub(crate) failure: Option<(FailureSchedule, DeadLinkPolicy)>,
+/// One replay of a job's original schedule, as the replay entry
+/// ([`Replay`]) scored it.
+pub struct ReplayRun {
+    /// Which replay this is (and how its collector reads inversions).
+    pub flavor: ReplayFlavor,
+    /// The §2 comparison against the original.
+    pub report: ReplayReport,
+    /// The attribution of every mismatch in `report`.
+    pub forensics: BlameCollector,
+    /// The replay schedule. `None` for the churn flavor, whose lazy entry
+    /// ([`churn_replay_with_sink`]) hands back the report alone.
+    pub trace: Option<Trace>,
 }
 
-impl Scenario {
-    /// Build the scenario `spec` names, recording in `record` mode. An
-    /// `Err` names the spec field a grid would have rejected at expansion.
-    pub(crate) fn build(
-        spec: &JobSpec,
-        shared: &SharedScenarios,
-        record: RecordMode,
-    ) -> Result<Scenario, String> {
-        let (topo, routing_core) = shared.get(&spec.topology);
-        let profile =
-            profile_by_name(&spec.profile).ok_or_else(|| format!("profile {:?}", spec.profile))?;
-        let assign = assignment_for(&topo, &spec.scheduler)
-            .ok_or_else(|| format!("scheduler {:?}", spec.scheduler))?;
-        let mut routing = Routing::from_core(routing_core);
-        let flows = profile.flows(
-            &topo,
-            &mut routing,
-            spec.utilization,
-            spec.window,
-            spec.seed,
-        );
-        let opts = BuildOptions {
-            record,
-            seed: spec.seed,
-            router_buffer_bytes: spec.buffer_bytes,
-            ..BuildOptions::default()
-        };
-        // The failure sub-axis: generate the seeded outage schedule up
-        // front so its distinct-link count lands in the disruption block
-        // even when the replay is skipped.
-        let failure = match spec.failures.as_deref() {
-            None => None,
-            // Grids reject this combination
-            // (GridError::FailuresNeedOpenLoop); a hand-built spec must
-            // fail just as loudly, not run a silently static TCP scenario
-            // labeled as churn.
-            Some(f) if spec.traffic != TrafficMode::OpenLoop => {
-                return Err(format!(
-                    "failure spec {f:?} on a closed-loop job — \
-                     link churn drives open-loop schedules only"
-                ))
-            }
-            Some(f) => {
-                let (profile, rate) =
-                    parse_failure_spec(f).map_err(|e| format!("failure spec: {e}"))?;
-                let policy = match spec.inflight.as_deref() {
-                    Some("drop") => DeadLinkPolicy::Drop,
-                    Some("reroute") => DeadLinkPolicy::Reroute,
-                    other => return Err(format!("in-flight policy {other:?}")),
-                };
-                let schedule =
-                    FailureSchedule::generate(&topo, profile, rate, spec.window, spec.seed);
-                Some((schedule, policy))
-            }
-        };
-        Ok(Scenario {
-            topo,
-            assign,
-            routing,
-            flows,
-            opts,
-            failure,
-        })
-    }
+/// Everything one executed job produced.
+pub struct JobRun {
+    /// The flows behind the workload.
+    pub flows: Vec<FlowSpec>,
+    /// The original schedule, recorded at the detail the caller chose.
+    pub original: Trace,
+    /// The original run distilled ([`summarize_trace`]), disruption block
+    /// included; the replay fields are the caller's to fill.
+    pub summary: RunSummary,
+    /// The replays that ran, in order: exact; exact then quantized under
+    /// the `queues` axis; churn under `failures`; or the caller's
+    /// `ablations`. Empty when the spec disabled the replay or the
+    /// drop-free gate closed.
+    pub replays: Vec<ReplayRun>,
 }
 
-/// The open-loop packet train of `flows`, capped at `max_packets`.
-pub(crate) fn open_loop_train(flows: &[FlowSpec], max_packets: Option<usize>) -> Vec<Packet> {
-    let mut packets = udp_packet_train(flows, MTU);
-    if let Some(cap) = max_packets {
-        packets.truncate(cap);
-    }
-    packets
-}
-
-/// Execute one job to completion against a [`SharedScenarios`] cache —
-/// one topology build and all-pairs BFS per distinct topology, reused by
-/// every job that names it (a topology the cache was not primed with is
-/// built on the spot).
+/// The job body: everything between a [`JobSpec`] and its results, stated
+/// once for the sweep ([`run_job_shared`]), `sweep explain`
+/// ([`crate::explain::explain_job`]) and the paper benches.
 ///
-/// # Panics
-/// On registry/label lookups the grid already validated, and on the
-/// internal invariants of the replay framework.
-pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
-    // lint:allow(wall-clock): feeds only the record's wall_s field,
-    // which to_json(false) excludes from the determinism surface.
-    let t0 = Instant::now();
-    let Scenario {
-        topo,
-        assign,
-        mut routing,
-        flows,
-        opts,
-        failure,
-    } = Scenario::build(spec, shared, RecordMode::EndToEnd)
-        .unwrap_or_else(|e| panic!("unvalidated {e}"));
+/// Builds the scenario from the registries, runs the original schedule
+/// (open-loop static, open-loop under link churn, or closed-loop TCP)
+/// recording at `record` detail, summarizes it, applies the drop-free
+/// gate, and scores each replay through [`Replay`] — recording at the
+/// same detail — with a [`BlameCollector`] attached.
+///
+/// `ablations` replaces the spec's own replays of a static job with the
+/// listed `(discipline, header initialization)` pairs — §2.3(5)'s
+/// preemptive LSTF, §2.3(7)'s simple priorities; pass `&[]` for the
+/// spec's. `probe` samples the last replay (the one a record's
+/// `divergence` block and `sweep explain` describe); observation only.
+///
+/// An `Err` names the spec field a grid would have rejected at expansion.
+pub fn execute(
+    spec: &JobSpec,
+    shared: &SharedScenarios,
+    record: RecordMode,
+    ablations: &[(SchedulerKind, HeaderInit)],
+    mut probe: Option<Box<dyn SimProbe>>,
+) -> Result<JobRun, String> {
+    let (topo, routing_core) = shared.get(&spec.topology);
     let topo = &*topo;
+    let profile =
+        profile_by_name(&spec.profile).ok_or_else(|| format!("profile {:?}", spec.profile))?;
+    let assign = assignment_for(topo, &spec.scheduler)
+        .ok_or_else(|| format!("scheduler {:?}", spec.scheduler))?;
+    let mut routing = Routing::from_core(routing_core);
+    let flows = profile.flows(topo, &mut routing, spec.utilization, spec.window, spec.seed);
+    let opts = BuildOptions {
+        record,
+        seed: spec.seed,
+        router_buffer_bytes: spec.buffer_bytes,
+        ..BuildOptions::default()
+    };
+    // The failure sub-axis: generate the seeded outage schedule up front so
+    // its distinct-link count lands in the disruption block even when the
+    // replay is skipped.
+    let failure = match spec.failures.as_deref() {
+        None => None,
+        // Grids reject this combination (GridError::FailuresNeedOpenLoop);
+        // a hand-built spec must fail just as loudly, not run a silently
+        // static TCP scenario labeled as churn.
+        Some(f) if spec.traffic != TrafficMode::OpenLoop => {
+            return Err(format!(
+                "failure spec {f:?} on a closed-loop job — \
+                 link churn drives open-loop schedules only"
+            ))
+        }
+        Some(f) => {
+            let (profile, rate) =
+                parse_failure_spec(f).map_err(|e| format!("failure spec: {e}"))?;
+            let policy = match spec.inflight.as_deref() {
+                Some("drop") => DeadLinkPolicy::Drop,
+                Some("reroute") => DeadLinkPolicy::Reroute,
+                other => return Err(format!("in-flight policy {other:?}")),
+            };
+            let schedule = FailureSchedule::generate(topo, profile, rate, spec.window, spec.seed);
+            Some((schedule, policy))
+        }
+    };
+    let exact = (
+        ReplayFlavor::Exact,
+        SchedulerKind::Lstf { preemptive: false },
+        HeaderInit::LstfSlack,
+    );
+    let plan: Vec<(ReplayFlavor, SchedulerKind, HeaderInit)> = match (ablations, spec.queues) {
+        ([], None) => vec![exact],
+        // The finite-priority-queue sub-axis: the identical packet set
+        // replayed through quantized LSTF after the exact replay, scored
+        // against the same original.
+        ([], Some(k)) => {
+            let mapper = spec
+                .mapper
+                .as_deref()
+                .and_then(MapperKind::from_name)
+                .ok_or_else(|| format!("mapper {:?}", spec.mapper))?;
+            let quantized = SchedulerKind::quantized_lstf(k, mapper);
+            vec![exact, (ReplayFlavor::Quantized { k }, quantized, exact.2)]
+        }
+        (listed, _) => listed
+            .iter()
+            .map(|&(kind, init)| (ReplayFlavor::Exact, kind, init))
+            .collect(),
+    };
 
-    let (original, mut summary, as_executed) = match spec.traffic {
+    let (original, summary, as_executed) = match spec.traffic {
         TrafficMode::OpenLoop => {
-            let packets = open_loop_train(&flows, spec.max_packets);
+            let mut packets = udp_packet_train(&flows, MTU);
+            if let Some(cap) = spec.max_packets {
+                packets.truncate(cap);
+            }
             match &failure {
                 Some((schedule, policy)) => {
                     let churn = run_schedule_with_failures(
@@ -309,11 +325,11 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
                         links_failed: schedule.links_failed(),
                         rerouted: churn.stats.rerouted,
                         dropped_at_dead_link: churn.stats.dropped_dead_link,
-                        churn_replay_match_rate: None, // filled below
+                        churn_replay_match_rate: None, // the caller's, from the replay
                     });
                     // The churn replay below reads the trace itself (the
                     // delivered packets at their observed paths), so no
-                    // packet set is materialised here.
+                    // packet set is kept.
                     (churn.trace, summary, Vec::new())
                 }
                 None => {
@@ -346,69 +362,126 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
         }
     };
 
-    // A churn job replays the delivered subset along observed paths —
-    // drops at dead links are *expected* and excluded on both sides, so
-    // the drop-free gate below doesn't apply.
-    if spec.replay && summary.delivered > 0 && failure.is_some() {
+    let mut replays = Vec::new();
+    if !spec.replay || summary.delivered == 0 {
+        // Nothing asked for, or nothing to compare.
+    } else if failure.is_some() {
+        // A churn job replays the delivered subset along observed paths —
+        // drops at dead links are *expected* and excluded on both sides,
+        // so the drop-free gate below doesn't apply.
         let mut forensics = BlameCollector::new(ReplayFlavor::Churn);
         let report = churn_replay_with_sink(topo, &original, spec.seed, &mut forensics);
-        summary.replay_match_rate = report.match_rate();
-        summary.replay_frac_gt_t = report.frac_gt_t_rate();
-        summary
-            .disruption
-            .as_mut()
-            .expect("failure jobs carry a disruption block")
-            .churn_replay_match_rate = report.match_rate();
-        summary.divergence = Some(forensics.summary());
+        replays.push(ReplayRun {
+            flavor: ReplayFlavor::Churn,
+            report,
+            forensics,
+            trace: None,
+        });
+    } else if summary.dropped == 0 {
+        // Replay needs every packet delivered (§2.3 runs drop-free); with
+        // unbounded buffers dropped > 0 can't happen — the gate makes a
+        // buffered grid degrade to "no replay" instead of a panic.
+        // Closed-loop packet sets are already restricted to delivered
+        // packets, so a horizon-truncated run still replays its delivered
+        // prefix.
+        //
+        // One replay set per header initialization, built once: replays
+        // that share an initialization inject the identical packets, the
+        // last of them by move.
+        let mut held: Option<(HeaderInit, Vec<Packet>)> = None;
+        for (i, &(flavor, kind, init)) in plan.iter().enumerate() {
+            let set = match held.take() {
+                Some((of, set)) if of == init => set,
+                _ => replay_packets(topo, &original, &as_executed, init),
+            };
+            let last = i + 1 == plan.len();
+            let replay = Replay {
+                kind,
+                opts: BuildOptions {
+                    record,
+                    seed: spec.seed,
+                    ..BuildOptions::default()
+                },
+                probe: if last { probe.take() } else { None },
+                ..Replay::new(topo, &original, spec.seed)
+            };
+            let mut forensics = BlameCollector::new(flavor);
+            let (trace, report) = if plan.get(i + 1).is_some_and(|next| next.2 == init) {
+                let out = replay.eager_set(set.iter().cloned(), &mut forensics);
+                held = Some((init, set));
+                out
+            } else {
+                replay.eager_set(set, &mut forensics)
+            };
+            replays.push(ReplayRun {
+                flavor,
+                report,
+                forensics,
+                trace: Some(trace),
+            });
+        }
     }
 
-    // Replay needs every packet delivered (§2.3 runs drop-free); with
-    // unbounded buffers dropped > 0 can't happen — the gate makes a
-    // buffered grid degrade to "no replay" instead of a panic. Closed-loop
-    // packet sets are already restricted to delivered packets, so a
-    // horizon-truncated run still replays its delivered prefix.
-    if spec.replay && summary.dropped == 0 && summary.delivered > 0 && failure.is_none() {
-        // One replay set, built once: the exact replay and (under the
-        // queues axis) the quantized one inject the identical packets.
-        let replay_set = replay_packets(topo, &original, &as_executed, HeaderInit::LstfSlack);
-        let mut forensics = BlameCollector::new(ReplayFlavor::Exact);
-        let (replay, report) = Replay::new(topo, &original, spec.seed)
-            .eager_set(replay_set.iter().cloned(), &mut forensics);
-        // An empty comparison matched nothing: null, not a perfect 1.0.
-        summary.replay_match_rate = report.match_rate();
-        summary.replay_frac_gt_t = report.frac_gt_t_rate();
-        summary.divergence = Some(forensics.summary());
+    Ok(JobRun {
+        flows,
+        original,
+        summary,
+        replays,
+    })
+}
 
-        // The finite-priority-queue sub-axis: the identical packet set
-        // replayed through quantized LSTF, scored against the same
-        // original, with FCT degradation measured against the exact
-        // replay above.
-        if let Some(k) = spec.queues {
-            let mapper = spec
-                .mapper
-                .as_deref()
-                .and_then(MapperKind::from_name)
-                .unwrap_or_else(|| panic!("unvalidated mapper {:?}", spec.mapper));
-            // The quantized comparison's forensics replace the exact
-            // replay's: when the queues axis is present the record
-            // explains the quantized divergence (the interesting one).
-            let mut q_forensics = BlameCollector::new(ReplayFlavor::Quantized { k });
-            let (q_replay, q_report) = Replay {
-                kind: SchedulerKind::quantized_lstf(k, mapper),
-                ..Replay::new(topo, &original, spec.seed)
+/// Execute one job to completion against a [`SharedScenarios`] cache —
+/// one topology build and all-pairs BFS per distinct topology, reused by
+/// every job that names it (a topology the cache was not primed with is
+/// built on the spot) — and fold its replays into the record's summary.
+///
+/// # Panics
+/// On registry/label lookups the grid already validated, and on the
+/// internal invariants of the replay framework.
+pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
+    // lint:allow(wall-clock): feeds only the record's wall_s field,
+    // which to_json(false) excludes from the determinism surface.
+    let t0 = Instant::now();
+    let JobRun {
+        flows,
+        mut summary,
+        replays,
+        ..
+    } = execute(spec, shared, RecordMode::EndToEnd, &[], None)
+        .unwrap_or_else(|e| panic!("unvalidated {e}"));
+    for run in &replays {
+        // An empty comparison matched nothing: null, not a perfect 1.0.
+        let (rate, gt_t) = (run.report.match_rate(), run.report.frac_gt_t_rate());
+        match run.flavor {
+            ReplayFlavor::Exact => {
+                summary.replay_match_rate = rate;
+                summary.replay_frac_gt_t = gt_t;
             }
-            .eager_set(replay_set, &mut q_forensics);
-            summary.quantized_match_rate = q_report.match_rate();
-            summary.quantized_frac_gt_t = q_report.frac_gt_t_rate();
-            summary.divergence = Some(q_forensics.summary());
-            summary.quantized_fct_delta_s = match (
-                trace_mean_fct(&q_replay, &flows),
-                trace_mean_fct(&replay, &flows),
-            ) {
-                (Some(q), Some(exact)) => Some(q - exact),
-                _ => None,
-            };
+            ReplayFlavor::Churn => {
+                summary.replay_match_rate = rate;
+                summary.replay_frac_gt_t = gt_t;
+                summary
+                    .disruption
+                    .as_mut()
+                    .expect("failure jobs carry a disruption block")
+                    .churn_replay_match_rate = rate;
+            }
+            // FCT degradation is measured against the exact replay that
+            // ran first.
+            ReplayFlavor::Quantized { .. } => {
+                summary.quantized_match_rate = rate;
+                summary.quantized_frac_gt_t = gt_t;
+                let mean_fct = |r: &ReplayRun| trace_mean_fct(r.trace.as_ref()?, &flows);
+                summary.quantized_fct_delta_s = match (mean_fct(run), mean_fct(&replays[0])) {
+                    (Some(q), Some(exact)) => Some(q - exact),
+                    _ => None,
+                };
+            }
         }
+        // The last replay's forensics stand: when the queues axis is
+        // present the record explains the quantized divergence (the
+        // interesting one).
+        summary.divergence = Some(run.forensics.summary());
     }
 
     JobRecord {

@@ -334,3 +334,65 @@ fn four_record_flavours_match_their_pre_refactor_golden() {
         );
     }
 }
+
+/// `explain.rs` promises that "the re-run reproduces the sweep's numbers":
+/// for each of the executor's three replay branches, the report `sweep
+/// explain` prints (per-hop records) carries the counts `run_job_shared`
+/// wrote into the record (end-to-end records) for the same spec.
+#[test]
+fn explain_reports_the_counts_the_record_carries() {
+    let fattree = JobSpec {
+        topology: "FatTree(k=4)".into(),
+        ..line_spec("Random")
+    };
+    let flavours = [
+        ("exact", fattree.clone()),
+        (
+            "quantized K=1 dynamic",
+            JobSpec {
+                queues: Some(1),
+                mapper: Some("dynamic".into()),
+                ..fattree.clone()
+            },
+        ),
+        (
+            "churn random-links:0.6 reroute",
+            JobSpec {
+                failures: Some("random-links:0.6".into()),
+                inflight: Some("reroute".into()),
+                ..fattree
+            },
+        ),
+    ];
+    for (label, spec) in flavours {
+        let spec = std::sync::Arc::new(spec);
+        let shared = runner::SharedScenarios::for_jobs([&*spec]);
+        let summary = runner::run_job_shared(&spec, &shared).summary;
+        let report = ups_sweep::explain_job(&spec, &shared, false)
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .report;
+        assert!(report.overdue > 0, "{label}: nothing diverged");
+
+        // The record states the comparison as rates over the delivered
+        // packets plus the divergence block's integer counts.
+        let (match_rate, frac_gt_t) = match spec.queues {
+            Some(_) => (summary.quantized_match_rate, summary.quantized_frac_gt_t),
+            None => (summary.replay_match_rate, summary.replay_frac_gt_t),
+        };
+        let blamed = summary.divergence.expect("the replay ran");
+        assert_eq!(report.total as u64, summary.delivered, "{label}: total");
+        assert_eq!(report.overdue as u64, blamed.mismatches, "{label}: overdue");
+        assert_eq!(report.match_rate(), match_rate, "{label}: match rate");
+        assert_eq!(report.frac_gt_t_rate(), frac_gt_t, "{label}: overdue_gt_t");
+        assert_eq!(
+            (report.overdue_gt_t - report.missing) as u64,
+            blamed.overdue_beyond_t,
+            "{label}: overdue_gt_t against the cause counts"
+        );
+        assert_eq!(
+            report.missing as u64,
+            blamed.missing_in_replay + blamed.dead_link_drop + blamed.buffer_drop,
+            "{label}: missing"
+        );
+    }
+}

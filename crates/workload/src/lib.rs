@@ -28,4 +28,6 @@ pub mod udp;
 pub use dist::{BoundedPareto, Empirical, Exponential, Fixed, SizeDist};
 pub use flows::{calibrate_flow_rate, long_lived_flows, FlowSpec, PoissonWorkload};
 pub use registry::{profile_by_name, profile_names, CalibratedTrain, WorkloadProfile, PROFILES};
-pub use udp::{total_bytes, udp_packet_stream, udp_packet_train, MTU};
+pub use udp::{
+    flows_with_floor, total_bytes, train_packets, udp_packet_stream, udp_packet_train, MTU,
+};

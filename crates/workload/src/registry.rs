@@ -12,7 +12,7 @@ use ups_topology::{Routing, Topology};
 
 use crate::dist::{BoundedPareto, Empirical, Fixed, SizeDist};
 use crate::flows::{long_lived_flows, FlowSpec, PoissonWorkload};
-use crate::udp::{udp_packet_train, MTU};
+use crate::udp::{flows_with_floor, udp_packet_train, MTU};
 
 /// How a profile turns (topology, utilization, window, seed) into flows.
 enum ProfileKind {
@@ -79,8 +79,8 @@ pub fn profile_by_name(name: &str) -> Option<&'static WorkloadProfile> {
 pub struct CalibratedTrain {
     /// Injectable packets, in flow-start order with dense ids.
     pub packets: Vec<Packet>,
-    /// Number of flows the packets came from.
-    pub flows: usize,
+    /// The flows the packets came from.
+    pub flows: Vec<FlowSpec>,
     /// The arrival window actually used (relevant when grown to a floor).
     pub window: Dur,
 }
@@ -152,30 +152,13 @@ impl WorkloadProfile {
         window: Dur,
         seed: u64,
     ) -> CalibratedTrain {
-        self.train(topo, &mut Routing::new(topo), utilization, window, seed)
-    }
-
-    /// [`Self::udp_train`] over a routing the caller keeps.
-    fn train(
-        &self,
-        topo: &Topology,
-        routing: &mut Routing,
-        utilization: f64,
-        window: Dur,
-        seed: u64,
-    ) -> CalibratedTrain {
-        let flows = self.flows(topo, routing, utilization, window, seed);
-        let packets = udp_packet_train(&flows, MTU);
-        CalibratedTrain {
-            packets,
-            flows: flows.len(),
-            window,
-        }
+        let flows = self.flows(topo, &mut Routing::new(topo), utilization, window, seed);
+        CalibratedTrain::new(flows, window)
     }
 
     /// Grow the arrival window (doubling from `start_window`) until the
-    /// packetized workload clears `min_packets` — the calibration loop the
-    /// throughput benchmark and scale experiments share.
+    /// packetized workload clears `min_packets` — [`flows_with_floor`]
+    /// over this profile, packetized once at the final window.
     ///
     /// # Panics
     /// If the floor is still unmet at 1024× the starting window.
@@ -190,17 +173,22 @@ impl WorkloadProfile {
         // One all-pairs BFS and one calibration, however often the window
         // doubles.
         let mut routing = Routing::new(topo);
-        let mut window = start_window;
-        loop {
-            let train = self.train(topo, &mut routing, utilization, window, seed);
-            if train.packets.len() >= min_packets {
-                return train;
-            }
-            window = window.times(2);
-            assert!(
-                window <= start_window.times(1024),
-                "workload never reached the {min_packets}-packet floor"
-            );
+        let (flows, window) = flows_with_floor(
+            min_packets as u64,
+            start_window,
+            start_window.times(1024),
+            |window| self.flows(topo, &mut routing, utilization, window, seed),
+        );
+        CalibratedTrain::new(flows, window)
+    }
+}
+
+impl CalibratedTrain {
+    fn new(flows: Vec<FlowSpec>, window: Dur) -> Self {
+        CalibratedTrain {
+            packets: udp_packet_train(&flows, MTU),
+            flows,
+            window,
         }
     }
 }
@@ -237,7 +225,7 @@ mod tests {
             let b = p.udp_train(&topo, 0.5, window, 7);
             assert_eq!(a.packets.len(), b.packets.len(), "{}", p.name);
             assert!(!a.packets.is_empty(), "{} generated nothing", p.name);
-            assert_eq!(a.flows, b.flows);
+            assert_eq!(a.flows.len(), b.flows.len());
         }
     }
 
@@ -275,7 +263,7 @@ mod tests {
         // The routing kept across doublings changes nothing: a fresh one
         // at the final window gives the same train, packet for packet.
         let direct = profile.udp_train(&topo, 0.5, train.window, 3);
-        assert_eq!(train.flows, direct.flows);
+        assert_eq!(train.flows.len(), direct.flows.len());
         assert_eq!(
             format!("{:?}", train.packets),
             format!("{:?}", direct.packets)

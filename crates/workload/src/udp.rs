@@ -6,7 +6,7 @@
 //! exactly the behaviour the paper leans on when explaining the
 //! `I2:1Gbps-1Gbps` row ("packets are paced by the endhost link").
 
-use ups_netsim::prelude::{Packet, PacketBuilder, PacketId};
+use ups_netsim::prelude::{Dur, Packet, PacketBuilder, PacketId};
 
 use crate::flows::FlowSpec;
 
@@ -62,6 +62,41 @@ pub fn udp_packet_stream<'a>(flows: &'a [FlowSpec], mtu: u32) -> impl Iterator<I
             Some(p)
         })
     })
+}
+
+/// Packets `flows` packetize into at [`MTU`] granularity: the length of
+/// their [`udp_packet_train`], without building it.
+pub fn train_packets(flows: &[FlowSpec]) -> u64 {
+    flows.iter().map(|f| f.size.div_ceil(MTU as u64)).sum()
+}
+
+/// Grow the arrival window (doubling from `start_window`, up to
+/// `max_window`) until the flows `generate` makes for it packetize to at
+/// least `packet_floor` packets — the one calibration loop behind
+/// [`WorkloadProfile::udp_train_with_floor`](crate::WorkloadProfile::udp_train_with_floor)
+/// and the scale bench. Returns the flows and the window that produced
+/// them.
+///
+/// # Panics
+/// If the floor is still unmet at `max_window`.
+pub fn flows_with_floor(
+    packet_floor: u64,
+    start_window: Dur,
+    max_window: Dur,
+    mut generate: impl FnMut(Dur) -> Vec<FlowSpec>,
+) -> (Vec<FlowSpec>, Dur) {
+    let mut window = start_window;
+    loop {
+        let flows = generate(window);
+        if train_packets(&flows) >= packet_floor {
+            return (flows, window);
+        }
+        window = window.times(2);
+        assert!(
+            window <= max_window,
+            "workload never reached the {packet_floor}-packet floor"
+        );
+    }
 }
 
 /// Total bytes across a packet list — workload sanity checks.
