@@ -1,12 +1,15 @@
 //! Regenerates **Table 1** — LSTF replayability across scenarios.
 //!
 //! Run with `cargo bench -p ups-bench --bench table1`; set
-//! `UPS_SCALE=full` for paper-scale durations. Each row runs the original
-//! schedule, the LSTF replay, and reports the fraction of packets overdue
-//! and overdue by more than `T` (one bottleneck transmission time),
-//! alongside the paper's numbers.
+//! `UPS_SCALE=full` for paper-scale durations. Each (row, seed) is one
+//! sweep job ([`ups_bench::table1_jobs`]) — the original schedule, then the
+//! LSTF replay — and a row reports the fraction of packets overdue and
+//! overdue by more than `T` (one bottleneck transmission time), averaged
+//! over its seeds, alongside the paper's numbers. The jobs run side by
+//! side on the sweep pool, each holding its own traces; `UPS_SWEEP_WORKERS=1`
+//! runs them one at a time.
 
-use ups_bench::{run_jobs, table1_jobs, table1_rows, Scale, PAPER_FQ_FIFOPLUS, PAPER_TABLE1};
+use ups_bench::{run_jobs, table1_jobs, Scale, PAPER_TABLE1};
 use ups_metrics::{frac, Table};
 use ups_netsim::prelude::RecordMode;
 
@@ -26,15 +29,10 @@ fn main() {
         "paper>T",
         "packets",
     ]);
-    let paper = PAPER_TABLE1
-        .iter()
-        .map(|&(_, _, _, o, t)| (o, t))
-        .chain([PAPER_FQ_FIFOPLUS]);
     // Every (row, seed) is one job on the pool; a row averages its seeds.
     let (runs, _) = run_jobs(&table1_jobs(&scale), RecordMode::EndToEnd, &[]);
     let per_row = runs.chunks(scale.seeds as usize);
-    for (((topology, utilization, sched), (po, pt)), seeds) in table1_rows().zip(paper).zip(per_row)
-    {
+    for (&(topology, utilization, sched, po, pt), seeds) in PAPER_TABLE1.iter().zip(per_row) {
         let mut overdue = 0.0;
         let mut gt_t = 0.0;
         let mut packets = 0;

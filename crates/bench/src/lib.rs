@@ -1,9 +1,16 @@
 //! # ups-bench — the experiment harness
 //!
-//! One runner per paper artifact:
+//! Every replay and FCT experiment here is a list of sweep [`JobSpec`]s
+//! run by the sweep engine's one job body
+//! ([`ups_sweep::runner::execute`]); this crate holds the lists, the
+//! paper's reference numbers and what the executor cannot express:
 //!
-//! * [`scenarios`] + [`replay_exp`] — Table 1 and Figure 1 (replay),
-//! * [`objectives`] — Figures 2 (FCT), 3 (tail delay), 4 (fairness),
+//! * [`scenarios`] — the Table 1, Figure 1 and ablation job lists,
+//!   [`run_jobs`] (a list through the executor on the sweep pool), the
+//!   calibrated fat-tree workload of the `degradation` bench,
+//! * [`objectives`] — Figure 2's job ([`fct_job`]), and the two runners
+//!   that are not sweep jobs: Figure 3 (a uniform slack stamped on a UDP
+//!   train) and Figure 4 (an engineered flow placement),
 //! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`), and the
 //!   streaming pipeline with its resident ≡ streaming differential gate
 //!   (the `scale` bench and its CI smoke call the same function).
@@ -12,12 +19,13 @@
 //! table/figure that prints paper-style rows, the two targets that write
 //! committed artifacts — `degradation` (`BENCH_degradation.json`: replay
 //! match rate against priority-queue count K and against link-failure
-//! intensity, every row with its forensics block) and `scale`
-//! (`BENCH_scale.json`) — plus Criterion microbenchmarks of the engine
-//! (`benches/micro.rs`). Every replay in this crate is a call of
-//! [`ups_core::Replay`]. How fast the engine is and what observability
-//! costs are measured in one place only: the repository's benchmark,
-//! `examples/perf`.
+//! intensity, every row a job on the `queues` or `failures` sub-axis with
+//! its forensics block) and `scale` (`BENCH_scale.json`) — plus Criterion
+//! microbenchmarks of the engine (`benches/micro.rs`). How fast the
+//! engine is and what observability costs are measured in one place
+//! only: the repository's benchmark, `examples/perf`.
+//!
+//! [`JobSpec`]: ups_sweep::JobSpec
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,6 +39,6 @@ pub use objectives::{
 };
 pub use scale::{peak_rss_bytes, Scale};
 pub use scenarios::{
-    fattree_throughput_workload, fig1_jobs, replay_job, run_jobs, table1_jobs, table1_rows,
-    I2_DEFAULT, PAPER_FQ_FIFOPLUS, PAPER_TABLE1,
+    fattree_throughput_workload, fig1_jobs, replay_job, run_jobs, table1_jobs, I2_DEFAULT,
+    PAPER_TABLE1,
 };

@@ -30,9 +30,11 @@ pub fn fattree_throughput_workload(
     (topo, train)
 }
 
-/// The paper's Table 1 values for side-by-side reporting:
-/// (topology, utilization, scheduler, frac overdue, frac overdue > T).
-pub const PAPER_TABLE1: [(&str, f64, &str, f64, f64); 13] = [
+/// Table 1, row by row: (topology label, utilization, scheduler label,
+/// the paper's frac overdue, the paper's frac overdue > T). Scheduler
+/// labels are the sweep engine's; topology labels are registry names,
+/// except `Datacenter` (see [`table1_jobs`]).
+pub const PAPER_TABLE1: [(&str, f64, &str, f64, f64); 14] = [
     ("I2:1Gbps-10Gbps", 0.7, "Random", 0.0021, 0.0002),
     ("I2:1Gbps-10Gbps", 0.1, "Random", 0.0007, 0.0),
     ("I2:1Gbps-10Gbps", 0.3, "Random", 0.0281, 0.0017),
@@ -46,10 +48,8 @@ pub const PAPER_TABLE1: [(&str, f64, &str, f64, f64); 13] = [
     ("I2:1Gbps-10Gbps", 0.7, "FQ", 0.0271, 0.0002),
     ("I2:1Gbps-10Gbps", 0.7, "SJF", 0.1833, 0.0019),
     ("I2:1Gbps-10Gbps", 0.7, "LIFO", 0.1477, 0.0067),
+    ("I2:1Gbps-10Gbps", 0.7, "FQ/FIFO+", 0.0152, 0.0004),
 ];
-
-/// Paper Table 1 also has the FQ/FIFO+ mixed row.
-pub const PAPER_FQ_FIFOPLUS: (f64, f64) = (0.0152, 0.0004);
 
 /// The default network's row label — its registry name.
 pub const I2_DEFAULT: &str = "I2:1Gbps-10Gbps";
@@ -85,23 +85,14 @@ pub fn replay_job(
     }
 }
 
-/// Table 1's rows as `(topology label, utilization, scheduler label)`:
-/// the paper's thirteen plus the FQ/FIFO+ mix.
-pub fn table1_rows() -> impl Iterator<Item = (&'static str, f64, &'static str)> {
-    PAPER_TABLE1
-        .iter()
-        .map(|&(topo, util, sched, _, _)| (topo, util, sched))
-        .chain([(I2_DEFAULT, 0.7, "FQ/FIFO+")])
-}
-
 /// The Table 1 job list: `scale.seeds` jobs (seeds 42, 43, …) per row of
-/// [`table1_rows`], row-major. Scheduler labels are the sweep engine's;
-/// topology labels are registry names, except the one bench-side mapping:
+/// [`PAPER_TABLE1`], row-major. The one bench-side label mapping:
 /// `Datacenter` is the paper's pFabric fat-tree, `FatTree(k=…)` at
 /// `scale.fattree_k`.
 pub fn table1_jobs(scale: &Scale) -> Vec<JobSpec> {
-    table1_rows()
-        .flat_map(|(label, utilization, scheduler)| {
+    PAPER_TABLE1
+        .iter()
+        .flat_map(|&(label, utilization, scheduler, ..)| {
             let topology = match label {
                 "Datacenter" => format!("FatTree(k={})", scale.fattree_k),
                 registered => registered.to_string(),

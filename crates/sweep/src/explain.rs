@@ -3,8 +3,10 @@
 //!
 //! Sweep records answer *how much* a replay diverged (the v5 `divergence`
 //! block); this module answers *where and why*. It re-executes a single
-//! [`JobSpec`] deterministically — same registries, same seed, so the
-//! re-run reproduces the sweep's numbers — but records both the original
+//! [`JobSpec`] through the sweep's own job body
+//! ([`crate::runner::execute`]) — same registries, same seed, same gate,
+//! same replays, so the re-run reproduces the sweep's numbers
+//! (`tests/determinism.rs` checks it) — but records both the original
 //! and the replay in [`RecordMode::PerHop`], which is what lets the
 //! forensics layer walk hop timelines instead of degrading to exit-only
 //! blame (the sweep's own records stay end-to-end: per-hop recording on
@@ -19,6 +21,7 @@ use std::sync::Arc;
 
 use ups_core::ReplayReport;
 use ups_forensics::{BlameCollector, ReplayFlavor};
+use ups_metrics::RunSummary;
 use ups_netsim::prelude::RecordMode;
 use ups_obs::{InstantMarker, SharedProbe, TimeSeries};
 
@@ -151,9 +154,11 @@ pub fn explain_job(
         ..
     }) = run.replays.pop()
     else {
-        return Err(match run.summary.dropped {
-            0 => "the run delivered nothing; no replay to explain".into(),
-            dropped => format!(
+        return Err(match run.summary {
+            RunSummary { delivered: 0, .. } => {
+                "the run delivered nothing; no replay to explain".into()
+            }
+            RunSummary { dropped, .. } => format!(
                 "the original run dropped {dropped} packets; §2.3 replays run drop-free \
                  (the sweep skips the replay on this job too)"
             ),

@@ -295,7 +295,8 @@ pub fn execute(
                 .and_then(MapperKind::from_name)
                 .ok_or_else(|| format!("mapper {:?}", spec.mapper))?;
             let quantized = SchedulerKind::quantized_lstf(k, mapper);
-            vec![exact, (ReplayFlavor::Quantized { k }, quantized, exact.2)]
+            let flavor = ReplayFlavor::Quantized { k };
+            vec![exact, (flavor, quantized, HeaderInit::LstfSlack)]
         }
         (listed, _) => listed
             .iter()
@@ -394,7 +395,7 @@ pub fn execute(
                 Some((of, set)) if of == init => set,
                 _ => replay_packets(topo, &original, &as_executed, init),
             };
-            let last = i + 1 == plan.len();
+            let next = plan.get(i + 1);
             let replay = Replay {
                 kind,
                 opts: BuildOptions {
@@ -402,11 +403,11 @@ pub fn execute(
                     seed: spec.seed,
                     ..BuildOptions::default()
                 },
-                probe: if last { probe.take() } else { None },
+                probe: if next.is_none() { probe.take() } else { None },
                 ..Replay::new(topo, &original, spec.seed)
             };
             let mut forensics = BlameCollector::new(flavor);
-            let (trace, report) = if plan.get(i + 1).is_some_and(|next| next.2 == init) {
+            let (trace, report) = if next.is_some_and(|next| next.2 == init) {
                 let out = replay.eager_set(set.iter().cloned(), &mut forensics);
                 held = Some((init, set));
                 out
@@ -453,18 +454,13 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
         // An empty comparison matched nothing: null, not a perfect 1.0.
         let (rate, gt_t) = (run.report.match_rate(), run.report.frac_gt_t_rate());
         match run.flavor {
-            ReplayFlavor::Exact => {
+            ReplayFlavor::Exact | ReplayFlavor::Churn => {
                 summary.replay_match_rate = rate;
                 summary.replay_frac_gt_t = gt_t;
-            }
-            ReplayFlavor::Churn => {
-                summary.replay_match_rate = rate;
-                summary.replay_frac_gt_t = gt_t;
-                summary
-                    .disruption
-                    .as_mut()
-                    .expect("failure jobs carry a disruption block")
-                    .churn_replay_match_rate = rate;
+                // A churn job's disruption block repeats its rate.
+                if let Some(disruption) = summary.disruption.as_mut() {
+                    disruption.churn_replay_match_rate = rate;
+                }
             }
             // FCT degradation is measured against the exact replay that
             // ran first.

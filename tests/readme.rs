@@ -25,6 +25,8 @@ fn every_bench_the_readme_quotes_is_a_bench_target() {
         .split("cargo bench -p ups-bench --bench ")
         .skip(1)
         .filter_map(|rest| rest.split_whitespace().next())
+        // Inline code closes right after the name: `… --bench fig1`.
+        .map(|name| name.trim_end_matches('`'))
         .collect();
     assert!(!quoted.is_empty(), "README.md quotes no ups-bench target");
     for name in quoted {
