@@ -20,8 +20,7 @@
 //! committed artifacts — `degradation` (`BENCH_degradation.json`: replay
 //! match rate against priority-queue count K and against link-failure
 //! intensity, every row a job on the `queues` or `failures` sub-axis with
-//! its forensics block) and `scale` (`BENCH_scale.json`) — plus Criterion
-//! microbenchmarks of the engine (`benches/micro.rs`). How fast the
+//! its forensics block) and `scale` (`BENCH_scale.json`). How fast the
 //! engine is and what observability costs are measured in one place
 //! only: the repository's benchmark, `examples/perf`.
 //!

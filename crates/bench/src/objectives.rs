@@ -1,7 +1,7 @@
 //! Runners for the §3 objective experiments (Figures 2, 3, 4).
 
 use ups_metrics::{jain_series, Cdf};
-use ups_netsim::prelude::{Dur, FlowId, PacketKind, RecordMode, SchedulerKind, SimTime, Simulator};
+use ups_netsim::prelude::{Dur, FlowId, PacketKind, RecordMode, SchedulerKind, SimTime};
 use ups_sweep::{JobSpec, TrafficMode};
 use ups_topology::{
     build_simulator, i2_fairness, BuildOptions, Routing, SchedulerAssignment, Topology,
@@ -223,16 +223,6 @@ pub fn run_fairness_experiment(
     let run = run_tcp(&scenario, &mut routing);
     let matrix = run.stats.goodput_matrix(&flow_ids);
     jain_series(&matrix)
-}
-
-/// Convenience: which simulator the objective experiments drive (used by
-/// examples to introspect run sizes).
-pub fn empty_sim_for(topo: &Topology, kind: SchedulerKind) -> Simulator {
-    build_simulator(
-        topo,
-        &SchedulerAssignment::uniform(kind),
-        &BuildOptions::default(),
-    )
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 /// Crates outside determinism scope (the vendored ecosystem stand-ins
 /// and the bench harness): only the general rules (`unsafe-audit`,
 /// `atomic-ordering`) apply.
-pub const GENERAL_CRATES: &[&str] = &["bench", "criterion", "proptest", "rand"];
+pub const GENERAL_CRATES: &[&str] = &["bench", "proptest", "rand"];
 
 /// Crates whose library code must route concurrency primitives through
 /// the `ups_race` shim (`raw-sync` rule): the model checker mirrors

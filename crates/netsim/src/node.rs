@@ -112,11 +112,6 @@ impl Port {
         }
     }
 
-    /// Name of the discipline running at this port.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     /// Packets queued (excluding any in service).
     pub fn queue_len(&self) -> usize {
         self.scheduler.len()

@@ -213,13 +213,6 @@ impl Simulator {
         self.probe = Some(probe);
     }
 
-    /// Detach the probe, if any.
-    pub fn take_probe(&mut self) -> Option<Box<dyn SimProbe>> {
-        self.probe_interval_ps = 0;
-        self.next_sample_ps = u64::MAX;
-        self.probe.take()
-    }
-
     /// Set the in-flight policy applied at dead links (default: `Drop`).
     pub fn set_dead_link_policy(&mut self, policy: DeadLinkPolicy) {
         self.dead_link_policy = policy;
@@ -285,12 +278,6 @@ impl Simulator {
         self.agents.push(agent);
         self.agent_at[node.index()] = Some(id); // lint:allow(panic-path): NodeIds are issued densely by this simulator; index is in range by construction
         id
-    }
-
-    /// Ensure future packet ids allocated by agents don't collide with
-    /// externally pre-built injections.
-    pub fn reserve_packet_ids(&mut self, first_free: u64) {
-        self.next_packet_id = self.next_packet_id.max(first_free);
     }
 
     /// Schedule a pre-built packet to enter the network at

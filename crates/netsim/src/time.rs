@@ -246,11 +246,6 @@ impl Bandwidth {
     pub const fn as_bps(self) -> u64 {
         self.0
     }
-    /// Gigabits per second, for reporting.
-    #[inline]
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
 
     /// Time to serialize `bytes` onto this link — the paper's `T(p, α)`.
     ///

@@ -2,7 +2,7 @@
 //! the sweep engine.
 //!
 //! Three pillars, all hand-rolled (no external deps, matching the
-//! vendored rand/criterion/proptest policy):
+//! vendored rand/proptest policy):
 //!
 //! 1. **The gate** ([`enabled`]/[`enable`]/[`disable`]): a process-wide
 //!    set of monotonic [`Counter`]s and wall-clock [`Phase`] timers that

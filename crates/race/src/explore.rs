@@ -340,12 +340,3 @@ pub fn replay(cfg: &Config, schedule: &Schedule, f: impl Fn() + Sync) -> Result<
         None => Ok(()),
     }
 }
-
-/// Read a `u64` knob from the environment (for CI-tunable test
-/// depth, e.g. `UPS_RACE_RANDOM_SCHEDULES`).
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}

@@ -11,27 +11,25 @@
 //!
 //! 1. **The shim** ([`sync`] / [`thread`]): re-exports of the exact
 //!    `std::sync` / `std::thread` surface the workspace's concurrent
-//!    code is allowed to touch. In production builds these are plain
-//!    `pub use` passthroughs — zero cost, bit-identical behavior —
-//!    but they give the `ups-lint` `raw-sync` rule a boundary to
-//!    police: concurrency primitives used outside the shim in the
-//!    pool/obs crates are findings, so the model-checked surface can
-//!    never silently grow stale.
+//!    code imports. In normal builds these are plain `pub use`
+//!    passthroughs — zero cost, bit-identical behavior — and they give
+//!    the `ups-lint` `raw-sync` rule a boundary to police: concurrency
+//!    primitives used outside the shim in the pool/obs crates are
+//!    findings. Under `--cfg ups_race_model` (the loom idiom) the same
+//!    names resolve to the model backend instead.
 //!
-//! 2. **The model** ([`model`] / [`explore`]): mirrored `Mutex` /
-//!    atomic / thread types whose every operation is a *scheduling
-//!    decision* owned by a controlled scheduler, and an explorer that
-//!    drives a closure-under-test across interleavings — exhaustive
+//! 2. **The model** ([`model`] / [`explore`]): `Mutex` / atomic /
+//!    thread twins whose every operation is a *scheduling decision*
+//!    owned by a controlled scheduler, and an explorer that drives a
+//!    closure-under-test across interleavings — exhaustive
 //!    bounded-preemption DFS plus seeded random schedules. Failures
 //!    print a replayable schedule string, so a counterexample
 //!    interleaving becomes a committed regression fixture.
 //!
-//! [`fixtures`] holds the scaled-down model of the sweep pool +
-//! heartbeat (same deal/steal/exit/panic structure as
-//! `ups_sweep::pool`, shrunk to 2–3 workers and 4–8 jobs) and the five
-//! built-in checks: deadlock freedom, every-job-executed-exactly-once,
-//! telemetry conservation, heartbeat completion tick, and panic
-//! isolation.
+//! The checks on the code that ships live with it:
+//! `crates/sweep/tests/pool_model.rs` runs the real
+//! `ups_sweep::pool::run_jobs_telemetry` and `telemetry::Heartbeat`,
+//! compiled against the model, under the explorer (DESIGN.md §14).
 //!
 //! **What the model does and does not check.** The scheduler owns every
 //! context switch, so all interleavings of *operations* (up to the
@@ -46,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod explore;
-pub mod fixtures;
 pub mod model;
 pub mod sync;
 pub mod thread;

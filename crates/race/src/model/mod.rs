@@ -4,12 +4,12 @@
 //! Modeled code runs on real OS threads, but only **one modeled thread
 //! executes at a time**: each holds a token granted by the runtime, and
 //! every operation on a model primitive ([`sync::Mutex`],
-//! [`sync::atomic`], [`thread::spawn`], park/unpark/join) first reaches
-//! a *decision point* where the scheduler picks which thread performs
-//! the next operation. Between decision points a thread runs ordinary
-//! sequential Rust, so an execution is a pure function of the decision
-//! sequence — which is what makes schedules recordable, replayable and
-//! enumerable.
+//! [`sync::atomic`], [`thread::spawn`], [`thread::scope`],
+//! park/unpark/join) first reaches a *decision point* where the
+//! scheduler picks which thread performs the next operation. Between
+//! decision points a thread runs ordinary sequential Rust, so an
+//! execution is a pure function of the decision sequence — which is
+//! what makes schedules recordable, replayable and enumerable.
 //!
 //! Blocking is modeled, not real: a thread that would block (contended
 //! lock, park, join on a live thread) parks itself in the runtime and
@@ -116,11 +116,8 @@ enum TState {
     BlockedMutex(usize),
     /// Blocked joining this tid.
     BlockedJoin(usize),
-    /// Parked. `timed` distinguishes `park_timeout` (timeout may fire)
-    /// from bare `park` (only `unpark` wakes it).
-    Parked {
-        timed: bool,
-    },
+    /// In `park_timeout`: woken by `unpark` or by the timeout firing.
+    Parked,
     Finished,
 }
 
@@ -358,14 +355,14 @@ impl Exec {
     /// a pending unpark token is consumed, otherwise the timeout fires
     /// and spends budget.
     fn wake_if_parked(&self, st: &mut ExecState, tid: usize) {
-        if let TState::Parked { timed } = st.threads[tid].state {
-            if st.threads[tid].token {
-                st.threads[tid].token = false;
+        let slot = &mut st.threads[tid];
+        if slot.state == TState::Parked {
+            if slot.token {
+                slot.token = false;
             } else {
-                debug_assert!(timed, "bare park() only wakes by unpark");
-                st.threads[tid].timeout_budget = st.threads[tid].timeout_budget.saturating_sub(1);
+                slot.timeout_budget = slot.timeout_budget.saturating_sub(1);
             }
-            st.threads[tid].state = TState::Runnable;
+            slot.state = TState::Runnable;
         }
     }
 
@@ -385,7 +382,7 @@ impl Exec {
         for (tid, slot) in st.threads.iter().enumerate() {
             let ok = match slot.state {
                 TState::Runnable => true,
-                TState::Parked { timed } => slot.token || (timed && slot.timeout_budget > 0),
+                TState::Parked => slot.token || slot.timeout_budget > 0,
                 _ => false,
             };
             if ok {
@@ -395,11 +392,7 @@ impl Exec {
         if enabled.is_empty() {
             // Past-budget timed parks are still wakeable by real time;
             // force-fire the lowest tid before calling it a deadlock.
-            if let Some(tid) = st
-                .threads
-                .iter()
-                .position(|t| matches!(t.state, TState::Parked { timed: true }))
-            {
+            if let Some(tid) = st.threads.iter().position(|t| t.state == TState::Parked) {
                 st.threads[tid].state = TState::Runnable;
                 enabled.push(tid);
             } else {
@@ -537,8 +530,8 @@ impl Exec {
         self.yield_point(tid);
     }
 
-    /// `park` / `park_timeout`.
-    pub(crate) fn park(&self, tid: usize, timed: bool) {
+    /// `park_timeout`.
+    pub(crate) fn park(&self, tid: usize) {
         {
             let mut st = self.lock_state();
             self.abort_check(&st);
@@ -549,7 +542,7 @@ impl Exec {
                 return;
             }
         }
-        self.block_point(tid, TState::Parked { timed });
+        self.block_point(tid, TState::Parked);
     }
 
     /// `unpark(target)`: deposit the token; a parked target becomes
@@ -559,9 +552,7 @@ impl Exec {
         let mut st = self.lock_state();
         self.abort_check(&st);
         match st.threads[target].state {
-            TState::Parked { .. } => {
-                st.threads[target].state = TState::Runnable;
-            }
+            TState::Parked => st.threads[target].state = TState::Runnable,
             TState::Finished => {}
             _ => st.threads[target].token = true,
         }
@@ -569,14 +560,17 @@ impl Exec {
 
     /// `join(target)`: block until it finishes; marks its panic (if
     /// any) consumed — the caller receives it as `Err`, std-style.
-    pub(crate) fn join(&self, tid: usize, target: usize) {
+    /// Returns whether this join consumed a panic no earlier join had.
+    pub(crate) fn join(&self, tid: usize, target: usize) -> bool {
         loop {
             {
                 let mut st = self.lock_state();
                 self.abort_check(&st);
-                if st.threads[target].state == TState::Finished {
-                    st.threads[target].panic_consumed = true;
-                    return;
+                let slot = &mut st.threads[target];
+                if slot.state == TState::Finished {
+                    let fresh = slot.panic.is_some() && !slot.panic_consumed;
+                    slot.panic_consumed = true;
+                    return fresh;
                 }
             }
             self.block_point(tid, TState::BlockedJoin(target));
@@ -602,8 +596,7 @@ fn describe_state(s: &TState) -> String {
         TState::Runnable => "runnable (scheduler invariant violated)".into(),
         TState::BlockedMutex(_) => "blocked on a mutex".into(),
         TState::BlockedJoin(t) => format!("blocked joining thread {t}"),
-        TState::Parked { timed: false } => "parked (no unpark coming)".into(),
-        TState::Parked { timed: true } => "parked with timeout".into(),
+        TState::Parked => "parked with timeout".into(),
         TState::Finished => "finished".into(),
     }
 }

@@ -12,8 +12,11 @@
 
 use super::with_ctx;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::Ordering;
-use std::sync::{LockResult, PoisonError, TryLockError};
+use std::sync::{LockResult, TryLockError};
+
+/// The model's `lock` returns std's `LockResult`, so poisoning is
+/// handled by the same type in both backends.
+pub use std::sync::PoisonError;
 
 /// A mutex whose lock/unlock are decision points.
 #[derive(Debug, Default)]
@@ -90,64 +93,71 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// Model `AtomicU64`: operations optionally interleave
-/// ([`super::RuntimeConfig::preempt_atomics`]). The cell itself uses
-/// the requested ordering on a std atomic; since only one modeled
-/// thread runs at a time and the scheduler handoff is a mutex (a
-/// happens-before edge), `Relaxed` here is as strong as `SeqCst`.
-#[derive(Debug, Default)]
-pub struct AtomicU64 {
-    cell: std::sync::atomic::AtomicU64,
-}
+/// Model atomics. The orderings are std's.
+pub mod atomic {
+    use super::with_ctx;
+    pub use std::sync::atomic::Ordering;
 
-impl AtomicU64 {
-    pub const fn new(v: u64) -> Self {
-        AtomicU64 {
-            cell: std::sync::atomic::AtomicU64::new(v),
+    /// Model `AtomicU64`: operations optionally interleave
+    /// ([`crate::model::RuntimeConfig::preempt_atomics`]). The cell
+    /// itself uses the requested ordering on a std atomic; since only
+    /// one modeled thread runs at a time and the scheduler handoff is a
+    /// mutex (a happens-before edge), `Relaxed` here is as strong as
+    /// `SeqCst`.
+    #[derive(Debug, Default)]
+    pub struct AtomicU64 {
+        cell: std::sync::atomic::AtomicU64,
+    }
+
+    impl AtomicU64 {
+        pub const fn new(v: u64) -> Self {
+            AtomicU64 {
+                cell: std::sync::atomic::AtomicU64::new(v),
+            }
+        }
+
+        pub fn load(&self, order: Ordering) -> u64 {
+            with_ctx(|exec, tid| exec.atomic_op(tid));
+            self.cell.load(order)
+        }
+
+        pub fn store(&self, v: u64, order: Ordering) {
+            with_ctx(|exec, tid| exec.atomic_op(tid));
+            self.cell.store(v, order)
+        }
+
+        pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
+            with_ctx(|exec, tid| exec.atomic_op(tid));
+            self.cell.fetch_add(v, order)
+        }
+
+        pub fn fetch_max(&self, v: u64, order: Ordering) -> u64 {
+            with_ctx(|exec, tid| exec.atomic_op(tid));
+            self.cell.fetch_max(v, order)
         }
     }
 
-    pub fn load(&self, order: Ordering) -> u64 {
-        with_ctx(|exec, tid| exec.atomic_op(tid));
-        self.cell.load(order)
+    /// Model `AtomicBool`, same contract as [`AtomicU64`].
+    #[derive(Debug, Default)]
+    pub struct AtomicBool {
+        cell: std::sync::atomic::AtomicBool,
     }
 
-    pub fn store(&self, v: u64, order: Ordering) {
-        with_ctx(|exec, tid| exec.atomic_op(tid));
-        self.cell.store(v, order)
-    }
-
-    pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        with_ctx(|exec, tid| exec.atomic_op(tid));
-        self.cell.fetch_add(v, order)
-    }
-
-    pub fn fetch_max(&self, v: u64, order: Ordering) -> u64 {
-        with_ctx(|exec, tid| exec.atomic_op(tid));
-        self.cell.fetch_max(v, order)
-    }
-}
-
-/// Model `AtomicBool`, same contract as [`AtomicU64`].
-#[derive(Debug, Default)]
-pub struct AtomicBool {
-    cell: std::sync::atomic::AtomicBool,
-}
-
-impl AtomicBool {
-    pub const fn new(v: bool) -> Self {
-        AtomicBool {
-            cell: std::sync::atomic::AtomicBool::new(v),
+    impl AtomicBool {
+        pub const fn new(v: bool) -> Self {
+            AtomicBool {
+                cell: std::sync::atomic::AtomicBool::new(v),
+            }
         }
-    }
 
-    pub fn load(&self, order: Ordering) -> bool {
-        with_ctx(|exec, tid| exec.atomic_op(tid));
-        self.cell.load(order)
-    }
+        pub fn load(&self, order: Ordering) -> bool {
+            with_ctx(|exec, tid| exec.atomic_op(tid));
+            self.cell.load(order)
+        }
 
-    pub fn store(&self, v: bool, order: Ordering) {
-        with_ctx(|exec, tid| exec.atomic_op(tid));
-        self.cell.store(v, order)
+        pub fn store(&self, v: bool, order: Ordering) {
+            with_ctx(|exec, tid| exec.atomic_op(tid));
+            self.cell.store(v, order)
+        }
     }
 }

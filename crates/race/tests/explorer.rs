@@ -1,13 +1,34 @@
 //! Explorer mechanics: schedule round-trips, determinism and
-//! resumability of DFS, deadlock detection as a positive control, and
-//! replay of recorded counterexamples.
+//! resumability of DFS, deadlock detection as a positive control,
+//! replay of recorded counterexamples, and the model's scoped threads.
 
-use ups_race::fixtures::deadlock_demo;
 use ups_race::model::sync::Mutex;
 use ups_race::model::thread;
 use ups_race::{explore, explore_random, replay, Config, Schedule};
 
 use std::sync::Arc;
+use std::time::Duration;
+
+/// A textbook lock-order inversion, as a positive control for the
+/// runtime's deadlock detection: thread 1 takes `a` then `b`, the
+/// root takes `b` then `a`. Some schedule interleaves the first locks
+/// and the explorer must report a deadlock with both holders blocked.
+fn deadlock_demo() {
+    let a = Arc::new(Mutex::new(0u64));
+    let b = Arc::new(Mutex::new(0u64));
+    let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+    let t = thread::spawn(move || {
+        let ga = a2.lock().expect("model mutex a");
+        let mut gb = b2.lock().expect("model mutex b");
+        *gb += *ga;
+    });
+    {
+        let gb = b.lock().expect("model mutex b");
+        let mut ga = a.lock().expect("model mutex a");
+        *ga += *gb;
+    }
+    t.join().expect("inversion thread");
+}
 
 #[test]
 fn schedule_display_parse_round_trip() {
@@ -269,4 +290,82 @@ fn step_budget_catches_livelock() {
         "got: {}",
         failure.message
     );
+}
+
+/// [`explore`] on its own thread, failing instead of hanging when an
+/// execution wedges on an OS thread the model never schedules.
+fn explore_within_a_minute(f: fn()) -> ups_race::Outcome {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(explore(&Config::default(), f));
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("exploration hung: a scoped child was never joined in the model")
+}
+
+/// The same inversion between two *scoped* children: the root waits in
+/// `scope`'s model join, and the deadlock report names both children.
+#[test]
+fn scoped_lock_order_inversion_is_a_deadlock() {
+    let out = explore_within_a_minute(|| {
+        let (a, b) = (Mutex::new(0u64), Mutex::new(0u64));
+        thread::scope(|s| {
+            s.spawn(|| {
+                let ga = a.lock().expect("model mutex a");
+                *b.lock().expect("model mutex b") += *ga;
+            });
+            s.spawn(|| {
+                let gb = b.lock().expect("model mutex b");
+                *a.lock().expect("model mutex a") += *gb;
+            });
+        });
+    });
+    let failure = out.failure.expect("lock-order inversion must deadlock");
+    for blocked in [
+        "deadlock",
+        "thread 0 blocked joining thread 1",
+        "thread 1 blocked on a mutex",
+        "thread 2 blocked on a mutex",
+    ] {
+        assert!(
+            failure.message.contains(blocked),
+            "report should say {blocked:?}, got: {}",
+            failure.message
+        );
+    }
+}
+
+/// A scoped child's panic is the joiner's: `join` returns it as `Err`,
+/// and the runtime does not also report it as an unjoined panic.
+#[test]
+fn scoped_child_panic_comes_back_from_join() {
+    let out = explore(&Config::default(), || {
+        thread::scope(|s| {
+            let h = s.spawn(|| panic!("scoped child panics on purpose"));
+            let payload = h.join().expect_err("the child's panic comes back");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"scoped child panics on purpose")
+            );
+        });
+    });
+    out.assert_pass();
+    assert!(out.complete, "search space must be exhausted");
+}
+
+/// A child the closure never joins is joined in the model before
+/// `scope` returns: its write is visible afterwards, and no execution
+/// hangs on std's own join of an OS thread the model never scheduled.
+#[test]
+fn unjoined_scoped_child_is_joined_before_scope_returns() {
+    let out = explore_within_a_minute(|| {
+        let n = Mutex::new(0u64);
+        thread::scope(|s| {
+            s.spawn(|| *n.lock().expect("model mutex") += 1);
+        });
+        assert_eq!(*n.lock().expect("model mutex"), 1, "child ran after scope");
+    });
+    out.assert_pass();
+    assert!(out.complete, "search space must be exhausted");
+    assert!(out.executions > 1, "spawn/lock interleavings must branch");
 }

@@ -1,46 +1,82 @@
-//! Proof that the explorer catches a real injected concurrency bug.
+//! Positive control: the explorer catches a real, seeded concurrency
+//! bug.
 //!
-//! `--features inject-lost-job` compiles a deliberately broken pool
-//! variant (`check_pool_concurrent_deal`): jobs are dealt concurrently
-//! with the workers, and workers exit on "all queues empty" without
-//! checking that dealing finished. Under the right interleaving the
-//! workers get ahead of the dealer, exit, and strand a job — which the
-//! exactly-once/conservation checks turn into a failure with a
-//! printed, replayable schedule.
-//!
-//! These tests are compiled out of normal builds: the bug exists only
-//! to prove the checker's teeth. CI runs them via
-//! `cargo test -p ups-race --features inject-lost-job`.
-#![cfg(feature = "inject-lost-job")]
+//! [`concurrent_deal_pool`] is a deliberately broken work-stealing pool:
+//! jobs are dealt concurrently with the workers, and a worker exits on
+//! "every queue empty" without checking that dealing finished. Under
+//! the right interleaving the workers get ahead of the dealer, exit,
+//! and strand a job — which the exactly-once check turns into a failure
+//! with a printed, replayable schedule. The bug lives only in this test
+//! file; the pool that ships is checked by
+//! `crates/sweep/tests/pool_model.rs`.
 
-use ups_race::fixtures::{check_pool_concurrent_deal, ModelPoolCfg};
-use ups_race::{explore, replay, Config, Schedule};
+use std::collections::VecDeque;
+use std::sync::Arc;
+use ups_race::model::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use ups_race::model::sync::Mutex;
+use ups_race::model::thread;
+use ups_race::{explore, explore_random, replay, Config, Schedule};
 
-fn bug_cfg() -> ModelPoolCfg {
-    ModelPoolCfg {
-        workers: 2,
-        jobs: 2,
-        ..ModelPoolCfg::default()
-    }
-}
+const WORKERS: usize = 2;
+const JOBS: usize = 2;
 
 /// The committed counterexample: found once by [`dfs_finds_lost_job`],
 /// then pinned here as a regression fixture. The root (0) spawns both
 /// workers; worker 2 then worker 1 each drain their empty queues and
 /// exit before the root deals a single job — both jobs are stranded.
-const LOST_JOB_SCHEDULE: &str = "ups-race/v1:0x4,2x11,1x5,0x2";
+const LOST_JOB_SCHEDULE: &str = "ups-race/v1:0x4,2x9,1x5,0x2";
+
+/// Own queue's front first, then a victim's back.
+fn claim(w: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
+    (0..queues.len()).find_map(|off| {
+        let mut q = queues[(w + off) % queues.len()].lock().expect("queue");
+        if off == 0 {
+            q.pop_front()
+        } else {
+            q.pop_back()
+        }
+    })
+}
+
+fn concurrent_deal_pool() {
+    let queues: Arc<Vec<Mutex<VecDeque<usize>>>> =
+        Arc::new((0..WORKERS).map(|_| Mutex::default()).collect());
+    let runs: Arc<Vec<AtomicU64>> = Arc::new((0..JOBS).map(|_| AtomicU64::new(0)).collect());
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|w| {
+            let (queues, runs) = (Arc::clone(&queues), Arc::clone(&runs));
+            // BUG: "every queue empty" is not "no more work" — the
+            // dealer may still be dealing.
+            thread::spawn(move || {
+                while let Some(j) = claim(w, &queues) {
+                    runs[j].fetch_add(1, Relaxed);
+                }
+            })
+        })
+        .collect();
+    for j in 0..JOBS {
+        queues[j % WORKERS].lock().expect("queue").push_back(j);
+    }
+    for h in workers {
+        h.join().expect("worker");
+    }
+    for (j, n) in runs.iter().enumerate() {
+        let n = n.load(Relaxed);
+        assert!(n == 1, "job {j} executed {n} times (want exactly once)");
+    }
+}
 
 /// Bounded DFS must find the lost-job race and hand back a schedule
 /// that parses and replays.
 #[test]
 fn dfs_finds_lost_job() {
-    let out = explore(&Config::default(), || check_pool_concurrent_deal(bug_cfg()));
+    let out = explore(&Config::default(), concurrent_deal_pool);
     let failure = out
         .failure
         .expect("the injected lost-job race must be found");
     assert!(
-        failure.message.contains("conservation") || failure.message.contains("executed"),
-        "failure should come from the exactly-once/conservation checks, got: {}",
+        failure.message.contains("executed 0 times"),
+        "failure should come from the exactly-once check, got: {}",
         failure.message
     );
     // The schedule string is the whole point: print it the way a
@@ -48,25 +84,21 @@ fn dfs_finds_lost_job() {
     let text = failure.schedule.to_string();
     println!("lost-job counterexample: {text}");
     let parsed: Schedule = text.parse().expect("printed schedule parses");
-    replay(&Config::default(), &parsed, || {
-        check_pool_concurrent_deal(bug_cfg())
-    })
-    .expect_err("replaying the counterexample must reproduce the failure");
+    replay(&Config::default(), &parsed, concurrent_deal_pool)
+        .expect_err("replaying the counterexample must reproduce the failure");
 }
 
 /// The committed schedule keeps reproducing the bug — a regression
-/// fixture for both the fixture pool and the replay machinery.
+/// fixture for the replay machinery.
 #[test]
 fn committed_counterexample_still_reproduces() {
     let schedule: Schedule = LOST_JOB_SCHEDULE
         .parse()
         .expect("committed schedule parses");
-    let failure = replay(&Config::default(), &schedule, || {
-        check_pool_concurrent_deal(bug_cfg())
-    })
-    .expect_err("committed counterexample must still fail");
+    let failure = replay(&Config::default(), &schedule, concurrent_deal_pool)
+        .expect_err("committed counterexample must still fail");
     assert!(
-        failure.message.contains("conservation") || failure.message.contains("executed"),
+        failure.message.contains("executed 0 times"),
         "got: {}",
         failure.message
     );
@@ -76,9 +108,7 @@ fn committed_counterexample_still_reproduces() {
 /// (the race has many witnesses).
 #[test]
 fn random_schedules_find_lost_job() {
-    let out = ups_race::explore_random(&Config::default(), 7, 512, || {
-        check_pool_concurrent_deal(bug_cfg())
-    });
+    let out = explore_random(&Config::default(), 7, 512, concurrent_deal_pool);
     assert!(
         out.failure.is_some(),
         "512 random schedules should witness the lost-job race"

@@ -369,9 +369,6 @@ fn list_registries() {
     println!("  --job ID           which expanded grid job to explain");
     println!("  --top K            rows per blame table (default 10)");
     println!("  --perfetto PATH    replay timeline + divergence instant markers");
-    println!("model checker (cargo test -p ups-race; env knobs):");
-    println!("  UPS_RACE_PREEMPTION_BOUND  DFS preemption budget per execution (default 2)");
-    println!("  UPS_RACE_RANDOM_SCHEDULES  seeded random schedules per test (default 64)");
 }
 
 /// `sweep explain`: expand the grid, pick the one job (by `--job` id when

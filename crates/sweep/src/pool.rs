@@ -384,9 +384,9 @@ mod tests {
         // jobs/busy_ns and the global done counter) happens *after* the
         // catch_unwind, so a panicking job is billed like any other and
         // Σ per-worker jobs == done == dealt must survive a panic. The
-        // ups-race model pins the same invariant on small configs
-        // (fixtures::check_pool with panic_job); this is the full-size
-        // production-pool regression test.
+        // ups-race model checks the same invariant on every interleaving
+        // of small configs (tests/pool_model.rs, dfs_pool_panic_isolation);
+        // this is the full-size regression test on real threads.
         let jobs: Vec<usize> = (0..30).collect();
         let tel = PoolTelemetry::new(effective_workers(3, jobs.len()));
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {

@@ -66,10 +66,9 @@ pub struct BuildOptions {
     /// Trace detail.
     pub record: RecordMode,
     /// Router port buffer in bytes; `None` = unbounded (§2.3 replay runs
-    /// "use large buffer sizes that ensure no packet drops").
+    /// "use large buffer sizes that ensure no packet drops"). Host NICs
+    /// are always unbounded (sources self-limit).
     pub router_buffer_bytes: Option<u64>,
-    /// Host NIC buffer; usually unbounded (sources self-limit).
-    pub host_buffer_bytes: Option<u64>,
     /// Base seed; each port derives an independent deterministic stream
     /// (only `Random` consumes it).
     pub seed: u64,
@@ -85,7 +84,6 @@ impl Default for BuildOptions {
         BuildOptions {
             record: RecordMode::EndToEnd,
             router_buffer_bytes: None,
-            host_buffer_bytes: None,
             seed: 1,
             trace_spill_caps: None,
         }
@@ -118,7 +116,7 @@ pub fn build_simulator(
             let kind = assign.kind_for(from);
             let seed = splitmix64(opts.seed ^ ((from.0 as u64) << 32) ^ (to.0 as u64));
             let buffer = if topo.role(from) == NodeRole::Host {
-                opts.host_buffer_bytes
+                None
             } else {
                 opts.router_buffer_bytes
             };
@@ -219,7 +217,6 @@ mod tests {
         let topo = line(1, Bandwidth::from_gbps(1), Dur::ZERO);
         let opts = BuildOptions {
             router_buffer_bytes: Some(3000),
-            host_buffer_bytes: None,
             ..BuildOptions::default()
         };
         let mut sim = build_simulator(
