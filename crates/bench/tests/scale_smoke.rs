@@ -1,29 +1,29 @@
 //! CI-sized smoke of the scale benchmark's streaming pipeline: the
 //! bench's own differential gate ([`ups_bench::scale::differential_gate`])
-//! on a capped fat-tree(k=4) run (~200k packets in release, smaller under
-//! debug asserts) pushed through tiny spill caps so the chunk ring
-//! overflows to disk, checked for bit-identity against the resident layout
-//! and for a tight peak-RSS ceiling via `VmHWM` (the same self-measurement
-//! the full bench asserts). Lives in its own test binary because `VmHWM`
-//! is a process-lifetime high-water mark — co-tenant tests would pollute
-//! it.
-//!
-//! Knobs: `UPS_SMOKE_PACKETS` (floor; default 200_000 release / 40_000
-//! debug), `UPS_SMOKE_RSS_BUDGET_MB` (default 512).
+//! on a capped fat-tree(k=4) run pushed through tiny spill caps so the
+//! chunk ring overflows to disk, checked for bit-identity against the
+//! resident layout and for a tight peak-RSS ceiling via `VmHWM` (the same
+//! self-measurement the full bench asserts). Lives in its own test binary
+//! because `VmHWM` is a process-lifetime high-water mark — co-tenant tests
+//! would pollute it.
 
 use ups_bench::peak_rss_bytes;
-use ups_bench::scale::{differential_gate, env_u64};
+use ups_bench::scale::differential_gate;
+
+/// Packet floor of the capped run; smaller under debug asserts.
+const PACKET_FLOOR: u64 = if cfg!(debug_assertions) {
+    40_000
+} else {
+    200_000
+};
+
+/// Peak-RSS ceiling. The release run peaks near 175 MiB on x86-64 Linux,
+/// so this catches a layer that starts holding the whole trace or event
+/// list.
+const RSS_BUDGET_MIB: u64 = 256;
 
 #[test]
 fn capped_streaming_run_is_resident_identical_and_bounded() {
-    let default_floor = if cfg!(debug_assertions) {
-        40_000
-    } else {
-        200_000
-    };
-    let packet_floor = env_u64("UPS_SMOKE_PACKETS", default_floor);
-    let rss_budget = env_u64("UPS_SMOKE_RSS_BUDGET_MB", 512) * 1024 * 1024;
-
     // Gate on across the whole differential: the merge-join's
     // reorder-window high-water counter is the CI witness that the
     // streaming compare path stays bounded (and observation changes no
@@ -32,7 +32,7 @@ fn capped_streaming_run_is_resident_identical_and_bounded() {
     ups_obs::reset();
     // Tiny caps: ~packets/1024 sealed chunks, only 2 resident, so almost
     // the whole trace round-trips through the spill codec.
-    differential_gate(packet_floor, (1024, 2));
+    differential_gate(PACKET_FLOOR, (1024, 2));
     let window_high_water = ups_obs::snapshot().counter(ups_obs::Counter::CompareWindow);
     ups_obs::disable();
     assert!(
@@ -44,9 +44,8 @@ fn capped_streaming_run_is_resident_identical_and_bounded() {
 
     let peak = peak_rss_bytes();
     assert!(
-        peak <= rss_budget,
-        "peak RSS {:.1} MiB exceeds the {} MiB smoke budget",
+        peak <= RSS_BUDGET_MIB * 1024 * 1024,
+        "peak RSS {:.1} MiB exceeds the {RSS_BUDGET_MIB} MiB smoke budget",
         peak as f64 / (1024.0 * 1024.0),
-        rss_budget / (1024 * 1024)
     );
 }

@@ -11,10 +11,13 @@
 //! with a heap behind it:
 //!
 //! * **level 0** is `2^12` buckets of `2^17` ps (131 ns) covering the
-//!   current *epoch* (`2^29` ps, 0.54 ms). A bucket is an unsorted `Vec`;
-//!   it is sorted by `(time, seq)` once, when the cursor reaches it. At
-//!   131 ns a bucket holds a handful of events, mostly pushed in time
-//!   order already, so that sort is a short insertion sort;
+//!   current *epoch* (`2^29` ps, 0.54 ms). A bucket is an unsorted chain
+//!   of nodes in one slab shared by every slot, whose freed nodes are
+//!   reused first, so level-0 storage is bounded by the most level-0
+//!   events ever pending at once. A chain is copied out and sorted by
+//!   `(time, seq)` once, when the cursor reaches it. At 131 ns a bucket
+//!   holds a handful of events, mostly pushed in time order already, so
+//!   that sort is a short insertion sort;
 //! * **level 1** is `2^12` unsorted buckets, one per epoch, covering the
 //!   current *era* (`2^41` ps, 2.2 s). When the cursor crosses into an
 //!   epoch, that epoch's bucket is scattered into level 0 and its storage
@@ -39,7 +42,7 @@
 //! The earliest pending time is cached (`head`): a push lowers it, a pop
 //! re-derives it from the two heads or, when both ran dry, from the first
 //! entry of the next occupied bucket — every wheel bucket keeps an entry
-//! of minimum time at index 0 — so [`EventQueue::peek_time`] is O(1).
+//! of minimum time first — so [`EventQueue::peek_time`] is O(1).
 //!
 //! Events themselves are small: packets are carried as 4-byte
 //! [`PacketRef`]s into the simulator's arena, not by value.
@@ -158,41 +161,30 @@ fn l1_slot(bucket: u64) -> usize {
     ((bucket >> LEVEL_BITS) & SLOT_MASK) as usize
 }
 
-/// One wheel level: a bucket per slot, and which slots are occupied as
-/// a bit per slot under a one-word summary (a bit per bitmap word), so
-/// the next occupied slot is two `trailing_zeros` away.
-struct Level {
-    /// Unsorted, except that an occupied bucket keeps an entry of
-    /// minimum time at index 0.
-    buckets: Vec<Vec<Entry>>,
+/// Which slots of a wheel level are occupied: a bit per slot under a
+/// one-word summary (a bit per bitmap word), so the next occupied slot is
+/// two `trailing_zeros` away.
+struct Occupancy {
     words: [u64; 64],
     summary: u64,
 }
 
-impl Level {
+impl Occupancy {
     fn new() -> Self {
-        Level {
-            buckets: (0..SLOTS).map(|_| Vec::new()).collect(),
+        Occupancy {
             words: [0; 64],
             summary: 0,
         }
     }
 
     #[inline]
-    fn insert(&mut self, slot: usize, e: Entry) {
-        let bucket = &mut self.buckets[slot];
-        let earliest = bucket.first().is_some_and(|min| e.time < min.time);
-        bucket.push(e);
-        if earliest {
-            let last = bucket.len() - 1;
-            bucket.swap(0, last);
-        }
+    fn mark(&mut self, slot: usize) {
         let word = slot >> 6;
         self.words[word] |= 1 << (slot & 63);
         self.summary |= 1 << word;
     }
 
-    fn mark_empty(&mut self, slot: usize) {
+    fn clear(&mut self, slot: usize) {
         let word = slot >> 6;
         self.words[word] &= !(1 << (slot & 63));
         if self.words[word] == 0 {
@@ -216,23 +208,143 @@ impl Level {
         let word = later.trailing_zeros() as usize;
         Some((word << 6) | self.words[word].trailing_zeros() as usize)
     }
+}
+
+/// A level-0 entry in the slab, and the next node of its chain.
+#[derive(Clone, Copy)]
+struct Node {
+    entry: Entry,
+    next: u32,
+}
+
+/// The end of a chain.
+const NIL: u32 = u32::MAX;
+
+// Every pending event is one of these: a new `Event` variant that grows
+// them grows every simulator's event footprint.
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+const _: () = assert!(std::mem::size_of::<Node>() == 48);
+
+/// Level 0: a chain per slot through one slab of nodes. A chain keeps an
+/// entry of minimum time at its head; the rest is unordered. Taken nodes
+/// go on a LIFO free list and are reused before the slab grows, so the
+/// slab is as long as the most level-0 entries ever pending at once.
+struct Chains {
+    /// First node of each slot's chain, or `NIL`.
+    heads: Box<[u32]>,
+    nodes: Vec<Node>,
+    /// Indexes of the free nodes. A stack rather than a list threaded
+    /// through `next`: taking a node then reads no cold node, which
+    /// saves a cache miss per insert when an epoch's events are scattered.
+    free: Vec<u32>,
+    occupied: Occupancy,
+}
+
+impl Chains {
+    fn new() -> Self {
+        Chains {
+            heads: vec![NIL; SLOTS].into_boxed_slice(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            occupied: Occupancy::new(),
+        }
+    }
+
+    /// A node holding `entry` and `next`: the last freed one, or a new one.
+    #[inline]
+    fn alloc(&mut self, entry: Entry, next: u32) -> u32 {
+        let node = Node { entry, next };
+        if let Some(n) = self.free.pop() {
+            self.nodes[n as usize] = node;
+            return n;
+        }
+        let n = self.nodes.len();
+        assert!(n < NIL as usize, "level-0 slab full");
+        self.nodes.push(node);
+        n as u32
+    }
+
+    /// File `entry` under `slot`: as the chain's head if it is earlier
+    /// than the head (or the chain is empty), else right after the head.
+    #[inline]
+    fn insert(&mut self, slot: usize, entry: Entry) {
+        let head = self.heads[slot];
+        match self.nodes.get(head as usize) {
+            Some(min) if min.entry.time <= entry.time => {
+                let n = self.alloc(entry, min.next);
+                self.nodes[head as usize].next = n;
+            }
+            _ => {
+                self.heads[slot] = self.alloc(entry, head);
+                self.occupied.mark(slot);
+            }
+        }
+    }
+
+    /// Earliest time in occupied slot `slot`.
+    fn min_time(&self, slot: usize) -> SimTime {
+        let head = self.heads[slot] as usize;
+        self.nodes.get(head).map_or(SimTime::MAX, |n| n.entry.time)
+    }
+
+    /// Copy occupied slot `slot`'s entries into the empty `into` and free
+    /// its nodes.
+    fn take(&mut self, slot: usize, into: &mut Vec<Entry>) {
+        debug_assert!(into.is_empty());
+        let head = std::mem::replace(&mut self.heads[slot], NIL);
+        self.occupied.clear(slot);
+        let mut n = head;
+        while let Some(node) = self.nodes.get(n as usize) {
+            into.push(node.entry);
+            self.free.push(n);
+            n = node.next;
+        }
+        // Each insert after the head went right after it, so the rest of
+        // the chain is in about reverse push order: turned back, it is
+        // close to time order and the caller's sort has little to do.
+        if let Some(rest) = into.get_mut(1..) {
+            rest.reverse();
+        }
+    }
+}
+
+/// Level 1: a bucket per slot, unsorted except that an occupied bucket
+/// keeps an entry of minimum time at index 0. A bucket fills during one
+/// era and is released whole when its epoch opens, so it keeps no
+/// storage between eras.
+struct Buckets {
+    buckets: Vec<Vec<Entry>>,
+    occupied: Occupancy,
+}
+
+impl Buckets {
+    fn new() -> Self {
+        Buckets {
+            buckets: (0..SLOTS).map(|_| Vec::new()).collect(),
+            occupied: Occupancy::new(),
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, slot: usize, e: Entry) {
+        let bucket = &mut self.buckets[slot];
+        let earliest = bucket.first().is_some_and(|min| e.time < min.time);
+        bucket.push(e);
+        if earliest {
+            let last = bucket.len() - 1;
+            bucket.swap(0, last);
+        }
+        self.occupied.mark(slot);
+    }
 
     /// Earliest time in occupied slot `slot`.
     fn min_time(&self, slot: usize) -> SimTime {
         self.buckets[slot].first().map_or(SimTime::MAX, |e| e.time)
     }
 
-    /// Move slot `slot`'s entries into the empty `into`, leaving `into`'s
-    /// storage behind for the slot's next epoch.
-    fn take(&mut self, slot: usize, into: &mut Vec<Entry>) {
-        debug_assert!(into.is_empty());
-        std::mem::swap(&mut self.buckets[slot], into);
-        self.mark_empty(slot);
-    }
-
     /// Slot `slot`'s entries, storage and all.
     fn release(&mut self, slot: usize) -> Vec<Entry> {
-        self.mark_empty(slot);
+        self.occupied.clear(slot);
         std::mem::take(&mut self.buckets[slot])
     }
 }
@@ -240,9 +352,9 @@ impl Level {
 /// Future-event list with deterministic same-time ordering.
 pub struct EventQueue {
     /// The current epoch, one bucket per 131 ns.
-    l0: Level,
+    l0: Chains,
     /// The current era, one bucket per epoch after the current one.
-    l1: Level,
+    l1: Buckets,
     /// Events beyond the current era, earliest first.
     far: BinaryHeap<Entry>,
     /// The bucket under the cursor, taken out of level 0 and sorted by
@@ -272,8 +384,8 @@ impl EventQueue {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            l0: Level::new(),
-            l1: Level::new(),
+            l0: Chains::new(),
+            l1: Buckets::new(),
             far: BinaryHeap::new(),
             drain: Vec::new(),
             drained: 0,
@@ -340,7 +452,7 @@ impl EventQueue {
     fn advance(&mut self) {
         let mut from = l0_slot(self.cursor) + 1;
         let slot = loop {
-            if let Some(slot) = self.l0.first_from(from) {
+            if let Some(slot) = self.l0.occupied.first_from(from) {
                 break slot;
             }
             self.open_next_epoch();
@@ -358,7 +470,7 @@ impl EventQueue {
     fn open_next_epoch(&mut self) {
         let mut from = l1_slot(self.cursor) + 1;
         let slot = loop {
-            if let Some(slot) = self.l1.first_from(from) {
+            if let Some(slot) = self.l1.occupied.first_from(from) {
                 break slot;
             }
             self.open_next_era();
@@ -416,10 +528,10 @@ impl EventQueue {
     /// Earliest time beyond the cursor's bucket: the first entry of the
     /// bucket `advance` would stop on.
     fn next_bucket_time(&self) -> SimTime {
-        if let Some(slot) = self.l0.first_from(l0_slot(self.cursor) + 1) {
+        if let Some(slot) = self.l0.occupied.first_from(l0_slot(self.cursor) + 1) {
             return self.l0.min_time(slot);
         }
-        if let Some(slot) = self.l1.first_from(l1_slot(self.cursor) + 1) {
+        if let Some(slot) = self.l1.occupied.first_from(l1_slot(self.cursor) + 1) {
             return self.l1.min_time(slot);
         }
         self.far.peek().map_or(SimTime::MAX, |e| e.time)
@@ -649,5 +761,65 @@ mod tests {
         reference.sort_by_key(|&(t, _)| t);
         assert_eq!(popped.len(), reference.len());
         assert_eq!(popped, reference);
+    }
+
+    #[test]
+    fn level_zero_storage_follows_pending_events_not_past_bursts() {
+        // A 1,000-event burst into a different level-0 bucket in each of
+        // 24 epochs, with a trickle across every epoch. Per-slot buffers
+        // that keep their capacity would end up holding about
+        // epochs × burst entries; the slab holds at most what was
+        // pending at once.
+        const BURST: u64 = 1_000;
+        let bucket = 1u64 << L0_SHIFT;
+        let epoch = bucket << LEVEL_BITS;
+        let mut q = EventQueue::new();
+        let (mut peak, mut popped) = (0, 0);
+        for e in 0..24u64 {
+            let start = e * epoch;
+            let burst = start + (e * 131 + 7) % SLOTS as u64 * bucket;
+            for k in 0..BURST {
+                q.push(SimTime::from_ps(burst + k % bucket), timer(k));
+            }
+            for k in 0..64 {
+                q.push(SimTime::from_ps(start + (k * 64 + 32) * bucket), timer(k));
+            }
+            peak = peak.max(q.len());
+            while q.pop().is_some() {
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, 24 * (BURST as usize + 64));
+        assert!(
+            q.l0.nodes.len() <= peak,
+            "slab of {} nodes for at most {peak} pending events",
+            q.l0.nodes.len()
+        );
+    }
+
+    #[test]
+    fn every_slab_node_is_free_once_the_queue_drains() {
+        let mut q = EventQueue::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for k in 0..30_000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if state >> 62 == 0 {
+                q.pop();
+            } else {
+                // Up to ~34 ms ahead: the drained bucket, level 0 and
+                // level 1, with epoch hand-offs refilling level 0.
+                let delta = (state >> 8) % (1u64 << ((state >> 40) % 36));
+                q.push(q.now() + Dur::from_ps(delta), timer(k));
+            }
+        }
+        while q.pop().is_some() {}
+        let mut free = q.l0.free.clone();
+        free.sort_unstable();
+        let every: Vec<u32> = (0..q.l0.nodes.len() as u32).collect();
+        assert!(every.len() > 1_000, "the run must fill the slab");
+        assert_eq!(free, every, "each node must be free exactly once");
+        assert!(q.l0.heads.iter().all(|&h| h == NIL));
     }
 }

@@ -154,6 +154,10 @@ impl RoutingCore {
 pub struct Routing {
     core: Arc<RoutingCore>,
     cache: BTreeMap<(NodeId, NodeId), Arc<[NodeId]>>,
+    /// [`walk_back`]'s scratch, kept so a cache miss allocates only the
+    /// path it returns.
+    candidates: Vec<NodeId>,
+    rev: Vec<NodeId>,
 }
 
 /// SplitMix64 — deterministic tie-break hash for equal-cost choices.
@@ -231,6 +235,8 @@ impl Routing {
         Routing {
             core,
             cache: BTreeMap::new(),
+            candidates: Vec::new(),
+            rev: Vec::new(),
         }
     }
 
@@ -246,9 +252,15 @@ impl Routing {
         let dist = &self.core.dist[src.index()];
         assert_ne!(dist[dst.index()], u32::MAX, "{dst} unreachable from {src}");
         let adjacency = &self.core.adjacency;
-        let path = walk_back_path(dist, src, dst, |cur, out| {
-            out.extend_from_slice(&adjacency[cur.index()]);
-        });
+        walk_back(
+            dist,
+            src,
+            dst,
+            |cur, out| out.extend_from_slice(&adjacency[cur.index()]),
+            &mut self.candidates,
+            &mut self.rev,
+        );
+        let path: Arc<[NodeId]> = self.rev.iter().rev().copied().collect();
         self.cache.insert((src, dst), path.clone());
         path
     }

@@ -4,7 +4,8 @@
 //! `ups-netsim`'s unit tests, so the timing wheel is pinned here twice:
 //! directly, against a sorted reference over randomized operations that
 //! reach every tier (the bucket being drained, level 0, an epoch
-//! boundary, level 1, the far heap), and end to end, as bit-identical
+//! boundary, level 1, the far heap), run twice on one queue so the second
+//! run reuses the first's level-0 storage, and end to end, as bit-identical
 //! traces on workloads whose events live in the upper tiers — millisecond
 //! propagation delays (level 1) and multi-second retransmission timers
 //! (the far heap) — in both determinism domains (inject-all-then-`run`
@@ -33,6 +34,16 @@ fn event_queue_matches_a_sorted_reference_over_every_tier() {
         state >> 11
     };
     let mut q = EventQueue::new();
+    // Twice on one queue: the second run starts seconds into the clock,
+    // on level-0 storage freed by the first.
+    for run in 0..2 {
+        reference_run(&mut q, &mut next, run);
+    }
+}
+
+/// 60,000 random pushes and pops on `q`, checked against a sorted
+/// reference, then a full drain.
+fn reference_run(q: &mut EventQueue, next: &mut impl FnMut() -> u64, run: u32) {
     // Pending `(time in ps, push index)`; push indexes rise with the
     // queue's own sequence numbers, so its order is the contract's.
     let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new();
@@ -67,19 +78,19 @@ fn event_queue_matches_a_sorted_reference_over_every_tier() {
                 Event::Timer { key, .. } => (t.as_ps(), key),
                 other => panic!("only timers were pushed, got {other:?}"),
             });
-            assert_eq!(got, reference.pop_first(), "pop {popped}");
+            assert_eq!(got, reference.pop_first(), "run {run}, pop {popped}");
             popped += u64::from(got.is_some());
         }
         assert_eq!(
             q.peek_time().map(SimTime::as_ps),
             reference.first().map(|&(t, _)| t),
-            "peek_time after {pushed} pushes and {popped} pops"
+            "run {run}: peek_time after {pushed} pushes and {popped} pops"
         );
         assert_eq!(q.len(), reference.len());
     }
     assert!(
         tiers.iter().all(|&n| n > 500),
-        "every tier must be exercised (drain, epoch, next epoch, era, far): {tiers:?}"
+        "run {run}: every tier must be exercised (drain, epoch, next epoch, era, far): {tiers:?}"
     );
     while let Some((t, Event::Timer { key, .. })) = q.pop() {
         assert_eq!(Some((t.as_ps(), key)), reference.pop_first());
