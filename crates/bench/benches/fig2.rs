@@ -5,7 +5,7 @@
 //!
 //! The four schemes are independent closed-loop sweep jobs
 //! ([`ups_bench::fct_job`]), run through the sweep engine's executor on
-//! its work-stealing pool (`UPS_SWEEP_WORKERS` caps the width; default:
+//! its pool (`UPS_SWEEP_WORKERS` caps the width; default:
 //! one worker per scheme, at most the core count).
 //!
 //! Output: per scheme, the overall mean FCT (the figure's legend) and one
@@ -72,7 +72,7 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "# pool: {} schemes on {} workers ({} steals)",
-        stats.jobs, stats.workers, stats.steals
+        "# pool: {} schemes on {} workers",
+        stats.jobs, stats.workers
     );
 }

@@ -12,31 +12,32 @@
 //! `RunSummary`s, or the bench aborts without writing an artifact.
 //!
 //! Results go to stdout and `BENCH_scale.json` (schema
-//! `ups-bench-scale/v1`). Scale knobs:
-//! `UPS_SCALE_PACKETS` (default 5_000_000 — the packet floor),
-//! `UPS_SCALE_MIN_FLOWS` (default 10_000),
-//! `UPS_SCALE_FLOW_BYTES` (default 150_000 — fixed flow size),
-//! `UPS_SCALE_RSS_BUDGET_MB` (default 512),
-//! `UPS_SCALE_DIFF_PACKETS` (default 120_000 — differential-gate floor).
+//! `ups-bench-scale/v1`). The sizes are the constants below; the
+//! artifact's validator holds the floors they imply.
 
 use ups_bench::peak_rss_bytes;
-use ups_bench::scale::{differential_gate, env_u64, streaming_run};
+use ups_bench::scale::{differential_gate, streaming_run};
 use ups_core::{compare, overdue_threshold};
 use ups_netsim::prelude::{Dur, RecordMode};
 use ups_topology::{fattree, FatTreeParams, Routing};
 use ups_workload::{flows_with_floor, train_packets, Fixed, PoissonWorkload};
 
+/// Packet floor of the streaming run.
+const PACKET_FLOOR: u64 = 5_000_000;
+/// Minimum flow count the run must reach at that floor.
+const MIN_FLOWS: u64 = 10_000;
+/// Fixed per-flow size in bytes.
+const FLOW_BYTES: u64 = 150_000;
+/// Peak-RSS budget, asserted via `VmHWM`.
+const RSS_BUDGET_BYTES: u64 = 512 * 1024 * 1024;
+/// Workload floor of the differential gate.
+const DIFF_PACKETS: u64 = 120_000;
+
 // lint:schema(ups-bench-scale/v1)
 fn main() {
-    let packet_floor = env_u64("UPS_SCALE_PACKETS", 5_000_000);
-    let min_flows = env_u64("UPS_SCALE_MIN_FLOWS", 10_000);
-    let flow_bytes = env_u64("UPS_SCALE_FLOW_BYTES", 150_000);
-    let rss_budget = env_u64("UPS_SCALE_RSS_BUDGET_MB", 512) * 1024 * 1024;
-    let diff_packets = env_u64("UPS_SCALE_DIFF_PACKETS", 120_000);
-
     // Tiny spill caps so the streaming arm spills heavily: ~n/4096 chunks
     // on disk, exercising the codec and the k-way merge at full depth.
-    let n = differential_gate(diff_packets, (4096, 2));
+    let n = differential_gate(DIFF_PACKETS, (4096, 2));
     println!("# differential gate: {n} packets; records, reports and summaries bit-identical");
 
     // The scale scenario: fat-tree k=8 (128 hosts), fixed ~100-packet
@@ -47,25 +48,25 @@ fn main() {
         ..FatTreeParams::default()
     });
     let (flows, window) = flows_with_floor(
-        packet_floor,
+        PACKET_FLOOR,
         Dur::from_ms(4),
         Dur::from_secs(60),
         |window| {
             PoissonWorkload::at_utilization(0.7, window, 42).generate(
                 &topo,
                 &mut Routing::new(&topo),
-                &Fixed(flow_bytes),
+                &Fixed(FLOW_BYTES),
             )
         },
     );
     let packets = train_packets(&flows);
     assert!(
-        flows.len() as u64 >= min_flows,
-        "only {} flows at the {packet_floor}-packet floor (need {min_flows})",
+        flows.len() as u64 >= MIN_FLOWS,
+        "only {} flows at the {PACKET_FLOOR}-packet floor (need {MIN_FLOWS})",
         flows.len()
     );
     println!(
-        "# scale: {packets} packets / {} flows on {} (fixed {flow_bytes}-byte flows, 70% util)",
+        "# scale: {packets} packets / {} flows on {} (fixed {FLOW_BYTES}-byte flows, 70% util)",
         flows.len(),
         topo.name
     );
@@ -102,11 +103,11 @@ fn main() {
          peak RSS         {:>9.1} MiB  (budget {} MiB)",
         run.original_wall_s,
         peak as f64 / (1024.0 * 1024.0),
-        rss_budget / (1024 * 1024)
+        RSS_BUDGET_BYTES / (1024 * 1024)
     );
     assert!(
-        peak <= rss_budget,
-        "peak RSS {peak} exceeds the {rss_budget}-byte budget"
+        peak <= RSS_BUDGET_BYTES,
+        "peak RSS {peak} exceeds the {RSS_BUDGET_BYTES}-byte budget"
     );
 
     let json = format!(
@@ -116,7 +117,7 @@ fn main() {
     "topology": "{}",
     "scheduler": "FIFO",
     "utilization": 0.7,
-    "flow_bytes": {flow_bytes},
+    "flow_bytes": {FLOW_BYTES},
     "window_ms": {},
     "seed": 42
   }},
@@ -125,12 +126,12 @@ fn main() {
   "delivered": {},
   "dropped": {},
   "peak_rss_bytes": {peak},
-  "rss_budget_bytes": {rss_budget},
+  "rss_budget_bytes": {RSS_BUDGET_BYTES},
   "packets_per_sec": {pps:.0},
   "replay_match_rate": {match_rate:.6},
   "replay_frac_gt_t": {:.6},
   "differential": {{
-    "workload_packets": {diff_packets},
+    "workload_packets": {DIFF_PACKETS},
     "records_identical": true,
     "reports_identical": true,
     "summaries_identical": true

@@ -120,7 +120,7 @@ pub fn fig1_jobs(scale: &Scale) -> Vec<JobSpec> {
 }
 
 /// Run `jobs` through the sweep engine's job body ([`execute`]) on its
-/// work-stealing pool — one topology build per distinct topology, original
+/// pool — one topology build per distinct topology, original
 /// and replays recorded at `record` detail, `ablations` as [`execute`]
 /// takes them — and keep what a paper row reads of each: the original
 /// run's summary and every replay's report, in replay order (traces and

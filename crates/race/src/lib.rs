@@ -4,8 +4,8 @@
 //!
 //! The sweep engine's correctness claims (cross-worker byte-identical
 //! records, telemetry conservation, the heartbeat's guaranteed
-//! completion tick) rest on a hand-rolled work-stealing pool and a set
-//! of relaxed atomic counters. Before this crate, those claims were
+//! completion tick) rest on a hand-rolled pool and a set of relaxed
+//! atomic counters. Before this crate, those claims were
 //! only as strong as "the tests passed under this machine's scheduler".
 //! `ups-race` closes that gap with two pieces:
 //!
@@ -28,7 +28,7 @@
 //!
 //! The checks on the code that ships live with it:
 //! `crates/sweep/tests/pool_model.rs` runs the real
-//! `ups_sweep::pool::run_jobs_telemetry` and `telemetry::Heartbeat`,
+//! `ups_sweep::pool::run_jobs_telemetry` and the heartbeat it runs,
 //! compiled against the model, under the explorer (DESIGN.md §14).
 //!
 //! **What the model does and does not check.** The scheduler owns every

@@ -23,6 +23,7 @@
 //! re-validates the aggregate after writing and fails the process if the
 //! artifact doesn't conform.
 
+use std::fs::File;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -31,8 +32,7 @@ use std::time::{Duration, Instant};
 use ups_netsim::prelude::Dur;
 use ups_sweep::{
     bench_sweep_json, explain_job, grid::is_original_scheduler, pool, runner, validate_artifact,
-    validate_bench_sweep, Exclude, Heartbeat, HeartbeatConfig, JobSpec, PoolTelemetry,
-    ResultStream, ScenarioGrid,
+    validate_bench_sweep, Exclude, HeartbeatConfig, JobSpec, ResultStream, ScenarioGrid,
 };
 
 struct Args {
@@ -105,7 +105,7 @@ EXECUTION & OUTPUT:
   --jsonl PATH        streamed records (default sweep_results.jsonl)
   --telemetry BASE    write sweep telemetry: one heartbeat JSON line per
                       second to BASE.heartbeat.jsonl (done/total, jobs/sec,
-                      ETA, per-worker utilization and steal attribution)
+                      ETA, per-worker jobs and utilization)
                       plus the run-level BASE.timeseries.json artifact,
                       schema-checked by --validate like any BENCH_*.json
   --check             validate the artifact after writing
@@ -355,12 +355,6 @@ fn list_registries() {
     for (name, desc) in ups_obs::describe_probes() {
         println!("  {name:<26} {desc}");
     }
-    println!("scale bench (cargo bench -p ups-bench --bench scale; env knobs):");
-    println!("  UPS_SCALE_PACKETS        packet floor for the streaming run (default 5000000)");
-    println!("  UPS_SCALE_MIN_FLOWS      minimum flow count asserted (default 10000)");
-    println!("  UPS_SCALE_FLOW_BYTES     fixed per-flow size in bytes (default 150000)");
-    println!("  UPS_SCALE_RSS_BUDGET_MB  peak-RSS budget asserted via VmHWM (default 512)");
-    println!("  UPS_SCALE_DIFF_PACKETS   differential-gate workload floor (default 120000)");
     println!("divergence forensics (sweep explain; ups-forensics taxonomy):");
     println!("  causes             overdue_within_t, overdue_beyond_t, missing_in_replay,");
     println!("                     dead_link_drop, buffer_drop (conserved vs the report)");
@@ -502,6 +496,21 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    // Open every output before any job runs, the heartbeat stream first
+    // so a bad --telemetry path leaves --jsonl untouched.
+    let heartbeat_jsonl = match &args.telemetry {
+        Some(base) => {
+            let path = with_suffix(base, ".heartbeat.jsonl");
+            match File::create(&path) {
+                Ok(f) => Some(f),
+                Err(e) => {
+                    eprintln!("sweep: cannot open {}: {e}", path.display());
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        None => None,
+    };
     let stream = match ResultStream::create(&args.jsonl) {
         Ok(s) => s,
         Err(e) => {
@@ -554,33 +563,22 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let quiet = args.quiet;
     let stream_ref = &stream;
-    // The heartbeat thread reads these relaxed counters once a second;
-    // it observes the pool but never feeds back into job execution.
-    let telemetry = Arc::new(PoolTelemetry::new(pool::effective_workers(
-        args.workers,
-        jobs.len(),
-    )));
-    let heartbeat = Heartbeat::start(
-        Arc::clone(&telemetry),
-        HeartbeatConfig {
-            total: jobs.len() as u64,
-            interval: Duration::from_secs(1),
-            progress: !quiet,
-            jsonl: args
-                .telemetry
-                .as_ref()
-                .map(|base| with_suffix(base, ".heartbeat.jsonl")),
-        },
-    );
     // One topology build + all-pairs BFS per *distinct* topology, shared
     // read-only across workers, instead of one per job.
     let shared = runner::SharedScenarios::for_jobs(&jobs);
     let shared_ref = &shared;
+    // The heartbeat reads the pool's counters once a second; it observes
+    // the pool but never feeds back into job execution.
+    let heartbeat = HeartbeatConfig {
+        interval: Duration::from_secs(1),
+        progress: !quiet,
+        jsonl: heartbeat_jsonl,
+    };
     let (records, stats) = pool::run_jobs_telemetry(
         &jobs,
         args.workers,
-        Some(&telemetry),
         |_, spec| spec.label(),
+        Some(heartbeat),
         move |_, spec| {
             let rec = runner::run_job_shared(spec, shared_ref);
             stream_ref.append(&rec);
@@ -627,32 +625,18 @@ fn main() -> ExitCode {
         },
     );
     let wall_s = t0.elapsed().as_secs_f64();
-    let ticks = heartbeat.finish();
 
     let doc = bench_sweep_json(&args.grid, &records, &stats, wall_s);
     if let Err(e) = std::fs::write(&args.out, &doc) {
         eprintln!("sweep: cannot write {}: {e}", args.out.display());
         return ExitCode::FAILURE;
     }
-    // Steal attribution: thief side first, then which queues were raided.
-    let stolen: Vec<String> = stats
-        .per_worker
-        .iter()
-        .filter(|w| w.stolen_from > 0)
-        .map(|w| format!("{}×w{}", w.stolen_from, w.worker))
-        .collect();
     println!(
-        "# {} jobs in {:.2}s on {} workers ({:.2} jobs/sec, {} steals{})",
+        "# {} jobs in {:.2}s on {} workers ({:.2} jobs/sec)",
         records.len(),
         wall_s,
         stats.workers,
-        records.len() as f64 / wall_s,
-        stats.steals,
-        if stolen.is_empty() {
-            String::new()
-        } else {
-            format!(" from {}", stolen.join(" "))
-        }
+        records.len() as f64 / wall_s
     );
     println!(
         "# wrote {} and {}",
@@ -661,8 +645,7 @@ fn main() -> ExitCode {
     );
     if let Some(base) = &args.telemetry {
         let ts_path = with_suffix(base, ".timeseries.json");
-        let ts_doc =
-            ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, stats.steals, wall_s);
+        let ts_doc = ups_obs::heartbeat::timeseries_json(&stats.ticks, stats.workers, wall_s);
         if let Err(e) = std::fs::write(&ts_path, &ts_doc) {
             eprintln!("sweep: cannot write {}: {e}", ts_path.display());
             return ExitCode::FAILURE;
@@ -671,7 +654,7 @@ fn main() -> ExitCode {
             "# wrote {} and {} ({} heartbeat ticks)",
             ts_path.display(),
             with_suffix(base, ".heartbeat.jsonl").display(),
-            ticks.len()
+            stats.ticks.len()
         );
         // The artifact we just wrote must pass the same gate CI applies.
         if let Err(e) = validate_artifact(&ts_doc) {

@@ -249,7 +249,7 @@ impl Exclude {
 
     /// The filter as JSON, so a recorded grid block can reproduce the
     /// exact job list it generated.
-    // lint:schema(ups-sweep/v4)
+    // lint:schema(ups-sweep/v5)
     fn to_json(&self) -> String {
         let opt_str = |v: &Option<String>| match v {
             Some(s) => format!("\"{}\"", json_escape(s)),
@@ -651,7 +651,7 @@ impl ScenarioGrid {
     }
 
     /// The grid itself as JSON — the `"grid"` block of `BENCH_sweep.json`.
-    // lint:schema(ups-sweep/v4)
+    // lint:schema(ups-sweep/v5)
     pub fn to_json(&self) -> String {
         let strs = |v: &[String]| {
             v.iter()

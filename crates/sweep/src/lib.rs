@@ -3,10 +3,10 @@
 //! Runs *grids* of scheduling scenarios across all cores: a declarative
 //! [`ScenarioGrid`] (topology × workload profile × scheduler × traffic
 //! mode × utilization × seed, with filters) expands to independent
-//! [`JobSpec`]s; a hand-rolled work-stealing [`pool`] over `std::thread`
-//! executes them with per-job seeded determinism; and the [`store`]
-//! streams one JSON line per finished job before aggregating everything
-//! into a schema-tagged `BENCH_sweep.json` (DESIGN.md §5 artifact
+//! [`JobSpec`]s; a hand-rolled [`pool`] of `std::thread` workers sharing
+//! one job cursor executes them with per-job seeded determinism; and the
+//! [`store`] streams one JSON line per finished job before aggregating
+//! everything into a schema-tagged `BENCH_sweep.json` (DESIGN.md §5 artifact
 //! pattern, §7–§8 for this subsystem).
 //!
 //! The traffic axis closes the loop: `open-loop` jobs inject §2.3's
@@ -66,9 +66,7 @@ pub mod telemetry;
 
 pub use explain::{explain_job, Explanation};
 pub use grid::{Exclude, GridError, JobSpec, ScenarioGrid, TrafficMode, MIXED_FQ_FIFOPLUS};
-pub use pool::{
-    effective_workers, run_jobs, run_jobs_telemetry, PoolStats, PoolTelemetry, WorkerStats,
-};
+pub use pool::{run_jobs, run_jobs_telemetry, PoolStats};
 pub use runner::{
     run_job_shared, slack_policy_for, summarize_trace, JobRecord, SharedScenarios, RECORD_SCHEMA,
 };
@@ -76,4 +74,4 @@ pub use store::{
     bench_sweep_json, validate_artifact, validate_bench_sweep, ResultStream, SweepDigest,
     SWEEP_SCHEMA,
 };
-pub use telemetry::{Heartbeat, HeartbeatConfig};
+pub use telemetry::HeartbeatConfig;

@@ -6,7 +6,7 @@
 //!   appended the moment the job finishes on whichever worker ran it
 //!   (completion order, so the stream doubles as a progress log), and
 //! * the **aggregate `BENCH_sweep.json`** — schema tag, the grid that
-//!   generated the sweep, pool accounting (workers, steals, jobs/sec) and
+//!   generated the sweep, pool accounting (workers, jobs/sec) and
 //!   every record sorted by job id.
 //!
 //! The other half gates every tagged artifact the repository commits or
@@ -30,7 +30,7 @@ use crate::runner::{JobRecord, RECORD_SCHEMA};
 
 /// Schema tag of the aggregate artifact this build writes, and the only
 /// one [`validate_bench_sweep`] accepts.
-pub const SWEEP_SCHEMA: &str = "ups-sweep/v4";
+pub const SWEEP_SCHEMA: &str = "ups-sweep/v5";
 
 /// Streams one JSON line per finished job. Shared across workers behind
 /// a mutex — append is one short write per multi-second job.
@@ -74,7 +74,7 @@ impl ResultStream {
 
 /// Render the aggregate artifact. Records are sorted by job id (the
 /// caller hands them in pool order, which is already job order).
-// lint:schema(ups-sweep/v4)
+// lint:schema(ups-sweep/v5)
 pub fn bench_sweep_json(
     grid: &ScenarioGrid,
     records: &[JobRecord],
@@ -98,7 +98,6 @@ pub fn bench_sweep_json(
             "  \"schema\": \"{}\",\n",
             "  \"grid\": {},\n",
             "  \"workers\": {},\n",
-            "  \"steals\": {},\n",
             "  \"jobs\": {},\n",
             "  \"wall_s\": {},\n",
             "  \"jobs_per_sec\": {},\n",
@@ -108,7 +107,6 @@ pub fn bench_sweep_json(
         SWEEP_SCHEMA,
         grid.to_json(),
         stats.workers,
-        stats.steals,
         records.len(),
         ups_metrics::json_num(wall_s),
         ups_metrics::json_num(jobs_per_sec),
@@ -504,7 +502,6 @@ fn scale(doc: &Cur) -> Result<String, String> {
 /// `done == total`.
 fn timeseries(doc: &Cur) -> Result<String, String> {
     let workers = doc.within("workers", 1.0..)?;
-    doc.num("steals")?;
     let wall_s = doc.within("wall_s", 0.0..)?;
     let ticks = doc.rows("heartbeats")?;
     let rule = "is empty (the completion tick always fires)";
@@ -521,14 +518,7 @@ fn timeseries(doc: &Cur) -> Result<String, String> {
         let rule = "must hold one row per pool worker";
         tick.ensure(rows.len() == workers as usize, "workers", rule)?;
         for row in rows {
-            row.nums(&[
-                "worker",
-                "jobs",
-                "busy_s",
-                "utilization",
-                "steals",
-                "stolen_from",
-            ])?;
+            row.nums(&["worker", "jobs", "busy_s", "utilization"])?;
         }
         (last_t, last_done, last_total) = (t_s, done, total);
     }
@@ -657,12 +647,7 @@ mod tests {
 
     /// The aggregate over `records`, as a one-worker sweep writes it.
     fn aggregate(records: &[JobRecord]) -> String {
-        let stats = PoolStats {
-            workers: 1,
-            jobs: records.len(),
-            steals: 0,
-            per_worker: Vec::new(),
-        };
+        let (_, stats) = crate::pool::run_jobs(records, 1, |_, _| ());
         bench_sweep_json(&ScenarioGrid::default(), records, &stats, 1.0)
     }
 
@@ -708,7 +693,7 @@ mod tests {
         // One version per tag: a record line from the future and the
         // formats no committed artifact or CI step produces any more are
         // all rejected by name, envelope and record line alike.
-        for old in ["ups-sweep/v1", "ups-sweep/v3"] {
+        for old in ["ups-sweep/v1", "ups-sweep/v4"] {
             let needle = format!("$.schema {old:?} is not one of");
             rejects(&good.replace(SWEEP_SCHEMA, old), &needle);
         }
@@ -926,21 +911,20 @@ mod tests {
     }
 
     const TIMESERIES_DOC: &str = r#"{
-  "schema": "ups-obs-timeseries/v1",
+  "schema": "ups-obs-timeseries/v2",
   "workers": 2,
-  "steals": 3,
   "wall_s": 1.25,
   "heartbeats": [
-    {"schema": "ups-obs-heartbeat/v1", "t_s": 0.5, "done": 4, "total": 8,
+    {"schema": "ups-obs-heartbeat/v2", "t_s": 0.5, "done": 4, "total": 8,
      "jobs_per_sec": 8.0, "eta_s": 0.5,
      "workers": [
-       {"worker": 0, "jobs": 2, "busy_s": 0.4, "utilization": 0.8, "steals": 1, "stolen_from": 0},
-       {"worker": 1, "jobs": 2, "busy_s": 0.3, "utilization": 0.6, "steals": 0, "stolen_from": 1}]},
-    {"schema": "ups-obs-heartbeat/v1", "t_s": 1.25, "done": 8, "total": 8,
+       {"worker": 0, "jobs": 2, "busy_s": 0.4, "utilization": 0.8},
+       {"worker": 1, "jobs": 2, "busy_s": 0.3, "utilization": 0.6}]},
+    {"schema": "ups-obs-heartbeat/v2", "t_s": 1.25, "done": 8, "total": 8,
      "jobs_per_sec": 6.4, "eta_s": 0.0,
      "workers": [
-       {"worker": 0, "jobs": 5, "busy_s": 1.1, "utilization": 0.88, "steals": 3, "stolen_from": 0},
-       {"worker": 1, "jobs": 3, "busy_s": 0.9, "utilization": 0.72, "steals": 0, "stolen_from": 3}]}
+       {"worker": 0, "jobs": 5, "busy_s": 1.1, "utilization": 0.88},
+       {"worker": 1, "jobs": 3, "busy_s": 0.9, "utilization": 0.72}]}
   ]
 }"#;
 
@@ -968,8 +952,8 @@ mod tests {
             "$.heartbeats[0].workers must hold one row per pool worker",
         );
         // The heartbeat thread guarantees at least the completion tick.
-        let empty = r#"{"schema": "ups-obs-timeseries/v1", "workers": 1,
-                        "steals": 0, "wall_s": 0.0, "heartbeats": []}"#;
+        let empty = r#"{"schema": "ups-obs-timeseries/v2", "workers": 1,
+                        "wall_s": 0.0, "heartbeats": []}"#;
         rejects(
             empty,
             "$.heartbeats is empty (the completion tick always fires)",

@@ -1,9 +1,9 @@
-//! The sweep heartbeat: a background thread that periodically reads the
-//! live [`PoolTelemetry`] and turns it into
+//! The sweep heartbeat: a background thread the pool runs beside its
+//! workers, turning the live pool counters into
 //! [`ups_obs::HeartbeatRecord`]s — a throttled stderr progress line
 //! (done/total, jobs/sec, ETA), an optional `*.heartbeat.jsonl` stream,
 //! and the tick history behind the run-level
-//! `ups-obs-timeseries/v1` artifact.
+//! `ups-obs-timeseries/v2` artifact.
 //!
 //! The heartbeat only ever *reads* relaxed counters; it cannot perturb
 //! job results (jobs are pure functions of their specs) and is therefore
@@ -11,27 +11,27 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ups_race::sync::atomic::{AtomicBool, Ordering};
 
-use ups_obs::{HeartbeatRecord, WorkerRow};
+use ups_obs::HeartbeatRecord;
 
 use crate::pool::PoolTelemetry;
 
-/// How a [`Heartbeat`] reports.
-#[derive(Debug, Clone)]
+/// How the pool's heartbeat reports (see
+/// [`run_jobs_telemetry`](crate::pool::run_jobs_telemetry)).
+#[derive(Debug)]
 pub struct HeartbeatConfig {
-    /// Jobs in the sweep (the denominator of every progress line).
-    pub total: u64,
     /// Tick period. Sub-second keeps short CI sweeps from finishing
     /// between ticks; the work per tick is a few atomic loads.
     pub interval: Duration,
     /// Print a `# progress ...` line to stderr each tick.
     pub progress: bool,
-    /// Append one heartbeat JSON line per tick to this file.
-    pub jsonl: Option<PathBuf>,
+    /// Append one heartbeat JSON line per tick to this open file. A
+    /// failed write ends the stream with one stderr line; the ticks are
+    /// still recorded.
+    pub jsonl: Option<File>,
 }
 
 /// Build the record for "now" from the live pool counters.
@@ -43,28 +43,13 @@ fn record_now(tel: &PoolTelemetry, total: u64, t0: Instant) -> HeartbeatRecord {
     let done = tel.done().min(total);
     let jobs_per_sec = if t_s > 0.0 { done as f64 / t_s } else { 0.0 };
     let eta_s = (done > 0 && jobs_per_sec > 0.0).then(|| (total - done) as f64 / jobs_per_sec);
-    let workers = tel
-        .snapshot()
-        .into_iter()
-        .map(|w| {
-            let busy_s = w.busy_ns as f64 / 1e9;
-            WorkerRow {
-                worker: w.worker,
-                jobs: w.jobs,
-                busy_s,
-                utilization: if t_s > 0.0 { busy_s / t_s } else { 0.0 },
-                steals: w.steals,
-                stolen_from: w.stolen_from,
-            }
-        })
-        .collect();
     HeartbeatRecord {
         t_s,
         done,
         total,
         jobs_per_sec,
         eta_s,
-        workers,
+        workers: tel.rows(t_s),
     }
 }
 
@@ -79,36 +64,35 @@ fn progress_line(r: &HeartbeatRecord) {
     );
 }
 
-/// A running heartbeat thread. Construct with [`Heartbeat::start`]
-/// before launching the pool, stop with [`Heartbeat::finish`] after it
-/// returns — the final tick is always recorded, so even a sweep shorter
-/// than one interval yields a non-empty record history.
-pub struct Heartbeat {
+/// A running heartbeat thread, started and finished by the pool — the
+/// final tick is always recorded, so even a sweep shorter than one
+/// interval yields a non-empty record history.
+pub(crate) struct Heartbeat {
     stop: Arc<AtomicBool>,
     handle: ups_race::thread::JoinHandle<Vec<HeartbeatRecord>>,
 }
 
 impl Heartbeat {
-    /// Spawn the heartbeat over `telemetry`.
-    ///
-    /// # Panics
-    /// If `config.jsonl` names a file that cannot be created.
-    pub fn start(telemetry: Arc<PoolTelemetry>, config: HeartbeatConfig) -> Heartbeat {
-        let mut jsonl = config
-            .jsonl
-            .as_ref()
-            .map(|p| BufWriter::new(File::create(p).expect("create heartbeat jsonl")));
+    /// Spawn the heartbeat over `telemetry` for a sweep of `total` jobs.
+    pub(crate) fn start(
+        telemetry: Arc<PoolTelemetry>,
+        total: u64,
+        config: HeartbeatConfig,
+    ) -> Heartbeat {
+        let mut jsonl = config.jsonl.map(BufWriter::new);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = ups_race::thread::spawn(move || {
             // lint:allow(wall-clock): heartbeat clock; see record_now.
             let t0 = Instant::now();
             let mut records = Vec::new();
-            let emit = |records: &mut Vec<HeartbeatRecord>, jsonl: &mut Option<BufWriter<File>>| {
-                let r = record_now(&telemetry, config.total, t0);
+            let mut emit = |records: &mut Vec<HeartbeatRecord>| {
+                let r = record_now(&telemetry, total, t0);
                 if let Some(out) = jsonl.as_mut() {
-                    writeln!(out, "{}", r.to_json()).expect("write heartbeat record");
-                    out.flush().expect("flush heartbeat record");
+                    if let Err(e) = writeln!(out, "{}", r.to_json()).and_then(|()| out.flush()) {
+                        eprintln!("sweep: heartbeat stream stopped: {e}");
+                        jsonl = None;
+                    }
                 }
                 if config.progress {
                     progress_line(&r);
@@ -120,18 +104,18 @@ impl Heartbeat {
                 if stop_flag.load(Ordering::Relaxed) {
                     break;
                 }
-                emit(&mut records, &mut jsonl);
+                emit(&mut records);
             }
             // The completion tick: records the final counters even when
             // the whole sweep fit inside one interval.
-            emit(&mut records, &mut jsonl);
+            emit(&mut records);
             records
         });
         Heartbeat { stop, handle }
     }
 
     /// Stop the thread and return every tick recorded (at least one).
-    pub fn finish(self) -> Vec<HeartbeatRecord> {
+    pub(crate) fn finish(self) -> Vec<HeartbeatRecord> {
         self.stop.store(true, Ordering::Relaxed);
         self.handle.thread().unpark();
         self.handle.join().expect("heartbeat thread panicked")
@@ -142,18 +126,19 @@ impl Heartbeat {
 mod tests {
     use super::*;
 
+    fn config(interval: Duration, jsonl: Option<File>) -> HeartbeatConfig {
+        HeartbeatConfig {
+            interval,
+            progress: false,
+            jsonl,
+        }
+    }
+
     #[test]
     fn heartbeat_always_records_a_final_tick() {
         let tel = Arc::new(PoolTelemetry::new(2));
-        let hb = Heartbeat::start(
-            Arc::clone(&tel),
-            HeartbeatConfig {
-                total: 4,
-                interval: Duration::from_secs(3600), // never ticks on its own
-                progress: false,
-                jsonl: None,
-            },
-        );
+        // An hour-long interval never ticks on its own.
+        let hb = Heartbeat::start(tel, 4, config(Duration::from_secs(3600), None));
         let records = hb.finish();
         assert_eq!(records.len(), 1, "completion tick must always fire");
         assert_eq!(records[0].total, 4);
@@ -166,15 +151,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.heartbeat.jsonl");
         let tel = Arc::new(PoolTelemetry::new(1));
-        let hb = Heartbeat::start(
-            Arc::clone(&tel),
-            HeartbeatConfig {
-                total: 1,
-                interval: Duration::from_millis(5),
-                progress: false,
-                jsonl: Some(path.clone()),
-            },
-        );
+        let file = File::create(&path).unwrap();
+        let hb = Heartbeat::start(tel, 1, config(Duration::from_millis(5), Some(file)));
         std::thread::sleep(Duration::from_millis(30));
         let records = hb.finish();
         assert!(!records.is_empty());
@@ -189,5 +167,19 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_heartbeat_write_ends_the_stream_not_the_sweep() {
+        // Every write to /dev/full fails with ENOSPC.
+        let Ok(full) = File::options().write(true).open("/dev/full") else {
+            return;
+        };
+        let tel = Arc::new(PoolTelemetry::new(1));
+        let hb = Heartbeat::start(tel, 3, config(Duration::from_millis(1), Some(full)));
+        std::thread::sleep(Duration::from_millis(10));
+        let records = hb.finish();
+        assert!(!records.is_empty(), "ticks are recorded past the failure");
+        assert_eq!(records.last().unwrap().total, 3);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! A job is a pure function of its `JobSpec`, so executing the same
 //! `ScenarioGrid` with 1 worker and with 4 workers must produce
-//! byte-identical sorted result records — regardless of which worker ran
-//! which job, in what order, or what got stolen.
+//! byte-identical sorted result records — regardless of which worker
+//! claimed which job, or in what order.
 
 use ups_netsim::prelude::Dur;
 use ups_sweep::{pool, runner, store, JobSpec, PoolStats, ScenarioGrid, TrafficMode};
@@ -226,7 +226,7 @@ fn workers_racing_for_a_calibration_summary_change_nothing() {
 
 #[test]
 fn repeated_parallel_runs_agree_too() {
-    // Same worker count twice: steal patterns may differ run to run, the
+    // Same worker count twice: claim order may differ run to run, the
     // records must not.
     let (a, _) = sorted_records(4);
     let (b, _) = sorted_records(4);
@@ -243,7 +243,7 @@ fn aggregate_artifact_from_parallel_run_validates() {
         pool::run_jobs(&jobs, 4, |_, spec| runner::run_job_shared(spec, &shared));
     let doc = store::bench_sweep_json(&grid, &records, &stats, t0.elapsed().as_secs_f64());
     let digest = store::validate_bench_sweep(&doc)
-        .expect("artifact conforms to ups-sweep/v4 with ups-sweep-record/v5 lines");
+        .expect("artifact conforms to ups-sweep/v5 with ups-sweep-record/v5 lines");
     assert_eq!(digest.jobs, 16);
     assert!(digest.jobs_per_sec > 0.0);
 }

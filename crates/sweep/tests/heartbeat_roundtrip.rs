@@ -2,15 +2,14 @@
 //! are *emitted* by `ups-obs` (hand-rolled JSON) and *parsed* by this
 //! crate's minimal parser — the pair must agree on every field,
 //! including the `eta_s: null` case. Then the same plumbing end to end:
-//! a real (tiny) sweep through `run_jobs_telemetry` + `Heartbeat`
+//! a real (tiny) sweep through `run_jobs_telemetry` with its heartbeat
 //! produces a run-level document that `validate_artifact` accepts.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use ups_obs::{HeartbeatRecord, WorkerRow};
 use ups_sweep::json::{parse, JsonValue};
-use ups_sweep::{pool, validate_artifact, Heartbeat, HeartbeatConfig, PoolTelemetry};
+use ups_sweep::{pool, validate_artifact, HeartbeatConfig};
 
 fn worker_back(v: &JsonValue) -> WorkerRow {
     let num = |f: &str| v.get(f).and_then(JsonValue::as_f64).expect(f);
@@ -19,8 +18,6 @@ fn worker_back(v: &JsonValue) -> WorkerRow {
         jobs: num("jobs") as u64,
         busy_s: num("busy_s"),
         utilization: num("utilization"),
-        steals: num("steals") as u64,
-        stolen_from: num("stolen_from") as u64,
     }
 }
 
@@ -61,16 +58,12 @@ fn heartbeat_record_round_trips_through_the_parser() {
                 jobs: 20,
                 busy_s: 1.75,
                 utilization: 0.875,
-                steals: 4,
-                stolen_from: 0,
             },
             WorkerRow {
                 worker: 1,
                 jobs: 17,
                 busy_s: 1.5,
                 utilization: 0.75,
-                steals: 0,
-                stolen_from: 4,
             },
         ],
     };
@@ -87,32 +80,27 @@ fn heartbeat_record_round_trips_through_the_parser() {
 #[test]
 fn live_sweep_timeseries_document_validates() {
     let jobs: Vec<u64> = (0..12).collect();
-    let telemetry = Arc::new(PoolTelemetry::new(pool::effective_workers(3, jobs.len())));
-    let hb = Heartbeat::start(
-        Arc::clone(&telemetry),
-        HeartbeatConfig {
-            total: jobs.len() as u64,
-            interval: Duration::from_millis(2),
-            progress: false,
-            jsonl: None,
-        },
-    );
+    let heartbeat = HeartbeatConfig {
+        interval: Duration::from_millis(2),
+        progress: false,
+        jsonl: None,
+    };
     let (results, stats) = pool::run_jobs_telemetry(
         &jobs,
         3,
-        Some(&telemetry),
         |i, _| format!("job {i}"),
+        Some(heartbeat),
         |_, &n| {
             std::thread::sleep(Duration::from_millis(1 + n % 3));
             n * 2
         },
     );
-    let ticks = hb.finish();
+    let ticks = &stats.ticks;
     assert_eq!(results.len(), jobs.len());
     assert!(!ticks.is_empty());
     assert_eq!(ticks.last().unwrap().done, jobs.len() as u64);
 
-    let doc = ups_obs::heartbeat::timeseries_json(&ticks, stats.workers, stats.steals, 0.05);
+    let doc = ups_obs::heartbeat::timeseries_json(ticks, stats.workers, 0.05);
     let line = validate_artifact(&doc).expect("live telemetry document validates");
     let want = format!(
         "{} heartbeat ticks over 0.05s, {} jobs on {} workers",

@@ -103,12 +103,11 @@ fn validator_required_fields_are_locked() {
     // name; each must be part of the locked emitter surface, or the
     // validator would reject what the emitters produce.
     let lock = lock();
-    let envelope = &lock["ups-sweep/v4"];
+    let envelope = &lock["ups-sweep/v5"];
     for field in [
         "schema",
         "grid",
         "workers",
-        "steals",
         "jobs",
         "wall_s",
         "jobs_per_sec",
@@ -116,7 +115,7 @@ fn validator_required_fields_are_locked() {
     ] {
         assert!(
             envelope.contains(field),
-            "ups-sweep/v4 lock misses required field {field}"
+            "ups-sweep/v5 lock misses required field {field}"
         );
     }
     let record = &lock["ups-sweep-record/v5"];

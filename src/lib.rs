@@ -22,7 +22,7 @@
 //! | [`forensics`] | replay-divergence attribution: mismatch taxonomy, per-hop blame, inversion classes |
 //! | [`metrics`] | CDFs, Jain index, FCT buckets, run summaries, table rendering |
 //! | [`obs`] | zero-cost-when-off probes, phase timers, time-series, Perfetto export |
-//! | [`sweep`] | parallel scenario-sweep engine: grids, work-stealing pool, result store |
+//! | [`sweep`] | parallel scenario-sweep engine: grids, job-cursor thread pool, result store |
 //! | [`lint`] | workspace determinism & schema-drift static analysis (`ups-lint`) |
 //!
 //! ## Quickstart

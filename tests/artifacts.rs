@@ -50,7 +50,7 @@ fn every_committed_artifact_validates() {
 #[test]
 fn only_the_current_version_of_a_tag_is_accepted() {
     let sweep = "BENCH_sweep.json";
-    rejects(sweep, "ups-sweep/v4", "ups-sweep/v3", "ups-sweep/v3");
+    rejects(sweep, "ups-sweep/v5", "ups-sweep/v4", "ups-sweep/v4");
     let (v5, v4) = ("ups-sweep-record/v5", "ups-sweep-record/v4");
     rejects(sweep, v5, v4, "$.results[0].schema \"ups-sweep-record/v4\"");
 }
