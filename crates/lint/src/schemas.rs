@@ -1,8 +1,8 @@
 //! The schema lockfile: `SCHEMAS.lock`.
 //!
-//! Every versioned artifact this workspace emits (`ups-sweep-record/v4`
-//! lines, `ups-sweep/v4` aggregates, the `ups-bench-*/v1` and
-//! `ups-obs-*/v1` documents) is built by hand-rolled JSON emitters, and
+//! Every versioned artifact this workspace emits (`ups-sweep-record/v5`
+//! lines, `ups-sweep/v5` aggregates, the `ups-bench-*/v1` documents and
+//! the `ups-obs-heartbeat/v2` and `ups-obs-timeseries/v2` streams) is built by hand-rolled JSON emitters, and
 //! validated by hand-maintained checkers. Those two can silently drift:
 //! PR 3/4/5 each had to bump `ups-sweep-record` *because a human
 //! noticed* the field surface changed. The lockfile makes the surface

@@ -61,6 +61,15 @@ fn cfg() -> Config {
     }
 }
 
+/// `cfg()` with atomic operations as decision points too: the job
+/// cursor and the telemetry cells are the pool's only shared state.
+fn atomics_cfg() -> Config {
+    Config {
+        preempt_atomics: true,
+        ..cfg()
+    }
+}
+
 /// One execution: the real pool over `jobs` trivial jobs, then checks
 /// 1–3. Panics (failing the execution) on a violation.
 fn check(pool: Pool) {
@@ -125,14 +134,19 @@ fn assert_complete(out: &Outcome) {
 
 /// Deadlock freedom, exactly-once and conservation on every
 /// interleaving within the bound.
+///
+/// The cursor is lock-free, so atomics are decision points here:
+/// without them only spawn, join and exit would branch, and the races
+/// between two workers each claiming and billing several jobs would go
+/// unexplored.
 #[test]
 fn dfs_pool_2_workers_4_jobs() {
-    let out = explore(&cfg(), || check(Pool::new(2, 4)));
+    let out = explore(&atomics_cfg(), || check(Pool::new(2, 4)));
     assert_complete(&out);
-    // The std shim runs each exploration once; the model must branch on
-    // the spawn/join decision points at least.
+    // The std shim runs each exploration once; under the model the
+    // claim/bill interleavings must branch well beyond that.
     assert!(
-        !cfg!(ups_race_model) || out.executions > 1,
+        !cfg!(ups_race_model) || out.executions > 10,
         "pool schedules must branch under the model (got {})",
         out.executions
     );
@@ -146,14 +160,16 @@ fn dfs_pool_3_workers_2_jobs() {
 
 /// Job 1 panics on every interleaving: the workers survive, the other
 /// jobs still run, the panic is re-raised naming job 1, and the
-/// panicking job still counts toward jobs/done.
+/// panicking job still counts toward jobs/done. Atomics are decision
+/// points, so the bill of the panicking job races the other worker's
+/// claims and bills on every interleaving within the bound.
 #[test]
 fn dfs_pool_panic_isolation() {
     let pool = Pool {
         panic_job: Some(1),
         ..Pool::new(2, 3)
     };
-    assert_complete(&explore(&cfg(), || check(pool)));
+    assert_complete(&explore(&atomics_cfg(), || check(pool)));
 }
 
 /// The heartbeat beside the pool: its final tick sees every job, on
@@ -177,11 +193,7 @@ fn dfs_pool_with_heartbeat() {
 /// interleave every which way and conservation must still hold.
 #[test]
 fn dfs_pool_preempt_atomics() {
-    let cfg = Config {
-        preempt_atomics: true,
-        ..cfg()
-    };
-    assert_complete(&explore(&cfg, || check(Pool::new(2, 2))));
+    assert_complete(&explore(&atomics_cfg(), || check(Pool::new(2, 2))));
 }
 
 /// Seeded random schedules over a config larger than DFS could
@@ -199,15 +211,11 @@ fn random_pool_3_workers_8_jobs() {
 /// preempted — the adversarial end of the config space.
 #[test]
 fn random_pool_panic_and_atomics() {
-    let cfg = Config {
-        preempt_atomics: true,
-        ..cfg()
-    };
     let pool = Pool {
         workers: 2,
         jobs: 6,
         panic_job: Some(3),
         heartbeat: true,
     };
-    explore_random(&cfg, 0xdead, RANDOM_SCHEDULES, || check(pool)).assert_pass();
+    explore_random(&atomics_cfg(), 0xdead, RANDOM_SCHEDULES, || check(pool)).assert_pass();
 }
