@@ -8,9 +8,9 @@
 //! * [`scenarios`] — the Table 1, Figure 1 and ablation job lists,
 //!   [`run_jobs`] (a list through the executor on the sweep pool), the
 //!   calibrated fat-tree workload of the `degradation` bench,
-//! * [`objectives`] — Figure 2's job ([`fct_job`]), and the two runners
-//!   that are not sweep jobs: Figure 3 (a uniform slack stamped on a UDP
-//!   train) and Figure 4 (an engineered flow placement),
+//! * [`objectives`] — Figure 2's and Figure 3's jobs ([`fct_job`],
+//!   [`tail_job`]) and the one runner that is not a sweep job: Figure 4
+//!   (an engineered flow placement),
 //! * [`scale`] — quick vs. paper-scale knobs (`UPS_SCALE`), and the
 //!   streaming pipeline with its resident ≡ streaming differential gate
 //!   (the `scale` bench and its CI smoke call the same function).
@@ -33,9 +33,7 @@ pub mod objectives;
 pub mod scale;
 pub mod scenarios;
 
-pub use objectives::{
-    fct_job, run_fairness_experiment, run_tail_experiment, FairnessScheme, TailResult,
-};
+pub use objectives::{fct_job, run_fairness_experiment, tail_delays, tail_job, FairnessScheme};
 pub use scale::{peak_rss_bytes, Scale};
 pub use scenarios::{
     fattree_throughput_workload, fig1_jobs, replay_job, run_jobs, table1_jobs, I2_DEFAULT,

@@ -3,13 +3,10 @@
 use ups_metrics::{jain_series, Cdf};
 use ups_netsim::prelude::{Dur, FlowId, PacketKind, RecordMode, SchedulerKind, SimTime};
 use ups_sweep::{JobSpec, TrafficMode};
-use ups_topology::{
-    build_simulator, i2_fairness, BuildOptions, Routing, SchedulerAssignment, Topology,
-};
+use ups_topology::{i2_fairness, BuildOptions, Routing, SchedulerAssignment, Topology};
 use ups_transport::{run_tcp, SlackPolicy, TcpConfig, TcpScenario};
-use ups_workload::{udp_packet_train, Empirical, PoissonWorkload, SizeDist};
 
-use crate::scenarios::replay_job;
+use crate::scenarios::{map_jobs, replay_job};
 
 /// One Figure 2 curve as a sweep job: closed-loop TCP web-search flows at
 /// 70% with 5 MB per router (§3.1) under `scheduler` — `FIFO`, `SRPT`,
@@ -26,60 +23,33 @@ pub fn fct_job(topology: &str, scheduler: &str, window: Dur, horizon: Dur, seed:
     }
 }
 
-/// Figure 3 result: the end-to-end delay distribution of data packets.
-pub struct TailResult {
-    /// Per-packet end-to-end delays in seconds.
-    pub delays: Cdf,
+/// One Figure 3 curve as a sweep job: open-loop web-search UDP at 70%
+/// under `scheduler` — `FIFO`, or `LSTF` with the constant slack of §3.2
+/// (≡ FIFO+). LSTF ranks by `slack + now + tx_time`, so a uniform slack
+/// shifts every rank equally and the job's zero slack serves the same
+/// schedule as any other constant. No replay: the figure reads the
+/// original run's delays ([`tail_delays`]).
+pub fn tail_job(topology: &str, scheduler: &str, window: Dur, seed: u64) -> JobSpec {
+    JobSpec {
+        replay: false,
+        ..replay_job(topology, 0.7, scheduler, window, seed)
+    }
 }
 
-/// Figure 3: open-loop UDP at 70% on the default topology; FIFO vs LSTF
-/// with a constant slack (≡ FIFO+). Identical workload in both runs.
-pub fn run_tail_experiment(
-    topo: &Topology,
-    lstf: bool,
-    utilization: f64,
-    window: Dur,
-    seed: u64,
-) -> TailResult {
-    let mut routing = Routing::new(topo);
-    let flows = PoissonWorkload::at_utilization(utilization, window, seed).generate(
-        topo,
-        &mut routing,
-        &Empirical::web_search() as &dyn SizeDist,
-    );
-    let mut packets = udp_packet_train(&flows, ups_workload::MTU);
-    if lstf {
-        for p in &mut packets {
-            p.header.slack = ups_core::tail_slack(); // §3.2: uniform slack
-        }
-    }
-    let kind = if lstf {
-        SchedulerKind::Lstf { preemptive: false }
-    } else {
-        SchedulerKind::Fifo
-    };
-    let mut sim = build_simulator(
-        topo,
-        &SchedulerAssignment::uniform(kind),
-        &BuildOptions {
-            record: RecordMode::EndToEnd,
-            ..BuildOptions::default()
-        },
-    );
-    for p in packets {
-        sim.inject(p);
-    }
-    sim.run();
-    let delays: Vec<f64> = sim
-        .trace()
-        .delivered()
-        .expect("EndToEnd traces are resident")
-        .filter(|(_, r)| r.kind == PacketKind::Data)
-        .map(|(_, r)| r.delay().expect("delivered").as_secs_f64())
-        .collect();
-    TailResult {
-        delays: Cdf::new(delays),
-    }
+/// Run `jobs` through the job body on the sweep pool and keep each
+/// original run's end-to-end data-packet delays, in seconds.
+pub fn tail_delays(jobs: &[JobSpec]) -> Vec<Cdf> {
+    map_jobs(jobs, RecordMode::EndToEnd, &[], |run| {
+        Cdf::new(
+            run.original
+                .stream()
+                .filter(|(_, r)| r.kind == PacketKind::Data)
+                .filter_map(|(_, r)| r.delay())
+                .map(Dur::as_secs_f64)
+                .collect(),
+        )
+    })
+    .0
 }
 
 /// Figure 4 scheme under test.
@@ -213,12 +183,10 @@ pub fn run_fairness_experiment(
         config: TcpConfig {
             // Short-RTT variant: the topology shrinks propagation 100x.
             rto_min: Dur::from_ms(2),
-            ..TcpConfig::default()
         },
         policy: scheme.policy(),
         horizon,
         max_packets: None,
-        goodput_bucket: Dur::from_ms(1),
     };
     let run = run_tcp(&scenario, &mut routing);
     let matrix = run.stats.goodput_matrix(&flow_ids);
@@ -230,14 +198,6 @@ mod tests {
     use super::*;
     use crate::scenarios::run_jobs;
     use ups_metrics::FIG2_BUCKETS;
-    use ups_topology::{internet2, Internet2Params};
-
-    fn small_i2() -> Topology {
-        internet2(Internet2Params {
-            edges_per_core: 2,
-            ..Internet2Params::default()
-        })
-    }
 
     #[test]
     fn fct_lstf_close_to_sjf_and_better_than_fifo() {
@@ -261,19 +221,19 @@ mod tests {
 
     #[test]
     fn tail_lstf_shrinks_the_tail_not_the_mean() {
-        let topo = small_i2();
         let window = Dur::from_ms(25);
-        let fifo = run_tail_experiment(&topo, false, 0.7, window, 5);
-        let lstf = run_tail_experiment(&topo, true, 0.7, window, 5);
-        assert!(fifo.delays.len() > 1000);
-        assert_eq!(fifo.delays.len(), lstf.delays.len(), "same workload");
-        let (f99, l99) = (fifo.delays.quantile(0.999), lstf.delays.quantile(0.999));
+        let jobs = ["FIFO", "LSTF"].map(|s| tail_job("I2:small", s, window, 5));
+        let delays = tail_delays(&jobs);
+        let (fifo, lstf) = (&delays[0], &delays[1]);
+        assert!(fifo.len() > 1000);
+        assert_eq!(fifo.len(), lstf.len(), "same workload");
+        let (f99, l99) = (fifo.quantile(0.999), lstf.quantile(0.999));
         assert!(
             l99 <= f99 * 1.02,
             "LSTF 99.9%ile {l99} must not exceed FIFO {f99}"
         );
         // Means comparable (within 15%).
-        let (fm, lm) = (fifo.delays.mean(), lstf.delays.mean());
+        let (fm, lm) = (fifo.mean(), lstf.mean());
         assert!((lm - fm).abs() / fm < 0.15, "means {lm} vs {fm}");
     }
 

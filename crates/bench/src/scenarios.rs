@@ -7,7 +7,7 @@ use ups_core::{HeaderInit, ReplayReport};
 use ups_metrics::RunSummary;
 use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind};
 use ups_sweep::pool::{self, PoolStats};
-use ups_sweep::runner::{execute, SharedScenarios};
+use ups_sweep::runner::{execute, JobRun, SharedScenarios};
 use ups_sweep::{JobSpec, TrafficMode};
 use ups_topology::{fattree, FatTreeParams, Topology};
 use ups_workload::{profile_by_name, CalibratedTrain};
@@ -134,14 +134,28 @@ pub fn run_jobs(
     record: RecordMode,
     ablations: &[(SchedulerKind, HeaderInit)],
 ) -> (Vec<(RunSummary, Vec<ReplayReport>)>, PoolStats) {
+    map_jobs(jobs, record, ablations, |run| {
+        let reports = run.replays.into_iter().map(|r| r.report).collect();
+        (run.summary, reports)
+    })
+}
+
+/// [`run_jobs`] keeping `keep(run)` of each job instead of its summary
+/// and reports; `keep` runs on the worker.
+pub(crate) fn map_jobs<T: Send>(
+    jobs: &[JobSpec],
+    record: RecordMode,
+    ablations: &[(SchedulerKind, HeaderInit)],
+    keep: impl Fn(JobRun) -> T + Sync,
+) -> (Vec<T>, PoolStats) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = env_u64("UPS_SWEEP_WORKERS", cores as u64) as usize;
     let shared = SharedScenarios::for_jobs(jobs);
     pool::run_jobs(jobs, workers, |_, spec| {
-        let run = execute(spec, &shared, record, ablations, None)
-            .unwrap_or_else(|e| panic!("unknown {e}"));
-        let reports = run.replays.into_iter().map(|r| r.report).collect();
-        (run.summary, reports)
+        keep(
+            execute(spec, &shared, record, ablations, None)
+                .unwrap_or_else(|e| panic!("unknown {e}")),
+        )
     })
 }
 

@@ -19,7 +19,7 @@ use ups_netsim::prelude::{
     Dur, Header, Packet, PacketId, PacketRecord, RecordMode, SchedulerKind, SimTime, Simulator,
     Trace,
 };
-use ups_obs::SimProbe;
+use ups_obs::SharedProbe;
 use ups_topology::{
     attach_tmin, build_simulator, tmin, BuildOptions, SchedulerAssignment, Topology,
 };
@@ -496,7 +496,7 @@ pub struct Replay<'a> {
     /// Lateness the comparison forgives (zero at paper scale).
     pub tolerance: Dur,
     /// Sampling probe for the replay run; observation only.
-    pub probe: Option<Box<dyn SimProbe>>,
+    pub probe: Option<SharedProbe>,
 }
 
 impl<'a> Replay<'a> {

@@ -1,4 +1,4 @@
-//! Jain's fairness index (Figure 4's metric, [17]).
+//! Jain's fairness index (Figure 4's metric, \[17\]).
 
 /// Jain's fairness index over per-flow allocations:
 /// `(Σx)² / (n · Σx²)`. 1.0 = perfectly fair, 1/n = maximally unfair.

@@ -83,5 +83,5 @@ pub mod prelude {
     pub use crate::trace::{
         DropCause, HopRecord, PacketRecord, RecordMode, RecordStream, Trace, TraceAccessError,
     };
-    pub use ups_obs::{SharedProbe, SimProbe, SimSample, TimeSeriesProbe};
+    pub use ups_obs::{SharedProbe, SimSample};
 }

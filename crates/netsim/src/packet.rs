@@ -2,7 +2,7 @@
 //!
 //! The paper's UPS model (§2.1) allows the scheduling header to be
 //! *initialized at the ingress* and *rewritten at every hop* (dynamic packet
-//! state, [31]). [`Header`] holds every field any scheduler in this
+//! state, \[31\]). [`Header`] holds every field any scheduler in this
 //! repository consults; schedulers read only the fields they own, so a
 //! single concrete type keeps the hot path monomorphic without a `dyn`
 //! header abstraction.
@@ -56,7 +56,7 @@ pub struct Header {
     /// the omniscient initialization of Appendix B. Index `i` matches the
     /// packet's `hop` when it sits at `path[i]`.
     pub omniscient: Option<Arc<[SimTime]>>,
-    /// Cumulative "excess waiting" state used by FIFO+ (§3.2, [11]):
+    /// Cumulative "excess waiting" state used by FIFO+ (§3.2, \[11\]):
     /// the sum over previous hops of (my queueing delay − mean queueing
     /// delay at that hop), in signed picoseconds.
     pub fifo_plus_offset: i64,
@@ -138,15 +138,6 @@ impl Packet {
     pub fn tmin_remaining(&self) -> Option<Dur> {
         self.tmin_rem.as_ref().map(|t| t[self.hop as usize])
     }
-}
-
-/// Everything needed to inject one packet into a simulation. The same
-/// injection list drives the original run and the replay run (§2.3); only
-/// the header initialization differs.
-#[derive(Debug, Clone)]
-pub struct Injection {
-    /// The packet to inject. `injected_at` is the injection time.
-    pub packet: Packet,
 }
 
 /// Builder for packets so tests and transports don't have to spell out

@@ -7,7 +7,7 @@ use crate::id::FlowId;
 use crate::queue::{PortCtx, QueuedPacket, Scheduler};
 use crate::time::SimTime;
 
-/// Deficit round robin [27]: O(1) byte-fair scheduling with per-flow
+/// Deficit round robin \[27\]: O(1) byte-fair scheduling with per-flow
 /// queues, a round-robin active list and per-flow deficit counters.
 ///
 /// Not used in any headline experiment, but the paper's introduction calls
@@ -118,7 +118,7 @@ impl Scheduler for Drr {
     }
 
     /// Evict the newest packet of the longest (in bytes) flow queue —
-    /// "longest queue drop", the buffer policy suggested for DRR in [27].
+    /// "longest queue drop", the buffer policy suggested for DRR in \[27\].
     fn select_drop(&mut self) -> Option<QueuedPacket> {
         let (&flow, _) = self.flows.iter().max_by_key(|(flow, q)| {
             (

@@ -6,7 +6,7 @@ use crate::packet::Packet;
 use crate::queue::{PortCtx, QueuedPacket};
 use crate::time::SimTime;
 
-/// FIFO+ from Clark–Shenker–Zhang [11] (§3.2): each hop measures the mean
+/// FIFO+ from Clark–Shenker–Zhang \[11\] (§3.2): each hop measures the mean
 /// queueing delay it imposes; a packet accumulates `(its delay − mean
 /// delay)` into a header offset, and downstream hops serve packets in
 /// order of *expected* arrival time — actual arrival minus accumulated

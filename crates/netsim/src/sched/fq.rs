@@ -9,7 +9,7 @@ use crate::packet::Packet;
 use crate::queue::{PortCtx, QueuedPacket};
 use crate::time::SimTime;
 
-/// Packet-level fair queueing in the spirit of Demers–Keshav–Shenker [12],
+/// Packet-level fair queueing in the spirit of Demers–Keshav–Shenker \[12\],
 /// realized with start-time fair queueing (SFQ) virtual tags: each flow's
 /// packet gets a start tag `S = max(v, F_flow)` and finish tag
 /// `F_flow = S + size`, where the virtual time `v` is the start tag of the

@@ -70,14 +70,14 @@ pub enum SchedulerKind {
     /// Shortest job first: priority = flow size (§3.1).
     Sjf,
     /// Shortest remaining processing time with pFabric-style starvation
-    /// prevention (§3.1, [3]).
+    /// prevention (§3.1, \[3\]).
     Srpt,
     /// Start-time fair queueing approximation of bit-by-bit round robin
-    /// fair queueing [12].
+    /// fair queueing \[12\].
     Fq,
-    /// Deficit round robin [27].
+    /// Deficit round robin \[27\].
     Drr,
-    /// FIFO+ [11]: FIFO reordered by upstream queueing excess (§3.2).
+    /// FIFO+ \[11\]: FIFO reordered by upstream queueing excess (§3.2).
     FifoPlus,
     /// Least slack time first (§2.2) — the near-universal replay scheduler.
     Lstf {

@@ -11,7 +11,7 @@ use crate::time::SimTime;
 /// distinction from [`Srpt`](super::Srpt), whose rank shrinks as the flow
 /// drains.
 ///
-/// Under heavy-tailed workloads SJF is near-optimal for mean FCT [3], which
+/// Under heavy-tailed workloads SJF is near-optimal for mean FCT \[3\], which
 /// is why Figure 2 uses it (with SRPT) as the benchmark LSTF must match.
 pub type Sjf = RankQueue<SjfRank>;
 

@@ -8,7 +8,7 @@ use crate::queue::{PortCtx, QueuedPacket, Scheduler};
 use crate::time::SimTime;
 
 /// SRPT as used for Figure 2's benchmark, with the starvation-prevention
-/// rule of pFabric [3] quoted in the paper's footnote 8: *"the router
+/// rule of pFabric \[3\] quoted in the paper's footnote 8: *"the router
 /// always schedules the earliest arriving packet of the flow which contains
 /// the highest priority packet"*.
 ///

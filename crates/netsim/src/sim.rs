@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use ups_obs::{Counter, Phase, SimProbe, SimSample};
+use ups_obs::{Counter, Phase, SharedProbe, SimSample};
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
@@ -169,9 +169,9 @@ pub struct Simulator {
     next_packet_id: u64,
     dead_link_policy: DeadLinkPolicy,
     oracle: Option<Box<dyn RerouteOracle>>,
-    probe: Option<Box<dyn SimProbe>>,
-    /// Cached `probe.sample_interval_ps()` so the per-event check never
-    /// touches the boxed probe.
+    probe: Option<SharedProbe>,
+    /// Cached `probe.interval_ps()` so a tick never takes the probe's
+    /// lock twice.
     probe_interval_ps: u64,
     /// Virtual time of the next sample tick; `u64::MAX` with no probe
     /// attached, so the per-event check is one always-false compare.
@@ -198,16 +198,12 @@ impl Simulator {
         }
     }
 
-    /// Attach a sampled observer (see [`ups_obs::SimProbe`]). The probe
-    /// is driven on its own virtual-time interval and only ever *reads*
+    /// Attach a sampler (see [`ups_obs::SharedProbe`]). The probe is
+    /// driven on its own virtual-time interval and only ever *reads*
     /// aggregate state — attaching one cannot change the schedule, which
     /// the `obs_determinism` test pins.
-    ///
-    /// # Panics
-    /// If the probe reports a zero sampling interval.
-    pub fn set_probe(&mut self, probe: Box<dyn SimProbe>) {
-        let interval = probe.sample_interval_ps();
-        assert!(interval > 0, "probe sampling interval must be positive");
+    pub fn set_probe(&mut self, probe: SharedProbe) {
+        let interval = probe.interval_ps();
         self.probe_interval_ps = interval;
         self.next_sample_ps = self.now().as_ps().saturating_add(interval);
         self.probe = Some(probe);
@@ -465,13 +461,12 @@ impl Simulator {
         true
     }
 
-    /// Drive the attached probe for one tick: one `on_port_depth` per
-    /// port in deterministic (node, port) order, then the aggregate
-    /// [`SimSample`]. Out of line — this runs once per sample interval,
-    /// not per event.
+    /// Record one [`SimSample`] on the attached probe, folding every
+    /// port into the queue totals. Out of line — this runs once per
+    /// sample interval, not per event.
     #[cold]
     fn sample(&mut self, now: SimTime) {
-        let Some(probe) = self.probe.as_mut() else {
+        let Some(probe) = self.probe.as_ref() else {
             return;
         };
         let mut queued_packets = 0u64;
@@ -479,15 +474,13 @@ impl Simulator {
         let mut max_port_depth = 0u64;
         for node in &self.nodes {
             for port in &node.ports {
-                let depth = port.queue_len() as u32;
-                let bytes = port.queued_bytes();
-                probe.on_port_depth(depth, bytes);
-                queued_packets += depth as u64;
-                queued_bytes += bytes;
-                max_port_depth = max_port_depth.max(depth as u64);
+                let depth = port.queue_len() as u64;
+                queued_packets += depth;
+                queued_bytes += port.queued_bytes();
+                max_port_depth = max_port_depth.max(depth);
             }
         }
-        probe.on_sample(&SimSample {
+        probe.record(SimSample {
             t_ps: now.as_ps(),
             in_flight: self.arena.live() as u64,
             pending_events: self.events.len() as u64,
@@ -1082,7 +1075,7 @@ mod tests {
             let mut sim = line_network(2, SchedulerKind::Lstf { preemptive: false });
             let shared = ups_obs::SharedProbe::new(12_000_000); // 12 µs: one tx time
             if probed {
-                sim.set_probe(shared.attachment());
+                sim.set_probe(shared.clone());
             }
             for i in 0..20 {
                 sim.inject(pkt_on(&[0, 1], i, SimTime::ZERO));
@@ -1096,10 +1089,10 @@ mod tests {
         assert_eq!(trace_off, trace_on, "probe must not alter the schedule");
         let series = shared.take_series();
         assert!(!series.rows.is_empty(), "20 tx × 12us crosses ticks");
-        assert!(series.rows[0].sample.queued_packets > 0);
+        assert!(series.rows[0].queued_packets > 0);
         // Ticks advance in virtual time and never repeat.
         for w in series.rows.windows(2) {
-            assert!(w[1].sample.t_ps > w[0].sample.t_ps);
+            assert!(w[1].t_ps > w[0].t_ps);
         }
     }
 

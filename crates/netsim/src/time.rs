@@ -82,12 +82,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` if `earlier` is in fact later than `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<Dur> {
-        self.0.checked_sub(earlier.0).map(Dur)
-    }
 }
 
 impl Dur {
@@ -269,13 +263,6 @@ impl Bandwidth {
         let ps = (bits * PS_PER_SEC as u128).div_ceil(self.0 as u128);
         Dur(ps as u64)
     }
-
-    /// How many bytes this link serializes in `d` (rounded down). Used by
-    /// workload calibration, not by the event loop.
-    #[inline]
-    pub fn bytes_in(self, d: Dur) -> u64 {
-        ((d.0 as u128 * self.0 as u128) / (8 * PS_PER_SEC as u128)) as u64
-    }
 }
 
 impl fmt::Display for Bandwidth {
@@ -307,8 +294,6 @@ mod tests {
         assert_eq!(t, SimTime::from_us(12));
         assert_eq!(t - SimTime::from_us(2), Dur::from_us(10));
         assert_eq!(t.saturating_since(SimTime::from_us(20)), Dur::ZERO);
-        assert_eq!(t.checked_since(SimTime::from_us(20)), None);
-        assert_eq!(t.checked_since(SimTime::from_us(2)), Some(Dur::from_us(10)));
     }
 
     #[test]
@@ -356,13 +341,6 @@ mod tests {
             };
             assert_eq!(bw.tx_time(bytes), bw.tx_time_wide(bytes), "{bw:?} {bytes}");
         }
-    }
-
-    #[test]
-    fn bytes_in_inverts_tx_time() {
-        let bw = Bandwidth::from_gbps(1);
-        assert_eq!(bw.bytes_in(bw.tx_time(1500)), 1500);
-        assert_eq!(bw.bytes_in(Dur::from_secs(1)), 125_000_000);
     }
 
     #[test]

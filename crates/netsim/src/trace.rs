@@ -12,7 +12,7 @@
 //! * **Streaming** ([`RecordMode::Streaming`]): in-flight records live in a
 //!   small open map; each finalized record (delivered or dropped) is
 //!   appended to a chunked log whose oldest chunks spill to a temp file
-//!   (see [`crate::spill`]) — memory `O(in-flight + ring)`, independent of
+//!   (see `crate::spill`) — memory `O(in-flight + ring)`, independent of
 //!   how many packets the run injects.
 //!
 //! Both layouts expose [`Trace::stream`], which yields every record in

@@ -11,12 +11,11 @@
 //!    short-circuits on one relaxed atomic load and a branch that always
 //!    predicts the same way while the gate is off — the disabled path
 //!    costs no allocation, no syscall, no lock, no clock read.
-//! 2. **The [`SimProbe`] trait** and its standard [`TimeSeriesProbe`]
-//!    implementation: a sampled recorder the simulator drives on a
-//!    configurable *virtual-time* interval — per-port queue depth and
-//!    occupancy, packets in flight, event-list load — accumulated
-//!    into [`ups_metrics::QuantileSketch`]es plus an explicit row per
-//!    sample for export.
+//! 2. **The sampler** ([`SharedProbe`]): a cloneable handle the
+//!    simulator drives on a configurable *virtual-time* interval,
+//!    recording one [`SimSample`] row per tick — packets in flight,
+//!    event-list load, queued packets and bytes, deepest port queue —
+//!    into a [`TimeSeries`] for export.
 //! 3. **The exporter**: a chrome://tracing-compatible trace-event JSON
 //!    writer ([`trace_event_json_with_markers`]) whose output opens
 //!    directly in Perfetto.
@@ -44,7 +43,5 @@ pub use gate::{
     Phase, PhaseTimer,
 };
 pub use heartbeat::{HeartbeatRecord, WorkerRow, HEARTBEAT_SCHEMA, TIMESERIES_SCHEMA};
-pub use probe::{
-    describe_probes, SeriesRow, SharedProbe, SimProbe, SimSample, TimeSeries, TimeSeriesProbe,
-};
+pub use probe::{describe_probes, SharedProbe, SimSample, TimeSeries};
 pub use trace_event::{trace_event_json_with_markers, InstantMarker};

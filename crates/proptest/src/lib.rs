@@ -236,7 +236,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -266,7 +266,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

@@ -18,7 +18,7 @@
 //!    findings. Under `--cfg ups_race_model` (the loom idiom) the same
 //!    names resolve to the model backend instead.
 //!
-//! 2. **The model** ([`model`] / [`explore`]): `Mutex` / atomic /
+//! 2. **The model** ([`model`] / [`explore`](mod@explore)): `Mutex` / atomic /
 //!    thread twins whose every operation is a *scheduling decision*
 //!    owned by a controlled scheduler, and an explorer that drives a
 //!    closure-under-test across interleavings — exhaustive

@@ -28,7 +28,7 @@
 //! and never costs preemption budget.
 //!
 //! Aborting an execution (deadlock found, budget exceeded) unwinds the
-//! running thread with [`AbortMarker`] while it holds the scheduler
+//! running thread with `AbortMarker` while it holds the scheduler
 //! lock, so every runtime lock is poison-tolerant by construction and
 //! the recorded state stays readable afterwards.
 //!

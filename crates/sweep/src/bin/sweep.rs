@@ -351,7 +351,7 @@ fn list_registries() {
     for m in ups_netsim::prelude::RecordMode::ALL {
         println!("  {:<18} {}", m.name(), m.describe());
     }
-    println!("observability probes (ups-obs gate; sampled via Simulator::set_probe):");
+    println!("observability gate (ups-obs counters and phase timers; off unless enabled):");
     for (name, desc) in ups_obs::describe_probes() {
         println!("  {name:<26} {desc}");
     }

@@ -139,14 +139,8 @@ pub fn explain_job(
         SharedProbe::new((spec.window.as_ps() / 512).max(1_000_000))
     });
     // Per-hop recording on both sides: the whole point of the re-run.
-    let mut run = execute(
-        spec,
-        shared,
-        RecordMode::PerHop,
-        &[],
-        probe.as_ref().map(SharedProbe::attachment),
-    )
-    .map_err(|e| format!("bad {e}"))?;
+    let mut run = execute(spec, shared, RecordMode::PerHop, &[], probe.clone())
+        .map_err(|e| format!("bad {e}"))?;
     let Some(ReplayRun {
         flavor,
         report,

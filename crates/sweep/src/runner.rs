@@ -38,9 +38,9 @@ use ups_metrics::{
     TransportSummary, FIG2_BUCKETS,
 };
 use ups_netsim::prelude::{
-    DeadLinkPolicy, Dur, MapperKind, Packet, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
+    DeadLinkPolicy, MapperKind, Packet, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
 };
-use ups_obs::SimProbe;
+use ups_obs::SharedProbe;
 use ups_topology::{
     topology_by_name, BuildOptions, Routing, RoutingCore, SchedulerAssignment, Topology,
 };
@@ -236,7 +236,7 @@ pub fn execute(
     shared: &SharedScenarios,
     record: RecordMode,
     ablations: &[(SchedulerKind, HeaderInit)],
-    mut probe: Option<Box<dyn SimProbe>>,
+    mut probe: Option<SharedProbe>,
 ) -> Result<JobRun, String> {
     let (topo, routing_core) = shared.get(&spec.topology);
     let topo = &*topo;
@@ -351,7 +351,6 @@ pub fn execute(
                     policy: slack_policy_for(&spec.scheduler, spec.rest_bps),
                     horizon: spec.horizon.expect("closed-loop jobs carry a horizon"),
                     max_packets: spec.max_packets.map(|n| n as u64),
-                    goodput_bucket: Dur::from_ms(1),
                 },
                 &mut routing,
             );

@@ -14,7 +14,7 @@
 //! its `schema` tag and returns a one-line confirmation or an error naming
 //! the offending field. One version of each tag is accepted — the one a
 //! committed artifact or a CI step produces. Validators read fields through
-//! one cursor ([`Cur`]), leaving each a field list plus its cross-field rules.
+//! one cursor (`Cur`), leaving each a field list plus its cross-field rules.
 
 use std::fmt::Debug;
 use std::fs::File;

@@ -1,5 +1,5 @@
 //! Full-bisection-bandwidth k-ary fat-tree (the pFabric datacenter
-//! topology of Table 1's last row, [3]).
+//! topology of Table 1's last row, \[3\]).
 
 use ups_netsim::prelude::{Bandwidth, Dur, NodeId};
 

@@ -1,12 +1,12 @@
 //! The simplified Internet2 topology of the paper's evaluation (§2.3).
 //!
 //! "We use a simplified Internet-2 topology, identical to the one used in
-//! [21] (consisting of 10 routers and 16 links in the core). We connect
+//! \[21\] (consisting of 10 routers and 16 links in the core). We connect
 //! each core router to 10 edge routers using 1Gbps links and each edge
 //! router is attached to an end host via a 10Gbps link."
 //!
 //! The core is an Abilene-like 10-city backbone with geographically
-//! plausible propagation delays (the exact link map of [21] is not
+//! plausible propagation delays (the exact link map of \[21\] is not
 //! published; hop counts per packet land in the paper's 4–7 range —
 //! asserted by tests). Core links default to 10 Gbps — the real
 //! Internet2 backbone rate — which is what gives the evaluation its
@@ -45,7 +45,7 @@ pub struct Internet2Params {
     pub host_prop: Dur,
     /// Edge ↔ core propagation delay.
     pub edge_prop: Dur,
-    /// Divide the geographic core delays by this (Figure 4 "reduce[s] the
+    /// Divide the geographic core delays by this (Figure 4 "reduce\[s\] the
     /// propagation delay to make the experiment more scalable").
     pub core_prop_divisor: u64,
 }

@@ -2,12 +2,12 @@
 //!
 //! Every topology the paper's evaluation touches:
 //!
-//! * [`internet2`] — the simplified 10-router/16-link Internet2 backbone
+//! * [`internet2`](mod@internet2) — the simplified 10-router/16-link Internet2 backbone
 //!   with the three bandwidth variants of Table 1 and the Figure 4
 //!   fairness variant,
-//! * [`rocketfuel`] — a seeded 83-router/131-link ISP-like backbone
+//! * [`rocketfuel`](mod@rocketfuel) — a seeded 83-router/131-link ISP-like backbone
 //!   (substitution for the unredistributable RocketFuel map; DESIGN.md §4),
-//! * [`fattree`] — the full-bisection datacenter fat-tree of pFabric,
+//! * [`fattree`](mod@fattree) — the full-bisection datacenter fat-tree of pFabric,
 //! * [`micro`] — chains, dumbbells and the exact counterexample networks
 //!   of Appendix C (Fig. 5), F (Fig. 6) and G.3 (Fig. 7),
 //!

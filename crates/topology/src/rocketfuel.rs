@@ -1,7 +1,7 @@
 //! A RocketFuel-like ISP backbone (Table 1 row 4).
 //!
 //! The paper uses "a bigger Rocketfuel topology (with 83 routers and 131
-//! links in the core)" measured by [29]. Raw RocketFuel maps are not
+//! links in the core)" measured by \[29\]. Raw RocketFuel maps are not
 //! redistributable, so this module synthesizes a **seeded, deterministic**
 //! graph with exactly 83 core routers and 131 core links via preferential
 //! attachment — reproducing the two properties the evaluation actually

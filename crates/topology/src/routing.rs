@@ -285,7 +285,7 @@ impl Routing {
 /// admits, or `None` when the surviving graph disconnects them — the
 /// primitive behind the dynamics layer's per-epoch failover routing.
 /// With an all-true filter this returns exactly [`Routing::path`]'s
-/// answer (same BFS, same [`walk_back`] tie-break).
+/// answer (same BFS, same `walk_back` tie-break).
 pub fn shortest_path_avoiding(
     topo: &Topology,
     src: NodeId,

@@ -36,9 +36,11 @@ pub struct TcpScenario<'a> {
     /// the closed-loop analogue of the sweep engine's `max_packets`
     /// smoke-grid cap.
     pub max_packets: Option<u64>,
-    /// Goodput bucket width for [`TransportStats`] (Figure 4 uses 1 ms).
-    pub goodput_bucket: Dur,
 }
+
+/// Goodput bucket width of every closed-loop run's [`TransportStats`]
+/// (Figure 4's per-millisecond throughput).
+const GOODPUT_BUCKET: Dur = Dur::from_ms(1);
 
 /// What a closed-loop run produced.
 pub struct TcpRun {
@@ -56,7 +58,7 @@ pub struct TcpRun {
 /// all-pairs BFS tables and path cache warm for the ack reverse paths.
 pub fn run_tcp(scenario: &TcpScenario<'_>, routing: &mut Routing) -> TcpRun {
     let mut sim = build_simulator(scenario.topo, scenario.assign, &scenario.opts);
-    let stats = TransportStats::new(scenario.goodput_bucket);
+    let stats = TransportStats::new(GOODPUT_BUCKET);
     install_tcp(
         &mut sim,
         scenario.topo,
@@ -129,7 +131,6 @@ mod tests {
                 policy: SlackPolicy::None,
                 horizon: Dur::from_secs(5),
                 max_packets: None,
-                goodput_bucket: Dur::from_ms(1),
             },
             &mut routing,
         );
@@ -160,7 +161,6 @@ mod tests {
                     policy: SlackPolicy::None,
                     horizon: Dur::from_secs(5),
                     max_packets: Some(50),
-                    goodput_bucket: Dur::from_ms(1),
                 },
                 &mut routing,
             )
@@ -195,7 +195,6 @@ mod tests {
                     policy: SlackPolicy::None,
                     horizon: Dur::from_ms(9), // mid-flight: events remain queued
                     max_packets: cap,
-                    goodput_bucket: Dur::from_ms(1),
                 },
                 &mut routing,
             )

@@ -32,31 +32,28 @@ use ups_workload::FlowSpec;
 
 use crate::stats::{FlowCompletion, TransportStats};
 
+/// Segment size in bytes (on-wire packet size; the paper's MTU).
+const MSS: u32 = ups_workload::MTU;
+/// Ack packet size in bytes.
+const ACK_SIZE: u32 = 40;
+/// Initial congestion window in segments.
+const INIT_CWND_SEGMENTS: u32 = 10;
+/// Upper bound for the RTO after backoff.
+const RTO_MAX: Dur = Dur::from_secs(4);
+
 /// Transport-level tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Segment size in bytes (on-wire packet size; the paper's MTU).
-    pub mss: u32,
-    /// Ack packet size.
-    pub ack_size: u32,
-    /// Initial congestion window in segments.
-    pub init_cwnd_segments: u32,
     /// Lower bound for the retransmission timeout. Sim-scale default
     /// (10 ms) rather than RFC 6298's 1 s — the experiments simulate
     /// fractions of a second.
     pub rto_min: Dur,
-    /// Upper bound for the RTO after backoff.
-    pub rto_max: Dur,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1500,
-            ack_size: 40,
-            init_cwnd_segments: 10,
             rto_min: Dur::from_ms(10),
-            rto_max: Dur::from_secs(4),
         }
     }
 }
@@ -139,7 +136,7 @@ struct TcpReceiver {
 }
 
 impl TcpSender {
-    fn new(spec: &FlowSpec, config: &TcpConfig) -> Self {
+    fn new(spec: &FlowSpec) -> Self {
         TcpSender {
             flow: spec.id,
             size: spec.size,
@@ -147,7 +144,7 @@ impl TcpSender {
             path: spec.path.clone(),
             next_seq: 0,
             acked: 0,
-            cwnd: (config.init_cwnd_segments * config.mss) as f64,
+            cwnd: (INIT_CWND_SEGMENTS * MSS) as f64,
             ssthresh: f64::MAX,
             dupacks: 0,
             send_times: BTreeMap::new(),
@@ -172,7 +169,7 @@ impl TcpSender {
         self.size != u64::MAX && self.acked >= self.size
     }
 
-    fn rtt_sample(&mut self, sample: Dur, config: &TcpConfig) {
+    fn rtt_sample(&mut self, sample: Dur, rto_min: Dur) {
         match self.srtt {
             None => {
                 self.srtt = Some(sample);
@@ -190,7 +187,7 @@ impl TcpSender {
         }
         let candidate = self.srtt.expect("just set")
             + Dur::from_ps((4 * self.rttvar.as_ps()).max(Dur::from_ms(1).as_ps()));
-        self.rto = candidate.clamp(config.rto_min, config.rto_max);
+        self.rto = candidate.clamp(rto_min, RTO_MAX);
     }
 }
 
@@ -248,7 +245,7 @@ impl TcpHost {
             if remaining_bytes == 0 {
                 return;
             }
-            let len = remaining_bytes.min(self.config.mss as u64) as u32;
+            let len = remaining_bytes.min(MSS as u64) as u32;
             if s.inflight() + len as u64 > s.cwnd as u64 {
                 return;
             }
@@ -292,7 +289,7 @@ impl TcpHost {
     }
 
     fn on_ack(&mut self, idx: usize, ack: u64, api: &mut SimApi<'_>) {
-        let config = self.config;
+        let rto_min = self.config.rto_min;
         let s = &mut self.senders[idx];
         if s.done() {
             return;
@@ -307,7 +304,7 @@ impl TcpHost {
                 let (sent, retx) = s.send_times.remove(&seq).expect("key exists");
                 if !retx {
                     let sample = now.saturating_since(sent);
-                    s.rtt_sample(sample, &config);
+                    s.rtt_sample(sample, rto_min);
                 }
             }
             let newly = ack - s.acked;
@@ -320,7 +317,7 @@ impl TcpHost {
             if s.cwnd < s.ssthresh {
                 s.cwnd += newly as f64;
             } else {
-                s.cwnd += (config.mss as f64) * (newly as f64) / s.cwnd;
+                s.cwnd += (MSS as f64) * (newly as f64) / s.cwnd;
             }
             if s.acked >= s.recovery_until {
                 s.recovery_until = 0;
@@ -341,7 +338,7 @@ impl TcpHost {
             if s.dupacks == 3 && s.acked >= s.recovery_until {
                 // Fast retransmit + simplified recovery.
                 let inflight = s.inflight() as f64;
-                s.ssthresh = (inflight / 2.0).max(2.0 * config.mss as f64);
+                s.ssthresh = (inflight / 2.0).max(2.0 * MSS as f64);
                 s.cwnd = s.ssthresh;
                 s.recovery_until = s.next_seq;
                 let seq = s.acked;
@@ -358,7 +355,7 @@ impl TcpHost {
         } else {
             s.size.saturating_sub(seq)
         };
-        remaining.min(self.config.mss as u64) as u32
+        remaining.min(MSS as u64) as u32
     }
 
     fn pump_next_done(&mut self, _idx: usize) {
@@ -367,7 +364,6 @@ impl TcpHost {
     }
 
     fn on_rto_timer(&mut self, idx: usize, api: &mut SimApi<'_>) {
-        let config = self.config;
         let s = &mut self.senders[idx];
         s.timer_armed = false;
         let Some(deadline) = s.rto_deadline else {
@@ -390,9 +386,9 @@ impl TcpHost {
         self.stats.record_timeout(s.flow);
         let s = &mut self.senders[idx];
         let inflight = s.inflight() as f64;
-        s.ssthresh = (inflight / 2.0).max(2.0 * config.mss as f64);
-        s.cwnd = config.mss as f64;
-        s.rto = Dur::from_ps((s.rto.as_ps() * 2).min(config.rto_max.as_ps()));
+        s.ssthresh = (inflight / 2.0).max(2.0 * MSS as f64);
+        s.cwnd = MSS as f64;
+        s.rto = Dur::from_ps((s.rto.as_ps() * 2).min(RTO_MAX.as_ps()));
         s.dupacks = 0;
         s.recovery_until = 0;
         s.next_seq = s.acked;
@@ -401,7 +397,6 @@ impl TcpHost {
     }
 
     fn on_data(&mut self, pkt: &Packet, api: &mut SimApi<'_>) {
-        let config = self.config;
         let Some(r) = self.receivers.get_mut(&pkt.flow) else {
             return; // stray packet (e.g. after test teardown)
         };
@@ -441,16 +436,10 @@ impl TcpHost {
         // Cumulative ack; acks carry the ack number in `seq` and are
         // maximally urgent (zero slack) so transport control never starves.
         let id = api.alloc_packet_id();
-        let ack = PacketBuilder::new(
-            id,
-            r.flow,
-            config.ack_size,
-            r.reverse_path.clone(),
-            api.now(),
-        )
-        .seq(r.expected)
-        .ack()
-        .build();
+        let ack = PacketBuilder::new(id, r.flow, ACK_SIZE, r.reverse_path.clone(), api.now())
+            .seq(r.expected)
+            .ack()
+            .build();
         api.inject(ack);
     }
 }
@@ -527,7 +516,7 @@ pub fn install_tcp(
         host_entry(&mut hosts, f.dst);
         let sender_host = hosts.get_mut(&f.src).expect("just inserted");
         let idx = sender_host.senders.len();
-        sender_host.senders.push(TcpSender::new(f, &config));
+        sender_host.senders.push(TcpSender::new(f));
         sender_host.sender_index.insert(f.id, idx);
         let reverse_path = routing.path(f.dst, f.src);
         let recv_host = hosts.get_mut(&f.dst).expect("just inserted");

@@ -33,7 +33,6 @@ fn run(topo: &Topology, kind: SchedulerKind, policy: SlackPolicy, seed: u64) -> 
         policy,
         horizon: Dur::from_secs(6),
         max_packets: None,
-        goodput_bucket: Dur::from_ms(1),
     };
     let run = run_tcp(&scenario, &mut routing);
     run.stats

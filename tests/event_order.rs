@@ -185,12 +185,10 @@ fn tcp_run() -> TcpRun {
             flows: &flows,
             config: TcpConfig {
                 rto_min: Dur::from_secs(3),
-                ..TcpConfig::default()
             },
             policy: SlackPolicy::None,
             horizon: Dur::from_secs(30),
             max_packets: None,
-            goodput_bucket: Dur::from_ms(1),
         },
         &mut routing,
     )

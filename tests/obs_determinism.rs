@@ -100,7 +100,7 @@ fn streaming_spill_run_is_identical_with_probes_on() {
         );
         if let Some(p) = probe {
             // 50 µs virtual sampling: hundreds of rows over a 3 ms window.
-            sim.set_probe(p.attachment());
+            sim.set_probe(p.clone());
         }
         for p in packets.iter().cloned() {
             sim.inject(p);
@@ -127,6 +127,7 @@ fn streaming_spill_run_is_identical_with_probes_on() {
     );
     let series = probe.take_series();
     assert!(!series.rows.is_empty(), "probe never sampled");
+    assert!(series.rows.windows(2).all(|w| w[1].t_ps > w[0].t_ps));
     // The spill path really ran while observed.
     assert!(
         gate.counter(Counter::SpillChunksSealed) > 0,
