@@ -28,13 +28,12 @@
 //! The gate is process-global. That is the point for single-run
 //! profiling (one simulator, one report); under a multi-worker sweep the
 //! counters aggregate across all concurrently-running simulations, so
-//! sweep-level telemetry uses the per-worker accounting in
-//! `ups-sweep::pool` instead.
+//! sweep-level telemetry (the per-worker accounting and its heartbeat
+//! records) lives with the pool in `ups-sweep` instead.
 
 #![forbid(unsafe_code)]
 
 pub mod gate;
-pub mod heartbeat;
 pub mod probe;
 pub mod trace_event;
 
@@ -42,6 +41,5 @@ pub use gate::{
     count, count_max, disable, enable, enabled, reset, snapshot, timer, Counter, ObsSnapshot,
     Phase, PhaseTimer,
 };
-pub use heartbeat::{HeartbeatRecord, WorkerRow, HEARTBEAT_SCHEMA, TIMESERIES_SCHEMA};
 pub use probe::{describe_probes, SharedProbe, SimSample, TimeSeries};
 pub use trace_event::{trace_event_json_with_markers, InstantMarker};

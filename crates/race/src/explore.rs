@@ -29,7 +29,7 @@
 //! runs of the same suite explore identical executions in identical
 //! order.
 
-use crate::model::{Decision, Exec, RunResult, RuntimeConfig, Script, SplitMix64};
+use crate::model::{Decision, Exec, RunResult, Script, SplitMix64};
 
 /// Explorer + runtime configuration.
 #[derive(Debug, Clone)]
@@ -44,10 +44,6 @@ pub struct Config {
     /// Decision points per execution before the run fails as a
     /// livelock.
     pub max_steps: usize,
-    /// Times each thread's `park_timeout` may fire by scheduler choice
-    /// while others could run (forced fires when nothing else is
-    /// schedulable are always allowed and free).
-    pub max_timeout_fires: usize,
     /// Make atomic operations decision points too. Off by default:
     /// this workspace's atomics are monotone counters whose final
     /// values are interleaving-independent, and modeling them inflates
@@ -65,19 +61,8 @@ impl Default for Config {
             preemption_bound: 2,
             max_executions: 1_000_000,
             max_steps: 20_000,
-            max_timeout_fires: 2,
             preempt_atomics: false,
             resume_from: None,
-        }
-    }
-}
-
-impl Config {
-    fn runtime(&self) -> RuntimeConfig {
-        RuntimeConfig {
-            max_steps: self.max_steps,
-            max_timeout_fires: self.max_timeout_fires,
-            preempt_atomics: self.preempt_atomics,
         }
     }
 }
@@ -236,7 +221,7 @@ fn allowed_alts(d: &Decision, bound: usize) -> Vec<usize> {
 }
 
 fn run_once(cfg: &Config, script: Script, f: &(dyn Fn() + Sync)) -> RunResult {
-    Exec::run(cfg.runtime(), script, f)
+    Exec::run(cfg, script, f)
 }
 
 fn failure_of(run: RunResult) -> Option<Failure> {

@@ -4,8 +4,8 @@
 //!
 //! The sweep engine's correctness claims (cross-worker byte-identical
 //! records, telemetry conservation, the heartbeat's guaranteed
-//! completion tick) rest on a hand-rolled pool and a set of relaxed
-//! atomic counters. Before this crate, those claims were
+//! completion tick) rest on a hand-rolled pool, a set of relaxed
+//! atomic counters and the one lock its heartbeat ticks take. Before this crate, those claims were
 //! only as strong as "the tests passed under this machine's scheduler".
 //! `ups-race` closes that gap with two pieces:
 //!
@@ -28,8 +28,9 @@
 //!
 //! The checks on the code that ships live with it:
 //! `crates/sweep/tests/pool_model.rs` runs the real
-//! `ups_sweep::pool::run_jobs_telemetry` and the heartbeat it runs,
-//! compiled against the model, under the explorer (DESIGN.md §14).
+//! `ups_sweep::pool::run_jobs_telemetry` and the heartbeat ticks its
+//! workers take, compiled against the model, under the explorer
+//! (DESIGN.md §14).
 //!
 //! **What the model does and does not check.** The scheduler owns every
 //! context switch, so all interleavings of *operations* (up to the
@@ -37,9 +38,9 @@
 //! would need days of load to hit. It does **not** simulate weak-memory
 //! reordering: model atomics are sequentially consistent between
 //! scheduling points. That is the right fidelity for this workspace —
-//! every atomic here is a monotone counter or a flag whose protocol is
-//! mutex/park-based, a property `ups-lint`'s `atomic-ordering` rule
-//! (Relaxed-only) independently enforces.
+//! every atomic here is a monotone counter or a flag, and whatever must
+//! be read consistently is read under a mutex, a property `ups-lint`'s
+//! `atomic-ordering` rule (Relaxed-only) independently enforces.
 
 #![forbid(unsafe_code)]
 

@@ -4,28 +4,18 @@
 //! Modeled code runs on real OS threads, but only **one modeled thread
 //! executes at a time**: each holds a token granted by the runtime, and
 //! every operation on a model primitive ([`sync::Mutex`],
-//! [`sync::atomic`], [`thread::spawn`], [`thread::scope`],
-//! park/unpark/join) first reaches a *decision point* where the
-//! scheduler picks which thread performs the next operation. Between
-//! decision points a thread runs ordinary sequential Rust, so an
-//! execution is a pure function of the decision sequence — which is
-//! what makes schedules recordable, replayable and enumerable.
+//! [`sync::atomic`], [`thread::spawn`], [`thread::scope`], join) first
+//! reaches a *decision point* where the scheduler picks which thread
+//! performs the next operation. Between decision points a thread runs
+//! ordinary sequential Rust, so an execution is a pure function of the
+//! decision sequence — which is what makes schedules recordable,
+//! replayable and enumerable.
 //!
 //! Blocking is modeled, not real: a thread that would block (contended
-//! lock, park, join on a live thread) parks itself in the runtime and
-//! the scheduler must pick someone else. If no thread can run while
-//! some are still unfinished, that is a **deadlock** and the execution
-//! fails with its schedule attached.
-//!
-//! `park_timeout` gets special treatment so heartbeat-style loops stay
-//! explorable without livelocking the explorer: a timed-parked thread
-//! is a schedulable candidate ("the timeout fires now") a bounded
-//! number of times per thread ([`RuntimeConfig::max_timeout_fires`]);
-//! past the budget it only wakes by `unpark` — unless *nothing else*
-//! can run, in which case the oldest timed-parked thread is force-fired
-//! (real time would pass), which never counts as a deadlock. Firing a
-//! timeout is always an *alternative*, never the default continuation,
-//! and never costs preemption budget.
+//! lock, join on a live thread) waits in the runtime and the scheduler
+//! must pick someone else. If no thread can run while some are still
+//! unfinished, that is a **deadlock** and the execution fails with its
+//! schedule attached.
 //!
 //! Aborting an execution (deadlock found, budget exceeded) unwinds the
 //! running thread with `AbortMarker` while it holds the scheduler
@@ -42,34 +32,12 @@ pub mod thread;
 use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdGuard, PoisonError};
 
+use crate::explore::Config;
+
 /// Marker payload used to unwind modeled threads when an execution
 /// aborts (deadlock found, budget exceeded). Filtered by the panic
 /// hook, never reported as a thread panic.
 pub(crate) struct AbortMarker;
-
-/// Runtime knobs copied from the explorer's `Config` into each
-/// execution.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// Abort the execution after this many decision points (livelock
-    /// guard; surfaced as a failure, never silently).
-    pub max_steps: usize,
-    /// Times each thread's `park_timeout` may fire without an `unpark`
-    /// while other threads could still run.
-    pub max_timeout_fires: usize,
-    /// Whether atomic operations are decision points.
-    pub preempt_atomics: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            max_steps: 20_000,
-            max_timeout_fires: 2,
-            preempt_atomics: false,
-        }
-    }
-}
 
 /// How the scheduler resolves decision points.
 pub(crate) enum Script {
@@ -92,8 +60,7 @@ pub(crate) struct Decision {
     /// Whether `current` could simply have continued (if so, choosing
     /// another candidate is a *preemption*). False at blocking
     /// decisions — switching away from a blocked thread is forced and
-    /// free, even when the blocked thread is itself a wake-by-timeout
-    /// candidate.
+    /// free.
     pub current_enabled: bool,
     /// Preemptions already spent strictly before this decision.
     pub preemptions_before: usize,
@@ -116,17 +83,11 @@ enum TState {
     BlockedMutex(usize),
     /// Blocked joining this tid.
     BlockedJoin(usize),
-    /// In `park_timeout`: woken by `unpark` or by the timeout firing.
-    Parked,
     Finished,
 }
 
 struct Slot {
     state: TState,
-    /// Pending `unpark` token (std semantics: at most one).
-    token: bool,
-    /// Remaining voluntary timeout fires for `park_timeout`.
-    timeout_budget: usize,
     /// Panic message if the thread's closure panicked.
     panic: Option<String>,
     /// Whether a `join` consumed that panic (it becomes the joiner's
@@ -146,7 +107,10 @@ struct ExecState {
     script: Script,
     script_pos: usize,
     preemptions: usize,
-    cfg: RuntimeConfig,
+    /// [`Config::max_steps`].
+    max_steps: usize,
+    /// [`Config::preempt_atomics`].
+    preempt_atomics: bool,
 }
 
 /// One execution's shared runtime. Modeled threads hold an `Arc` to it
@@ -203,7 +167,7 @@ impl Exec {
     /// Run `f` as the root modeled thread (tid 0) under `script`,
     /// driving every spawned thread to completion, and report the
     /// recorded schedule plus any failure.
-    pub(crate) fn run(cfg: RuntimeConfig, script: Script, f: &(dyn Fn() + Sync)) -> RunResult {
+    pub(crate) fn run(cfg: &Config, script: Script, f: &(dyn Fn() + Sync)) -> RunResult {
         install_abort_filter();
         let exec = Arc::new(Exec {
             state: StdMutex::new(ExecState {
@@ -216,7 +180,8 @@ impl Exec {
                 script,
                 script_pos: 0,
                 preemptions: 0,
-                cfg,
+                max_steps: cfg.max_steps,
+                preempt_atomics: cfg.preempt_atomics,
             }),
             cv: Condvar::new(),
         });
@@ -280,11 +245,8 @@ impl Exec {
     pub(crate) fn register_thread(&self) -> usize {
         let mut st = self.lock_state();
         let tid = st.threads.len();
-        let timeout_budget = st.cfg.max_timeout_fires;
         st.threads.push(Slot {
             state: TState::Runnable,
-            token: false,
-            timeout_budget,
             panic: None,
             panic_consumed: false,
         });
@@ -308,7 +270,6 @@ impl Exec {
         let chosen = self.decide(&mut st, tid, true);
         if chosen != tid {
             st.running = Some(chosen);
-            self.wake_if_parked(&mut st, chosen);
             self.cv.notify_all();
             self.wait_for_turn(st, tid);
         }
@@ -316,21 +277,15 @@ impl Exec {
 
     /// A blocking decision point: `tid` transitions to `blocked` and
     /// someone else runs. Returns once `tid` is runnable *and*
-    /// scheduled again (for a timed park, possibly immediately: the
-    /// scheduler may elect to fire the timeout on the spot).
+    /// scheduled again.
     fn block_point(&self, tid: usize, blocked: TState) {
         let mut st = self.lock_state();
         self.abort_check(&st);
         debug_assert_eq!(st.running, Some(tid));
         st.threads[tid].state = blocked;
         let chosen = self.decide(&mut st, tid, false);
-        if chosen == tid {
-            self.wake_if_parked(&mut st, tid);
-            debug_assert_eq!(st.threads[tid].state, TState::Runnable);
-            return;
-        }
+        debug_assert_ne!(chosen, tid, "a blocked thread cannot be scheduled");
         st.running = Some(chosen);
-        self.wake_if_parked(&mut st, chosen);
         self.cv.notify_all();
         self.wait_for_turn(st, tid);
     }
@@ -351,60 +306,29 @@ impl Exec {
         }
     }
 
-    /// If the scheduler picked a parked thread, that *is* its wakeup:
-    /// a pending unpark token is consumed, otherwise the timeout fires
-    /// and spends budget.
-    fn wake_if_parked(&self, st: &mut ExecState, tid: usize) {
-        let slot = &mut st.threads[tid];
-        if slot.state == TState::Parked {
-            if slot.token {
-                slot.token = false;
-            } else {
-                slot.timeout_budget = slot.timeout_budget.saturating_sub(1);
-            }
-            slot.state = TState::Runnable;
-        }
-    }
-
     /// The scheduler: record a decision point and pick the next tid.
     /// `may_continue` is false at blocking decisions — there the
-    /// switch is forced, costs no preemption budget, and `current` is
-    /// never the default even if it is a wake-by-timeout candidate.
+    /// switch is forced and costs no preemption budget.
     fn decide(&self, st: &mut ExecState, current: usize, may_continue: bool) -> usize {
-        if st.schedule.len() >= st.cfg.max_steps {
-            let max = st.cfg.max_steps;
+        if st.schedule.len() >= st.max_steps {
+            let max = st.max_steps;
             self.fail(
                 st,
                 format!("step budget exceeded ({max} decision points) — livelock or runaway loop"),
             );
         }
-        let mut enabled: Vec<usize> = Vec::new();
-        for (tid, slot) in st.threads.iter().enumerate() {
-            let ok = match slot.state {
-                TState::Runnable => true,
-                TState::Parked => slot.token || slot.timeout_budget > 0,
-                _ => false,
-            };
-            if ok {
-                enabled.push(tid);
-            }
-        }
+        let enabled: Vec<usize> = (0..st.threads.len())
+            .filter(|&tid| st.threads[tid].state == TState::Runnable)
+            .collect();
         if enabled.is_empty() {
-            // Past-budget timed parks are still wakeable by real time;
-            // force-fire the lowest tid before calling it a deadlock.
-            if let Some(tid) = st.threads.iter().position(|t| t.state == TState::Parked) {
-                st.threads[tid].state = TState::Runnable;
-                enabled.push(tid);
-            } else {
-                let held: Vec<String> = st
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.state != TState::Finished)
-                    .map(|(tid, t)| format!("thread {tid} {}", describe_state(&t.state)))
-                    .collect();
-                self.fail(st, format!("deadlock: {}", held.join(", ")));
-            }
+            let held: Vec<String> = st
+                .threads
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.state != TState::Finished)
+                .map(|(tid, t)| format!("thread {tid} {}", describe_state(&t.state)))
+                .collect();
+            self.fail(st, format!("deadlock: {}", held.join(", ")));
         }
         let current_enabled = may_continue && enabled.contains(&current);
         let chosen = if st.script_pos < fixed_len(&st.script) {
@@ -482,7 +406,6 @@ impl Exec {
         if let Ok(chosen) = handoff {
             debug_assert_ne!(chosen, tid, "finished thread cannot be scheduled");
             st.running = Some(chosen);
-            self.wake_if_parked(&mut st, chosen);
         }
         self.cv.notify_all();
     }
@@ -494,7 +417,7 @@ impl Exec {
         let preempt = {
             let st = self.lock_state();
             self.abort_check(&st);
-            st.cfg.preempt_atomics
+            st.preempt_atomics
         };
         if preempt {
             self.yield_point(tid);
@@ -528,34 +451,6 @@ impl Exec {
             return;
         }
         self.yield_point(tid);
-    }
-
-    /// `park_timeout`.
-    pub(crate) fn park(&self, tid: usize) {
-        {
-            let mut st = self.lock_state();
-            self.abort_check(&st);
-            if st.threads[tid].token {
-                st.threads[tid].token = false;
-                drop(st);
-                self.yield_point(tid);
-                return;
-            }
-        }
-        self.block_point(tid, TState::Parked);
-    }
-
-    /// `unpark(target)`: deposit the token; a parked target becomes
-    /// runnable (it consumes the token on wake).
-    pub(crate) fn unpark(&self, tid: usize, target: usize) {
-        self.yield_point(tid);
-        let mut st = self.lock_state();
-        self.abort_check(&st);
-        match st.threads[target].state {
-            TState::Parked => st.threads[target].state = TState::Runnable,
-            TState::Finished => {}
-            _ => st.threads[target].token = true,
-        }
     }
 
     /// `join(target)`: block until it finishes; marks its panic (if
@@ -596,7 +491,6 @@ fn describe_state(s: &TState) -> String {
         TState::Runnable => "runnable (scheduler invariant violated)".into(),
         TState::BlockedMutex(_) => "blocked on a mutex".into(),
         TState::BlockedJoin(t) => format!("blocked joining thread {t}"),
-        TState::Parked => "parked with timeout".into(),
         TState::Finished => "finished".into(),
     }
 }

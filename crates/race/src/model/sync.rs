@@ -99,7 +99,7 @@ pub mod atomic {
     pub use std::sync::atomic::Ordering;
 
     /// Model `AtomicU64`: operations optionally interleave
-    /// ([`crate::model::RuntimeConfig::preempt_atomics`]). The cell
+    /// ([`crate::Config::preempt_atomics`]). The cell
     /// itself uses the requested ordering on a std atomic; since only
     /// one modeled thread runs at a time and the scheduler handoff is a
     /// mutex (a happens-before edge), `Relaxed` here is as strong as

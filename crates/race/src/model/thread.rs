@@ -1,11 +1,8 @@
-//! Model threads: spawn/scope/join/park/unpark as scheduling decisions.
+//! Model threads: spawn/scope/join/yield as scheduling decisions.
 //!
 //! Spawned closures run on real OS threads, but each waits for the
 //! scheduler's token before executing anything, so creation order and
-//! OS scheduling never leak into an execution. `park_timeout` ignores
-//! the duration — in the model, "the timeout fires" is a scheduling
-//! *choice* (budgeted per thread), not a clock event; see the runtime
-//! docs for the forced-fire rule that keeps heartbeat loops live.
+//! OS scheduling never leak into an execution.
 //!
 //! Scoped threads run on the OS threads of a real `std::thread::scope`,
 //! which joins them before returning. Those threads only make progress
@@ -17,7 +14,6 @@ use super::{enter_thread, panic_message, with_ctx, AbortMarker};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex as StdMutex, PoisonError};
-use std::time::Duration;
 
 /// Nothing to model: the host's answer, as in std.
 pub use std::thread::available_parallelism;
@@ -27,32 +23,15 @@ type ResultSlot<T> = Arc<StdMutex<Option<std::thread::Result<T>>>>;
 
 /// Handle to a model thread, mirroring `std::thread::JoinHandle`.
 pub struct JoinHandle<T> {
-    thread: Thread,
+    tid: usize,
     result: ResultSlot<T>,
 }
 
-/// Mirror of `std::thread::Thread` — just enough to `unpark`.
-#[derive(Debug, Clone)]
-pub struct Thread {
-    tid: usize,
-}
-
-impl Thread {
-    pub fn unpark(&self) {
-        let target = self.tid;
-        with_ctx(|exec, tid| exec.unpark(tid, target));
-    }
-}
-
 impl<T> JoinHandle<T> {
-    pub fn thread(&self) -> &Thread {
-        &self.thread
-    }
-
     /// Block until the thread finishes; a panic in its closure comes
     /// back as `Err(payload)`, exactly like `std::thread`.
     pub fn join(self) -> std::thread::Result<T> {
-        let target = self.thread.tid;
+        let target = self.tid;
         with_ctx(|exec, tid| exec.join(tid, target));
         self.result
             .lock()
@@ -94,10 +73,7 @@ where
 /// run the child before the parent's next operation.
 fn started<T>(tid: usize, result: ResultSlot<T>) -> JoinHandle<T> {
     with_ctx(|exec, me| exec.yield_point(me));
-    JoinHandle {
-        thread: Thread { tid },
-        result,
-    }
+    JoinHandle { tid, result }
 }
 
 fn os_thread(tid: usize) -> std::thread::Builder {
@@ -202,12 +178,6 @@ fn join_children(scope: &Scope<'_, '_>) -> bool {
         panicked |= with_ctx(|exec, me| exec.join(me, child));
     }
     panicked
-}
-
-/// Model `park_timeout`: the duration is ignored; waking by timeout is
-/// a budgeted scheduling choice.
-pub fn park_timeout(_dur: Duration) {
-    with_ctx(|exec, tid| exec.park(tid));
 }
 
 /// Model `yield_now`: a plain decision point.

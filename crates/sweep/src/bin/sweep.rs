@@ -27,9 +27,10 @@ use std::fs::File;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ups_netsim::prelude::Dur;
+use ups_sweep::telemetry::timeseries_json;
 use ups_sweep::{
     bench_sweep_json, explain_job, grid::is_original_scheduler, pool, runner, validate_artifact,
     validate_bench_sweep, Exclude, HeartbeatConfig, JobSpec, ResultStream, ScenarioGrid,
@@ -103,11 +104,14 @@ EXECUTION & OUTPUT:
   --workers N         worker threads (default: min(cores, 8))
   --out PATH          aggregate artifact (default BENCH_sweep.json)
   --jsonl PATH        streamed records (default sweep_results.jsonl)
-  --telemetry BASE    write sweep telemetry: one heartbeat JSON line per
-                      second to BASE.heartbeat.jsonl (done/total, jobs/sec,
-                      ETA, per-worker jobs and utilization)
-                      plus the run-level BASE.timeseries.json artifact,
-                      schema-checked by --validate like any BENCH_*.json
+  --telemetry BASE    write sweep telemetry: one heartbeat JSON line to
+                      BASE.heartbeat.jsonl (done/total, jobs/sec, ETA,
+                      per-worker jobs and utilization) at the first job
+                      completion, then at completions at least a second
+                      apart, then once at the end — no line while every
+                      worker is still inside a job — plus the run-level
+                      BASE.timeseries.json artifact, schema-checked by
+                      --validate like any BENCH_*.json
   --check             validate the artifact after writing
   --quiet             suppress per-job lines and the throttled stderr
                       `# progress` heartbeat (telemetry files still write)
@@ -567,10 +571,9 @@ fn main() -> ExitCode {
     // read-only across workers, instead of one per job.
     let shared = runner::SharedScenarios::for_jobs(&jobs);
     let shared_ref = &shared;
-    // The heartbeat reads the pool's counters once a second; it observes
-    // the pool but never feeds back into job execution.
+    // The heartbeat ticks as jobs finish, at most once a second; it
+    // observes the pool but never feeds back into job execution.
     let heartbeat = HeartbeatConfig {
-        interval: Duration::from_secs(1),
         progress: !quiet,
         jsonl: heartbeat_jsonl,
     };
@@ -645,7 +648,7 @@ fn main() -> ExitCode {
     );
     if let Some(base) = &args.telemetry {
         let ts_path = with_suffix(base, ".timeseries.json");
-        let ts_doc = ups_obs::heartbeat::timeseries_json(&stats.ticks, stats.workers, wall_s);
+        let ts_doc = timeseries_json(&stats.ticks, stats.workers, wall_s);
         if let Err(e) = std::fs::write(&ts_path, &ts_doc) {
             eprintln!("sweep: cannot write {}: {e}", ts_path.display());
             return ExitCode::FAILURE;

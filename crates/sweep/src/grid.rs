@@ -378,6 +378,9 @@ pub enum GridError {
     UnknownTopology(String),
     /// A profile name not in the registry.
     UnknownProfile(String),
+    /// A utilization a profile cannot generate flows at; carries the
+    /// workload's reason.
+    BadUtilization(String),
     /// A scheduler label `SchedulerKind::from_name` rejects (or one that
     /// cannot run as an *original* schedule, like `Omniscient`).
     UnknownScheduler(String),
@@ -423,6 +426,7 @@ impl std::fmt::Display for GridError {
                 "unknown workload profile {n:?} (known: {})",
                 ups_workload::profile_names().join(", ")
             ),
+            GridError::BadUtilization(msg) => write!(f, "bad --utils value: {msg}"),
             GridError::UnknownScheduler(n) => {
                 write!(f, "unknown or non-original scheduler {n:?}")
             }
@@ -498,8 +502,13 @@ impl ScenarioGrid {
             }
         }
         for p in &self.profiles {
-            if ups_workload::profile_by_name(p).is_none() {
+            let Some(profile) = ups_workload::profile_by_name(p) else {
                 return Err(GridError::UnknownProfile(p.clone()));
+            };
+            for &util in &self.utilizations {
+                profile
+                    .check_utilization(util)
+                    .map_err(GridError::BadUtilization)?;
             }
         }
         for s in &self.schedulers {
@@ -1030,6 +1039,28 @@ mod tests {
             g.expand(),
             Err(GridError::UnknownTraffic("half-open".into()))
         );
+    }
+
+    #[test]
+    fn utilizations_a_profile_cannot_generate_are_rejected() {
+        // The Poisson calibration panicked on the first three in every
+        // job; long-lived flows turned NaN into two flows. Long-lived
+        // profiles scale a flow count, so 2.0 is fine for them.
+        for (profile, util, ok) in [
+            ("web-search", 2.0, false),
+            ("web-search", 0.0, false),
+            ("fixed-mtu", f64::NAN, false),
+            ("long-lived", f64::NAN, false),
+            ("long-lived", 2.0, true),
+        ] {
+            let mut g = tiny();
+            (g.profiles, g.traffic) = (vec![profile.into()], vec!["closed-loop".into()]);
+            g.utilizations = vec![0.7, util];
+            match g.expand() {
+                Err(e @ GridError::BadUtilization(_)) => assert!(!ok, "{e}"),
+                other => assert!(ok && other.is_ok(), "{profile} at {util}: {other:?}"),
+            }
+        }
     }
 
     #[test]

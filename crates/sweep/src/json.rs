@@ -60,11 +60,17 @@ impl JsonValue {
     }
 }
 
-/// Parse a complete JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The reader
+/// recurses once per level, so the cap bounds its stack; the deepest
+/// committed artifact nests 7 levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parse a complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting arrays and objects deeper than 64 levels.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let b = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -92,11 +98,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// One value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::String(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -154,12 +165,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign, as in `\u+041`.
+                        let code = b
                             .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|h| {
+                                u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
+                            })
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
                         // Surrogate pairs don't appear in our artifacts;
                         // map lone surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -184,7 +198,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// An array at nesting level `depth`.
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -193,7 +208,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -206,7 +221,8 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// An object at nesting level `depth`.
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut m = BTreeMap::new();
     skip_ws(b, pos);
@@ -219,7 +235,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         m.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -313,6 +329,44 @@ mod tests {
     fn unicode_and_escapes() {
         let v = parse(r#""café → naïve""#).unwrap();
         assert_eq!(v.as_str(), Some("café → naïve"));
+        let escaped = ["\"", "\\", "u0041", "\\", "u00E9", "\""].concat();
+        assert_eq!(parse(&escaped).unwrap().as_str(), Some("A\u{e9}"));
+        // Exactly four hex digits: no sign, no short or non-ASCII run.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04""#, r#""\u00é""#] {
+            let err = parse(bad).expect_err(bad);
+            assert_eq!(err, "bad \\u escape at byte 2", "{bad}");
+        }
+    }
+
+    /// `depth` arrays around `inner`.
+    fn nested(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        parse(&nested(MAX_DEPTH, "1")).expect("64 levels are allowed");
+        let err = parse(&nested(MAX_DEPTH + 1, "1")).expect_err("one level too many");
+        assert_eq!(err, "nesting deeper than 64 levels at byte 64");
+        // The shape that used to overflow the stack and abort the process.
+        let deep = format!(r#"{{"schema":{}}}"#, nested(100_000, ""));
+        let err = parse(&deep).expect_err("100,000 levels");
+        assert!(err.contains("at byte 73"), "{err}");
+        let err = parse(&r#"{"a":"#.repeat(100_000)).expect_err("objects too");
+        assert!(err.starts_with("nesting deeper"), "{err}");
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, mostly JSON punctuation so that the reader
+        /// gets deep into nesting, strings and escapes: `Ok` or `Err`,
+        /// never a panic.
+        #[test]
+        fn arbitrary_bytes_return_rather_than_panic(bytes in proptest::collection::vec(
+            proptest::prop_oneof![proptest::sample::select(b"{}[]:,\"\\u0-.eE+ tfn"), 0u8..=255],
+            0..96,
+        )) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     /// Whether parsing `large` — `small` doubled — takes under three times

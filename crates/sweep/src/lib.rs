@@ -74,4 +74,4 @@ pub use store::{
     bench_sweep_json, validate_artifact, validate_bench_sweep, ResultStream, SweepDigest,
     SWEEP_SCHEMA,
 };
-pub use telemetry::HeartbeatConfig;
+pub use telemetry::{HeartbeatConfig, HeartbeatRecord, WorkerRow};

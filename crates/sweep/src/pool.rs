@@ -5,7 +5,8 @@
 //! each worker claims the next job index with one `fetch_add` on a shared
 //! cursor until the cursor passes the last job. Whichever worker goes
 //! idle first takes the next job, so a slow job never holds others back
-//! behind it, and no lock is ever taken.
+//! behind it. The only lock is the heartbeat's, taken once per finished
+//! job and only when a heartbeat is configured.
 //!
 //! Determinism: jobs are pure functions of their [`JobSpec`] and results
 //! are returned indexed by job id, so worker count and claim order affect
@@ -15,12 +16,11 @@
 //! [`JobSpec`]: crate::grid::JobSpec
 
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 use std::time::Instant;
-use ups_obs::{HeartbeatRecord, WorkerRow};
 use ups_race::sync::atomic::{AtomicU64, Ordering};
+use ups_race::sync::{Mutex, PoisonError};
 
-use crate::telemetry::{Heartbeat, HeartbeatConfig};
+use crate::telemetry::{HeartbeatConfig, HeartbeatRecord, Ticker, WorkerRow};
 
 /// Aggregate pool accounting for the sweep report.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,18 +47,18 @@ struct Cells {
 }
 
 /// Live, shared pool accounting: per-worker relaxed-atomic cells plus a
-/// global done-jobs counter. Workers update it as they go; the heartbeat
-/// thread reads it concurrently. Values are monotone, so a mid-run read
-/// is a consistent lower bound even though cells are read without
-/// synchronization.
+/// global done-jobs counter. Workers update it as they go, and a heartbeat
+/// tick reads it while other workers still run. Values are monotone, so a
+/// mid-run read is a consistent lower bound even though cells are read
+/// without synchronization.
 #[derive(Debug)]
-pub(crate) struct PoolTelemetry {
+struct PoolTelemetry {
     cells: Vec<Cells>,
     done: AtomicU64,
 }
 
 impl PoolTelemetry {
-    pub(crate) fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         PoolTelemetry {
             cells: (0..workers).map(|_| Cells::default()).collect(),
             done: AtomicU64::new(0),
@@ -66,12 +66,17 @@ impl PoolTelemetry {
     }
 
     /// Jobs finished so far, across all workers.
-    pub(crate) fn done(&self) -> u64 {
+    fn done(&self) -> u64 {
         self.done.load(Ordering::Relaxed)
     }
 
+    /// The heartbeat tick for a sweep of `total` jobs, `t_s` seconds in.
+    fn tick(&self, total: u64, t_s: f64) -> HeartbeatRecord {
+        HeartbeatRecord::at(t_s, self.done(), total, self.rows(t_s))
+    }
+
     /// Every worker row, utilization taken over `t_s` elapsed seconds.
-    pub(crate) fn rows(&self, t_s: f64) -> Vec<WorkerRow> {
+    fn rows(&self, t_s: f64) -> Vec<WorkerRow> {
         self.cells
             .iter()
             .enumerate()
@@ -127,10 +132,11 @@ where
 /// When job *i* panics, the re-raised collector panic reads
 /// `"sweep job {i} ({label}) panicked: {original message}"` instead of a
 /// bogus bookkeeping error, so the failing scenario is identifiable from
-/// the report alone. With `heartbeat`, a background thread reports
-/// progress and per-worker utilization while the sweep runs; the pool
-/// starts it, stops it before returning or re-raising, and hands back
-/// its ticks in [`PoolStats::ticks`].
+/// the report alone. With `heartbeat`, the worker that finishes a job
+/// takes a progress tick — on the first completion, then at most one a
+/// second — and the pool takes a completion tick after the last join;
+/// every tick comes back in [`PoolStats::ticks`]. No tick is taken
+/// between completions.
 ///
 /// # Panics
 /// Besides re-raising a job panic: if the accounting loses a job — the
@@ -152,11 +158,11 @@ where
     // Never spawn a worker with nothing to claim.
     let workers = workers.clamp(1, jobs.len().max(1));
     let total = jobs.len() as u64;
-    let tel = Arc::new(PoolTelemetry::new(workers));
-    let heartbeat = heartbeat.map(|config| Heartbeat::start(Arc::clone(&tel), total, config));
+    let tel = PoolTelemetry::new(workers);
+    let ticker = heartbeat.map(|config| Mutex::new(Ticker::new(config)));
     let cursor = AtomicU64::new(0);
-    // lint:allow(wall-clock): utilization denominator of the per-worker
-    // rows only; jobs never read it.
+    // lint:allow(wall-clock): the one clock of the per-worker rows and
+    // the heartbeat ticks; jobs never read it.
     let t0 = Instant::now();
 
     let mut slots: Vec<Option<Result<R, String>>> =
@@ -164,7 +170,7 @@ where
     ups_race::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let (cursor, tel, f) = (&cursor, &tel, &f);
+                let (cursor, tel, ticker, f) = (&cursor, &tel, &ticker, &f);
                 scope.spawn(move || {
                     let mut done: Vec<(usize, Result<R, String>)> = Vec::new();
                     loop {
@@ -181,14 +187,21 @@ where
                         // so a panicking job counts like any other.
                         // lint:allow(wall-clock): worker busy-time
                         // telemetry only; jobs never read it.
-                        let t0 = Instant::now();
+                        let start = Instant::now();
                         let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &jobs[i])))
                             .map_err(|payload| panic_message(payload.as_ref()));
                         let cells = &tel.cells[w];
-                        let busy_ns = t0.elapsed().as_nanos() as u64;
+                        let busy_ns = start.elapsed().as_nanos() as u64;
                         cells.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
                         cells.jobs.fetch_add(1, Ordering::Relaxed);
                         tel.done.fetch_add(1, Ordering::Relaxed);
+                        if let Some(ticker) = ticker {
+                            // Read under the lock (ticks stay monotone) on
+                            // every completion (the model checker's
+                            // decision points never depend on the clock).
+                            let mut ticker = ticker.lock().unwrap_or_else(PoisonError::into_inner);
+                            ticker.completed(tel.tick(total, t0.elapsed().as_secs_f64()));
+                        }
                         done.push((i, r));
                     }
                 })
@@ -201,8 +214,12 @@ where
             }
         }
     });
-    let per_worker = tel.rows(t0.elapsed().as_secs_f64());
-    let ticks = heartbeat.map_or_else(Vec::new, Heartbeat::finish);
+    let t_s = t0.elapsed().as_secs_f64();
+    let per_worker = tel.rows(t_s);
+    let ticks = ticker.map_or_else(Vec::new, |ticker| {
+        let mut ticker = ticker.lock().unwrap_or_else(PoisonError::into_inner);
+        ticker.finish(tel.tick(total, t_s))
+    });
 
     let billed: u64 = per_worker.iter().map(|w| w.jobs).sum();
     let (done, last_tick) = (tel.done(), ticks.last().map(|t| t.done));
@@ -328,7 +345,6 @@ mod tests {
         // full-size regression test on real threads.
         let jobs: Vec<usize> = (0..30).collect();
         let heartbeat = HeartbeatConfig {
-            interval: std::time::Duration::from_millis(1),
             progress: false,
             jsonl: None,
         };

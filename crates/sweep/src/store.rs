@@ -27,6 +27,7 @@ use crate::grid::ScenarioGrid;
 use crate::json::{parse, JsonValue};
 use crate::pool::PoolStats;
 use crate::runner::{JobRecord, RECORD_SCHEMA};
+use crate::telemetry::{HEARTBEAT_SCHEMA, TIMESERIES_SCHEMA};
 
 /// Schema tag of the aggregate artifact this build writes, and the only
 /// one [`validate_bench_sweep`] accepts.
@@ -508,7 +509,7 @@ fn timeseries(doc: &Cur) -> Result<String, String> {
     doc.ensure(!ticks.is_empty(), "heartbeats", rule)?;
     let (mut last_t, mut last_done, mut last_total) = (f64::NEG_INFINITY, 0.0, 0.0);
     for tick in &ticks {
-        tick.tagged(ups_obs::HEARTBEAT_SCHEMA)?;
+        tick.tagged(HEARTBEAT_SCHEMA)?;
         // Progress never runs backwards, and never past the total.
         let t_s = tick.within("t_s", last_t..)?;
         let total = tick.num("total")?;
@@ -589,7 +590,7 @@ const FAMILIES: [(&str, Validator); 4] = [
     (SWEEP_SCHEMA, sweep),
     ("ups-bench-degradation/v1", degradation),
     ("ups-bench-scale/v1", scale),
-    (ups_obs::TIMESERIES_SCHEMA, timeseries),
+    (TIMESERIES_SCHEMA, timeseries),
 ];
 
 /// Validate any tagged artifact — the one entry point behind
@@ -951,7 +952,7 @@ mod tests {
             &missing,
             "$.heartbeats[0].workers must hold one row per pool worker",
         );
-        // The heartbeat thread guarantees at least the completion tick.
+        // The pool always takes at least the completion tick.
         let empty = r#"{"schema": "ups-obs-timeseries/v2", "workers": 1,
                         "wall_s": 0.0, "heartbeats": []}"#;
         rejects(

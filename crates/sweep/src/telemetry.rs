@@ -1,31 +1,33 @@
-//! The sweep heartbeat: a background thread the pool runs beside its
-//! workers, turning the live pool counters into
-//! [`ups_obs::HeartbeatRecord`]s — a throttled stderr progress line
-//! (done/total, jobs/sec, ETA), an optional `*.heartbeat.jsonl` stream,
-//! and the tick history behind the run-level
-//! `ups-obs-timeseries/v2` artifact.
-//!
-//! The heartbeat only ever *reads* relaxed counters; it cannot perturb
-//! job results (jobs are pure functions of their specs) and is therefore
-//! outside the determinism surface.
+//! The sweep heartbeat: [`HeartbeatRecord`] ticks (schema
+//! [`HEARTBEAT_SCHEMA`]) — done/total, jobs/sec, ETA, per-worker
+//! utilization — taken by the pool on the worker that has just billed a
+//! job: on the first completion, then at least a second apart, plus one
+//! completion tick after the last join. The counters a tick reports
+//! change only when a job finishes, so no tick is written between
+//! completions. Each tick becomes a throttled stderr progress line, an
+//! optional `*.heartbeat.jsonl` line, and one entry of the run-level
+//! [`timeseries_json`] document (schema [`TIMESERIES_SCHEMA`]). Ticks
+//! only read counters, so they cannot perturb job results.
 
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use ups_race::sync::atomic::{AtomicBool, Ordering};
+use std::io::Write as _;
 
-use ups_obs::HeartbeatRecord;
+use ups_metrics::{json_num, json_opt_num};
 
-use crate::pool::PoolTelemetry;
+/// Schema tag of one heartbeat JSONL line.
+pub const HEARTBEAT_SCHEMA: &str = "ups-obs-heartbeat/v2";
+
+/// Schema tag of the run-level time-series artifact.
+pub const TIMESERIES_SCHEMA: &str = "ups-obs-timeseries/v2";
+
+/// Least wall time between two ticks taken at job completions, in
+/// seconds.
+const INTERVAL_S: f64 = 1.0;
 
 /// How the pool's heartbeat reports (see
 /// [`run_jobs_telemetry`](crate::pool::run_jobs_telemetry)).
 #[derive(Debug)]
 pub struct HeartbeatConfig {
-    /// Tick period. Sub-second keeps short CI sweeps from finishing
-    /// between ticks; the work per tick is a few atomic loads.
-    pub interval: Duration,
     /// Print a `# progress ...` line to stderr each tick.
     pub progress: bool,
     /// Append one heartbeat JSON line per tick to this open file. A
@@ -34,23 +36,112 @@ pub struct HeartbeatConfig {
     pub jsonl: Option<File>,
 }
 
-/// Build the record for "now" from the live pool counters.
-// lint:allow(wall-clock): heartbeat telemetry — observes the pool,
-// never feeds back into job execution or any record's determinism
-// surface (heartbeats are obs artifacts).
-fn record_now(tel: &PoolTelemetry, total: u64, t0: Instant) -> HeartbeatRecord {
-    let t_s = t0.elapsed().as_secs_f64();
-    let done = tel.done().min(total);
-    let jobs_per_sec = if t_s > 0.0 { done as f64 / t_s } else { 0.0 };
-    let eta_s = (done > 0 && jobs_per_sec > 0.0).then(|| (total - done) as f64 / jobs_per_sec);
-    HeartbeatRecord {
-        t_s,
-        done,
-        total,
-        jobs_per_sec,
-        eta_s,
-        workers: tel.rows(t_s),
+/// One worker's accounting at a heartbeat tick (cumulative).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorkerRow {
+    /// Worker index.
+    pub worker: usize,
+    /// Jobs this worker completed.
+    pub jobs: u64,
+    /// Wall seconds this worker spent inside jobs.
+    pub busy_s: f64,
+    /// `busy_s / elapsed_s` — 1.0 is a saturated worker.
+    pub utilization: f64,
+}
+
+impl WorkerRow {
+    /// One JSON object, flat.
+    // lint:schema(ups-obs-heartbeat/v2)
+    pub fn to_json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"worker\": {}, \"jobs\": {}, \"busy_s\": {}, ",
+                "\"utilization\": {}}}"
+            ),
+            self.worker,
+            self.jobs,
+            json_num(self.busy_s),
+            json_num(self.utilization)
+        )
     }
+}
+
+/// One heartbeat tick: sweep progress plus per-worker rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HeartbeatRecord {
+    /// Wall seconds since the sweep started.
+    pub t_s: f64,
+    /// Jobs finished.
+    pub done: u64,
+    /// Jobs in the sweep.
+    pub total: u64,
+    /// Aggregate throughput so far (`done / t_s`).
+    pub jobs_per_sec: f64,
+    /// Estimated seconds to completion (`None` until one job finished).
+    pub eta_s: Option<f64>,
+    /// Per-worker accounting, indexed by worker id.
+    pub workers: Vec<WorkerRow>,
+}
+
+impl HeartbeatRecord {
+    /// The tick for `done` of `total` jobs, `t_s` seconds into the sweep.
+    pub(crate) fn at(t_s: f64, done: u64, total: u64, workers: Vec<WorkerRow>) -> HeartbeatRecord {
+        let done = done.min(total);
+        let jobs_per_sec = if t_s > 0.0 { done as f64 / t_s } else { 0.0 };
+        let eta_s = (done > 0 && jobs_per_sec > 0.0).then(|| (total - done) as f64 / jobs_per_sec);
+        HeartbeatRecord {
+            t_s,
+            done,
+            total,
+            jobs_per_sec,
+            eta_s,
+            workers,
+        }
+    }
+
+    /// One self-describing JSON line (no trailing newline).
+    // lint:schema(ups-obs-heartbeat/v2)
+    pub fn to_json(&self) -> String {
+        let workers: Vec<String> = self.workers.iter().map(|w| w.to_json()).collect();
+        format!(
+            concat!(
+                "{{\"schema\": \"{}\", \"t_s\": {}, \"done\": {}, \"total\": {}, ",
+                "\"jobs_per_sec\": {}, \"eta_s\": {}, \"workers\": [{}]}}"
+            ),
+            HEARTBEAT_SCHEMA,
+            json_num(self.t_s),
+            self.done,
+            self.total,
+            json_num(self.jobs_per_sec),
+            json_opt_num(self.eta_s),
+            workers.join(", ")
+        )
+    }
+}
+
+/// Render the run-level `ups-obs-timeseries/v2` document from the tick
+/// history. `workers` is the finished pool's width; `wall_s` the whole
+/// sweep.
+// lint:schema(ups-obs-timeseries/v2)
+pub fn timeseries_json(records: &[HeartbeatRecord], workers: usize, wall_s: f64) -> String {
+    let body: Vec<String> = records
+        .iter()
+        .map(|r| format!("    {}", r.to_json()))
+        .collect();
+    format!(
+        concat!(
+            "{{\n",
+            "  \"schema\": \"{}\",\n",
+            "  \"workers\": {},\n",
+            "  \"wall_s\": {},\n",
+            "  \"heartbeats\": [\n{}\n  ]\n",
+            "}}\n"
+        ),
+        TIMESERIES_SCHEMA,
+        workers,
+        json_num(wall_s),
+        body.join(",\n")
+    )
 }
 
 fn progress_line(r: &HeartbeatRecord) {
@@ -64,61 +155,52 @@ fn progress_line(r: &HeartbeatRecord) {
     );
 }
 
-/// A running heartbeat thread, started and finished by the pool — the
-/// final tick is always recorded, so even a sweep shorter than one
-/// interval yields a non-empty record history.
-pub(crate) struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: ups_race::thread::JoinHandle<Vec<HeartbeatRecord>>,
+/// The heartbeat's state: where ticks go and every tick so far. The pool
+/// keeps it behind one lock and hands it a record at each completion.
+pub(crate) struct Ticker {
+    config: HeartbeatConfig,
+    ticks: Vec<HeartbeatRecord>,
 }
 
-impl Heartbeat {
-    /// Spawn the heartbeat over `telemetry` for a sweep of `total` jobs.
-    pub(crate) fn start(
-        telemetry: Arc<PoolTelemetry>,
-        total: u64,
-        config: HeartbeatConfig,
-    ) -> Heartbeat {
-        let mut jsonl = config.jsonl.map(BufWriter::new);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = ups_race::thread::spawn(move || {
-            // lint:allow(wall-clock): heartbeat clock; see record_now.
-            let t0 = Instant::now();
-            let mut records = Vec::new();
-            let mut emit = |records: &mut Vec<HeartbeatRecord>| {
-                let r = record_now(&telemetry, total, t0);
-                if let Some(out) = jsonl.as_mut() {
-                    if let Err(e) = writeln!(out, "{}", r.to_json()).and_then(|()| out.flush()) {
-                        eprintln!("sweep: heartbeat stream stopped: {e}");
-                        jsonl = None;
-                    }
-                }
-                if config.progress {
-                    progress_line(&r);
-                }
-                records.push(r);
-            };
-            while !stop_flag.load(Ordering::Relaxed) {
-                ups_race::thread::park_timeout(config.interval);
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                emit(&mut records);
-            }
-            // The completion tick: records the final counters even when
-            // the whole sweep fit inside one interval.
-            emit(&mut records);
-            records
-        });
-        Heartbeat { stop, handle }
+impl Ticker {
+    pub(crate) fn new(config: HeartbeatConfig) -> Ticker {
+        Ticker {
+            config,
+            ticks: Vec::new(),
+        }
     }
 
-    /// Stop the thread and return every tick recorded (at least one).
-    pub(crate) fn finish(self) -> Vec<HeartbeatRecord> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle.thread().unpark();
-        self.handle.join().expect("heartbeat thread panicked")
+    /// A job was billed and `r` read the counters: keep it as a tick if
+    /// it is the first, or if at least a second has passed since the
+    /// last one.
+    pub(crate) fn completed(&mut self, r: HeartbeatRecord) {
+        if self
+            .ticks
+            .last()
+            .is_none_or(|last| r.t_s - last.t_s >= INTERVAL_S)
+        {
+            self.emit(r);
+        }
+    }
+
+    /// Emit the completion tick `r` and hand back every tick recorded
+    /// (so at least one).
+    pub(crate) fn finish(&mut self, r: HeartbeatRecord) -> Vec<HeartbeatRecord> {
+        self.emit(r);
+        std::mem::take(&mut self.ticks)
+    }
+
+    fn emit(&mut self, r: HeartbeatRecord) {
+        if let Some(out) = self.config.jsonl.as_mut() {
+            if let Err(e) = out.write_all(format!("{}\n", r.to_json()).as_bytes()) {
+                eprintln!("sweep: heartbeat stream stopped: {e}");
+                self.config.jsonl = None;
+            }
+        }
+        if self.config.progress {
+            progress_line(&r);
+        }
+        self.ticks.push(r);
     }
 }
 
@@ -126,47 +208,82 @@ impl Heartbeat {
 mod tests {
     use super::*;
 
-    fn config(interval: Duration, jsonl: Option<File>) -> HeartbeatConfig {
-        HeartbeatConfig {
-            interval,
+    fn ticker(jsonl: Option<File>) -> Ticker {
+        Ticker::new(HeartbeatConfig {
             progress: false,
             jsonl,
-        }
+        })
+    }
+
+    fn tick(t_s: f64, done: u64) -> HeartbeatRecord {
+        let row = WorkerRow {
+            worker: 0,
+            jobs: done,
+            busy_s: t_s,
+            utilization: 1.0,
+        };
+        HeartbeatRecord::at(t_s, done, 4, vec![row])
+    }
+
+    #[test]
+    fn heartbeat_json_shape() {
+        let r = HeartbeatRecord {
+            t_s: 1.5,
+            done: 3,
+            total: 12,
+            jobs_per_sec: 2.0,
+            eta_s: Some(4.5),
+            workers: vec![WorkerRow {
+                worker: 0,
+                jobs: 3,
+                busy_s: 1.2,
+                utilization: 0.8,
+            }],
+        };
+        let j = r.to_json();
+        assert!(j.starts_with(&format!("{{\"schema\": \"{HEARTBEAT_SCHEMA}\"")));
+        assert!(j.contains("\"eta_s\": 4.5"));
+        assert!(j.contains("\"utilization\": 0.8}]"));
+        let none = HeartbeatRecord { eta_s: None, ..r };
+        assert!(none.to_json().contains("\"eta_s\": null"));
+    }
+
+    #[test]
+    fn timeseries_doc_carries_schema_and_rows() {
+        let doc = timeseries_json(&[tick(0.1, 4)], 2, 0.1);
+        assert!(doc.contains(TIMESERIES_SCHEMA));
+        assert!(doc.contains("\"heartbeats\": ["));
     }
 
     #[test]
     fn heartbeat_always_records_a_final_tick() {
-        let tel = Arc::new(PoolTelemetry::new(2));
-        // An hour-long interval never ticks on its own.
-        let hb = Heartbeat::start(tel, 4, config(Duration::from_secs(3600), None));
-        let records = hb.finish();
+        let records = ticker(None).finish(tick(0.0, 4));
         assert_eq!(records.len(), 1, "completion tick must always fire");
         assert_eq!(records[0].total, 4);
-        assert_eq!(records[0].workers.len(), 2);
+        assert_eq!(records[0].eta_s, None, "no rate at t = 0");
+    }
+
+    #[test]
+    fn completions_tick_on_the_first_then_once_per_interval() {
+        let mut t = ticker(None);
+        for (t_s, done) in [(0.25, 1), (0.5, 2), (1.3, 3)] {
+            t.completed(tick(t_s, done));
+        }
+        let done: Vec<u64> = t.finish(tick(1.4, 4)).iter().map(|r| r.done).collect();
+        assert_eq!(done, [1, 3, 4], "0.5 s is within a second of 0.25 s");
     }
 
     #[test]
     fn heartbeat_jsonl_lines_parse_back() {
-        let dir = std::env::temp_dir().join(format!("ups-obs-hb-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.heartbeat.jsonl");
-        let tel = Arc::new(PoolTelemetry::new(1));
-        let file = File::create(&path).unwrap();
-        let hb = Heartbeat::start(tel, 1, config(Duration::from_millis(5), Some(file)));
-        std::thread::sleep(Duration::from_millis(30));
-        let records = hb.finish();
-        assert!(!records.is_empty());
+        let path = std::env::temp_dir().join(format!("ups-sweep-hb-{}.jsonl", std::process::id()));
+        let mut t = ticker(Some(File::create(&path).unwrap()));
+        t.completed(tick(0.5, 1));
+        let records = t.finish(tick(2.0, 4));
         let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), records.len());
-        for line in lines {
-            let v = crate::json::parse(line).expect("heartbeat line parses");
-            assert_eq!(
-                v.get("schema").and_then(|s| s.as_str()),
-                Some(ups_obs::HEARTBEAT_SCHEMA)
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
+        let want: Vec<String> = records.iter().map(HeartbeatRecord::to_json).collect();
+        assert_eq!(text.lines().collect::<Vec<_>>(), want);
+        assert!(text.lines().all(|line| crate::json::parse(line).is_ok()));
     }
 
     #[test]
@@ -175,11 +292,11 @@ mod tests {
         let Ok(full) = File::options().write(true).open("/dev/full") else {
             return;
         };
-        let tel = Arc::new(PoolTelemetry::new(1));
-        let hb = Heartbeat::start(tel, 3, config(Duration::from_millis(1), Some(full)));
-        std::thread::sleep(Duration::from_millis(10));
-        let records = hb.finish();
-        assert!(!records.is_empty(), "ticks are recorded past the failure");
-        assert_eq!(records.last().unwrap().total, 3);
+        let mut t = ticker(Some(full));
+        t.completed(tick(0.5, 1));
+        t.completed(tick(1.5, 2));
+        let records = t.finish(tick(1.6, 4));
+        assert_eq!(records.len(), 3, "ticks are recorded past the failure");
+        assert_eq!(records.last().unwrap().done, 4);
     }
 }

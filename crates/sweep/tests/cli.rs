@@ -1,6 +1,7 @@
-//! The `sweep` binary end to end on a one-job grid, every output under a
+//! The `sweep` binary end to end on small grids, every output under a
 //! fresh temporary directory.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::Output;
 
@@ -23,28 +24,33 @@ impl Drop for TempDir {
     }
 }
 
-/// `sweep` over one small open-loop job, writing `--out` and `--jsonl`
-/// into `dir` and `--telemetry` to `telemetry`.
-fn sweep(dir: &Path, telemetry: &Path) -> Output {
+/// `sweep` over a small open-loop grid — two schedulers × two seeds at
+/// utilization 0.6 on two workers, four jobs — writing `--out` and
+/// `--jsonl` into `dir`. `args` come last, so they may replace an axis.
+fn sweep(dir: &Path, args: &[&OsStr]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args(["--topos", "Line(3)", "--profiles", "web-search"])
-        .args(["--scheds", "FIFO", "--traffic", "open-loop"])
-        .args(["--utils", "0.6", "--seeds", "1"])
+        .args(["--scheds", "FIFO,LSTF", "--traffic", "open-loop"])
+        .args(["--utils", "0.6", "--seeds", "1,2", "--workers", "2"])
         .args(["--window-ms", "1", "--max-packets", "200", "--quiet"])
         .arg("--out")
         .arg(dir.join("out.json"))
         .arg("--jsonl")
         .arg(dir.join("records.jsonl"))
-        .arg("--telemetry")
-        .arg(telemetry)
+        .args(args)
         .output()
         .expect("run the sweep binary")
+}
+
+/// [`sweep`] with `--telemetry telemetry`.
+fn sweep_with_telemetry(dir: &Path, telemetry: &Path) -> Output {
+    sweep(dir, &["--telemetry".as_ref(), telemetry.as_os_str()])
 }
 
 #[test]
 fn an_uncreatable_telemetry_path_exits_1_before_any_job_runs() {
     let tmp = TempDir::new("bad-telemetry");
-    let out = sweep(&tmp.0, &tmp.0.join("missing-dir").join("t"));
+    let out = sweep_with_telemetry(&tmp.0, &tmp.0.join("missing-dir").join("t"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("sweep: cannot open"), "stderr: {stderr}");
@@ -56,20 +62,49 @@ fn an_uncreatable_telemetry_path_exits_1_before_any_job_runs() {
     );
 }
 
+/// A utilization the workload cannot generate used to panic every job
+/// (exit 101) after `--jsonl` was created; now the grid rejects it.
+#[test]
+fn an_out_of_range_utilization_exits_1_before_any_output_opens() {
+    for util in ["2.0", "nan"] {
+        let tmp = TempDir::new(&format!("bad-util-{util}"));
+        let out = sweep(&tmp.0, &["--utils".as_ref(), util.as_ref()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--utils {util}: {stderr}");
+        assert!(stderr.contains("sweep: bad --utils value"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            !tmp.0.join("records.jsonl").exists(),
+            "--jsonl must not be created for a grid that cannot run"
+        );
+    }
+}
+
 #[test]
 fn telemetry_writes_a_stream_and_a_valid_timeseries() {
     let tmp = TempDir::new("telemetry");
-    let out = sweep(&tmp.0, &tmp.0.join("t"));
+    let out = sweep_with_telemetry(&tmp.0, &tmp.0.join("t"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
-    let stream = std::fs::read_to_string(tmp.0.join("t.heartbeat.jsonl")).expect("heartbeat jsonl");
-    assert!(
-        stream.lines().count() >= 1,
-        "the completion tick is streamed"
-    );
     let doc = std::fs::read_to_string(tmp.0.join("t.timeseries.json")).expect("timeseries");
     let line = ups_sweep::validate_artifact(&doc).expect("timeseries validates");
-    assert!(line.contains("1 jobs on 1 workers"), "{line}");
+    assert!(line.contains("4 jobs on 2 workers"), "{line}");
+
+    // The stream and the artifact are the same ticks, line for line.
+    let doc = ups_sweep::json::parse(&doc).expect("timeseries parses");
+    let ticks = doc
+        .get("heartbeats")
+        .and_then(JsonValue::as_array)
+        .expect("heartbeats");
+    let stream = std::fs::read_to_string(tmp.0.join("t.heartbeat.jsonl")).expect("heartbeat jsonl");
+    let lines: Vec<JsonValue> = stream
+        .lines()
+        .map(|l| ups_sweep::json::parse(l).expect("heartbeat line parses"))
+        .collect();
+    assert_eq!(lines, ticks, "stream lines != timeseries heartbeats");
+    let last = ticks.last().expect("the completion tick");
+    let done = last.get("done").and_then(JsonValue::as_f64);
+    assert_eq!(done, Some(4.0), "the last tick counts every job");
 }
 
 fn ph(e: &JsonValue) -> &str {

@@ -1,15 +1,16 @@
 //! Round trip between the two halves of the telemetry plumbing: records
-//! are *emitted* by `ups-obs` (hand-rolled JSON) and *parsed* by this
-//! crate's minimal parser — the pair must agree on every field,
-//! including the `eta_s: null` case. Then the same plumbing end to end:
-//! a real (tiny) sweep through `run_jobs_telemetry` with its heartbeat
-//! produces a run-level document that `validate_artifact` accepts.
+//! are *emitted* by `ups_sweep::telemetry` (hand-rolled JSON) and
+//! *parsed* by this crate's minimal parser — the pair must agree on
+//! every field, including the `eta_s: null` case. Then the same plumbing
+//! end to end: a real (tiny) sweep through `run_jobs_telemetry` with its
+//! heartbeat produces a run-level document that `validate_artifact`
+//! accepts.
 
 use std::time::Duration;
 
-use ups_obs::{HeartbeatRecord, WorkerRow};
 use ups_sweep::json::{parse, JsonValue};
-use ups_sweep::{pool, validate_artifact, HeartbeatConfig};
+use ups_sweep::telemetry::{timeseries_json, HEARTBEAT_SCHEMA};
+use ups_sweep::{pool, validate_artifact, HeartbeatConfig, HeartbeatRecord, WorkerRow};
 
 fn worker_back(v: &JsonValue) -> WorkerRow {
     let num = |f: &str| v.get(f).and_then(JsonValue::as_f64).expect(f);
@@ -25,7 +26,7 @@ fn record_back(line: &str) -> HeartbeatRecord {
     let v = parse(line).expect("heartbeat line parses");
     assert_eq!(
         v.get("schema").and_then(JsonValue::as_str),
-        Some(ups_obs::HEARTBEAT_SCHEMA)
+        Some(HEARTBEAT_SCHEMA)
     );
     let num = |f: &str| v.get(f).and_then(JsonValue::as_f64).expect(f);
     HeartbeatRecord {
@@ -81,7 +82,6 @@ fn heartbeat_record_round_trips_through_the_parser() {
 fn live_sweep_timeseries_document_validates() {
     let jobs: Vec<u64> = (0..12).collect();
     let heartbeat = HeartbeatConfig {
-        interval: Duration::from_millis(2),
         progress: false,
         jsonl: None,
     };
@@ -100,7 +100,7 @@ fn live_sweep_timeseries_document_validates() {
     assert!(!ticks.is_empty());
     assert_eq!(ticks.last().unwrap().done, jobs.len() as u64);
 
-    let doc = ups_obs::heartbeat::timeseries_json(ticks, stats.workers, 0.05);
+    let doc = timeseries_json(ticks, stats.workers, 0.05);
     let line = validate_artifact(&doc).expect("live telemetry document validates");
     let want = format!(
         "{} heartbeat ticks over 0.05s, {} jobs on {} workers",

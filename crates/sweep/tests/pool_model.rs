@@ -1,8 +1,8 @@
 //! Model checks on the pool that ships: `pool::run_jobs_telemetry` and
-//! the heartbeat it runs, compiled against the `ups_race` model backend
-//! and driven across interleavings — exhaustive bounded-preemption DFS
-//! on small configs, seeded random schedules beyond them. On every
-//! explored schedule:
+//! the heartbeat ticks its workers take under one lock, compiled against
+//! the `ups_race` model backend and driven across interleavings —
+//! exhaustive bounded-preemption DFS on small configs, seeded random
+//! schedules beyond them. On every explored schedule:
 //!
 //! 1. every job's result appears exactly once (and nothing deadlocks,
 //!    which the runtime checks on its own);
@@ -23,7 +23,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::time::Duration;
 
 use ups_race::{explore, explore_random, Config, Outcome};
 use ups_sweep::{run_jobs_telemetry, HeartbeatConfig};
@@ -39,7 +38,7 @@ struct Pool {
     jobs: usize,
     /// A job that panics, for the panic-isolation check.
     panic_job: Option<usize>,
-    /// Run a heartbeat beside the pool.
+    /// Take heartbeat ticks at job completions.
     heartbeat: bool,
 }
 
@@ -62,7 +61,8 @@ fn cfg() -> Config {
 }
 
 /// `cfg()` with atomic operations as decision points too: the job
-/// cursor and the telemetry cells are the pool's only shared state.
+/// cursor and the telemetry cells are the pool's only shared state
+/// outside the heartbeat's lock.
 fn atomics_cfg() -> Config {
     Config {
         preempt_atomics: true,
@@ -77,7 +77,6 @@ fn check(pool: Pool) {
     let total = pool.jobs as u64;
     let runs: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
     let heartbeat = pool.heartbeat.then(|| HeartbeatConfig {
-        interval: Duration::from_millis(1),
         progress: false,
         jsonl: None,
     });
@@ -96,8 +95,8 @@ fn check(pool: Pool) {
             },
         )
     }));
-    // The pool has stopped its heartbeat by the time it returns or
-    // re-raises, so no check below can race a live heartbeat thread.
+    // Every worker has joined by the time the pool returns or re-raises,
+    // so no check below can race a tick.
     match (run, pool.panic_job) {
         (Ok((out, stats)), None) => {
             let want: Vec<usize> = jobs.iter().map(|j| 2 * j + 1).collect();
@@ -172,21 +171,17 @@ fn dfs_pool_panic_isolation() {
     assert_complete(&explore(&atomics_cfg(), || check(pool)));
 }
 
-/// The heartbeat beside the pool: its final tick sees every job, on
-/// schedules where the park timeout fires early, late or not at all.
+/// Heartbeat ticks at completions: two workers contend on the tick lock,
+/// and the completion tick still sees every job. Atomics are decision
+/// points, so a worker can be preempted while it reads the counters
+/// under the lock and the other worker blocks on it.
 #[test]
 fn dfs_pool_with_heartbeat() {
-    // One voluntary timeout fire keeps the branching tractable; the
-    // forced fire (nothing else runnable) is exercised regardless.
-    let cfg = Config {
-        max_timeout_fires: 1,
-        ..cfg()
-    };
     let pool = Pool {
         heartbeat: true,
         ..Pool::new(2, 2)
     };
-    assert_complete(&explore(&cfg, || check(pool)));
+    assert_complete(&explore(&atomics_cfg(), || check(pool)));
 }
 
 /// Atomic operations as decision points too: telemetry increments

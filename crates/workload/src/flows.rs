@@ -42,10 +42,17 @@ pub struct PoissonWorkload {
 }
 
 impl PoissonWorkload {
-    /// The paper's default scenario: 70% utilization.
+    /// Whether the calibration accepts `target`: a mean core-link
+    /// utilization strictly between 0 and 1.5 (so never NaN).
+    pub fn accepts(target: f64) -> bool {
+        target > 0.0 && target < 1.5
+    }
+
+    /// The paper's default scenario: 70% utilization. Panics on a target
+    /// the calibration does not [accept](PoissonWorkload::accepts).
     pub fn at_utilization(target_utilization: f64, duration: Dur, seed: u64) -> Self {
         assert!(
-            target_utilization > 0.0 && target_utilization < 1.5,
+            Self::accepts(target_utilization),
             "utilization {target_utilization} out of range"
         );
         PoissonWorkload {

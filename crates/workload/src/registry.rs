@@ -93,6 +93,21 @@ impl WorkloadProfile {
         matches!(self.kind, ProfileKind::LongLived)
     }
 
+    /// Whether [`WorkloadProfile::flows`] can generate this profile at
+    /// `utilization`, or why not: Poisson profiles panic outside
+    /// [`PoissonWorkload::accepts`], and long-lived ones would clamp a
+    /// non-finite or non-positive value to two flows.
+    pub fn check_utilization(&self, utilization: f64) -> Result<(), String> {
+        let (ok, range) = match self.kind {
+            ProfileKind::Poisson(_) => (PoissonWorkload::accepts(utilization), "(0, 1.5)"),
+            ProfileKind::LongLived => (utilization.is_finite() && utilization > 0.0, "(0, inf)"),
+        };
+        let name = self.name;
+        ok.then_some(()).ok_or_else(|| {
+            format!("utilization {utilization} is outside {range}, the range profile {name:?} accepts")
+        })
+    }
+
     /// Instantiate this profile's size distribution.
     ///
     /// # Panics

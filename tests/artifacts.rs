@@ -83,6 +83,29 @@ fn one_mutated_field_per_family_is_named() {
     );
 }
 
+/// Malformed input is an error, never a panic: every committed artifact,
+/// cut short at seeded offsets or with one byte swapped for JSON
+/// punctuation or an arbitrary byte, comes back from the validator as
+/// `Ok` or `Err`. Invalid UTF-8 is read the way a lossy reader would.
+#[test]
+fn mangled_artifacts_are_rejected_without_a_panic() {
+    const PUNCTUATION: &[u8] = b"{}[]:,\"\\-.e0 n";
+    for name in artifacts() {
+        let doc = committed(&name).into_bytes();
+        let mut rng = proptest::TestRng::new(proptest::seed_for(&name));
+        for round in 0..240 {
+            let mut mangled = doc.clone();
+            let at = rng.index(doc.len());
+            match round % 3 {
+                0 => mangled.truncate(at),
+                1 => mangled[at] = PUNCTUATION[rng.index(PUNCTUATION.len())],
+                _ => mangled[at] = rng.next_u64() as u8,
+            }
+            let _ = validate_artifact(&String::from_utf8_lossy(&mangled));
+        }
+    }
+}
+
 /// The `k: null` and `rate: 0` rows of the degradation artifact are one
 /// cell (the exact replay of the static schedule, eager and lazy): a
 /// document whose axes disagree on it is rejected naming the field.
