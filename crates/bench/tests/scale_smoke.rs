@@ -33,13 +33,23 @@ fn capped_streaming_run_is_resident_identical_and_bounded() {
     // Tiny caps: ~packets/1024 sealed chunks, only 2 resident, so almost
     // the whole trace round-trips through the spill codec.
     differential_gate(PACKET_FLOOR, (1024, 2));
-    let window_high_water = ups_obs::snapshot().counter(ups_obs::Counter::CompareWindow);
+    let snapshot = ups_obs::snapshot();
     ups_obs::disable();
+    let window_high_water = snapshot.counter(ups_obs::Counter::CompareWindow);
     assert!(
         window_high_water <= ups_core::REORDER_WINDOW as u64,
         "compare reorder window hit {window_high_water} records \
          (bound {})",
         ups_core::REORDER_WINDOW
+    );
+    // The spill codec names a path by its index in the log's path table:
+    // a delivered end-to-end record is 58 bytes whatever its hop count.
+    let spill_bytes = snapshot.counter(ups_obs::Counter::SpillBytes);
+    let finalized = snapshot.counter(ups_obs::Counter::TraceRecordsFinalized);
+    assert!(
+        spill_bytes > 0 && spill_bytes <= 64 * finalized,
+        "spilled {spill_bytes} bytes for {finalized} finalized records \
+         (bound 64 bytes per record)"
     );
 
     let peak = peak_rss_bytes();

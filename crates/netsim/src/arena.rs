@@ -105,6 +105,14 @@ impl PacketArena {
         let _ = self.take(r);
     }
 
+    /// Every live packet with its handle, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PacketRef, &Packet)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.as_ref().map(|p| (PacketRef(i as u32), p)))
+    }
+
     /// Number of live packets.
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()

@@ -304,12 +304,35 @@ impl Simulator {
     }
 
     /// The recorded schedule so far.
+    ///
+    /// A [`RecordMode::Streaming`] trace records a packet when it is
+    /// delivered or dropped, so borrowed mid-run it lists no packet still
+    /// in flight; [`Self::into_trace`] adds those.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Consume the simulator, yielding the recorded schedule.
-    pub fn into_trace(self) -> Trace {
+    /// Consume the simulator, yielding the recorded schedule. A streaming
+    /// trace adopts every injected packet still in flight here, as the
+    /// open record a resident trace holds for it.
+    pub fn into_trace(mut self) -> Trace {
+        if self.trace.mode() == RecordMode::Streaming && !self.arena.is_empty() {
+            // A packet whose `Inject` event has not fired is not in the
+            // schedule yet.
+            let mut unfired = vec![false; self.arena.capacity()];
+            while let Some((_, event)) = self.events.pop() {
+                if let Event::Inject(pkt) = event {
+                    // lint:allow(panic-path): a live ref's slot is below the arena's capacity
+                    unfired[pkt.slot() as usize] = true;
+                }
+            }
+            for (pkt, packet) in self.arena.iter() {
+                // lint:allow(panic-path): a live ref's slot is below the arena's capacity
+                if !unfired[pkt.slot() as usize] {
+                    self.trace.adopt_in_flight(packet);
+                }
+            }
+        }
         self.trace
     }
 
@@ -420,6 +443,11 @@ impl Simulator {
             Event::Inject(pkt) => {
                 self.stats.injected += 1;
                 ups_obs::count_max(Counter::ArenaHighWater, self.arena.live() as u64);
+                debug_assert_eq!(
+                    self.arena.get(pkt).injected_at,
+                    now,
+                    "i(p) is the inject time"
+                );
                 self.trace.on_inject(self.arena.get(pkt), now);
                 self.route(pkt, now);
             }

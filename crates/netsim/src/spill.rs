@@ -10,17 +10,24 @@
 //! (`pread`) over a single shared file descriptor, so memory stays
 //! `O(chunks × read-buffer)` no matter how many records were logged.
 //!
+//! A record names its path by a `u32` index into the log's path table
+//! ([`PathTable`]), which interns each distinct node list once, in
+//! first-seen order; decoding hands back a clone of the table's `Arc`, so
+//! reading a record allocates nothing. A delivered end-to-end record is a
+//! fixed 58 bytes on disk whatever its path length.
+//!
 //! The codec is general enough to round-trip every field of a
 //! [`PacketRecord`] — drop causes and per-hop detail included — even
 //! though streaming capture only produces end-to-end records; synthetic
 //! traces and future per-hop spilling reuse it unchanged.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::id::{FlowId, NodeId};
 use crate::packet::PacketKind;
@@ -37,7 +44,66 @@ pub const DEFAULT_RING_CHUNKS: usize = 4;
 /// Bytes fetched per positioned read while merging a spilled chunk.
 const READ_BUF: usize = 16 * 1024;
 
+/// Slots in [`PathTable`]'s pointer cache (a power of two).
+const PTR_CACHE: usize = 1024;
+
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The per-log path dictionary: every distinct node list a spilled record
+/// names, stored once and referred to by its index.
+pub(crate) struct PathTable {
+    paths: Vec<Arc<[NodeId]>>,
+    /// Content → index. Interning is by content because rerouting splices
+    /// a fresh `Arc` per packet: keyed by pointer, the table would grow by
+    /// one entry per rerouted record.
+    // lint:allow(hash-container): lookup-only; indexes are assigned in
+    // first-seen order, so map order never reaches the encoding.
+    ids: HashMap<Arc<[NodeId]>, u32>,
+    /// Direct-mapped `index + 1` by allocation address (0 = empty): the
+    /// routing layer shares one `Arc` per route, so most lookups end at
+    /// one pointer compare. A hit is checked with `Arc::ptr_eq` against
+    /// the table's own clone, which keeps that address from being reused.
+    recent: Box<[u32; PTR_CACHE]>,
+}
+
+impl PathTable {
+    pub(crate) fn new() -> Self {
+        PathTable {
+            paths: Vec::new(),
+            // lint:allow(hash-container): see the field above.
+            ids: HashMap::new(),
+            recent: Box::new([0; PTR_CACHE]),
+        }
+    }
+
+    /// The index of `path`, interning it on first sight.
+    pub(crate) fn intern(&mut self, path: &Arc<[NodeId]>) -> u32 {
+        let slot = (Arc::as_ptr(path) as *const NodeId as usize >> 4) & (PTR_CACHE - 1);
+        if let Some(known) = self.recent[slot].checked_sub(1) {
+            if Arc::ptr_eq(&self.paths[known as usize], path) {
+                return known;
+            }
+        }
+        let id = match self.ids.get(&path[..]) {
+            Some(&id) => id,
+            None => {
+                let id = self.paths.len() as u32;
+                self.paths.push(Arc::clone(path));
+                self.ids.insert(Arc::clone(path), id);
+                id
+            }
+        };
+        if Arc::ptr_eq(&self.paths[id as usize], path) {
+            self.recent[slot] = id + 1;
+        }
+        id
+    }
+
+    /// Every interned path, by index.
+    pub(crate) fn paths(&self) -> &[Arc<[NodeId]>] {
+        &self.paths
+    }
+}
 
 /// One spilled chunk's location inside the spill file.
 struct SpilledChunk {
@@ -46,13 +112,15 @@ struct SpilledChunk {
     records: u32,
 }
 
-/// The spill file plus the directory of chunks written into it. The file
-/// lives in the OS temp directory and is deleted on drop.
+/// The spill file plus the directory of chunks written into it and the
+/// path table its records index. The file lives in the OS temp directory
+/// and is deleted on drop.
 struct SpillFile {
     file: File,
     path: PathBuf,
     write_off: u64,
     chunks: Vec<SpilledChunk>,
+    paths: PathTable,
 }
 
 impl SpillFile {
@@ -71,6 +139,7 @@ impl SpillFile {
             path,
             write_off: 0,
             chunks: Vec::new(),
+            paths: PathTable::new(),
         }
     }
 
@@ -78,7 +147,7 @@ impl SpillFile {
         let _t = ups_obs::timer(ups_obs::Phase::SpillIo);
         buf.clear();
         for (id, rec) in chunk {
-            encode_record(buf, *id, rec);
+            encode_record(buf, *id, rec, &mut self.paths);
         }
         self.file.write_all(buf).expect("write trace spill chunk"); // lint:allow(panic-path): a failed trace spill cannot be recovered mid-run; abort is correct
         ups_obs::count(ups_obs::Counter::SpillBytes, buf.len() as u64);
@@ -166,6 +235,7 @@ impl ChunkLog {
             for c in &spill.chunks {
                 out.push(LogCursor::Spilled(ChunkCursor {
                     file: &spill.file,
+                    paths: spill.paths.paths(),
                     next_off: c.off,
                     end_off: c.off + c.bytes,
                     remaining: c.records,
@@ -219,6 +289,7 @@ impl LogCursor<'_> {
 /// seek position, so hundreds of cursors coexist on one open file.
 pub(crate) struct ChunkCursor<'a> {
     file: &'a File,
+    paths: &'a [Arc<[NodeId]>],
     next_off: u64,
     end_off: u64,
     remaining: u32,
@@ -258,14 +329,15 @@ impl ChunkCursor<'_> {
         self.refill(4);
         let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize; // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail
         self.refill(4 + len);
-        let rec = decode_record(&self.buf[self.pos + 4..self.pos + 4 + len]); // lint:allow(panic-path): framing invariant: the length prefix bounds the record slice
+        let rec = decode_record(&self.buf[self.pos + 4..self.pos + 4 + len], self.paths); // lint:allow(panic-path): framing invariant: the length prefix bounds the record slice
         self.pos += 4 + len;
         Some(rec)
     }
 }
 
-/// Append one length-prefixed record to `buf` (little-endian throughout).
-pub(crate) fn encode_record(buf: &mut Vec<u8>, id: u64, r: &PacketRecord) {
+/// Append one length-prefixed record to `buf` (little-endian throughout),
+/// naming its path by index into `paths`.
+pub(crate) fn encode_record(buf: &mut Vec<u8>, id: u64, r: &PacketRecord, paths: &mut PathTable) {
     let start = buf.len();
     buf.extend_from_slice(&0u32.to_le_bytes()); // length, patched below
     buf.extend_from_slice(&id.to_le_bytes());
@@ -293,10 +365,7 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, id: u64, r: &PacketRecord) {
         buf.extend_from_slice(&o.as_ps().to_le_bytes());
     }
     buf.extend_from_slice(&r.total_wait.as_ps().to_le_bytes());
-    buf.extend_from_slice(&(r.path.len() as u32).to_le_bytes());
-    for n in r.path.iter() {
-        buf.extend_from_slice(&n.0.to_le_bytes());
-    }
+    buf.extend_from_slice(&paths.intern(&r.path).to_le_bytes());
     buf.extend_from_slice(&(r.hops.len() as u32).to_le_bytes());
     for h in &r.hops {
         buf.extend_from_slice(&h.node.0.to_le_bytes());
@@ -331,8 +400,9 @@ impl Decoder<'_> {
     }
 }
 
-/// Decode one record body (no length prefix) produced by [`encode_record`].
-pub(crate) fn decode_record(bytes: &[u8]) -> (u64, PacketRecord) {
+/// Decode one record body (no length prefix) produced by [`encode_record`]
+/// against the same log's path table.
+pub(crate) fn decode_record(bytes: &[u8], paths: &[Arc<[NodeId]>]) -> (u64, PacketRecord) {
     let mut d = Decoder { b: bytes, p: 0 };
     let id = d.u64();
     let flow = FlowId(d.u64());
@@ -350,8 +420,7 @@ pub(crate) fn decode_record(bytes: &[u8]) -> (u64, PacketRecord) {
         None
     };
     let total_wait = Dur::from_ps(d.u64());
-    let path_len = d.u32() as usize;
-    let path: std::sync::Arc<[NodeId]> = (0..path_len).map(|_| NodeId(d.u32())).collect();
+    let path = Arc::clone(&paths[d.u32() as usize]); // lint:allow(panic-path): indexes are written by the paired encoder from this same table
     let hops_len = d.u32() as usize;
     let hops = (0..hops_len)
         .map(|_| HopRecord {
@@ -424,10 +493,11 @@ mod tests {
             },
         ] {
             let mut buf = Vec::new();
-            encode_record(&mut buf, 77, &r);
+            let mut table = PathTable::new();
+            encode_record(&mut buf, 77, &r, &mut table);
             let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
             assert_eq!(len + 4, buf.len());
-            let (id, back) = decode_record(&buf[4..]);
+            let (id, back) = decode_record(&buf[4..], table.paths());
             assert_eq!(id, 77);
             assert_eq!(back, r);
         }
@@ -456,6 +526,96 @@ mod tests {
         }
         out.sort_unstable();
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+    }
+
+    fn end_to_end(path: Arc<[NodeId]>) -> PacketRecord {
+        PacketRecord {
+            path,
+            hops: Vec::new(),
+            ..rec(5, Some(9), None)
+        }
+    }
+
+    fn nodes(ids: &[u32]) -> Arc<[NodeId]> {
+        ids.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    /// Decode every length-prefixed record of `buf` in order.
+    fn decode_all(buf: &[u8], table: &PathTable) -> Vec<(u64, PacketRecord)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < buf.len() {
+            let len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+            out.push(decode_record(&buf[at + 4..at + 4 + len], table.paths()));
+            at += 4 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn dictionary_round_trips_a_mixed_log() {
+        let a = nodes(&[0, 7, 2]);
+        let b = nodes(&[0, 7, 9, 8, 2]);
+        let records = [
+            end_to_end(a.clone()),
+            rec(6, None, Some(DropCause::Buffer)),
+            end_to_end(b.clone()),
+            end_to_end(a.clone()),
+            end_to_end(nodes(&[0, 7, 9, 8, 2])),
+        ];
+        let mut buf = Vec::new();
+        let mut table = PathTable::new();
+        for (id, r) in records.iter().enumerate() {
+            encode_record(&mut buf, id as u64, r, &mut table);
+        }
+        // `rec`'s path has the same content as `a`: two distinct lists.
+        assert_eq!(table.paths().len(), 2);
+        let back = decode_all(&buf, &table);
+        let expected: Vec<(u64, PacketRecord)> = records
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, r)| (i as u64, r))
+            .collect();
+        assert_eq!(back, expected);
+    }
+
+    #[test]
+    fn equal_content_distinct_arcs_encode_to_one_index() {
+        let first = nodes(&[1, 4, 6, 3]);
+        let second = nodes(&[1, 4, 6, 3]);
+        assert!(!Arc::ptr_eq(&first, &second));
+        let mut table = PathTable::new();
+        let i = table.intern(&first);
+        assert_eq!(table.intern(&second), i);
+        assert_eq!(table.intern(&first), i, "the pointer fast path agrees");
+        assert_eq!(table.intern(&nodes(&[1, 4, 3])), i + 1);
+        assert_eq!(table.paths().len(), 2);
+    }
+
+    #[test]
+    fn decoded_records_share_the_table_entry() {
+        let mut buf = Vec::new();
+        let mut table = PathTable::new();
+        for id in 0..3 {
+            // A fresh allocation per record, as rerouting produces.
+            encode_record(&mut buf, id, &end_to_end(nodes(&[2, 5, 3])), &mut table);
+        }
+        let entry = &table.paths()[0];
+        for (_, r) in decode_all(&buf, &table) {
+            assert!(Arc::ptr_eq(&r.path, entry));
+        }
+    }
+
+    #[test]
+    fn end_to_end_record_is_58_bytes_whatever_its_path_length() {
+        let mut table = PathTable::new();
+        for len in [2u32, 3, 7, 64] {
+            let path: Arc<[NodeId]> = (0..len).map(NodeId).collect();
+            let mut buf = Vec::new();
+            encode_record(&mut buf, u64::MAX, &end_to_end(path), &mut table);
+            assert_eq!(buf.len(), 58, "path of {len} nodes");
+        }
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!
 //! * **Resident** (`Off`/`EndToEnd`/`PerHop`): a dense id-indexed `Vec`,
 //!   with O(1) random access via [`Trace::get`] — memory `O(packets)`.
-//! * **Streaming** ([`RecordMode::Streaming`]): in-flight records live in a
-//!   small open map; each finalized record (delivered or dropped) is
-//!   appended to a chunked log whose oldest chunks spill to a temp file
-//!   (see `crate::spill`) — memory `O(in-flight + ring)`, independent of
-//!   how many packets the run injects.
+//! * **Streaming** ([`RecordMode::Streaming`]): the trace holds nothing per
+//!   packet between injection and exit — the in-flight packet already
+//!   carries its flow, size, path, `i(p)` and accumulated wait. Each packet
+//!   is recorded once, when it is delivered or dropped, into a chunked log
+//!   whose oldest chunks spill to a temp file (see `crate::spill`); the
+//!   packets still in flight when the simulator hands over its trace are
+//!   adopted as open records then — memory `O(ring)`, independent of how
+//!   many packets the run injects.
 //!
 //! Both layouts expose [`Trace::stream`], which yields every record in
 //! `(i(p), id)` order. That ordering is the pipeline's canonical merge key:
@@ -21,7 +24,8 @@
 //! the same workload can be compared with a bounded-memory merge-join, and
 //! the stream doubles as an injection-ordered packet source.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 use crate::id::{FlowId, NodeId, PacketId};
 use crate::packet::{Packet, PacketKind};
@@ -154,15 +158,14 @@ impl PacketRecord {
     }
 }
 
-/// In-flight map + finalized-record log backing a streaming trace.
+/// Finalized-record log plus adopted open records backing a streaming
+/// trace.
 #[derive(Debug)]
 struct StreamStore {
-    /// Records injected but neither exited nor dropped yet, by raw id.
-    /// Bounded by peak in-flight packets, like the packet arena.
-    // lint:allow(hash-container): per-packet hot path; the only
-    // iteration (iter_sorted) collects and sorts by (injected, id)
-    // before any record escapes, so map order never reaches a trace.
-    open: HashMap<u64, PacketRecord>,
+    /// Records of packets neither delivered nor dropped, by raw id: the
+    /// in-flight packets adopted when the simulator handed over its trace,
+    /// and open rows of a synthetic table. Empty while a run is going.
+    open: Vec<(u64, PacketRecord)>,
     log: ChunkLog,
     id_bound: u64,
 }
@@ -218,8 +221,7 @@ impl Trace {
             RecordMode::Streaming => {
                 let (chunk, ring) = caps.unwrap_or((DEFAULT_CHUNK_RECORDS, DEFAULT_RING_CHUNKS));
                 Store::Streaming(Box::new(StreamStore {
-                    // lint:allow(hash-container): see the field above.
-                    open: HashMap::new(),
+                    open: Vec::new(),
                     log: ChunkLog::new(chunk, ring),
                     id_bound: 0,
                 }))
@@ -253,7 +255,7 @@ impl Trace {
                     if rec.exited.is_some() || rec.dropped {
                         s.log.push(id.0, rec);
                     } else {
-                        s.open.insert(id.0, rec);
+                        s.open.push((id.0, rec));
                     }
                 }
             }
@@ -266,44 +268,39 @@ impl Trace {
         self.mode
     }
 
+    /// A streaming trace only widens its id bound here: the packet keeps
+    /// everything its record needs until it is delivered or dropped.
     pub(crate) fn on_inject(&mut self, p: &Packet, now: SimTime) {
         if self.mode == RecordMode::Off {
             return;
         }
-        let rec = PacketRecord {
-            flow: p.flow,
-            size: p.size,
-            kind: p.kind,
-            path: p.path.clone(),
-            injected: now,
-            exited: None,
-            total_wait: Dur::ZERO,
-            dropped: false,
-            drop_cause: None,
-            hops: Vec::new(),
-        };
         match &mut self.store {
-            Store::Resident(store) => *resident_slot(store, p.id) = Some(rec),
-            Store::Streaming(s) => {
-                s.id_bound = s.id_bound.max(p.id.0 + 1);
-                let prev = s.open.insert(p.id.0, rec);
-                debug_assert!(prev.is_none(), "duplicate inject for {}", p.id);
-            }
+            Store::Resident(store) => *resident_slot(store, p.id) = Some(open_record(p, now)),
+            Store::Streaming(s) => s.id_bound = s.id_bound.max(p.id.0 + 1),
         }
     }
 
     /// The dynamics layer spliced a new route onto `p` at its current
-    /// hop; keep the record's path the as-executed one.
+    /// hop; keep the record's path the as-executed one. A streaming trace
+    /// reads the path off the packet when it records it.
     pub(crate) fn on_reroute(&mut self, p: &Packet) {
         if self.mode == RecordMode::Off {
             return;
         }
-        let rec = match &mut self.store {
-            Store::Resident(store) => store.get_mut(p.id.index()).and_then(|r| r.as_mut()),
-            Store::Streaming(s) => s.open.get_mut(&p.id.0),
-        };
-        if let Some(r) = rec {
-            r.path = p.path.clone();
+        if let Store::Resident(store) = &mut self.store {
+            if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
+                r.path = p.path.clone();
+            }
+        }
+    }
+
+    /// Record a packet still in flight when the simulator hands over its
+    /// trace, as the open record a resident trace holds for it: not
+    /// exited, no wait, not dropped, its as-executed path. Resident traces
+    /// already hold it.
+    pub(crate) fn adopt_in_flight(&mut self, p: &Packet) {
+        if let Store::Streaming(s) = &mut self.store {
+            s.open.push((p.id.0, open_record(p, p.injected_at)));
         }
     }
 
@@ -355,15 +352,14 @@ impl Trace {
                     r.total_wait = p.cum_wait;
                 }
             }
-            Store::Streaming(s) => {
-                if let Some(mut r) = s.open.remove(&p.id.0) {
-                    r.exited = Some(now);
-                    r.total_wait = p.cum_wait;
-                    s.log.push(p.id.0, r);
-                } else {
-                    debug_assert!(false, "exit without inject for {}", p.id);
-                }
-            }
+            Store::Streaming(s) => s.log.push(
+                p.id.0,
+                PacketRecord {
+                    exited: Some(now),
+                    total_wait: p.cum_wait,
+                    ..open_record(p, p.injected_at)
+                },
+            ),
         }
     }
 
@@ -378,25 +374,27 @@ impl Trace {
                     r.drop_cause = Some(cause);
                 }
             }
-            Store::Streaming(s) => {
-                if let Some(mut r) = s.open.remove(&p.id.0) {
-                    r.dropped = true;
-                    r.drop_cause = Some(cause);
-                    s.log.push(p.id.0, r);
-                } else {
-                    debug_assert!(false, "drop without inject for {}", p.id);
-                }
-            }
+            Store::Streaming(s) => s.log.push(
+                p.id.0,
+                PacketRecord {
+                    dropped: true,
+                    drop_cause: Some(cause),
+                    ..open_record(p, p.injected_at)
+                },
+            ),
         }
     }
 
     /// The record for a packet id.
     ///
-    /// On a streaming trace whose records spilled to disk, an id outside
-    /// the memory-resident set is [`TraceAccessError::Spilled`] — random
-    /// access would mean re-reading the spill file per lookup; use
-    /// [`Trace::stream`]. An id the trace simply never saw is
-    /// [`TraceAccessError::NotRecorded`].
+    /// On a streaming trace whose records spilled to disk, an id below
+    /// [`Trace::id_bound`] outside the memory-resident set is
+    /// [`TraceAccessError::Spilled`] — random access would mean re-reading
+    /// the spill file per lookup; use [`Trace::stream`]. An id the trace
+    /// never saw is [`TraceAccessError::NotRecorded`]. A streaming trace
+    /// records a packet when it is delivered or dropped, and adopts the
+    /// rest in [`crate::sim::Simulator::into_trace`]: until then, an id
+    /// still in flight is `NotRecorded` too.
     pub fn get(&self, id: PacketId) -> Result<&PacketRecord, TraceAccessError> {
         match &self.store {
             Store::Resident(store) => store
@@ -404,10 +402,11 @@ impl Trace {
                 .and_then(|r| r.as_ref())
                 .ok_or(TraceAccessError::NotRecorded(id)),
             Store::Streaming(s) => {
-                if let Some(r) = s.open.get(&id.0).or_else(|| s.log.find(id.0)) {
+                let open = s.open.iter().find(|(i, _)| *i == id.0).map(|(_, r)| r);
+                if let Some(r) = open.or_else(|| s.log.find(id.0)) {
                     return Ok(r);
                 }
-                if s.log.has_spilled() {
+                if s.log.has_spilled() && id.0 < s.id_bound {
                     Err(TraceAccessError::Spilled)
                 } else {
                     Err(TraceAccessError::NotRecorded(id))
@@ -460,22 +459,24 @@ impl Trace {
             }
             Store::Streaming(s) => {
                 let mut sources = s.log.cursors();
-                let mut open: Vec<(u64, PacketRecord)> =
-                    s.open.iter().map(|(id, r)| (*id, r.clone())).collect();
+                let mut open = s.open.clone();
                 open.sort_unstable_by_key(|(id, r)| (r.injected, *id));
                 sources.push(LogCursor::Owned(open.into_iter()));
                 let mut heap = BinaryHeap::with_capacity(sources.len());
+                let mut heads = Vec::with_capacity(sources.len());
                 for (src, cur) in sources.iter_mut().enumerate() {
-                    if let Some((id, rec)) = cur.next() {
-                        heap.push(std::cmp::Reverse(MergeHead {
-                            key: (rec.injected.as_ps(), id),
-                            src,
-                            rec,
-                        }));
-                    }
+                    let head = cur.next().map(|(id, rec)| {
+                        heap.push(std::cmp::Reverse((rec.injected.as_ps(), id, src)));
+                        rec
+                    });
+                    heads.push(head);
                 }
                 RecordStream {
-                    inner: StreamInner::Merge { sources, heap },
+                    inner: StreamInner::Merge {
+                        sources,
+                        heads,
+                        heap,
+                    },
                 }
             }
         }
@@ -526,29 +527,20 @@ impl std::fmt::Display for TraceAccessError {
 
 impl std::error::Error for TraceAccessError {}
 
-/// One source's head record inside the k-way merge, ordered by
-/// `(injected ps, id)` with the source index as a deterministic tie-break
-/// (ids are unique, so the tie-break never actually decides).
-struct MergeHead {
-    key: (u64, u64),
-    src: usize,
-    rec: PacketRecord,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.src) == (other.key, other.src)
-    }
-}
-impl Eq for MergeHead {}
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.src).cmp(&(other.key, other.src))
+/// An open record as the packet carries it: not exited, no wait, not
+/// dropped, the as-executed path.
+fn open_record(p: &Packet, injected: SimTime) -> PacketRecord {
+    PacketRecord {
+        flow: p.flow,
+        size: p.size,
+        kind: p.kind,
+        path: p.path.clone(),
+        injected,
+        exited: None,
+        total_wait: Dur::ZERO,
+        dropped: false,
+        drop_cause: None,
+        hops: Vec::new(),
     }
 }
 
@@ -557,9 +549,14 @@ enum StreamInner<'a> {
         records: &'a [Option<PacketRecord>],
         order: std::vec::IntoIter<usize>,
     },
+    /// A k-way merge whose heap holds keys only: `(injected ps, id,
+    /// source)`, the source index a deterministic tie-break (ids are
+    /// unique, so it never decides). Each source's head record waits in
+    /// its slot of `heads` and moves once, out to the caller.
     Merge {
         sources: Vec<LogCursor<'a>>,
-        heap: BinaryHeap<std::cmp::Reverse<MergeHead>>,
+        heads: Vec<Option<PacketRecord>>,
+        heap: BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
     },
 }
 
@@ -581,16 +578,27 @@ impl Iterator for RecordStream<'_> {
                     records[i].as_ref().expect("ordered index").clone(), // lint:allow(panic-path): order only holds indices of retained (Some) records
                 ))
             }
-            StreamInner::Merge { sources, heap } => {
-                let std::cmp::Reverse(head) = heap.pop()?;
-                if let Some((id, rec)) = sources[head.src].next() {
-                    heap.push(std::cmp::Reverse(MergeHead {
-                        key: (rec.injected.as_ps(), id),
-                        src: head.src,
-                        rec,
-                    }));
-                }
-                Some((PacketId(head.key.1), head.rec))
+            StreamInner::Merge {
+                sources,
+                heads,
+                heap,
+            } => {
+                let mut top = heap.peek_mut()?;
+                let std::cmp::Reverse((_, id, src)) = *top;
+                let next = sources[src].next();
+                let rec = match next {
+                    Some((next_id, next_rec)) => {
+                        // Re-key the top in place: one sift when `top` drops.
+                        *top = std::cmp::Reverse((next_rec.injected.as_ps(), next_id, src));
+                        heads[src].replace(next_rec)
+                    }
+                    None => {
+                        PeekMut::pop(top);
+                        heads[src].take()
+                    }
+                };
+                // lint:allow(panic-path): every source key in the heap has its head record in `heads`
+                Some((PacketId(id), rec.expect("a keyed source holds its head")))
             }
         }
     }
@@ -699,12 +707,15 @@ mod tests {
     }
 
     /// Run the same lifecycle through both layouts and compare streams.
+    /// Packets left in flight are handed over through the adoption hook,
+    /// as `Simulator::into_trace` does.
     fn lifecycle(mode: RecordMode, caps: Option<(usize, usize)>, n: u64) -> Trace {
         let mut t = Trace::with_spill_caps(mode, caps);
         // Inject in injection-time order, exit out of order, drop a few.
         for id in 0..n {
             t.on_inject(&pkt_at(id, id), SimTime::from_us(id));
         }
+        let mut in_flight = Vec::new();
         for id in (0..n).rev() {
             let mut p = pkt_at(id, id);
             if id % 7 == 3 {
@@ -719,7 +730,14 @@ mod tests {
             } else if id % 11 != 5 {
                 p.cum_wait = Dur::from_ns(id * 3);
                 t.on_exit(&p, SimTime::from_us(id + 100));
-            } // else: left in flight
+            } else {
+                // Left in flight; its wait so far is not recorded.
+                p.cum_wait = Dur::from_ns(id);
+                in_flight.push(p);
+            }
+        }
+        for p in &in_flight {
+            t.adopt_in_flight(p);
         }
         t
     }
@@ -777,12 +795,21 @@ mod tests {
         let mut t = Trace::new(RecordMode::Streaming);
         let p = pkt(4);
         t.on_inject(&p, SimTime::ZERO);
-        assert_eq!(t.get(PacketId(4)).unwrap().exited, None);
+        // In flight and not yet adopted: a streaming trace holds nothing.
+        assert_eq!(
+            t.get(PacketId(4)),
+            Err(TraceAccessError::NotRecorded(PacketId(4)))
+        );
         t.on_exit(&p, SimTime::from_us(9));
         assert_eq!(
             t.get(PacketId(4)).unwrap().exited,
             Some(SimTime::from_us(9))
         );
+        // Adopted at hand-over, an in-flight packet reads as open.
+        let q = pkt(5);
+        t.on_inject(&q, SimTime::ZERO);
+        t.adopt_in_flight(&q);
+        assert_eq!(t.get(PacketId(5)).unwrap().exited, None);
     }
 
     #[test]
@@ -792,6 +819,11 @@ mod tests {
         let err = t.get(PacketId(39)).unwrap_err();
         assert_eq!(err, TraceAccessError::Spilled);
         assert_eq!(err.to_string(), "trace spilled; use Trace::stream()");
+        // An id at or beyond the id bound was never seen, spill or not.
+        assert_eq!(
+            t.get(PacketId(10_000)),
+            Err(TraceAccessError::NotRecorded(PacketId(10_000)))
+        );
         // An id outside the recorded set reports NotRecorded, not Spilled,
         // when it can be distinguished (resident layout always can).
         let r = lifecycle(RecordMode::EndToEnd, None, 4);

@@ -104,7 +104,9 @@ impl WorkloadProfile {
         };
         let name = self.name;
         ok.then_some(()).ok_or_else(|| {
-            format!("utilization {utilization} is outside {range}, the range profile {name:?} accepts")
+            format!(
+                "utilization {utilization} is outside {range}, the range profile {name:?} accepts"
+            )
         })
     }
 
