@@ -192,11 +192,7 @@ pub fn streaming_run(
 /// # Panics
 /// When any of the three differs — the caller writes nothing.
 pub fn differential_gate(packet_floor: u64, spill_caps: (usize, usize)) -> u64 {
-    let topo = fattree(FatTreeParams::default());
-    let profile = profile_by_name("web-search").expect("registered profile");
-    let (flows, _) = flows_with_floor(packet_floor, Dur::from_ms(4), Dur::from_secs(5), |window| {
-        profile.flows(&topo, &mut Routing::new(&topo), 0.7, window, 42)
-    });
+    let (topo, flows) = engine_workload(packet_floor);
     let packets = train_packets(&flows);
     let resident = streaming_run(&topo, &flows, RecordMode::EndToEnd, None);
     let streaming = streaming_run(&topo, &flows, RecordMode::Streaming, Some(spill_caps));
@@ -214,6 +210,17 @@ pub fn differential_gate(packet_floor: u64, spill_caps: (usize, usize)) -> u64 {
         "streamed run summary diverged"
     );
     packets
+}
+
+/// The engine-benchmark workload: fat-tree k=4, web-search at 70 %, seed
+/// 42, the arrival window grown until the train clears `packet_floor`.
+pub fn engine_workload(packet_floor: u64) -> (Topology, Vec<FlowSpec>) {
+    let topo = fattree(FatTreeParams::default());
+    let profile = profile_by_name("web-search").expect("registered profile");
+    let (flows, _) = flows_with_floor(packet_floor, Dur::from_ms(4), Dur::from_secs(5), |window| {
+        profile.flows(&topo, &mut Routing::new(&topo), 0.7, window, 42)
+    });
+    (topo, flows)
 }
 
 #[cfg(test)]

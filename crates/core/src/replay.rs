@@ -188,27 +188,11 @@ pub fn replay_packets(
 /// `(i(p), o(p), path(p))` triples form a complete, replayable schedule
 /// — packets still in flight at a horizon or lost at a dead link have no
 /// `o(p)` and are excluded.
-pub fn as_executed_packets(trace: &Trace) -> Vec<Packet> {
-    use ups_netsim::prelude::{PacketBuilder, PacketKind};
-    trace
-        .iter()
-        .expect("as_executed_packets needs a resident trace; use as_executed_stream") // lint:allow(panic-path): documented API precondition; the streaming form is as_executed_stream
-        .filter(|(_, r)| r.exited.is_some())
-        .map(|(id, r)| {
-            let mut b = PacketBuilder::new(id, r.flow, r.size, r.path.clone(), r.injected);
-            if r.kind == PacketKind::Ack {
-                b = b.ack();
-            }
-            b.build()
-        })
-        .collect()
-}
-
-/// Lazy form of [`as_executed_packets`]: the same delivered packet set,
-/// yielded in the canonical stream order `(i(p), id)` — exactly what
-/// [`ups_netsim::prelude::Simulator::run_with_injections`] wants — one
-/// packet at a time, so a spilled streaming trace replays without ever
-/// materializing the set.
+///
+/// The set is yielded in the canonical stream order `(i(p), id)` —
+/// exactly what [`ups_netsim::prelude::Simulator::run_with_injections`]
+/// wants — one packet at a time, from either trace layout, so a spilled
+/// trace replays without ever materializing the set.
 pub fn as_executed_stream(trace: &Trace) -> impl Iterator<Item = Packet> + '_ {
     use ups_netsim::prelude::{PacketBuilder, PacketKind};
     trace.stream().filter_map(|(id, r)| {
@@ -676,8 +660,9 @@ impl PriorityAssignment {
 /// `node × node` table and the precedence graph is `Vec`-keyed on the
 /// dense packet ids.
 ///
-/// Requires a `PerHop` trace. Intended for analysis and property tests;
-/// the per-port pair scan is quadratic in the worst case.
+/// Requires a `PerHop` trace, resident or spilled. Intended for analysis
+/// and property tests; the per-port pair scan is quadratic in the worst
+/// case.
 pub fn priorities_from_schedule(topo: &Topology, original: &Trace) -> Option<PriorityAssignment> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -695,10 +680,7 @@ pub fn priorities_from_schedule(topo: &Topology, original: &Trace) -> Option<Pri
         vec![Vec::new(); n_nodes * n_nodes];
     let mut in_schedule: Vec<bool> = vec![false; bound];
     let mut scheduled = 0usize;
-    let delivered = original
-        .delivered()
-        .expect("PerHop traces are resident (asserted above)"); // lint:allow(panic-path): the PerHop assertion above excludes the streaming layout
-    for (id, rec) in delivered {
+    for (id, rec) in original.stream().filter(|(_, r)| r.exited.is_some()) {
         in_schedule[id.index()] = true; // lint:allow(panic-path): ids are dense; bound is sized from this trace above
         scheduled += 1;
         for (i, h) in rec.hops.iter().enumerate() {
@@ -763,8 +745,8 @@ pub fn priorities_from_schedule(topo: &Topology, original: &Trace) -> Option<Pri
 /// trace — the quantity the paper's theorems are parameterized by (§2.2).
 pub fn max_congestion_points(trace: &Trace) -> usize {
     trace
-        .delivered()
-        .expect("congestion points need a resident PerHop trace") // lint:allow(panic-path): documented API precondition; streaming traces carry no hop detail anyway
+        .stream()
+        .filter(|(_, r)| r.exited.is_some())
         .map(|(_, r)| r.congestion_points())
         .max()
         .unwrap_or(0)
@@ -952,8 +934,9 @@ mod tests {
         assert_eq!((r.total, r.missing, r.overdue), (2, 1, 1));
     }
 
-    /// Lazy replay-set construction matches the eager one, and comparing a
-    /// trace against itself is perfect with every queueing ratio exactly 1.
+    /// The as-executed stream is the delivered set in `(i(p), id)` order,
+    /// and comparing a trace against itself is perfect with every queueing
+    /// ratio exactly 1.
     #[test]
     fn lazy_replay_set_matches_eager_and_self_compare_is_perfect() {
         let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
@@ -970,14 +953,14 @@ mod tests {
         let threshold = overdue_threshold(&topo);
 
         let lazy: Vec<Packet> = as_executed_stream(&out.original).collect();
-        let mut eager = as_executed_packets(&out.original);
-        eager.sort_by_key(|p| (p.injected_at, p.id));
-        assert_eq!(lazy.len(), eager.len());
-        for (l, e) in lazy.iter().zip(&eager) {
+        let mut delivered: Vec<_> = out.original.delivered().expect("resident trace").collect();
+        delivered.sort_by_key(|(id, r)| (r.injected, *id));
+        assert_eq!(lazy.len(), delivered.len());
+        for (l, (id, r)) in lazy.iter().zip(&delivered) {
             assert_eq!(
                 (l.id, l.flow, l.size, l.kind, &l.path, l.injected_at),
-                (e.id, e.flow, e.size, e.kind, &e.path, e.injected_at),
-                "lazy stream is the eager set, key-sorted"
+                (*id, r.flow, r.size, r.kind, &r.path, r.injected),
+                "the stream is the delivered set, key-sorted"
             );
         }
 

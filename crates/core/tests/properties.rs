@@ -286,6 +286,34 @@ proptest! {
         prop_assert_eq!(a.missing, b.missing);
     }
 
+    /// The core readers work on either trace layout: a `PerHop` original
+    /// spilled through tiny caps gives the same priority assignment and
+    /// the same congestion-point count as the resident one.
+    #[test]
+    fn spilled_per_hop_original_reads_like_the_resident_one(
+        scenario in scenario_strategy(3, 25, &[1500])
+    ) {
+        use ups_core::replay::{priorities_from_schedule, run_schedule};
+        let (topo, packets) = scenario.materialize();
+        let assign = SchedulerAssignment::uniform(scenario.discipline.kind());
+        let [resident, spilled] = [None, Some((4, 1))].map(|caps| {
+            let opts = BuildOptions {
+                record: RecordMode::PerHop,
+                seed: scenario.seed,
+                trace_spill_caps: caps,
+                ..BuildOptions::default()
+            };
+            run_schedule(&topo, &assign, packets.iter().cloned(), &opts)
+        });
+        prop_assert_eq!(spilled.iter().err(), Some(TraceAccessError::Spilled));
+        prop_assert_eq!(max_congestion_points(&spilled), max_congestion_points(&resident));
+        let ranks = |t: &Trace| {
+            let a = priorities_from_schedule(&topo, t)?;
+            Some(packets.iter().map(|p| a.get(p.id)).collect::<Vec<_>>())
+        };
+        prop_assert_eq!(ranks(&resident), ranks(&spilled));
+    }
+
     /// Replay experiments are deterministic: running twice gives
     /// identical reports and identical per-packet exits.
     #[test]

@@ -91,7 +91,7 @@ pub fn churn_replay_with_sink(
 mod tests {
     use super::*;
     use crate::schedule::FailureProfile;
-    use ups_core::{as_executed_packets, run_schedule};
+    use ups_core::{as_executed_stream, run_schedule};
     use ups_netsim::prelude::{DropCause, Dur, PacketKind, SchedulerKind};
     use ups_topology::{topology_by_name, Routing};
 
@@ -226,7 +226,7 @@ mod tests {
         let rate = report.match_rate().expect("delivered > 0");
         assert!(rate > 0.5, "LSTF should mostly keep up: {rate}");
         // And the as-executed set is exactly the delivered packets.
-        let executed = as_executed_packets(&churn.trace);
+        let executed: Vec<Packet> = as_executed_stream(&churn.trace).collect();
         assert_eq!(executed.len() as u64, churn.stats.delivered);
         assert!(executed.iter().all(|p| p.kind == PacketKind::Data));
     }

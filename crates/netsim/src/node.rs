@@ -151,7 +151,7 @@ impl Port {
             while self.scheduler.queued_bytes() > cap {
                 match self.scheduler.select_drop() {
                     Some(victim) => {
-                        trace.on_drop(arena.get(victim.pkt), DropCause::Buffer);
+                        trace.on_drop(arena, victim.pkt, DropCause::Buffer);
                         drops.push(victim.pkt);
                     }
                     None => break,
@@ -221,7 +221,7 @@ impl Port {
             .remaining_tx
             .take()
             .unwrap_or_else(|| self.link.bandwidth.tx_time(packet.size));
-        trace.on_tx_start(arena.get(qp.pkt), self.node, now, waited);
+        trace.on_tx_start(qp.pkt, self.node, now, waited);
 
         let ends = now + tx;
         self.busy_time += tx;
@@ -461,7 +461,7 @@ mod tests {
         let mut dropped = Vec::new();
         for i in 0..4 {
             let p = mk_pkt(i, 1500, 0);
-            tr.on_inject(&p, SimTime::ZERO);
+            tr.on_inject(p.id);
             let r = arena.alloc(p);
             dropped.extend(port.accept(r, SimTime::ZERO, &mut arena, &mut ev, &mut tr));
         }

@@ -62,10 +62,11 @@ pub trait RerouteOracle: Send {
 pub struct SimConfig {
     /// Trace detail level.
     pub record: RecordMode,
-    /// Streaming-trace spill capacities `(records per chunk, sealed
-    /// chunks kept in memory)`; `None` = built-in defaults. Only read
-    /// when `record` is [`RecordMode::Streaming`] — tests use tiny caps
-    /// to force spill behaviour on small runs.
+    /// Trace spill capacities `(records per chunk, sealed chunks kept in
+    /// memory)`. `Some` records through a chunked log that spills to disk,
+    /// at any detail; `None` keeps the trace resident, except under
+    /// [`RecordMode::Streaming`], which spills at built-in defaults. Tests
+    /// use tiny caps to force spill behaviour on small runs.
     pub trace_spill_caps: Option<(usize, usize)>,
 }
 
@@ -305,18 +306,22 @@ impl Simulator {
 
     /// The recorded schedule so far.
     ///
-    /// A [`RecordMode::Streaming`] trace records a packet when it is
-    /// delivered or dropped, so borrowed mid-run it lists no packet still
-    /// in flight; [`Self::into_trace`] adds those.
+    /// A trace records a packet when it is delivered or dropped, so
+    /// borrowed mid-run it lists no packet still in flight;
+    /// [`Self::into_trace`] adds those.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Consume the simulator, yielding the recorded schedule. A streaming
-    /// trace adopts every injected packet still in flight here, as the
-    /// open record a resident trace holds for it.
+    /// Consume the simulator, yielding the recorded schedule. Every
+    /// injected packet still in flight is recorded here, open: not
+    /// exited, no wait charged, its as-executed path.
     pub fn into_trace(mut self) -> Trace {
-        if self.trace.mode() == RecordMode::Streaming && !self.arena.is_empty() {
+        if self.trace.mode() == RecordMode::Off {
+            return self.trace;
+        }
+        let mut in_flight = Vec::new();
+        if !self.arena.is_empty() {
             // A packet whose `Inject` event has not fired is not in the
             // schedule yet.
             let mut unfired = vec![false; self.arena.capacity()];
@@ -326,13 +331,13 @@ impl Simulator {
                     unfired[pkt.slot() as usize] = true;
                 }
             }
-            for (pkt, packet) in self.arena.iter() {
+            in_flight.extend(self.arena.iter().filter(|(pkt, _)| {
                 // lint:allow(panic-path): a live ref's slot is below the arena's capacity
-                if !unfired[pkt.slot() as usize] {
-                    self.trace.adopt_in_flight(packet);
-                }
-            }
+                !unfired[pkt.slot() as usize]
+            }));
         }
+        // With nothing in flight too: the hand-over frees the hop table.
+        self.trace.hand_over(in_flight);
         self.trace
     }
 
@@ -448,7 +453,7 @@ impl Simulator {
                     now,
                     "i(p) is the inject time"
                 );
-                self.trace.on_inject(self.arena.get(pkt), now);
+                self.trace.on_inject(self.arena.get(pkt).id);
                 self.route(pkt, now);
             }
             Event::Arrive { node, pkt } => {
@@ -583,13 +588,12 @@ impl Simulator {
                 // Any minimum-transit table was computed for the old path.
                 p.tmin_rem = None;
                 self.stats.rerouted += 1;
-                self.trace.on_reroute(self.arena.get(pkt));
                 self.forward(pkt, now);
             }
             None => {
                 self.stats.dropped += 1;
                 self.stats.dropped_dead_link += 1;
-                self.trace.on_drop(self.arena.get(pkt), DropCause::DeadLink);
+                self.trace.on_drop(&self.arena, pkt, DropCause::DeadLink);
                 self.arena.free(pkt);
             }
         }
@@ -598,9 +602,8 @@ impl Simulator {
     /// Record the hop arrival and enqueue `pkt` at the output port of its
     /// current node towards its next hop.
     fn route(&mut self, pkt: PacketRef, now: SimTime) {
-        let packet = self.arena.get(pkt);
-        let here = packet.current_node();
-        self.trace.on_arrive_at_hop(packet, here, now);
+        let here = self.arena.get(pkt).current_node();
+        self.trace.on_arrive_at_hop(pkt, here, now);
         self.forward(pkt, now);
     }
 
@@ -643,8 +646,8 @@ impl Simulator {
     /// hand it to the node's agent.
     fn deliver(&mut self, node: NodeId, pkt: PacketRef, now: SimTime) {
         self.stats.delivered += 1;
+        self.trace.on_exit(&self.arena, pkt, now);
         let packet = self.arena.take(pkt);
-        self.trace.on_exit(&packet, now);
         // lint:allow(panic-path): NodeIds are issued densely by this simulator; index is in range by construction
         if let Some(agent) = self.agent_at[node.index()] {
             let mut api = SimApi {

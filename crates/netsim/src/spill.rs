@@ -1,14 +1,16 @@
-//! Chunked spill backend for streaming traces.
+//! Chunked spill backend for traces recorded with spill caps.
 //!
-//! A streaming [`crate::trace::Trace`] appends each *finalized* packet
-//! record (delivered or dropped) to a [`ChunkLog`]: records accumulate in
-//! an open chunk, chunks are sealed (sorted by `(i(p), id)`) into a small
-//! in-memory ring, and when the ring overflows the oldest chunk is encoded
-//! through a fixed-layout little-endian codec into an anonymous spill file
-//! in the OS temp directory. Reading the log back is a k-way merge over
-//! one cursor per chunk; spilled chunks are read with positioned reads
-//! (`pread`) over a single shared file descriptor, so memory stays
-//! `O(chunks × read-buffer)` no matter how many records were logged.
+//! A spilling [`crate::trace::Trace`] appends each packet record — made
+//! when the packet is delivered or dropped, or when the simulator hands
+//! over its trace with the packet still in flight — to a [`ChunkLog`]:
+//! records accumulate in an open chunk, chunks are sealed (sorted by
+//! `(i(p), id)`) into a small in-memory ring, and when the ring overflows
+//! the oldest chunk is encoded through a fixed-layout little-endian codec
+//! into an anonymous spill file in the OS temp directory. Reading the log
+//! back is a k-way merge over one cursor per chunk; spilled chunks are
+//! read with positioned reads (`pread`) over a single shared file
+//! descriptor, so memory stays `O(chunks × read-buffer)` no matter how
+//! many records were logged.
 //!
 //! A record names its path by a `u32` index into the log's path table
 //! ([`PathTable`]), which interns each distinct node list once, in
@@ -16,10 +18,9 @@
 //! reading a record allocates nothing. A delivered end-to-end record is a
 //! fixed 58 bytes on disk whatever its path length.
 //!
-//! The codec is general enough to round-trip every field of a
-//! [`PacketRecord`] — drop causes and per-hop detail included — even
-//! though streaming capture only produces end-to-end records; synthetic
-//! traces and future per-hop spilling reuse it unchanged.
+//! The codec round-trips every field of a [`PacketRecord`], drop causes
+//! and per-hop detail included, so `EndToEnd`, `PerHop` and synthetic
+//! traces all spill through it; a hop adds 28 bytes.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};

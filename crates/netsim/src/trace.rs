@@ -5,18 +5,20 @@
 //! with per-hop detail (`o(p, α)` and per-hop waits) which the omniscient
 //! replay of Appendix B and the congestion-point analysis need.
 //!
-//! Two storage layouts back the recorder:
+//! A packet is recorded once, when it leaves the network — delivered,
+//! dropped, or still in flight when the simulator hands over its trace —
+//! from the packet itself, which carries every field of its record; in
+//! `PerHop` mode its hops wait in a table by arena slot until then.
 //!
-//! * **Resident** (`Off`/`EndToEnd`/`PerHop`): a dense id-indexed `Vec`,
-//!   with O(1) random access via [`Trace::get`] — memory `O(packets)`.
-//! * **Streaming** ([`RecordMode::Streaming`]): the trace holds nothing per
-//!   packet between injection and exit — the in-flight packet already
-//!   carries its flow, size, path, `i(p)` and accumulated wait. Each packet
-//!   is recorded once, when it is delivered or dropped, into a chunked log
-//!   whose oldest chunks spill to a temp file (see `crate::spill`); the
-//!   packets still in flight when the simulator hands over its trace are
-//!   adopted as open records then — memory `O(ring)`, independent of how
-//!   many packets the run injects.
+//! Record detail ([`RecordMode`]) does not decide where records are kept;
+//! the spill caps do:
+//!
+//! * **Resident** (no caps): a dense id-indexed `Vec`, with O(1) random
+//!   access via [`Trace::get`] — memory `O(packets)`.
+//! * **Spilled** (caps, or [`RecordMode::Streaming`] at default caps): a
+//!   chunked log whose oldest chunks spill to a temp file (see
+//!   `crate::spill`) — memory `O(ring)`, independent of how many packets
+//!   the run injects, at either detail.
 //!
 //! Both layouts expose [`Trace::stream`], which yields every record in
 //! `(i(p), id)` order. That ordering is the pipeline's canonical merge key:
@@ -27,14 +29,15 @@
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
+use crate::arena::{PacketArena, PacketRef};
 use crate::id::{FlowId, NodeId, PacketId};
 use crate::packet::{Packet, PacketKind};
 use crate::spill::{ChunkLog, LogCursor, DEFAULT_CHUNK_RECORDS, DEFAULT_RING_CHUNKS};
 use crate::time::{Dur, SimTime};
 
 /// How much detail to record. Per-hop records cost memory proportional to
-/// packets × hops, so large workload runs use `EndToEnd`; million-packet
-/// runs use `Streaming`, which bounds memory regardless of run length.
+/// packets × hops. Where records live is chosen apart from detail, by the
+/// spill caps ([`crate::sim::SimConfig::trace_spill_caps`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordMode {
     /// Record nothing (pure throughput runs).
@@ -44,10 +47,8 @@ pub enum RecordMode {
     /// Additionally every hop's arrival, first transmission start
     /// (`o(p, α)`) and accumulated waiting.
     PerHop,
-    /// `EndToEnd` detail in bounded memory: finalized records move through
-    /// a chunked spill log and are read back only via [`Trace::stream`].
-    /// Random access ([`Trace::get`]/[`Trace::iter`]) is refused once
-    /// records have spilled to disk.
+    /// `EndToEnd` detail, spilled at the default caps when none are
+    /// given; read back via [`Trace::stream`].
     Streaming,
 }
 
@@ -74,10 +75,10 @@ impl RecordMode {
     pub fn describe(self) -> &'static str {
         match self {
             RecordMode::Off => "record nothing (pure throughput runs)",
-            RecordMode::EndToEnd => "i(p), o(p), total wait per packet; resident, random access",
+            RecordMode::EndToEnd => "i(p), o(p), total wait per packet",
             RecordMode::PerHop => "end-to-end plus per-hop o(p, α) detail (omniscient replay)",
             RecordMode::Streaming => {
-                "end-to-end detail in bounded memory; chunked spill log, stream access only"
+                "end-to-end detail, spilled at the default caps; stream access"
             }
         }
     }
@@ -158,22 +159,12 @@ impl PacketRecord {
     }
 }
 
-/// Finalized-record log plus adopted open records backing a streaming
-/// trace.
-#[derive(Debug)]
-struct StreamStore {
-    /// Records of packets neither delivered nor dropped, by raw id: the
-    /// in-flight packets adopted when the simulator handed over its trace,
-    /// and open rows of a synthetic table. Empty while a run is going.
-    open: Vec<(u64, PacketRecord)>,
-    log: ChunkLog,
-    id_bound: u64,
-}
-
 #[derive(Debug)]
 enum Store {
+    /// Dense by packet id, grown in id order at injection.
     Resident(Vec<Option<PacketRecord>>),
-    Streaming(Box<StreamStore>),
+    /// A chunked log whose oldest chunks spill to a temp file.
+    Spilled(Box<ChunkLog>),
 }
 
 /// The recorded schedule of one simulation run.
@@ -186,6 +177,10 @@ enum Store {
 pub struct Trace {
     mode: RecordMode,
     store: Store,
+    id_bound: u64,
+    /// `PerHop` only: the hops each packet in flight has reached, by arena
+    /// slot. They move into the packet's record when it is made.
+    hops: Vec<Vec<HopRecord>>,
 }
 
 impl PartialEq for Trace {
@@ -212,23 +207,23 @@ impl Trace {
         Trace::with_spill_caps(mode, None)
     }
 
-    /// As [`Trace::new`], with explicit streaming spill capacities
-    /// `(records per chunk, sealed chunks kept in memory)` — tests use
-    /// tiny caps to force chunk-boundary and spill behaviour on small
-    /// runs. Ignored for resident modes.
+    /// As [`Trace::new`], spilling through a log with capacities
+    /// `(records per chunk, sealed chunks kept in memory)` when `caps` is
+    /// set, at any detail. [`RecordMode::Streaming`] without caps spills
+    /// at the defaults; every other mode without caps stays resident.
     pub(crate) fn with_spill_caps(mode: RecordMode, caps: Option<(usize, usize)>) -> Self {
-        let store = match mode {
-            RecordMode::Streaming => {
-                let (chunk, ring) = caps.unwrap_or((DEFAULT_CHUNK_RECORDS, DEFAULT_RING_CHUNKS));
-                Store::Streaming(Box::new(StreamStore {
-                    open: Vec::new(),
-                    log: ChunkLog::new(chunk, ring),
-                    id_bound: 0,
-                }))
-            }
-            _ => Store::Resident(Vec::new()),
+        let default =
+            (mode == RecordMode::Streaming).then_some((DEFAULT_CHUNK_RECORDS, DEFAULT_RING_CHUNKS));
+        let store = match caps.or(default) {
+            Some((chunk, ring)) => Store::Spilled(Box::new(ChunkLog::new(chunk, ring))),
+            None => Store::Resident(Vec::new()),
         };
-        Trace { mode, store }
+        Trace {
+            mode,
+            store,
+            id_bound: 0,
+            hops: Vec::new(),
+        }
     }
 
     /// Build a trace from externally-known records — used by the appendix
@@ -239,26 +234,11 @@ impl Trace {
         records: impl IntoIterator<Item = (PacketId, PacketRecord)>,
     ) -> Self {
         let mut t = Trace::new(mode);
-        match &mut t.store {
-            Store::Resident(store) => {
-                for (id, rec) in records {
-                    let slot = resident_slot(store, id);
-                    assert!(slot.is_none(), "duplicate synthetic record for {id}");
-                    *slot = Some(rec);
-                }
-            }
-            Store::Streaming(s) => {
-                let mut seen = std::collections::BTreeSet::new();
-                for (id, rec) in records {
-                    assert!(seen.insert(id.0), "duplicate synthetic record for {id}");
-                    s.id_bound = s.id_bound.max(id.0 + 1);
-                    if rec.exited.is_some() || rec.dropped {
-                        s.log.push(id.0, rec);
-                    } else {
-                        s.open.push((id.0, rec));
-                    }
-                }
-            }
+        let mut seen = std::collections::BTreeSet::new();
+        for (id, rec) in records {
+            assert!(seen.insert(id), "duplicate synthetic record for {id}");
+            t.id_bound = t.id_bound.max(id.0 + 1);
+            t.put(id, rec);
         }
         t
     }
@@ -268,163 +248,146 @@ impl Trace {
         self.mode
     }
 
-    /// A streaming trace only widens its id bound here: the packet keeps
-    /// everything its record needs until it is delivered or dropped.
-    pub(crate) fn on_inject(&mut self, p: &Packet, now: SimTime) {
+    /// Widens the id bound and the resident table, in id order: the packet
+    /// carries everything its record needs until it leaves.
+    pub(crate) fn on_inject(&mut self, id: PacketId) {
         if self.mode == RecordMode::Off {
             return;
         }
-        match &mut self.store {
-            Store::Resident(store) => *resident_slot(store, p.id) = Some(open_record(p, now)),
-            Store::Streaming(s) => s.id_bound = s.id_bound.max(p.id.0 + 1),
+        self.id_bound = self.id_bound.max(id.0 + 1);
+        if let Store::Resident(records) = &mut self.store {
+            resident_slot(records, id);
         }
     }
 
-    /// The dynamics layer spliced a new route onto `p` at its current
-    /// hop; keep the record's path the as-executed one. A streaming trace
-    /// reads the path off the packet when it records it.
-    pub(crate) fn on_reroute(&mut self, p: &Packet) {
-        if self.mode == RecordMode::Off {
-            return;
-        }
-        if let Store::Resident(store) = &mut self.store {
-            if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
-                r.path = p.path.clone();
-            }
-        }
-    }
-
-    /// Record a packet still in flight when the simulator hands over its
-    /// trace, as the open record a resident trace holds for it: not
-    /// exited, no wait, not dropped, its as-executed path. Resident traces
-    /// already hold it.
-    pub(crate) fn adopt_in_flight(&mut self, p: &Packet) {
-        if let Store::Streaming(s) = &mut self.store {
-            s.open.push((p.id.0, open_record(p, p.injected_at)));
-        }
-    }
-
-    pub(crate) fn on_arrive_at_hop(&mut self, p: &Packet, node: NodeId, now: SimTime) {
+    #[inline]
+    pub(crate) fn on_arrive_at_hop(&mut self, pkt: PacketRef, node: NodeId, now: SimTime) {
         if self.mode != RecordMode::PerHop {
             return;
         }
-        let Store::Resident(store) = &mut self.store else {
-            unreachable!("PerHop is always resident");
-        };
-        if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
-            r.hops.push(HopRecord {
-                node,
-                arrived: now,
-                tx_start: SimTime::MAX, // patched on first tx start
-                waited: Dur::ZERO,
-            });
+        let slot = pkt.slot() as usize;
+        if slot >= self.hops.len() {
+            self.hops.resize_with(slot + 1, Vec::new);
         }
+        self.hops[slot].push(HopRecord {
+            node,
+            arrived: now,
+            tx_start: SimTime::MAX, // patched on first tx start
+            waited: Dur::ZERO,
+        });
     }
 
-    pub(crate) fn on_tx_start(&mut self, p: &Packet, node: NodeId, now: SimTime, waited: Dur) {
+    #[inline]
+    pub(crate) fn on_tx_start(&mut self, pkt: PacketRef, node: NodeId, now: SimTime, waited: Dur) {
         if self.mode != RecordMode::PerHop {
             return;
         }
-        let Store::Resident(store) = &mut self.store else {
-            unreachable!("PerHop is always resident");
+        let slot = pkt.slot() as usize;
+        match self.hops.get_mut(slot).and_then(|h| h.last_mut()) {
+            Some(h) if h.node == node => {
+                if h.tx_start == SimTime::MAX {
+                    h.tx_start = now;
+                }
+                h.waited += waited;
+            }
+            _ => debug_assert!(false, "tx start without matching hop arrival"),
+        }
+    }
+
+    /// `pkt` reached its destination at `now`; call before it leaves the
+    /// arena.
+    pub(crate) fn on_exit(&mut self, arena: &PacketArena, pkt: PacketRef, now: SimTime) {
+        if self.mode != RecordMode::Off {
+            let p = arena.get(pkt);
+            self.record(pkt, p, Some(now), p.cum_wait, None);
+        }
+    }
+
+    /// `pkt` is lost; call before it leaves the arena.
+    pub(crate) fn on_drop(&mut self, arena: &PacketArena, pkt: PacketRef, cause: DropCause) {
+        if self.mode != RecordMode::Off {
+            self.record(pkt, arena.get(pkt), None, Dur::ZERO, Some(cause));
+        }
+    }
+
+    /// The simulator hands its trace over with `in_flight` still in the
+    /// network: each is recorded as it stands, open — not exited, no wait
+    /// charged, the hops it has reached. The hop table goes with them.
+    pub(crate) fn hand_over<'a>(
+        &mut self,
+        in_flight: impl IntoIterator<Item = (PacketRef, &'a Packet)>,
+    ) {
+        for (pkt, p) in in_flight {
+            self.record(pkt, p, None, Dur::ZERO, None);
+        }
+        self.hops = Vec::new();
+    }
+
+    /// The one place a record is made, from the packet and the hops it
+    /// collected: its flow, size, kind, `i(p)` and as-executed path.
+    fn record(
+        &mut self,
+        pkt: PacketRef,
+        p: &Packet,
+        exited: Option<SimTime>,
+        total_wait: Dur,
+        drop_cause: Option<DropCause>,
+    ) {
+        let hops = self.hops.get_mut(pkt.slot() as usize).map(std::mem::take);
+        let rec = PacketRecord {
+            flow: p.flow,
+            size: p.size,
+            kind: p.kind,
+            path: p.path.clone(),
+            injected: p.injected_at,
+            exited,
+            total_wait,
+            dropped: drop_cause.is_some(),
+            drop_cause,
+            hops: hops.unwrap_or_default(),
         };
-        if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
-            match r.hops.last_mut() {
-                Some(h) if h.node == node => {
-                    if h.tx_start == SimTime::MAX {
-                        h.tx_start = now;
-                    }
-                    h.waited += waited;
-                }
-                _ => debug_assert!(false, "tx start without matching hop arrival"),
-            }
-        }
+        self.put(p.id, rec);
     }
 
-    pub(crate) fn on_exit(&mut self, p: &Packet, now: SimTime) {
-        if self.mode == RecordMode::Off {
-            return;
-        }
+    fn put(&mut self, id: PacketId, rec: PacketRecord) {
         match &mut self.store {
-            Store::Resident(store) => {
-                if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
-                    r.exited = Some(now);
-                    r.total_wait = p.cum_wait;
-                }
-            }
-            Store::Streaming(s) => s.log.push(
-                p.id.0,
-                PacketRecord {
-                    exited: Some(now),
-                    total_wait: p.cum_wait,
-                    ..open_record(p, p.injected_at)
-                },
-            ),
-        }
-    }
-
-    pub(crate) fn on_drop(&mut self, p: &Packet, cause: DropCause) {
-        if self.mode == RecordMode::Off {
-            return;
-        }
-        match &mut self.store {
-            Store::Resident(store) => {
-                if let Some(r) = store.get_mut(p.id.index()).and_then(|r| r.as_mut()) {
-                    r.dropped = true;
-                    r.drop_cause = Some(cause);
-                }
-            }
-            Store::Streaming(s) => s.log.push(
-                p.id.0,
-                PacketRecord {
-                    dropped: true,
-                    drop_cause: Some(cause),
-                    ..open_record(p, p.injected_at)
-                },
-            ),
+            Store::Resident(records) => *resident_slot(records, id) = Some(rec),
+            Store::Spilled(log) => log.push(id.0, rec),
         }
     }
 
     /// The record for a packet id.
     ///
-    /// On a streaming trace whose records spilled to disk, an id below
+    /// On a trace whose records spilled to disk, an id below
     /// [`Trace::id_bound`] outside the memory-resident set is
     /// [`TraceAccessError::Spilled`] — random access would mean re-reading
     /// the spill file per lookup; use [`Trace::stream`]. An id the trace
-    /// never saw is [`TraceAccessError::NotRecorded`]. A streaming trace
-    /// records a packet when it is delivered or dropped, and adopts the
-    /// rest in [`crate::sim::Simulator::into_trace`]: until then, an id
-    /// still in flight is `NotRecorded` too.
+    /// never saw, or one still in flight before
+    /// [`crate::sim::Simulator::into_trace`], is [`TraceAccessError::NotRecorded`].
     pub fn get(&self, id: PacketId) -> Result<&PacketRecord, TraceAccessError> {
         match &self.store {
-            Store::Resident(store) => store
+            Store::Resident(records) => records
                 .get(id.index())
                 .and_then(|r| r.as_ref())
                 .ok_or(TraceAccessError::NotRecorded(id)),
-            Store::Streaming(s) => {
-                let open = s.open.iter().find(|(i, _)| *i == id.0).map(|(_, r)| r);
-                if let Some(r) = open.or_else(|| s.log.find(id.0)) {
-                    return Ok(r);
-                }
-                if s.log.has_spilled() && id.0 < s.id_bound {
-                    Err(TraceAccessError::Spilled)
-                } else {
-                    Err(TraceAccessError::NotRecorded(id))
-                }
-            }
+            Store::Spilled(log) => match log.find(id.0) {
+                Some(r) => Ok(r),
+                None if log.has_spilled() && id.0 < self.id_bound => Err(TraceAccessError::Spilled),
+                None => Err(TraceAccessError::NotRecorded(id)),
+            },
         }
     }
 
-    /// All recorded packets in id order. Resident traces only — a
-    /// streaming trace (whose records spill to disk) is
-    /// [`TraceAccessError::Spilled`] and is read with [`Trace::stream`].
+    /// All recorded packets in id order. Resident traces only — a trace
+    /// recorded with spill caps is [`TraceAccessError::Spilled`] and is
+    /// read with [`Trace::stream`].
     pub fn iter(
         &self,
     ) -> Result<impl Iterator<Item = (PacketId, &PacketRecord)>, TraceAccessError> {
-        let Store::Resident(store) = &self.store else {
+        let Store::Resident(records) = &self.store else {
             return Err(TraceAccessError::Spilled);
         };
-        Ok(store
+        Ok(records
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|r| (PacketId(i as u64), r))))
@@ -440,10 +403,10 @@ impl Trace {
 
     /// Every record (delivered, dropped and in-flight) in `(i(p), id)`
     /// order, decoding spilled chunks on the fly. This is the only way to
-    /// read a spilled streaming trace, and works identically on resident
-    /// traces — the differential tests rely on both layouts producing the
-    /// same stream. Records are owned (decoded or cloned); memory is
-    /// bounded by the chunk count, not the record count.
+    /// read a spilled trace, and works identically on resident traces —
+    /// the differential tests rely on both layouts producing the same
+    /// stream. Records are owned (decoded or cloned); memory is bounded by
+    /// the chunk count, not the record count.
     pub fn stream(&self) -> RecordStream<'_> {
         match &self.store {
             Store::Resident(store) => {
@@ -457,11 +420,8 @@ impl Trace {
                     },
                 }
             }
-            Store::Streaming(s) => {
-                let mut sources = s.log.cursors();
-                let mut open = s.open.clone();
-                open.sort_unstable_by_key(|(id, r)| (r.injected, *id));
-                sources.push(LogCursor::Owned(open.into_iter()));
+            Store::Spilled(log) => {
+                let mut sources = log.cursors();
                 let mut heap = BinaryHeap::with_capacity(sources.len());
                 let mut heads = Vec::with_capacity(sources.len());
                 for (src, cur) in sources.iter_mut().enumerate() {
@@ -485,18 +445,15 @@ impl Trace {
     /// Count of recorded packets.
     pub fn len(&self) -> usize {
         match &self.store {
-            Store::Resident(store) => store.iter().filter(|r| r.is_some()).count(),
-            Store::Streaming(s) => s.open.len() + s.log.len() as usize,
+            Store::Resident(records) => records.iter().filter(|r| r.is_some()).count(),
+            Store::Spilled(log) => log.len() as usize,
         }
     }
 
     /// Exclusive upper bound on recorded packet id indexes — the length a
     /// dense `Vec` keyed by [`PacketId`] needs to cover every record.
     pub fn id_bound(&self) -> usize {
-        match &self.store {
-            Store::Resident(store) => store.len(),
-            Store::Streaming(s) => s.id_bound as usize,
-        }
+        self.id_bound as usize
     }
 
     /// True when nothing was recorded.
@@ -526,23 +483,6 @@ impl std::fmt::Display for TraceAccessError {
 }
 
 impl std::error::Error for TraceAccessError {}
-
-/// An open record as the packet carries it: not exited, no wait, not
-/// dropped, the as-executed path.
-fn open_record(p: &Packet, injected: SimTime) -> PacketRecord {
-    PacketRecord {
-        flow: p.flow,
-        size: p.size,
-        kind: p.kind,
-        path: p.path.clone(),
-        injected,
-        exited: None,
-        total_wait: Dur::ZERO,
-        dropped: false,
-        drop_cause: None,
-        hops: Vec::new(),
-    }
-}
 
 enum StreamInner<'a> {
     Resident {
@@ -611,42 +551,53 @@ mod tests {
     use crate::packet::PacketBuilder;
     use std::sync::Arc;
 
-    fn pkt(id: u64) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(2)].into();
-        PacketBuilder::new(PacketId(id), FlowId(0), 1500, path, SimTime::ZERO).build()
-    }
+    /// A trace, the arena its hooks read and the packets in it.
+    type Rig = (Trace, PacketArena, Vec<PacketRef>);
 
-    fn pkt_at(id: u64, us: u64) -> Packet {
+    /// Packets `0..n` (packet `i` at `i` µs) injected into a fresh trace
+    /// and arena, as the simulator holds them.
+    fn injected(mode: RecordMode, caps: Option<(usize, usize)>, n: u64) -> Rig {
+        let mut t = Trace::with_spill_caps(mode, caps);
+        let mut arena = PacketArena::new();
         let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(2)].into();
-        PacketBuilder::new(PacketId(id), FlowId(0), 1500, path, SimTime::from_us(us)).build()
+        let refs = (0..n)
+            .map(|id| {
+                t.on_inject(PacketId(id));
+                let at = SimTime::from_us(id);
+                let p = PacketBuilder::new(PacketId(id), FlowId(0), 1500, path.clone(), at);
+                arena.alloc(p.build())
+            })
+            .collect();
+        (t, arena, refs)
     }
 
     #[test]
     fn end_to_end_lifecycle() {
-        let mut t = Trace::new(RecordMode::EndToEnd);
-        let mut p = pkt(5);
-        t.on_inject(&p, SimTime::from_us(1));
-        assert_eq!(t.get(PacketId(5)).unwrap().exited, None);
-        p.cum_wait = Dur::from_us(7);
-        t.on_exit(&p, SimTime::from_us(30));
+        let (mut t, mut arena, refs) = injected(RecordMode::EndToEnd, None, 6);
+        // In flight: not recorded yet.
+        assert_eq!(
+            t.get(PacketId(5)),
+            Err(TraceAccessError::NotRecorded(PacketId(5)))
+        );
+        arena.get_mut(refs[5]).cum_wait = Dur::from_us(7);
+        t.on_exit(&arena, refs[5], SimTime::from_us(34));
         let r = t.get(PacketId(5)).unwrap();
-        assert_eq!(r.exited, Some(SimTime::from_us(30)));
+        assert_eq!(r.exited, Some(SimTime::from_us(34)));
         assert_eq!(r.delay(), Some(Dur::from_us(29)));
         assert_eq!(r.total_wait, Dur::from_us(7));
-        assert_eq!(t.len(), 1);
+        assert_eq!((t.len(), t.id_bound()), (1, 6));
         assert_eq!(t.delivered().expect("resident trace").count(), 1);
     }
 
     #[test]
     fn per_hop_records_congestion_points() {
-        let mut t = Trace::new(RecordMode::PerHop);
-        let p = pkt(0);
-        t.on_inject(&p, SimTime::ZERO);
-        t.on_arrive_at_hop(&p, NodeId(0), SimTime::ZERO);
-        t.on_tx_start(&p, NodeId(0), SimTime::from_us(4), Dur::from_us(4));
-        t.on_arrive_at_hop(&p, NodeId(1), SimTime::from_us(20));
-        t.on_tx_start(&p, NodeId(1), SimTime::from_us(20), Dur::ZERO);
-        t.on_exit(&p, SimTime::from_us(40));
+        let (mut t, arena, refs) = injected(RecordMode::PerHop, None, 1);
+        let p = refs[0];
+        t.on_arrive_at_hop(p, NodeId(0), SimTime::ZERO);
+        t.on_tx_start(p, NodeId(0), SimTime::from_us(4), Dur::from_us(4));
+        t.on_arrive_at_hop(p, NodeId(1), SimTime::from_us(20));
+        t.on_tx_start(p, NodeId(1), SimTime::from_us(20), Dur::ZERO);
+        t.on_exit(&arena, p, SimTime::from_us(40));
         let r = t.get(PacketId(0)).unwrap();
         assert_eq!(r.congestion_points(), 1);
         assert_eq!(
@@ -657,24 +608,25 @@ mod tests {
 
     #[test]
     fn per_hop_wait_accumulates_over_preemption_segments() {
-        let mut t = Trace::new(RecordMode::PerHop);
-        let p = pkt(0);
-        t.on_inject(&p, SimTime::ZERO);
-        t.on_arrive_at_hop(&p, NodeId(0), SimTime::ZERO);
-        t.on_tx_start(&p, NodeId(0), SimTime::from_us(2), Dur::from_us(2));
+        let (mut t, arena, refs) = injected(RecordMode::PerHop, None, 1);
+        t.on_arrive_at_hop(refs[0], NodeId(0), SimTime::ZERO);
+        t.on_tx_start(refs[0], NodeId(0), SimTime::from_us(2), Dur::from_us(2));
         // Preempted, resumed later with 3us more waiting.
-        t.on_tx_start(&p, NodeId(0), SimTime::from_us(9), Dur::from_us(3));
+        t.on_tx_start(refs[0], NodeId(0), SimTime::from_us(9), Dur::from_us(3));
+        // Still in flight at hand-over: the open record keeps its hops, and
+        // the hop table is freed.
+        t.hand_over(arena.iter());
+        assert!(t.hops.is_empty());
         let r = t.get(PacketId(0)).unwrap();
+        assert_eq!(r.exited, None);
         assert_eq!(r.hops[0].tx_start, SimTime::from_us(2), "first start kept");
         assert_eq!(r.hops[0].waited, Dur::from_us(5));
     }
 
     #[test]
     fn off_mode_records_nothing() {
-        let mut t = Trace::new(RecordMode::Off);
-        let p = pkt(3);
-        t.on_inject(&p, SimTime::ZERO);
-        t.on_exit(&p, SimTime::from_us(1));
+        let (mut t, arena, refs) = injected(RecordMode::Off, None, 4);
+        t.on_exit(&arena, refs[3], SimTime::from_us(9));
         assert!(t.is_empty());
         assert_eq!(
             t.get(PacketId(3)),
@@ -683,85 +635,81 @@ mod tests {
     }
 
     #[test]
-    fn drops_are_marked_with_cause() {
-        let mut t = Trace::new(RecordMode::EndToEnd);
-        let p = pkt(1);
-        t.on_inject(&p, SimTime::ZERO);
-        t.on_drop(&p, DropCause::DeadLink);
+    fn drops_are_marked_with_cause_and_the_as_executed_path() {
+        let (mut t, mut arena, refs) = injected(RecordMode::EndToEnd, None, 2);
+        // The dynamics layer spliced a detour in at hop 1.
+        let detour: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(5), NodeId(2)].into();
+        arena.get_mut(refs[1]).path = detour.clone();
+        t.on_drop(&arena, refs[1], DropCause::DeadLink);
         let r = t.get(PacketId(1)).unwrap();
         assert!(r.dropped);
         assert_eq!(r.drop_cause, Some(DropCause::DeadLink));
         assert_eq!(r.exited, None);
+        assert_eq!(r.path, detour);
         assert_eq!(t.delivered().expect("resident trace").count(), 0);
     }
 
-    #[test]
-    fn reroute_updates_the_recorded_path() {
-        let mut t = Trace::new(RecordMode::EndToEnd);
-        let mut p = pkt(0);
-        t.on_inject(&p, SimTime::ZERO);
-        // The dynamics layer splices a detour in at hop 1.
-        p.path = vec![NodeId(0), NodeId(1), NodeId(5), NodeId(2)].into();
-        t.on_reroute(&p);
-        assert_eq!(&*t.get(PacketId(0)).unwrap().path, &*p.path);
-    }
-
-    /// Run the same lifecycle through both layouts and compare streams.
-    /// Packets left in flight are handed over through the adoption hook,
-    /// as `Simulator::into_trace` does.
+    /// Run the same lifecycle through either layout: exit out of order,
+    /// drop a few, and hand the rest over in flight, as
+    /// `Simulator::into_trace` does. Every packet reaches one hop, which
+    /// only a `PerHop` trace records.
     fn lifecycle(mode: RecordMode, caps: Option<(usize, usize)>, n: u64) -> Trace {
-        let mut t = Trace::with_spill_caps(mode, caps);
-        // Inject in injection-time order, exit out of order, drop a few.
-        for id in 0..n {
-            t.on_inject(&pkt_at(id, id), SimTime::from_us(id));
-        }
-        let mut in_flight = Vec::new();
-        for id in (0..n).rev() {
-            let mut p = pkt_at(id, id);
+        let (mut t, mut arena, refs) = injected(mode, caps, n);
+        for (id, &p) in refs.iter().enumerate().rev() {
+            let id = id as u64;
+            t.on_arrive_at_hop(p, NodeId(0), SimTime::from_us(id));
+            t.on_tx_start(p, NodeId(0), SimTime::from_us(id + 1), Dur::from_us(1));
             if id % 7 == 3 {
-                t.on_drop(
-                    &p,
-                    if id % 2 == 0 {
-                        DropCause::Buffer
-                    } else {
-                        DropCause::DeadLink
-                    },
-                );
+                let cause = [DropCause::Buffer, DropCause::DeadLink][id as usize % 2];
+                t.on_drop(&arena, p, cause);
             } else if id % 11 != 5 {
-                p.cum_wait = Dur::from_ns(id * 3);
-                t.on_exit(&p, SimTime::from_us(id + 100));
+                arena.get_mut(p).cum_wait = Dur::from_ns(id * 3);
+                t.on_exit(&arena, p, SimTime::from_us(id + 100));
             } else {
                 // Left in flight; its wait so far is not recorded.
-                p.cum_wait = Dur::from_ns(id);
-                in_flight.push(p);
+                arena.get_mut(p).cum_wait = Dur::from_ns(id);
+                continue;
             }
+            arena.free(p);
         }
-        for p in &in_flight {
-            t.adopt_in_flight(p);
-        }
+        t.hand_over(arena.iter());
         t
     }
 
     #[test]
-    fn streaming_stream_matches_resident_stream() {
-        let resident = lifecycle(RecordMode::EndToEnd, None, 100);
-        // Tiny caps: 100 records with 8-record chunks and a 2-chunk ring
-        // force plenty of spill activity.
-        let streaming = lifecycle(RecordMode::Streaming, Some((8, 2)), 100);
-        assert_eq!(resident.len(), streaming.len());
-        assert_eq!(resident.id_bound(), streaming.id_bound());
-        let a: Vec<_> = resident.stream().collect();
-        let b: Vec<_> = streaming.stream().collect();
-        assert_eq!(a, b, "streams must be bit-identical across layouts");
-        // Drop causes survived the codec.
-        assert!(b
-            .iter()
-            .any(|(_, r)| r.drop_cause == Some(DropCause::Buffer)));
-        assert!(b
-            .iter()
-            .any(|(_, r)| r.drop_cause == Some(DropCause::DeadLink)));
-        // In-flight records are streamed too.
-        assert!(b.iter().any(|(_, r)| r.exited.is_none() && !r.dropped));
+    fn spilled_stream_matches_resident_stream_at_either_detail() {
+        for mode in [RecordMode::EndToEnd, RecordMode::PerHop] {
+            let resident = lifecycle(mode, None, 100);
+            // Tiny caps: 100 records with 8-record chunks and a 2-chunk
+            // ring force plenty of spill activity.
+            let spilled = lifecycle(mode, Some((8, 2)), 100);
+            assert_eq!(resident.len(), spilled.len());
+            assert_eq!(resident.id_bound(), spilled.id_bound());
+            assert_eq!(spilled.iter().err(), Some(TraceAccessError::Spilled));
+            let a: Vec<_> = resident.stream().collect();
+            let b: Vec<_> = spilled.stream().collect();
+            assert_eq!(
+                a, b,
+                "{mode:?}: streams must be bit-identical across layouts"
+            );
+            // Drop causes survived the codec.
+            for cause in [DropCause::Buffer, DropCause::DeadLink] {
+                assert!(b.iter().any(|(_, r)| r.drop_cause == Some(cause)));
+            }
+            // In-flight records are streamed too, without their wait.
+            let open = b.iter().filter(|(_, r)| r.exited.is_none() && !r.dropped);
+            assert_eq!(open.map(|(_, r)| r.total_wait).max(), Some(Dur::ZERO));
+            let hops = usize::from(mode == RecordMode::PerHop);
+            assert!(b.iter().all(|(_, r)| r.hops.len() == hops), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_is_end_to_end_spilled_at_the_default_caps() {
+        let streaming = lifecycle(RecordMode::Streaming, None, 30);
+        assert_eq!(streaming.iter().err(), Some(TraceAccessError::Spilled));
+        let end_to_end = lifecycle(RecordMode::EndToEnd, None, 30);
+        assert!(streaming.stream().eq(end_to_end.stream()));
     }
 
     #[test]
@@ -779,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_streaming_trace_streams_nothing() {
+    fn empty_streaming_trace_streams_nothing_and_cannot_iterate() {
         let t = Trace::new(RecordMode::Streaming);
         assert!(t.is_empty());
         assert_eq!(t.stream().count(), 0);
@@ -788,28 +736,28 @@ mod tests {
             t.get(PacketId(0)),
             Err(TraceAccessError::NotRecorded(PacketId(0)))
         );
+        assert_eq!(t.delivered().err(), Some(TraceAccessError::Spilled));
+        assert_eq!(
+            t.iter().err().map(|e| e.to_string()).unwrap_or_default(),
+            "trace spilled; use Trace::stream()"
+        );
     }
 
     #[test]
     fn streaming_get_works_before_spill() {
-        let mut t = Trace::new(RecordMode::Streaming);
-        let p = pkt(4);
-        t.on_inject(&p, SimTime::ZERO);
-        // In flight and not yet adopted: a streaming trace holds nothing.
+        let (mut t, arena, refs) = injected(RecordMode::Streaming, None, 2);
+        t.on_exit(&arena, refs[0], SimTime::from_us(9));
         assert_eq!(
-            t.get(PacketId(4)),
-            Err(TraceAccessError::NotRecorded(PacketId(4)))
-        );
-        t.on_exit(&p, SimTime::from_us(9));
-        assert_eq!(
-            t.get(PacketId(4)).unwrap().exited,
+            t.get(PacketId(0)).unwrap().exited,
             Some(SimTime::from_us(9))
         );
-        // Adopted at hand-over, an in-flight packet reads as open.
-        let q = pkt(5);
-        t.on_inject(&q, SimTime::ZERO);
-        t.adopt_in_flight(&q);
-        assert_eq!(t.get(PacketId(5)).unwrap().exited, None);
+        assert_eq!(
+            t.get(PacketId(1)),
+            Err(TraceAccessError::NotRecorded(PacketId(1)))
+        );
+        // Recorded at hand-over, an in-flight packet reads as open.
+        t.hand_over(arena.iter().skip(1));
+        assert_eq!(t.get(PacketId(1)).unwrap().exited, None);
     }
 
     #[test]
@@ -830,20 +778,6 @@ mod tests {
         assert_eq!(
             r.get(PacketId(77)),
             Err(TraceAccessError::NotRecorded(PacketId(77)))
-        );
-    }
-
-    #[test]
-    fn streaming_iter_errors_with_spilled() {
-        let t = Trace::new(RecordMode::Streaming);
-        assert!(t.iter().is_err());
-        assert_eq!(
-            t.delivered().err().expect("spilled trace cannot iterate"),
-            TraceAccessError::Spilled
-        );
-        assert_eq!(
-            t.iter().err().map(|e| e.to_string()).unwrap_or_default(),
-            "trace spilled; use Trace::stream()"
         );
     }
 
@@ -878,7 +812,7 @@ mod tests {
             RecordMode::Streaming,
             [(PacketId(1), rec(10)), (PacketId(0), rec(20))],
         );
-        assert_eq!(t.len(), 2);
+        assert_eq!((t.len(), t.id_bound()), (2, 2));
         // Ordered by injection time, not id.
         let ids: Vec<u64> = t.stream().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![1, 0]);

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ups_core::{
-    as_executed_packets, replay_packets, run_schedule, HeaderInit, Replay, ReplayReport,
+    as_executed_stream, replay_packets, run_schedule, HeaderInit, Replay, ReplayReport,
 };
 use ups_dynamics::{
     churn_replay_with_sink, parse_failure_spec, run_schedule_with_failures, FailureSchedule,
@@ -356,8 +356,9 @@ pub fn execute(
             );
             let summary = summarize_trace(&run.trace, &flows, run.sim.injected, Some(&run.stats));
             // The §2 replay re-runs the schedule the endpoints actually
-            // executed: reconstruct that packet set from the trace.
-            let packets = as_executed_packets(&run.trace);
+            // executed: reconstruct that packet set from the trace. Ids
+            // are allocated at injection, so stream order is id order.
+            let packets = as_executed_stream(&run.trace).collect();
             (run.trace, summary, packets)
         }
     };

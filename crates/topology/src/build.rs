@@ -72,10 +72,10 @@ pub struct BuildOptions {
     /// Base seed; each port derives an independent deterministic stream
     /// (only `Random` consumes it).
     pub seed: u64,
-    /// Streaming-trace spill capacities `(records per chunk, sealed
-    /// chunks in memory)`; `None` = defaults. Only read when `record` is
-    /// [`RecordMode::Streaming`] — tests use tiny caps to force spill
-    /// behaviour on small runs.
+    /// Trace spill capacities `(records per chunk, sealed chunks in
+    /// memory)`: `Some` spills at any detail; `None` is resident, except
+    /// under [`RecordMode::Streaming`], which spills at the defaults (see
+    /// `SimConfig::trace_spill_caps`).
     pub trace_spill_caps: Option<(usize, usize)>,
 }
 

@@ -1,10 +1,12 @@
-//! A streaming trace records each packet once, when it is delivered or
-//! dropped, and adopts the packets still in flight when the simulator
-//! hands its trace over (`Simulator::into_trace`). This differential stops
-//! a fat-tree run mid-flight — packets queued, in service, on the wire,
-//! rerouted around a dead link, evicted from small router buffers, and
-//! not yet injected — and checks that the streaming trace, pushed through
-//! tiny spill caps, reads back record for record like the resident one.
+//! A trace records each packet once, when it is delivered or dropped, and
+//! records the packets still in flight when the simulator hands its trace
+//! over (`Simulator::into_trace`). These tests stop a fat-tree run
+//! mid-flight — packets queued, in service, on the wire, rerouted around a
+//! dead link, evicted from small router buffers, and not yet injected —
+//! and check that a trace pushed through tiny spill caps reads back record
+//! for record like the resident one, at either detail, and that the
+//! resident record streams keep the answers of the recorder that opened a
+//! record at injection.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -165,4 +167,105 @@ fn streaming_trace_adopts_in_flight_packets_like_the_resident_trace() {
     assert!(b
         .iter()
         .any(|(_, r)| r.drop_cause == Some(DropCause::Buffer)));
+}
+
+/// FNV-1a, 64 bit, folded over `bytes`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// One hash over every field of every record, in stream order.
+fn fingerprint(records: &[(PacketId, PacketRecord)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let time = |t: Option<SimTime>| t.map_or(u64::MAX, |t| t.as_ps()).to_le_bytes();
+    for (id, r) in records {
+        fnv(&mut h, &id.0.to_le_bytes());
+        fnv(&mut h, &r.flow.0.to_le_bytes());
+        fnv(&mut h, &r.size.to_le_bytes());
+        fnv(&mut h, &[r.kind as u8, r.dropped as u8]);
+        fnv(&mut h, &[r.drop_cause.map_or(0, |c| c as u8 + 1)]);
+        fnv(&mut h, &(r.path.len() as u32).to_le_bytes());
+        for n in r.path.iter() {
+            fnv(&mut h, &n.0.to_le_bytes());
+        }
+        fnv(&mut h, &time(Some(r.injected)));
+        fnv(&mut h, &time(r.exited));
+        fnv(&mut h, &r.total_wait.as_ps().to_le_bytes());
+        fnv(&mut h, &(r.hops.len() as u32).to_le_bytes());
+        for hop in &r.hops {
+            fnv(&mut h, &hop.node.0.to_le_bytes());
+            fnv(&mut h, &time(Some(hop.arrived)));
+            fnv(&mut h, &time(Some(hop.tx_start)));
+            fnv(&mut h, &hop.waited.as_ps().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The horizon-cut run's record stream at one detail and storage.
+fn records(
+    detail: RecordMode,
+    caps: Option<(usize, usize)>,
+) -> (Trace, Vec<(PacketId, PacketRecord)>) {
+    let topo = fattree(FatTreeParams::default());
+    let packets = workload(&topo);
+    let routed = &packets[0].path;
+    let trace = run(&topo, &packets, (routed[2], routed[3]), detail, caps).into_trace();
+    let records = trace.stream().collect();
+    (trace, records)
+}
+
+fn in_flight(records: &[(PacketId, PacketRecord)]) -> usize {
+    records
+        .iter()
+        .filter(|(_, r)| r.exited.is_none() && !r.dropped)
+        .count()
+}
+
+/// The resident traces' answers on this scenario, from the recorder that
+/// opened a record at injection, patched its path on reroute and closed
+/// it on exit: the streaming differential above compared against it. A
+/// packet in flight at hand-over reads as that recorder left it — no
+/// wait, and in `PerHop` the hops it had reached.
+#[test]
+fn resident_record_streams_keep_their_fingerprints() {
+    for (detail, want) in [
+        (RecordMode::EndToEnd, 0x40c4_4d15_67f5_9902),
+        (RecordMode::PerHop, 0x9ba9_79bb_8603_d8e5),
+    ] {
+        let (_, records) = records(detail, None);
+        assert_eq!(records.len(), 398, "{detail:?}");
+        assert_eq!(in_flight(&records), 152, "{detail:?}");
+        assert_eq!(
+            fingerprint(&records),
+            want,
+            "{detail:?}: {:#x}",
+            fingerprint(&records)
+        );
+    }
+}
+
+/// Storage follows the spill cap at any detail: a `PerHop` run pushed
+/// through tiny caps reads back record for record, hops included, like the
+/// resident one.
+#[test]
+fn per_hop_spills_like_per_hop_resident() {
+    let (resident, want) = records(RecordMode::PerHop, None);
+    let (spilled, got) = records(RecordMode::PerHop, Some((64, 2)));
+    assert_eq!(got, want);
+    assert!(
+        got.iter()
+            .any(|(_, r)| r.exited.is_none() && !r.dropped && !r.hops.is_empty()),
+        "no in-flight record carries partial hops"
+    );
+    // Every record went through the 64-record chunks: more than three
+    // sealed, so the 2-chunk ring overflowed to the spill file.
+    assert_eq!(spilled.len(), resident.len());
+    assert!(spilled.len() > 3 * 64, "{} records", spilled.len());
+    assert!((0..spilled.id_bound() as u64)
+        .any(|id| spilled.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
+    assert_eq!(spilled.iter().err(), Some(TraceAccessError::Spilled));
 }
