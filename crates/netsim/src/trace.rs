@@ -635,18 +635,29 @@ mod tests {
     }
 
     #[test]
-    fn drops_are_marked_with_cause_and_the_as_executed_path() {
-        let (mut t, mut arena, refs) = injected(RecordMode::EndToEnd, None, 2);
-        // The dynamics layer spliced a detour in at hop 1.
-        let detour: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(5), NodeId(2)].into();
-        arena.get_mut(refs[1]).path = detour.clone();
+    fn drops_are_marked_with_cause() {
+        let (mut t, arena, refs) = injected(RecordMode::EndToEnd, None, 2);
         t.on_drop(&arena, refs[1], DropCause::DeadLink);
         let r = t.get(PacketId(1)).unwrap();
         assert!(r.dropped);
         assert_eq!(r.drop_cause, Some(DropCause::DeadLink));
         assert_eq!(r.exited, None);
-        assert_eq!(r.path, detour);
         assert_eq!(t.delivered().expect("resident trace").count(), 0);
+    }
+
+    #[test]
+    fn reroute_updates_the_recorded_path() {
+        let (mut t, mut arena, refs) = injected(RecordMode::EndToEnd, None, 2);
+        // The dynamics layer spliced a detour in at hop 1: the record
+        // carries the as-executed path, whether the packet leaves or drops.
+        let detour: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(5), NodeId(2)].into();
+        for &p in &refs {
+            arena.get_mut(p).path = detour.clone();
+        }
+        t.on_exit(&arena, refs[0], SimTime::from_us(9));
+        t.on_drop(&arena, refs[1], DropCause::DeadLink);
+        assert_eq!(t.get(PacketId(0)).unwrap().path, detour);
+        assert_eq!(t.get(PacketId(1)).unwrap().path, detour);
     }
 
     /// Run the same lifecycle through either layout: exit out of order,
@@ -677,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn spilled_stream_matches_resident_stream_at_either_detail() {
+    fn streaming_stream_matches_resident_stream() {
         for mode in [RecordMode::EndToEnd, RecordMode::PerHop] {
             let resident = lifecycle(mode, None, 100);
             // Tiny caps: 100 records with 8-record chunks and a 2-chunk
@@ -727,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_streaming_trace_streams_nothing_and_cannot_iterate() {
+    fn empty_streaming_trace_streams_nothing() {
         let t = Trace::new(RecordMode::Streaming);
         assert!(t.is_empty());
         assert_eq!(t.stream().count(), 0);
@@ -735,11 +746,6 @@ mod tests {
         assert_eq!(
             t.get(PacketId(0)),
             Err(TraceAccessError::NotRecorded(PacketId(0)))
-        );
-        assert_eq!(t.delivered().err(), Some(TraceAccessError::Spilled));
-        assert_eq!(
-            t.iter().err().map(|e| e.to_string()).unwrap_or_default(),
-            "trace spilled; use Trace::stream()"
         );
     }
 
@@ -778,6 +784,20 @@ mod tests {
         assert_eq!(
             r.get(PacketId(77)),
             Err(TraceAccessError::NotRecorded(PacketId(77)))
+        );
+    }
+
+    #[test]
+    fn streaming_iter_errors_with_spilled() {
+        let t = Trace::new(RecordMode::Streaming);
+        assert!(t.iter().is_err());
+        assert_eq!(
+            t.delivered().err().expect("spilled trace cannot iterate"),
+            TraceAccessError::Spilled
+        );
+        assert_eq!(
+            t.iter().err().map(|e| e.to_string()).unwrap_or_default(),
+            "trace spilled; use Trace::stream()"
         );
     }
 
