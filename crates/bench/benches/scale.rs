@@ -54,7 +54,7 @@ fn main() {
         |window| {
             PoissonWorkload::at_utilization(0.7, window, 42).generate(
                 &topo,
-                &mut Routing::new(&topo),
+                &Routing::new(&topo),
                 &Fixed(FLOW_BYTES),
             )
         },

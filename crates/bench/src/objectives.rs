@@ -100,7 +100,7 @@ impl FairnessScheme {
 /// perfectly fair scheduler drives Jain to 1.0.
 pub fn fairness_flow_set(
     topo: &Topology,
-    routing: &mut Routing,
+    routing: &Routing,
     flows_per_link: usize,
     max_jitter: Dur,
     seed: u64,
@@ -166,8 +166,8 @@ pub fn run_fairness_experiment(
     seed: u64,
 ) -> Vec<f64> {
     let topo = i2_fairness();
-    let mut routing = Routing::new(&topo);
-    let flows = fairness_flow_set(&topo, &mut routing, flows_per_link, Dur::from_ms(5), seed);
+    let routing = Routing::new(&topo);
+    let flows = fairness_flow_set(&topo, &routing, flows_per_link, Dur::from_ms(5), seed);
     let flow_ids: Vec<FlowId> = flows.iter().map(|f| f.id).collect();
     let scenario = TcpScenario {
         topo: &topo,
@@ -188,7 +188,7 @@ pub fn run_fairness_experiment(
         horizon,
         max_packets: None,
     };
-    let run = run_tcp(&scenario, &mut routing);
+    let run = run_tcp(&scenario, &routing);
     let matrix = run.stats.goodput_matrix(&flow_ids);
     jain_series(&matrix)
 }
@@ -258,8 +258,8 @@ mod tests {
     #[test]
     fn fairness_flow_set_is_balanced() {
         let topo = i2_fairness();
-        let mut routing = Routing::new(&topo);
-        let flows = fairness_flow_set(&topo, &mut routing, 13, Dur::from_ms(5), 1);
+        let routing = Routing::new(&topo);
+        let flows = fairness_flow_set(&topo, &routing, 13, Dur::from_ms(5), 1);
         assert_eq!(flows.len(), 65);
         // Every flow's path crosses exactly one core-core link.
         for f in &flows {

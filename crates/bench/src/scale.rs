@@ -218,7 +218,7 @@ pub fn engine_workload(packet_floor: u64) -> (Topology, Vec<FlowSpec>) {
     let topo = fattree(FatTreeParams::default());
     let profile = profile_by_name("web-search").expect("registered profile");
     let (flows, _) = flows_with_floor(packet_floor, Dur::from_ms(4), Dur::from_secs(5), |window| {
-        profile.flows(&topo, &mut Routing::new(&topo), 0.7, window, 42)
+        profile.flows(&topo, &Routing::new(&topo), 0.7, window, 42)
     });
     (topo, flows)
 }

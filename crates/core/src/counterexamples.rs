@@ -15,11 +15,10 @@
 //! below the unit, three above the noise.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use ups_netsim::prelude::{
-    Dur, FlowId, HopRecord, Packet, PacketBuilder, PacketId, PacketKind, PacketRecord, RecordMode,
-    SimTime, Trace,
+    Dur, FlowId, HopRecord, Packet, PacketBuilder, PacketId, PacketKind, PacketRecord, PathId,
+    RecordMode, SimTime, Trace,
 };
 use ups_topology::micro::{appendix_c, appendix_f, appendix_g, NamedTopology, UNIT, UNIT_PKT};
 use ups_topology::BuildOptions;
@@ -151,13 +150,11 @@ fn build(net: NamedTopology, label: &'static str, rows: &[Row]) -> Counterexampl
     let mut names = BTreeMap::new();
     let mut original = Vec::new();
     for (idx, row) in rows.iter().enumerate() {
-        let path: Arc<[ups_netsim::prelude::NodeId]> = net.path(row.path).into();
+        let path = PathId::from(net.path(row.path));
         let (hops, exited, total_wait) = walk(&net, row);
         let inject = tenths(row.inject_tenths);
         let id = PacketId(idx as u64);
-        packets.push(
-            PacketBuilder::new(id, FlowId(idx as u64), UNIT_PKT, path.clone(), inject).build(),
-        );
+        packets.push(PacketBuilder::new(id, FlowId(idx as u64), UNIT_PKT, path, inject).build());
         names.insert(row.name, id);
         original.push((
             id,

@@ -761,7 +761,7 @@ mod tests {
     /// 30 packets through a 2-router line under FIFO; LSTF replay must be
     /// perfect (≤ 2 congestion points by construction).
     fn line_packets(topo: &Topology, n: u64, gap_us: u64) -> Vec<Packet> {
-        let mut routing = Routing::new(topo);
+        let routing = Routing::new(topo);
         let hosts = topo.hosts();
         let path = routing.path(hosts[0], hosts[1]);
         (0..n)
@@ -770,7 +770,7 @@ mod tests {
                     PacketId(i),
                     FlowId(i % 3),
                     1500,
-                    path.clone(),
+                    path,
                     SimTime::from_us(i * gap_us),
                 )
                 .build()

@@ -71,7 +71,7 @@ impl TopoKind {
 impl Scenario {
     fn materialize(&self) -> (Topology, Vec<Packet>) {
         let topo = self.topo_kind.build();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let hosts = topo.hosts();
         let packets = self
             .packets

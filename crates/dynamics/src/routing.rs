@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ups_netsim::prelude::{NodeId, RerouteOracle, SimTime};
+use ups_netsim::prelude::{NodeId, PathId, RerouteOracle, SimTime};
 use ups_topology::{bfs_dist_avoiding, shortest_path_from_dist, Topology};
 
 /// Normalized (undirected) link key.
@@ -39,7 +39,7 @@ pub struct DynamicRouting {
     /// many destinations — one BFS per source serves them all.
     dist_cache: BTreeMap<NodeId, Arc<Vec<u32>>>,
     /// Per-epoch (src, dst) → path cache; cleared at every epoch change.
-    cache: BTreeMap<(NodeId, NodeId), Option<Arc<[NodeId]>>>,
+    cache: BTreeMap<(NodeId, NodeId), Option<PathId>>,
 }
 
 impl DynamicRouting {
@@ -92,9 +92,9 @@ impl DynamicRouting {
     /// surviving links disconnect them. The BFS distance field is cached
     /// per source and the answer per (src, dst), both for the epoch's
     /// lifetime.
-    pub fn path(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
-        if let Some(p) = self.cache.get(&(src, dst)) {
-            return p.clone();
+    pub fn path(&mut self, src: NodeId, dst: NodeId) -> Option<PathId> {
+        if let Some(&p) = self.cache.get(&(src, dst)) {
+            return p;
         }
         let dead = &self.dead;
         let alive = move |a: NodeId, b: NodeId| dead.binary_search(&key(a, b)).is_err();
@@ -107,7 +107,7 @@ impl DynamicRouting {
             }
         };
         let p = shortest_path_from_dist(&self.topo, &dist, src, dst, &alive);
-        self.cache.insert((src, dst), p.clone());
+        self.cache.insert((src, dst), p);
         p
     }
 }
@@ -117,7 +117,7 @@ impl RerouteOracle for DynamicRouting {
         self.set_link(a, b, up);
     }
 
-    fn reroute(&mut self, here: NodeId, dst: NodeId, _now: SimTime) -> Option<Arc<[NodeId]>> {
+    fn reroute(&mut self, here: NodeId, dst: NodeId, _now: SimTime) -> Option<PathId> {
         self.path(here, dst)
     }
 }
@@ -131,7 +131,7 @@ mod tests {
     fn zero_failure_tables_match_static_routing() {
         let topo = Arc::new(topology_by_name("I2:1Gbps-10Gbps").unwrap());
         let mut dynamic = DynamicRouting::new(topo.clone());
-        let mut fixed = Routing::new(&topo);
+        let fixed = Routing::new(&topo);
         let hosts = topo.hosts();
         for &src in hosts.iter().take(6) {
             for &dst in hosts.iter().rev().take(6) {

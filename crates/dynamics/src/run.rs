@@ -99,7 +99,7 @@ mod tests {
     /// pair (i, i+5) sends a short train.
     fn workload(topo: &Topology, per_pair: u64, gap_us: u64) -> Vec<Packet> {
         use ups_netsim::prelude::{FlowId, PacketBuilder, PacketId, SimTime};
-        let mut routing = Routing::new(topo);
+        let routing = Routing::new(topo);
         let hosts = topo.hosts();
         let mut packets = Vec::new();
         let mut id = 0u64;
@@ -112,7 +112,7 @@ mod tests {
                         PacketId(id),
                         FlowId(fi as u64),
                         1500,
-                        path.clone(),
+                        path,
                         SimTime::from_us(k * gap_us + fi as u64),
                     )
                     .build(),

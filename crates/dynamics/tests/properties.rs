@@ -104,7 +104,7 @@ proptest! {
         let topo = Arc::new(topology_by_name(topo_name).expect("registered"));
         let links = router_links(&topo);
         let mut dynamic = DynamicRouting::new(topo.clone());
-        let mut fixed = Routing::new(&topo);
+        let fixed = Routing::new(&topo);
         let mut dead: HashSet<(NodeId, NodeId)> = HashSet::new();
         for k in &kill {
             let (a, b) = links[k % links.len()];

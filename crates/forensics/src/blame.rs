@@ -412,11 +412,10 @@ fn inversion_idx(k: InversionKind) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use ups_netsim::prelude::{FlowId, HopRecord, PacketId, PacketKind, SimTime};
+    use ups_netsim::prelude::{FlowId, HopRecord, PacketId, PacketKind, PathId, SimTime};
 
     fn record(path: &[u32], exited: Option<u64>) -> PacketRecord {
-        let path: Arc<[NodeId]> = path.iter().map(|&n| NodeId(n)).collect();
+        let path: PathId = path.iter().map(|&n| NodeId(n)).collect();
         PacketRecord {
             flow: FlowId(1),
             size: 1500,

@@ -21,7 +21,7 @@ use ups_topology::{topology_by_name, BuildOptions, Routing, SchedulerAssignment,
 /// A dense many-pair workload: every host sends a short train to the
 /// host three places ahead, staggered so trains overlap in the core.
 fn workload(topo: &Topology, per_pair: u64, gap_us: u64) -> Vec<Packet> {
-    let mut routing = Routing::new(topo);
+    let routing = Routing::new(topo);
     let hosts = topo.hosts();
     let mut packets = Vec::new();
     let mut id = 0u64;
@@ -34,7 +34,7 @@ fn workload(topo: &Topology, per_pair: u64, gap_us: u64) -> Vec<Packet> {
                     PacketId(id),
                     FlowId(fi as u64),
                     1500,
-                    path.clone(),
+                    path,
                     SimTime::from_us(k * gap_us + fi as u64),
                 )
                 .build(),

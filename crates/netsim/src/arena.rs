@@ -5,9 +5,11 @@
 //! event and every scheduler queue entry carries a 4-byte [`PacketRef`],
 //! and the struct leaves the arena exactly once — moved out whole on
 //! final-hop delivery (handed to the destination agent) or freed on a
-//! buffer drop. Compare the seed architecture, which moved the ~200-byte
-//! `Packet` (plus `Arc` refcount traffic for its path) by value through
-//! the future-event list *and* through every per-port heap on every hop.
+//! buffer drop. Compare the seed architecture, which moved the `Packet`
+//! (then ~200 bytes, its path an `Arc` whose refcount every copy touched)
+//! by value through the future-event list *and* through every per-port
+//! heap on every hop; a slot now holds a 176-byte `Packet` whose path is
+//! a `Copy` [`PathId`](crate::path::PathId).
 //!
 //! Slots are recycled through a free list, so arena memory is bounded by
 //! the peak number of in-flight packets, not by the total injected count.
@@ -134,11 +136,11 @@ mod tests {
     use super::*;
     use crate::id::{FlowId, NodeId, PacketId};
     use crate::packet::PacketBuilder;
+    use crate::path::PathId;
     use crate::time::SimTime;
-    use std::sync::Arc;
 
     fn pkt(id: u64) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         PacketBuilder::new(PacketId(id), FlowId(0), 100, path, SimTime::ZERO).build()
     }
 

@@ -20,6 +20,8 @@
 //! * [`event`] — two-level timing-wheel future-event list with
 //!   deterministic tie-breaking (a heap only beyond 2.2 s)
 //! * [`packet`] — packets and the dynamic scheduling header
+//! * [`path`] — interned paths: a `Copy` [`PathId`](path::PathId) per
+//!   distinct node list, shared by routing, packets and trace records
 //! * [`queue`] — the [`Scheduler`](queue::Scheduler) trait and the shared
 //!   rank heap
 //! * [`sched`] — FIFO, LIFO, Random, Priority, SJF, SRPT, FQ, DRR, FIFO+,
@@ -34,7 +36,6 @@
 //! ## Quick example
 //!
 //! ```
-//! use std::sync::Arc;
 //! use ups_netsim::prelude::*;
 //!
 //! // Two hosts joined by a 1 Gbps link.
@@ -44,7 +45,7 @@
 //! let link = Link { bandwidth: Bandwidth::from_gbps(1), propagation: Dur::from_us(10) };
 //! sim.add_oneway_link(a, b, link, SchedulerKind::Fifo.build(0), None);
 //!
-//! let path: Arc<[NodeId]> = vec![a, b].into();
+//! let path = PathId::from(vec![a, b]);
 //! sim.inject(PacketBuilder::new(PacketId(0), FlowId(0), 1500, path, SimTime::ZERO).build());
 //! sim.run();
 //!
@@ -61,6 +62,7 @@ pub mod event;
 pub mod id;
 pub mod node;
 pub mod packet;
+pub mod path;
 pub mod queue;
 pub mod sched;
 pub mod sim;
@@ -74,6 +76,7 @@ pub mod prelude {
     pub use crate::id::{AgentId, FlowId, NodeId, PacketId, PortId};
     pub use crate::node::{Link, Node, Port};
     pub use crate::packet::{Header, Packet, PacketBuilder, PacketKind};
+    pub use crate::path::PathId;
     pub use crate::queue::{PortCtx, QueuedPacket, Scheduler};
     pub use crate::sched::{MapperKind, Quantized, SchedulerKind};
     pub use crate::sim::{

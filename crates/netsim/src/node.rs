@@ -368,9 +368,9 @@ mod tests {
     use super::*;
     use crate::id::{FlowId, PacketId};
     use crate::packet::{Packet, PacketBuilder};
+    use crate::path::PathId;
     use crate::sched::SchedulerKind;
     use crate::trace::RecordMode;
-    use std::sync::Arc;
 
     fn link_1g() -> Link {
         Link {
@@ -391,7 +391,7 @@ mod tests {
     }
 
     fn mk_pkt(id: u64, size: u32, slack_us: i64) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         PacketBuilder::new(PacketId(id), FlowId(0), size, path, SimTime::ZERO)
             .slack(Dur::from_us(slack_us as u64).as_ps() as i128)
             .build()

@@ -6,10 +6,15 @@
 //! repository consults; schedulers read only the fields they own, so a
 //! single concrete type keeps the hot path monomorphic without a `dyn`
 //! header abstraction.
+//!
+//! A packet's path is a [`PathId`]: fixed for the packet's life in the
+//! paper's model, interned once when the route is made and shared with
+//! the trace record and the flow, so copying it touches no refcount.
 
 use std::sync::Arc;
 
 use crate::id::{FlowId, NodeId, PacketId};
+use crate::path::PathId;
 use crate::time::{Dur, SimTime};
 
 /// What kind of payload a packet carries. The network core never inspects
@@ -65,8 +70,8 @@ pub struct Header {
 /// A packet in flight.
 ///
 /// `path` is the full node path `src..=dst`, precomputed by the routing
-/// layer; the simulator core does no routing of its own (the paper's model
-/// fixes `path(p)` as part of the input).
+/// layer and interned ([`PathId`]); the simulator core does no routing of
+/// its own (the paper's model fixes `path(p)` as part of the input).
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Unique id; stable between an original run and its replay.
@@ -81,7 +86,7 @@ pub struct Packet {
     /// Data or ack.
     pub kind: PacketKind,
     /// Node path from source host to destination host, inclusive.
-    pub path: Arc<[NodeId]>,
+    pub path: PathId,
     /// Index into `path` of the node the packet is currently at (or being
     /// delivered to). Maintained by the event loop.
     pub hop: u32,
@@ -101,6 +106,12 @@ pub struct Packet {
     /// EDF formulation; filled by the topology layer when requested.
     pub tmin_rem: Option<Arc<[Dur]>>,
 }
+
+// Every in-flight packet is one arena slot and every eager workload holds
+// its whole train of these: a field that grows `Packet` moves
+// `peak_rss_mib` on `replay-resident` and `churn-quantized`, and
+// `netsim.inject_ns_per_pkt`, in the benchmark.
+const _: () = assert!(std::mem::size_of::<Packet>() == 176);
 
 impl Packet {
     /// The node the packet is currently at.
@@ -149,15 +160,18 @@ pub struct PacketBuilder {
     size: u32,
     seq: u64,
     kind: PacketKind,
-    path: Arc<[NodeId]>,
+    path: PathId,
     injected_at: SimTime,
     header: Header,
     tmin_rem: Option<Arc<[Dur]>>,
 }
 
 impl PacketBuilder {
-    /// Start building a packet of `size` bytes along `path` at `t`.
-    pub fn new(id: PacketId, flow: FlowId, size: u32, path: Arc<[NodeId]>, t: SimTime) -> Self {
+    /// Start building a packet of `size` bytes along `path` at `t`. A path
+    /// that is not a [`PathId`] yet (an `Arc<[NodeId]>`, a `Vec`) is
+    /// interned here.
+    pub fn new(id: PacketId, flow: FlowId, size: u32, path: impl Into<PathId>, t: SimTime) -> Self {
+        let path = path.into();
         assert!(path.len() >= 2, "a path needs at least src and dst");
         PacketBuilder {
             id,
@@ -239,7 +253,7 @@ impl PacketBuilder {
 mod tests {
     use super::*;
 
-    fn path(ids: &[u32]) -> Arc<[NodeId]> {
+    fn path(ids: &[u32]) -> PathId {
         ids.iter().map(|&i| NodeId(i)).collect()
     }
 

@@ -68,13 +68,14 @@ mod tests {
     use super::*;
     use crate::id::{FlowId, NodeId, PacketId};
     use crate::packet::{Header, PacketBuilder};
+    use crate::path::PathId;
     use crate::queue::Scheduler;
     use crate::sched::testutil::Bench;
     use crate::time::Dur;
     use std::sync::Arc;
 
     fn edf_pkt(id: u64, deadline_us: u64, tmin_rem_us: u64) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         let tmins: Arc<[Dur]> = vec![Dur::from_us(tmin_rem_us), Dur::ZERO].into();
         PacketBuilder::new(PacketId(id), FlowId(id), 1500, path, SimTime::ZERO)
             .header(Header {
@@ -115,7 +116,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tmin_rem")]
     fn missing_tmin_table_panics() {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         let p = PacketBuilder::new(PacketId(1), FlowId(1), 100, path, SimTime::ZERO).build();
         let mut b = Bench::new(Edf::new());
         b.enqueue_at(p, SimTime::ZERO, 0);

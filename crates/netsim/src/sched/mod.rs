@@ -215,11 +215,10 @@ impl SchedulerKind {
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Helpers shared by the per-discipline unit tests.
-    use std::sync::Arc;
-
     use crate::arena::{PacketArena, PacketRef};
     use crate::id::{FlowId, NodeId, PacketId};
     use crate::packet::{Header, Packet, PacketBuilder};
+    use crate::path::PathId;
     use crate::queue::{PortCtx, QueuedPacket, Scheduler};
     use crate::time::{Bandwidth, SimTime};
 
@@ -232,13 +231,13 @@ pub(crate) mod testutil {
 
     /// A data packet with the given id/flow/size on a trivial 2-node path.
     pub fn pkt(id: u64, flow: u64, size: u32) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         PacketBuilder::new(PacketId(id), FlowId(flow), size, path, SimTime::ZERO).build()
     }
 
     /// Same but with a custom header.
     pub fn pkt_with(id: u64, flow: u64, size: u32, header: Header) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         PacketBuilder::new(PacketId(id), FlowId(flow), size, path, SimTime::ZERO)
             .header(header)
             .build()

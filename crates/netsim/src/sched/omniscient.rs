@@ -53,11 +53,12 @@ mod tests {
     use super::*;
     use crate::id::{FlowId, NodeId, PacketId};
     use crate::packet::{Header, PacketBuilder};
+    use crate::path::PathId;
     use crate::sched::testutil::Bench;
     use std::sync::Arc;
 
     fn omni_pkt(id: u64, hop: u32, times_us: &[u64]) -> Packet {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(2)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1), NodeId(2)]);
         let times: Arc<[SimTime]> = times_us.iter().map(|&u| SimTime::from_us(u)).collect();
         let mut p = PacketBuilder::new(PacketId(id), FlowId(id), 100, path, SimTime::ZERO)
             .header(Header {
@@ -91,7 +92,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "omniscient")]
     fn missing_vector_panics() {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         let p = PacketBuilder::new(PacketId(0), FlowId(0), 100, path, SimTime::ZERO).build();
         let mut b = Bench::new(Omniscient::new());
         b.enqueue_at(p, SimTime::ZERO, 0);

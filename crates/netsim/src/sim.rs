@@ -12,16 +12,19 @@
 //! [`PacketArena`] at injection, and out of it at final-hop delivery
 //! (or dropped in place). Everything between — the event list, port
 //! queues, scheduler heaps — handles 4-byte [`PacketRef`]s.
-
-use std::sync::Arc;
+//!
+//! A hop finds its output port in a per-path egress table: the port out of
+//! every hop of a [`PathId`], resolved and checked once, the first time
+//! the simulator forwards a packet along that path.
 
 use ups_obs::{Counter, Phase, SharedProbe, SimSample};
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
-use crate::id::{AgentId, NodeId, PacketId};
+use crate::id::{AgentId, NodeId, PacketId, PortId};
 use crate::node::{Link, Node};
 use crate::packet::Packet;
+use crate::path::PathId;
 use crate::queue::Scheduler;
 use crate::time::{Dur, SimTime};
 use crate::trace::{DropCause, RecordMode, Trace};
@@ -54,7 +57,7 @@ pub trait RerouteOracle: Send {
     /// A fresh path `here ..= dst` over currently-alive links, or `None`
     /// when `dst` is unreachable. The first element must be `here`, the
     /// last `dst`, and every consecutive pair an alive link.
-    fn reroute(&mut self, here: NodeId, dst: NodeId, now: SimTime) -> Option<Arc<[NodeId]>>;
+    fn reroute(&mut self, here: NodeId, dst: NodeId, now: SimTime) -> Option<PathId>;
 }
 
 /// Run-wide configuration.
@@ -158,9 +161,18 @@ impl SimApi<'_> {
     }
 }
 
+/// [`Simulator::egress_at`]'s mark for a path not forwarded yet.
+const NO_EGRESS: u32 = u32::MAX;
+
 /// The discrete-event network simulator.
 pub struct Simulator {
     nodes: Vec<Node>,
+    /// By [`PathId::index`]: where the path's ports start in
+    /// `egress_ports`, or [`NO_EGRESS`]. Lookup only — the index never
+    /// orders anything.
+    egress_at: Vec<u32>,
+    /// Path after path, the port out of each hop but the last.
+    egress_ports: Vec<PortId>,
     arena: PacketArena,
     events: EventQueue,
     agents: Vec<Box<dyn Agent>>,
@@ -184,6 +196,8 @@ impl Simulator {
     pub fn new(config: SimConfig) -> Self {
         Simulator {
             nodes: Vec::new(),
+            egress_at: Vec::new(),
+            egress_ports: Vec::new(),
             arena: PacketArena::new(),
             events: EventQueue::new(),
             agents: Vec::new(),
@@ -584,7 +598,7 @@ impl Simulator {
                 let p = self.arena.get_mut(pkt);
                 let mut path: Vec<NodeId> = p.path[..p.hop as usize].to_vec();
                 path.extend_from_slice(&suffix);
-                p.path = path.into();
+                p.path = PathId::intern(&path);
                 // Any minimum-transit table was computed for the old path.
                 p.tmin_rem = None;
                 self.stats.rerouted += 1;
@@ -612,14 +626,19 @@ impl Simulator {
     /// the packet first reached this node.
     fn forward(&mut self, pkt: PacketRef, now: SimTime) {
         let packet = self.arena.get(pkt);
-        let here = packet.current_node();
-        let next = packet
-            .next_node()
-            .expect("forward() called on a packet at its destination"); // lint:allow(panic-path): documented precondition of forward(); destination packets are delivered earlier
-        let port = self.nodes[here.index()] // lint:allow(panic-path): NodeIds are issued densely by this simulator; index is in range by construction
-            .port_to(next)
-            .unwrap_or_else(|| panic!("no link {here} -> {next} for packet path")); // lint:allow(panic-path): routed paths only traverse existing links
-                                                                                    // lint:allow(panic-path): node and port ids are dense handles issued by this simulator
+        let (path, hop) = (packet.path, packet.hop as usize);
+        assert!(
+            hop + 1 < path.len(),
+            "forward() called on a packet at its destination"
+        );
+        let here = path[hop];
+        let base = match self.egress_at.get(path.index()) {
+            Some(&base) if base != NO_EGRESS => base,
+            _ => self.resolve_egress(path),
+        };
+        // lint:allow(panic-path): the path's entry holds a port per hop but the last, and hop is not the last
+        let port = self.egress_ports[base as usize + hop];
+        // lint:allow(panic-path): node and port ids are dense handles issued by this simulator
         if !self.nodes[here.index()].ports[port.index()].up {
             // The precomputed path runs over a dead link.
             self.divert(pkt, now);
@@ -640,6 +659,26 @@ impl Simulator {
         for victim in drops {
             self.arena.free(victim);
         }
+    }
+
+    /// Build `path`'s egress entry: the port out of each hop, checked
+    /// once. Ports are never removed, so an entry stays valid for the
+    /// simulator's life. Returns where the entry starts.
+    #[cold]
+    fn resolve_egress(&mut self, path: PathId) -> u32 {
+        let base = self.egress_ports.len() as u32;
+        for w in path.windows(2) {
+            let (here, next) = (w[0], w[1]);
+            let port = self.nodes[here.index()] // lint:allow(panic-path): NodeIds are issued densely by this simulator; index is in range by construction
+                .port_to(next)
+                .unwrap_or_else(|| panic!("no link {here} -> {next} for packet path")); // lint:allow(panic-path): routed paths only traverse existing links
+            self.egress_ports.push(port);
+        }
+        if path.index() >= self.egress_at.len() {
+            self.egress_at.resize(path.index() + 1, NO_EGRESS);
+        }
+        self.egress_at[path.index()] = base; // lint:allow(panic-path): the table was just grown past the index
+        base
     }
 
     /// Final-hop delivery: record exit, move the packet out of the arena,
@@ -686,7 +725,6 @@ mod tests {
     use crate::packet::{PacketBuilder, PacketKind};
     use crate::sched::SchedulerKind;
     use crate::time::Bandwidth;
-    use std::sync::Arc;
 
     fn line_network(n: usize, kind: SchedulerKind) -> Simulator {
         // n nodes in a line, 1Gbps links, 10us propagation, both directions.
@@ -707,7 +745,7 @@ mod tests {
     }
 
     fn pkt_on(path: &[u32], id: u64, at: SimTime) -> Packet {
-        let path: Arc<[NodeId]> = path.iter().map(|&i| NodeId(i)).collect();
+        let path: PathId = path.iter().map(|&i| NodeId(i)).collect();
         PacketBuilder::new(PacketId(id), FlowId(id), 1500, path, at).build()
     }
 
@@ -768,10 +806,9 @@ mod tests {
             self.delivered += 1;
             if packet.kind == PacketKind::Data {
                 // Send a 40B ack back along the reversed path.
-                let mut rev: Vec<NodeId> = packet.path.iter().copied().collect();
-                rev.reverse();
+                let rev: PathId = packet.path.iter().rev().copied().collect();
                 let id = api.alloc_packet_id();
-                let ack = PacketBuilder::new(id, packet.flow, 40, rev.into(), api.now())
+                let ack = PacketBuilder::new(id, packet.flow, 40, rev, api.now())
                     .ack()
                     .build();
                 api.inject(ack);
@@ -887,11 +924,11 @@ mod tests {
         fn link_state_changed(&mut self, a: NodeId, b: NodeId, up: bool, _now: SimTime) {
             self.changes.push((a, b, up));
         }
-        fn reroute(&mut self, here: NodeId, dst: NodeId, _now: SimTime) -> Option<Arc<[NodeId]>> {
+        fn reroute(&mut self, here: NodeId, dst: NodeId, _now: SimTime) -> Option<PathId> {
             self.path.as_ref().map(|p| {
                 assert_eq!(p.first(), Some(&here));
                 assert_eq!(p.last(), Some(&dst));
-                p.clone().into()
+                PathId::intern(p)
             })
         }
     }
@@ -983,9 +1020,9 @@ mod tests {
             changes: Vec::new(),
         }));
         // Big lazy packet starts at t=0 (15000B = 120us tx).
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(2)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(2)]);
         sim.inject(
-            PacketBuilder::new(PacketId(0), FlowId(0), 15000, path.clone(), SimTime::ZERO)
+            PacketBuilder::new(PacketId(0), FlowId(0), 15000, path, SimTime::ZERO)
                 .slack(Dur::from_secs(1).as_ps() as i128)
                 .build(),
         );
@@ -1124,6 +1161,32 @@ mod tests {
         // Ticks advance in virtual time and never repeat.
         for w in series.rows.windows(2) {
             assert!(w[1].t_ps > w[0].t_ps);
+        }
+    }
+
+    #[test]
+    fn egress_ports_are_resolved_once_per_path() {
+        let mut sim = line_network(4, SchedulerKind::Fifo);
+        for i in 0..20 {
+            let path: &[u32] = if i % 2 == 0 {
+                &[0, 1, 2, 3]
+            } else {
+                &[3, 2, 1]
+            };
+            sim.inject(pkt_on(path, i, SimTime::from_us(i)));
+        }
+        sim.run();
+        assert_eq!(sim.stats().delivered, 20);
+        // Three hops out of the first path and two out of the second,
+        // however many packets took them.
+        assert_eq!(sim.egress_ports.len(), 5);
+        let forward = PathId::from(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        let base = sim.egress_at[forward.index()] as usize;
+        for (hop, w) in forward.windows(2).enumerate() {
+            assert_eq!(
+                Some(sim.egress_ports[base + hop]),
+                sim.node(w[0]).port_to(w[1])
+            );
         }
     }
 

@@ -12,26 +12,27 @@
 //! descriptor, so memory stays `O(chunks × read-buffer)` no matter how
 //! many records were logged.
 //!
-//! A record names its path by a `u32` index into the log's path table
-//! ([`PathTable`]), which interns each distinct node list once, in
-//! first-seen order; decoding hands back a clone of the table's `Arc`, so
-//! reading a record allocates nothing. A delivered end-to-end record is a
-//! fixed 58 bytes on disk whatever its path length.
+//! A record names its path by a `u32` index into the log's path dictionary
+//! ([`PathTable`]), which numbers each distinct [`PathId`] once, in the
+//! order the log first writes it — never by [`PathId::index`], which
+//! depends on interning order across threads. Decoding hands back the
+//! table's `PathId`, so reading a record allocates nothing. A delivered
+//! end-to-end record is a fixed 58 bytes on disk whatever its path length.
 //!
 //! The codec round-trips every field of a [`PacketRecord`], drop causes
 //! and per-hop detail included, so `EndToEnd`, `PerHop` and synthetic
 //! traces all spill through it; a hop adds 28 bytes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::id::{FlowId, NodeId};
 use crate::packet::PacketKind;
+use crate::path::PathId;
 use crate::time::{Dur, SimTime};
 use crate::trace::{DropCause, HopRecord, PacketRecord};
 
@@ -45,63 +46,42 @@ pub const DEFAULT_RING_CHUNKS: usize = 4;
 /// Bytes fetched per positioned read while merging a spilled chunk.
 const READ_BUF: usize = 16 * 1024;
 
-/// Slots in [`PathTable`]'s pointer cache (a power of two).
-const PTR_CACHE: usize = 1024;
-
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// The per-log path dictionary: every distinct node list a spilled record
-/// names, stored once and referred to by its index.
+/// The per-log path dictionary: every distinct path a spilled record
+/// names, numbered in first-seen order.
 pub(crate) struct PathTable {
-    paths: Vec<Arc<[NodeId]>>,
-    /// Content → index. Interning is by content because rerouting splices
-    /// a fresh `Arc` per packet: keyed by pointer, the table would grow by
-    /// one entry per rerouted record.
-    // lint:allow(hash-container): lookup-only; indexes are assigned in
-    // first-seen order, so map order never reaches the encoding.
-    ids: HashMap<Arc<[NodeId]>, u32>,
-    /// Direct-mapped `index + 1` by allocation address (0 = empty): the
-    /// routing layer shares one `Arc` per route, so most lookups end at
-    /// one pointer compare. A hit is checked with `Arc::ptr_eq` against
-    /// the table's own clone, which keeps that address from being reused.
-    recent: Box<[u32; PTR_CACHE]>,
+    /// By log index: the path.
+    paths: Vec<PathId>,
+    /// By [`PathId::index`]: the path's log index plus one, 0 while the
+    /// log has not written it. A dense remap, read per record.
+    remap: Vec<u32>,
 }
 
 impl PathTable {
     pub(crate) fn new() -> Self {
         PathTable {
             paths: Vec::new(),
-            // lint:allow(hash-container): see the field above.
-            ids: HashMap::new(),
-            recent: Box::new([0; PTR_CACHE]),
+            remap: Vec::new(),
         }
     }
 
-    /// The index of `path`, interning it on first sight.
-    pub(crate) fn intern(&mut self, path: &Arc<[NodeId]>) -> u32 {
-        let slot = (Arc::as_ptr(path) as *const NodeId as usize >> 4) & (PTR_CACHE - 1);
-        if let Some(known) = self.recent[slot].checked_sub(1) {
-            if Arc::ptr_eq(&self.paths[known as usize], path) {
-                return known;
-            }
+    /// The log index of `path`, numbering it on first sight.
+    pub(crate) fn intern(&mut self, path: PathId) -> u32 {
+        let at = path.index();
+        if at >= self.remap.len() {
+            self.remap.resize(at + 1, 0);
         }
-        let id = match self.ids.get(&path[..]) {
-            Some(&id) => id,
-            None => {
-                let id = self.paths.len() as u32;
-                self.paths.push(Arc::clone(path));
-                self.ids.insert(Arc::clone(path), id);
-                id
-            }
-        };
-        if Arc::ptr_eq(&self.paths[id as usize], path) {
-            self.recent[slot] = id + 1;
+        let slot = &mut self.remap[at];
+        if *slot == 0 {
+            self.paths.push(path);
+            *slot = self.paths.len() as u32;
         }
-        id
+        *slot - 1
     }
 
-    /// Every interned path, by index.
-    pub(crate) fn paths(&self) -> &[Arc<[NodeId]>] {
+    /// Every numbered path, by log index.
+    pub(crate) fn paths(&self) -> &[PathId] {
         &self.paths
     }
 }
@@ -290,7 +270,7 @@ impl LogCursor<'_> {
 /// seek position, so hundreds of cursors coexist on one open file.
 pub(crate) struct ChunkCursor<'a> {
     file: &'a File,
-    paths: &'a [Arc<[NodeId]>],
+    paths: &'a [PathId],
     next_off: u64,
     end_off: u64,
     remaining: u32,
@@ -366,7 +346,7 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, id: u64, r: &PacketRecord, paths:
         buf.extend_from_slice(&o.as_ps().to_le_bytes());
     }
     buf.extend_from_slice(&r.total_wait.as_ps().to_le_bytes());
-    buf.extend_from_slice(&paths.intern(&r.path).to_le_bytes());
+    buf.extend_from_slice(&paths.intern(r.path).to_le_bytes());
     buf.extend_from_slice(&(r.hops.len() as u32).to_le_bytes());
     for h in &r.hops {
         buf.extend_from_slice(&h.node.0.to_le_bytes());
@@ -403,7 +383,7 @@ impl Decoder<'_> {
 
 /// Decode one record body (no length prefix) produced by [`encode_record`]
 /// against the same log's path table.
-pub(crate) fn decode_record(bytes: &[u8], paths: &[Arc<[NodeId]>]) -> (u64, PacketRecord) {
+pub(crate) fn decode_record(bytes: &[u8], paths: &[PathId]) -> (u64, PacketRecord) {
     let mut d = Decoder { b: bytes, p: 0 };
     let id = d.u64();
     let flow = FlowId(d.u64());
@@ -421,7 +401,7 @@ pub(crate) fn decode_record(bytes: &[u8], paths: &[Arc<[NodeId]>]) -> (u64, Pack
         None
     };
     let total_wait = Dur::from_ps(d.u64());
-    let path = Arc::clone(&paths[d.u32() as usize]); // lint:allow(panic-path): indexes are written by the paired encoder from this same table
+    let path = paths[d.u32() as usize]; // lint:allow(panic-path): indexes are written by the paired encoder from this same table
     let hops_len = d.u32() as usize;
     let hops = (0..hops_len)
         .map(|_| HopRecord {
@@ -461,7 +441,7 @@ mod tests {
     use std::sync::Arc;
 
     fn rec(injected_us: u64, exited: Option<u64>, cause: Option<DropCause>) -> PacketRecord {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(7), NodeId(2)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(7), NodeId(2)]);
         PacketRecord {
             flow: FlowId(3),
             size: 1500,
@@ -529,7 +509,7 @@ mod tests {
         assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
-    fn end_to_end(path: Arc<[NodeId]>) -> PacketRecord {
+    fn end_to_end(path: PathId) -> PacketRecord {
         PacketRecord {
             path,
             hops: Vec::new(),
@@ -537,7 +517,7 @@ mod tests {
         }
     }
 
-    fn nodes(ids: &[u32]) -> Arc<[NodeId]> {
+    fn nodes(ids: &[u32]) -> PathId {
         ids.iter().map(|&n| NodeId(n)).collect()
     }
 
@@ -558,10 +538,10 @@ mod tests {
         let a = nodes(&[0, 7, 2]);
         let b = nodes(&[0, 7, 9, 8, 2]);
         let records = [
-            end_to_end(a.clone()),
+            end_to_end(a),
             rec(6, None, Some(DropCause::Buffer)),
-            end_to_end(b.clone()),
-            end_to_end(a.clone()),
+            end_to_end(b),
+            end_to_end(a),
             end_to_end(nodes(&[0, 7, 9, 8, 2])),
         ];
         let mut buf = Vec::new();
@@ -583,28 +563,47 @@ mod tests {
 
     #[test]
     fn equal_content_distinct_arcs_encode_to_one_index() {
-        let first = nodes(&[1, 4, 6, 3]);
-        let second = nodes(&[1, 4, 6, 3]);
+        // Two allocations of one node list, as a reroute splice and the
+        // routing layer each make: one `PathId`, so one log index.
+        let first: Arc<[NodeId]> = [1, 4, 6, 3].map(NodeId).into();
+        let second: Arc<[NodeId]> = [1, 4, 6, 3].map(NodeId).into();
         assert!(!Arc::ptr_eq(&first, &second));
+        let (first, second) = (PathId::from(first), PathId::from(second));
+        assert_eq!(first, second);
         let mut table = PathTable::new();
-        let i = table.intern(&first);
-        assert_eq!(table.intern(&second), i);
-        assert_eq!(table.intern(&first), i, "the pointer fast path agrees");
-        assert_eq!(table.intern(&nodes(&[1, 4, 3])), i + 1);
+        let i = table.intern(first);
+        assert_eq!(table.intern(second), i);
+        assert_eq!(table.intern(first), i, "a known path keeps its index");
+        assert_eq!(table.intern(nodes(&[1, 4, 3])), i + 1);
         assert_eq!(table.paths().len(), 2);
+    }
+
+    #[test]
+    fn log_indexes_follow_first_sight_not_interning_order() {
+        // Interned in one order, written in the other: the log numbers
+        // paths as it writes them, so its bytes do not depend on which
+        // path the process interned first.
+        let early = nodes(&[8_831, 8_832, 8_833]);
+        let late = nodes(&[8_831, 8_834, 8_833]);
+        assert!(early.index() < late.index());
+        let mut table = PathTable::new();
+        assert_eq!(table.intern(late), 0);
+        assert_eq!(table.intern(early), 1);
+        assert_eq!(table.paths(), &[late, early]);
     }
 
     #[test]
     fn decoded_records_share_the_table_entry() {
         let mut buf = Vec::new();
         let mut table = PathTable::new();
+        let path = nodes(&[2, 5, 3]);
         for id in 0..3 {
-            // A fresh allocation per record, as rerouting produces.
+            // A fresh node list per record, as rerouting produces.
             encode_record(&mut buf, id, &end_to_end(nodes(&[2, 5, 3])), &mut table);
         }
-        let entry = &table.paths()[0];
+        assert_eq!(table.paths(), &[path]);
         for (_, r) in decode_all(&buf, &table) {
-            assert!(Arc::ptr_eq(&r.path, entry));
+            assert_eq!(r.path, path, "the decoded PathId is the encoded one");
         }
     }
 
@@ -612,7 +611,7 @@ mod tests {
     fn end_to_end_record_is_58_bytes_whatever_its_path_length() {
         let mut table = PathTable::new();
         for len in [2u32, 3, 7, 64] {
-            let path: Arc<[NodeId]> = (0..len).map(NodeId).collect();
+            let path: PathId = (0..len).map(NodeId).collect();
             let mut buf = Vec::new();
             encode_record(&mut buf, u64::MAX, &end_to_end(path), &mut table);
             assert_eq!(buf.len(), 58, "path of {len} nodes");

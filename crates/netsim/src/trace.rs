@@ -32,6 +32,7 @@ use std::collections::BinaryHeap;
 use crate::arena::{PacketArena, PacketRef};
 use crate::id::{FlowId, NodeId, PacketId};
 use crate::packet::{Packet, PacketKind};
+use crate::path::PathId;
 use crate::spill::{ChunkLog, LogCursor, DEFAULT_CHUNK_RECORDS, DEFAULT_RING_CHUNKS};
 use crate::time::{Dur, SimTime};
 
@@ -119,11 +120,12 @@ pub struct PacketRecord {
     pub size: u32,
     /// Data or ack.
     pub kind: PacketKind,
-    /// The **as-executed** node path. Starts as the routed path at
-    /// injection; updated whenever the dynamics layer reroutes the packet
-    /// at a dead link, so a delivered packet's record always names the
-    /// links it actually traversed (what a churn-robust replay needs).
-    pub path: std::sync::Arc<[NodeId]>,
+    /// The **as-executed** node path, read off the packet when the record
+    /// is made: the routed path, or the splice the dynamics layer interned
+    /// when it rerouted the packet at a dead link, so a delivered packet's
+    /// record always names the links it actually traversed (what a
+    /// churn-robust replay needs).
+    pub path: PathId,
     /// `i(p)` — network entry time.
     pub injected: SimTime,
     /// `o(p)` — when the last bit reached the destination; `None` while in
@@ -138,6 +140,13 @@ pub struct PacketRecord {
     /// Per-hop detail (empty in EndToEnd mode).
     pub hops: Vec<HopRecord>,
 }
+
+// A resident trace holds one of these per packet, a spilled one a ring of
+// chunks of them, and every record stream moves them by value: a field
+// that grows `PacketRecord` moves `peak_rss_mib` on every workload and
+// `netsim.trace_stream_ns_per_rec`, `netsim.into_trace_s` and
+// `sweep.summarize_ns_per_rec` in the benchmark.
+const _: () = assert!(std::mem::size_of::<PacketRecord>() == 80);
 
 impl PacketRecord {
     /// End-to-end delay `o(p) − i(p)`, if the packet made it out.
@@ -338,7 +347,7 @@ impl Trace {
             flow: p.flow,
             size: p.size,
             kind: p.kind,
-            path: p.path.clone(),
+            path: p.path,
             injected: p.injected_at,
             exited,
             total_wait,
@@ -549,7 +558,6 @@ mod tests {
     use super::*;
     use crate::id::FlowId;
     use crate::packet::PacketBuilder;
-    use std::sync::Arc;
 
     /// A trace, the arena its hooks read and the packets in it.
     type Rig = (Trace, PacketArena, Vec<PacketRef>);
@@ -559,12 +567,12 @@ mod tests {
     fn injected(mode: RecordMode, caps: Option<(usize, usize)>, n: u64) -> Rig {
         let mut t = Trace::with_spill_caps(mode, caps);
         let mut arena = PacketArena::new();
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(2)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1), NodeId(2)]);
         let refs = (0..n)
             .map(|id| {
                 t.on_inject(PacketId(id));
                 let at = SimTime::from_us(id);
-                let p = PacketBuilder::new(PacketId(id), FlowId(0), 1500, path.clone(), at);
+                let p = PacketBuilder::new(PacketId(id), FlowId(0), 1500, path, at);
                 arena.alloc(p.build())
             })
             .collect();
@@ -650,9 +658,9 @@ mod tests {
         let (mut t, mut arena, refs) = injected(RecordMode::EndToEnd, None, 2);
         // The dynamics layer spliced a detour in at hop 1: the record
         // carries the as-executed path, whether the packet leaves or drops.
-        let detour: Arc<[NodeId]> = vec![NodeId(0), NodeId(1), NodeId(5), NodeId(2)].into();
+        let detour = PathId::from(vec![NodeId(0), NodeId(1), NodeId(5), NodeId(2)]);
         for &p in &refs {
-            arena.get_mut(p).path = detour.clone();
+            arena.get_mut(p).path = detour;
         }
         t.on_exit(&arena, refs[0], SimTime::from_us(9));
         t.on_drop(&arena, refs[1], DropCause::DeadLink);

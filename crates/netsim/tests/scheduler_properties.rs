@@ -3,7 +3,6 @@
 //! [`PacketArena`], as in the simulator; schedulers only ever see refs.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 
 use ups_netsim::prelude::*;
 
@@ -62,7 +61,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn packet(i: usize, op: &Op) -> Packet {
-    let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+    let path = PathId::from(vec![NodeId(0), NodeId(1)]);
     PacketBuilder::new(
         PacketId(i as u64),
         FlowId(op.flow),

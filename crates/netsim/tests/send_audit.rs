@@ -60,7 +60,7 @@ fn simulator_moves_across_threads() {
         propagation: Dur::from_us(10),
     };
     sim.add_oneway_link(a, b, link, SchedulerKind::Fifo.build(0), None);
-    let path: std::sync::Arc<[NodeId]> = vec![a, b].into();
+    let path = PathId::from(vec![a, b]);
     sim.inject(PacketBuilder::new(PacketId(0), FlowId(0), 1500, path, SimTime::ZERO).build());
     // Move the whole simulator onto another thread and run it there.
     let stats = std::thread::spawn(move || {

@@ -50,10 +50,10 @@ use ups_workload::{profile_by_name, udp_packet_train, FlowSpec, MTU};
 use crate::grid::{JobSpec, TrafficMode, MIXED_FQ_FIFOPLUS};
 
 /// Topology + all-pairs routing, built **once per distinct topology** in
-/// a sweep and shared read-only across every job (and worker thread)
-/// that names it. Before this cache each job redid the whole
-/// `O(V·(V+E))` BFS; now a job only carries its own cheap per-(src, dst)
-/// path cache on top of the shared core.
+/// a sweep and shared across every job (and worker thread) that names
+/// it. Before this cache each job redid the whole `O(V·(V+E))` BFS; now
+/// the core also memoizes each (src, dst) path, so a job walks no BFS
+/// field a job before it already walked.
 pub struct SharedScenarios {
     map: BTreeMap<String, (Arc<Topology>, Arc<RoutingCore>)>,
 }
@@ -244,8 +244,8 @@ pub fn execute(
         profile_by_name(&spec.profile).ok_or_else(|| format!("profile {:?}", spec.profile))?;
     let assign = assignment_for(topo, &spec.scheduler)
         .ok_or_else(|| format!("scheduler {:?}", spec.scheduler))?;
-    let mut routing = Routing::from_core(routing_core);
-    let flows = profile.flows(topo, &mut routing, spec.utilization, spec.window, spec.seed);
+    let routing = Routing::from_core(routing_core);
+    let flows = profile.flows(topo, &routing, spec.utilization, spec.window, spec.seed);
     let opts = BuildOptions {
         record,
         seed: spec.seed,
@@ -352,7 +352,7 @@ pub fn execute(
                     horizon: spec.horizon.expect("closed-loop jobs carry a horizon"),
                     max_packets: spec.max_packets.map(|n| n as u64),
                 },
-                &mut routing,
+                &routing,
             );
             let summary = summarize_trace(&run.trace, &flows, run.sim.injected, Some(&run.stats));
             // The §2 replay re-runs the schedule the endpoints actually

@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn packets_flow_through_built_network() {
         let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let hosts = topo.hosts();
         let mut sim = build_simulator(
             &topo,
@@ -226,12 +226,11 @@ mod tests {
         );
         // Host 0 -> router 1 -> host 2. Flood the router port: only 2
         // packets fit its queue (plus 1 in service); host side absorbs all.
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let path = routing.path(NodeId(0), NodeId(2));
         for i in 0..10 {
             sim.inject(
-                PacketBuilder::new(PacketId(i), FlowId(0), 1500, path.clone(), SimTime::ZERO)
-                    .build(),
+                PacketBuilder::new(PacketId(i), FlowId(0), 1500, path, SimTime::ZERO).build(),
             );
         }
         sim.run();

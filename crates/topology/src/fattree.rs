@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn path_lengths_are_canonical() {
         let t = fattree_default();
-        let mut r = Routing::new(&t);
+        let r = Routing::new(&t);
         let hosts = t.hosts();
         // Same edge switch: host-edge-host = 2 links.
         // (hosts under one edge are consecutive ids in this construction)

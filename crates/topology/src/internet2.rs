@@ -191,7 +191,7 @@ mod tests {
         // excluding the end hosts" — i.e. host-to-host paths have 4..=7
         // router hops = 5..=8 links.
         let t = i2_default();
-        let mut r = Routing::new(&t);
+        let r = Routing::new(&t);
         let hosts = t.hosts();
         let mut min_routers = usize::MAX;
         let mut max_routers = 0;

@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn appendix_c_paths_route_as_drawn() {
         let net = appendix_c();
-        let mut r = Routing::new(&net.topo);
+        let r = Routing::new(&net.topo);
         let pa = r.path(net.node("SA"), net.node("DA"));
         assert_eq!(
             &*pa,
@@ -285,7 +285,7 @@ mod tests {
             .unwrap();
         assert_eq!(l.propagation, UNIT.times(2));
         // b's path goes a1 then a2.
-        let mut r = Routing::new(&net.topo);
+        let r = Routing::new(&net.topo);
         let pb = r.path(net.node("SB"), net.node("DB"));
         assert_eq!(&*pb, &net.path(&["SB", "a1", "m1", "a2", "m2", "DB"])[..]);
     }
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn appendix_g_flow_a_sees_three_congestion_points() {
         let net = appendix_g();
-        let mut r = Routing::new(&net.topo);
+        let r = Routing::new(&net.topo);
         let pa = r.path(net.node("SA"), net.node("DA"));
         let congested: Vec<NodeId> = ["a0", "a1", "a2"].iter().map(|n| net.node(n)).collect();
         let crossed = pa.iter().filter(|n| congested.contains(n)).count();
@@ -314,7 +314,7 @@ mod tests {
         );
         assert_eq!(d.hosts().len(), 8);
         assert_eq!(d.bottleneck_bandwidth(), Bandwidth::from_gbps(1));
-        let mut r = Routing::new(&d);
+        let r = Routing::new(&d);
         let hosts = d.hosts();
         assert_eq!(r.hop_count(hosts[0], hosts[4]), 3);
     }

@@ -6,14 +6,14 @@
 //! randomness, so every run (and both runs of a replay pair) routes
 //! identically while offered load spreads across the mesh instead of
 //! piling onto the lowest-numbered links. A (src, dst) pair always maps
-//! to exactly one path.
+//! to exactly one path, interned once per topology core as a
+//! [`PathId`].
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 use ups_netsim::packet::Packet;
-use ups_netsim::prelude::{Dur, NodeId};
+use ups_netsim::prelude::{Dur, NodeId, PathId};
 
 use crate::graph::{LinkSpec, NodeRole, Topology};
 
@@ -31,11 +31,12 @@ pub struct CalibrationSummary {
     pub sum_f_over_bw: f64,
 }
 
-/// The immutable, shareable part of [`Routing`]: per-source BFS distance
-/// fields, a sorted adjacency copy and the [`CalibrationSummary`].
+/// The shareable part of [`Routing`]: per-source BFS distance fields, a
+/// sorted adjacency copy, the path memo and the [`CalibrationSummary`].
 /// The BFS is the O(V·(V+E)) cost of routing and the summary walks every
 /// host pair; the sweep engine builds one core **per distinct topology**
-/// and shares it across jobs behind an `Arc`.
+/// and shares it across jobs behind an `Arc`, so a path is walked once
+/// per topology, by whichever job asks first.
 pub struct RoutingCore {
     /// `dist[s][n]` = hop distance from source `s` to `n`.
     dist: Vec<Vec<u32>>,
@@ -44,6 +45,10 @@ pub struct RoutingCore {
     adjacency: Vec<Vec<NodeId>>,
     /// Hosts, in id order.
     hosts: Vec<NodeId>,
+    /// `paths[src][dst]`: the interned path, filled on first ask. A
+    /// source's row of `V` slots is allocated when that source is first
+    /// asked for, so building the core touches `V` slots, not `V²`.
+    paths: Vec<OnceLock<Box<[OnceLock<PathId>]>>>,
     /// The links utilization is calibrated against, as `(a, b, bits/s)` in
     /// `Topology::links` order: the core–core links, or every
     /// router–router link when there are none (a network of edge routers
@@ -78,6 +83,7 @@ impl RoutingCore {
             dist,
             adjacency,
             hosts: topo.hosts(),
+            paths: (0..n).map(|_| OnceLock::new()).collect(),
             calibration_links,
             calibration: OnceLock::new(),
         }
@@ -149,15 +155,10 @@ impl RoutingCore {
     }
 }
 
-/// All-pairs routing over a topology: a shared [`RoutingCore`] plus
-/// hash-spread path reconstruction cached per (src, dst).
+/// All-pairs routing over a topology: hash-spread paths out of a shared
+/// [`RoutingCore`], which memoizes each (src, dst) pair.
 pub struct Routing {
     core: Arc<RoutingCore>,
-    cache: BTreeMap<(NodeId, NodeId), Arc<[NodeId]>>,
-    /// [`walk_back`]'s scratch, kept so a cache miss allocates only the
-    /// path it returns.
-    candidates: Vec<NodeId>,
-    rev: Vec<NodeId>,
 }
 
 /// SplitMix64 — deterministic tie-break hash for equal-cost choices.
@@ -208,17 +209,17 @@ fn walk_back(
     }
 }
 
-/// One [`walk_back`] as an owned `src → dst` path.
+/// One [`walk_back`] as an interned `src → dst` path.
 fn walk_back_path(
     dist: &[u32],
     src: NodeId,
     dst: NodeId,
     neighbors_of: impl FnMut(NodeId, &mut Vec<NodeId>),
-) -> Arc<[NodeId]> {
-    let mut rev = Vec::new();
+) -> PathId {
+    let mut rev = Vec::with_capacity(dist[dst.index()] as usize + 1);
     walk_back(dist, src, dst, neighbors_of, &mut Vec::new(), &mut rev);
     rev.reverse();
-    rev.into()
+    PathId::intern(&rev)
 }
 
 impl Routing {
@@ -228,41 +229,28 @@ impl Routing {
         Routing::from_core(Arc::new(RoutingCore::new(topo)))
     }
 
-    /// Wrap an already-computed (typically shared) core. The path cache
-    /// starts empty, is private to this instance and holds only the pairs
-    /// this instance is asked for.
+    /// Wrap an already-computed (typically shared) core; paths come out
+    /// of the core's memo, shared with every `Routing` over it.
     pub fn from_core(core: Arc<RoutingCore>) -> Self {
-        Routing {
-            core,
-            cache: BTreeMap::new(),
-            candidates: Vec::new(),
-            rev: Vec::new(),
-        }
+        Routing { core }
     }
 
     /// The unique deterministic path from `src` to `dst`, inclusive.
     ///
     /// # Panics
     /// If `dst` is unreachable (canned topologies are validated connected).
-    pub fn path(&mut self, src: NodeId, dst: NodeId) -> Arc<[NodeId]> {
+    pub fn path(&self, src: NodeId, dst: NodeId) -> PathId {
         assert_ne!(src, dst, "degenerate path {src} -> {src}");
-        if let Some(p) = self.cache.get(&(src, dst)) {
-            return p.clone();
-        }
-        let dist = &self.core.dist[src.index()];
-        assert_ne!(dist[dst.index()], u32::MAX, "{dst} unreachable from {src}");
-        let adjacency = &self.core.adjacency;
-        walk_back(
-            dist,
-            src,
-            dst,
-            |cur, out| out.extend_from_slice(&adjacency[cur.index()]),
-            &mut self.candidates,
-            &mut self.rev,
-        );
-        let path: Arc<[NodeId]> = self.rev.iter().rev().copied().collect();
-        self.cache.insert((src, dst), path.clone());
-        path
+        let core = &*self.core;
+        let row = core.paths[src.index()]
+            .get_or_init(|| core.adjacency.iter().map(|_| OnceLock::new()).collect());
+        *row[dst.index()].get_or_init(|| {
+            let dist = &core.dist[src.index()];
+            assert_ne!(dist[dst.index()], u32::MAX, "{dst} unreachable from {src}");
+            walk_back_path(dist, src, dst, |cur, out| {
+                out.extend_from_slice(&core.adjacency[cur.index()])
+            })
+        })
     }
 
     /// The shared core's [`CalibrationSummary`], computed by whichever
@@ -276,7 +264,7 @@ impl Routing {
     }
 
     /// Hop count (number of links) between two nodes.
-    pub fn hop_count(&mut self, src: NodeId, dst: NodeId) -> usize {
+    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> usize {
         self.path(src, dst).len() - 1
     }
 }
@@ -291,7 +279,7 @@ pub fn shortest_path_avoiding(
     src: NodeId,
     dst: NodeId,
     alive: &dyn Fn(NodeId, NodeId) -> bool,
-) -> Option<Arc<[NodeId]>> {
+) -> Option<PathId> {
     shortest_path_from_dist(topo, &bfs_dist_avoiding(topo, src, alive), src, dst, alive)
 }
 
@@ -317,7 +305,7 @@ pub fn shortest_path_from_dist(
     src: NodeId,
     dst: NodeId,
     alive: &dyn Fn(NodeId, NodeId) -> bool,
-) -> Option<Arc<[NodeId]>> {
+) -> Option<PathId> {
     assert_ne!(src, dst, "degenerate path {src} -> {src}");
     if dist[dst.index()] == u32::MAX {
         return None;
@@ -410,7 +398,7 @@ mod tests {
 
     #[test]
     fn picks_a_shortest_path_deterministically() {
-        let mut r = Routing::new(&diamond());
+        let r = Routing::new(&diamond());
         // 0->3 has three 2-hop options via 1, 2 or 4.
         let p = r.path(NodeId(0), NodeId(3));
         assert_eq!(p.len(), 3);
@@ -418,10 +406,10 @@ mod tests {
         assert_eq!(p[2], NodeId(3));
         assert!([NodeId(1), NodeId(2), NodeId(4)].contains(&p[1]));
         assert_eq!(r.hop_count(NodeId(0), NodeId(3)), 2);
-        // Cached path is identical.
-        assert!(Arc::ptr_eq(&p, &r.path(NodeId(0), NodeId(3))));
+        // The memoized path is the same id.
+        assert_eq!(p, r.path(NodeId(0), NodeId(3)));
         // A fresh Routing instance picks the same path (pure hash).
-        let mut r2 = Routing::new(&diamond());
+        let r2 = Routing::new(&diamond());
         assert_eq!(&*r2.path(NodeId(0), NodeId(3)), &*p);
     }
 
@@ -446,7 +434,7 @@ mod tests {
                 l
             })
             .collect();
-        let mut r = Routing::new(&t);
+        let r = Routing::new(&t);
         let mut middles = std::collections::HashSet::new();
         for &a in &leaves_a {
             for &b in &leaves_b {
@@ -480,14 +468,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "degenerate")]
     fn rejects_self_path() {
-        let mut r = Routing::new(&diamond());
+        let r = Routing::new(&diamond());
         let _ = r.path(NodeId(1), NodeId(1));
     }
 
     #[test]
     fn filtered_path_with_everything_alive_matches_static_routing() {
         let t = diamond();
-        let mut r = Routing::new(&t);
+        let r = Routing::new(&t);
         for (src, dst) in [(0u32, 3u32), (3, 0), (1, 4), (4, 2), (0, 1)] {
             let (src, dst) = (NodeId(src), NodeId(dst));
             let filtered = shortest_path_avoiding(&t, src, dst, &|_, _| true).expect("connected");
@@ -498,7 +486,7 @@ mod tests {
     #[test]
     fn filtered_path_detours_around_dead_links() {
         let t = diamond();
-        let mut r = Routing::new(&t);
+        let r = Routing::new(&t);
         let via = r.path(NodeId(0), NodeId(3))[1];
         // Kill the first hop of the chosen path: the detour must avoid it
         // and still be a 2-hop shortest path through another middle node.
@@ -530,9 +518,9 @@ mod tests {
     fn shared_core_yields_identical_paths() {
         let t = diamond();
         let core = Arc::new(RoutingCore::new(&t));
-        let mut a = Routing::from_core(core.clone());
-        let mut b = Routing::from_core(core);
-        let mut fresh = Routing::new(&t);
+        let a = Routing::from_core(core.clone());
+        let b = Routing::from_core(core);
+        let fresh = Routing::new(&t);
         assert_eq!(
             &*a.path(NodeId(0), NodeId(3)),
             &*fresh.path(NodeId(0), NodeId(3))
@@ -541,5 +529,33 @@ mod tests {
             &*b.path(NodeId(4), NodeId(1)),
             &*fresh.path(NodeId(4), NodeId(1))
         );
+    }
+
+    #[test]
+    fn routings_over_one_core_return_the_same_path_ids() {
+        let t = diamond();
+        let core = Arc::new(RoutingCore::new(&t));
+        let a = Routing::from_core(core.clone());
+        let b = Routing::from_core(core.clone());
+        let pairs: Vec<(NodeId, NodeId)> = t
+            .nodes()
+            .flat_map(|s| t.nodes().map(move |d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .collect();
+        // `a` fills the memo in one order and `b` reads it in the other.
+        let from_a: Vec<PathId> = pairs.iter().map(|&(s, d)| a.path(s, d)).collect();
+        let from_b: Vec<PathId> = pairs.iter().rev().map(|&(s, d)| b.path(s, d)).collect();
+        assert!(from_a.iter().eq(from_b.iter().rev()));
+        // One walk per pair, shared: the memo holds exactly the pairs asked.
+        let rows = core.paths.iter().filter_map(OnceLock::get);
+        let filled = rows.flat_map(|row| row.iter().filter_map(OnceLock::get));
+        assert_eq!(filled.count(), pairs.len());
+        // A separate core walks its own memo to the same content, which
+        // interns to the same ids.
+        let fresh = Routing::new(&t);
+        for (&(s, d), &id) in pairs.iter().zip(&from_a) {
+            assert_eq!(fresh.path(s, d), id, "{s}->{d}");
+            assert_eq!(id.index(), fresh.path(s, d).index());
+        }
     }
 }

@@ -55,8 +55,9 @@ pub struct TcpRun {
 /// Execute `scenario` to completion (horizon or packet cap, whichever
 /// comes first). `routing` is the caller's instance — every caller has
 /// already built one to generate the flows, and reusing it keeps its
-/// all-pairs BFS tables and path cache warm for the ack reverse paths.
-pub fn run_tcp(scenario: &TcpScenario<'_>, routing: &mut Routing) -> TcpRun {
+/// core's all-pairs BFS tables and path memo warm for the ack reverse
+/// paths.
+pub fn run_tcp(scenario: &TcpScenario<'_>, routing: &Routing) -> TcpRun {
     let mut sim = build_simulator(scenario.topo, scenario.assign, &scenario.opts);
     let stats = TransportStats::new(GOODPUT_BUCKET);
     install_tcp(
@@ -100,7 +101,7 @@ mod tests {
             Bandwidth::from_gbps(1),
             Dur::from_ms(1),
         );
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let hosts = topo.hosts();
         let flows = vec![FlowSpec {
             id: FlowId(0),
@@ -117,7 +118,7 @@ mod tests {
     fn driver_runs_a_flow_to_completion_and_records_a_trace() {
         let (topo, flows) = scenario_parts();
         let assign = SchedulerAssignment::uniform(SchedulerKind::Fifo);
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let run = run_tcp(
             &TcpScenario {
                 topo: &topo,
@@ -132,7 +133,7 @@ mod tests {
                 horizon: Dur::from_secs(5),
                 max_packets: None,
             },
-            &mut routing,
+            &routing,
         );
         assert_eq!(run.stats.completions().len(), 1);
         assert_eq!(run.stats.goodput_total(), 500_000);
@@ -150,7 +151,7 @@ mod tests {
         let (topo, flows) = scenario_parts();
         let assign = SchedulerAssignment::uniform(SchedulerKind::Fifo);
         let mk = || {
-            let mut routing = Routing::new(&topo);
+            let routing = Routing::new(&topo);
             run_tcp(
                 &TcpScenario {
                     topo: &topo,
@@ -162,7 +163,7 @@ mod tests {
                     horizon: Dur::from_secs(5),
                     max_packets: Some(50),
                 },
-                &mut routing,
+                &routing,
             )
         };
         let a = mk();
@@ -184,7 +185,7 @@ mod tests {
         let (topo, flows) = scenario_parts();
         let assign = SchedulerAssignment::uniform(SchedulerKind::Fifo);
         let mk = |cap: Option<u64>| {
-            let mut routing = Routing::new(&topo);
+            let routing = Routing::new(&topo);
             run_tcp(
                 &TcpScenario {
                     topo: &topo,
@@ -196,7 +197,7 @@ mod tests {
                     horizon: Dur::from_ms(9), // mid-flight: events remain queued
                     max_packets: cap,
                 },
-                &mut routing,
+                &routing,
             )
         };
         let uncapped = mk(None);

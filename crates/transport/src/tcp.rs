@@ -21,11 +21,11 @@
 //! [`SlackPolicy`] — this is where the §3 heuristics meet the wire.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use ups_core::FairnessSlackAssigner;
 use ups_netsim::prelude::{
-    Agent, Dur, FlowId, NodeId, Packet, PacketBuilder, PacketKind, SimApi, SimTime, Simulator,
+    Agent, Dur, FlowId, NodeId, Packet, PacketBuilder, PacketKind, PathId, SimApi, SimTime,
+    Simulator,
 };
 use ups_topology::{Routing, Topology};
 use ups_workload::FlowSpec;
@@ -101,7 +101,7 @@ struct TcpSender {
     flow: FlowId,
     size: u64,
     start: SimTime,
-    path: Arc<[NodeId]>,
+    path: PathId,
     next_seq: u64,
     acked: u64,
     cwnd: f64,
@@ -128,7 +128,7 @@ struct TcpReceiver {
     flow: FlowId,
     size: u64,
     started: SimTime,
-    reverse_path: Arc<[NodeId]>,
+    reverse_path: PathId,
     expected: u64,
     /// Out-of-order segments: seq → len.
     ooo: BTreeMap<u64, u32>,
@@ -141,7 +141,7 @@ impl TcpSender {
             flow: spec.id,
             size: spec.size,
             start: spec.start,
-            path: spec.path.clone(),
+            path: spec.path,
             next_seq: 0,
             acked: 0,
             cwnd: (INIT_CWND_SEGMENTS * MSS) as f64,
@@ -269,7 +269,7 @@ impl TcpHost {
         let s = &mut self.senders[idx];
         s.high_seq = s.high_seq.max(seq + len as u64);
         let id = api.alloc_packet_id();
-        let pkt = PacketBuilder::new(id, s.flow, len, s.path.clone(), now)
+        let pkt = PacketBuilder::new(id, s.flow, len, s.path, now)
             .seq(seq)
             .flow_bytes(flow_size, remaining)
             .slack(slack)
@@ -436,7 +436,7 @@ impl TcpHost {
         // Cumulative ack; acks carry the ack number in `seq` and are
         // maximally urgent (zero slack) so transport control never starves.
         let id = api.alloc_packet_id();
-        let ack = PacketBuilder::new(id, r.flow, ACK_SIZE, r.reverse_path.clone(), api.now())
+        let ack = PacketBuilder::new(id, r.flow, ACK_SIZE, r.reverse_path, api.now())
             .seq(r.expected)
             .ack()
             .build();
@@ -477,7 +477,7 @@ impl Agent for TcpHost {
 pub fn install_tcp(
     sim: &mut Simulator,
     _topo: &Topology,
-    routing: &mut Routing,
+    routing: &Routing,
     flows: &[FlowSpec],
     config: TcpConfig,
     policy: SlackPolicy,
@@ -582,7 +582,7 @@ mod tests {
     }
 
     fn flow(
-        routing: &mut Routing,
+        routing: &Routing,
         topo: &ups_topology::Topology,
         id: u64,
         src: usize,
@@ -604,12 +604,12 @@ mod tests {
     #[test]
     fn single_flow_completes_without_loss() {
         let (topo, mut sim, stats) = two_host_setup(1, None, SchedulerKind::Fifo);
-        let mut routing = Routing::new(&topo);
-        let f = flow(&mut routing, &topo, 0, 0, 2, 1_000_000, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f = flow(&routing, &topo, 0, 0, 2, 1_000_000, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f],
             TcpConfig::default(),
             SlackPolicy::None,
@@ -631,12 +631,12 @@ mod tests {
         // A buffer of just 2 packets forces repeated drops; TCP must
         // still deliver everything via retransmissions.
         let (topo, mut sim, stats) = two_host_setup(1, Some(3_000), SchedulerKind::Fifo);
-        let mut routing = Routing::new(&topo);
-        let f = flow(&mut routing, &topo, 0, 0, 2, 300_000, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f = flow(&routing, &topo, 0, 0, 2, 300_000, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f],
             TcpConfig::default(),
             SlackPolicy::None,
@@ -664,13 +664,13 @@ mod tests {
     #[test]
     fn two_flows_share_a_fifo_bottleneck() {
         let (topo, mut sim, stats) = two_host_setup(1, Some(100_000), SchedulerKind::Fifo);
-        let mut routing = Routing::new(&topo);
-        let f1 = flow(&mut routing, &topo, 0, 0, 2, 2_000_000, SimTime::ZERO);
-        let f2 = flow(&mut routing, &topo, 1, 1, 3, 2_000_000, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f1 = flow(&routing, &topo, 0, 0, 2, 2_000_000, SimTime::ZERO);
+        let f2 = flow(&routing, &topo, 1, 1, 3, 2_000_000, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f1, f2],
             TcpConfig::default(),
             SlackPolicy::None,
@@ -683,13 +683,13 @@ mod tests {
     #[test]
     fn long_lived_flows_converge_to_fair_share_under_fq() {
         let (topo, mut sim, stats) = two_host_setup(1, Some(150_000), SchedulerKind::Fq);
-        let mut routing = Routing::new(&topo);
-        let f1 = flow(&mut routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
-        let f2 = flow(&mut routing, &topo, 1, 1, 3, u64::MAX, SimTime::from_ms(2));
+        let routing = Routing::new(&topo);
+        let f1 = flow(&routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
+        let f2 = flow(&routing, &topo, 1, 1, 3, u64::MAX, SimTime::from_ms(2));
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f1, f2],
             TcpConfig::default(),
             SlackPolicy::None,
@@ -713,12 +713,12 @@ mod tests {
     fn srpt_headers_decrease_within_flow() {
         // White-box: the stamped `remaining` must shrink as data is sent.
         let (topo, mut sim, stats) = two_host_setup(1, None, SchedulerKind::Srpt);
-        let mut routing = Routing::new(&topo);
-        let f = flow(&mut routing, &topo, 0, 0, 2, 15_000, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f = flow(&routing, &topo, 0, 0, 2, 15_000, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f],
             TcpConfig::default(),
             SlackPolicy::FctSjf,
@@ -735,12 +735,12 @@ mod tests {
     #[test]
     fn infinite_flow_never_completes_but_moves_data() {
         let (topo, mut sim, stats) = two_host_setup(1, Some(100_000), SchedulerKind::Fifo);
-        let mut routing = Routing::new(&topo);
-        let f = flow(&mut routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f = flow(&routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f],
             TcpConfig::default(),
             SlackPolicy::None,
@@ -762,13 +762,13 @@ mod tests {
         // is dominated by the scheduling policy").
         let (topo, mut sim, stats) =
             two_host_setup(1, None, SchedulerKind::Lstf { preemptive: false });
-        let mut routing = Routing::new(&topo);
-        let f1 = flow(&mut routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
-        let f2 = flow(&mut routing, &topo, 1, 1, 3, u64::MAX, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f1 = flow(&routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
+        let f2 = flow(&routing, &topo, 1, 1, 3, u64::MAX, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f1, f2],
             TcpConfig::default(),
             SlackPolicy::WeightedFairness {
@@ -794,13 +794,13 @@ mod tests {
         // Just exercises the Fairness policy path end-to-end.
         let (topo, mut sim, stats) =
             two_host_setup(1, Some(100_000), SchedulerKind::Lstf { preemptive: false });
-        let mut routing = Routing::new(&topo);
-        let f1 = flow(&mut routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
-        let f2 = flow(&mut routing, &topo, 1, 1, 3, u64::MAX, SimTime::ZERO);
+        let routing = Routing::new(&topo);
+        let f1 = flow(&routing, &topo, 0, 0, 2, u64::MAX, SimTime::ZERO);
+        let f2 = flow(&routing, &topo, 1, 1, 3, u64::MAX, SimTime::ZERO);
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &[f1, f2],
             TcpConfig::default(),
             SlackPolicy::Fairness(500_000_000),

@@ -2,12 +2,10 @@
 //! utilization calibration against the topology's core links (§2.3's
 //! experiment setup).
 
-use std::sync::Arc;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ups_netsim::prelude::{Dur, FlowId, NodeId, SimTime, PS_PER_SEC};
+use ups_netsim::prelude::{Dur, FlowId, NodeId, PathId, SimTime, PS_PER_SEC};
 use ups_topology::{Routing, Topology};
 
 use crate::dist::{Exponential, SizeDist};
@@ -27,7 +25,7 @@ pub struct FlowSpec {
     /// When the application starts the flow.
     pub start: SimTime,
     /// Precomputed route.
-    pub path: Arc<[NodeId]>,
+    pub path: PathId,
 }
 
 /// Parameters for the Poisson workload of §2.3.
@@ -68,7 +66,7 @@ impl PoissonWorkload {
     pub fn generate(
         &self,
         topo: &Topology,
-        routing: &mut Routing,
+        routing: &Routing,
         sizes: &dyn SizeDist,
     ) -> Vec<FlowSpec> {
         let hosts = topo.hosts();
@@ -131,7 +129,7 @@ impl PoissonWorkload {
 /// arithmetic above.
 pub fn calibrate_flow_rate(
     _topo: &Topology,
-    routing: &mut Routing,
+    routing: &Routing,
     mean_flow_bytes: f64,
     target: f64,
 ) -> f64 {
@@ -148,7 +146,7 @@ pub fn calibrate_flow_rate(
 /// core link a deterministic multi-flow load.
 pub fn long_lived_flows(
     topo: &Topology,
-    routing: &mut Routing,
+    routing: &Routing,
     n: usize,
     max_jitter: Dur,
     seed: u64,
@@ -190,9 +188,9 @@ mod tests {
     #[test]
     fn poisson_generates_flows_within_horizon() {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let wl = PoissonWorkload::at_utilization(0.7, Dur::from_ms(10), 1);
-        let flows = wl.generate(&topo, &mut routing, &Empirical::web_search());
+        let flows = wl.generate(&topo, &routing, &Empirical::web_search());
         assert!(!flows.is_empty());
         for f in &flows {
             assert!(f.start < SimTime::from_ms(10));
@@ -208,15 +206,15 @@ mod tests {
     #[test]
     fn higher_utilization_means_more_flows() {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let lo = PoissonWorkload::at_utilization(0.1, Dur::from_ms(20), 3).generate(
             &topo,
-            &mut routing,
+            &routing,
             &Fixed(100_000),
         );
         let hi = PoissonWorkload::at_utilization(0.9, Dur::from_ms(20), 3).generate(
             &topo,
-            &mut routing,
+            &routing,
             &Fixed(100_000),
         );
         assert!(
@@ -230,9 +228,9 @@ mod tests {
     #[test]
     fn calibration_scales_inversely_with_flow_size() {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
-        let r1 = calibrate_flow_rate(&topo, &mut routing, 10_000.0, 0.7);
-        let r2 = calibrate_flow_rate(&topo, &mut routing, 20_000.0, 0.7);
+        let routing = Routing::new(&topo);
+        let r1 = calibrate_flow_rate(&topo, &routing, 10_000.0, 0.7);
+        let r2 = calibrate_flow_rate(&topo, &routing, 20_000.0, 0.7);
         assert!((r1 / r2 - 2.0).abs() < 1e-9);
     }
 
@@ -242,10 +240,10 @@ mod tests {
         // calibrated rate: the maximum must equal the target exactly, and
         // no link may exceed it.
         let topo = i2_default();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let mean_bytes = 50_000.0;
         let target = 0.7;
-        let lambda = calibrate_flow_rate(&topo, &mut routing, mean_bytes, target);
+        let lambda = calibrate_flow_rate(&topo, &routing, mean_bytes, target);
 
         let hosts = topo.hosts();
         let n_pairs = (hosts.len() * (hosts.len() - 1)) as f64;
@@ -286,8 +284,8 @@ mod tests {
     #[test]
     fn long_lived_flows_shape() {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
-        let flows = long_lived_flows(&topo, &mut routing, 90, Dur::from_ms(5), 4);
+        let routing = Routing::new(&topo);
+        let flows = long_lived_flows(&topo, &routing, 90, Dur::from_ms(5), 4);
         assert_eq!(flows.len(), 90);
         for f in &flows {
             assert_eq!(f.size, u64::MAX);
@@ -303,10 +301,10 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let wl = PoissonWorkload::at_utilization(0.5, Dur::from_ms(5), 77);
-        let a = wl.generate(&topo, &mut routing, &Empirical::web_search());
-        let b = wl.generate(&topo, &mut routing, &Empirical::web_search());
+        let a = wl.generate(&topo, &routing, &Empirical::web_search());
+        let b = wl.generate(&topo, &routing, &Empirical::web_search());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(

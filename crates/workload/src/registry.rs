@@ -137,7 +137,7 @@ impl WorkloadProfile {
     pub fn flows(
         &self,
         topo: &Topology,
-        routing: &mut Routing,
+        routing: &Routing,
         utilization: f64,
         window: Dur,
         seed: u64,
@@ -169,7 +169,7 @@ impl WorkloadProfile {
         window: Dur,
         seed: u64,
     ) -> CalibratedTrain {
-        let flows = self.flows(topo, &mut Routing::new(topo), utilization, window, seed);
+        let flows = self.flows(topo, &Routing::new(topo), utilization, window, seed);
         CalibratedTrain::new(flows, window)
     }
 
@@ -189,12 +189,12 @@ impl WorkloadProfile {
     ) -> CalibratedTrain {
         // One all-pairs BFS and one calibration, however often the window
         // doubles.
-        let mut routing = Routing::new(topo);
+        let routing = Routing::new(topo);
         let (flows, window) = flows_with_floor(
             min_packets as u64,
             start_window,
             start_window.times(1024),
-            |window| self.flows(topo, &mut routing, utilization, window, seed),
+            |window| self.flows(topo, &routing, utilization, window, seed),
         );
         CalibratedTrain::new(flows, window)
     }
@@ -252,9 +252,9 @@ mod tests {
         assert!(p.closed_loop_only());
         assert!(!profile_by_name("web-search").unwrap().closed_loop_only());
         let topo = tiny_topo();
-        let mut routing = ups_topology::Routing::new(&topo);
-        let lo = p.flows(&topo, &mut routing, 0.3, Dur::from_ms(5), 3);
-        let hi = p.flows(&topo, &mut routing, 0.9, Dur::from_ms(5), 3);
+        let routing = ups_topology::Routing::new(&topo);
+        let lo = p.flows(&topo, &routing, 0.3, Dur::from_ms(5), 3);
+        let hi = p.flows(&topo, &routing, 0.9, Dur::from_ms(5), 3);
         assert!(lo.len() >= 2);
         assert!(hi.len() >= lo.len(), "{} vs {}", hi.len(), lo.len());
         for f in lo.iter().chain(&hi) {
@@ -262,7 +262,7 @@ mod tests {
             assert!(f.start <= SimTime::from_ms(5));
         }
         // Deterministic per seed.
-        let again = p.flows(&topo, &mut routing, 0.3, Dur::from_ms(5), 3);
+        let again = p.flows(&topo, &routing, 0.3, Dur::from_ms(5), 3);
         assert_eq!(lo.len(), again.len());
         assert!(lo
             .iter()

@@ -52,7 +52,7 @@ pub fn udp_packet_stream<'a>(flows: &'a [FlowSpec], mtu: u32) -> impl Iterator<I
                 return None;
             }
             let size = remaining.min(mtu as u64) as u32;
-            let p = PacketBuilder::new(PacketId(id), flow.id, size, flow.path.clone(), flow.start)
+            let p = PacketBuilder::new(PacketId(id), flow.id, size, flow.path, flow.start)
                 .seq(seq)
                 .flow_bytes(flow.size, remaining)
                 .build();
@@ -108,11 +108,10 @@ pub fn total_bytes(packets: &[Packet]) -> u64 {
 mod tests {
     use super::*;
     use crate::flows::FlowSpec;
-    use std::sync::Arc;
-    use ups_netsim::prelude::{FlowId, NodeId, SimTime};
+    use ups_netsim::prelude::{FlowId, NodeId, PathId, SimTime};
 
     fn flow(id: u64, size: u64) -> FlowSpec {
-        let path: Arc<[NodeId]> = vec![NodeId(0), NodeId(1)].into();
+        let path = PathId::from(vec![NodeId(0), NodeId(1)]);
         FlowSpec {
             id: FlowId(id),
             src: NodeId(0),

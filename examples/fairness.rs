@@ -18,9 +18,9 @@ fn jain_series_for(kind: SchedulerKind, policy: SlackPolicy) -> Vec<f64> {
         Bandwidth::from_gbps(1),
         Dur::from_ms(1),
     );
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let hosts = topo.hosts();
-    let mk = |id: u64, s: usize, d: usize, start: SimTime, routing: &mut Routing| FlowSpec {
+    let mk = |id: u64, s: usize, d: usize, start: SimTime, routing: &Routing| FlowSpec {
         id: FlowId(id),
         src: hosts[s],
         dst: hosts[d],
@@ -29,8 +29,8 @@ fn jain_series_for(kind: SchedulerKind, policy: SlackPolicy) -> Vec<f64> {
         path: routing.path(hosts[s], hosts[d]),
     };
     let flows = vec![
-        mk(0, 0, 2, SimTime::ZERO, &mut routing),
-        mk(1, 1, 3, SimTime::from_ms(5), &mut routing),
+        mk(0, 0, 2, SimTime::ZERO, &routing),
+        mk(1, 1, 3, SimTime::from_ms(5), &routing),
     ];
     let mut sim = build_simulator(
         &topo,
@@ -45,7 +45,7 @@ fn jain_series_for(kind: SchedulerKind, policy: SlackPolicy) -> Vec<f64> {
     install_tcp(
         &mut sim,
         &topo,
-        &mut routing,
+        &routing,
         &flows,
         TcpConfig::default(),
         policy,

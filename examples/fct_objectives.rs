@@ -14,10 +14,10 @@ use ups::topology::{internet2, Internet2Params};
 /// One scheme through the shared closed-loop driver — the same code
 /// path `sweep --traffic closed-loop` jobs and the Figure 2 bench use.
 fn run(topo: &Topology, kind: SchedulerKind, policy: SlackPolicy, seed: u64) -> Vec<FlowSample> {
-    let mut routing = Routing::new(topo);
+    let routing = Routing::new(topo);
     let flows = PoissonWorkload::at_utilization(0.7, Dur::from_ms(60), seed).generate(
         topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search(),
     );
     let scenario = TcpScenario {
@@ -34,7 +34,7 @@ fn run(topo: &Topology, kind: SchedulerKind, policy: SlackPolicy, seed: u64) -> 
         horizon: Dur::from_secs(6),
         max_packets: None,
     };
-    let run = run_tcp(&scenario, &mut routing);
+    let run = run_tcp(&scenario, &routing);
     run.stats
         .completions()
         .into_iter()

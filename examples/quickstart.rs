@@ -26,10 +26,10 @@ fn main() {
     // The paper's default workload: Poisson flow arrivals at 70% mean
     // core utilization, heavy-tailed (web-search-like) flow sizes,
     // packetized as NIC-paced UDP trains.
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.7, Dur::from_ms(10), 1).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search(),
     );
     let packets = udp_packet_train(&flows, MTU);

@@ -13,10 +13,10 @@ use ups::topology::i2_default;
 
 fn main() {
     let topo = i2_default();
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.7, Dur::from_ms(15), 42).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search(),
     );
     let packets = udp_packet_train(&flows, MTU);

@@ -33,7 +33,7 @@
 //! // Record an arbitrary (Random) schedule on a 2-router line, then
 //! // replay it with LSTF from black-box header initialization.
 //! let topo = ups::topology::line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
-//! let mut routing = ups::topology::Routing::new(&topo);
+//! let routing = ups::topology::Routing::new(&topo);
 //! let hosts = topo.hosts();
 //! let path = routing.path(hosts[0], hosts[1]);
 //! let packets: Vec<Packet> = (0..40)

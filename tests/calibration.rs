@@ -27,7 +27,7 @@ const _: () = assert_send_sync::<RoutingCore>();
 /// moved into `RoutingCore`. Reference only.
 fn reference_flow_rate(
     topo: &Topology,
-    routing: &mut Routing,
+    routing: &Routing,
     mean_flow_bytes: f64,
     target: f64,
 ) -> f64 {
@@ -82,11 +82,11 @@ fn reference_flow_rate(
 
 /// The reference λ bits for every case on `topo`.
 fn reference_bits(topo: &Topology) -> [u64; 3] {
-    let mut routing = Routing::new(topo);
-    CASES.map(|(bytes, target)| reference_flow_rate(topo, &mut routing, bytes, target).to_bits())
+    let routing = Routing::new(topo);
+    CASES.map(|(bytes, target)| reference_flow_rate(topo, &routing, bytes, target).to_bits())
 }
 
-fn calibrated_bits(topo: &Topology, routing: &mut Routing) -> [u64; 3] {
+fn calibrated_bits(topo: &Topology, routing: &Routing) -> [u64; 3] {
     CASES.map(|(bytes, target)| calibrate_flow_rate(topo, routing, bytes, target).to_bits())
 }
 
@@ -123,20 +123,16 @@ fn every_registry_topology_calibrates_to_the_reference_bits() {
     for (name, topo) in named.chain([("edge-only-ring", edge_only_ring())]) {
         let want = reference_bits(&topo);
 
-        let mut fresh = Routing::new(&topo);
-        assert_eq!(
-            calibrated_bits(&topo, &mut fresh),
-            want,
-            "{name}: fresh core"
-        );
+        let fresh = Routing::new(&topo);
+        assert_eq!(calibrated_bits(&topo, &fresh), want, "{name}: fresh core");
 
         // Two routings over one core: the first computes the summary, the
         // second finds it.
         let core = Arc::new(RoutingCore::new(&topo));
         for which in ["first", "second"] {
-            let mut routing = Routing::from_core(core.clone());
+            let routing = Routing::from_core(core.clone());
             assert_eq!(
-                calibrated_bits(&topo, &mut routing),
+                calibrated_bits(&topo, &routing),
                 want,
                 "{name}: {which} routing over a shared core"
             );
@@ -157,11 +153,11 @@ fn eight_threads_racing_for_one_summary_all_get_the_reference() {
         let got: Vec<[u64; 3]> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
                 .map(|_| {
-                    let mut routing = Routing::from_core(core.clone());
+                    let routing = Routing::from_core(core.clone());
                     let (topo, start) = (&topo, &start);
                     scope.spawn(move || {
                         start.wait();
-                        calibrated_bits(topo, &mut routing)
+                        calibrated_bits(topo, &routing)
                     })
                 })
                 .collect();

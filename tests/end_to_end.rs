@@ -18,10 +18,10 @@ fn small_i2() -> Topology {
 #[test]
 fn replay_pipeline_end_to_end() {
     let topo = small_i2();
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.7, Dur::from_ms(6), 11).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search(),
     );
     let packets = udp_packet_train(&flows, MTU);
@@ -59,10 +59,10 @@ fn replay_pipeline_end_to_end() {
 fn whole_pipeline_is_deterministic() {
     let run = || {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let flows = PoissonWorkload::at_utilization(0.5, Dur::from_ms(4), 5).generate(
             &topo,
-            &mut routing,
+            &routing,
             &Empirical::web_search(),
         );
         let packets = udp_packet_train(&flows, MTU);
@@ -103,10 +103,10 @@ fn tcp_completes_under_every_objective_scheduler() {
         ),
     ] {
         let topo = small_i2();
-        let mut routing = Routing::new(&topo);
+        let routing = Routing::new(&topo);
         let flows = PoissonWorkload::at_utilization(0.4, Dur::from_ms(15), 2).generate(
             &topo,
-            &mut routing,
+            &routing,
             &Empirical::web_search(),
         );
         let n_flows = flows.len();
@@ -123,7 +123,7 @@ fn tcp_completes_under_every_objective_scheduler() {
         install_tcp(
             &mut sim,
             &topo,
-            &mut routing,
+            &routing,
             &flows,
             TcpConfig::default(),
             policy,
@@ -144,10 +144,10 @@ fn tcp_completes_under_every_objective_scheduler() {
 #[test]
 fn datacenter_replay_works() {
     let topo = fattree(FatTreeParams::default());
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.6, Dur::from_ms(4), 8).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::data_mining(),
     );
     let packets = udp_packet_train(&flows, MTU);
@@ -175,7 +175,7 @@ fn bidirectional_tcp_over_lstf() {
         Bandwidth::from_gbps(1),
         Dur::from_ms(1),
     );
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let hosts = topo.hosts();
     let flows = vec![
         FlowSpec {
@@ -208,7 +208,7 @@ fn bidirectional_tcp_over_lstf() {
     install_tcp(
         &mut sim,
         &topo,
-        &mut routing,
+        &routing,
         &flows,
         TcpConfig::default(),
         SlackPolicy::FctSjf,
@@ -223,10 +223,10 @@ fn bidirectional_tcp_over_lstf() {
 #[test]
 fn metrics_integration() {
     let topo = small_i2();
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.6, Dur::from_ms(4), 13).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search(),
     );
     let packets = udp_packet_train(&flows, MTU);

@@ -106,10 +106,10 @@ fn reference_run(q: &mut EventQueue, next: &mut impl FnMut() -> u64, run: u32) {
 /// core `Arrive` is pushed beyond the current 0.54 ms epoch.
 fn i2_workload() -> (Topology, Vec<Packet>) {
     let topo = i2_default();
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.7, Dur::from_ms(20), 11).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search() as &dyn SizeDist,
     );
     let packets = udp_packet_train(&flows, MTU);
@@ -158,7 +158,7 @@ fn tcp_run() -> TcpRun {
         Bandwidth::from_gbps(1),
         Dur::from_us(200),
     );
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let hosts = topo.hosts();
     let flows: Vec<FlowSpec> = (0..3usize)
         .map(|i| FlowSpec {
@@ -190,7 +190,7 @@ fn tcp_run() -> TcpRun {
             horizon: Dur::from_secs(30),
             max_packets: None,
         },
-        &mut routing,
+        &routing,
     )
 }
 

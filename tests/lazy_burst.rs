@@ -20,12 +20,12 @@ use ups::workload::Fixed;
 /// The first three flows of a 30 MB single-size Poisson train at 70 %.
 fn burst_train() -> (Topology, Vec<Packet>) {
     let topo = fattree_default();
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let mut window = Dur::from_ms(20);
     let flows = loop {
         let mut flows = PoissonWorkload::at_utilization(0.7, window, 5).generate(
             &topo,
-            &mut routing,
+            &routing,
             &Fixed(30_000_000),
         );
         if flows.len() >= 3 {

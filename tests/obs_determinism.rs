@@ -21,10 +21,10 @@ static GATE: Mutex<()> = Mutex::new(());
 
 fn fattree_workload(window_ms: u64, seed: u64) -> (Topology, Vec<Packet>) {
     let topo = fattree(FatTreeParams::default());
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let flows = PoissonWorkload::at_utilization(0.7, Dur::from_ms(window_ms), seed).generate(
         &topo,
-        &mut routing,
+        &routing,
         &Empirical::web_search() as &dyn SizeDist,
     );
     let packets = udp_packet_train(&flows, MTU);

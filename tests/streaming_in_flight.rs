@@ -29,7 +29,7 @@ const HORIZON_NS: u64 = 30_000;
 /// from host 0 start after the horizon, so they are still waiting to be
 /// injected there.
 fn workload(topo: &Topology) -> Vec<Packet> {
-    let mut routing = Routing::new(topo);
+    let routing = Routing::new(topo);
     let hosts = topo.hosts();
     let mut packets = Vec::new();
     for (fi, &src) in hosts.iter().enumerate() {
@@ -37,14 +37,14 @@ fn workload(topo: &Topology) -> Vec<Packet> {
         for k in 0..TRAIN {
             let at = SimTime::from_ns(k * 1_200 + fi as u64 * 100);
             let id = PacketId(packets.len() as u64);
-            packets.push(PacketBuilder::new(id, FlowId(fi as u64), 1500, path.clone(), at).build());
+            packets.push(PacketBuilder::new(id, FlowId(fi as u64), 1500, path, at).build());
         }
     }
     let path = routing.path(hosts[0], hosts[5]);
     for k in 0..4 {
         let id = PacketId(packets.len() as u64);
         let at = SimTime::from_us(1_000 + k);
-        packets.push(PacketBuilder::new(id, FlowId(99), 1500, path.clone(), at).build());
+        packets.push(PacketBuilder::new(id, FlowId(99), 1500, path, at).build());
     }
     packets
 }
@@ -137,8 +137,7 @@ fn streaming_trace_adopts_in_flight_packets_like_the_resident_trace() {
     assert_eq!(resident.id_bound(), streaming.id_bound());
     assert_eq!(streaming.len() as u64, stats.injected);
 
-    let original: BTreeMap<PacketId, &Arc<[NodeId]>> =
-        packets.iter().map(|p| (p.id, &p.path)).collect();
+    let original: BTreeMap<PacketId, PathId> = packets.iter().map(|p| (p.id, p.path)).collect();
     let open: Vec<&(PacketId, PacketRecord)> = b
         .iter()
         .filter(|(_, r)| r.exited.is_none() && !r.dropped)
@@ -155,14 +154,14 @@ fn streaming_trace_adopts_in_flight_packets_like_the_resident_trace() {
     }
     let spliced: Vec<_> = open
         .iter()
-        .filter(|(id, r)| r.path != *original[id])
+        .filter(|(id, r)| r.path != original[id])
         .collect();
     assert!(!spliced.is_empty(), "no rerouted packet in flight");
     for (id, r) in spliced {
         let before = original[id];
         assert_eq!(r.path.first(), before.first(), "{id}");
         assert_eq!(r.path.last(), before.last(), "{id}");
-        assert!(crosses(before, dead) && !crosses(&r.path, dead), "{id}");
+        assert!(crosses(&before, dead) && !crosses(&r.path, dead), "{id}");
     }
     assert!(b
         .iter()

@@ -39,7 +39,7 @@ fn the_universality_hierarchy() {
 #[test]
 fn slack_bookkeeping_is_exact() {
     let topo = ups::topology::line(3, Bandwidth::from_gbps(1), Dur::from_us(10));
-    let mut routing = Routing::new(&topo);
+    let routing = Routing::new(&topo);
     let hosts = topo.hosts();
     let path = routing.path(hosts[0], hosts[1]);
     let tmin = ups::topology::tmin(&topo, &path, 1500);
