@@ -5,18 +5,17 @@
 //!
 //! Output: one tab-separated series per scheme: `label  time_ms  jain`.
 
-use ups_bench::{run_fairness_experiment, FairnessScheme, Scale};
+use ups_bench::{run_fairness_experiment, FairnessScheme, Scale, FAIRNESS_HORIZON};
 
 fn main() {
     let scale = Scale::from_env();
     // 13 flows per core link ⇒ 65 flows with an exactly-1Gbps fair share
-    // (the paper runs 90 flows with links shared by up to 13; see
-    // EXPERIMENTS.md).
+    // (the paper runs 90 flows with links shared by up to 13).
     let per_link = 13;
     println!(
         "# Figure 4: fairness convergence (scale={}, horizon={}, {} flows)",
         scale.label,
-        scale.fairness_horizon,
+        FAIRNESS_HORIZON,
         per_link * 5
     );
     let schemes = [
@@ -29,7 +28,7 @@ fn main() {
         FairnessScheme::Lstf(10_000_000),
     ];
     for scheme in schemes {
-        let series = run_fairness_experiment(scheme, per_link, scale.fairness_horizon, 42);
+        let series = run_fairness_experiment(scheme, per_link, FAIRNESS_HORIZON, 42);
         let label = scheme.label();
         for (ms, jain) in series.iter().enumerate() {
             println!("{label}\t{ms}\t{jain:.4}");

@@ -34,7 +34,7 @@ pub mod scale;
 pub mod scenarios;
 
 pub use objectives::{fct_job, run_fairness_experiment, tail_delays, tail_job, FairnessScheme};
-pub use scale::{peak_rss_bytes, Scale};
+pub use scale::{peak_rss_bytes, Scale, FAIRNESS_HORIZON};
 pub use scenarios::{
     fattree_throughput_workload, fig1_jobs, replay_job, run_jobs, table1_jobs, I2_DEFAULT,
     PAPER_TABLE1,

@@ -6,8 +6,7 @@
 //! of minutes. `cargo bench` therefore defaults to a scaled-down
 //! configuration with the *same shape* (identical topologies, same
 //! utilization calibration, shorter simulated time), and `UPS_SCALE=full`
-//! restores paper-scale durations. EXPERIMENTS.md records which setting
-//! produced the committed numbers.
+//! restores paper-scale durations.
 
 use std::time::Instant;
 
@@ -20,6 +19,10 @@ use ups_workload::{
     flows_with_floor, profile_by_name, train_packets, udp_packet_stream, FlowSpec, MTU,
 };
 
+/// Horizon of the fairness experiment (Fig. 4; the paper plots 20 ms),
+/// the same at every scale: the run is already paper-sized.
+pub const FAIRNESS_HORIZON: Dur = Dur::from_ms(25);
+
 /// Resolved scale parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
@@ -29,8 +32,6 @@ pub struct Scale {
     pub fct_window: Dur,
     /// Wall-clock horizon for the FCT run (lets late flows drain).
     pub fct_horizon: Dur,
-    /// Horizon for the fairness experiment (Fig. 4; paper plots 20 ms).
-    pub fairness_horizon: Dur,
     /// Number of independent seeds averaged per scenario.
     pub seeds: u64,
     /// Arity of the fat-tree behind Table 1's `Datacenter` row.
@@ -46,7 +47,6 @@ impl Scale {
             replay_window: Dur::from_ms(30),
             fct_window: Dur::from_ms(150),
             fct_horizon: Dur::from_secs(8),
-            fairness_horizon: Dur::from_ms(25),
             seeds: 1,
             fattree_k: 4,
             label: "quick",
@@ -59,7 +59,6 @@ impl Scale {
             replay_window: Dur::from_ms(250),
             fct_window: Dur::from_secs(1),
             fct_horizon: Dur::from_secs(30),
-            fairness_horizon: Dur::from_ms(25),
             seeds: 3,
             fattree_k: 8,
             label: "full",

@@ -31,7 +31,7 @@ pub use counterexamples::{
 pub use divergence::{Divergence, DivergenceCause, DivergenceSink};
 pub use heuristics::{fct_slack, tail_slack, FairnessSlackAssigner, FCT_D};
 pub use replay::{
-    as_executed_stream, compare, compare_with_sink, lstf_replay_stream, max_congestion_points,
-    overdue_threshold, priorities_from_schedule, replay_packets, run_schedule, HeaderInit,
+    compare, compare_with_sink, lstf_replay_stream, max_congestion_points, overdue_threshold,
+    priorities_from_schedule, replay_packets, replay_stream, run_schedule, HeaderInit,
     PriorityAssignment, Replay, ReplayExperiment, ReplayOutcome, ReplayReport, REORDER_WINDOW,
 };

@@ -98,134 +98,134 @@ pub fn run_schedule(
     sim.into_trace()
 }
 
-/// Build the replay packet set: identical `(i, path, size, id)`, headers
-/// re-initialized from the original trace per `init`.
+/// The replay set over a caller's packet slice, in slice order — for the
+/// appendix schedules, whose tables fix the injection order: identical
+/// `(i, path, size, id)`, headers stamped per `init` from each packet's
+/// record in `original`. A recorded run's replay set is [`replay_stream`].
 ///
 /// # Panics
 /// If a packet is missing from the original trace or was never delivered
-/// (replay experiments run drop-free), or if `Omniscient` is requested
-/// without a `PerHop` original trace.
+/// (replay experiments run drop-free), or if `Omniscient` or
+/// `PriorityFromSchedule` is requested without a `PerHop` original trace.
 pub fn replay_packets(
     topo: &Topology,
     original: &Trace,
     packets: &[Packet],
     init: HeaderInit,
 ) -> Vec<Packet> {
-    let mut prio_map: Option<PriorityAssignment> = None;
+    let stamp = stamper(topo, original, init);
     packets
         .iter()
         .map(|p| {
             let rec = original
                 .get(p.id)
                 .unwrap_or_else(|e| panic!("packet {} unavailable in original trace: {e}", p.id)); // lint:allow(panic-path): replay precondition: the trace was recorded over this packet set
-            let o = rec
-                .exited
-                .unwrap_or_else(|| panic!("packet {} undelivered in original", p.id)); // lint:allow(panic-path): undelivered originals make the replay target undefined; fail loud
             let mut q = p.clone();
-            q.hop = 0;
-            q.cum_wait = Dur::ZERO;
-            q.remaining_tx = None;
-            q.header = Header::default();
-            match init {
-                HeaderInit::LstfSlack => {
-                    let t = tmin(topo, &q.path, q.size);
-                    q.header.slack =
-                        o.as_ps() as i128 - q.injected_at.as_ps() as i128 - t.as_ps() as i128;
-                }
-                HeaderInit::PriorityOutputTime => {
-                    q.header.prio = o.as_ps() as i128;
-                }
-                HeaderInit::PriorityFromSchedule => {
-                    let prios = prio_map.get_or_insert_with(|| {
-                        priorities_from_schedule(topo, original).unwrap_or_else(|| {
-                            // lint:allow(panic-path): App. F: >2 congestion points has no priority assignment; diagnostic
-                            panic!(
-                                "original schedule has a priority cycle \
-                                 (≥2 congestion points per packet, App. F)"
-                            )
-                        })
-                    });
-                    // lint:allow(panic-path): the topological sort above ranked every delivered packet
-                    q.header.prio = prios.get(q.id).expect("every packet ordered");
-                }
-                HeaderInit::EdfDeadline => {
-                    q.header.deadline = o;
-                    attach_tmin(topo, &mut q);
-                }
-                HeaderInit::Omniscient => {
-                    assert_eq!(
-                        original.mode(),
-                        RecordMode::PerHop,
-                        "omniscient replay needs a PerHop original trace"
-                    );
-                    assert_eq!(
-                        rec.hops.len(),
-                        q.path.len() - 1,
-                        "per-hop record incomplete for packet {}",
-                        p.id
-                    );
-                    // The destination never schedules; pad for 1:1 indexing.
-                    let v: Arc<[SimTime]> = rec
-                        .hop_tx_starts()
-                        .chain(std::iter::once(SimTime::MAX))
-                        .collect();
-                    q.header.omniscient = Some(v);
-                }
-            }
+            stamp(rec, &mut q);
             q
         })
         .collect()
 }
 
-/// Rebuild the injectable packet set a recorded schedule **actually
-/// executed** — identical `(id, flow, size, kind, i(p))` and the
-/// *as-executed* path, headers clean — restricted to delivered packets.
+/// The replay set of a recorded schedule, from the schedule alone: the
+/// packets `original` delivered, at their recorded `(id, flow, size, kind,
+/// i(p))` and as-executed path, headers stamped per `init`, in the
+/// `(i(p), id)` order [`Simulator::run_with_injections`] wants. A packet
+/// with no `o(p)` (in flight at a horizon, lost at a dead link) is left
+/// out. Records are pulled one at a time, so a spilled trace replays in
+/// bounded memory.
 ///
-/// This is what keeps the §2 replay well-defined when the original run
-/// broke the fixed-input premise: closed-loop transports decide the
-/// packet set as they run, and the dynamics layer reroutes or drops
-/// packets mid-flight. In both regimes the delivered packets' recorded
-/// `(i(p), o(p), path(p))` triples form a complete, replayable schedule
-/// — packets still in flight at a horizon or lost at a dead link have no
-/// `o(p)` and are excluded.
-///
-/// The set is yielded in the canonical stream order `(i(p), id)` —
-/// exactly what [`ups_netsim::prelude::Simulator::run_with_injections`]
-/// wants — one packet at a time, from either trace layout, so a spilled
-/// trace replays without ever materializing the set.
-pub fn as_executed_stream(trace: &Trace) -> impl Iterator<Item = Packet> + '_ {
+/// # Panics
+/// As [`replay_packets`].
+pub fn replay_stream<'a>(
+    topo: &'a Topology,
+    original: &'a Trace,
+    init: HeaderInit,
+) -> impl Iterator<Item = Packet> + 'a {
     use ups_netsim::prelude::{PacketBuilder, PacketKind};
-    trace.stream().filter_map(|(id, r)| {
+    let stamp = stamper(topo, original, init);
+    original.stream().filter_map(move |(id, r)| {
         r.exited?;
         let mut b = PacketBuilder::new(id, r.flow, r.size, r.path, r.injected);
         if r.kind == PacketKind::Ack {
             b = b.ack();
         }
-        Some(b.build())
+        let mut q = b.build();
+        stamp(&r, &mut q);
+        Some(q)
     })
 }
 
-/// Lazy LSTF replay set straight from a recorded schedule: delivered
-/// packets in canonical `(i(p), id)` stream order with clean headers and
-/// `slack(p) = o(p) − i(p) − tmin(p)` attached — the streaming-pipeline
-/// fusion of [`as_executed_stream`] and
-/// [`replay_packets`]`(…, HeaderInit::LstfSlack)`, sidestepping the
-/// random-access `Trace::get` that a spilled trace no longer offers.
+/// [`replay_stream`] under [`HeaderInit::LstfSlack`], under the name the
+/// benchmark harness (`examples/perf`) calls.
 pub fn lstf_replay_stream<'a>(
     topo: &'a Topology,
     original: &'a Trace,
 ) -> impl Iterator<Item = Packet> + 'a {
-    use ups_netsim::prelude::{PacketBuilder, PacketKind};
-    original.stream().filter_map(move |(id, r)| {
-        let o = r.exited?;
-        let t = tmin(topo, &r.path, r.size);
-        let slack = o.as_ps() as i128 - r.injected.as_ps() as i128 - t.as_ps() as i128;
-        let mut b = PacketBuilder::new(id, r.flow, r.size, r.path, r.injected).slack(slack);
-        if r.kind == PacketKind::Ack {
-            b = b.ack();
+    replay_stream(topo, original, HeaderInit::LstfSlack)
+}
+
+/// The one interpreter of a [`HeaderInit`]: a stamp that resets a packet
+/// to its ingress state and writes the header `init` derives from the
+/// packet's record in `original`.
+fn stamper<'a>(
+    topo: &'a Topology,
+    original: &Trace,
+    init: HeaderInit,
+) -> impl Fn(&PacketRecord, &mut Packet) + 'a {
+    assert!(
+        init != HeaderInit::Omniscient || original.mode() == RecordMode::PerHop,
+        "omniscient replay needs a PerHop original trace"
+    );
+    let prios = (init == HeaderInit::PriorityFromSchedule).then(|| {
+        priorities_from_schedule(topo, original).unwrap_or_else(|| {
+            // lint:allow(panic-path): App. F: >2 congestion points has no priority assignment; diagnostic
+            panic!(
+                "original schedule has a priority cycle \
+                 (≥2 congestion points per packet, App. F)"
+            )
+        })
+    });
+    move |rec, q| {
+        let o = rec
+            .exited
+            .unwrap_or_else(|| panic!("packet {} undelivered in original", q.id)); // lint:allow(panic-path): undelivered originals make the replay target undefined; fail loud
+        q.hop = 0;
+        q.cum_wait = Dur::ZERO;
+        q.remaining_tx = None;
+        q.header = Header::default();
+        match init {
+            HeaderInit::LstfSlack => {
+                let t = tmin(topo, &q.path, q.size);
+                q.header.slack =
+                    o.as_ps() as i128 - q.injected_at.as_ps() as i128 - t.as_ps() as i128;
+            }
+            HeaderInit::PriorityOutputTime => q.header.prio = o.as_ps() as i128,
+            HeaderInit::PriorityFromSchedule => {
+                let prio = prios.as_ref().and_then(|p| p.get(q.id));
+                // lint:allow(panic-path): the topological sort above ranked every delivered packet
+                q.header.prio = prio.expect("every packet ordered");
+            }
+            HeaderInit::EdfDeadline => {
+                q.header.deadline = o;
+                attach_tmin(topo, q);
+            }
+            HeaderInit::Omniscient => {
+                assert_eq!(
+                    rec.hops.len(),
+                    q.path.len() - 1,
+                    "per-hop record incomplete for packet {}",
+                    q.id
+                );
+                // The destination never schedules; pad for 1:1 indexing.
+                let v: Arc<[SimTime]> = rec
+                    .hop_tx_starts()
+                    .chain(std::iter::once(SimTime::MAX))
+                    .collect();
+                q.header.omniscient = Some(v);
+            }
         }
-        Some(b.build())
-    })
+    }
 }
 
 /// Outcome of comparing a replay trace against its original.
@@ -457,15 +457,14 @@ pub fn overdue_threshold(topo: &Topology) -> Dur {
 /// * **eager** ([`Replay::eager`], [`Replay::eager_set`]) — inject the
 ///   whole replay set, then run: the form of the static sweep rows and the
 ///   paper tables;
-/// * **lazy** ([`Replay::lazy`]) — pull [`lstf_replay_stream`] through
+/// * **lazy** ([`Replay::lazy`]) — pull [`replay_stream`] through
 ///   [`Simulator::run_with_injections`], so a spilled original replays in
 ///   bounded memory: the form of the churn rows and the scale run.
 ///
 /// There are two because they are separate determinism domains (same-time
 /// events fire in push order, and lazy pulls interleave pushes differently
 /// than inject-all; see [`Simulator::run_with_injections`]) and committed
-/// results are pinned in each. Nothing selects between them but the call:
-/// a caller with a packet set passes it, a caller without one cannot.
+/// results are pinned in each. Nothing selects between them but the call.
 pub struct Replay<'a> {
     /// Network (intact, whatever the original run did to it).
     pub topo: &'a Topology,
@@ -503,8 +502,9 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Eager drive over the packet set the original ran: re-initialize
-    /// headers per `init` ([`replay_packets`]), inject all, run, compare.
+    /// Eager drive over a packet slice the original ran, in slice order:
+    /// re-initialize headers per `init` ([`replay_packets`]), inject all,
+    /// run, compare.
     pub fn eager(
         self,
         packets: &[Packet],
@@ -515,8 +515,8 @@ impl<'a> Replay<'a> {
         self.eager_set(set, sink)
     }
 
-    /// Eager drive over a replay set [`replay_packets`] already built —
-    /// for one set replayed under several disciplines.
+    /// Eager drive over a replay set already stamped — a
+    /// [`replay_stream`] of the original, or a [`replay_packets`] set.
     pub fn eager_set(
         self,
         set: impl IntoIterator<Item = Packet>,
@@ -533,10 +533,8 @@ impl<'a> Replay<'a> {
     /// Lazy drive: the delivered packets of `original`, LSTF slack
     /// attached, streamed in `(i(p), id)` order as the clock reaches them.
     pub fn lazy(self, sink: &mut dyn DivergenceSink) -> (Trace, ReplayReport) {
-        let (topo, original) = (self.topo, self.original);
-        self.drive(sink, |sim| {
-            sim.run_with_injections(lstf_replay_stream(topo, original))
-        })
+        let set = replay_stream(self.topo, self.original, HeaderInit::LstfSlack);
+        self.drive(sink, |sim| sim.run_with_injections(set))
     }
 
     fn drive(
@@ -934,8 +932,8 @@ mod tests {
         assert_eq!((r.total, r.missing, r.overdue), (2, 1, 1));
     }
 
-    /// The as-executed stream is the delivered set in `(i(p), id)` order,
-    /// and comparing a trace against itself is perfect with every queueing
+    /// The replay stream is the delivered set in `(i(p), id)` order, and
+    /// comparing a trace against itself is perfect with every queueing
     /// ratio exactly 1.
     #[test]
     fn lazy_replay_set_matches_eager_and_self_compare_is_perfect() {
@@ -952,9 +950,13 @@ mod tests {
         let out = exp.run(&packets, Dur::ZERO);
         let threshold = overdue_threshold(&topo);
 
-        let lazy: Vec<Packet> = as_executed_stream(&out.original).collect();
-        let mut delivered: Vec<_> = out.original.delivered().expect("resident trace").collect();
-        delivered.sort_by_key(|(id, r)| (r.injected, *id));
+        let lazy: Vec<Packet> =
+            replay_stream(&topo, &out.original, HeaderInit::LstfSlack).collect();
+        let delivered: Vec<_> = out
+            .original
+            .stream()
+            .filter(|(_, r)| r.exited.is_some())
+            .collect();
         assert_eq!(lazy.len(), delivered.len());
         for (l, (id, r)) in lazy.iter().zip(&delivered) {
             assert_eq!(
@@ -973,34 +975,58 @@ mod tests {
         }
     }
 
-    /// `lstf_replay_stream` attaches the same slacks `replay_packets`
-    /// computes, in canonical stream order.
+    /// `replay_stream` stamps, under every header initialization, the
+    /// same packets `replay_packets` does, in canonical stream order. The
+    /// original is a `PerHop` run with one congestion point, so both the
+    /// omniscient and the schedule-derived priority headers exist.
     #[test]
-    fn lstf_replay_stream_matches_replay_packets() {
+    fn replay_stream_matches_replay_packets_under_every_init() {
         let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
         let packets = line_packets(&topo, 25, 2);
         let original = run_schedule(
             &topo,
             &SchedulerAssignment::uniform(SchedulerKind::Lifo),
             packets.iter().cloned(),
-            &BuildOptions::default(),
+            &BuildOptions {
+                record: RecordMode::PerHop,
+                ..BuildOptions::default()
+            },
         );
-        let mut eager = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
-        eager.sort_by_key(|p| (p.injected_at, p.id));
-        let streamed: Vec<Packet> = lstf_replay_stream(&topo, &original).collect();
-        assert_eq!(streamed.len(), eager.len());
-        for (s, e) in streamed.iter().zip(&eager) {
-            assert_eq!(s.id, e.id);
-            assert_eq!(s.header.slack, e.header.slack);
-            assert_eq!(s.injected_at, e.injected_at);
-            assert_eq!(s.path, e.path);
+        assert_eq!(max_congestion_points(&original), 1);
+        for init in [
+            HeaderInit::LstfSlack,
+            HeaderInit::PriorityOutputTime,
+            HeaderInit::PriorityFromSchedule,
+            HeaderInit::EdfDeadline,
+            HeaderInit::Omniscient,
+        ] {
+            let mut eager = replay_packets(&topo, &original, &packets, init);
+            eager.sort_by_key(|p| (p.injected_at, p.id));
+            let streamed: Vec<Packet> = replay_stream(&topo, &original, init).collect();
+            assert_eq!(streamed.len(), eager.len(), "{init:?}");
+            for (s, e) in streamed.iter().zip(&eager) {
+                assert_eq!(
+                    (s.id, s.kind, s.path, s.injected_at),
+                    (e.id, e.kind, e.path, e.injected_at),
+                    "{init:?}"
+                );
+                let (sh, eh) = (&s.header, &e.header);
+                assert_eq!(
+                    (sh.slack, sh.prio, sh.deadline, &sh.omniscient),
+                    (eh.slack, eh.prio, eh.deadline, &eh.omniscient),
+                    "{init:?} packet {}",
+                    s.id
+                );
+                assert_eq!(s.tmin_rem, e.tmin_rem, "{init:?} packet {}", s.id);
+            }
         }
     }
 
     /// The entry's drive forms: `eager` is `eager_set` over
-    /// `replay_packets`, and every form ends in the one comparison at the
-    /// one `T`. The lazy replay covers the same packets but need not be
-    /// the same schedule — it is its own determinism domain.
+    /// `replay_packets`, and over the `replay_stream` of a key-sorted
+    /// packet set too; every form ends in the one comparison at the one
+    /// `T`. The lazy replay covers the same packets but need not be the
+    /// same schedule — it is its own determinism domain.
     #[test]
     fn replay_entry_forms_end_in_the_one_comparison() {
         let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
@@ -1018,6 +1044,9 @@ mod tests {
         let set = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
         let (from_set, from_set_report) = entry().eager_set(set, &mut ());
         assert_eq!((&from_set, &from_set_report), (&eager, &report));
+        let streamed = replay_stream(&topo, &original, HeaderInit::LstfSlack);
+        let (from_stream, from_stream_report) = entry().eager_set(streamed, &mut ());
+        assert_eq!((&from_stream, &from_stream_report), (&eager, &report));
         assert_eq!(report, compare(&original, &eager, t));
         let (lazy, lazy_report) = entry().lazy(&mut ());
         assert_eq!(lazy_report, compare(&original, &lazy, t));

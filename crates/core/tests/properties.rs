@@ -232,7 +232,7 @@ proptest! {
             let edf = scenario
                 .experiment(&topo, HeaderInit::EdfDeadline, preemptive)
                 .run(&packets, Dur::ZERO);
-            for (id, r) in lstf.replay.delivered().expect("resident trace") {
+            for (id, r) in lstf.replay.stream().filter(|(_, r)| r.exited.is_some()) {
                 let e = edf.replay.get(id).expect("EDF delivered the same packets");
                 prop_assert_eq!(
                     r.exited, e.exited,
@@ -305,7 +305,12 @@ proptest! {
             };
             run_schedule(&topo, &assign, packets.iter().cloned(), &opts)
         });
-        prop_assert_eq!(spilled.iter().err(), Some(TraceAccessError::Spilled));
+        // A second sealed 4-record chunk pushes the first out of the
+        // one-chunk ring to disk; a shorter trace never leaves memory.
+        if spilled.len() >= 2 * 4 {
+            prop_assert!((0..spilled.id_bound() as u64)
+                .any(|id| spilled.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
+        }
         prop_assert_eq!(max_congestion_points(&spilled), max_congestion_points(&resident));
         let ranks = |t: &Trace| {
             let a = priorities_from_schedule(&topo, t)?;
@@ -329,7 +334,7 @@ proptest! {
             .experiment(&topo, HeaderInit::LstfSlack, false)
             .run(&packets, Dur::ZERO);
         prop_assert_eq!(a.report.overdue, b.report.overdue);
-        for (id, r) in a.replay.delivered().expect("resident trace") {
+        for (id, r) in a.replay.stream().filter(|(_, r)| r.exited.is_some()) {
             prop_assert_eq!(r.exited, b.replay.get(id).unwrap().exited);
         }
     }
@@ -345,8 +350,9 @@ proptest! {
         let out = scenario
             .experiment(&topo, HeaderInit::LstfSlack, false)
             .run(&packets, Dur::ZERO);
-        prop_assert_eq!(out.original.delivered().expect("resident trace").count(), packets.len());
-        prop_assert_eq!(out.replay.delivered().expect("resident trace").count(), packets.len());
+        let delivered = |t: &Trace| t.stream().filter(|(_, r)| r.exited.is_some()).count();
+        prop_assert_eq!(delivered(&out.original), packets.len());
+        prop_assert_eq!(delivered(&out.replay), packets.len());
         prop_assert_eq!(out.report.total, packets.len());
     }
 }

@@ -91,7 +91,7 @@ pub fn churn_replay_with_sink(
 mod tests {
     use super::*;
     use crate::schedule::FailureProfile;
-    use ups_core::{as_executed_stream, run_schedule};
+    use ups_core::{replay_stream, run_schedule, HeaderInit};
     use ups_netsim::prelude::{DropCause, Dur, PacketKind, SchedulerKind};
     use ups_topology::{topology_by_name, Routing};
 
@@ -168,7 +168,7 @@ mod tests {
         assert!(churn.stats.delivered > churn.stats.dropped);
         // Rerouted packets' records carry their as-executed paths: every
         // delivered record's path must be walkable over topology links.
-        for (_, r) in churn.trace.delivered().expect("resident trace") {
+        for (_, r) in churn.trace.stream().filter(|(_, r)| r.exited.is_some()) {
             for w in r.path.windows(2) {
                 assert!(
                     topo.neighbor_link(w[0], w[1]).is_some(),
@@ -198,8 +198,7 @@ mod tests {
         assert_eq!(churn.stats.dropped, churn.stats.dropped_dead_link);
         let dead_link_drops = churn
             .trace
-            .iter()
-            .expect("resident trace")
+            .stream()
             .filter(|(_, r)| r.drop_cause == Some(DropCause::DeadLink))
             .count() as u64;
         assert_eq!(dead_link_drops, churn.stats.dropped_dead_link);
@@ -225,8 +224,9 @@ mod tests {
         assert_eq!(report.missing, 0, "replay runs drop-free");
         let rate = report.match_rate().expect("delivered > 0");
         assert!(rate > 0.5, "LSTF should mostly keep up: {rate}");
-        // And the as-executed set is exactly the delivered packets.
-        let executed: Vec<Packet> = as_executed_stream(&churn.trace).collect();
+        // And the replay set is exactly the delivered packets.
+        let executed: Vec<Packet> =
+            replay_stream(&topo, &churn.trace, HeaderInit::LstfSlack).collect();
         assert_eq!(executed.len() as u64, churn.stats.delivered);
         assert!(executed.iter().all(|p| p.kind == PacketKind::Data));
     }

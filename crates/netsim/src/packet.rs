@@ -34,8 +34,8 @@ pub enum PacketKind {
 /// | field | written by | read by |
 /// |---|---|---|
 /// | `slack` | ingress + every LSTF hop | LSTF |
-/// | `deadline` | ingress | EDF, `Priority` replay (prio = o(p)) |
-/// | `prio` | ingress | static `Priority`, SJF |
+/// | `deadline` | ingress | EDF |
+/// | `prio` | ingress (priorities replay: `o(p)` or schedule rank) | static `Priority` |
 /// | `flow_size` | source transport | SJF |
 /// | `remaining` | source transport | SRPT |
 /// | `omniscient` | ingress | omniscient replay (App. B) |
@@ -48,7 +48,8 @@ pub struct Header {
     /// `i64` for multi-megabyte flows.
     pub slack: i128,
     /// Target network exit time `o(p)`; static. Used by the EDF formulation
-    /// (App. E) and by the simple-priorities replay baseline (§2.3(7)).
+    /// (App. E); the simple-priorities replay baseline (§2.3(7)) writes
+    /// `o(p)` into `prio` instead.
     pub deadline: SimTime,
     /// Static priority rank; lower value = served earlier.
     pub prio: i128,

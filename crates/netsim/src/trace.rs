@@ -387,29 +387,6 @@ impl Trace {
         }
     }
 
-    /// All recorded packets in id order. Resident traces only — a trace
-    /// recorded with spill caps is [`TraceAccessError::Spilled`] and is
-    /// read with [`Trace::stream`].
-    pub fn iter(
-        &self,
-    ) -> Result<impl Iterator<Item = (PacketId, &PacketRecord)>, TraceAccessError> {
-        let Store::Resident(records) = &self.store else {
-            return Err(TraceAccessError::Spilled);
-        };
-        Ok(records
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|r| (PacketId(i as u64), r))))
-    }
-
-    /// Packets that fully exited the network (excludes drops and in-flight).
-    /// Resident traces only, like [`Trace::iter`].
-    pub fn delivered(
-        &self,
-    ) -> Result<impl Iterator<Item = (PacketId, &PacketRecord)>, TraceAccessError> {
-        Ok(self.iter()?.filter(|(_, r)| r.exited.is_some()))
-    }
-
     /// Every record (delivered, dropped and in-flight) in `(i(p), id)`
     /// order, decoding spilled chunks on the fly. This is the only way to
     /// read a spilled trace, and works identically on resident traces —
@@ -594,7 +571,7 @@ mod tests {
         assert_eq!(r.delay(), Some(Dur::from_us(29)));
         assert_eq!(r.total_wait, Dur::from_us(7));
         assert_eq!((t.len(), t.id_bound()), (1, 6));
-        assert_eq!(t.delivered().expect("resident trace").count(), 1);
+        assert_eq!(t.stream().filter(|(_, r)| r.exited.is_some()).count(), 1);
     }
 
     #[test]
@@ -650,7 +627,7 @@ mod tests {
         assert!(r.dropped);
         assert_eq!(r.drop_cause, Some(DropCause::DeadLink));
         assert_eq!(r.exited, None);
-        assert_eq!(t.delivered().expect("resident trace").count(), 0);
+        assert_eq!(t.stream().filter(|(_, r)| r.exited.is_some()).count(), 0);
     }
 
     #[test]
@@ -704,7 +681,8 @@ mod tests {
             let spilled = lifecycle(mode, Some((8, 2)), 100);
             assert_eq!(resident.len(), spilled.len());
             assert_eq!(resident.id_bound(), spilled.id_bound());
-            assert_eq!(spilled.iter().err(), Some(TraceAccessError::Spilled));
+            assert!((0..spilled.id_bound() as u64)
+                .any(|id| spilled.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
             let a: Vec<_> = resident.stream().collect();
             let b: Vec<_> = spilled.stream().collect();
             assert_eq!(
@@ -725,9 +703,15 @@ mod tests {
 
     #[test]
     fn streaming_is_end_to_end_spilled_at_the_default_caps() {
-        let streaming = lifecycle(RecordMode::Streaming, None, 30);
-        assert_eq!(streaming.iter().err(), Some(TraceAccessError::Spilled));
-        let end_to_end = lifecycle(RecordMode::EndToEnd, None, 30);
+        // Enough records to seal one chunk more than the default ring holds,
+        // so the oldest (the highest ids: they finalize first) is on disk.
+        let n = (DEFAULT_CHUNK_RECORDS * (DEFAULT_RING_CHUNKS + 1)) as u64;
+        let streaming = lifecycle(RecordMode::Streaming, None, n);
+        assert_eq!(
+            streaming.get(PacketId(n - 1)),
+            Err(TraceAccessError::Spilled)
+        );
+        let end_to_end = lifecycle(RecordMode::EndToEnd, None, n);
         assert!(streaming.stream().eq(end_to_end.stream()));
     }
 
@@ -792,20 +776,6 @@ mod tests {
         assert_eq!(
             r.get(PacketId(77)),
             Err(TraceAccessError::NotRecorded(PacketId(77)))
-        );
-    }
-
-    #[test]
-    fn streaming_iter_errors_with_spilled() {
-        let t = Trace::new(RecordMode::Streaming);
-        assert!(t.iter().is_err());
-        assert_eq!(
-            t.delivered().err().expect("spilled trace cannot iterate"),
-            TraceAccessError::Spilled
-        );
-        assert_eq!(
-            t.iter().err().map(|e| e.to_string()).unwrap_or_default(),
-            "trace spilled; use Trace::stream()"
         );
     }
 

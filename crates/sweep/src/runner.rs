@@ -26,9 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ups_core::{
-    as_executed_stream, replay_packets, run_schedule, HeaderInit, Replay, ReplayReport,
-};
+use ups_core::{replay_stream, run_schedule, HeaderInit, Replay, ReplayReport};
 use ups_dynamics::{
     churn_replay_with_sink, parse_failure_spec, run_schedule_with_failures, FailureSchedule,
 };
@@ -38,14 +36,14 @@ use ups_metrics::{
     TransportSummary, FIG2_BUCKETS,
 };
 use ups_netsim::prelude::{
-    DeadLinkPolicy, MapperKind, Packet, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
+    DeadLinkPolicy, MapperKind, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
 };
 use ups_obs::SharedProbe;
 use ups_topology::{
     topology_by_name, BuildOptions, Routing, RoutingCore, SchedulerAssignment, Topology,
 };
 use ups_transport::{run_tcp, SlackPolicy, TcpConfig, TcpScenario, TransportStats};
-use ups_workload::{profile_by_name, udp_packet_train, FlowSpec, MTU};
+use ups_workload::{profile_by_name, train_packets, udp_packet_stream, FlowSpec, MTU};
 
 use crate::grid::{JobSpec, TrafficMode, MIXED_FQ_FIFOPLUS};
 
@@ -304,39 +302,31 @@ pub fn execute(
             .collect(),
     };
 
-    let (original, summary, as_executed) = match spec.traffic {
+    let (original, summary) = match spec.traffic {
         TrafficMode::OpenLoop => {
-            let mut packets = udp_packet_train(&flows, MTU);
-            if let Some(cap) = spec.max_packets {
-                packets.truncate(cap);
-            }
+            // Inject-all from the lazy train: the packets `max_packets`
+            // keeps are its prefix, and only they are ever built.
+            let cap = spec.max_packets.unwrap_or(usize::MAX);
+            let packets = udp_packet_stream(&flows, MTU).take(cap);
+            let injected = train_packets(&flows).min(cap as u64);
             match &failure {
                 Some((schedule, policy)) => {
                     let churn = run_schedule_with_failures(
-                        topo,
-                        &assign,
-                        packets.iter().cloned(),
-                        schedule,
-                        *policy,
-                        &opts,
+                        topo, &assign, packets, schedule, *policy, &opts,
                     );
-                    let mut summary =
-                        summarize_trace(&churn.trace, &flows, packets.len() as u64, None);
+                    let mut summary = summarize_trace(&churn.trace, &flows, injected, None);
                     summary.disruption = Some(DisruptionSummary {
                         links_failed: schedule.links_failed(),
                         rerouted: churn.stats.rerouted,
                         dropped_at_dead_link: churn.stats.dropped_dead_link,
                         churn_replay_match_rate: None, // the caller's, from the replay
                     });
-                    // The churn replay below reads the trace itself (the
-                    // delivered packets at their observed paths), so no
-                    // packet set is kept.
-                    (churn.trace, summary, Vec::new())
+                    (churn.trace, summary)
                 }
                 None => {
-                    let original = run_schedule(topo, &assign, packets.iter().cloned(), &opts);
-                    let summary = summarize_trace(&original, &flows, packets.len() as u64, None);
-                    (original, summary, packets)
+                    let original = run_schedule(topo, &assign, packets, &opts);
+                    let summary = summarize_trace(&original, &flows, injected, None);
+                    (original, summary)
                 }
             }
         }
@@ -355,11 +345,7 @@ pub fn execute(
                 &routing,
             );
             let summary = summarize_trace(&run.trace, &flows, run.sim.injected, Some(&run.stats));
-            // The §2 replay re-runs the schedule the endpoints actually
-            // executed: reconstruct that packet set from the trace. Ids
-            // are allocated at injection, so stream order is id order.
-            let packets = as_executed_stream(&run.trace).collect();
-            (run.trace, summary, packets)
+            (run.trace, summary)
         }
     };
 
@@ -382,20 +368,14 @@ pub fn execute(
         // Replay needs every packet delivered (§2.3 runs drop-free); with
         // unbounded buffers dropped > 0 can't happen — the gate makes a
         // buffered grid degrade to "no replay" instead of a panic.
-        // Closed-loop packet sets are already restricted to delivered
-        // packets, so a horizon-truncated run still replays its delivered
-        // prefix.
         //
-        // One replay set per header initialization, built once: replays
-        // that share an initialization inject the identical packets, the
-        // last of them by move.
-        let mut held: Option<(HeaderInit, Vec<Packet>)> = None;
+        // Each replay set comes from the recorded schedule alone: the
+        // delivered packets in `(i(p), id)` order. An open-loop train is
+        // already in that order with dense ids, so this is the train
+        // itself; a closed-loop run replays exactly the segments and acks
+        // its endpoints emitted, a horizon-truncated one its delivered
+        // prefix.
         for (i, &(flavor, kind, init)) in plan.iter().enumerate() {
-            let set = match held.take() {
-                Some((of, set)) if of == init => set,
-                _ => replay_packets(topo, &original, &as_executed, init),
-            };
-            let next = plan.get(i + 1);
             let replay = Replay {
                 kind,
                 opts: BuildOptions {
@@ -403,17 +383,16 @@ pub fn execute(
                     seed: spec.seed,
                     ..BuildOptions::default()
                 },
-                probe: if next.is_none() { probe.take() } else { None },
+                probe: if i + 1 == plan.len() {
+                    probe.take()
+                } else {
+                    None
+                },
                 ..Replay::new(topo, &original, spec.seed)
             };
             let mut forensics = BlameCollector::new(flavor);
-            let (trace, report) = if next.is_some_and(|next| next.2 == init) {
-                let out = replay.eager_set(set.iter().cloned(), &mut forensics);
-                held = Some((init, set));
-                out
-            } else {
-                replay.eager_set(set, &mut forensics)
-            };
+            let set = replay_stream(topo, &original, init);
+            let (trace, report) = replay.eager_set(set, &mut forensics);
             replays.push(ReplayRun {
                 flavor,
                 report,

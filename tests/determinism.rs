@@ -97,7 +97,7 @@ fn fifo_fattree_schedule_matches_the_seed_engine_golden() {
     }
     sim.run();
     let (mut exit_sum_ps, mut weighted_ps) = (0u128, 0u128);
-    for (id, r) in sim.trace().delivered().expect("resident trace") {
+    for (id, r) in sim.trace().stream().filter(|(_, r)| r.exited.is_some()) {
         let exit = r.exited.expect("delivered").as_ps() as u128;
         exit_sum_ps += exit;
         weighted_ps += (id.0 as u128 + 1) * exit;

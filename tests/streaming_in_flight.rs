@@ -266,5 +266,4 @@ fn per_hop_spills_like_per_hop_resident() {
     assert!(spilled.len() > 3 * 64, "{} records", spilled.len());
     assert!((0..spilled.id_bound() as u64)
         .any(|id| spilled.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
-    assert_eq!(spilled.iter().err(), Some(TraceAccessError::Spilled));
 }
