@@ -41,11 +41,12 @@
 
 use ups_bench::{fattree_throughput_workload, replay_job};
 use ups_core::ReplayReport;
+use ups_dynamics::FailureProfile;
 use ups_metrics::DivergenceSummary;
 use ups_netsim::prelude::*;
 use ups_sweep::runner::{execute, trace_mean_fct, ReplayRun, SharedScenarios};
-use ups_sweep::JobSpec;
-use ups_workload::FlowSpec;
+use ups_sweep::{Failures, JobSpec, Queues};
+use ups_workload::{train_packets, FlowSpec};
 
 const UTILIZATION: f64 = 0.7;
 const SEED: u64 = 42;
@@ -124,11 +125,7 @@ impl Row {
 /// schedule. `k: None` is the exact replay.
 // lint:schema(ups-bench-degradation/v1)
 fn k_row(k: Option<u32>, replay: ReplayRun, flows: &[FlowSpec]) -> Row {
-    let trace = replay
-        .trace
-        .as_ref()
-        .expect("eager replays keep their trace");
-    let fct = trace_mean_fct(trace, flows).expect("the replay delivers");
+    let fct = trace_mean_fct(&replay.trace, flows).expect("the replay delivers");
     let (label, k) = k.map_or(("K=inf".into(), "null".into()), |k| {
         (format!("K={k}"), k.to_string())
     });
@@ -144,7 +141,7 @@ fn main() {
     println!(
         "# degradation: {} packets / {} flows on {} at {:.0}% util, Random original, \
          {} mapper, random-links churn, reroute in-flight policy",
-        train.packets.len(),
+        train_packets(&train.flows),
         train.flows.len(),
         topo.name,
         UTILIZATION * 100.0,
@@ -154,17 +151,14 @@ fn main() {
     // sets one sub-axis on it.
     let base = replay_job("FatTree(k=4)", UTILIZATION, "Random", train.window, SEED);
     let shared = SharedScenarios::for_jobs([&base]);
-    let run = |spec: &JobSpec, record| {
-        execute(spec, &shared, record, &[], None).expect("a registered scenario")
-    };
+    let run = |spec: &JobSpec, record| execute(spec, &shared, record, &[], None);
 
     // ---- Quantization axis: per-hop records on both sides, so the
     // first divergent hop is real (bucket collisions, not exit-only).
     let quantized_job = |k, mapper: MapperKind| {
         let spec = JobSpec {
-            queues: Some(k),
-            mapper: Some(mapper.name().into()),
-            ..base.clone()
+            queues: Some(Queues { k, mapper }),
+            ..base
         };
         let mut job = run(&spec, RecordMode::PerHop);
         let quantized = job.replays.pop().expect("the quantized replay ran");
@@ -195,16 +189,19 @@ fn main() {
     // attribution over the delivered subset.
     let static_spec = JobSpec {
         replay: false,
-        ..base.clone()
+        ..base
     };
     let plain = run(&static_spec, RecordMode::EndToEnd).original;
     let failures: Vec<Row> = RATES
         .iter()
         .map(|&rate| {
             let spec = JobSpec {
-                failures: Some(format!("random-links:{rate}")),
-                inflight: Some("reroute".into()),
-                ..base.clone()
+                failures: Some(Failures {
+                    profile: FailureProfile::RandomLinks,
+                    rate,
+                    inflight: DeadLinkPolicy::Reroute,
+                }),
+                ..base
             };
             let mut job = run(&spec, RecordMode::EndToEnd);
             let churn = job
@@ -322,7 +319,7 @@ fn main() {
         MAPPER.name(),
         UTILIZATION,
         SEED,
-        train.packets.len(),
+        train_packets(&train.flows),
         train.flows.len(),
         train.window.as_secs_f64() * 1e3,
         k_rows.join(",\n"),

@@ -31,7 +31,10 @@ fn main() {
             println!("{}\t(no queued packets)", job.scheduler);
             continue;
         }
-        print!("{}", render_series(&job.scheduler, &cdf.series(&probes)));
+        print!(
+            "{}",
+            render_series(job.scheduler.name(), &cdf.series(&probes))
+        );
         println!(
             "# {}: {} ratio samples, {:.1}% of packets no worse than original",
             job.scheduler,

@@ -11,7 +11,7 @@ use crate::scenarios::{map_jobs, replay_job};
 /// One Figure 2 curve as a sweep job: closed-loop TCP web-search flows at
 /// 70% with 5 MB per router (§3.1) under `scheduler` — `FIFO`, `SRPT`,
 /// `SJF`, or `LSTF`, which the sweep engine stamps with
-/// `slack = flow_size × D` ([`ups_sweep::slack_policy_for`]). No replay:
+/// `slack = flow_size × D` ([`ups_sweep::Scheduler::slack_policy`]). No replay:
 /// the figure reads the summary's `fct_mean_s` and `fct_buckets`.
 pub fn fct_job(topology: &str, scheduler: &str, window: Dur, horizon: Dur, seed: u64) -> JobSpec {
     JobSpec {

@@ -12,12 +12,10 @@ use std::time::Instant;
 
 use ups_core::{Replay, ReplayReport};
 use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind, Trace};
-use ups_topology::{
-    build_simulator, fattree, BuildOptions, FatTreeParams, Routing, SchedulerAssignment, Topology,
-};
-use ups_workload::{
-    flows_with_floor, profile_by_name, train_packets, udp_packet_stream, FlowSpec, MTU,
-};
+use ups_topology::{build_simulator, BuildOptions, SchedulerAssignment, Topology};
+use ups_workload::{train_packets, udp_packet_stream, FlowSpec, MTU};
+
+use crate::scenarios::fattree_throughput_workload;
 
 /// Horizon of the fairness experiment (Fig. 4; the paper plots 20 ms),
 /// the same at every scale: the run is already paper-sized.
@@ -181,8 +179,8 @@ pub fn streaming_run(
     }
 }
 
-/// The differential gate: on the engine-benchmark workload (fat-tree
-/// k=4, web-search at 70 %, window grown until the train clears
+/// The differential gate: on the engine-benchmark workload
+/// ([`fattree_throughput_workload`] at 70 %, seed 42, grown to
 /// `packet_floor`) the resident and the streaming trace layouts must
 /// agree bit for bit on records, replay report and run summary.
 /// `spill_caps` are the streaming arm's, tiny so that it spills heavily.
@@ -191,7 +189,8 @@ pub fn streaming_run(
 /// # Panics
 /// When any of the three differs — the caller writes nothing.
 pub fn differential_gate(packet_floor: u64, spill_caps: (usize, usize)) -> u64 {
-    let (topo, flows) = engine_workload(packet_floor);
+    let (topo, train) = fattree_throughput_workload(0.7, packet_floor as usize, 42);
+    let flows = train.flows;
     let packets = train_packets(&flows);
     let resident = streaming_run(&topo, &flows, RecordMode::EndToEnd, None);
     let streaming = streaming_run(&topo, &flows, RecordMode::Streaming, Some(spill_caps));
@@ -209,17 +208,6 @@ pub fn differential_gate(packet_floor: u64, spill_caps: (usize, usize)) -> u64 {
         "streamed run summary diverged"
     );
     packets
-}
-
-/// The engine-benchmark workload: fat-tree k=4, web-search at 70 %, seed
-/// 42, the arrival window grown until the train clears `packet_floor`.
-pub fn engine_workload(packet_floor: u64) -> (Topology, Vec<FlowSpec>) {
-    let topo = fattree(FatTreeParams::default());
-    let profile = profile_by_name("web-search").expect("registered profile");
-    let (flows, _) = flows_with_floor(packet_floor, Dur::from_ms(4), Dur::from_secs(5), |window| {
-        profile.flows(&topo, &Routing::new(&topo), 0.7, window, 42)
-    });
-    (topo, flows)
 }
 
 #[cfg(test)]

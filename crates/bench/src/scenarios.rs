@@ -1,23 +1,22 @@
 //! The paper's replay experiments as lists of [`JobSpec`]s (Table 1,
 //! Figure 1 and the §2.3 ablations), the one function that runs a list
 //! through the sweep engine's executor, the paper's reference numbers, and
-//! the workload/calibration setup the figure and degradation benches share.
+//! the fat-tree workload the degradation and scale benches share.
 
 use ups_core::{HeaderInit, ReplayReport};
 use ups_metrics::RunSummary;
 use ups_netsim::prelude::{Dur, RecordMode, SchedulerKind};
 use ups_sweep::pool::{self, PoolStats};
 use ups_sweep::runner::{execute, JobRun, SharedScenarios};
-use ups_sweep::{JobSpec, TrafficMode};
-use ups_topology::{fattree, FatTreeParams, Topology};
+use ups_sweep::{JobSpec, Scheduler, TrafficMode};
+use ups_topology::{fattree, topology_entry, FatTreeParams, Topology};
 use ups_workload::{profile_by_name, CalibratedTrain};
 
 use crate::scale::{env_u64, Scale};
 
-/// The reference fat-tree workload of the engine benchmarks: web-search
-/// sizes at 70% core utilization, window grown until the UDP train
-/// clears `min_packets` (the throughput bench's calibration loop, now
-/// shared through `ups_workload::registry`).
+/// The engine-benchmark workload: the fat-tree (k=4) with web-search
+/// sizes at `utilization` of its core links, the arrival window doubled
+/// from 4 ms until the UDP train clears `min_packets`.
 pub fn fattree_throughput_workload(
     utilization: f64,
     min_packets: usize,
@@ -57,6 +56,9 @@ pub const I2_DEFAULT: &str = "I2:1Gbps-10Gbps";
 /// The §2.3 replay job: open-loop web-search UDP at `utilization` on the
 /// registry topology under the original discipline `scheduler` (a sweep
 /// label), replayed drop-free through LSTF.
+///
+/// # Panics
+/// On a topology or scheduler label a grid would reject.
 pub fn replay_job(
     topology: &str,
     utilization: f64,
@@ -66,9 +68,12 @@ pub fn replay_job(
 ) -> JobSpec {
     JobSpec {
         job_id: 0,
-        topology: topology.into(),
-        profile: "web-search".into(),
-        scheduler: scheduler.into(),
+        topology: topology_entry(topology)
+            .unwrap_or_else(|| panic!("unknown topology {topology:?}"))
+            .name,
+        profile: "web-search",
+        scheduler: Scheduler::from_name(scheduler)
+            .unwrap_or_else(|| panic!("unknown scheduler {scheduler:?}")),
         traffic: TrafficMode::OpenLoop,
         rest_bps: None,
         utilization,
@@ -78,9 +83,7 @@ pub fn replay_job(
         buffer_bytes: None,
         replay: true,
         queues: None,
-        mapper: None,
         failures: None,
-        inflight: None,
         max_packets: None,
     }
 }
@@ -126,9 +129,6 @@ pub fn fig1_jobs(scale: &Scale) -> Vec<JobSpec> {
 /// run's summary and every replay's report, in replay order (traces and
 /// collectors are dropped on the worker). `UPS_SWEEP_WORKERS` caps the
 /// pool width (default: one worker per job, at most the core count).
-///
-/// # Panics
-/// On a job naming something the registries do not know.
 pub fn run_jobs(
     jobs: &[JobSpec],
     record: RecordMode,
@@ -152,10 +152,7 @@ pub(crate) fn map_jobs<T: Send>(
     let workers = env_u64("UPS_SWEEP_WORKERS", cores as u64) as usize;
     let shared = SharedScenarios::for_jobs(jobs);
     pool::run_jobs(jobs, workers, |_, spec| {
-        keep(
-            execute(spec, &shared, record, ablations, None)
-                .unwrap_or_else(|e| panic!("unknown {e}")),
-        )
+        keep(execute(spec, &shared, record, ablations, None))
     })
 }
 
@@ -186,7 +183,7 @@ mod tests {
         // Utilization sweep present.
         let utils: Vec<f64> = jobs
             .iter()
-            .filter(|s| s.scheduler == "Random" && s.topology == "I2:1Gbps-10Gbps")
+            .filter(|s| s.scheduler.name() == "Random" && s.topology == "I2:1Gbps-10Gbps")
             .map(|s| s.utilization)
             .collect();
         assert_eq!(utils, vec![0.7, 0.1, 0.3, 0.5, 0.9]);
@@ -214,7 +211,7 @@ mod tests {
     fn fig1_covers_six_disciplines() {
         let jobs = fig1_jobs(&Scale::quick());
         assert_eq!(jobs.len(), 6);
-        assert!(jobs.iter().any(|s| s.scheduler == "FQ/FIFO+"));
+        assert!(jobs.iter().any(|s| s.scheduler.name() == "FQ/FIFO+"));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! `VmHWM`. Lives in its own test binary because `VmHWM` is a
 //! process-lifetime high-water mark — co-tenant tests would pollute it.
 
-use ups_bench::peak_rss_bytes;
-use ups_bench::scale::{engine_workload, streaming_run};
-use ups_netsim::prelude::{PacketId, RecordMode, TraceAccessError};
+use ups_bench::scale::streaming_run;
+use ups_bench::{fattree_throughput_workload, peak_rss_bytes};
+use ups_netsim::prelude::RecordMode;
 
 /// Packet floor of the run, as `scale_smoke`'s; smaller under debug
 /// asserts.
@@ -23,10 +23,9 @@ const RSS_BUDGET_MIB: u64 = 128;
 
 #[test]
 fn spilled_per_hop_run_keeps_every_hop_in_bounded_memory() {
-    let (topo, flows) = engine_workload(PACKET_FLOOR);
-    let run = streaming_run(&topo, &flows, RecordMode::PerHop, Some((1024, 2)));
-    assert!((0..run.original.id_bound() as u64)
-        .any(|id| run.original.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
+    let (topo, train) = fattree_throughput_workload(0.7, PACKET_FLOOR as usize, 42);
+    let run = streaming_run(&topo, &train.flows, RecordMode::PerHop, Some((1024, 2)));
+    assert!(run.original.spilled());
     let mut delivered = 0u64;
     for (id, r) in run.original.stream().filter(|(_, r)| r.exited.is_some()) {
         delivered += 1;

@@ -198,16 +198,6 @@ impl ChunkLog {
         self.spill.is_some()
     }
 
-    /// Linear search over the in-memory portion (random access for small
-    /// runs; the caller is responsible for refusing once data spilled).
-    pub(crate) fn find(&self, id: u64) -> Option<&PacketRecord> {
-        self.pending
-            .iter()
-            .chain(self.sealed.iter().flatten())
-            .find(|(i, _)| *i == id)
-            .map(|(_, r)| r)
-    }
-
     /// One sorted cursor per chunk (spilled, sealed, and the open chunk),
     /// for the trace's k-way merge.
     pub(crate) fn cursors(&self) -> Vec<LogCursor<'_>> {
@@ -616,13 +606,5 @@ mod tests {
             encode_record(&mut buf, u64::MAX, &end_to_end(path), &mut table);
             assert_eq!(buf.len(), 58, "path of {len} nodes");
         }
-    }
-
-    #[test]
-    fn find_sees_memory_resident_records() {
-        let mut log = ChunkLog::new(4, 2);
-        log.push(1, rec(1, Some(2), None));
-        assert!(log.find(1).is_some());
-        assert!(log.find(2).is_none());
     }
 }

@@ -18,7 +18,8 @@
 //! * **Spilled** (caps, or [`RecordMode::Streaming`] at default caps): a
 //!   chunked log whose oldest chunks spill to a temp file (see
 //!   `crate::spill`) — memory `O(ring)`, independent of how many packets
-//!   the run injects, at either detail.
+//!   the run injects, at either detail. No random access: every id
+//!   answers [`TraceAccessError::Spilled`].
 //!
 //! Both layouts expose [`Trace::stream`], which yields every record in
 //! `(i(p), id)` order. That ordering is the pipeline's canonical merge key:
@@ -365,13 +366,12 @@ impl Trace {
         }
     }
 
-    /// The record for a packet id.
+    /// The record for a packet id, on a resident trace.
     ///
-    /// On a trace whose records spilled to disk, an id below
-    /// [`Trace::id_bound`] outside the memory-resident set is
-    /// [`TraceAccessError::Spilled`] — random access would mean re-reading
-    /// the spill file per lookup; use [`Trace::stream`]. An id the trace
-    /// never saw, or one still in flight before
+    /// A spill-capped trace has no random access: every id below
+    /// [`Trace::id_bound`] is [`TraceAccessError::Spilled`], wherever its
+    /// record sits — use [`Trace::stream`]. An id the trace never saw, or
+    /// one still in flight before
     /// [`crate::sim::Simulator::into_trace`], is [`TraceAccessError::NotRecorded`].
     pub fn get(&self, id: PacketId) -> Result<&PacketRecord, TraceAccessError> {
         match &self.store {
@@ -379,12 +379,14 @@ impl Trace {
                 .get(id.index())
                 .and_then(|r| r.as_ref())
                 .ok_or(TraceAccessError::NotRecorded(id)),
-            Store::Spilled(log) => match log.find(id.0) {
-                Some(r) => Ok(r),
-                None if log.has_spilled() && id.0 < self.id_bound => Err(TraceAccessError::Spilled),
-                None => Err(TraceAccessError::NotRecorded(id)),
-            },
+            Store::Spilled(_) if id.0 < self.id_bound => Err(TraceAccessError::Spilled),
+            Store::Spilled(_) => Err(TraceAccessError::NotRecorded(id)),
         }
+    }
+
+    /// True once records of this trace reached its spill file.
+    pub fn spilled(&self) -> bool {
+        matches!(&self.store, Store::Spilled(log) if log.has_spilled())
     }
 
     /// Every record (delivered, dropped and in-flight) in `(i(p), id)`
@@ -453,9 +455,8 @@ impl Trace {
 pub enum TraceAccessError {
     /// The trace holds no record for this packet id.
     NotRecorded(PacketId),
-    /// The trace is a streaming trace whose records spill to disk —
-    /// id-order random access would re-read the spill file per lookup.
-    /// Use [`Trace::stream`].
+    /// The trace is spill-capped: its records may sit in a spill file,
+    /// so it offers no random access. Use [`Trace::stream`].
     Spilled,
 }
 
@@ -463,7 +464,9 @@ impl std::fmt::Display for TraceAccessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceAccessError::NotRecorded(id) => write!(f, "no trace record for {id}"),
-            TraceAccessError::Spilled => f.write_str("trace spilled; use Trace::stream()"),
+            TraceAccessError::Spilled => {
+                f.write_str("spill-capped trace has no random access; use Trace::stream()")
+            }
         }
     }
 }
@@ -681,8 +684,7 @@ mod tests {
             let spilled = lifecycle(mode, Some((8, 2)), 100);
             assert_eq!(resident.len(), spilled.len());
             assert_eq!(resident.id_bound(), spilled.id_bound());
-            assert!((0..spilled.id_bound() as u64)
-                .any(|id| spilled.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
+            assert!(spilled.spilled() && !resident.spilled());
             let a: Vec<_> = resident.stream().collect();
             let b: Vec<_> = spilled.stream().collect();
             assert_eq!(
@@ -707,10 +709,7 @@ mod tests {
         // so the oldest (the highest ids: they finalize first) is on disk.
         let n = (DEFAULT_CHUNK_RECORDS * (DEFAULT_RING_CHUNKS + 1)) as u64;
         let streaming = lifecycle(RecordMode::Streaming, None, n);
-        assert_eq!(
-            streaming.get(PacketId(n - 1)),
-            Err(TraceAccessError::Spilled)
-        );
+        assert!(streaming.spilled());
         let end_to_end = lifecycle(RecordMode::EndToEnd, None, n);
         assert!(streaming.stream().eq(end_to_end.stream()));
     }
@@ -745,26 +744,30 @@ mod tests {
     fn streaming_get_works_before_spill() {
         let (mut t, arena, refs) = injected(RecordMode::Streaming, None, 2);
         t.on_exit(&arena, refs[0], SimTime::from_us(9));
-        assert_eq!(
-            t.get(PacketId(0)).unwrap().exited,
-            Some(SimTime::from_us(9))
-        );
-        assert_eq!(
-            t.get(PacketId(1)),
-            Err(TraceAccessError::NotRecorded(PacketId(1)))
-        );
+        let exits = |t: &Trace| -> Vec<_> { t.stream().map(|(id, r)| (id.0, r.exited)).collect() };
+        assert_eq!(exits(&t), [(0, Some(SimTime::from_us(9)))]);
         // Recorded at hand-over, an in-flight packet reads as open.
         t.hand_over(arena.iter().skip(1));
-        assert_eq!(t.get(PacketId(1)).unwrap().exited, None);
+        assert_eq!(exits(&t), [(0, Some(SimTime::from_us(9))), (1, None)]);
+        // Nothing reached the spill file, yet no id is randomly accessible.
+        assert!(!t.spilled());
+        assert_eq!(t.get(PacketId(0)), Err(TraceAccessError::Spilled));
     }
 
     #[test]
     fn streaming_get_errors_after_spill() {
         // Records finalize in reverse id order, so id 39 spilled long ago.
         let t = lifecycle(RecordMode::Streaming, Some((2, 1)), 40);
+        assert!(t.spilled());
         let err = t.get(PacketId(39)).unwrap_err();
         assert_eq!(err, TraceAccessError::Spilled);
-        assert_eq!(err.to_string(), "trace spilled; use Trace::stream()");
+        assert_eq!(
+            err.to_string(),
+            "spill-capped trace has no random access; use Trace::stream()"
+        );
+        // Id 0 finalized last, so its record is still in memory: it
+        // answers the same.
+        assert_eq!(t.get(PacketId(0)), Err(TraceAccessError::Spilled));
         // An id at or beyond the id bound was never seen, spill or not.
         assert_eq!(
             t.get(PacketId(10_000)),

@@ -26,14 +26,13 @@
 use std::fs::File;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ups_netsim::prelude::Dur;
 use ups_sweep::telemetry::timeseries_json;
 use ups_sweep::{
-    bench_sweep_json, explain_job, grid::is_original_scheduler, pool, runner, validate_artifact,
-    validate_bench_sweep, Exclude, HeartbeatConfig, JobSpec, ResultStream, ScenarioGrid,
+    bench_sweep_json, explain_job, pool, runner, validate_artifact, validate_bench_sweep, Exclude,
+    HeartbeatConfig, ResultStream, ScenarioGrid, Scheduler,
 };
 
 struct Args {
@@ -326,12 +325,7 @@ fn list_registries() {
         println!("  {:<18} {}", p.name, p.description);
     }
     println!("schedulers (original-schedule disciplines):");
-    let labels: Vec<&str> = ups_netsim::sched::SchedulerKind::ALL
-        .into_iter()
-        .map(|k| k.name())
-        .filter(|l| is_original_scheduler(l))
-        .chain([ups_sweep::MIXED_FQ_FIFOPLUS])
-        .collect();
+    let labels: Vec<&str> = Scheduler::all().map(Scheduler::name).collect();
     println!("  {}", labels.join(", "));
     println!("traffic modes:");
     println!("  open-loop          UDP packet trains paced by the host NIC (§2.3)");
@@ -374,8 +368,8 @@ fn list_registries() {
 /// print the blame tables; `--perfetto` additionally exports the replay's
 /// sampled timeline with one instant marker per worst-case divergence.
 fn run_explain(args: &Args) -> ExitCode {
-    let jobs: Vec<Arc<JobSpec>> = match args.grid.expand() {
-        Ok(j) => j.into_iter().map(Arc::new).collect(),
+    let jobs = match args.grid.expand() {
+        Ok(j) => j,
         Err(e) => {
             eprintln!("sweep: {e}");
             return ExitCode::FAILURE;
@@ -383,7 +377,7 @@ fn run_explain(args: &Args) -> ExitCode {
     };
     let spec = match args.job {
         Some(id) => match jobs.iter().find(|j| j.job_id == id) {
-            Some(s) => Arc::clone(s),
+            Some(&s) => s,
             None => {
                 eprintln!(
                     "sweep: no job {id} in this grid ({} jobs, ids 0..{})",
@@ -393,7 +387,7 @@ fn run_explain(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None if jobs.len() == 1 => Arc::clone(&jobs[0]),
+        None if jobs.len() == 1 => jobs[0],
         None => {
             eprintln!(
                 "sweep: the axes expand to {} jobs; pick one with --job ID \
@@ -404,36 +398,23 @@ fn run_explain(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let shared = runner::SharedScenarios::for_jobs([spec.as_ref()]);
+    let shared = runner::SharedScenarios::for_jobs([&spec]);
     match explain_job(&spec, &shared, args.perfetto.is_some()) {
         Ok(ex) => {
             print!("{}", ex.render(args.top));
-            if let Some(path) = &args.perfetto {
+            // `--perfetto` attached the probe, so the series is there.
+            if let Some((path, series)) = args.perfetto.as_ref().zip(ex.series.as_ref()) {
                 let markers = ex.markers();
-                match &ex.series {
-                    Some(series) => {
-                        let doc = ups_obs::trace_event_json_with_markers(series, &markers);
-                        if let Err(e) = std::fs::write(path, doc) {
-                            eprintln!("sweep: cannot write {}: {e}", path.display());
-                            return ExitCode::FAILURE;
-                        }
-                        println!(
-                            "\n# wrote {} ({} divergence markers)",
-                            path.display(),
-                            markers.len()
-                        );
-                    }
-                    None => {
-                        // The churn replay records end-to-end inside the
-                        // dynamics engine; there is no sampled series to
-                        // anchor markers on.
-                        eprintln!(
-                            "sweep: {} flavor has no sampled replay series; skipping {}",
-                            ex.flavor,
-                            path.display()
-                        );
-                    }
+                let doc = ups_obs::trace_event_json_with_markers(series, &markers);
+                if let Err(e) = std::fs::write(path, doc) {
+                    eprintln!("sweep: cannot write {}: {e}", path.display());
+                    return ExitCode::FAILURE;
                 }
+                println!(
+                    "\n# wrote {} ({} divergence markers)",
+                    path.display(),
+                    markers.len()
+                );
             }
             ExitCode::SUCCESS
         }
@@ -607,7 +588,7 @@ fn main() -> ExitCode {
                         None => "-".into(),
                     },
                     match (rec.spec.queues, s.quantized_match_rate) {
-                        (Some(k), Some(q)) => format!("  K{k} {q:.4}"),
+                        (Some(queues), Some(q)) => format!("  K{} {q:.4}", queues.k),
                         _ => String::new(),
                     },
                     match &s.transport {

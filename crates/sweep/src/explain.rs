@@ -17,8 +17,6 @@
 //! rendered tables, and optional Perfetto instant markers for the
 //! worst-lateness packets.
 
-use std::sync::Arc;
-
 use ups_core::ReplayReport;
 use ups_forensics::{BlameCollector, ReplayFlavor};
 use ups_metrics::RunSummary;
@@ -31,7 +29,7 @@ use crate::runner::{execute, ReplayRun, SharedScenarios};
 /// Everything `sweep explain` learned about one job's divergence.
 pub struct Explanation {
     /// The job that was re-run.
-    pub spec: Arc<JobSpec>,
+    pub spec: JobSpec,
     /// Which replay the forensics attributed.
     pub flavor: ReplayFlavor,
     /// The §2 comparison report of that replay.
@@ -109,17 +107,12 @@ impl Explanation {
 /// export); it never changes the simulation results — the obs determinism
 /// contract.
 ///
-/// The churn replay itself records end-to-end (it is the bounded-memory
-/// path) and runs inside the dynamics layer, so its hop blame degrades to
-/// drop causes and exit lateness — still attributed, just coarser — and it
-/// has no sampled series.
-///
 /// Errors (as text for the CLI) when the job cannot be explained: a
 /// closed-loop job (endpoints decide their own packet sets; the sweep
 /// record is the right surface there), a job whose spec disabled the
 /// replay, or one the executor's drop-free gate left without a replay.
 pub fn explain_job(
-    spec: &Arc<JobSpec>,
+    spec: &JobSpec,
     shared: &SharedScenarios,
     with_series: bool,
 ) -> Result<Explanation, String> {
@@ -133,14 +126,13 @@ pub fn explain_job(
     if !spec.replay {
         return Err("this job's spec has replay: false — nothing to explain".into());
     }
-    let probe = (with_series && spec.failures.is_none()).then(|| {
+    let probe = with_series.then(|| {
         // Sample at ~1/512 of the job window (floor 1 µs) — enough rows
         // for a readable Perfetto timeline without drowning short jobs.
         SharedProbe::new((spec.window.as_ps() / 512).max(1_000_000))
     });
     // Per-hop recording on both sides: the whole point of the re-run.
-    let mut run = execute(spec, shared, RecordMode::PerHop, &[], probe.clone())
-        .map_err(|e| format!("bad {e}"))?;
+    let mut run = execute(spec, shared, RecordMode::PerHop, &[], probe.clone());
     let Some(ReplayRun {
         flavor,
         report,
@@ -159,7 +151,7 @@ pub fn explain_job(
         });
     };
     Ok(Explanation {
-        spec: spec.clone(),
+        spec: *spec,
         flavor,
         report,
         forensics,
@@ -170,15 +162,16 @@ pub fn explain_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::TrafficMode;
-    use ups_netsim::prelude::Dur;
+    use crate::grid::{Failures, Queues, Scheduler, TrafficMode};
+    use ups_dynamics::FailureProfile;
+    use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind};
 
     fn base_spec() -> JobSpec {
         JobSpec {
             job_id: 0,
-            topology: "Line(3)".into(),
-            profile: "fixed-mtu".into(),
-            scheduler: "Random".into(),
+            topology: "Line(3)",
+            profile: "fixed-mtu",
+            scheduler: Scheduler::from_name("Random").unwrap(),
             traffic: TrafficMode::OpenLoop,
             rest_bps: None,
             utilization: 0.6,
@@ -188,24 +181,23 @@ mod tests {
             buffer_bytes: None,
             replay: true,
             queues: None,
-            mapper: None,
             failures: None,
-            inflight: None,
             max_packets: None,
         }
     }
 
     fn explain(spec: JobSpec) -> Result<Explanation, String> {
-        let spec = Arc::new(spec);
-        let shared = SharedScenarios::for_jobs([&*spec]);
+        let shared = SharedScenarios::for_jobs([&spec]);
         explain_job(&spec, &shared, false)
     }
 
     #[test]
     fn quantized_job_explains_with_conserved_counts() {
         let mut spec = base_spec();
-        spec.queues = Some(1);
-        spec.mapper = Some("dynamic".into());
+        spec.queues = Some(Queues {
+            k: 1,
+            mapper: MapperKind::Dynamic,
+        });
         let ex = explain(spec).expect("explainable job");
         assert_eq!(ex.flavor, ReplayFlavor::Quantized { k: 1 });
         // K=1 degrades LSTF to FIFO: a Random original must diverge.
@@ -241,6 +233,33 @@ mod tests {
             .err()
             .expect("rejected")
             .contains("replay: false"));
+    }
+
+    #[test]
+    fn churn_job_explains_with_hop_blame_and_a_series() {
+        let spec = JobSpec {
+            topology: "FatTree(k=4)",
+            failures: Some(Failures {
+                profile: FailureProfile::RandomLinks,
+                rate: 0.6,
+                inflight: DeadLinkPolicy::Reroute,
+            }),
+            max_packets: Some(4000),
+            ..base_spec()
+        };
+        let shared = SharedScenarios::for_jobs([&spec]);
+        let ex = explain_job(&spec, &shared, true).expect("explainable job");
+        assert_eq!(ex.flavor, ReplayFlavor::Churn);
+        assert!(
+            ex.series.is_some_and(|s| !s.rows.is_empty()),
+            "sampled replay series"
+        );
+        let s = ex.forensics.summary();
+        assert!(ex.report.overdue > 0, "churn replay should diverge");
+        assert_eq!(s.inversion_total(), ex.report.overdue as u64);
+        // Per-hop records on both sides: blame reaches real hops instead
+        // of degrading to exit lateness.
+        assert!(s.exit_only < s.inversion_total(), "{s:?}");
     }
 
     #[test]

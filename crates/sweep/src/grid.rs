@@ -3,21 +3,24 @@
 //! A [`ScenarioGrid`] is the cartesian product of six axes — topology ×
 //! workload profile × scheduler discipline × **traffic mode** ×
 //! utilization × seed (plus a sweepable `r_est` sub-axis for closed-loop
-//! LSTF) — plus filters. `expand` validates every axis value against the
-//! registries (`ups_topology::registry`, `ups_workload::registry`,
-//! `SchedulerKind::from_name`, [`TrafficMode::from_name`]) and
-//! materializes the independent [`JobSpec`]s the pool executes. Job ids
-//! are assigned in expansion order, so a grid fully determines its job
-//! list — the sweep result record for job *k* is a pure function of the
-//! grid, never of worker scheduling.
+//! LSTF) — plus filters. `expand` is the one place an axis label is
+//! parsed: it checks every value against the registries
+//! (`ups_topology::registry`, `ups_workload::registry`,
+//! [`Scheduler::from_name`], [`TrafficMode::from_name`], the mapper,
+//! failure-spec and in-flight labels) and materializes the independent,
+//! fully typed [`JobSpec`]s the pool executes. Job ids are assigned in
+//! expansion order, so a grid fully determines its job list — the sweep
+//! result record for job *k* is a pure function of the grid, never of
+//! worker scheduling.
 
+use std::fmt;
+
+use ups_dynamics::{parse_failure_spec, FailureProfile};
 use ups_metrics::json_escape;
-use ups_netsim::prelude::{Dur, MapperKind, SchedulerKind};
-use ups_netsim::sched::MAX_FIXED_QUEUES;
-
-/// The mixed Table 1 row — half the routers FQ, half FIFO+ — is the one
-/// non-uniform assignment grids can name.
-pub const MIXED_FQ_FIFOPLUS: &str = "FQ/FIFO+";
+use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind, SchedulerKind};
+use ups_netsim::sched::{LSTF, MAX_FIXED_QUEUES};
+use ups_topology::{SchedulerAssignment, Topology};
+use ups_transport::SlackPolicy;
 
 /// How a job's traffic is generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +31,6 @@ pub enum TrafficMode {
     /// Closed-loop TCP Reno endpoints (§3): acks gate the send window,
     /// loss backs senders off, and the slack headers come from the
     /// [`SlackPolicy`] derived from the scheduler under test.
-    ///
-    /// [`SlackPolicy`]: ups_transport::SlackPolicy
     ClosedLoop,
 }
 
@@ -52,17 +53,154 @@ impl TrafficMode {
     }
 }
 
-/// One fully-specified, independently-executable scenario.
-#[derive(Debug, Clone, PartialEq)]
+/// The original discipline of a job: one uniform [`SchedulerKind`] that
+/// can run as an *original* schedule, or Table 1's mixed row — half the
+/// routers FQ, half FIFO+. Only [`Scheduler::from_name`] makes one, so
+/// every value runs: `Omniscient` needs per-hop header vectors and `EDF`
+/// needs `tmin` tables — both exist only as replay candidates — and a
+/// quantized kind has no label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scheduler(Discipline);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Discipline {
+    Uniform(SchedulerKind),
+    MixedFqFifoPlus,
+}
+
+impl Scheduler {
+    /// `kind` at every router, when it can run as an original schedule.
+    fn uniform(kind: SchedulerKind) -> Option<Scheduler> {
+        match kind {
+            SchedulerKind::Omniscient
+            | SchedulerKind::Edf { .. }
+            | SchedulerKind::Quantized { .. } => None,
+            kind => Some(Scheduler(Discipline::Uniform(kind))),
+        }
+    }
+
+    /// Parse a grid label: a [`SchedulerKind::name`] or `"FQ/FIFO+"`.
+    pub fn from_name(label: &str) -> Option<Scheduler> {
+        match label {
+            "FQ/FIFO+" => Some(Scheduler(Discipline::MixedFqFifoPlus)),
+            _ => Scheduler::uniform(SchedulerKind::from_name(label)?),
+        }
+    }
+
+    /// Every original discipline, in listing order.
+    pub fn all() -> impl Iterator<Item = Scheduler> {
+        SchedulerKind::ALL
+            .into_iter()
+            .filter_map(Scheduler::uniform)
+            .chain([Scheduler(Discipline::MixedFqFifoPlus)])
+    }
+
+    /// The grid label, the exact inverse of [`Scheduler::from_name`].
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Discipline::Uniform(kind) => kind.name(),
+            Discipline::MixedFqFifoPlus => "FQ/FIFO+",
+        }
+    }
+
+    /// The per-node assignment on `topo`.
+    pub fn assignment(self, topo: &Topology) -> SchedulerAssignment {
+        match self.0 {
+            Discipline::Uniform(kind) => SchedulerAssignment::uniform(kind),
+            Discipline::MixedFqFifoPlus => SchedulerAssignment::half_half(
+                topo,
+                SchedulerKind::Fq,
+                SchedulerKind::FifoPlus,
+                SchedulerKind::Fifo,
+            ),
+        }
+    }
+
+    /// The §3 slack policy a closed-loop job under this discipline
+    /// stamps:
+    ///
+    /// * `LSTF` — [`SlackPolicy::FctSjf`] (§3.1, LSTF approximates SJF),
+    ///   or [`SlackPolicy::Fairness`] when the job carries an `r_est`
+    ///   (§3.3);
+    /// * `FIFO+` — [`SlackPolicy::Constant`] (§3.2's uniform slack; FIFO+
+    ///   ignores the header, but the stamped schedule is the one §3.2
+    ///   equates with constant-slack LSTF);
+    /// * everything else (FIFO/FQ/SJF/SRPT/…) — [`SlackPolicy::None`];
+    ///   the endpoints still stamp `flow_size`/`remaining` so SJF and
+    ///   SRPT routers can prioritize.
+    pub fn slack_policy(self, rest_bps: Option<u64>) -> SlackPolicy {
+        match self.0 {
+            Discipline::Uniform(LSTF) => {
+                rest_bps.map_or(SlackPolicy::FctSjf, SlackPolicy::Fairness)
+            }
+            Discipline::Uniform(SchedulerKind::FifoPlus) => {
+                SlackPolicy::Constant(ups_core::tail_slack())
+            }
+            _ => SlackPolicy::None,
+        }
+    }
+}
+
+impl fmt::Display for Scheduler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.name())
+    }
+}
+
+/// The finite-priority-queue sub-axis of a job: its original schedule is
+/// *additionally* replayed through quantized LSTF on `k` strict-priority
+/// queues, reporting match-rate/FCT deltas against the exact-LSTF replay
+/// baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Queues {
+    /// Strict-priority queue count.
+    pub k: u32,
+    /// Rank→queue mapper.
+    pub mapper: MapperKind,
+}
+
+/// The network-dynamics axis of a job: a seeded link-outage schedule for
+/// the run and the in-flight policy at a dead link. Failure jobs replay
+/// the **as-executed** schedule (observed paths, delivered packets only)
+/// and report a `disruption` metrics block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Failures {
+    /// Outage pattern.
+    pub profile: FailureProfile,
+    /// Fraction of eligible links that fail, in [0, 1].
+    pub rate: f64,
+    /// What happens to a packet in flight at a dead link.
+    pub inflight: DeadLinkPolicy,
+}
+
+impl Failures {
+    /// The failure label, `profile:rate` (`"random-links:0.3"`).
+    pub fn label(&self) -> String {
+        format!("{}:{}", self.profile.name(), self.rate)
+    }
+
+    /// The in-flight policy label (`"reroute"` / `"drop"`).
+    pub fn inflight_name(&self) -> &'static str {
+        match self.inflight {
+            DeadLinkPolicy::Reroute => "reroute",
+            DeadLinkPolicy::Drop => "drop",
+        }
+    }
+}
+
+/// One fully-specified, independently-executable scenario, every axis
+/// value parsed: [`ScenarioGrid::expand`] is the one place labels are
+/// read, and nothing reads a label back from a spec.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Position in the expanded grid (dense, 0-based).
     pub job_id: usize,
     /// Topology registry name.
-    pub topology: String,
+    pub topology: &'static str,
     /// Workload profile registry name.
-    pub profile: String,
-    /// Scheduler label (`SchedulerKind::name` or `"FQ/FIFO+"`).
-    pub scheduler: String,
+    pub profile: &'static str,
+    /// Original discipline.
+    pub scheduler: Scheduler,
     /// Open-loop UDP or closed-loop TCP.
     pub traffic: TrafficMode,
     /// Fair-rate estimate (bits/s) for the closed-loop LSTF fairness
@@ -82,23 +220,11 @@ pub struct JobSpec {
     pub buffer_bytes: Option<u64>,
     /// Whether to run the LSTF replay and report the match rate.
     pub replay: bool,
-    /// Finite-priority-queue sub-axis: when set, the job *additionally*
-    /// replays the original schedule through quantized LSTF on this many
-    /// strict-priority queues, reporting match-rate/FCT deltas against
-    /// the exact-LSTF replay baseline. `None` = exact replay only.
-    pub queues: Option<u32>,
-    /// Rank→queue mapper label for the quantized replay (`"log"`,
-    /// `"sppifo"`, `"dynamic"`); `None` exactly when `queues` is `None`.
-    pub mapper: Option<String>,
-    /// Network-dynamics axis: a failure spec `"profile:rate"` (e.g.
-    /// `"random-links:0.3"`) generating a seeded link-outage schedule for
-    /// the run, or `None` for a static network. Failure jobs replay the
-    /// **as-executed** schedule (observed paths, delivered packets only)
-    /// and report a `disruption` metrics block.
-    pub failures: Option<String>,
-    /// In-flight policy at a dead link (`"reroute"` / `"drop"`); `None`
-    /// exactly when `failures` is `None`.
-    pub inflight: Option<String>,
+    /// The finite-priority-queue sub-axis; `None` = exact replay only.
+    pub queues: Option<Queues>,
+    /// The network-dynamics sub-axis (open-loop only); `None` = a static
+    /// network.
+    pub failures: Option<Failures>,
     /// Optional cap on injected packets (CI smoke grids).
     pub max_packets: Option<usize>,
 }
@@ -108,14 +234,8 @@ impl JobSpec {
     /// record so each line is self-describing.
     // lint:schema(ups-sweep-record/v5)
     pub fn scenario_json(&self) -> String {
-        let opt_u64 = |v: Option<u64>| match v {
-            Some(n) => n.to_string(),
-            None => "null".into(),
-        };
-        let opt_str = |v: &Option<String>| match v {
-            Some(s) => format!("\"{}\"", json_escape(s)),
-            None => "null".into(),
-        };
+        let opt = |v: Option<String>| v.unwrap_or_else(|| "null".into());
+        let quoted = |s: &str| format!("\"{}\"", json_escape(s));
         format!(
             concat!(
                 r#"{{"topology":"{}","profile":"{}","scheduler":"{}","traffic":"{}","#,
@@ -123,25 +243,22 @@ impl JobSpec {
                 r#""buffer_bytes":{},"replay":{},"queues":{},"mapper":{},"#,
                 r#""failures":{},"inflight":{},"max_packets":{}}}"#
             ),
-            json_escape(&self.topology),
-            json_escape(&self.profile),
-            json_escape(&self.scheduler),
+            json_escape(self.topology),
+            json_escape(self.profile),
+            json_escape(self.scheduler.name()),
             self.traffic.name(),
-            opt_u64(self.rest_bps),
+            opt(self.rest_bps.map(|r| r.to_string())),
             ups_metrics::json_num(self.utilization),
             self.seed,
             ups_metrics::json_num(self.window.as_secs_f64() * 1e3),
             ups_metrics::json_opt_num(self.horizon.map(|h| h.as_secs_f64() * 1e3)),
-            opt_u64(self.buffer_bytes),
+            opt(self.buffer_bytes.map(|b| b.to_string())),
             self.replay,
-            opt_u64(self.queues.map(u64::from)),
-            opt_str(&self.mapper),
-            opt_str(&self.failures),
-            opt_str(&self.inflight),
-            match self.max_packets {
-                Some(n) => n.to_string(),
-                None => "null".into(),
-            }
+            opt(self.queues.map(|q| q.k.to_string())),
+            opt(self.queues.map(|q| quoted(q.mapper.name()))),
+            opt(self.failures.map(|f| quoted(&f.label()))),
+            opt(self.failures.map(|f| quoted(f.inflight_name()))),
+            opt(self.max_packets.map(|n| n.to_string())),
         )
     }
 
@@ -151,13 +268,13 @@ impl JobSpec {
             Some(r) => format!(" r_est {r}"),
             None => String::new(),
         };
-        let queues = match (self.queues, &self.mapper) {
-            (Some(k), Some(m)) => format!(" K{k}/{m}"),
-            _ => String::new(),
+        let queues = match self.queues {
+            Some(q) => format!(" K{}/{}", q.k, q.mapper.name()),
+            None => String::new(),
         };
-        let failures = match (&self.failures, &self.inflight) {
-            (Some(f), Some(p)) => format!(" fail {f}/{p}"),
-            _ => String::new(),
+        let failures = match self.failures {
+            Some(f) => format!(" fail {}/{}", f.label(), f.inflight_name()),
+            None => String::new(),
         };
         format!(
             "{} {} {} {}{}{}{} util {} seed {}",
@@ -191,8 +308,9 @@ pub struct Exclude {
     /// Match on the `--queues` sub-axis value (a job with no queues
     /// value never matches this field).
     pub queues: Option<u32>,
-    /// Match on the failure-axis label (a static-network job never
-    /// matches this field).
+    /// Match on the failure-axis value: a label naming the same profile
+    /// and rate, with or without its default rate (a static-network job,
+    /// or a label that does not parse, never matches this field).
     pub failures: Option<String>,
     /// Match when utilization is strictly above this.
     pub utilization_above: Option<f64>,
@@ -209,7 +327,7 @@ impl Exclude {
         sched: &str,
         traffic: TrafficMode,
         queues: Option<u32>,
-        failures: Option<&str>,
+        failures: Option<Failures>,
         util: f64,
     ) -> bool {
         let mut any = false;
@@ -233,7 +351,8 @@ impl Exclude {
             any = true;
         }
         if let Some(want_f) = &self.failures {
-            if failures != Some(want_f.as_str()) {
+            let want = parse_failure_spec(want_f).ok();
+            if want.is_none() || failures.map(|f| (f.profile, f.rate)) != want {
                 return false;
             }
             any = true;
@@ -474,33 +593,24 @@ impl std::fmt::Display for GridError {
     }
 }
 
-/// Scheduler labels a grid may use as an *original* schedule: any
-/// uniform discipline that runs without replay-only headers, plus the
-/// FQ/FIFO+ mix. `Omniscient` needs per-hop header vectors and `EDF`
-/// needs `tmin` tables — both exist only as replay candidates.
-pub fn is_original_scheduler(label: &str) -> bool {
-    if label == MIXED_FQ_FIFOPLUS {
-        return true;
-    }
-    match SchedulerKind::from_name(label) {
-        Some(SchedulerKind::Omniscient) | Some(SchedulerKind::Edf { .. }) | None => false,
-        Some(_) => true,
-    }
-}
-
 impl ScenarioGrid {
     /// The horizon closed-loop jobs run to when none is set explicitly.
     pub fn effective_horizon(&self) -> Dur {
         self.horizon.unwrap_or_else(|| self.window.times(20))
     }
 
-    /// Validate every axis value and expand to the ordered job list.
+    /// Parse and validate every axis value and expand to the ordered job
+    /// list — the one place a label becomes a value.
     pub fn expand(&self) -> Result<Vec<JobSpec>, GridError> {
-        for t in &self.topologies {
-            if ups_topology::topology_entry(t).is_none() {
-                return Err(GridError::UnknownTopology(t.clone()));
-            }
-        }
+        let topologies: Vec<&'static str> = self
+            .topologies
+            .iter()
+            .map(|t| match ups_topology::topology_entry(t) {
+                Some(entry) => Ok(entry.name),
+                None => Err(GridError::UnknownTopology(t.clone())),
+            })
+            .collect::<Result<_, _>>()?;
+        let mut profiles = Vec::new();
         for p in &self.profiles {
             let Some(profile) = ups_workload::profile_by_name(p) else {
                 return Err(GridError::UnknownProfile(p.clone()));
@@ -510,12 +620,13 @@ impl ScenarioGrid {
                     .check_utilization(util)
                     .map_err(GridError::BadUtilization)?;
             }
+            profiles.push(profile);
         }
-        for s in &self.schedulers {
-            if !is_original_scheduler(s) {
-                return Err(GridError::UnknownScheduler(s.clone()));
-            }
-        }
+        let schedulers: Vec<Scheduler> = self
+            .schedulers
+            .iter()
+            .map(|s| Scheduler::from_name(s).ok_or_else(|| GridError::UnknownScheduler(s.clone())))
+            .collect::<Result<_, _>>()?;
         let modes: Vec<TrafficMode> = self
             .traffic
             .iter()
@@ -539,44 +650,55 @@ impl ScenarioGrid {
         if !self.queues.is_empty() && !self.replay {
             return Err(GridError::QueuesNeedReplay);
         }
-        let queue_axis: Vec<Option<u32>> = if self.queues.is_empty() {
+        let queue_axis: Vec<Option<Queues>> = if self.queues.is_empty() {
             vec![None]
         } else {
-            self.queues.iter().copied().map(Some).collect()
+            self.queues
+                .iter()
+                .map(|&k| Some(Queues { k, mapper }))
+                .collect()
         };
         // The dynamics axis: `"none"` names the static-network row so a
         // single grid can hold its own baseline; everything else must
         // parse as a failure spec.
-        for spec in &self.failures {
-            if spec != "none" {
-                ups_dynamics::parse_failure_spec(spec).map_err(GridError::BadFailures)?;
-            }
-        }
-        if !matches!(self.inflight.as_str(), "reroute" | "drop") {
-            return Err(GridError::UnknownInflight(self.inflight.clone()));
-        }
-        if !self.queues.is_empty() && self.failures.iter().any(|f| f != "none") {
+        let parsed: Vec<Option<(FailureProfile, f64)>> = self
+            .failures
+            .iter()
+            .map(|f| match f.as_str() {
+                "none" => Ok(None),
+                label => parse_failure_spec(label).map(Some),
+            })
+            .collect::<Result<_, _>>()
+            .map_err(GridError::BadFailures)?;
+        let inflight = match self.inflight.as_str() {
+            "reroute" => DeadLinkPolicy::Reroute,
+            "drop" => DeadLinkPolicy::Drop,
+            _ => return Err(GridError::UnknownInflight(self.inflight.clone())),
+        };
+        if !self.queues.is_empty() && parsed.iter().any(Option::is_some) {
             return Err(GridError::FailuresExcludeQueues);
         }
-        let failure_axis: Vec<Option<String>> = if self.failures.is_empty() {
+        let failure_axis: Vec<Option<Failures>> = if parsed.is_empty() {
             vec![None]
         } else {
-            self.failures
-                .iter()
-                .map(|f| (f != "none").then(|| f.clone()))
-                .collect()
+            let failures = |(profile, rate)| Failures {
+                profile,
+                rate,
+                inflight,
+            };
+            parsed.into_iter().map(|f| f.map(failures)).collect()
         };
         let horizon = self.effective_horizon();
         let mut jobs = Vec::new();
-        for topo in &self.topologies {
-            for profile in &self.profiles {
-                for sched in &self.schedulers {
+        for &topology in &topologies {
+            for &profile in &profiles {
+                for &scheduler in &schedulers {
                     for &mode in &modes {
                         // The r_est sub-axis multiplies only closed-loop
                         // LSTF (the one scheduler whose slack policy
                         // takes a fair-rate estimate).
                         let rests: Vec<Option<u64>> = if mode == TrafficMode::ClosedLoop
-                            && sched == "LSTF"
+                            && scheduler == Scheduler(Discipline::Uniform(LSTF))
                             && !self.rest_bps.is_empty()
                         {
                             self.rest_bps.iter().map(|&r| Some(r)).collect()
@@ -587,41 +709,39 @@ impl ScenarioGrid {
                             for &util in &self.utilizations {
                                 for &seed in &self.seeds {
                                     for &queues in &queue_axis {
-                                        for failures in &failure_axis {
+                                        for &failures in &failure_axis {
                                             if self.excludes.iter().any(|e| {
                                                 e.matches(
-                                                    topo,
-                                                    profile,
-                                                    sched,
+                                                    topology,
+                                                    profile.name,
+                                                    scheduler.name(),
                                                     mode,
-                                                    queues,
-                                                    failures.as_deref(),
+                                                    queues.map(|q| q.k),
+                                                    failures,
                                                     util,
                                                 )
                                             }) {
                                                 continue;
                                             }
-                                            let closed_only =
-                                                ups_workload::profile_by_name(profile)
-                                                    .expect("validated above")
-                                                    .closed_loop_only();
-                                            if closed_only && mode == TrafficMode::OpenLoop {
+                                            if profile.closed_loop_only()
+                                                && mode == TrafficMode::OpenLoop
+                                            {
                                                 return Err(GridError::ProfileNeedsClosedLoop(
-                                                    profile.clone(),
+                                                    profile.name.into(),
                                                 ));
                                             }
                                             if let Some(f) = failures {
                                                 if mode == TrafficMode::ClosedLoop {
                                                     return Err(GridError::FailuresNeedOpenLoop(
-                                                        f.clone(),
+                                                        f.label(),
                                                     ));
                                                 }
                                             }
                                             jobs.push(JobSpec {
                                                 job_id: jobs.len(),
-                                                topology: topo.clone(),
-                                                profile: profile.clone(),
-                                                scheduler: sched.clone(),
+                                                topology,
+                                                profile: profile.name,
+                                                scheduler,
                                                 traffic: mode,
                                                 rest_bps: rest,
                                                 utilization: util,
@@ -632,13 +752,7 @@ impl ScenarioGrid {
                                                 buffer_bytes: self.buffer_bytes,
                                                 replay: self.replay,
                                                 queues,
-                                                mapper: queues
-                                                    .is_some()
-                                                    .then(|| self.mapper.clone()),
-                                                failures: failures.clone(),
-                                                inflight: failures
-                                                    .is_some()
-                                                    .then(|| self.inflight.clone()),
+                                                failures,
                                                 max_packets: self.max_packets,
                                             });
                                         }
@@ -805,7 +919,7 @@ mod tests {
         // one per r_est value.
         let lstf_closed: Vec<_> = jobs
             .iter()
-            .filter(|j| j.scheduler == "LSTF" && j.traffic == TrafficMode::ClosedLoop)
+            .filter(|j| j.scheduler.name() == "LSTF" && j.traffic == TrafficMode::ClosedLoop)
             .collect();
         assert_eq!(
             lstf_closed.len(),
@@ -818,7 +932,7 @@ mod tests {
         assert!(lstf_closed.iter().any(|j| j.rest_bps == Some(100_000_000)));
         assert!(jobs
             .iter()
-            .filter(|j| j.scheduler != "LSTF" || j.traffic == TrafficMode::OpenLoop)
+            .filter(|j| j.scheduler.name() != "LSTF" || j.traffic == TrafficMode::OpenLoop)
             .all(|j| j.rest_bps.is_none()));
     }
 
@@ -860,8 +974,8 @@ mod tests {
         assert_eq!(closed.len(), 3 * 4 * 2, "closed-loop sub-grid");
         assert!(closed
             .iter()
-            .all(|j| j.scheduler != "LIFO" && j.scheduler != "Random"));
-        assert!(closed.iter().any(|j| j.scheduler == "LSTF"));
+            .all(|j| !["LIFO", "Random"].contains(&j.scheduler.name())));
+        assert!(closed.iter().any(|j| j.scheduler.name() == "LSTF"));
     }
 
     #[test]
@@ -872,19 +986,17 @@ mod tests {
         let jobs = g.expand().unwrap();
         assert_eq!(jobs.len(), 2 * 2 * 2 * 2 * 2, "one job per K value");
         for j in &jobs {
-            let k = j.queues.expect("every job carries a K");
-            assert!(k == 1 || k == 8);
-            assert_eq!(j.mapper.as_deref(), Some("dynamic"));
+            let q = j.queues.expect("every job carries a K");
+            assert!(q.k == 1 || q.k == 8);
+            assert_eq!(q.mapper, MapperKind::Dynamic);
         }
         // Innermost axis: adjacent ids sweep K within one scenario.
-        assert_eq!(jobs[0].queues, Some(1));
-        assert_eq!(jobs[1].queues, Some(8));
+        assert_eq!(jobs[0].queues.map(|q| q.k), Some(1));
+        assert_eq!(jobs[1].queues.map(|q| q.k), Some(8));
         assert_eq!(jobs[0].seed, jobs[1].seed);
         // Without the axis, jobs carry no quantization fields.
         let plain = tiny().expand().unwrap();
-        assert!(plain
-            .iter()
-            .all(|j| j.queues.is_none() && j.mapper.is_none()));
+        assert!(plain.iter().all(|j| j.queues.is_none()));
     }
 
     #[test]
@@ -922,7 +1034,7 @@ mod tests {
             ..Exclude::default()
         });
         let jobs = g.expand().unwrap();
-        assert!(jobs.iter().all(|j| j.queues == Some(8)));
+        assert!(jobs.iter().all(|j| j.queues.map(|q| q.k) == Some(8)));
         // And a scoped version: drop K=8 only on one topology.
         let mut g = tiny();
         g.replay = true;
@@ -935,10 +1047,10 @@ mod tests {
         let jobs = g.expand().unwrap();
         assert!(!jobs
             .iter()
-            .any(|j| j.topology == "Line(3)" && j.queues == Some(8)));
+            .any(|j| j.topology == "Line(3)" && j.queues.is_some_and(|q| q.k == 8)));
         assert!(jobs
             .iter()
-            .any(|j| j.topology == "Dumbbell(4)" && j.queues == Some(8)));
+            .any(|j| j.topology == "Dumbbell(4)" && j.queues.is_some_and(|q| q.k == 8)));
     }
 
     #[test]
@@ -950,17 +1062,17 @@ mod tests {
         let churn: Vec<_> = jobs.iter().filter(|j| j.failures.is_some()).collect();
         assert_eq!(churn.len(), jobs.len() / 2);
         for j in &churn {
-            assert_eq!(j.failures.as_deref(), Some("random-links:0.5"));
-            assert_eq!(j.inflight.as_deref(), Some("reroute"));
+            let f = j.failures.unwrap();
+            assert_eq!(f.label(), "random-links:0.5");
+            assert_eq!(f.inflight, DeadLinkPolicy::Reroute);
         }
-        // The "none" rows are indistinguishable from a no-axis job.
-        assert!(jobs
-            .iter()
-            .filter(|j| j.failures.is_none())
-            .all(|j| j.inflight.is_none()));
-        // Adjacent ids sweep the failure axis within one scenario.
+        // Adjacent ids sweep the failure axis within one scenario; the
+        // "none" rows are indistinguishable from a no-axis job.
         assert_eq!(jobs[0].failures, None);
-        assert_eq!(jobs[1].failures.as_deref(), Some("random-links:0.5"));
+        assert_eq!(
+            jobs[1].failures.map(|f| f.label()).as_deref(),
+            Some("random-links:0.5")
+        );
         assert_eq!(jobs[0].seed, jobs[1].seed);
     }
 
@@ -1017,6 +1129,17 @@ mod tests {
         assert!(jobs
             .iter()
             .any(|j| j.topology == "Dumbbell(4)" && j.failures.is_some()));
+        // A label matches its value, written with or without the default
+        // rate.
+        for (axis, exclude) in [("burst", "burst:0.3"), ("burst:0.3", "burst")] {
+            let mut g = tiny();
+            g.failures = vec![axis.into()];
+            g.excludes.push(Exclude {
+                failures: Some(exclude.into()),
+                ..Exclude::default()
+            });
+            assert_eq!(g.expand(), Err(GridError::Empty), "{axis} vs {exclude}");
+        }
     }
 
     #[test]
@@ -1066,21 +1189,17 @@ mod tests {
     #[test]
     fn mixed_row_and_all_table1_disciplines_accepted() {
         for label in [
-            "FIFO",
-            "LIFO",
-            "Random",
-            "FQ",
-            "SJF",
-            "SRPT",
-            "DRR",
-            "FIFO+",
-            "LSTF",
-            MIXED_FQ_FIFOPLUS,
+            "FIFO", "LIFO", "Random", "FQ", "SJF", "SRPT", "DRR", "FIFO+", "LSTF", "FQ/FIFO+",
         ] {
-            assert!(is_original_scheduler(label), "{label} should be usable");
+            let sched = Scheduler::from_name(label).expect(label);
+            assert_eq!(sched.name(), label, "labels round-trip");
         }
-        assert!(!is_original_scheduler("EDF"));
-        assert!(!is_original_scheduler("WFQ2"));
+        for label in ["EDF", "Omniscient", "Quantized", "WFQ2"] {
+            assert_eq!(Scheduler::from_name(label), None, "{label}");
+        }
+        assert!(Scheduler::all().all(|s| Scheduler::from_name(s.name()) == Some(s)));
+        let quantized = SchedulerKind::quantized_lstf(4, MapperKind::Log);
+        assert_eq!(Scheduler::uniform(quantized), None);
     }
 
     #[test]
@@ -1095,7 +1214,7 @@ mod tests {
         assert_eq!(jobs.len(), 12);
         assert!(!jobs
             .iter()
-            .any(|j| j.topology == "Line(3)" && j.scheduler == "Random"));
+            .any(|j| j.topology == "Line(3)" && j.scheduler.name() == "Random"));
         // Utilization cap applies across the whole grid.
         let mut g = tiny();
         g.excludes.push(Exclude {
@@ -1166,6 +1285,11 @@ mod tests {
         let v = crate::json::parse(&jobs[0].scenario_json()).unwrap();
         assert_eq!(v.get("failures").unwrap().as_str(), Some("core-links:0.25"));
         assert_eq!(v.get("inflight").unwrap().as_str(), Some("drop"));
+        // A label without a rate renders in its canonical `profile:rate`
+        // form.
+        g.failures = vec!["burst".into()];
+        let v = crate::json::parse(&g.expand().unwrap()[0].scenario_json()).unwrap();
+        assert_eq!(v.get("failures").unwrap().as_str(), Some("burst:0.3"));
         // A quantized job round-trips its K and mapper.
         let mut g = tiny();
         g.replay = true;

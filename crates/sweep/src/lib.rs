@@ -65,11 +65,11 @@ pub mod store;
 pub mod telemetry;
 
 pub use explain::{explain_job, Explanation};
-pub use grid::{Exclude, GridError, JobSpec, ScenarioGrid, TrafficMode, MIXED_FQ_FIFOPLUS};
-pub use pool::{run_jobs, run_jobs_telemetry, PoolStats};
-pub use runner::{
-    run_job_shared, slack_policy_for, summarize_trace, JobRecord, SharedScenarios, RECORD_SCHEMA,
+pub use grid::{
+    Exclude, Failures, GridError, JobSpec, Queues, ScenarioGrid, Scheduler, TrafficMode,
 };
+pub use pool::{run_jobs, run_jobs_telemetry, PoolStats};
+pub use runner::{run_job_shared, summarize_trace, JobRecord, SharedScenarios, RECORD_SCHEMA};
 pub use store::{
     bench_sweep_json, validate_artifact, validate_bench_sweep, ResultStream, SweepDigest,
     SWEEP_SCHEMA,

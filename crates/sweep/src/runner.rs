@@ -15,37 +15,31 @@
 //! `traffic: closed-loop` drives the simulator with live TCP Reno
 //! endpoints through the shared [`ups_transport::driver`]: the slack
 //! policy is derived from the scheduler under test (see
-//! [`slack_policy_for`]), the run stops at the job's horizon (or packet
-//! cap), and the §2 replay then re-runs the **as-executed** schedule —
-//! every data segment and ack the endpoints actually emitted, at its
-//! recorded injection time — through black-box LSTF. The summary gains a
-//! transport block (completions, goodput, retransmits, RTOs) distilled
-//! from [`TransportStats`].
+//! [`crate::grid::Scheduler::slack_policy`]), the run stops at the job's
+//! horizon (or packet cap), and the §2 replay then re-runs the
+//! **as-executed** schedule — every data segment and ack the endpoints
+//! actually emitted, at its recorded injection time — through black-box
+//! LSTF. The summary gains a transport block (completions, goodput,
+//! retransmits, RTOs) distilled from [`TransportStats`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ups_core::{replay_stream, run_schedule, HeaderInit, Replay, ReplayReport};
-use ups_dynamics::{
-    churn_replay_with_sink, parse_failure_spec, run_schedule_with_failures, FailureSchedule,
-};
+use ups_dynamics::{run_schedule_with_failures, FailureSchedule};
 use ups_forensics::{BlameCollector, ReplayFlavor};
 use ups_metrics::{
     jain_index, mean_fct_by_bucket, DisruptionSummary, FlowSample, RunAccumulator, RunSummary,
     TransportSummary, FIG2_BUCKETS,
 };
-use ups_netsim::prelude::{
-    DeadLinkPolicy, MapperKind, PacketKind, RecordMode, SchedulerKind, SimTime, Trace,
-};
+use ups_netsim::prelude::{PacketKind, RecordMode, SchedulerKind, SimTime, Trace};
 use ups_obs::SharedProbe;
-use ups_topology::{
-    topology_by_name, BuildOptions, Routing, RoutingCore, SchedulerAssignment, Topology,
-};
-use ups_transport::{run_tcp, SlackPolicy, TcpConfig, TcpScenario, TransportStats};
+use ups_topology::{topology_by_name, BuildOptions, Routing, RoutingCore, Topology};
+use ups_transport::{run_tcp, TcpConfig, TcpScenario, TransportStats};
 use ups_workload::{profile_by_name, train_packets, udp_packet_stream, FlowSpec, MTU};
 
-use crate::grid::{JobSpec, TrafficMode, MIXED_FQ_FIFOPLUS};
+use crate::grid::{JobSpec, TrafficMode};
 
 /// Topology + all-pairs routing, built **once per distinct topology** in
 /// a sweep and shared across every job (and worker thread) that names
@@ -53,22 +47,17 @@ use crate::grid::{JobSpec, TrafficMode, MIXED_FQ_FIFOPLUS};
 /// the core also memoizes each (src, dst) path, so a job walks no BFS
 /// field a job before it already walked.
 pub struct SharedScenarios {
-    map: BTreeMap<String, (Arc<Topology>, Arc<RoutingCore>)>,
+    map: BTreeMap<&'static str, (Arc<Topology>, Arc<RoutingCore>)>,
 }
 
 impl SharedScenarios {
     /// Build the shared topology/routing pair for every distinct
-    /// topology named by `jobs` — any borrowing iterable of specs
-    /// (slices, or `Arc<JobSpec>` collections via a deref map).
+    /// topology named by `jobs` — any borrowing iterable of specs.
     pub fn for_jobs<'a>(jobs: impl IntoIterator<Item = &'a JobSpec>) -> Self {
         let mut map = BTreeMap::new();
         for spec in jobs {
-            if !map.contains_key(&spec.topology) {
-                let topo = topology_by_name(&spec.topology)
-                    .unwrap_or_else(|| panic!("unvalidated topology {:?}", spec.topology));
-                let core = Arc::new(RoutingCore::new(&topo));
-                map.insert(spec.topology.clone(), (Arc::new(topo), core));
-            }
+            map.entry(spec.topology)
+                .or_insert_with(|| build_shared(spec.topology));
         }
         SharedScenarios { map }
     }
@@ -76,15 +65,10 @@ impl SharedScenarios {
     /// The shared pair for a topology name, building it on the fly for a
     /// spec the cache was not primed with.
     pub(crate) fn get(&self, name: &str) -> (Arc<Topology>, Arc<RoutingCore>) {
-        match self.map.get(name) {
-            Some((t, c)) => (t.clone(), c.clone()),
-            None => {
-                let topo = topology_by_name(name)
-                    .unwrap_or_else(|| panic!("unvalidated topology {name:?}"));
-                let core = Arc::new(RoutingCore::new(&topo));
-                (Arc::new(topo), core)
-            }
-        }
+        self.map
+            .get(name)
+            .cloned()
+            .unwrap_or_else(|| build_shared(name))
     }
 
     /// Distinct topologies held.
@@ -98,57 +82,18 @@ impl SharedScenarios {
     }
 }
 
-/// Resolve a grid scheduler label into a per-node assignment on `topo`.
-/// Returns `None` for labels that can't run as an original schedule
-/// (grids reject those at expansion; see
-/// [`crate::grid::is_original_scheduler`]).
-pub fn assignment_for(topo: &Topology, label: &str) -> Option<SchedulerAssignment> {
-    if label == MIXED_FQ_FIFOPLUS {
-        return Some(SchedulerAssignment::half_half(
-            topo,
-            SchedulerKind::Fq,
-            SchedulerKind::FifoPlus,
-            SchedulerKind::Fifo,
-        ));
-    }
-    match SchedulerKind::from_name(label)? {
-        SchedulerKind::Omniscient | SchedulerKind::Edf { .. } => None,
-        kind => Some(SchedulerAssignment::uniform(kind)),
-    }
-}
-
-/// The §3 slack policy a closed-loop job stamps, derived from the
-/// scheduler under test:
-///
-/// * `LSTF` — [`SlackPolicy::FctSjf`] (§3.1, LSTF approximates SJF), or
-///   [`SlackPolicy::Fairness`] when the job carries an `r_est` (§3.3);
-/// * `FIFO+` — [`SlackPolicy::Constant`] (§3.2's uniform slack; FIFO+
-///   ignores the header, but the stamped schedule is the one §3.2
-///   equates with constant-slack LSTF);
-/// * everything else (FIFO/FQ/SJF/SRPT/…) — [`SlackPolicy::None`]; the
-///   endpoints still stamp `flow_size`/`remaining` so SJF and SRPT
-///   routers can prioritize.
-pub fn slack_policy_for(label: &str, rest_bps: Option<u64>) -> SlackPolicy {
-    match label {
-        "LSTF" => match rest_bps {
-            Some(rest) => SlackPolicy::Fairness(rest),
-            None => SlackPolicy::FctSjf,
-        },
-        "FIFO+" => SlackPolicy::Constant(ups_core::tail_slack()),
-        _ => SlackPolicy::None,
-    }
+/// A topology and its routing core, from a registry name.
+fn build_shared(name: &str) -> (Arc<Topology>, Arc<RoutingCore>) {
+    let topo = topology_by_name(name).unwrap_or_else(|| panic!("unregistered topology {name:?}"));
+    let core = Arc::new(RoutingCore::new(&topo));
+    (Arc::new(topo), core)
 }
 
 /// One finished job: the spec it ran, what it measured, how long it took.
-///
-/// The spec rides along as an `Arc`: a sweep holds every record in memory
-/// until the final report, and cloning the full `JobSpec` (five `String`s
-/// plus options) into each one doubled the per-record footprint for data
-/// the grid already owns.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
     /// The scenario executed.
-    pub spec: Arc<JobSpec>,
+    pub spec: JobSpec,
     /// Per-run metrics.
     pub summary: RunSummary,
     /// Wall-clock seconds this job took on its worker.
@@ -191,9 +136,8 @@ pub struct ReplayRun {
     pub report: ReplayReport,
     /// The attribution of every mismatch in `report`.
     pub forensics: BlameCollector,
-    /// The replay schedule. `None` for the churn flavor, whose lazy entry
-    /// ([`churn_replay_with_sink`]) hands back the report alone.
-    pub trace: Option<Trace>,
+    /// The replay schedule.
+    pub trace: Trace,
 }
 
 /// Everything one executed job produced.
@@ -228,20 +172,29 @@ pub struct JobRun {
 /// spec's. `probe` samples the last replay (the one a record's
 /// `divergence` block and `sweep explain` describe); observation only.
 ///
-/// An `Err` names the spec field a grid would have rejected at expansion.
+/// Every label was parsed when the spec was made, so nothing here can
+/// fail on one.
+///
+/// # Panics
+/// On a hand-built spec that pairs failures with closed-loop traffic
+/// (link churn drives open-loop schedules only; grids reject it), and on
+/// the internal invariants of the replay framework.
 pub fn execute(
     spec: &JobSpec,
     shared: &SharedScenarios,
     record: RecordMode,
     ablations: &[(SchedulerKind, HeaderInit)],
     mut probe: Option<SharedProbe>,
-) -> Result<JobRun, String> {
-    let (topo, routing_core) = shared.get(&spec.topology);
+) -> JobRun {
+    assert!(
+        spec.failures.is_none() || spec.traffic == TrafficMode::OpenLoop,
+        "failures on a closed-loop job: link churn drives open-loop schedules only"
+    );
+    let (topo, routing_core) = shared.get(spec.topology);
     let topo = &*topo;
-    let profile =
-        profile_by_name(&spec.profile).ok_or_else(|| format!("profile {:?}", spec.profile))?;
-    let assign = assignment_for(topo, &spec.scheduler)
-        .ok_or_else(|| format!("scheduler {:?}", spec.scheduler))?;
+    let profile = profile_by_name(spec.profile)
+        .unwrap_or_else(|| panic!("unregistered profile {:?}", spec.profile));
+    let assign = spec.scheduler.assignment(topo);
     let routing = Routing::from_core(routing_core);
     let flows = profile.flows(topo, &routing, spec.utilization, spec.window, spec.seed);
     let opts = BuildOptions {
@@ -250,57 +203,29 @@ pub fn execute(
         router_buffer_bytes: spec.buffer_bytes,
         ..BuildOptions::default()
     };
-    // The failure sub-axis: generate the seeded outage schedule up front so
-    // its distinct-link count lands in the disruption block even when the
-    // replay is skipped.
-    let failure = match spec.failures.as_deref() {
-        None => None,
-        // Grids reject this combination (GridError::FailuresNeedOpenLoop);
-        // a hand-built spec must fail just as loudly, not run a silently
-        // static TCP scenario labeled as churn.
-        Some(f) if spec.traffic != TrafficMode::OpenLoop => {
-            return Err(format!(
-                "failure spec {f:?} on a closed-loop job — \
-                 link churn drives open-loop schedules only"
-            ))
-        }
-        Some(f) => {
-            let (profile, rate) =
-                parse_failure_spec(f).map_err(|e| format!("failure spec: {e}"))?;
-            let policy = match spec.inflight.as_deref() {
-                Some("drop") => DeadLinkPolicy::Drop,
-                Some("reroute") => DeadLinkPolicy::Reroute,
-                other => return Err(format!("in-flight policy {other:?}")),
-            };
-            let schedule = FailureSchedule::generate(topo, profile, rate, spec.window, spec.seed);
-            Some((schedule, policy))
-        }
-    };
-    let exact = (
-        ReplayFlavor::Exact,
-        SchedulerKind::Lstf { preemptive: false },
-        HeaderInit::LstfSlack,
-    );
-    let plan: Vec<(ReplayFlavor, SchedulerKind, HeaderInit)> = match (ablations, spec.queues) {
-        ([], None) => vec![exact],
-        // The finite-priority-queue sub-axis: the identical packet set
-        // replayed through quantized LSTF after the exact replay, scored
-        // against the same original.
-        ([], Some(k)) => {
-            let mapper = spec
-                .mapper
-                .as_deref()
-                .and_then(MapperKind::from_name)
-                .ok_or_else(|| format!("mapper {:?}", spec.mapper))?;
-            let quantized = SchedulerKind::quantized_lstf(k, mapper);
-            let flavor = ReplayFlavor::Quantized { k };
-            vec![exact, (flavor, quantized, HeaderInit::LstfSlack)]
-        }
-        (listed, _) => listed
-            .iter()
-            .map(|&(kind, init)| (ReplayFlavor::Exact, kind, init))
-            .collect(),
-    };
+    let lstf = SchedulerKind::Lstf { preemptive: false };
+    let plan: Vec<(ReplayFlavor, SchedulerKind, HeaderInit)> =
+        match (spec.failures, spec.queues, ablations) {
+            // A churn job replays the delivered subset along observed
+            // paths, lazily (the bounded-memory path).
+            (Some(_), ..) => vec![(ReplayFlavor::Churn, lstf, HeaderInit::LstfSlack)],
+            (None, None, []) => vec![(ReplayFlavor::Exact, lstf, HeaderInit::LstfSlack)],
+            // The finite-priority-queue sub-axis: the identical packet set
+            // replayed through quantized LSTF after the exact replay,
+            // scored against the same original.
+            (None, Some(q), []) => vec![
+                (ReplayFlavor::Exact, lstf, HeaderInit::LstfSlack),
+                (
+                    ReplayFlavor::Quantized { k: q.k },
+                    SchedulerKind::quantized_lstf(q.k, q.mapper),
+                    HeaderInit::LstfSlack,
+                ),
+            ],
+            (None, _, listed) => listed
+                .iter()
+                .map(|&(kind, init)| (ReplayFlavor::Exact, kind, init))
+                .collect(),
+        };
 
     let (original, summary) = match spec.traffic {
         TrafficMode::OpenLoop => {
@@ -309,10 +234,12 @@ pub fn execute(
             let cap = spec.max_packets.unwrap_or(usize::MAX);
             let packets = udp_packet_stream(&flows, MTU).take(cap);
             let injected = train_packets(&flows).min(cap as u64);
-            match &failure {
-                Some((schedule, policy)) => {
+            match spec.failures {
+                Some(f) => {
+                    let schedule =
+                        FailureSchedule::generate(topo, f.profile, f.rate, spec.window, spec.seed);
                     let churn = run_schedule_with_failures(
-                        topo, &assign, packets, schedule, *policy, &opts,
+                        topo, &assign, packets, &schedule, f.inflight, &opts,
                     );
                     let mut summary = summarize_trace(&churn.trace, &flows, injected, None);
                     summary.disruption = Some(DisruptionSummary {
@@ -338,7 +265,7 @@ pub fn execute(
                     opts,
                     flows: &flows,
                     config: TcpConfig::default(),
-                    policy: slack_policy_for(&spec.scheduler, spec.rest_bps),
+                    policy: spec.scheduler.slack_policy(spec.rest_bps),
                     horizon: spec.horizon.expect("closed-loop jobs carry a horizon"),
                     max_packets: spec.max_packets.map(|n| n as u64),
                 },
@@ -349,26 +276,15 @@ pub fn execute(
         }
     };
 
+    // Replay needs every packet delivered (§2.3 runs drop-free); with
+    // unbounded buffers dropped > 0 can't happen — the gate makes a
+    // buffered grid degrade to "no replay" instead of a panic. A churn
+    // job's drops at dead links are *expected* and excluded on both
+    // sides, so the gate doesn't apply to it.
+    let replayable =
+        spec.replay && summary.delivered > 0 && (summary.dropped == 0 || spec.failures.is_some());
     let mut replays = Vec::new();
-    if !spec.replay || summary.delivered == 0 {
-        // Nothing asked for, or nothing to compare.
-    } else if failure.is_some() {
-        // A churn job replays the delivered subset along observed paths —
-        // drops at dead links are *expected* and excluded on both sides,
-        // so the drop-free gate below doesn't apply.
-        let mut forensics = BlameCollector::new(ReplayFlavor::Churn);
-        let report = churn_replay_with_sink(topo, &original, spec.seed, &mut forensics);
-        replays.push(ReplayRun {
-            flavor: ReplayFlavor::Churn,
-            report,
-            forensics,
-            trace: None,
-        });
-    } else if summary.dropped == 0 {
-        // Replay needs every packet delivered (§2.3 runs drop-free); with
-        // unbounded buffers dropped > 0 can't happen — the gate makes a
-        // buffered grid degrade to "no replay" instead of a panic.
-        //
+    if replayable {
         // Each replay set comes from the recorded schedule alone: the
         // delivered packets in `(i(p), id)` order. An open-loop train is
         // already in that order with dense ids, so this is the train
@@ -391,33 +307,31 @@ pub fn execute(
                 ..Replay::new(topo, &original, spec.seed)
             };
             let mut forensics = BlameCollector::new(flavor);
-            let set = replay_stream(topo, &original, init);
-            let (trace, report) = replay.eager_set(set, &mut forensics);
+            let (trace, report) = match flavor {
+                ReplayFlavor::Churn => replay.lazy(&mut forensics),
+                _ => replay.eager_set(replay_stream(topo, &original, init), &mut forensics),
+            };
             replays.push(ReplayRun {
                 flavor,
                 report,
                 forensics,
-                trace: Some(trace),
+                trace,
             });
         }
     }
 
-    Ok(JobRun {
+    JobRun {
         flows,
         original,
         summary,
         replays,
-    })
+    }
 }
 
 /// Execute one job to completion against a [`SharedScenarios`] cache —
 /// one topology build and all-pairs BFS per distinct topology, reused by
 /// every job that names it (a topology the cache was not primed with is
 /// built on the spot) — and fold its replays into the record's summary.
-///
-/// # Panics
-/// On registry/label lookups the grid already validated, and on the
-/// internal invariants of the replay framework.
 pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
     // lint:allow(wall-clock): feeds only the record's wall_s field,
     // which to_json(false) excludes from the determinism surface.
@@ -427,8 +341,7 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
         mut summary,
         replays,
         ..
-    } = execute(spec, shared, RecordMode::EndToEnd, &[], None)
-        .unwrap_or_else(|e| panic!("unvalidated {e}"));
+    } = execute(spec, shared, RecordMode::EndToEnd, &[], None);
     for run in &replays {
         // An empty comparison matched nothing: null, not a perfect 1.0.
         let (rate, gt_t) = (run.report.match_rate(), run.report.frac_gt_t_rate());
@@ -446,7 +359,7 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
             ReplayFlavor::Quantized { .. } => {
                 summary.quantized_match_rate = rate;
                 summary.quantized_frac_gt_t = gt_t;
-                let mean_fct = |r: &ReplayRun| trace_mean_fct(r.trace.as_ref()?, &flows);
+                let mean_fct = |r: &ReplayRun| trace_mean_fct(&r.trace, &flows);
                 summary.quantized_fct_delta_s = match (mean_fct(run), mean_fct(&replays[0])) {
                     (Some(q), Some(exact)) => Some(q - exact),
                     _ => None,
@@ -460,7 +373,7 @@ pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
     }
 
     JobRecord {
-        spec: Arc::new(spec.clone()),
+        spec: *spec,
         summary,
         wall_s: t0.elapsed().as_secs_f64(),
     }
@@ -576,7 +489,13 @@ pub fn summarize_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ups_netsim::prelude::Dur;
+    use crate::grid::{Failures, Queues, Scheduler};
+    use ups_dynamics::FailureProfile;
+    use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind};
+    use ups_transport::SlackPolicy;
+
+    const RANDOM_LINKS_06: (FailureProfile, f64) = (FailureProfile::RandomLinks, 0.6);
+    const BURST_05: (FailureProfile, f64) = (FailureProfile::Burst, 0.5);
 
     /// Run one job with nothing cached: the topology is built on demand.
     fn run(spec: &JobSpec) -> JobRecord {
@@ -589,9 +508,9 @@ mod tests {
         // micro-topologies too sparse for millisecond windows).
         JobSpec {
             job_id: 0,
-            topology: "Line(3)".into(),
-            profile: "fixed-mtu".into(),
-            scheduler: scheduler.into(),
+            topology: "Line(3)",
+            profile: "fixed-mtu",
+            scheduler: Scheduler::from_name(scheduler).unwrap(),
             traffic: TrafficMode::OpenLoop,
             rest_bps: None,
             utilization: 0.6,
@@ -601,26 +520,31 @@ mod tests {
             buffer_bytes: None,
             replay,
             queues: None,
-            mapper: None,
             failures: None,
-            inflight: None,
             max_packets: None,
         }
     }
 
-    fn failure_spec(scheduler: &str, spec_str: &str, inflight: &str, replay: bool) -> JobSpec {
+    fn failure_spec(
+        scheduler: &str,
+        (profile, rate): (FailureProfile, f64),
+        inflight: DeadLinkPolicy,
+        replay: bool,
+    ) -> JobSpec {
         JobSpec {
-            topology: "FatTree(k=4)".into(),
-            failures: Some(spec_str.into()),
-            inflight: Some(inflight.into()),
+            topology: "FatTree(k=4)",
+            failures: Some(Failures {
+                profile,
+                rate,
+                inflight,
+            }),
             ..spec(scheduler, replay)
         }
     }
 
-    fn quantized_spec(scheduler: &str, k: u32, mapper: &str) -> JobSpec {
+    fn quantized_spec(scheduler: &str, k: u32, mapper: MapperKind) -> JobSpec {
         JobSpec {
-            queues: Some(k),
-            mapper: Some(mapper.into()),
+            queues: Some(Queues { k, mapper }),
             ..spec(scheduler, true)
         }
     }
@@ -680,7 +604,7 @@ mod tests {
     fn quantized_job_reports_degradation_against_exact_replay() {
         // K=1 degrades the replay to per-port FIFO: on a Random original
         // the quantized match rate must fall visibly below exact LSTF's.
-        let rec = run(&quantized_spec("Random", 1, "dynamic"));
+        let rec = run(&quantized_spec("Random", 1, MapperKind::Dynamic));
         let s = &rec.summary;
         let exact = s.replay_match_rate.expect("exact replay ran");
         let quant = s.quantized_match_rate.expect("quantized replay ran");
@@ -696,7 +620,7 @@ mod tests {
     fn large_k_dynamic_quantization_is_exact() {
         // With K far above the distinct ranks in flight, the dynamic
         // mapper is bit-exact: identical match rate and zero FCT delta.
-        let rec = run(&quantized_spec("Random", 4096, "dynamic"));
+        let rec = run(&quantized_spec("Random", 4096, MapperKind::Dynamic));
         let s = &rec.summary;
         assert_eq!(s.quantized_match_rate, s.replay_match_rate);
         assert_eq!(s.quantized_frac_gt_t, s.replay_frac_gt_t);
@@ -713,7 +637,12 @@ mod tests {
 
     #[test]
     fn failure_job_reports_a_disruption_block_and_churn_replay() {
-        let rec = run(&failure_spec("FIFO", "random-links:0.6", "reroute", true));
+        let rec = run(&failure_spec(
+            "FIFO",
+            RANDOM_LINKS_06,
+            DeadLinkPolicy::Reroute,
+            true,
+        ));
         let s = &rec.summary;
         let d = s.disruption.as_ref().expect("failure job disruption block");
         assert!(d.links_failed > 0, "schedule must actually fail links");
@@ -733,7 +662,7 @@ mod tests {
 
     #[test]
     fn failure_job_drop_policy_counts_dead_link_losses() {
-        let rec = run(&failure_spec("FIFO", "burst:0.5", "drop", false));
+        let rec = run(&failure_spec("FIFO", BURST_05, DeadLinkPolicy::Drop, false));
         let s = &rec.summary;
         let d = s.disruption.as_ref().unwrap();
         assert_eq!(d.rerouted, 0, "drop policy never reroutes");
@@ -748,7 +677,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "open-loop schedules only")]
     fn closed_loop_failure_spec_panics_loudly() {
-        let mut s = failure_spec("FIFO", "burst:0.5", "drop", false);
+        let mut s = failure_spec("FIFO", BURST_05, DeadLinkPolicy::Drop, false);
         s.traffic = TrafficMode::ClosedLoop;
         s.horizon = Some(Dur::from_ms(20));
         let _ = run(&s);
@@ -762,8 +691,18 @@ mod tests {
 
     #[test]
     fn failure_jobs_are_deterministic() {
-        let a = run(&failure_spec("Random", "random-links:0.4", "reroute", true));
-        let b = run(&failure_spec("Random", "random-links:0.4", "reroute", true));
+        let a = run(&failure_spec(
+            "Random",
+            (FailureProfile::RandomLinks, 0.4),
+            DeadLinkPolicy::Reroute,
+            true,
+        ));
+        let b = run(&failure_spec(
+            "Random",
+            (FailureProfile::RandomLinks, 0.4),
+            DeadLinkPolicy::Reroute,
+            true,
+        ));
         assert_eq!(a.to_json(false), b.to_json(false));
     }
 
@@ -792,27 +731,20 @@ mod tests {
     #[test]
     fn mixed_assignment_resolves() {
         let topo = topology_by_name("I2:small").unwrap();
-        assert!(assignment_for(&topo, MIXED_FQ_FIFOPLUS).is_some());
-        assert!(assignment_for(&topo, "Omniscient").is_none());
-        assert!(assignment_for(&topo, "EDF").is_none());
+        let mixed = Scheduler::from_name("FQ/FIFO+").unwrap().assignment(&topo);
+        let kinds: Vec<SchedulerKind> = topo.nodes().map(|n| mixed.kind_for(n)).collect();
+        assert!(kinds.contains(&SchedulerKind::Fq));
+        assert!(kinds.contains(&SchedulerKind::FifoPlus));
     }
 
     #[test]
     fn slack_policy_mapping_follows_the_scheduler_under_test() {
-        assert!(matches!(
-            slack_policy_for("LSTF", None),
-            SlackPolicy::FctSjf
-        ));
-        assert!(matches!(
-            slack_policy_for("LSTF", Some(7)),
-            SlackPolicy::Fairness(7)
-        ));
-        assert!(matches!(
-            slack_policy_for("FIFO+", None),
-            SlackPolicy::Constant(_)
-        ));
-        for label in ["FIFO", "FQ", "SJF", "SRPT", MIXED_FQ_FIFOPLUS] {
-            assert!(matches!(slack_policy_for(label, None), SlackPolicy::None));
+        let policy = |label: &str, rest| Scheduler::from_name(label).unwrap().slack_policy(rest);
+        assert!(matches!(policy("LSTF", None), SlackPolicy::FctSjf));
+        assert!(matches!(policy("LSTF", Some(7)), SlackPolicy::Fairness(7)));
+        assert!(matches!(policy("FIFO+", None), SlackPolicy::Constant(_)));
+        for label in ["FIFO", "FQ", "SJF", "SRPT", "LSTF-P", "FQ/FIFO+"] {
+            assert!(matches!(policy(label, None), SlackPolicy::None), "{label}");
         }
     }
 
@@ -854,7 +786,7 @@ mod tests {
     #[test]
     fn long_lived_closed_loop_job_runs_without_completions() {
         let mut s = closed_spec("LSTF", false);
-        s.profile = "long-lived".into();
+        s.profile = "long-lived";
         s.rest_bps = Some(100_000_000);
         let rec = run(&s);
         let t = rec.summary.transport.as_ref().unwrap();

@@ -614,18 +614,19 @@ pub fn validate_artifact(doc: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{JobSpec, TrafficMode};
+    use crate::grid::{Failures, JobSpec, Queues, Scheduler, TrafficMode};
     use crate::runner::{run_job_shared, SharedScenarios};
-    use ups_netsim::prelude::Dur;
+    use ups_dynamics::FailureProfile;
+    use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind};
 
     /// A small real job. The records below come from the runner itself,
     /// so these tests also pin that what it emits is what the store accepts.
     fn spec(job_id: usize) -> JobSpec {
         JobSpec {
             job_id,
-            topology: "Line(3)".into(),
-            profile: "fixed-mtu".into(),
-            scheduler: "Random".into(),
+            topology: "Line(3)",
+            profile: "fixed-mtu",
+            scheduler: Scheduler::from_name("Random").unwrap(),
             traffic: TrafficMode::OpenLoop,
             rest_bps: None,
             utilization: 0.6,
@@ -635,9 +636,7 @@ mod tests {
             buffer_bytes: None,
             replay: true,
             queues: None,
-            mapper: None,
             failures: None,
-            inflight: None,
             max_packets: None,
         }
     }
@@ -714,14 +713,19 @@ mod tests {
             ..spec(1)
         };
         let quantized = JobSpec {
-            queues: Some(1),
-            mapper: Some("dynamic".into()),
+            queues: Some(Queues {
+                k: 1,
+                mapper: MapperKind::Dynamic,
+            }),
             ..spec(2)
         };
         let churn = JobSpec {
-            topology: "FatTree(k=4)".into(),
-            failures: Some("random-links:0.6".into()),
-            inflight: Some("reroute".into()),
+            topology: "FatTree(k=4)",
+            failures: Some(Failures {
+                profile: FailureProfile::RandomLinks,
+                rate: 0.6,
+                inflight: DeadLinkPolicy::Reroute,
+            }),
             ..spec(3)
         };
         let doc = aggregate(&[run(spec(0)), run(closed), run(quantized), run(churn)]);

@@ -7,8 +7,11 @@
 //! byte-identical sorted result records — regardless of which worker
 //! claimed which job, or in what order.
 
-use ups_netsim::prelude::Dur;
-use ups_sweep::{pool, runner, store, JobSpec, PoolStats, ScenarioGrid, TrafficMode};
+use ups_dynamics::FailureProfile;
+use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind};
+use ups_sweep::{
+    pool, runner, store, Failures, JobSpec, PoolStats, Queues, ScenarioGrid, Scheduler, TrafficMode,
+};
 
 fn tiny_grid() -> ScenarioGrid {
     ScenarioGrid {
@@ -255,14 +258,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+const K1_DYNAMIC: Queues = Queues {
+    k: 1,
+    mapper: MapperKind::Dynamic,
+};
+
+const RANDOM_LINKS_06_REROUTE: Failures = Failures {
+    profile: FailureProfile::RandomLinks,
+    rate: 0.6,
+    inflight: DeadLinkPolicy::Reroute,
+};
+
 /// The open-loop `fixed-mtu` job on `Line(3)` that `runner.rs`'s unit
 /// tests build; the other three flavours are struct updates of it.
 fn line_spec(scheduler: &str) -> JobSpec {
     JobSpec {
         job_id: 0,
-        topology: "Line(3)".into(),
-        profile: "fixed-mtu".into(),
-        scheduler: scheduler.into(),
+        topology: "Line(3)",
+        profile: "fixed-mtu",
+        scheduler: Scheduler::from_name(scheduler).unwrap(),
         traffic: TrafficMode::OpenLoop,
         rest_bps: None,
         utilization: 0.6,
@@ -272,9 +286,7 @@ fn line_spec(scheduler: &str) -> JobSpec {
         buffer_bytes: None,
         replay: true,
         queues: None,
-        mapper: None,
         failures: None,
-        inflight: None,
         max_packets: None,
     }
 }
@@ -294,8 +306,7 @@ fn four_record_flavours_match_their_pre_refactor_golden() {
         (
             "quantized K=1 dynamic",
             JobSpec {
-                queues: Some(1),
-                mapper: Some("dynamic".into()),
+                queues: Some(K1_DYNAMIC),
                 ..line_spec("Random")
             },
             0xf2ad_69bc_9281_2a56,
@@ -303,9 +314,8 @@ fn four_record_flavours_match_their_pre_refactor_golden() {
         (
             "churn random-links:0.6 reroute",
             JobSpec {
-                topology: "FatTree(k=4)".into(),
-                failures: Some("random-links:0.6".into()),
-                inflight: Some("reroute".into()),
+                topology: "FatTree(k=4)",
+                failures: Some(RANDOM_LINKS_06_REROUTE),
                 ..line_spec("FIFO")
             },
             0xf9b9_7bd8_8773_7a16,
@@ -342,31 +352,28 @@ fn four_record_flavours_match_their_pre_refactor_golden() {
 #[test]
 fn explain_reports_the_counts_the_record_carries() {
     let fattree = JobSpec {
-        topology: "FatTree(k=4)".into(),
+        topology: "FatTree(k=4)",
         ..line_spec("Random")
     };
     let flavours = [
-        ("exact", fattree.clone()),
+        ("exact", fattree),
         (
             "quantized K=1 dynamic",
             JobSpec {
-                queues: Some(1),
-                mapper: Some("dynamic".into()),
-                ..fattree.clone()
+                queues: Some(K1_DYNAMIC),
+                ..fattree
             },
         ),
         (
             "churn random-links:0.6 reroute",
             JobSpec {
-                failures: Some("random-links:0.6".into()),
-                inflight: Some("reroute".into()),
+                failures: Some(RANDOM_LINKS_06_REROUTE),
                 ..fattree
             },
         ),
     ];
     for (label, spec) in flavours {
-        let spec = std::sync::Arc::new(spec);
-        let shared = runner::SharedScenarios::for_jobs([&*spec]);
+        let shared = runner::SharedScenarios::for_jobs([&spec]);
         let summary = runner::run_job_shared(&spec, &shared).summary;
         let report = ups_sweep::explain_job(&spec, &shared, false)
             .unwrap_or_else(|e| panic!("{label}: {e}"))

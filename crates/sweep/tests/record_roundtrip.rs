@@ -11,10 +11,11 @@
 
 use proptest::prelude::*;
 use proptest::{bool as any_bool, collection, sample};
+use ups_dynamics::FailureProfile;
 use ups_metrics::{DisruptionSummary, DivergenceSummary, RunSummary, TransportSummary};
-use ups_netsim::prelude::Dur;
+use ups_netsim::prelude::{DeadLinkPolicy, Dur, MapperKind};
 use ups_sweep::json::{parse, JsonValue};
-use ups_sweep::{JobRecord, JobSpec, TrafficMode};
+use ups_sweep::{Failures, JobRecord, JobSpec, Queues, Scheduler, TrafficMode};
 
 /// Names with every character class `json_escape` handles.
 const NAMES: [&str; 6] = [
@@ -25,6 +26,9 @@ const NAMES: [&str; 6] = [
     "tab\tand\nnewline",
     "unicode café →",
 ];
+
+/// Scheduler labels, the mixed row's `/` and `+` among them.
+const SCHEDULERS: [&str; 4] = ["FQ/FIFO+", "FIFO+", "LSTF", "Random"];
 
 /// Finite-or-not floats: the emitter must fall back to `null` for the
 /// non-finite ones.
@@ -64,7 +68,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
     #[test]
     fn every_record_line_parses_back(
-        names in (sample::select(&NAMES), sample::select(&NAMES), sample::select(&NAMES)),
+        names in (sample::select(&NAMES), sample::select(&NAMES), sample::select(&SCHEDULERS)),
         ids in (0usize..5000, 0u64..1000, 0u64..1 << 53, 0u64..1 << 53, 0u64..10_000),
         floats in (any_float(), any_float(), any_float(), any_float()),
         buckets in collection::vec((any_edge(), any_float(), 0usize..500), 0..6),
@@ -88,9 +92,9 @@ proptest! {
         let empty_comparison = replay_some && rest_some;
         let spec = JobSpec {
             job_id,
-            topology: topology.to_string(),
-            profile: profile.to_string(),
-            scheduler: scheduler.to_string(),
+            topology,
+            profile,
+            scheduler: Scheduler::from_name(scheduler).unwrap(),
             traffic,
             rest_bps: (closed && rest_some).then_some(rest_bps),
             utilization: 0.7,
@@ -99,12 +103,17 @@ proptest! {
             horizon: closed.then_some(Dur::from_ms(40)),
             buffer_bytes: rest_some.then_some(5_000_000),
             replay: replay_some,
-            queues: quantized.then_some((retx as u32).max(1)),
-            mapper: quantized.then(|| "dynamic".to_string()),
+            queues: quantized.then_some(Queues {
+                k: (retx as u32).max(1),
+                mapper: MapperKind::Dynamic,
+            }),
             // The dynamics axis is open-loop only and excludes queues;
             // exercise it on the records that carry neither.
-            failures: (!closed && !quantized).then(|| "random-links:0.4".to_string()),
-            inflight: (!closed && !quantized).then(|| "drop".to_string()),
+            failures: (!closed && !quantized).then_some(Failures {
+                profile: FailureProfile::RandomLinks,
+                rate: 0.4,
+                inflight: DeadLinkPolicy::Drop,
+            }),
             max_packets: jain_some.then_some(4096),
         };
         let churned = spec.failures.is_some();
@@ -157,7 +166,7 @@ proptest! {
                 hop_lateness_p99_s: jain_some.then_some(delay_p99),
             }),
         };
-        let record = JobRecord { spec: std::sync::Arc::new(spec), summary, wall_s: wall };
+        let record = JobRecord { spec, summary, wall_s: wall };
 
         let line = record.to_json(with_timing);
         prop_assert!(!line.contains('\n'), "JSONL lines must be single-line: {line}");
@@ -181,8 +190,8 @@ proptest! {
             None => prop_assert_eq!(scenario.get("rest_bps"), Some(&JsonValue::Null)),
         }
         match record.spec.queues {
-            Some(k) => {
-                prop_assert_eq!(scenario.get("queues").unwrap().as_f64(), Some(k as f64));
+            Some(q) => {
+                prop_assert_eq!(scenario.get("queues").unwrap().as_f64(), Some(q.k as f64));
                 prop_assert_eq!(scenario.get("mapper").unwrap().as_str(), Some("dynamic"));
             }
             None => {

@@ -7,12 +7,12 @@
 //! against the topology's core links — §2.3 of the paper). Grids in
 //! `ups-sweep` reference profiles by name.
 
-use ups_netsim::prelude::{Dur, Packet};
+use ups_netsim::prelude::Dur;
 use ups_topology::{Routing, Topology};
 
 use crate::dist::{BoundedPareto, Empirical, Fixed, SizeDist};
 use crate::flows::{long_lived_flows, FlowSpec, PoissonWorkload};
-use crate::udp::{flows_with_floor, udp_packet_train, MTU};
+use crate::udp::{flows_with_floor, MTU};
 
 /// How a profile turns (topology, utilization, window, seed) into flows.
 enum ProfileKind {
@@ -75,11 +75,10 @@ pub fn profile_by_name(name: &str) -> Option<&'static WorkloadProfile> {
     PROFILES.iter().find(|p| p.name == name)
 }
 
-/// A packetized, utilization-calibrated workload.
+/// A utilization-calibrated workload grown to a packet floor; its UDP
+/// train is [`crate::udp_packet_stream`] over `flows`.
 pub struct CalibratedTrain {
-    /// Injectable packets, in flow-start order with dense ids.
-    pub packets: Vec<Packet>,
-    /// The flows the packets came from.
+    /// The flows, in start order.
     pub flows: Vec<FlowSpec>,
     /// The arrival window actually used (relevant when grown to a floor).
     pub window: Dur,
@@ -158,24 +157,9 @@ impl WorkloadProfile {
         }
     }
 
-    /// Flows + UDP packet train in one step.
-    ///
-    /// # Panics
-    /// For closed-loop-only profiles (no finite train exists).
-    pub fn udp_train(
-        &self,
-        topo: &Topology,
-        utilization: f64,
-        window: Dur,
-        seed: u64,
-    ) -> CalibratedTrain {
-        let flows = self.flows(topo, &Routing::new(topo), utilization, window, seed);
-        CalibratedTrain::new(flows, window)
-    }
-
     /// Grow the arrival window (doubling from `start_window`) until the
     /// packetized workload clears `min_packets` — [`flows_with_floor`]
-    /// over this profile, packetized once at the final window.
+    /// over this profile.
     ///
     /// # Panics
     /// If the floor is still unmet at 1024× the starting window.
@@ -196,23 +180,14 @@ impl WorkloadProfile {
             start_window.times(1024),
             |window| self.flows(topo, &routing, utilization, window, seed),
         );
-        CalibratedTrain::new(flows, window)
-    }
-}
-
-impl CalibratedTrain {
-    fn new(flows: Vec<FlowSpec>, window: Dur) -> Self {
-        CalibratedTrain {
-            packets: udp_packet_train(&flows, MTU),
-            flows,
-            window,
-        }
+        CalibratedTrain { flows, window }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udp::{train_packets, udp_packet_train};
     use ups_netsim::prelude::{Bandwidth, SimTime};
     use ups_topology::line;
 
@@ -238,11 +213,11 @@ mod tests {
             // have multi-MB means, so a 2-host line needs a long window
             // before the Poisson process emits anything.
             let window = Dur::from_ms(if p.name == "fixed-mtu" { 2 } else { 400 });
-            let a = p.udp_train(&topo, 0.5, window, 7);
-            let b = p.udp_train(&topo, 0.5, window, 7);
-            assert_eq!(a.packets.len(), b.packets.len(), "{}", p.name);
-            assert!(!a.packets.is_empty(), "{} generated nothing", p.name);
-            assert_eq!(a.flows.len(), b.flows.len());
+            let train =
+                || udp_packet_train(&p.flows(&topo, &Routing::new(&topo), 0.5, window, 7), MTU);
+            let (a, b) = (train(), train());
+            assert!(!a.is_empty(), "{} generated nothing", p.name);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", p.name);
         }
     }
 
@@ -275,15 +250,14 @@ mod tests {
         let topo = tiny_topo();
         let profile = profile_by_name("fixed-mtu").unwrap();
         let train = profile.udp_train_with_floor(&topo, 0.5, 2_000, Dur::from_ms(1), 3);
-        assert!(train.packets.len() >= 2_000);
+        assert!(train_packets(&train.flows) >= 2_000);
         assert!(train.window > Dur::from_ms(1), "window must have grown");
         // The routing kept across doublings changes nothing: a fresh one
         // at the final window gives the same train, packet for packet.
-        let direct = profile.udp_train(&topo, 0.5, train.window, 3);
-        assert_eq!(train.flows.len(), direct.flows.len());
+        let direct = profile.flows(&topo, &Routing::new(&topo), 0.5, train.window, 3);
         assert_eq!(
-            format!("{:?}", train.packets),
-            format!("{:?}", direct.packets)
+            format!("{:?}", udp_packet_train(&train.flows, MTU)),
+            format!("{:?}", udp_packet_train(&direct, MTU))
         );
     }
 }

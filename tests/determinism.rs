@@ -16,6 +16,7 @@ use std::sync::Mutex;
 use ups::obs::Counter;
 use ups::prelude::*;
 use ups::topology::{fattree, FatTreeParams};
+use ups::workload::udp_packet_stream;
 
 fn fattree_workload(seed: u64) -> (Topology, Vec<Packet>) {
     let topo = fattree(FatTreeParams::default());
@@ -92,7 +93,7 @@ fn fifo_fattree_schedule_matches_the_seed_engine_golden() {
             ..BuildOptions::default()
         },
     );
-    for p in train.packets {
+    for p in udp_packet_stream(&train.flows, MTU) {
         sim.inject(p);
     }
     sim.run();

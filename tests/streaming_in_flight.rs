@@ -264,6 +264,5 @@ fn per_hop_spills_like_per_hop_resident() {
     // sealed, so the 2-chunk ring overflowed to the spill file.
     assert_eq!(spilled.len(), resident.len());
     assert!(spilled.len() > 3 * 64, "{} records", spilled.len());
-    assert!((0..spilled.id_bound() as u64)
-        .any(|id| spilled.get(PacketId(id)) == Err(TraceAccessError::Spilled)));
+    assert!(spilled.spilled());
 }
