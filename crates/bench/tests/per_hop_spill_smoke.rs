@@ -18,7 +18,9 @@ const PACKET_FLOOR: u64 = if cfg!(debug_assertions) {
 };
 
 /// Peak-RSS ceiling. On x86-64 Linux the run peaks near 70 MiB (64 in
-/// debug); holding its `PerHop` traces resident peaks near 188 MiB.
+/// debug); holding its `PerHop` traces resident peaks near 158 MiB
+/// (185 while hop lists grew by doubling instead of being sized from the
+/// path).
 const RSS_BUDGET_MIB: u64 = 128;
 
 #[test]

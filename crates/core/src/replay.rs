@@ -103,28 +103,31 @@ pub fn run_schedule(
 /// `(i, path, size, id)`, headers stamped per `init` from each packet's
 /// record in `original`. A recorded run's replay set is [`replay_stream`].
 ///
+/// The set is lazy: each packet is cloned and stamped as it is pulled,
+/// so an eager replay injects straight from the caller's slice and never
+/// holds a second copy of the train. `collect` it only to index it.
+///
 /// # Panics
-/// If a packet is missing from the original trace or was never delivered
-/// (replay experiments run drop-free), or if `Omniscient` or
-/// `PriorityFromSchedule` is requested without a `PerHop` original trace.
-pub fn replay_packets(
-    topo: &Topology,
-    original: &Trace,
-    packets: &[Packet],
+/// At call time, if `Omniscient` or `PriorityFromSchedule` is requested
+/// without a `PerHop` original trace, or if the original schedule has a
+/// priority cycle (`PriorityFromSchedule`). On the pull that reaches it,
+/// if a packet is missing from the original trace or was never delivered
+/// (replay experiments run drop-free).
+pub fn replay_packets<'a>(
+    topo: &'a Topology,
+    original: &'a Trace,
+    packets: &'a [Packet],
     init: HeaderInit,
-) -> Vec<Packet> {
+) -> impl ExactSizeIterator<Item = Packet> + 'a {
     let stamp = stamper(topo, original, init);
-    packets
-        .iter()
-        .map(|p| {
-            let rec = original
-                .get(p.id)
-                .unwrap_or_else(|e| panic!("packet {} unavailable in original trace: {e}", p.id)); // lint:allow(panic-path): replay precondition: the trace was recorded over this packet set
-            let mut q = p.clone();
-            stamp(rec, &mut q);
-            q
-        })
-        .collect()
+    packets.iter().map(move |p| {
+        let rec = original
+            .get(p.id)
+            .unwrap_or_else(|e| panic!("packet {} unavailable in original trace: {e}", p.id)); // lint:allow(panic-path): replay precondition: the trace was recorded over this packet set
+        let mut q = p.clone();
+        stamp(rec, &mut q);
+        q
+    })
 }
 
 /// The replay set of a recorded schedule, from the schedule alone: the
@@ -504,7 +507,9 @@ impl<'a> Replay<'a> {
 
     /// Eager drive over a packet slice the original ran, in slice order:
     /// re-initialize headers per `init` ([`replay_packets`]), inject all,
-    /// run, compare.
+    /// run, compare. Each packet is stamped as it is injected, so no
+    /// replay set is held beside the slice; a packet with no delivered
+    /// record panics when its turn to be injected comes.
     pub fn eager(
         self,
         packets: &[Packet],
@@ -855,8 +860,7 @@ mod tests {
             packets.clone(),
             &opts,
         );
-        let replayed = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
-        for p in &replayed {
+        for p in replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack) {
             assert!(
                 p.header.slack >= 0,
                 "viable schedule implies o ≥ i + tmin; slack {}",
@@ -976,9 +980,11 @@ mod tests {
     }
 
     /// `replay_stream` stamps, under every header initialization, the
-    /// same packets `replay_packets` does, in canonical stream order. The
-    /// original is a `PerHop` run with one congestion point, so both the
-    /// omniscient and the schedule-derived priority headers exist.
+    /// same packets `replay_packets` does, in canonical stream order, and
+    /// `replay_packets` yields one packet per slice entry, in slice order,
+    /// and says so up front through its exact length. The original is a
+    /// `PerHop` run with one congestion point, so both the omniscient and
+    /// the schedule-derived priority headers exist.
     #[test]
     fn replay_stream_matches_replay_packets_under_every_init() {
         let topo = line(2, Bandwidth::from_gbps(1), Dur::from_us(10));
@@ -1000,7 +1006,13 @@ mod tests {
             HeaderInit::EdfDeadline,
             HeaderInit::Omniscient,
         ] {
-            let mut eager = replay_packets(&topo, &original, &packets, init);
+            let eager = replay_packets(&topo, &original, &packets, init);
+            assert_eq!(eager.len(), packets.len(), "{init:?}");
+            let mut eager: Vec<Packet> = eager.collect();
+            assert!(
+                eager.iter().map(|p| p.id).eq(packets.iter().map(|p| p.id)),
+                "{init:?}: slice order"
+            );
             eager.sort_by_key(|p| (p.injected_at, p.id));
             let streamed: Vec<Packet> = replay_stream(&topo, &original, init).collect();
             assert_eq!(streamed.len(), eager.len(), "{init:?}");
@@ -1082,8 +1094,7 @@ mod tests {
             packets.clone(),
             &opts,
         );
-        let rep = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
-        for p in &rep {
+        for p in replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack) {
             assert_eq!(
                 p.header.flow_size, 0,
                 "replay header must be re-initialized"
@@ -1103,7 +1114,8 @@ mod tests {
             packets.clone(),
             &BuildOptions::default(),
         );
-        let rep = replay_packets(&topo, &original, &packets, HeaderInit::PriorityOutputTime);
+        let rep: Vec<Packet> =
+            replay_packets(&topo, &original, &packets, HeaderInit::PriorityOutputTime).collect();
         let o0 = original.get(PacketId(0)).unwrap().exited.unwrap();
         assert_eq!(rep[0].header.prio, o0.as_ps() as i128);
         assert!(rep[0].header.prio < rep[1].header.prio);

@@ -253,7 +253,7 @@ proptest! {
     fn quantized_lstf_replay_is_bit_identical_when_k_covers_ranks(
         scenario in scenario_strategy(3, 25, &[400, 1000, 1500])
     ) {
-        use ups_core::replay::{replay_packets, run_schedule, Replay};
+        use ups_core::replay::{run_schedule, Replay};
         let (topo, packets) = scenario.materialize();
         prop_assume!(packets.len() >= 2);
         let opts = BuildOptions {
@@ -267,15 +267,14 @@ proptest! {
             packets.iter().cloned(),
             &opts,
         );
-        let replay_set = replay_packets(&topo, &original, &packets, HeaderInit::LstfSlack);
         let (exact, a) = Replay::new(&topo, &original, scenario.seed)
-            .eager_set(replay_set.iter().cloned(), &mut ());
+            .eager(&packets, HeaderInit::LstfSlack, &mut ());
         let k = packets.len() as u32; // ≥ #distinct ranks, trivially
         let (quant, b) = Replay {
             kind: SchedulerKind::quantized_lstf(k, MapperKind::Dynamic),
             ..Replay::new(&topo, &original, scenario.seed)
         }
-        .eager_set(replay_set, &mut ());
+        .eager(&packets, HeaderInit::LstfSlack, &mut ());
         prop_assert_eq!(
             &quant, &exact,
             "quantized K={} trace diverged from exact LSTF under {:?}",

@@ -616,8 +616,7 @@ impl Simulator {
     /// Record the hop arrival and enqueue `pkt` at the output port of its
     /// current node towards its next hop.
     fn route(&mut self, pkt: PacketRef, now: SimTime) {
-        let here = self.arena.get(pkt).current_node();
-        self.trace.on_arrive_at_hop(pkt, here, now);
+        self.trace.on_arrive_at_hop(&self.arena, pkt, now);
         self.forward(pkt, now);
     }
 
@@ -936,8 +935,12 @@ mod tests {
     /// Triangle 0-1-2 with all three bidirectional links; traffic 0→2
     /// via the direct link, detour via 1 available.
     fn triangle(kind: SchedulerKind) -> Simulator {
+        triangle_recording(kind, RecordMode::EndToEnd)
+    }
+
+    fn triangle_recording(kind: SchedulerKind, record: RecordMode) -> Simulator {
         let mut sim = Simulator::new(SimConfig {
-            record: RecordMode::EndToEnd,
+            record,
             ..SimConfig::default()
         });
         let link = Link {
@@ -1069,6 +1072,62 @@ mod tests {
         let r = sim.trace().get(PacketId(0)).unwrap();
         let want: Vec<NodeId> = vec![NodeId(0), NodeId(1), NodeId(0), NodeId(2)];
         assert_eq!(&*r.path, &want[..], "detour may backtrack");
+    }
+
+    /// A rerouted packet's hop list follows the links it crossed: sized
+    /// for the routed path on its first hop, it grows when the splice
+    /// makes the path longer.
+    #[test]
+    fn per_hop_record_of_a_rerouted_packet_lists_its_executed_hops() {
+        let mut sim = triangle_recording(SchedulerKind::Fifo, RecordMode::PerHop);
+        sim.set_dead_link_policy(DeadLinkPolicy::Reroute);
+        sim.set_reroute_oracle(Box::new(CannedOracle {
+            path: Some(vec![NodeId(1), NodeId(0), NodeId(2)]),
+            changes: Vec::new(),
+        }));
+        sim.inject(pkt_on(&[0, 1, 2], 0, SimTime::ZERO));
+        sim.schedule_link_state(SimTime::from_us(1), NodeId(1), NodeId(2), false);
+        sim.run();
+        assert_eq!(sim.stats().rerouted, 1);
+        let r = sim.trace().get(PacketId(0)).unwrap();
+        assert_eq!(r.hops.len(), r.path.len() - 1);
+        let hops: Vec<(NodeId, SimTime)> = r.hops.iter().map(|h| (h.node, h.arrived)).collect();
+        // 12us tx + 10us prop per link, no queueing.
+        let want = [(0, 0), (1, 22), (0, 44)].map(|(n, t)| (NodeId(n), SimTime::from_us(t)));
+        assert_eq!(hops, want);
+    }
+
+    /// Every `PerHop` record holds one hop per link of its path in one
+    /// exact allocation, whatever the path's length; an `EndToEnd` record
+    /// allocates no hop list at all.
+    #[test]
+    fn hop_lists_are_exact_under_per_hop_and_unallocated_otherwise() {
+        let paths: [&[u32]; 3] = [&[0, 1, 2, 3], &[3, 2, 1], &[1, 2]];
+        let mut sim = line_network(4, SchedulerKind::Fifo);
+        for i in 0..30 {
+            sim.inject(pkt_on(paths[i as usize % 3], i, SimTime::from_us(i / 4)));
+        }
+        sim.run();
+        // `get` reads the stored record; a stream would hand out clones.
+        let trace = sim.into_trace();
+        let records: Vec<_> = (0..30).map(|i| trace.get(PacketId(i)).unwrap()).collect();
+        for (id, r) in records.iter().enumerate() {
+            assert!(r.exited.is_some(), "packet {id}");
+            assert_eq!(r.hops.len(), r.path.len() - 1, "packet {id}");
+            assert_eq!(r.hops.capacity(), r.hops.len(), "packet {id}");
+        }
+        assert!(records.iter().any(|r| r.congestion_points() > 0));
+
+        let mut sim = triangle(SchedulerKind::Fifo);
+        for i in 0..10 {
+            sim.inject(pkt_on(&[0, 1, 2], i, SimTime::ZERO));
+        }
+        sim.run();
+        let trace = sim.into_trace();
+        for i in 0..10 {
+            let r = trace.get(PacketId(i)).unwrap();
+            assert!(r.exited.is_some() && r.hops.capacity() == 0, "packet {i}");
+        }
     }
 
     #[test]

@@ -270,17 +270,26 @@ impl Trace {
         }
     }
 
+    /// `pkt` reached the node at its current hop, which forwards it. A
+    /// packet's first hop sizes its hop list to the hops left on its path,
+    /// so a record's list is one allocation of exactly `path.len() − 1`
+    /// entries; only a reroute onto a longer path grows it.
     #[inline]
-    pub(crate) fn on_arrive_at_hop(&mut self, pkt: PacketRef, node: NodeId, now: SimTime) {
+    pub(crate) fn on_arrive_at_hop(&mut self, arena: &PacketArena, pkt: PacketRef, now: SimTime) {
         if self.mode != RecordMode::PerHop {
             return;
         }
+        let p = arena.get(pkt);
         let slot = pkt.slot() as usize;
         if slot >= self.hops.len() {
             self.hops.resize_with(slot + 1, Vec::new);
         }
-        self.hops[slot].push(HopRecord {
-            node,
+        let hops = &mut self.hops[slot];
+        if hops.capacity() == 0 {
+            hops.reserve_exact(p.path.len() - 1 - p.hop as usize);
+        }
+        hops.push(HopRecord {
+            node: p.current_node(),
             arrived: now,
             tx_start: SimTime::MAX, // patched on first tx start
             waited: Dur::ZERO,
@@ -579,15 +588,18 @@ mod tests {
 
     #[test]
     fn per_hop_records_congestion_points() {
-        let (mut t, arena, refs) = injected(RecordMode::PerHop, None, 1);
+        let (mut t, mut arena, refs) = injected(RecordMode::PerHop, None, 1);
         let p = refs[0];
-        t.on_arrive_at_hop(p, NodeId(0), SimTime::ZERO);
+        t.on_arrive_at_hop(&arena, p, SimTime::ZERO);
         t.on_tx_start(p, NodeId(0), SimTime::from_us(4), Dur::from_us(4));
-        t.on_arrive_at_hop(p, NodeId(1), SimTime::from_us(20));
+        arena.get_mut(p).hop = 1;
+        t.on_arrive_at_hop(&arena, p, SimTime::from_us(20));
         t.on_tx_start(p, NodeId(1), SimTime::from_us(20), Dur::ZERO);
         t.on_exit(&arena, p, SimTime::from_us(40));
         let r = t.get(PacketId(0)).unwrap();
         assert_eq!(r.congestion_points(), 1);
+        // Sized on the first hop to the path's two links: no slack.
+        assert_eq!((r.hops.len(), r.hops.capacity()), (2, 2));
         assert_eq!(
             r.hop_tx_starts().collect::<Vec<_>>(),
             vec![SimTime::from_us(4), SimTime::from_us(20)]
@@ -597,7 +609,7 @@ mod tests {
     #[test]
     fn per_hop_wait_accumulates_over_preemption_segments() {
         let (mut t, arena, refs) = injected(RecordMode::PerHop, None, 1);
-        t.on_arrive_at_hop(refs[0], NodeId(0), SimTime::ZERO);
+        t.on_arrive_at_hop(&arena, refs[0], SimTime::ZERO);
         t.on_tx_start(refs[0], NodeId(0), SimTime::from_us(2), Dur::from_us(2));
         // Preempted, resumed later with 3us more waiting.
         t.on_tx_start(refs[0], NodeId(0), SimTime::from_us(9), Dur::from_us(3));
@@ -656,7 +668,7 @@ mod tests {
         let (mut t, mut arena, refs) = injected(mode, caps, n);
         for (id, &p) in refs.iter().enumerate().rev() {
             let id = id as u64;
-            t.on_arrive_at_hop(p, NodeId(0), SimTime::from_us(id));
+            t.on_arrive_at_hop(&arena, p, SimTime::from_us(id));
             t.on_tx_start(p, NodeId(0), SimTime::from_us(id + 1), Dur::from_us(1));
             if id % 7 == 3 {
                 let cause = [DropCause::Buffer, DropCause::DeadLink][id as usize % 2];

@@ -63,9 +63,10 @@ fn main() {
     {
         use ups::core::replay::{replay_packets, run_schedule};
         use ups::prelude::*;
+        let table = sched.original_trace();
         let seeded = replay_packets(
             &sched.net.topo,
-            &sched.original_trace(),
+            &table,
             &sched.packets,
             HeaderInit::Omniscient,
         );
