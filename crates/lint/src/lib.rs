@@ -48,7 +48,6 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "metrics",
     "netsim",
     "obs",
-    "race",
     "sweep",
     "topology",
     "transport",
@@ -59,14 +58,6 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 /// and the bench harness): only the general rules (`unsafe-audit`,
 /// `atomic-ordering`) apply.
 pub const GENERAL_CRATES: &[&str] = &["bench", "proptest", "rand"];
-
-/// Crates whose library code must route concurrency primitives through
-/// the `ups_race` shim (`raw-sync` rule): the model checker mirrors
-/// exactly the shim surface, so a direct `std::sync`/`std::thread` use
-/// here is a primitive the checker silently does not cover.
-/// `std::sync::Arc`/`Weak` are exempt (ownership, not synchronization),
-/// as are `#[cfg(test)]` regions.
-pub const SYNC_SHIM_CRATES: &[&str] = &["obs", "sweep"];
 
 /// Hot-path crates where a stray panic aborts a whole sweep job
 /// (`panic-path` rule): `unwrap`/`expect`/`panic!`/computed indexing in

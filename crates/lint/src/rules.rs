@@ -74,12 +74,6 @@ pub const RULES: &[RuleInfo] = &[
         suppressible: true,
     },
     RuleInfo {
-        name: "raw-sync",
-        desc:
-            "std::sync/std::thread outside the ups_race shim in the pool/obs crates — the model-checked surface must not grow stale",
-        suppressible: true,
-    },
-    RuleInfo {
         name: "panic-path",
         desc:
             "unwrap/expect/panic!/computed index in hot-path crates — handle it, or annotate why it cannot fire",
@@ -249,53 +243,6 @@ pub fn check_file(path: &str, src: &str, class: FileClass) -> Vec<Finding> {
                     line,
                     "ps-narrowing",
                     format!("as_ps() as {ty}: u64 picoseconds do not fit {ty}; widen to i128/u128 or annotate the bound"),
-                );
-            }
-        }
-    }
-
-    // --- raw-sync: library code of shim-routed crates. The import is
-    // the hazard here (unlike wall-clock), so `use` lines are NOT
-    // exempt; `#[cfg(test)]` regions are (tests may sleep/spawn freely
-    // — the model checker covers library behavior, not test harness).
-    let in_shim_scope = crate::SYNC_SHIM_CRATES
-        .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")));
-    if in_shim_scope {
-        for needle in ["std::sync", "std::thread"] {
-            for (at, _) in scanned.code.match_indices(needle) {
-                if scanned.code[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(crate::scan::is_ident_char)
-                {
-                    continue;
-                }
-                let line = line_of(&starts, at);
-                if in_test(line) {
-                    continue;
-                }
-                let after = &scanned.code[at + needle.len()..];
-                if needle == "std::sync" {
-                    let seg: String = after
-                        .strip_prefix("::")
-                        .map(|r| {
-                            r.chars()
-                                .take_while(|&ch| crate::scan::is_ident_char(ch))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    if seg == "Arc" || seg == "Weak" {
-                        continue; // ownership, not synchronization
-                    }
-                }
-                f(
-                    line,
-                    "raw-sync",
-                    format!(
-                        "{needle} outside the ups_race shim: route through ups_race::{} so the model checker covers it",
-                        if needle == "std::sync" { "sync" } else { "thread" }
-                    ),
                 );
             }
         }
@@ -723,49 +670,8 @@ mod tests {
         assert!(det(src).is_empty());
     }
 
-    fn shim(src: &str) -> Vec<Finding> {
-        check_file("crates/sweep/src/pool.rs", src, FileClass::Determinism)
-    }
-
     fn hot(src: &str) -> Vec<Finding> {
         check_file("crates/netsim/src/sim.rs", src, FileClass::Determinism)
-    }
-
-    #[test]
-    fn raw_sync_flags_std_sync_and_thread_in_shim_crates() {
-        let src = "use std::sync::Mutex;\nfn f() { std::thread::spawn(|| {}); }\n";
-        let f = shim(src);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == "raw-sync"));
-    }
-
-    #[test]
-    fn raw_sync_is_path_scoped() {
-        let src = "use std::sync::Mutex;\n";
-        assert!(det(src).is_empty(), "x.rs is not a shim crate");
-        assert!(
-            check_file("crates/netsim/src/sim.rs", src, FileClass::Determinism).is_empty(),
-            "netsim is not a shim crate"
-        );
-        assert!(
-            check_file("crates/sweep/tests/pool.rs", src, FileClass::TestOnly).is_empty(),
-            "tests/ is outside src/"
-        );
-    }
-
-    #[test]
-    fn raw_sync_exempts_arc_weak_and_test_regions() {
-        let src = "use std::sync::Arc;\nuse std::sync::Weak;\n#[cfg(test)]\nmod tests {\n use std::sync::Mutex;\n fn t() { std::thread::sleep(d); }\n}\n";
-        assert!(shim(src).is_empty(), "{:?}", shim(src));
-    }
-
-    #[test]
-    fn raw_sync_flags_arc_atomics_and_suppression_works() {
-        let f = shim("use std::sync::atomic::AtomicU64;\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "raw-sync");
-        let ok = "// lint:allow(raw-sync): registry handle only, never under model check\nuse std::sync::mpsc;\n";
-        assert!(shim(ok).is_empty());
     }
 
     #[test]

@@ -107,31 +107,13 @@ fn suppressions_eof_fixture() {
 }
 
 /// Check a fixture under a synthetic in-repo path so the path-scoped
-/// rules (raw-sync, panic-path) see it as crate library code.
+/// rule (panic-path) sees it as crate library code.
 fn fixture_at(name: &str, synthetic_path: &str) -> Vec<Finding> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join(name);
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
     check_file(synthetic_path, &src, FileClass::Determinism)
-}
-
-#[test]
-fn raw_sync_fixture() {
-    assert_eq!(
-        pins(&fixture_at("raw_sync.rs", "crates/sweep/src/raw_sync.rs")),
-        vec![(5, "raw-sync"), (10, "raw-sync"), (14, "raw-sync")]
-    );
-}
-
-#[test]
-fn raw_sync_fixture_is_silent_outside_the_shim_crates() {
-    // The rule itself stays quiet — which in turn makes the fixture's
-    // one allow annotation stale, and that IS reported.
-    assert_eq!(
-        pins(&fixture("raw_sync.rs")),
-        vec![(19, "unused-suppression")]
-    );
 }
 
 #[test]
@@ -175,7 +157,6 @@ fn fixture_findings_are_deterministic() {
         "unsafe_audit.rs",
         "suppressions.rs",
         "suppressions_eof.rs",
-        "raw_sync.rs",
         "panic_path.rs",
         "scanner_edges.rs",
     ] {

@@ -13,8 +13,8 @@
 //! ([`snapshot`]) tolerates tearing *between* cells (each cell itself is
 //! a single atomic word).
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-use ups_race::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A coarse engine phase whose wall-clock time is accumulated while the
 /// gate is on. Sub-phases nest inside [`Phase::Dispatch`] (an enqueue

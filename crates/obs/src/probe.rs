@@ -10,7 +10,7 @@
 //! Attachment is `Option<SharedProbe>` on the simulator: with no probe
 //! attached the per-event cost is a single never-taken branch.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::gate::{Counter, Phase};
 
@@ -52,7 +52,7 @@ pub struct TimeSeries {
 /// single-threaded) and locked once per sample tick, not per event.
 #[derive(Debug, Clone)]
 pub struct SharedProbe {
-    inner: Arc<ups_race::sync::Mutex<TimeSeries>>,
+    inner: Arc<Mutex<TimeSeries>>,
 }
 
 const POISONED: &str = "probe lock poisoned: a thread panicked while recording";
@@ -65,7 +65,7 @@ impl SharedProbe {
     pub fn new(interval_ps: u64) -> Self {
         assert!(interval_ps > 0, "sampling interval must be positive");
         SharedProbe {
-            inner: Arc::new(ups_race::sync::Mutex::new(TimeSeries {
+            inner: Arc::new(Mutex::new(TimeSeries {
                 interval_ps,
                 rows: Vec::new(),
             })),

@@ -52,7 +52,7 @@ struct Args {
 }
 
 fn default_workers() -> usize {
-    ups_race::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8)

@@ -16,9 +16,9 @@
 //! [`JobSpec`]: crate::grid::JobSpec
 
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use ups_race::sync::atomic::{AtomicU64, Ordering};
-use ups_race::sync::{Mutex, PoisonError};
 
 use crate::telemetry::{HeartbeatConfig, HeartbeatRecord, Ticker, WorkerRow};
 
@@ -167,7 +167,7 @@ where
 
     let mut slots: Vec<Option<Result<R, String>>> =
         std::iter::repeat_with(|| None).take(jobs.len()).collect();
-    ups_race::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let (cursor, tel, ticker, f) = (&cursor, &tel, &ticker, &f);
@@ -196,9 +196,8 @@ where
                         cells.jobs.fetch_add(1, Ordering::Relaxed);
                         tel.done.fetch_add(1, Ordering::Relaxed);
                         if let Some(ticker) = ticker {
-                            // Read under the lock (ticks stay monotone) on
-                            // every completion (the model checker's
-                            // decision points never depend on the clock).
+                            // Read the counters under the lock, so ticks
+                            // stay monotone.
                             let mut ticker = ticker.lock().unwrap_or_else(PoisonError::into_inner);
                             ticker.completed(tel.tick(total, t0.elapsed().as_secs_f64()));
                         }
@@ -339,10 +338,9 @@ mod tests {
         // catch_unwind, so a panicking job is billed like any other. The
         // pool asserts Σ per-worker jobs == done == jobs before it
         // re-raises; a lost bill would surface here as that assertion
-        // instead of the job's own panic. The ups-race model checks the
-        // same on every interleaving of small configs
-        // (tests/pool_model.rs, dfs_pool_panic_isolation); this is the
-        // full-size regression test on real threads.
+        // instead of the job's own panic. This is the full-size
+        // regression test; `tests/pool_model.rs` repeats it on small
+        // two-worker configs, round after round.
         let jobs: Vec<usize> = (0..30).collect();
         let heartbeat = HeartbeatConfig {
             progress: false,
@@ -365,6 +363,25 @@ mod tests {
         .expect_err("the job panic must propagate");
         let msg = panic_message(caught.as_ref());
         assert_eq!(msg, "sweep job 7 (7) panicked: boom");
+    }
+
+    #[test]
+    fn first_heartbeat_tick_counts_its_own_completion() {
+        // The worker bills `done` before it takes the tick, so the first
+        // tick already counts the job that triggered it. One worker makes
+        // that tick deterministic: it follows job 0 and nothing else.
+        let heartbeat = HeartbeatConfig {
+            progress: false,
+            jsonl: None,
+        };
+        let (_, stats) = run_jobs_telemetry(
+            &[0, 1, 2],
+            1,
+            |i, _| format!("{i}"),
+            Some(heartbeat),
+            |_, &j| j,
+        );
+        assert_eq!(stats.ticks.first().map(|t| t.done), Some(1));
     }
 
     #[test]

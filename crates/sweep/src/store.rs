@@ -21,7 +21,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::ops::RangeBounds;
 use std::path::{Path, PathBuf};
-use ups_race::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::grid::ScenarioGrid;
 use crate::json::{parse, JsonValue};
@@ -59,10 +59,7 @@ impl ResultStream {
     /// the pool, and later jobs must surface the *real* I/O error, not
     /// a cascade of "stream poisoned".
     pub fn append(&self, record: &JobRecord) {
-        let mut out = self
-            .out
-            .lock()
-            .unwrap_or_else(ups_race::sync::PoisonError::into_inner);
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         writeln!(out, "{}", record.to_json(true)).expect("write JSONL record");
         out.flush().expect("flush JSONL record");
     }

@@ -68,7 +68,6 @@ pub use ups_lint as lint;
 pub use ups_metrics as metrics;
 pub use ups_netsim as netsim;
 pub use ups_obs as obs;
-pub use ups_race as race;
 pub use ups_sweep as sweep;
 pub use ups_topology as topology;
 pub use ups_transport as transport;
