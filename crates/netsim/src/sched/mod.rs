@@ -3,8 +3,9 @@
 //! Everything the paper's evaluation schedules with lives here:
 //!
 //! * the **original-schedule** disciplines of Table 1 — [`Fifo`], [`Lifo`],
-//!   [`Random`], [`FairQueueing`], [`Sjf`], [`FifoPlus`] — plus [`Srpt`]
-//!   and [`Drr`] used in §3,
+//!   [`Random`], [`FairQueueing`], [`Sjf`], [`FifoPlus`] — plus [`Srpt`],
+//!   which Fig. 2 runs, and [`Drr`], offered as an original discipline
+//!   that no paper experiment runs,
 //! * the **replay candidates** — [`Lstf`] (non-preemptive and preemptive),
 //!   [`Edf`] (the equivalent static-header formulation, App. E) and
 //!   [`Priority`] (the simple-priorities baseline of §2.3(7) and App. F).

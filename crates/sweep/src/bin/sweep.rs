@@ -19,12 +19,14 @@
 //! ```
 //!
 //! Writes one JSON line per finished job to `--jsonl` (completion order,
-//! live progress) and the sorted aggregate to `--out`; `--check`
-//! re-validates the aggregate after writing and fails the process if the
-//! artifact doesn't conform.
+//! live progress), the sorted aggregate to `--out` and, with
+//! `--telemetry`, the heartbeat time series; `--check` re-validates the
+//! aggregate after writing and fails the process if the artifact doesn't
+//! conform.
 
 use std::fs::File;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -103,17 +105,15 @@ EXECUTION & OUTPUT:
   --workers N         worker threads (default: min(cores, 8))
   --out PATH          aggregate artifact (default BENCH_sweep.json)
   --jsonl PATH        streamed records (default sweep_results.jsonl)
-  --telemetry BASE    write sweep telemetry: one heartbeat JSON line to
-                      BASE.heartbeat.jsonl (done/total, jobs/sec, ETA,
+  --telemetry PATH    write the heartbeat time series to PATH when the
+                      sweep ends: one tick (done/total, jobs/sec, ETA,
                       per-worker jobs and utilization) at the first job
                       completion, then at completions at least a second
-                      apart, then once at the end — no line while every
-                      worker is still inside a job — plus the run-level
-                      BASE.timeseries.json artifact, schema-checked by
+                      apart, then once at the end; schema-checked by
                       --validate like any BENCH_*.json
   --check             validate the artifact after writing
   --quiet             suppress per-job lines and the throttled stderr
-                      `# progress` heartbeat (telemetry files still write)
+                      `# progress` heartbeat (--telemetry still writes)
 
 EXPLAIN (replay-divergence forensics; re-runs ONE job with per-hop
 recording and attributes every mismatched packet):
@@ -307,12 +307,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// `BASE` + literal suffix: `--telemetry runs/ci` names
-/// `runs/ci.heartbeat.jsonl` and `runs/ci.timeseries.json`.
-fn with_suffix(base: &std::path::Path, suffix: &str) -> PathBuf {
-    let mut s = base.as_os_str().to_os_string();
-    s.push(suffix);
-    PathBuf::from(s)
+/// Open an output for writing before any work starts, or say on stderr
+/// why it cannot be opened. Without `truncate`, an existing file keeps
+/// its contents until the caller rewrites it.
+fn open_output(path: &Path, truncate: bool) -> Option<File> {
+    let mut options = File::options();
+    options.write(true).create(true).truncate(truncate);
+    let file = options.open(path);
+    file.map_err(|e| eprintln!("sweep: cannot open {}: {e}", path.display()))
+        .ok()
 }
 
 fn list_registries() {
@@ -398,15 +401,23 @@ fn run_explain(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Open the export before the re-run, so a bad path costs no work.
+    let mut perfetto = None;
+    if let Some(path) = &args.perfetto {
+        let Some(file) = open_output(path, true) else {
+            return ExitCode::FAILURE;
+        };
+        perfetto = Some((path, file));
+    }
     let shared = runner::SharedScenarios::for_jobs([&spec]);
-    match explain_job(&spec, &shared, args.perfetto.is_some()) {
+    match explain_job(&spec, &shared, perfetto.is_some()) {
         Ok(ex) => {
             print!("{}", ex.render(args.top));
             // `--perfetto` attached the probe, so the series is there.
-            if let Some((path, series)) = args.perfetto.as_ref().zip(ex.series.as_ref()) {
+            if let Some(((path, file), series)) = perfetto.as_mut().zip(ex.series.as_ref()) {
                 let markers = ex.markers();
                 let doc = ups_obs::trace_event_json_with_markers(series, &markers);
-                if let Err(e) = std::fs::write(path, doc) {
+                if let Err(e) = file.write_all(doc.as_bytes()) {
                     eprintln!("sweep: cannot write {}: {e}", path.display());
                     return ExitCode::FAILURE;
                 }
@@ -481,20 +492,19 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    // Open every output before any job runs, the heartbeat stream first
-    // so a bad --telemetry path leaves --jsonl untouched.
-    let heartbeat_jsonl = match &args.telemetry {
-        Some(base) => {
-            let path = with_suffix(base, ".heartbeat.jsonl");
-            match File::create(&path) {
-                Ok(f) => Some(f),
-                Err(e) => {
-                    eprintln!("sweep: cannot open {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
+    // Open every output before any job runs, --jsonl last, so a bad
+    // --telemetry or --out path leaves --jsonl untouched. --out is opened
+    // without truncating: its default is the committed BENCH_sweep.json,
+    // which a failed run must leave intact.
+    let mut telemetry = None;
+    if let Some(path) = &args.telemetry {
+        let Some(file) = open_output(path, true) else {
+            return ExitCode::FAILURE;
+        };
+        telemetry = Some((path, file));
+    }
+    let Some(mut out) = open_output(&args.out, false) else {
+        return ExitCode::FAILURE;
     };
     let stream = match ResultStream::create(&args.jsonl) {
         Ok(s) => s,
@@ -554,10 +564,7 @@ fn main() -> ExitCode {
     let shared_ref = &shared;
     // The heartbeat ticks as jobs finish, at most once a second; it
     // observes the pool but never feeds back into job execution.
-    let heartbeat = HeartbeatConfig {
-        progress: !quiet,
-        jsonl: heartbeat_jsonl,
-    };
+    let heartbeat = HeartbeatConfig { progress: !quiet };
     let (records, stats) = pool::run_jobs_telemetry(
         &jobs,
         args.workers,
@@ -611,7 +618,7 @@ fn main() -> ExitCode {
     let wall_s = t0.elapsed().as_secs_f64();
 
     let doc = bench_sweep_json(&args.grid, &records, &stats, wall_s);
-    if let Err(e) = std::fs::write(&args.out, &doc) {
+    if let Err(e) = out.set_len(0).and_then(|()| out.write_all(doc.as_bytes())) {
         eprintln!("sweep: cannot write {}: {e}", args.out.display());
         return ExitCode::FAILURE;
     }
@@ -627,17 +634,15 @@ fn main() -> ExitCode {
         args.out.display(),
         args.jsonl.display()
     );
-    if let Some(base) = &args.telemetry {
-        let ts_path = with_suffix(base, ".timeseries.json");
+    if let Some((path, file)) = telemetry.as_mut() {
         let ts_doc = timeseries_json(&stats.ticks, stats.workers, wall_s);
-        if let Err(e) = std::fs::write(&ts_path, &ts_doc) {
-            eprintln!("sweep: cannot write {}: {e}", ts_path.display());
+        if let Err(e) = file.write_all(ts_doc.as_bytes()) {
+            eprintln!("sweep: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
         println!(
-            "# wrote {} and {} ({} heartbeat ticks)",
-            ts_path.display(),
-            with_suffix(base, ".heartbeat.jsonl").display(),
+            "# wrote {} ({} heartbeat ticks)",
+            path.display(),
             stats.ticks.len()
         );
         // The artifact we just wrote must pass the same gate CI applies.

@@ -342,16 +342,12 @@ mod tests {
         // regression test; `tests/pool_model.rs` repeats it on small
         // two-worker configs, round after round.
         let jobs: Vec<usize> = (0..30).collect();
-        let heartbeat = HeartbeatConfig {
-            progress: false,
-            jsonl: None,
-        };
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_jobs_telemetry(
                 &jobs,
                 3,
                 |i, _| format!("{i}"),
-                Some(heartbeat),
+                Some(HeartbeatConfig { progress: false }),
                 |_, &j| {
                     if j == 7 {
                         panic!("boom");
@@ -370,15 +366,11 @@ mod tests {
         // The worker bills `done` before it takes the tick, so the first
         // tick already counts the job that triggered it. One worker makes
         // that tick deterministic: it follows job 0 and nothing else.
-        let heartbeat = HeartbeatConfig {
-            progress: false,
-            jsonl: None,
-        };
         let (_, stats) = run_jobs_telemetry(
             &[0, 1, 2],
             1,
             |i, _| format!("{i}"),
-            Some(heartbeat),
+            Some(HeartbeatConfig { progress: false }),
             |_, &j| j,
         );
         assert_eq!(stats.ticks.first().map(|t| t.done), Some(1));

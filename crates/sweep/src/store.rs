@@ -1,6 +1,6 @@
 //! The machine-readable result store.
 //!
-//! Two artifacts, following the DESIGN.md §5 pattern:
+//! Two sweep artifacts, following the DESIGN.md §5 pattern:
 //!
 //! * a **JSON-lines stream** — one self-describing record per job,
 //!   appended the moment the job finishes on whichever worker ran it
@@ -10,11 +10,13 @@
 //!   every record sorted by job id.
 //!
 //! The other half gates every tagged artifact the repository commits or
-//! CI writes: [`validate_artifact`] parses a document once, dispatches on
-//! its `schema` tag and returns a one-line confirmation or an error naming
-//! the offending field. One version of each tag is accepted — the one a
-//! committed artifact or a CI step produces. Validators read fields through
-//! one cursor (`Cur`), leaving each a field list plus its cross-field rules.
+//! CI writes — these two, the bench documents and the `sweep --telemetry`
+//! time series: [`validate_artifact`] parses a document once, dispatches
+//! on its `schema` tag and returns a one-line confirmation or an error
+//! naming the offending field. One version of each tag is accepted — the
+//! one a committed artifact or a CI step produces. Validators read fields
+//! through one cursor (`Cur`), leaving each a field list plus its
+//! cross-field rules.
 
 use std::fmt::Debug;
 use std::fs::File;
@@ -27,7 +29,7 @@ use crate::grid::ScenarioGrid;
 use crate::json::{parse, JsonValue};
 use crate::pool::PoolStats;
 use crate::runner::{JobRecord, RECORD_SCHEMA};
-use crate::telemetry::{HEARTBEAT_SCHEMA, TIMESERIES_SCHEMA};
+use crate::telemetry::TIMESERIES_SCHEMA;
 
 /// Schema tag of the aggregate artifact this build writes, and the only
 /// one [`validate_bench_sweep`] accepts.
@@ -494,34 +496,39 @@ fn scale(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-/// `*.timeseries.json`, the run-level artifact `sweep --telemetry`
-/// writes: a non-empty tick history with monotone `t_s`/`done`, one row
-/// per worker on every tick, and a final completion tick where
-/// `done == total`.
+/// The [`TIMESERIES_SCHEMA`] document `sweep --telemetry` writes: a
+/// non-empty history of untagged ticks, all of one sweep (one `total`),
+/// with monotone `t_s`/`done`, one row per worker on every tick in worker
+/// order, and a final completion tick where `done == total`.
 fn timeseries(doc: &Cur) -> Result<String, String> {
     let workers = doc.within("workers", 1.0..)?;
     let wall_s = doc.within("wall_s", 0.0..)?;
     let ticks = doc.rows("heartbeats")?;
     let rule = "is empty (the completion tick always fires)";
-    doc.ensure(!ticks.is_empty(), "heartbeats", rule)?;
-    let (mut last_t, mut last_done, mut last_total) = (f64::NEG_INFINITY, 0.0, 0.0);
+    let Some(first) = ticks.first() else {
+        return doc.fail("heartbeats", rule);
+    };
+    let total = first.num("total")?;
+    let (mut last_t, mut last_done) = (f64::NEG_INFINITY, 0.0);
     for tick in &ticks {
-        tick.tagged(HEARTBEAT_SCHEMA)?;
+        let rule = "must equal the first tick's total";
+        tick.ensure(tick.num("total")? == total, "total", rule)?;
         // Progress never runs backwards, and never past the total.
         let t_s = tick.within("t_s", last_t..)?;
-        let total = tick.num("total")?;
         let done = tick.within("done", last_done..=total)?;
         tick.num("jobs_per_sec")?;
         let rows = tick.rows("workers")?;
         let rule = "must hold one row per pool worker";
         tick.ensure(rows.len() == workers as usize, "workers", rule)?;
-        for row in rows {
-            row.nums(&["worker", "jobs", "busy_s", "utilization"])?;
+        for (i, row) in rows.iter().enumerate() {
+            row.nums(&["jobs", "busy_s", "utilization"])?;
+            let rule = format!("must be {i}, the row's index");
+            row.ensure(row.num("worker")? == i as f64, "worker", &rule)?;
         }
-        (last_t, last_done, last_total) = (t_s, done, total);
+        (last_t, last_done) = (t_s, done);
     }
     let rule = "must end on the completion tick (done == total)";
-    doc.ensure(last_done == last_total, "heartbeats", rule)?;
+    doc.ensure(last_done == total, "heartbeats", rule)?;
     Ok(format!(
         "{} heartbeat ticks over {wall_s:.2}s, {last_done} jobs on {workers} workers",
         ticks.len()
@@ -913,17 +920,15 @@ mod tests {
     }
 
     const TIMESERIES_DOC: &str = r#"{
-  "schema": "ups-obs-timeseries/v2",
+  "schema": "ups-obs-timeseries/v3",
   "workers": 2,
   "wall_s": 1.25,
   "heartbeats": [
-    {"schema": "ups-obs-heartbeat/v2", "t_s": 0.5, "done": 4, "total": 8,
-     "jobs_per_sec": 8.0, "eta_s": 0.5,
+    {"t_s": 0.5, "done": 4, "total": 8, "jobs_per_sec": 8.0, "eta_s": 0.5,
      "workers": [
        {"worker": 0, "jobs": 2, "busy_s": 0.4, "utilization": 0.8},
        {"worker": 1, "jobs": 2, "busy_s": 0.3, "utilization": 0.6}]},
-    {"schema": "ups-obs-heartbeat/v2", "t_s": 1.25, "done": 8, "total": 8,
-     "jobs_per_sec": 6.4, "eta_s": 0.0,
+    {"t_s": 1.25, "done": 8, "total": 8, "jobs_per_sec": 6.4, "eta_s": 0.0,
      "workers": [
        {"worker": 0, "jobs": 5, "busy_s": 1.1, "utilization": 0.88},
        {"worker": 1, "jobs": 3, "busy_s": 0.9, "utilization": 0.72}]}
@@ -954,12 +959,27 @@ mod tests {
             "$.heartbeats[0].workers must hold one row per pool worker",
         );
         // The pool always takes at least the completion tick.
-        let empty = r#"{"schema": "ups-obs-timeseries/v2", "workers": 1,
+        let empty = r#"{"schema": "ups-obs-timeseries/v3", "workers": 1,
                         "wall_s": 0.0, "heartbeats": []}"#;
         rejects(
             empty,
             "$.heartbeats is empty (the completion tick always fires)",
         );
+    }
+
+    #[test]
+    fn timeseries_ticks_share_one_total() {
+        let grown = TIMESERIES_DOC.replace(r#""done": 4, "total": 8"#, r#""done": 4, "total": 6"#);
+        rejects(
+            &grown,
+            "$.heartbeats[1].total must equal the first tick's total",
+        );
+    }
+
+    #[test]
+    fn timeseries_worker_rows_are_in_worker_order() {
+        let swapped = TIMESERIES_DOC.replacen(r#""worker": 0"#, r#""worker": 1"#, 1);
+        rejects(&swapped, "$.heartbeats[0].workers[0].worker must be 0");
     }
 
     #[test]

@@ -1,24 +1,18 @@
-//! The sweep heartbeat: [`HeartbeatRecord`] ticks (schema
-//! [`HEARTBEAT_SCHEMA`]) — done/total, jobs/sec, ETA, per-worker
-//! utilization — taken by the pool on the worker that has just billed a
-//! job: on the first completion, then at least a second apart, plus one
-//! completion tick after the last join. The counters a tick reports
-//! change only when a job finishes, so no tick is written between
-//! completions. Each tick becomes a throttled stderr progress line, an
-//! optional `*.heartbeat.jsonl` line, and one entry of the run-level
-//! [`timeseries_json`] document (schema [`TIMESERIES_SCHEMA`]). Ticks
-//! only read counters, so they cannot perturb job results.
-
-use std::fs::File;
-use std::io::Write as _;
+//! The sweep heartbeat: [`HeartbeatRecord`] ticks — done/total,
+//! jobs/sec, ETA, per-worker utilization — taken by the pool on the
+//! worker that has just billed a job: on the first completion, then at
+//! least a second apart, plus one completion tick after the last join.
+//! The counters a tick reports change only when a job finishes, so no
+//! tick is written between completions. Each tick becomes a throttled
+//! stderr progress line and one untagged row of the run-level
+//! [`timeseries_json`] document, whose one tag is [`TIMESERIES_SCHEMA`].
+//! Ticks only read counters, so they cannot perturb job results.
 
 use ups_metrics::{json_num, json_opt_num};
 
-/// Schema tag of one heartbeat JSONL line.
-pub const HEARTBEAT_SCHEMA: &str = "ups-obs-heartbeat/v2";
-
-/// Schema tag of the run-level time-series artifact.
-pub const TIMESERIES_SCHEMA: &str = "ups-obs-timeseries/v2";
+/// Schema tag of the run-level time-series artifact, the one tag its
+/// ticks and worker rows travel under.
+pub const TIMESERIES_SCHEMA: &str = "ups-obs-timeseries/v3";
 
 /// Least wall time between two ticks taken at job completions, in
 /// seconds.
@@ -30,10 +24,6 @@ const INTERVAL_S: f64 = 1.0;
 pub struct HeartbeatConfig {
     /// Print a `# progress ...` line to stderr each tick.
     pub progress: bool,
-    /// Append one heartbeat JSON line per tick to this open file. A
-    /// failed write ends the stream with one stderr line; the ticks are
-    /// still recorded.
-    pub jsonl: Option<File>,
 }
 
 /// One worker's accounting at a heartbeat tick (cumulative).
@@ -51,7 +41,7 @@ pub struct WorkerRow {
 
 impl WorkerRow {
     /// One JSON object, flat.
-    // lint:schema(ups-obs-heartbeat/v2)
+    // lint:schema(ups-obs-timeseries/v3)
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -99,16 +89,16 @@ impl HeartbeatRecord {
         }
     }
 
-    /// One self-describing JSON line (no trailing newline).
-    // lint:schema(ups-obs-heartbeat/v2)
+    /// One row of the time-series document, on one line (no trailing
+    /// newline). The envelope carries the tag; the row carries none.
+    // lint:schema(ups-obs-timeseries/v3)
     pub fn to_json(&self) -> String {
         let workers: Vec<String> = self.workers.iter().map(|w| w.to_json()).collect();
         format!(
             concat!(
-                "{{\"schema\": \"{}\", \"t_s\": {}, \"done\": {}, \"total\": {}, ",
+                "{{\"t_s\": {}, \"done\": {}, \"total\": {}, ",
                 "\"jobs_per_sec\": {}, \"eta_s\": {}, \"workers\": [{}]}}"
             ),
-            HEARTBEAT_SCHEMA,
             json_num(self.t_s),
             self.done,
             self.total,
@@ -119,10 +109,10 @@ impl HeartbeatRecord {
     }
 }
 
-/// Render the run-level `ups-obs-timeseries/v2` document from the tick
+/// Render the run-level `ups-obs-timeseries/v3` document from the tick
 /// history. `workers` is the finished pool's width; `wall_s` the whole
 /// sweep.
-// lint:schema(ups-obs-timeseries/v2)
+// lint:schema(ups-obs-timeseries/v3)
 pub fn timeseries_json(records: &[HeartbeatRecord], workers: usize, wall_s: f64) -> String {
     let body: Vec<String> = records
         .iter()
@@ -191,12 +181,6 @@ impl Ticker {
     }
 
     fn emit(&mut self, r: HeartbeatRecord) {
-        if let Some(out) = self.config.jsonl.as_mut() {
-            if let Err(e) = out.write_all(format!("{}\n", r.to_json()).as_bytes()) {
-                eprintln!("sweep: heartbeat stream stopped: {e}");
-                self.config.jsonl = None;
-            }
-        }
         if self.config.progress {
             progress_line(&r);
         }
@@ -208,11 +192,8 @@ impl Ticker {
 mod tests {
     use super::*;
 
-    fn ticker(jsonl: Option<File>) -> Ticker {
-        Ticker::new(HeartbeatConfig {
-            progress: false,
-            jsonl,
-        })
+    fn ticker() -> Ticker {
+        Ticker::new(HeartbeatConfig { progress: false })
     }
 
     fn tick(t_s: f64, done: u64) -> HeartbeatRecord {
@@ -241,7 +222,7 @@ mod tests {
             }],
         };
         let j = r.to_json();
-        assert!(j.starts_with(&format!("{{\"schema\": \"{HEARTBEAT_SCHEMA}\"")));
+        assert!(j.starts_with("{\"t_s\": 1.5, "), "rows carry no tag: {j}");
         assert!(j.contains("\"eta_s\": 4.5"));
         assert!(j.contains("\"utilization\": 0.8}]"));
         let none = HeartbeatRecord { eta_s: None, ..r };
@@ -253,11 +234,12 @@ mod tests {
         let doc = timeseries_json(&[tick(0.1, 4)], 2, 0.1);
         assert!(doc.contains(TIMESERIES_SCHEMA));
         assert!(doc.contains("\"heartbeats\": ["));
+        assert_eq!(doc.matches("\"schema\"").count(), 1, "one tag: {doc}");
     }
 
     #[test]
     fn heartbeat_always_records_a_final_tick() {
-        let records = ticker(None).finish(tick(0.0, 4));
+        let records = ticker().finish(tick(0.0, 4));
         assert_eq!(records.len(), 1, "completion tick must always fire");
         assert_eq!(records[0].total, 4);
         assert_eq!(records[0].eta_s, None, "no rate at t = 0");
@@ -265,38 +247,11 @@ mod tests {
 
     #[test]
     fn completions_tick_on_the_first_then_once_per_interval() {
-        let mut t = ticker(None);
+        let mut t = ticker();
         for (t_s, done) in [(0.25, 1), (0.5, 2), (1.3, 3)] {
             t.completed(tick(t_s, done));
         }
         let done: Vec<u64> = t.finish(tick(1.4, 4)).iter().map(|r| r.done).collect();
         assert_eq!(done, [1, 3, 4], "0.5 s is within a second of 0.25 s");
-    }
-
-    #[test]
-    fn heartbeat_jsonl_lines_parse_back() {
-        let path = std::env::temp_dir().join(format!("ups-sweep-hb-{}.jsonl", std::process::id()));
-        let mut t = ticker(Some(File::create(&path).unwrap()));
-        t.completed(tick(0.5, 1));
-        let records = t.finish(tick(2.0, 4));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let want: Vec<String> = records.iter().map(HeartbeatRecord::to_json).collect();
-        assert_eq!(text.lines().collect::<Vec<_>>(), want);
-        assert!(text.lines().all(|line| crate::json::parse(line).is_ok()));
-    }
-
-    #[test]
-    fn a_failed_heartbeat_write_ends_the_stream_not_the_sweep() {
-        // Every write to /dev/full fails with ENOSPC.
-        let Ok(full) = File::options().write(true).open("/dev/full") else {
-            return;
-        };
-        let mut t = ticker(Some(full));
-        t.completed(tick(0.5, 1));
-        t.completed(tick(1.5, 2));
-        let records = t.finish(tick(1.6, 4));
-        assert_eq!(records.len(), 3, "ticks are recorded past the failure");
-        assert_eq!(records.last().unwrap().done, 4);
     }
 }

@@ -42,24 +42,32 @@ fn sweep(dir: &Path, args: &[&OsStr]) -> Output {
         .expect("run the sweep binary")
 }
 
-/// [`sweep`] with `--telemetry telemetry`.
-fn sweep_with_telemetry(dir: &Path, telemetry: &Path) -> Output {
-    sweep(dir, &["--telemetry".as_ref(), telemetry.as_os_str()])
+/// `flag` names a path under a directory that does not exist: the sweep
+/// must exit 1 naming that path before any job runs, so `--jsonl` is
+/// never created.
+fn refuses_uncreatable(flag: &str) {
+    let tmp = TempDir::new(&format!("bad{flag}"));
+    let bad = tmp.0.join("missing-dir").join("t.json");
+    let out = sweep(&tmp.0, &[flag.as_ref(), bad.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+    let want = format!("sweep: cannot open {}", bad.display());
+    assert!(stderr.contains(&want), "{flag}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    assert!(
+        !tmp.0.join("records.jsonl").exists(),
+        "--jsonl must not be touched when {flag} cannot open"
+    );
 }
 
 #[test]
 fn an_uncreatable_telemetry_path_exits_1_before_any_job_runs() {
-    let tmp = TempDir::new("bad-telemetry");
-    let out = sweep_with_telemetry(&tmp.0, &tmp.0.join("missing-dir").join("t"));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("sweep: cannot open"), "stderr: {stderr}");
-    assert!(stderr.contains("t.heartbeat.jsonl"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(
-        !tmp.0.join("records.jsonl").exists(),
-        "--jsonl must not be touched when telemetry cannot open"
-    );
+    refuses_uncreatable("--telemetry");
+}
+
+#[test]
+fn an_uncreatable_out_path_exits_1_before_any_job_runs() {
+    refuses_uncreatable("--out");
 }
 
 /// A utilization the workload cannot generate used to panic every job
@@ -81,27 +89,31 @@ fn an_out_of_range_utilization_exits_1_before_any_output_opens() {
 }
 
 #[test]
-fn telemetry_writes_a_stream_and_a_valid_timeseries() {
+fn telemetry_writes_one_valid_timeseries() {
     let tmp = TempDir::new("telemetry");
-    let out = sweep_with_telemetry(&tmp.0, &tmp.0.join("t"));
+    let path = tmp.0.join("t.json");
+    let out = sweep(&tmp.0, &["--telemetry".as_ref(), path.as_os_str()]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
-    let doc = std::fs::read_to_string(tmp.0.join("t.timeseries.json")).expect("timeseries");
+    let mut files: Vec<_> = std::fs::read_dir(&tmp.0)
+        .expect("list temp dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["out.json", "records.jsonl", "t.json"]);
+    let doc = std::fs::read_to_string(&path).expect("timeseries");
     let line = ups_sweep::validate_artifact(&doc).expect("timeseries validates");
     assert!(line.contains("4 jobs on 2 workers"), "{line}");
 
-    // The stream and the artifact are the same ticks, line for line.
     let doc = ups_sweep::json::parse(&doc).expect("timeseries parses");
     let ticks = doc
         .get("heartbeats")
         .and_then(JsonValue::as_array)
         .expect("heartbeats");
-    let stream = std::fs::read_to_string(tmp.0.join("t.heartbeat.jsonl")).expect("heartbeat jsonl");
-    let lines: Vec<JsonValue> = stream
-        .lines()
-        .map(|l| ups_sweep::json::parse(l).expect("heartbeat line parses"))
-        .collect();
-    assert_eq!(lines, ticks, "stream lines != timeseries heartbeats");
+    assert!(
+        ticks.iter().all(|t| t.get("schema").is_none()),
+        "ticks are untagged rows of the one envelope"
+    );
     let last = ticks.last().expect("the completion tick");
     let done = last.get("done").and_then(JsonValue::as_f64);
     assert_eq!(done, Some(4.0), "the last tick counts every job");
@@ -115,6 +127,35 @@ fn ts(e: &JsonValue) -> f64 {
     e.get("ts").and_then(|t| t.as_f64()).expect("ts")
 }
 
+/// The CI's quantized `sweep explain` run, exporting to `perfetto`.
+fn explain(perfetto: &Path) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .arg("explain")
+        .args(["--topos", "Line(3)", "--profiles", "fixed-mtu"])
+        .args(["--scheds", "Random", "--traffic", "open-loop"])
+        .args(["--utils", "0.6", "--seeds", "11", "--window-ms", "4"])
+        .args(["--max-packets", "4000", "--top", "5"])
+        .args(["--queues", "1", "--mapper", "dynamic"])
+        .arg("--perfetto")
+        .arg(perfetto)
+        .output()
+        .expect("run the sweep binary")
+}
+
+/// A `--perfetto` path that cannot be created is refused before the job
+/// is re-run: exit 1, and no blame tables on stdout.
+#[test]
+fn an_uncreatable_perfetto_path_exits_1_before_the_rerun() {
+    let tmp = TempDir::new("bad-perfetto");
+    let bad = tmp.0.join("missing-dir").join("explain.json");
+    let out = explain(&bad);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let want = format!("sweep: cannot open {}", bad.display());
+    assert!(stderr.contains(&want), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "the job ran before the open");
+}
+
 /// The CI's quantized `sweep explain --perfetto` run, parsed back: a
 /// Trace Event Format document with one counter track per sampled field
 /// on a non-decreasing virtual-time axis, and divergence markers pinned
@@ -123,17 +164,7 @@ fn ts(e: &JsonValue) -> f64 {
 fn explain_perfetto_export_is_valid_trace_event_json() {
     let tmp = TempDir::new("perfetto");
     let path = tmp.0.join("explain.json");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .arg("explain")
-        .args(["--topos", "Line(3)", "--profiles", "fixed-mtu"])
-        .args(["--scheds", "Random", "--traffic", "open-loop"])
-        .args(["--utils", "0.6", "--seeds", "11", "--window-ms", "4"])
-        .args(["--max-packets", "4000", "--top", "5"])
-        .args(["--queues", "1", "--mapper", "dynamic"])
-        .arg("--perfetto")
-        .arg(&path)
-        .output()
-        .expect("run the sweep binary");
+    let out = explain(&path);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 

@@ -1,15 +1,15 @@
-//! Round trip between the two halves of the telemetry plumbing: records
+//! Round trip between the two halves of the telemetry plumbing: tick rows
 //! are *emitted* by `ups_sweep::telemetry` (hand-rolled JSON) and
 //! *parsed* by this crate's minimal parser — the pair must agree on
-//! every field, including the `eta_s: null` case. Then the same plumbing
-//! end to end: a real (tiny) sweep through `run_jobs_telemetry` with its
-//! heartbeat produces a run-level document that `validate_artifact`
-//! accepts.
+//! every field, including the `eta_s: null` case, and a row carries no
+//! tag of its own. Then the same plumbing end to end: a real (tiny) sweep
+//! through `run_jobs_telemetry` with its heartbeat produces a run-level
+//! document that `validate_artifact` accepts.
 
 use std::time::Duration;
 
 use ups_sweep::json::{parse, JsonValue};
-use ups_sweep::telemetry::{timeseries_json, HEARTBEAT_SCHEMA};
+use ups_sweep::telemetry::timeseries_json;
 use ups_sweep::{pool, validate_artifact, HeartbeatConfig, HeartbeatRecord, WorkerRow};
 
 fn worker_back(v: &JsonValue) -> WorkerRow {
@@ -23,11 +23,8 @@ fn worker_back(v: &JsonValue) -> WorkerRow {
 }
 
 fn record_back(line: &str) -> HeartbeatRecord {
-    let v = parse(line).expect("heartbeat line parses");
-    assert_eq!(
-        v.get("schema").and_then(JsonValue::as_str),
-        Some(HEARTBEAT_SCHEMA)
-    );
+    let v = parse(line).expect("heartbeat row parses");
+    assert!(v.get("schema").is_none(), "the envelope carries the tag");
     let num = |f: &str| v.get(f).and_then(JsonValue::as_f64).expect(f);
     HeartbeatRecord {
         t_s: num("t_s"),
@@ -81,15 +78,11 @@ fn heartbeat_record_round_trips_through_the_parser() {
 #[test]
 fn live_sweep_timeseries_document_validates() {
     let jobs: Vec<u64> = (0..12).collect();
-    let heartbeat = HeartbeatConfig {
-        progress: false,
-        jsonl: None,
-    };
     let (results, stats) = pool::run_jobs_telemetry(
         &jobs,
         3,
         |i, _| format!("job {i}"),
-        Some(heartbeat),
+        Some(HeartbeatConfig { progress: false }),
         |_, &n| {
             std::thread::sleep(Duration::from_millis(1 + n % 3));
             n * 2

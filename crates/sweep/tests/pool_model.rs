@@ -56,10 +56,9 @@ fn round(pool: Pool) {
     let jobs: Vec<usize> = (0..pool.jobs).collect();
     let total = pool.jobs as u64;
     let runs: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
-    let heartbeat = pool.heartbeat.then(|| HeartbeatConfig {
-        progress: false,
-        jsonl: None,
-    });
+    let heartbeat = pool
+        .heartbeat
+        .then_some(HeartbeatConfig { progress: false });
     let run = catch_unwind(AssertUnwindSafe(|| {
         run_jobs_telemetry(
             &jobs,
