@@ -243,7 +243,7 @@ proptest! {
         }
     }
 
-    /// Finite-priority-queue layer: `Quantized{inner: LSTF}` under the
+    /// Finite-priority-queue layer: quantized LSTF under the
     /// dynamic (queue-remapping) mapper is **bit-identical** to exact
     /// LSTF — the full replay trace compares equal — whenever K is at
     /// least the number of distinct ranks in the run (K = packet count

@@ -107,52 +107,6 @@ pub trait Scheduler: std::fmt::Debug + Send {
         false
     }
 
-    /// The exact, time-invariant rank this discipline would assign to a
-    /// packet arriving at `now` — the key its own queue orders by. `None`
-    /// for disciplines with no per-packet total order (FIFO, LIFO, Random,
-    /// DRR rounds, FQ virtual tags, Omniscient per-hop vectors); those
-    /// cannot sit under the [`Quantized`](crate::sched::Quantized) layer.
-    fn rank_for(
-        &self,
-        _pkt: PacketRef,
-        _arena: &PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<i128> {
-        None
-    }
-
-    /// The *stationary*, header-visible urgency key a hardware rank→queue
-    /// mapper sees (lower = more urgent): LSTF remaining slack, EDF time
-    /// to local deadline, FIFO+ negated upstream excess, SJF/SRPT sizes,
-    /// static priority. Defaults to [`Self::rank_for`], which is already
-    /// stationary for value-ranked disciplines; the time-shifted ranks
-    /// (LSTF, EDF, FIFO+) override this with `rank − now` so the key does
-    /// not drift with simulation time.
-    fn quantize_key(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        self.rank_for(pkt, arena, now, ctx)
-    }
-
-    /// Apply this discipline's dequeue-time header rewrite to a packet
-    /// being served on its behalf. The quantization layer serves packets
-    /// from its own FIFO queues but must still charge LSTF's slack spend
-    /// and FIFO+'s excess accounting; disciplines with such dynamic packet
-    /// state implement it here and call it from their own `dequeue`.
-    fn on_serve(
-        &mut self,
-        _qp: &QueuedPacket,
-        _arena: &mut PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) {
-    }
-
     /// Human-readable discipline name for reports.
     fn name(&self) -> &'static str;
 }

@@ -41,17 +41,12 @@ impl Rank for EdfRank {
     /// # Panics
     /// If the packet carries no `tmin_rem` table — silently scheduling
     /// with a wrong deadline would invalidate any experiment using it.
-    fn rank_for(&self, p: &Packet, _now: SimTime, ctx: PortCtx) -> Option<i128> {
+    fn admit(&mut self, p: &Packet, _now: SimTime, ctx: PortCtx) -> i128 {
         let tmin_rem = p
             .tmin_remaining()
             .expect("EDF needs packets with a tmin_rem table (attach via routing layer)"); // lint:allow(panic-path): config contract: EDF without tmin tables must fail loudly, not misschedule
         let t_here = ctx.bandwidth.tx_time(p.size);
-        Some(p.header.deadline.as_ps() as i128 - tmin_rem.as_ps() as i128 + t_here.as_ps() as i128)
-    }
-
-    /// Time until the local deadline — stationary form of the rank.
-    fn quantize_key(&self, p: &Packet, now: SimTime, ctx: PortCtx) -> Option<i128> {
-        self.rank_for(p, now, ctx).map(|r| r - now.as_ps() as i128)
+        p.header.deadline.as_ps() as i128 - tmin_rem.as_ps() as i128 + t_here.as_ps() as i128
     }
 
     fn is_preemptive(&self) -> bool {

@@ -41,14 +41,8 @@ impl Rank for FifoPlusRank {
     /// Expected arrival = actual arrival − upstream excess. A positive
     /// offset (delayed more than average so far) ranks the packet as if
     /// it had arrived earlier.
-    fn rank_for(&self, p: &Packet, now: SimTime, _ctx: PortCtx) -> Option<i128> {
-        Some(now.as_ps() as i128 - p.header.fifo_plus_offset as i128)
-    }
-
-    /// The negated upstream excess (`rank − now`): the header field a
-    /// hardware mapper quantizes, stationary across the run.
-    fn quantize_key(&self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
-        Some(-(p.header.fifo_plus_offset as i128))
+    fn admit(&mut self, p: &Packet, now: SimTime, _ctx: PortCtx) -> i128 {
+        now.as_ps() as i128 - p.header.fifo_plus_offset as i128
     }
 
     /// Fold this hop's excess into the header before the packet moves on.

@@ -45,7 +45,7 @@ pub type Lstf = RankQueue<LstfRank>;
 /// [`Lstf`]'s rank: `header.slack` at the last bit, shifted by arrival.
 #[derive(Debug)]
 pub struct LstfRank {
-    preemptive: bool,
+    pub(super) preemptive: bool,
 }
 
 impl Lstf {
@@ -56,16 +56,12 @@ impl Lstf {
 }
 
 impl Rank for LstfRank {
-    fn rank_for(&self, p: &Packet, now: SimTime, ctx: PortCtx) -> Option<i128> {
+    /// `slack + now + T(p, α)`. Less `now`, this is the remaining slack
+    /// at the last transmitted bit — the stationary key
+    /// [`Quantized`](super::Quantized)'s mappers read.
+    fn admit(&mut self, p: &Packet, now: SimTime, ctx: PortCtx) -> i128 {
         let last_bit = ctx.bandwidth.tx_time(p.size).as_ps() as i128;
-        Some(p.header.slack + now.as_ps() as i128 + last_bit)
-    }
-
-    /// Remaining slack at the last transmitted bit — the §2.2 header field
-    /// a hardware mapper quantizes (`rank − now`, so it does not drift).
-    fn quantize_key(&self, p: &Packet, _now: SimTime, ctx: PortCtx) -> Option<i128> {
-        let last_bit = ctx.bandwidth.tx_time(p.size).as_ps() as i128;
-        Some(p.header.slack + last_bit)
+        p.header.slack + now.as_ps() as i128 + last_bit
     }
 
     /// Slack spent = time waited at this hop (service and propagation are

@@ -8,7 +8,9 @@
 //!   that no paper experiment runs,
 //! * the **replay candidates** — [`Lstf`] (non-preemptive and preemptive),
 //!   [`Edf`] (the equivalent static-header formulation, App. E) and
-//!   [`Priority`] (the simple-priorities baseline of §2.3(7) and App. F).
+//!   [`Priority`] (the simple-priorities baseline of §2.3(7) and App. F),
+//!   plus [`Quantized`], non-preemptive LSTF on the K strict-priority
+//!   FIFO queues a real switch has.
 //!
 //! Each port owns one scheduler instance, built from a [`SchedulerKind`]
 //! so that per-port state (virtual time, DRR rounds, RNG streams, FIFO+
@@ -96,13 +98,11 @@ pub enum SchedulerKind {
     /// Omniscient per-hop replay (App. B). Requires packets to carry
     /// `header.omniscient` vectors.
     Omniscient,
-    /// Finite-priority-queue emulation of a rank-based discipline: the
-    /// inner kind's rank is mapped onto `k` strict-priority drop-tail
-    /// FIFO queues by `mapper` (the hardware model real switches expose;
-    /// see [`Quantized`]).
+    /// Finite-priority-queue emulation of non-preemptive LSTF: LSTF's
+    /// rank is mapped onto `k` strict-priority drop-tail FIFO queues by
+    /// `mapper` (the hardware model real switches expose; see
+    /// [`Quantized`]).
     Quantized {
-        /// The rank-based discipline being emulated (e.g. `&LSTF`).
-        inner: &'static SchedulerKind,
         /// Number of strict-priority queues.
         k: u32,
         /// The rank→queue mapping policy.
@@ -110,8 +110,7 @@ pub enum SchedulerKind {
     },
 }
 
-/// The canonical quantization target: non-preemptive LSTF (the paper's
-/// default replay scheduler). `SchedulerKind::quantized_lstf` wraps it.
+/// Non-preemptive LSTF, the paper's default replay scheduler.
 pub const LSTF: SchedulerKind = SchedulerKind::Lstf { preemptive: false };
 
 impl SchedulerKind {
@@ -132,9 +131,7 @@ impl SchedulerKind {
             SchedulerKind::Edf { preemptive: false } => Box::new(Edf::new()),
             SchedulerKind::Edf { preemptive: true } => Box::new(Edf::preemptive()),
             SchedulerKind::Omniscient => Box::new(Omniscient::new()),
-            SchedulerKind::Quantized { inner, k, mapper } => {
-                Box::new(Quantized::new(inner.build(seed), k, mapper))
-            }
+            SchedulerKind::Quantized { k, mapper } => Box::new(Quantized::new(k, mapper)),
         }
     }
 
@@ -142,11 +139,7 @@ impl SchedulerKind {
     /// finite-priority-queue replay candidate the sweep's `--queues` axis
     /// and the `quantized` bench instantiate.
     pub const fn quantized_lstf(k: u32, mapper: MapperKind) -> SchedulerKind {
-        SchedulerKind::Quantized {
-            inner: &LSTF,
-            k,
-            mapper,
-        }
+        SchedulerKind::Quantized { k, mapper }
     }
 
     /// Representative quantized kinds — one per mapper at K = 8 —
@@ -205,8 +198,8 @@ impl SchedulerKind {
             SchedulerKind::Edf { preemptive: false } => "EDF",
             SchedulerKind::Edf { preemptive: true } => "EDF-P",
             SchedulerKind::Omniscient => "Omniscient",
-            // Parameterized; experiment tables label the (inner, k,
-            // mapper) triple themselves. Not in `ALL`, so `from_name`
+            // Parameterized; experiment tables label the (k, mapper)
+            // pair themselves. Not in `ALL`, so `from_name`
             // never has to invert this.
             SchedulerKind::Quantized { .. } => "Quantized",
         }

@@ -22,9 +22,7 @@ use crate::time::SimTime;
 /// invalidate the experiment).
 pub type Omniscient = RankQueue<OmniscientRank>;
 
-/// [`Omniscient`]'s rank: this hop's entry of `header.omniscient`. An
-/// n-entry vector is not a field a rank→queue mapper reads, so the rank
-/// is assigned in `admit` and never offered for quantization.
+/// [`Omniscient`]'s rank: this hop's entry of `header.omniscient`.
 #[derive(Debug, Default)]
 pub struct OmniscientRank;
 

@@ -31,8 +31,8 @@ impl Priority {
 }
 
 impl Rank for PriorityRank {
-    fn rank_for(&self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
-        Some(p.header.prio)
+    fn admit(&mut self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> i128 {
+        p.header.prio
     }
 
     fn is_preemptive(&self) -> bool {

@@ -1,40 +1,41 @@
-//! Finite-priority-queue emulation of rank-based scheduling.
+//! Finite-priority-queue emulation of LSTF.
 //!
 //! The paper's LSTF/replay results assume a scheduler that compares
 //! arbitrary-precision ranks; real switches expose a small number **K**
-//! of strict-priority drop-tail FIFO queues. [`Quantized`] wraps any
-//! rank-based discipline (LSTF, EDF, SJF, SRPT, FIFO+, static Priority)
-//! and emulates it on exactly that hardware model:
+//! of strict-priority drop-tail FIFO queues. [`Quantized`] emulates
+//! non-preemptive LSTF on exactly that hardware model:
 //!
-//! 1. on arrival, the inner discipline's rank is computed through
-//!    [`Scheduler::rank_for`] / [`Scheduler::quantize_key`];
-//! 2. a pluggable [`MapperKind`] maps the key to one of K queues;
+//! 1. on arrival, LSTF's exact rank is computed (`LstfRank::admit`), and
+//!    the mapper key is that rank less `now`: the remaining slack at the
+//!    last bit, which does not drift with simulation time;
+//! 2. a pluggable [`MapperKind`] maps the key (or, for
+//!    [`MapperKind::Dynamic`], the exact rank) to one of K queues;
 //! 3. service is strict priority across queues, FIFO within a queue, and
 //!    buffer overflow drops from the tail of the lowest-priority queue;
-//! 4. on dequeue the inner discipline's header rewrite
-//!    ([`Scheduler::on_serve`]) still runs, so multi-hop dynamic state
-//!    (LSTF's slack spend, FIFO+'s excess) stays exact.
+//! 4. on dequeue LSTF's slack rewrite (`LstfRank::on_serve`) still runs,
+//!    so the slack carried to the next hop stays exact.
 //!
-//! The wrapper never preempts: hardware FIFO queues cannot reorder what
+//! The emulation never preempts: hardware FIFO queues cannot reorder what
 //! they already hold.
 
 use std::collections::{BTreeMap, VecDeque};
 
+use super::lstf::LstfRank;
+use super::rank_queue::Rank;
 use crate::arena::{PacketArena, PacketRef};
 use crate::queue::{PortCtx, QueuedPacket, Scheduler};
 use crate::time::SimTime;
 
-/// How ranks are mapped onto the K strict-priority queues.
+/// How LSTF's ranks are mapped onto the K strict-priority queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapperKind {
-    /// Static log-spaced bucketing of the stationary
-    /// [`quantize_key`](Scheduler::quantize_key): queue 0 holds keys up
-    /// to one granule ([`LOG_GRANULARITY_PS`] ≈ 1 µs), and each further
-    /// queue doubles the range. Boundaries never move; tuned for the
-    /// picosecond-scale keys of the time-based disciplines.
+    /// Static log-spaced bucketing of the stationary key (remaining slack
+    /// at the last bit): queue 0 holds keys up to one granule
+    /// ([`LOG_GRANULARITY_PS`] ≈ 1 µs), and each further queue doubles
+    /// the range. Boundaries never move; tuned for picosecond slacks.
     Log,
     /// SP-PIFO-style adaptation (Alcoz et al., NSDI'20) on the stationary
-    /// quantize key: per-queue bounds, *push-up* (a queue's bound rises to
+    /// key: per-queue bounds, *push-up* (a queue's bound rises to
     /// the rank it just admitted) and *push-down* (an arrival smaller than
     /// every bound lowers all bounds by the inversion cost).
     SpPifo,
@@ -44,8 +45,8 @@ pub enum MapperKind {
     /// taken is coerced into the level with the greatest rank not above
     /// its own (or the top level when every bound is above it) — it is
     /// served slightly *too early*, and the inversion is paid by the
-    /// earlier packets of that level. Exact — bit-identical to the inner
-    /// discipline — whenever K covers the distinct ranks in flight.
+    /// earlier packets of that level. Exact — bit-identical to exact
+    /// LSTF — whenever K covers the distinct ranks in flight.
     Dynamic,
 }
 
@@ -99,12 +100,12 @@ enum Queues {
     },
 }
 
-/// A rank-based discipline emulated on K strict-priority drop-tail FIFO
+/// Non-preemptive LSTF emulated on K strict-priority drop-tail FIFO
 /// queues (see the module docs). Built via
 /// [`SchedulerKind::Quantized`](super::SchedulerKind::Quantized).
 #[derive(Debug)]
 pub struct Quantized {
-    inner: Box<dyn Scheduler>,
+    lstf: LstfRank,
     mapper: MapperKind,
     k: usize,
     queues: Queues,
@@ -118,12 +119,12 @@ pub struct Quantized {
 pub const MAX_FIXED_QUEUES: u32 = 4096;
 
 impl Quantized {
-    /// Wrap `inner` with `k` strict-priority queues under `mapper`.
+    /// LSTF on `k` strict-priority queues under `mapper`.
     ///
     /// # Panics
     /// If `k == 0`, or if a bucketing mapper (`log`/`sppifo`) is asked
     /// for more than [`MAX_FIXED_QUEUES`] queues.
-    pub fn new(inner: Box<dyn Scheduler>, k: u32, mapper: MapperKind) -> Self {
+    pub fn new(k: u32, mapper: MapperKind) -> Self {
         assert!(k >= 1, "a quantized scheduler needs at least one queue");
         let queues = match mapper {
             MapperKind::Log | MapperKind::SpPifo => {
@@ -143,23 +144,13 @@ impl Quantized {
             },
         };
         Quantized {
-            inner,
+            lstf: LstfRank { preemptive: false },
             mapper,
             k: k as usize,
             queues,
             len: 0,
             bytes: 0,
         }
-    }
-
-    /// The mapper in use.
-    pub fn mapper(&self) -> MapperKind {
-        self.mapper
-    }
-
-    /// The configured queue count K.
-    pub fn k(&self) -> usize {
-        self.k
     }
 }
 
@@ -202,31 +193,20 @@ impl Scheduler for Quantized {
         arrival_seq: u64,
         ctx: PortCtx,
     ) {
-        let rank = self
-            .inner
-            .rank_for(pkt, arena, now, ctx)
-            .unwrap_or_else(|| {
-                // lint:allow(panic-path): config contract: a rank-less inner discipline cannot be quantized; fail loudly
-                panic!(
-                    "{} is not rank-based; Quantized needs a rank-based inner discipline",
-                    self.inner.name()
-                )
-            });
+        let p = arena.get(pkt);
+        let rank = self.lstf.admit(p, now, ctx);
         let qp = QueuedPacket {
             pkt,
             rank,
             enqueued_at: now,
             arrival_seq,
-            size: arena.get(pkt).size,
+            size: p.size,
         };
         self.len += 1;
         self.bytes += qp.size as u64;
         match &mut self.queues {
             Queues::Fixed { queues, bounds } => {
-                let key = self
-                    .inner
-                    .quantize_key(pkt, arena, now, ctx)
-                    .expect("rank_for implies quantize_key"); // lint:allow(panic-path): rank_for and quantize_key derive from the same rank
+                let key = rank - now.as_ps() as i128;
                 let idx = match self.mapper {
                     MapperKind::Log => log_bucket(key, queues.len()),
                     MapperKind::SpPifo => sppifo_bucket(bounds, key),
@@ -282,7 +262,7 @@ impl Scheduler for Quantized {
         };
         self.len -= 1;
         self.bytes -= qp.size as u64;
-        self.inner.on_serve(&qp, arena, now, ctx);
+        self.lstf.on_serve(&qp, arena, now, ctx);
         Some(qp)
     }
 
@@ -333,30 +313,6 @@ impl Scheduler for Quantized {
         false
     }
 
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        self.inner.rank_for(pkt, arena, now, ctx)
-    }
-
-    fn quantize_key(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        self.inner.quantize_key(pkt, arena, now, ctx)
-    }
-
-    fn on_serve(&mut self, qp: &QueuedPacket, arena: &mut PacketArena, now: SimTime, ctx: PortCtx) {
-        self.inner.on_serve(qp, arena, now, ctx);
-    }
-
     fn name(&self) -> &'static str {
         match self.mapper {
             MapperKind::Log => "Quantized/log",
@@ -370,7 +326,7 @@ impl Scheduler for Quantized {
 mod tests {
     use super::*;
     use crate::packet::{Header, Packet};
-    use crate::sched::testutil::{pkt, pkt_with, Bench};
+    use crate::sched::testutil::{pkt_with, Bench};
     use crate::sched::Lstf;
     use crate::time::Dur;
 
@@ -384,10 +340,6 @@ mod tests {
                 ..Header::default()
             },
         )
-    }
-
-    fn quantized_lstf(k: u32, mapper: MapperKind) -> Quantized {
-        Quantized::new(Box::new(Lstf::new(false)), k, mapper)
     }
 
     #[test]
@@ -424,7 +376,7 @@ mod tests {
     #[test]
     fn one_queue_degrades_to_fifo() {
         for mapper in MapperKind::ALL {
-            let mut b = Bench::new(quantized_lstf(1, mapper));
+            let mut b = Bench::new(Quantized::new(1, mapper));
             let t = SimTime::ZERO;
             b.enqueue_at(slacked(1, 500), t, 0);
             b.enqueue_at(slacked(2, 20), t, 1);
@@ -442,7 +394,7 @@ mod tests {
     fn dynamic_with_enough_queues_matches_exact_lstf() {
         let slacks = [500u64, 20, 100, 20, 7, 100, 3000, 1];
         let mut exact = Bench::new(Lstf::new(false));
-        let mut quant = Bench::new(quantized_lstf(slacks.len() as u32, MapperKind::Dynamic));
+        let mut quant = Bench::new(Quantized::new(slacks.len() as u32, MapperKind::Dynamic));
         for (i, &s) in slacks.iter().enumerate() {
             let t = SimTime::from_us(i as u64);
             exact.enqueue_at(slacked(i as u64, s), t, i as u64);
@@ -457,7 +409,7 @@ mod tests {
         // K=2: ranks 10 and 30 bind the two levels; a rank-20 arrival is
         // coerced into the level below it (10), a rank-5 arrival into the
         // top level.
-        let mut b = Bench::new(quantized_lstf(2, MapperKind::Dynamic));
+        let mut b = Bench::new(Quantized::new(2, MapperKind::Dynamic));
         let t = SimTime::ZERO;
         b.enqueue_at(slacked(1, 10), t, 0);
         b.enqueue_at(slacked(2, 30), t, 1);
@@ -468,7 +420,7 @@ mod tests {
 
     #[test]
     fn strict_priority_across_log_buckets_fifo_within() {
-        let mut b = Bench::new(quantized_lstf(8, MapperKind::Log));
+        let mut b = Bench::new(Quantized::new(8, MapperKind::Log));
         let t = SimTime::ZERO;
         // Two far-apart slack magnitudes and an in-bucket tie.
         b.enqueue_at(slacked(1, 5_000), t, 0); // high bucket
@@ -480,7 +432,7 @@ mod tests {
     #[test]
     fn select_drop_takes_tail_of_least_urgent_queue() {
         for mapper in MapperKind::ALL {
-            let mut b = Bench::new(quantized_lstf(4, mapper));
+            let mut b = Bench::new(Quantized::new(4, mapper));
             let t = SimTime::ZERO;
             b.enqueue_at(slacked(1, 1), t, 0);
             b.enqueue_at(slacked(2, 40_000), t, 1);
@@ -497,7 +449,7 @@ mod tests {
 
     #[test]
     fn slack_rewrite_survives_quantization() {
-        let mut b = Bench::new(quantized_lstf(8, MapperKind::Log));
+        let mut b = Bench::new(Quantized::new(8, MapperKind::Log));
         b.enqueue_at(slacked(1, 100), SimTime::from_us(10), 0);
         let qp = b.dequeue_at(SimTime::from_us(35)).unwrap();
         // Waited 25us of its 100us slack — same rewrite exact LSTF does.
@@ -508,28 +460,14 @@ mod tests {
     }
 
     #[test]
-    fn never_preemptive_even_with_preemptive_inner() {
-        let q = Quantized::new(Box::new(Lstf::new(true)), 8, MapperKind::Log);
-        assert!(!q.is_preemptive());
-        assert_eq!(q.k(), 8);
-        assert_eq!(q.mapper(), MapperKind::Log);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank-based")]
-    fn non_rank_inner_rejected_at_enqueue() {
-        let mut b = Bench::new(Quantized::new(
-            Box::new(crate::sched::Fifo::new()),
-            4,
-            MapperKind::Log,
-        ));
-        b.enqueue_at(pkt(1, 1, 100), SimTime::ZERO, 0);
+    fn never_preemptive() {
+        assert!(!Quantized::new(8, MapperKind::Log).is_preemptive());
     }
 
     #[test]
     #[should_panic(expected = "at least one queue")]
     fn zero_queues_rejected() {
-        let _ = quantized_lstf(0, MapperKind::Log);
+        let _ = Quantized::new(0, MapperKind::Log);
     }
 
     #[test]

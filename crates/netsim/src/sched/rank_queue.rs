@@ -16,7 +16,8 @@ use crate::time::SimTime;
 
 /// What one discipline adds to [`RankQueue`]: how it keys a packet, what
 /// it rewrites when the packet is served, and whatever per-port state
-/// those two need (FQ's tags, FIFO+'s mean wait).
+/// those two need (FQ's tags, FIFO+'s mean wait). [`Quantized`](super::Quantized)
+/// drives LSTF's rank through the same two hooks over its K FIFO queues.
 pub trait Rank: std::fmt::Debug + Send {
     /// [`Scheduler::name`].
     fn name(&self) -> &'static str;
@@ -26,29 +27,13 @@ pub trait Rank: std::fmt::Debug + Send {
         false
     }
 
-    /// [`Scheduler::rank_for`]: the heap key of `p` arriving at `now`, for
-    /// a discipline whose key is a function of the header, the arrival
-    /// time and the link. One that leaves this `None` — its key is port
-    /// state, or nothing a rank→queue mapper could read — overrides
-    /// [`Self::admit`] instead and cannot be quantized.
-    fn rank_for(&self, _p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
-        None
-    }
+    /// Key a packet entering the queue at `now`, advancing any per-port
+    /// state the key is drawn from.
+    fn admit(&mut self, p: &Packet, now: SimTime, ctx: PortCtx) -> i128;
 
-    /// [`Scheduler::quantize_key`]: [`Self::rank_for`] unless that drifts
-    /// with `now`.
-    fn quantize_key(&self, p: &Packet, now: SimTime, ctx: PortCtx) -> Option<i128> {
-        self.rank_for(p, now, ctx)
-    }
-
-    /// Key a packet entering the queue, advancing any per-port state the
-    /// key is drawn from.
-    fn admit(&mut self, p: &Packet, now: SimTime, ctx: PortCtx) -> i128 {
-        self.rank_for(p, now, ctx)
-            .expect("a discipline without rank_for overrides admit") // lint:allow(panic-path): the contract of this trait, checked by every discipline's first enqueue
-    }
-
-    /// [`Scheduler::on_serve`]: `qp` starts service at `now`.
+    /// `qp` starts service at `now`: the dequeue-time header rewrite
+    /// (LSTF's slack spend, FIFO+'s excess) and any per-port state that
+    /// follows service (FQ's virtual time).
     fn on_serve(
         &mut self,
         _qp: &QueuedPacket,
@@ -141,30 +126,6 @@ impl<R: Rank> Scheduler for RankQueue<R> {
 
     fn is_preemptive(&self) -> bool {
         self.by.is_preemptive()
-    }
-
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        self.by.rank_for(arena.get(pkt), now, ctx)
-    }
-
-    fn quantize_key(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        now: SimTime,
-        ctx: PortCtx,
-    ) -> Option<i128> {
-        self.by.quantize_key(arena.get(pkt), now, ctx)
-    }
-
-    fn on_serve(&mut self, qp: &QueuedPacket, arena: &mut PacketArena, now: SimTime, ctx: PortCtx) {
-        self.by.on_serve(qp, arena, now, ctx);
     }
 
     fn name(&self) -> &'static str {

@@ -20,8 +20,8 @@ pub type Sjf = RankQueue<SjfRank>;
 pub struct SjfRank;
 
 impl Rank for SjfRank {
-    fn rank_for(&self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> Option<i128> {
-        Some(p.header.flow_size as i128)
+    fn admit(&mut self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> i128 {
+        p.header.flow_size as i128
     }
 
     fn name(&self) -> &'static str {

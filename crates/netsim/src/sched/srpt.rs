@@ -77,9 +77,7 @@ impl Scheduler for Srpt {
     ) {
         let p = arena.get(pkt);
         let flow = p.flow;
-        let rank = self
-            .rank_for(pkt, arena, now, _ctx)
-            .expect("SRPT ranks every packet"); // lint:allow(panic-path): rank_for keyed every packet this discipline admitted
+        let rank = p.header.remaining as i128;
         self.len += 1;
         self.bytes += p.size as u64;
         let qp = QueuedPacket {
@@ -117,16 +115,6 @@ impl Scheduler for Srpt {
 
     fn peek_rank(&self) -> Option<i128> {
         self.order.iter().next().map(|&(r, _)| r)
-    }
-
-    fn rank_for(
-        &self,
-        pkt: PacketRef,
-        arena: &PacketArena,
-        _now: SimTime,
-        _ctx: PortCtx,
-    ) -> Option<i128> {
-        Some(arena.get(pkt).header.remaining as i128)
     }
 
     fn len(&self) -> usize {

@@ -228,7 +228,7 @@ proptest! {
 
     /// The tentpole contract of the quantization layer: with the dynamic
     /// (queue-remapping) mapper and K at least the number of distinct
-    /// ranks in the run, `Quantized{Lstf}` serves in *exactly* the order
+    /// ranks in the run, quantized LSTF serves in *exactly* the order
     /// exact LSTF does — per-packet, for any slack/size/arrival mix —
     /// and applies the identical slack rewrite.
     #[test]
@@ -313,4 +313,109 @@ proptest! {
             prop_assert!((c1 - c2).abs() <= 2, "imbalance {c1} vs {c2}");
         }
     }
+}
+
+/// FNV-1a over the bytes of one served or evicted packet.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Hash of the (packet id, rank, rewritten slack) sequence quantized LSTF
+/// emits over a seeded stream of enqueues, dequeues and evictions. A
+/// few enqueues send a served packet round again, so the keys
+/// of later arrivals read slack the queue itself rewrote. Returns the
+/// hash and the number of distinct ranks admitted.
+fn quantized_order_hash(k: u32, mapper: MapperKind) -> (u64, usize) {
+    let mut arena = PacketArena::new();
+    let mut s = SchedulerKind::quantized_lstf(k, mapper).build(0);
+    let mut state = 0x5DEE_CE66_D1CE_5EEDu64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 16
+    };
+    let mut served: Vec<PacketRef> = Vec::new();
+    let mut ranks = std::collections::BTreeSet::new();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut now = SimTime::ZERO;
+    let mut seq = 0u64;
+    for step in 0..4_000u64 {
+        now += Dur::from_ns(next() % 3_000);
+        // Enqueue-heavy, then drain-heavy, so the depth wanders.
+        let grow = if (step / 250) % 2 == 0 { 10 } else { 6 };
+        let op = next() % 16;
+        if op < grow {
+            let pkt = if op < 3 && !served.is_empty() {
+                served.swap_remove((next() % served.len() as u64) as usize)
+            } else {
+                // Slacks from −50 µs to ~4 ms, log-spread so every log
+                // bucket and the sub-granule bucket see traffic.
+                let slack_ps = (1i128 << (next() % 33)) - 50_000_000;
+                let op = Op {
+                    flow: next() % 6,
+                    size: 64 + (next() % 1437) as u32,
+                    slack_us: 0,
+                    prio: 0,
+                    flow_bytes: 1,
+                };
+                let mut p = packet(seq as usize, &op);
+                p.header.slack = slack_ps;
+                arena.alloc(p)
+            };
+            s.enqueue(pkt, &arena, now, seq, ctx());
+            seq += 1;
+        } else {
+            let (tag, qp) = if op < 15 {
+                (0u8, s.dequeue(&mut arena, now, ctx()))
+            } else {
+                (1u8, s.select_drop())
+            };
+            let Some(qp) = qp else { continue };
+            ranks.insert(qp.rank);
+            let p = arena.get(qp.pkt);
+            fnv(&mut h, &[tag]);
+            fnv(&mut h, &p.id.0.to_le_bytes());
+            fnv(&mut h, &qp.rank.to_le_bytes());
+            fnv(&mut h, &p.header.slack.to_le_bytes());
+            if tag == 0 {
+                served.push(qp.pkt);
+            } else {
+                arena.free(qp.pkt);
+            }
+        }
+    }
+    (h, ranks.len())
+}
+
+/// Pins the lossy quantized orders: every mapper at K ∈ {1, 2, 8}, where
+/// the dynamic mapper is short of the distinct ranks in flight and must
+/// coerce. The exact-when-K-covers property and the K=1 FIFO test only
+/// reach the lossless ends; this reaches the orders in between.
+#[test]
+fn quantized_lstf_lossy_orders_are_pinned() {
+    let want: [(u32, MapperKind, u64); 9] = [
+        (1, MapperKind::Log, 0x78a9841e854e27a5),
+        (2, MapperKind::Log, 0x57a398701de52108),
+        (8, MapperKind::Log, 0x81e29e5a5f1066aa),
+        (1, MapperKind::SpPifo, 0x78a9841e854e27a5),
+        (2, MapperKind::SpPifo, 0x0cc042d623a4ae07),
+        (8, MapperKind::SpPifo, 0xbb5d24c9161eaec1),
+        (1, MapperKind::Dynamic, 0x78a9841e854e27a5),
+        (2, MapperKind::Dynamic, 0xc73a4c8bc9736193),
+        (8, MapperKind::Dynamic, 0x7e33e5b2d34089f0),
+    ];
+    let mut got = Vec::new();
+    for (k, mapper, _) in want {
+        let (hash, distinct) = quantized_order_hash(k, mapper);
+        assert!(
+            distinct > 8 * k as usize,
+            "K={k} {mapper:?}: only {distinct} distinct ranks, too few to be lossy"
+        );
+        got.push((k, mapper, hash));
+    }
+    assert_eq!(got, want, "quantized LSTF order changed");
 }

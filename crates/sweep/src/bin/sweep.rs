@@ -318,6 +318,25 @@ fn open_output(path: &Path, truncate: bool) -> Option<File> {
         .ok()
 }
 
+/// Removes `--out` on drop if this run created it, so a run that fails
+/// after opening it leaves no empty file behind. `disarm` once `--out`
+/// holds the run's document.
+struct CreatedOut<'a>(Option<&'a Path>);
+
+impl CreatedOut<'_> {
+    fn disarm(&mut self) {
+        self.0 = None;
+    }
+}
+
+impl Drop for CreatedOut<'_> {
+    fn drop(&mut self) {
+        if let Some(path) = self.0 {
+            std::fs::remove_file(path).ok();
+        }
+    }
+}
+
 fn list_registries() {
     println!("topologies:");
     for e in ups_topology::TOPOLOGIES {
@@ -494,8 +513,9 @@ fn main() -> ExitCode {
     }
     // Open every output before any job runs, --jsonl last, so a bad
     // --telemetry or --out path leaves --jsonl untouched. --out is opened
-    // without truncating: its default is the committed BENCH_sweep.json,
-    // which a failed run must leave intact.
+    // without truncating and rewritten last: its default is the committed
+    // BENCH_sweep.json, which a failed run must leave as it found it —
+    // intact if it existed, absent if it did not.
     let mut telemetry = None;
     if let Some(path) = &args.telemetry {
         let Some(file) = open_output(path, true) else {
@@ -503,9 +523,11 @@ fn main() -> ExitCode {
         };
         telemetry = Some((path, file));
     }
+    let out_existed = args.out.exists();
     let Some(mut out) = open_output(&args.out, false) else {
         return ExitCode::FAILURE;
     };
+    let mut created_out = CreatedOut((!out_existed).then_some(args.out.as_path()));
     let stream = match ResultStream::create(&args.jsonl) {
         Ok(s) => s,
         Err(e) => {
@@ -618,21 +640,12 @@ fn main() -> ExitCode {
     let wall_s = t0.elapsed().as_secs_f64();
 
     let doc = bench_sweep_json(&args.grid, &records, &stats, wall_s);
-    if let Err(e) = out.set_len(0).and_then(|()| out.write_all(doc.as_bytes())) {
-        eprintln!("sweep: cannot write {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
     println!(
         "# {} jobs in {:.2}s on {} workers ({:.2} jobs/sec)",
         records.len(),
         wall_s,
         stats.workers,
         records.len() as f64 / wall_s
-    );
-    println!(
-        "# wrote {} and {}",
-        args.out.display(),
-        args.jsonl.display()
     );
     if let Some((path, file)) = telemetry.as_mut() {
         let ts_doc = timeseries_json(&stats.ticks, stats.workers, wall_s);
@@ -664,5 +677,16 @@ fn main() -> ExitCode {
             }
         }
     }
+
+    if let Err(e) = out.set_len(0).and_then(|()| out.write_all(doc.as_bytes())) {
+        eprintln!("sweep: cannot write {}: {e}", args.out.display());
+        return ExitCode::FAILURE;
+    }
+    created_out.disarm();
+    println!(
+        "# wrote {} and {}",
+        args.out.display(),
+        args.jsonl.display()
+    );
     ExitCode::SUCCESS
 }

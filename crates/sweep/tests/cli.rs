@@ -70,6 +70,34 @@ fn an_uncreatable_out_path_exits_1_before_any_job_runs() {
     refuses_uncreatable("--out");
 }
 
+/// A run that fails after opening `--out` (here: `--jsonl` cannot be
+/// created) leaves `--out` as it found it: absent if it was absent,
+/// byte-identical if it existed.
+#[test]
+fn a_failed_run_leaves_out_as_it_found_it() {
+    let tmp = TempDir::new("failed-out");
+    let bad_jsonl = tmp.0.join("missing-dir").join("r.jsonl");
+    let out_path = tmp.0.join("out.json");
+    for existing in [None, Some("{\"kept\": true}\n")] {
+        if let Some(body) = existing {
+            std::fs::write(&out_path, body).expect("seed --out");
+        }
+        let out = sweep(&tmp.0, &["--jsonl".as_ref(), bad_jsonl.as_os_str()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        let want = format!("sweep: cannot open {}", bad_jsonl.display());
+        assert!(stderr.contains(&want), "{stderr}");
+        match existing {
+            None => assert!(!out_path.exists(), "a failed run created --out"),
+            Some(body) => assert_eq!(
+                std::fs::read_to_string(&out_path).expect("read --out"),
+                body,
+                "a failed run changed an existing --out"
+            ),
+        }
+    }
+}
+
 /// A utilization the workload cannot generate used to panic every job
 /// (exit 101) after `--jsonl` was created; now the grid rejects it.
 #[test]
