@@ -102,7 +102,6 @@ impl Row {
         self.report.match_rate().expect("non-empty comparison")
     }
 
-    // lint:schema(ups-bench-degradation/v1)
     fn json(&self) -> String {
         format!(
             concat!(
@@ -123,7 +122,6 @@ impl Row {
 
 /// One quantization-axis row: an eager replay with the mean FCT of its
 /// schedule. `k: None` is the exact replay.
-// lint:schema(ups-bench-degradation/v1)
 fn k_row(k: Option<u32>, replay: ReplayRun, flows: &[FlowSpec]) -> Row {
     let fct = trace_mean_fct(&replay.trace, flows).expect("the replay delivers");
     let (label, k) = k.map_or(("K=inf".into(), "null".into()), |k| {
@@ -135,7 +133,6 @@ fn k_row(k: Option<u32>, replay: ReplayRun, flows: &[FlowSpec]) -> Row {
     row
 }
 
-// lint:schema(ups-bench-degradation/v1)
 fn main() {
     let (topo, train) = fattree_throughput_workload(UTILIZATION, MIN_PACKETS, SEED);
     println!(

@@ -33,7 +33,6 @@ const RSS_BUDGET_BYTES: u64 = 512 * 1024 * 1024;
 /// Workload floor of the differential gate.
 const DIFF_PACKETS: u64 = 120_000;
 
-// lint:schema(ups-bench-scale/v1)
 fn main() {
     // Tiny spill caps so the streaming arm spills heavily: ~n/4096 chunks
     // on disk, exercising the codec and the k-way merge at full depth.

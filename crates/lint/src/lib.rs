@@ -1,36 +1,26 @@
-//! `ups-lint` — the workspace's determinism & schema-drift static
-//! analysis.
+//! `ups-lint` — the workspace's determinism static analysis.
 //!
 //! The repo's determinism contract (DESIGN.md §3, §13) says a replay
-//! experiment is a pure function of its seed, and that every versioned
-//! artifact's field surface changes only together with its `/vN` schema
-//! tag. Both are easy to break silently: one `HashMap` iteration
-//! feeding a record, one `Instant::now()` reaching a metric, one field
-//! added to a JSON emitter without a tag bump. This crate makes those
-//! hazards mechanical: a hand-rolled, dependency-free scanner
-//! ([`scan`]) feeds a rule engine ([`rules`]) and a schema-surface
-//! extractor ([`schemas`]), and the `ups-lint` binary gates CI.
+//! experiment is a pure function of its seed. That is easy to break
+//! silently: one `HashMap` iteration feeding a record, one
+//! `Instant::now()` reaching a metric. This crate makes those hazards
+//! mechanical: a hand-rolled, dependency-free scanner ([`scan`]) feeds a
+//! rule engine ([`rules`]), and the `ups-lint` binary gates CI.
 //!
-//! * `ups-lint --check` — run the determinism rules over the workspace.
-//! * `ups-lint --schemas` — diff the extracted schema surfaces against
-//!   `SCHEMAS.lock`.
-//! * `ups-lint --update` — regenerate `SCHEMAS.lock`.
+//! * `ups-lint --check` — run the determinism rules over the workspace
+//!   (the default).
 //! * `ups-lint --list` — print every rule.
 //!
 //! Exceptions are spelled, never silent: a suppression is written as a
 //! comment holding `lint:allow(rule): reason` (reason mandatory, stale
-//! suppressions are themselves findings), and an emitter is tied to its
-//! schema tag by a comment holding `lint:schema(tag)` above the
-//! emitting function.
+//! suppressions are themselves findings).
 
 #![forbid(unsafe_code)]
 
 pub mod rules;
 pub mod scan;
-pub mod schemas;
 
 pub use rules::{check_file, rule_by_name, FileClass, Finding, RuleInfo, RULES};
-pub use schemas::{diff_against_lock, parse_lock, render_lock, SurfaceMap};
 
 use std::fs;
 use std::io;
@@ -79,9 +69,6 @@ pub struct SourceFile {
 /// member crate's `src/`, `tests/`, `benches/` and `examples/`
 /// directories, in sorted order.
 pub struct Workspace {
-    /// Workspace root (the directory holding the top-level `Cargo.toml`
-    /// and `SCHEMAS.lock`).
-    pub root: PathBuf,
     /// Every loaded file, sorted by path.
     pub files: Vec<SourceFile>,
 }
@@ -124,10 +111,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.path.cmp(&b.path));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 
     /// Run the rule engine over every file.
@@ -135,48 +119,6 @@ impl Workspace {
         let mut findings = Vec::new();
         for f in &self.files {
             findings.extend(check_file(&f.path, &f.src, f.class));
-        }
-        findings.sort();
-        findings
-    }
-
-    /// Extract the schema field surfaces from every `lint:schema`
-    /// annotation in the workspace.
-    pub fn extract_schemas(&self) -> (SurfaceMap, Vec<Finding>) {
-        let pairs: Vec<(String, String)> = self
-            .files
-            .iter()
-            .map(|f| (f.path.clone(), f.src.clone()))
-            .collect();
-        schemas::extract_surfaces(&pairs)
-    }
-
-    /// Path of the lockfile this workspace is checked against.
-    pub fn lock_path(&self) -> PathBuf {
-        self.root.join("SCHEMAS.lock")
-    }
-
-    /// Diff the extracted surfaces against `SCHEMAS.lock`.
-    pub fn check_schemas(&self) -> Vec<Finding> {
-        let (current, mut findings) = self.extract_schemas();
-        match fs::read_to_string(self.lock_path()) {
-            Ok(text) => match parse_lock(&text) {
-                Ok(locked) => findings.extend(diff_against_lock(&current, &locked)),
-                Err(e) => findings.push(Finding {
-                    path: "SCHEMAS.lock".to_string(),
-                    line: 1,
-                    rule: "schema-drift",
-                    message: format!("unparseable lockfile: {e}"),
-                }),
-            },
-            Err(_) => findings.push(Finding {
-                path: "SCHEMAS.lock".to_string(),
-                line: 1,
-                rule: "schema-drift",
-                message:
-                    "SCHEMAS.lock missing — run `cargo run -p ups-lint -- --update` and commit it"
-                        .to_string(),
-            }),
         }
         findings.sort();
         findings

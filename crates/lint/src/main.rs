@@ -11,15 +11,13 @@ use std::process::ExitCode;
 use ups_lint::{find_workspace_root, render, rule_list, Workspace};
 
 const USAGE: &str = "\
-ups-lint — workspace determinism & schema-drift static analysis
+ups-lint — workspace determinism static analysis
 
 USAGE:
-    ups-lint [--root DIR] [--check] [--schemas] [--update] [--list]
+    ups-lint [--root DIR] [--check] [--list]
 
-MODES (default with no mode flags: --check --schemas):
+MODES (default: --check):
     --check      run the determinism rules over every workspace source file
-    --schemas    diff the annotated schema field surfaces against SCHEMAS.lock
-    --update     regenerate SCHEMAS.lock from the current annotations
     --list       print every rule and exit
 
 OPTIONS:
@@ -29,15 +27,10 @@ OPTIONS:
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut check = false;
-    let mut schemas = false;
-    let mut update = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => check = true,
-            "--schemas" => schemas = true,
-            "--update" => update = true,
+            "--check" => {}
             "--list" => {
                 print!("{}", rule_list());
                 return ExitCode::SUCCESS;
@@ -53,11 +46,6 @@ fn main() -> ExitCode {
             other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
-    if !check && !schemas && !update {
-        check = true;
-        schemas = true;
-    }
-
     let root = match root {
         Some(r) => r,
         None => {
@@ -82,32 +70,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut findings = Vec::new();
-    if check {
-        findings.extend(ws.check());
-    }
-    if update {
-        let (surfaces, schema_findings) = ws.extract_schemas();
-        if schema_findings.is_empty() {
-            let text = ups_lint::render_lock(&surfaces);
-            if let Err(e) = std::fs::write(ws.lock_path(), &text) {
-                eprintln!("ups-lint: writing {}: {e}", ws.lock_path().display());
-                return ExitCode::from(2);
-            }
-            let fields: usize = surfaces.values().map(|k| k.len()).sum();
-            println!(
-                "ups-lint: wrote SCHEMAS.lock ({} tags, {} fields)",
-                surfaces.len(),
-                fields
-            );
-        } else {
-            findings.extend(schema_findings);
-        }
-    } else if schemas {
-        findings.extend(ws.check_schemas());
-    }
-
-    findings.sort();
+    let mut findings = ws.check();
     findings.dedup();
     if findings.is_empty() {
         println!("ups-lint: clean ({} files)", ws.files.len());

@@ -89,11 +89,6 @@ pub const RULES: &[RuleInfo] = &[
         desc: "lint:allow that suppressed nothing — stale annotations must not accumulate",
         suppressible: false,
     },
-    RuleInfo {
-        name: "schema-drift",
-        desc: "serialized field surface changed without a schema-tag version bump (--schemas)",
-        suppressible: false,
-    },
 ];
 
 /// Look a rule up by name.
@@ -424,8 +419,7 @@ fn computed_index_sites(code: &str) -> Vec<usize> {
 }
 
 /// Parse every `lint:` directive in the file's comments into allows and
-/// `bad-suppression` findings. `lint:schema(...)` is legal here and
-/// handled by the schema extractor.
+/// `bad-suppression` findings.
 fn parse_allows(
     path: &str,
     scanned: &ScannedFile,
@@ -437,7 +431,7 @@ fn parse_allows(
         ((after + 1)..=code_lines.len()).find(|&l| !code_lines[l - 1].trim().is_empty())
     };
     for c in &scanned.comments {
-        for (off, directive) in lint_directives(&c.text) {
+        if let Some((off, directive)) = lint_directive(&c.text) {
             let at_line = c.start_line + c.text[..off].matches('\n').count();
             let mut err = |msg: String| {
                 bad.push(Finding {
@@ -448,10 +442,9 @@ fn parse_allows(
                 });
             };
             match directive {
-                Directive::Schema { .. } => {} // extracted by crate::schemas
                 Directive::Unknown(word) => {
                     err(format!(
-                        "unknown lint directive `lint:{word}` — expected lint:allow(...) or lint:schema(...)"
+                        "unknown lint directive `lint:{word}` — expected lint:allow(rule): reason"
                     ));
                 }
                 Directive::Allow { args, reason } => {
@@ -498,9 +491,8 @@ fn parse_allows(
     (allows, bad)
 }
 
-pub(crate) enum Directive {
+enum Directive {
     Allow { args: String, reason: String },
-    Schema { tag: String },
     Unknown(String),
 }
 
@@ -509,26 +501,18 @@ pub(crate) enum Directive {
 /// delimiters (`/`, `*`, `!`) and whitespace may precede `lint:`, so
 /// prose *describing* the grammar (like this crate's own docs) never
 /// parses as an annotation.
-pub(crate) fn lint_directives(text: &str) -> Vec<(usize, Directive)> {
-    let Some(at) = text.find("lint:") else {
-        return Vec::new();
-    };
+fn lint_directive(text: &str) -> Option<(usize, Directive)> {
+    let at = text.find("lint:")?;
     if !text[..at]
         .chars()
         .all(|c| c == '/' || c == '*' || c == '!' || c.is_whitespace())
     {
-        return Vec::new();
+        return None;
     }
     let rest = &text[at + "lint:".len()..];
     let word: String = rest.chars().take_while(|c| c.is_alphabetic()).collect();
     let after_word = &rest[word.len()..];
     let directive = match word.as_str() {
-        "schema" if after_word.starts_with('(') => match after_word.find(')') {
-            Some(close) => Directive::Schema {
-                tag: after_word[1..close].trim().to_string(),
-            },
-            None => Directive::Unknown("schema".into()),
-        },
         "allow" if after_word.starts_with('(') => match after_word.find(')') {
             Some(close) => {
                 let args = after_word[1..close].to_string();
@@ -540,13 +524,13 @@ pub(crate) fn lint_directives(text: &str) -> Vec<(usize, Directive)> {
             }
             None => Directive::Unknown("allow".into()),
         },
-        "allow" | "schema" => Directive::Unknown(word),
+        "allow" => Directive::Unknown(word),
         // `lint:verb(...)` with an unknown verb is a typo'd directive,
         // not prose — surfacing it beats silently ignoring it.
         _ if !word.is_empty() && after_word.starts_with('(') => Directive::Unknown(word),
-        _ => return Vec::new(), // prose ("lint: pass") — not a directive
+        _ => return None, // prose ("lint: pass") — not a directive
     };
-    vec![(at, directive)]
+    Some((at, directive))
 }
 
 #[cfg(test)]
@@ -660,6 +644,16 @@ mod tests {
     fn prose_mentioning_lint_colon_is_not_a_directive() {
         let src = "// ups-lint: a lint: pass over the workspace\nfn f() {}\n";
         assert!(det(src).is_empty());
+    }
+
+    #[test]
+    fn a_stale_schema_annotation_is_an_unknown_directive() {
+        let f = det("// lint:schema(x/v1)\nfn to_json() {}\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].line, f[0].rule), (1, "bad-suppression"));
+        assert!(f[0]
+            .message
+            .contains("unknown lint directive `lint:schema`"));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! replaced by spaces (newlines preserved, so byte offsets map to the
 //! original line numbers). That way a rule searching for `HashMap` or
 //! `Instant` never matches prose in a doc comment or a key inside a JSON
-//! format string. The scanner also keeps what it blanked — comments feed
-//! the `lint:allow` / `lint:schema` / `// SAFETY:` grammar, string
-//! literals feed the schema field-surface extractor.
+//! format string. The scanner also keeps the comments it blanked: they
+//! feed the `lint:allow` / `// SAFETY:` grammar.
 //!
 //! The grammar subset handled (everything this workspace uses):
 //!
@@ -31,16 +30,6 @@ pub struct Comment {
     pub text: String,
 }
 
-/// One string literal (normal, raw, or byte) with its starting line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrLit {
-    /// Line the opening quote is on.
-    pub line: usize,
-    /// Content between the delimiters, exactly as written (escape
-    /// sequences are *not* resolved; see [`unescape_quotes`]).
-    pub content: String,
-}
-
 /// A scanned source file.
 #[derive(Debug, Clone)]
 pub struct ScannedFile {
@@ -49,41 +38,13 @@ pub struct ScannedFile {
     pub code: String,
     /// Every comment, in source order.
     pub comments: Vec<Comment>,
-    /// Every string literal, in source order.
-    pub strings: Vec<StrLit>,
 }
 
-/// Resolve just enough escaping to search a literal's content for JSON
-/// keys: `\\` → `\` and `\"` → `"`. Raw strings need neither and contain
-/// neither sequence with escape meaning, so applying this uniformly is
-/// safe for key extraction.
-pub fn unescape_quotes(content: &str) -> String {
-    let mut out = String::with_capacity(content.len());
-    let mut chars = content.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('"') => out.push('"'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Scan `src` into blanked code plus captured comments and literals.
+/// Scan `src` into blanked code plus its captured comments.
 pub fn scan(src: &str) -> ScannedFile {
     let chars: Vec<char> = src.chars().collect();
     let mut code = String::with_capacity(src.len());
     let mut comments = Vec::new();
-    let mut strings = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -186,9 +147,7 @@ pub fn scan(src: &str) -> ScannedFile {
                 for &ch in &chars[i..=j] {
                     keep(&mut code, &mut line, ch);
                 }
-                let lit_line = line;
                 i = j + 1;
-                let mut content = String::new();
                 // Scan to `"` followed by `hashes` hashes.
                 'raw: while i < chars.len() {
                     if chars[i] == '"' {
@@ -204,14 +163,9 @@ pub fn scan(src: &str) -> ScannedFile {
                             break 'raw;
                         }
                     }
-                    content.push(chars[i]);
                     blank(&mut code, &mut line, chars[i]);
                     i += 1;
                 }
-                strings.push(StrLit {
-                    line: lit_line,
-                    content,
-                });
                 continue;
             }
             // Not a raw string (raw identifier or plain `r`): fall through.
@@ -224,17 +178,13 @@ pub fn scan(src: &str) -> ScannedFile {
                 i += 1;
             }
             keep(&mut code, &mut line, '"');
-            let lit_line = line;
             i += 1;
-            let mut content = String::new();
             while i < chars.len() {
                 let c = chars[i];
                 if c == '\\' {
-                    content.push(c);
                     blank(&mut code, &mut line, c);
                     i += 1;
                     if i < chars.len() {
-                        content.push(chars[i]);
                         blank(&mut code, &mut line, chars[i]);
                         i += 1;
                     }
@@ -245,14 +195,9 @@ pub fn scan(src: &str) -> ScannedFile {
                     i += 1;
                     break;
                 }
-                content.push(c);
                 blank(&mut code, &mut line, c);
                 i += 1;
             }
-            strings.push(StrLit {
-                line: lit_line,
-                content,
-            });
             continue;
         }
 
@@ -301,11 +246,7 @@ pub fn scan(src: &str) -> ScannedFile {
         i += 1;
     }
 
-    ScannedFile {
-        code,
-        comments,
-        strings,
-    }
+    ScannedFile { code, comments }
 }
 
 /// Is `c` part of an identifier?
@@ -417,22 +358,18 @@ mod tests {
 
     #[test]
     fn string_contents_are_blanked_but_captured() {
-        let s = scan(r#"let x = "Instant::now() \" quoted";"#);
-        assert!(!s.code.contains("Instant"));
-        assert_eq!(s.strings.len(), 1);
-        assert_eq!(s.strings[0].content, r#"Instant::now() \" quoted"#);
-        assert_eq!(
-            unescape_quotes(&s.strings[0].content),
-            r#"Instant::now() " quoted"#
-        );
+        let s = scan(r#"let x = "Instant::now() \" quoted"; y"#);
+        // The escaped quote does not close the literal; its delimiters
+        // stay code, so the literal keeps its place and width.
+        assert_eq!(s.code, r#"let x = "                        "; y"#);
     }
 
     #[test]
     fn raw_strings_with_hashes_scan_to_the_matching_close() {
         let src = r###"let x = r#"one "quoted" two"#; let y = HashMap::new();"###;
         let s = scan(src);
-        assert_eq!(s.strings.len(), 1);
-        assert_eq!(s.strings[0].content, r#"one "quoted" two"#);
+        assert!(!s.code.contains("quoted"));
+        assert!(s.code.starts_with(r##"let x = r#"    "##));
         // Code after the raw string is still scanned.
         assert_eq!(find_word(&s.code, "HashMap").len(), 1);
     }
@@ -441,23 +378,22 @@ mod tests {
     fn raw_string_double_hash() {
         let src = "r##\"inner \"# still inside\"##; Instant";
         let s = scan(src);
-        assert_eq!(s.strings[0].content, "inner \"# still inside");
+        assert!(!s.code.contains("inside"));
         assert_eq!(find_word(&s.code, "Instant").len(), 1);
     }
 
     #[test]
     fn byte_and_raw_byte_strings() {
         let s = scan(r##"let a = b"bytes"; let b = br#"raw "bytes""#;"##);
-        assert_eq!(s.strings.len(), 2);
-        assert_eq!(s.strings[0].content, "bytes");
-        assert_eq!(s.strings[1].content, r#"raw "bytes""#);
+        assert!(!s.code.contains("bytes"));
+        assert!(s.code.contains(r#"b"     ""#));
+        assert!(s.code.contains(r##"br#"           "#"##));
     }
 
     #[test]
     fn raw_identifiers_stay_code() {
-        let s = scan("let r#type = 1; let x = r#type;");
-        assert!(s.strings.is_empty());
-        assert!(s.code.contains("r#type"));
+        let src = "let r#type = 1; let x = r#type;";
+        assert_eq!(scan(src).code, src);
     }
 
     #[test]
@@ -473,9 +409,8 @@ mod tests {
 
     #[test]
     fn lifetime_static_not_mistaken_for_char() {
-        let s = scan("fn f(x: &'static str) -> &'static str { x }");
-        assert!(s.code.contains("&'static str"));
-        assert!(s.strings.is_empty());
+        let src = "fn f(x: &'static str) -> &'static str { x }";
+        assert_eq!(scan(src).code, src);
     }
 
     #[test]
@@ -487,7 +422,7 @@ mod tests {
     #[test]
     fn quote_in_string_does_not_open_a_char_literal() {
         let s = scan(r#"let x = "it's fine"; HashMap"#);
-        assert_eq!(s.strings[0].content, "it's fine");
+        assert!(!s.code.contains("fine"));
         assert_eq!(find_word(&s.code, "HashMap").len(), 1);
     }
 
@@ -507,7 +442,7 @@ mod tests {
     #[test]
     fn line_numbers_track_multiline_strings() {
         let s = scan("let x = \"one\ntwo\";\nInstant\n");
-        assert_eq!(s.strings[0].line, 1);
+        assert!(!s.code.contains("two"));
         let starts = line_starts(&s.code);
         let at = find_word(&s.code, "Instant")[0];
         assert_eq!(line_of(&starts, at), 3);

@@ -1,7 +1,7 @@
 //! Workspace-level gates: the real repo is lint-clean, the output is
-//! byte-identical across runs, the committed `SCHEMAS.lock` matches the
-//! annotated emitters, and a seeded violation in a synthetic workspace
-//! actually turns the gate red (so CI's failure path is itself tested).
+//! byte-identical across runs, and a seeded violation in a synthetic
+//! workspace actually turns the gate red (so CI's failure path is itself
+//! tested).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,26 +33,12 @@ fn the_workspace_is_lint_clean() {
 }
 
 #[test]
-fn schemas_lock_matches_the_annotated_emitters() {
-    let ws = Workspace::load(&repo_root()).expect("load workspace");
-    let findings = ws.check_schemas();
-    assert!(
-        findings.is_empty(),
-        "SCHEMAS.lock disagrees with the emitters:\n{}\n\
-         (cargo run -p ups-lint -- --update regenerates it)",
-        render(&findings)
-    );
-}
-
-#[test]
 fn lint_output_is_byte_identical_across_runs() {
     let root = repo_root();
     let runs: Vec<String> = (0..2)
         .map(|_| {
             let ws = Workspace::load(&root).expect("load workspace");
-            let mut findings = ws.check();
-            findings.extend(ws.check_schemas());
-            findings.sort();
+            let findings = ws.check();
             format!("{}files={}", render(&findings), ws.files.len())
         })
         .collect();
@@ -83,40 +69,6 @@ fn a_seeded_violation_turns_the_gate_red() {
     assert_eq!(findings.len(), 2, "{}", render(&findings));
     assert!(findings.iter().all(|f| f.rule == "wall-clock"));
     assert_eq!(findings[0].path, "crates/core/src/lib.rs");
-    fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn schema_drift_in_a_synthetic_workspace_is_caught() {
-    let dir = synthetic_workspace(
-        "drift",
-        r##"// lint:schema(demo/v1)
-pub fn to_json() -> String {
-    r#"{"schema":"demo/v1","alpha":1}"#.to_string()
-}
-"##,
-    );
-    // Lock the current surface, then grow the emitter without a bump.
-    let ws = Workspace::load(&dir).expect("load synthetic workspace");
-    let (surfaces, findings) = ws.extract_schemas();
-    assert!(findings.is_empty(), "{}", render(&findings));
-    fs::write(ws.lock_path(), ups_lint::render_lock(&surfaces)).expect("write lock");
-    assert!(ws.check_schemas().is_empty(), "fresh lock must be clean");
-
-    fs::write(
-        dir.join("crates/core/src/lib.rs"),
-        r##"// lint:schema(demo/v1)
-pub fn to_json() -> String {
-    r#"{"schema":"demo/v1","alpha":1,"beta":2}"#.to_string()
-}
-"##,
-    )
-    .expect("grow emitter");
-    let ws = Workspace::load(&dir).expect("reload");
-    let findings = ws.check_schemas();
-    assert_eq!(findings.len(), 1, "{}", render(&findings));
-    assert!(findings[0].message.contains("without a version-tag bump"));
-    assert!(findings[0].message.contains("added: [beta]"));
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -26,7 +26,6 @@ pub struct TransportSummary {
 
 impl TransportSummary {
     /// Compact JSON object.
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -64,7 +63,6 @@ pub struct DisruptionSummary {
 
 impl DisruptionSummary {
     /// Compact JSON object.
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -144,7 +142,6 @@ impl DivergenceSummary {
     }
 
     /// Compact JSON object, schema-tagged.
-    // lint:schema(ups-forensics/v1)
     pub fn to_json(&self) -> String {
         let nodes: Vec<String> = self
             .top_nodes
@@ -234,7 +231,6 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Compact single-line JSON object (JSONL-friendly).
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self) -> String {
         let buckets: Vec<String> = self
             .fct_buckets

@@ -20,9 +20,9 @@
 //!
 //! Writes one JSON line per finished job to `--jsonl` (completion order,
 //! live progress), the sorted aggregate to `--out` and, with
-//! `--telemetry`, the heartbeat time series; `--check` re-validates the
-//! aggregate after writing and fails the process if the artifact doesn't
-//! conform.
+//! `--telemetry`, the heartbeat time series; `--check` validates the
+//! aggregate before it is written and fails the process, writing
+//! neither document, if the artifact doesn't conform.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -318,9 +318,26 @@ fn open_output(path: &Path, truncate: bool) -> Option<File> {
         .ok()
 }
 
-/// Removes `--out` on drop if this run created it, so a run that fails
-/// after opening it leaves no empty file behind. `disarm` once `--out`
-/// holds the run's document.
+/// [`open_output`] without truncating, plus the guard that removes the
+/// file again if this run created it.
+fn open_kept(path: &Path) -> Option<(File, CreatedOut<'_>)> {
+    let existed = path.exists();
+    let file = open_output(path, false)?;
+    Some((file, CreatedOut((!existed).then_some(path))))
+}
+
+/// Replace an output's contents with `doc`, or say on stderr why not.
+fn rewrite(file: &mut File, path: &Path, doc: &str) -> bool {
+    let written = file
+        .set_len(0)
+        .and_then(|()| file.write_all(doc.as_bytes()));
+    let failed = |e| eprintln!("sweep: cannot write {}: {e}", path.display());
+    written.map_err(failed).is_ok()
+}
+
+/// Removes an output on drop if this run created it, so a run that fails
+/// after opening it leaves no empty file behind. `disarm` once the
+/// output holds the run's document.
 struct CreatedOut<'a>(Option<&'a Path>);
 
 impl CreatedOut<'_> {
@@ -512,22 +529,21 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Open every output before any job runs, --jsonl last, so a bad
-    // --telemetry or --out path leaves --jsonl untouched. --out is opened
-    // without truncating and rewritten last: its default is the committed
-    // BENCH_sweep.json, which a failed run must leave as it found it —
-    // intact if it existed, absent if it did not.
+    // --telemetry or --out path leaves --jsonl untouched. Both are opened
+    // without truncating and rewritten only once the run has succeeded:
+    // --out's default is the committed BENCH_sweep.json, and a failed run
+    // must leave each as it found it — intact if it existed, absent if it
+    // did not.
     let mut telemetry = None;
     if let Some(path) = &args.telemetry {
-        let Some(file) = open_output(path, true) else {
+        let Some(kept) = open_kept(path) else {
             return ExitCode::FAILURE;
         };
-        telemetry = Some((path, file));
+        telemetry = Some((path, kept));
     }
-    let out_existed = args.out.exists();
-    let Some(mut out) = open_output(&args.out, false) else {
+    let Some((mut out, mut created_out)) = open_kept(&args.out) else {
         return ExitCode::FAILURE;
     };
-    let mut created_out = CreatedOut((!out_existed).then_some(args.out.as_path()));
     let stream = match ResultStream::create(&args.jsonl) {
         Ok(s) => s,
         Err(e) => {
@@ -647,24 +663,14 @@ fn main() -> ExitCode {
         stats.workers,
         records.len() as f64 / wall_s
     );
-    if let Some((path, file)) = telemetry.as_mut() {
-        let ts_doc = timeseries_json(&stats.ticks, stats.workers, wall_s);
-        if let Err(e) = file.write_all(ts_doc.as_bytes()) {
-            eprintln!("sweep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "# wrote {} ({} heartbeat ticks)",
-            path.display(),
-            stats.ticks.len()
-        );
-        // The artifact we just wrote must pass the same gate CI applies.
-        if let Err(e) = validate_artifact(&ts_doc) {
-            eprintln!("sweep: telemetry artifact failed validation: {e}");
-            return ExitCode::FAILURE;
-        }
+    // Validate both documents before writing either.
+    let ts_doc = telemetry
+        .as_ref()
+        .map(|_| timeseries_json(&stats.ticks, stats.workers, wall_s));
+    if let Some(Err(e)) = ts_doc.as_deref().map(validate_artifact) {
+        eprintln!("sweep: telemetry artifact failed validation: {e}");
+        return ExitCode::FAILURE;
     }
-
     if args.check {
         match validate_bench_sweep(&doc) {
             Ok(d) => println!(
@@ -678,11 +684,20 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Err(e) = out.set_len(0).and_then(|()| out.write_all(doc.as_bytes())) {
-        eprintln!("sweep: cannot write {}: {e}", args.out.display());
+    if let Some(((path, (file, _)), ts_doc)) = telemetry.as_mut().zip(ts_doc) {
+        if !rewrite(file, path, &ts_doc) {
+            return ExitCode::FAILURE;
+        }
+        let ticks = stats.ticks.len();
+        println!("# wrote {} ({ticks} heartbeat ticks)", path.display());
+    }
+    if !rewrite(&mut out, &args.out, &doc) {
         return ExitCode::FAILURE;
     }
     created_out.disarm();
+    if let Some((_, (_, created))) = telemetry.as_mut() {
+        created.disarm();
+    }
     println!(
         "# wrote {} and {}",
         args.out.display(),

@@ -232,7 +232,6 @@ pub struct JobSpec {
 impl JobSpec {
     /// The scenario as a compact JSON object — embedded in every result
     /// record so each line is self-describing.
-    // lint:schema(ups-sweep-record/v5)
     pub fn scenario_json(&self) -> String {
         let opt = |v: Option<String>| v.unwrap_or_else(|| "null".into());
         let quoted = |s: &str| format!("\"{}\"", json_escape(s));
@@ -368,7 +367,6 @@ impl Exclude {
 
     /// The filter as JSON, so a recorded grid block can reproduce the
     /// exact job list it generated.
-    // lint:schema(ups-sweep/v5)
     fn to_json(&self) -> String {
         let opt_str = |v: &Option<String>| match v {
             Some(s) => format!("\"{}\"", json_escape(s)),
@@ -774,7 +772,6 @@ impl ScenarioGrid {
     }
 
     /// The grid itself as JSON — the `"grid"` block of `BENCH_sweep.json`.
-    // lint:schema(ups-sweep/v5)
     pub fn to_json(&self) -> String {
         let strs = |v: &[String]| {
             v.iter()

@@ -109,7 +109,6 @@ impl JobRecord {
     /// The record as one JSON line. `with_timing: false` omits the
     /// wall-clock field, leaving only fields that are pure functions of
     /// the spec — the form the cross-thread determinism contract compares.
-    // lint:schema(ups-sweep-record/v5)
     pub fn to_json(&self, with_timing: bool) -> String {
         let timing = if with_timing {
             format!(r#","wall_s":{}"#, ups_metrics::json_num(self.wall_s))

@@ -9,14 +9,18 @@
 //!   generated the sweep, pool accounting (workers, jobs/sec) and
 //!   every record sorted by job id.
 //!
-//! The other half gates every tagged artifact the repository commits or
-//! CI writes — these two, the bench documents and the `sweep --telemetry`
-//! time series: [`validate_artifact`] parses a document once, dispatches
-//! on its `schema` tag and returns a one-line confirmation or an error
+//! The other half describes and gates every tagged artifact the
+//! repository commits or CI writes — these two, the bench documents and
+//! the `sweep --telemetry` time series. Each schema tag has one field
+//! [`Table`] (every key with its kind, whether it may be `null`, and the
+//! table or tag it nests), listed in [`TABLES`]. [`validate_artifact`]
+//! parses a document once, dispatches on its `schema` tag, walks that
+//! tag's table through one cursor (`Cur`), then runs the family's
+//! cross-field rules, and returns a one-line confirmation or an error
 //! naming the offending field. One version of each tag is accepted — the
-//! one a committed artifact or a CI step produces. Validators read fields
-//! through one cursor (`Cur`), leaving each a field list plus its
-//! cross-field rules.
+//! one a committed artifact or a CI step produces. `SCHEMAS.lock` is
+//! printed from the tables, and `tests/schema_lock.rs` checks that the
+//! emitters write exactly each table's keys.
 
 use std::fmt::Debug;
 use std::fs::File;
@@ -30,6 +34,7 @@ use crate::json::{parse, JsonValue};
 use crate::pool::PoolStats;
 use crate::runner::{JobRecord, RECORD_SCHEMA};
 use crate::telemetry::TIMESERIES_SCHEMA;
+use Kind::{Bool, List, Num, Obj, Rows, Str, True};
 
 /// Schema tag of the aggregate artifact this build writes, and the only
 /// one [`validate_bench_sweep`] accepts.
@@ -74,7 +79,6 @@ impl ResultStream {
 
 /// Render the aggregate artifact. Records are sorted by job id (the
 /// caller hands them in pool order, which is already job order).
-// lint:schema(ups-sweep/v5)
 pub fn bench_sweep_json(
     grid: &ScenarioGrid,
     records: &[JobRecord],
@@ -126,6 +130,277 @@ pub struct SweepDigest {
     pub jobs_per_sec: f64,
 }
 
+/// What one field of a tagged artifact holds.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// `true` or `false`.
+    Bool,
+    /// Literal `true`: a property the artifact's producer asserted.
+    True,
+    /// An array of scalars (a grid axis); its elements are not checked.
+    List,
+    /// An object, walked by the nested table.
+    Obj(&'static Table),
+    /// An array of objects, each walked by the nested table.
+    Rows(&'static Table),
+}
+
+/// One key of a [`Table`].
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// The JSON key.
+    pub key: &'static str,
+    /// What its value must be.
+    pub kind: Kind,
+    /// Whether `null` stands in for a value of `kind`.
+    pub nullable: bool,
+    /// Whether every object carries the key. Only a flag that some rows
+    /// carry (the `bit_identical_*` anchors) is not required.
+    pub required: bool,
+}
+
+/// The fields of one JSON object, in emission order. A table with a tag
+/// is a schema: its objects carry `"schema": <tag>`, and a table that
+/// nests it names the key that holds it, not its fields.
+#[derive(Debug)]
+pub struct Table {
+    /// The schema tag, for a table that is one.
+    pub tag: Option<&'static str>,
+    /// Every key its objects carry.
+    pub fields: &'static [Field],
+}
+
+const fn field(key: &'static str, kind: Kind) -> Field {
+    Field {
+        key,
+        kind,
+        nullable: false,
+        required: true,
+    }
+}
+
+const fn nullable(key: &'static str, kind: Kind) -> Field {
+    Field {
+        nullable: true,
+        ..field(key, kind)
+    }
+}
+
+const fn optional(key: &'static str, kind: Kind) -> Field {
+    Field {
+        required: false,
+        ..field(key, kind)
+    }
+}
+
+const fn untagged(fields: &'static [Field]) -> Table {
+    Table { tag: None, fields }
+}
+
+// The tables below are laid out a few fields to a line, in emission
+// order, so each reads as the object it describes.
+
+/// `ups-sweep/v5`, the aggregate `BENCH_sweep.json`.
+#[rustfmt::skip]
+pub const SWEEP: Table = Table { tag: Some(SWEEP_SCHEMA), fields: &[
+    field("schema", Str), field("grid", Obj(&GRID)),
+    field("workers", Num), field("jobs", Num), field("wall_s", Num), field("jobs_per_sec", Num),
+    field("results", Rows(&RECORD)),
+] };
+
+/// The aggregate's `grid` block: the axes that generated the sweep.
+#[rustfmt::skip]
+const GRID: Table = untagged(&[
+    field("topologies", List), field("profiles", List), field("schedulers", List),
+    field("traffic", List), field("rest_bps", List), field("utilizations", List),
+    field("seeds", List), field("window_ms", Num), nullable("horizon_ms", Num),
+    nullable("buffer_bytes", Num), field("replay", Bool),
+    field("queues", List), field("mapper", Str), field("failures", List), field("inflight", Str),
+    nullable("max_packets", Num), field("excludes", Rows(&EXCLUDE)), nullable("max_jobs", Num),
+]);
+
+/// One exclusion filter of the grid; `null` matches everything.
+#[rustfmt::skip]
+const EXCLUDE: Table = untagged(&[
+    nullable("topology", Str), nullable("profile", Str), nullable("scheduler", Str),
+    nullable("traffic", Str), nullable("queues", Num), nullable("failures", Str),
+    nullable("utilization_above", Num),
+]);
+
+/// `ups-sweep-record/v5`, one job's result line.
+#[rustfmt::skip]
+pub const RECORD: Table = Table { tag: Some(RECORD_SCHEMA), fields: &[
+    field("schema", Str), field("job_id", Num),
+    field("scenario", Obj(&SCENARIO)), field("metrics", Obj(&METRICS)), field("wall_s", Num),
+] };
+
+/// A record's `scenario`: the job spec.
+#[rustfmt::skip]
+const SCENARIO: Table = untagged(&[
+    field("topology", Str), field("profile", Str), field("scheduler", Str),
+    field("traffic", Str), nullable("rest_bps", Num),
+    field("utilization", Num), field("seed", Num), field("window_ms", Num),
+    nullable("horizon_ms", Num), nullable("buffer_bytes", Num), field("replay", Bool),
+    nullable("queues", Num), nullable("mapper", Str),
+    nullable("failures", Str), nullable("inflight", Str), nullable("max_packets", Num),
+]);
+
+/// A record's `metrics`. A zero-delivery run has a null `jain`: a dead
+/// run is not "perfectly fair".
+#[rustfmt::skip]
+const METRICS: Table = untagged(&[
+    field("flows", Num), field("packets", Num), field("delivered", Num), field("dropped", Num),
+    field("delay_mean_s", Num), field("delay_p99_s", Num), field("fct_mean_s", Num),
+    nullable("jain", Num), nullable("replay_match_rate", Num), nullable("replay_frac_gt_t", Num),
+    nullable("quantized_match_rate", Num), nullable("quantized_frac_gt_t", Num),
+    nullable("quantized_fct_delta_s", Num),
+    nullable("transport", Obj(&TRANSPORT)), nullable("disruption", Obj(&DISRUPTION)),
+    nullable("divergence", Obj(&FORENSICS)), field("fct_buckets", Rows(&FCT_BUCKET)),
+]);
+
+/// A closed-loop record's `transport` block.
+#[rustfmt::skip]
+const TRANSPORT: Table = untagged(&[
+    field("completed_flows", Num), field("goodput_bytes", Num),
+    field("retransmits", Num), field("rto_events", Num), field("slack_ooo", Num),
+]);
+
+/// A failure record's `disruption` block.
+#[rustfmt::skip]
+const DISRUPTION: Table = untagged(&[
+    field("links_failed", Num), field("rerouted", Num), field("dropped_at_dead_link", Num),
+    nullable("churn_replay_match_rate", Num),
+]);
+
+/// One FCT size bucket; the overflow bucket's edge is `null`.
+#[rustfmt::skip]
+const FCT_BUCKET: Table = untagged(&[
+    nullable("edge_bytes", Num), field("mean_fct_s", Num), field("flows", Num),
+]);
+
+/// `ups-forensics/v1`, one replay's mismatch attribution wherever it
+/// appears (a record's `divergence` block, every degradation row): the
+/// five causes, the five first-divergent-hop inversion classes, and the
+/// blame aggregates.
+#[rustfmt::skip]
+pub const FORENSICS: Table = Table { tag: Some("ups-forensics/v1"), fields: &[
+    field("schema", Str), field("mismatches", Num),
+    field("overdue_within_t", Num), field("overdue_beyond_t", Num),
+    field("missing_in_replay", Num), field("dead_link_drop", Num), field("buffer_drop", Num),
+    field("rank_tie_break", Num), field("bucket_collision", Num), field("reroute", Num),
+    field("queue_overflow", Num), field("exit_only", Num),
+    nullable("hop_lateness_p50_s", Num), nullable("hop_lateness_p99_s", Num),
+    field("top_nodes", Rows(&TOP_NODE)),
+] };
+
+/// One switch of the blame ranking.
+const TOP_NODE: Table = untagged(&[field("node", Num), field("mismatches", Num)]);
+
+/// `ups-bench-degradation/v1`, `BENCH_degradation.json`.
+#[rustfmt::skip]
+pub const DEGRADATION: Table = Table { tag: Some("ups-bench-degradation/v1"), fields: &[
+    field("schema", Str), field("scenario", Obj(&DEGRADATION_SCENARIO)),
+    field("quantization", Rows(&K_ROW)), field("failures", Rows(&RATE_ROW)),
+] };
+
+#[rustfmt::skip]
+const DEGRADATION_SCENARIO: Table = untagged(&[
+    field("topology", Str), field("original", Str), field("mapper", Str),
+    field("profile", Str), field("inflight", Str),
+    field("utilization", Num), field("seed", Num),
+    field("packets", Num), field("flows", Num), field("window_ms", Num),
+]);
+
+/// One quantization-axis row; `k: null` is exact LSTF.
+#[rustfmt::skip]
+const K_ROW: Table = untagged(&[
+    nullable("k", Num), field("mean_fct_s", Num),
+    field("compared", Num), field("match_rate", Num), field("frac_gt_t", Num),
+    field("missing", Num), field("max_lateness_us", Num),
+    optional("bit_identical_to_exact_lstf", True), field("divergence", Obj(&FORENSICS)),
+]);
+
+/// One failure-axis row.
+#[rustfmt::skip]
+const RATE_ROW: Table = untagged(&[
+    field("rate", Num), field("links_failed", Num), field("rerouted", Num),
+    field("dropped_at_dead_link", Num), field("delivered", Num),
+    field("compared", Num), field("match_rate", Num), field("frac_gt_t", Num),
+    field("missing", Num), field("max_lateness_us", Num),
+    optional("bit_identical_to_static_routing", True), field("divergence", Obj(&FORENSICS)),
+]);
+
+/// `ups-bench-scale/v1`, `BENCH_scale.json`.
+#[rustfmt::skip]
+pub const SCALE: Table = Table { tag: Some("ups-bench-scale/v1"), fields: &[
+    field("schema", Str), field("scenario", Obj(&SCALE_SCENARIO)),
+    field("packets", Num), field("flows", Num), field("delivered", Num), field("dropped", Num),
+    field("peak_rss_bytes", Num), field("rss_budget_bytes", Num), field("packets_per_sec", Num),
+    field("replay_match_rate", Num), field("replay_frac_gt_t", Num),
+    field("differential", Obj(&DIFFERENTIAL)),
+] };
+
+#[rustfmt::skip]
+const SCALE_SCENARIO: Table = untagged(&[
+    field("topology", Str), field("scheduler", Str), field("utilization", Num),
+    field("flow_bytes", Num), field("window_ms", Num), field("seed", Num),
+]);
+
+/// The streaming-vs-resident gate, green across all three layers.
+#[rustfmt::skip]
+const DIFFERENTIAL: Table = untagged(&[
+    field("workload_packets", Num), field("records_identical", True),
+    field("reports_identical", True), field("summaries_identical", True),
+]);
+
+/// [`TIMESERIES_SCHEMA`], the document `sweep --telemetry` writes.
+#[rustfmt::skip]
+pub const TIMESERIES: Table = Table { tag: Some(TIMESERIES_SCHEMA), fields: &[
+    field("schema", Str), field("workers", Num), field("wall_s", Num),
+    field("heartbeats", Rows(&TICK)),
+] };
+
+/// One heartbeat tick; `eta_s` is null until a job has finished.
+#[rustfmt::skip]
+const TICK: Table = untagged(&[
+    field("t_s", Num), field("done", Num), field("total", Num),
+    field("jobs_per_sec", Num), nullable("eta_s", Num), field("workers", Rows(&WORKER_ROW)),
+]);
+
+#[rustfmt::skip]
+const WORKER_ROW: Table = untagged(&[
+    field("worker", Num), field("jobs", Num), field("busy_s", Num), field("utilization", Num),
+]);
+
+/// Every schema tag's table. `SCHEMAS.lock` is printed from these
+/// (`tests/schema_lock.rs`).
+pub const TABLES: [&Table; 6] = [
+    &SWEEP,
+    &RECORD,
+    &FORENSICS,
+    &DEGRADATION,
+    &SCALE,
+    &TIMESERIES,
+];
+
+impl Kind {
+    /// Whether `v` is a value of this kind, and how an error names it.
+    fn check(self, v: &JsonValue) -> (bool, &'static str) {
+        match self {
+            Num => (v.as_f64().is_some(), "a number"),
+            Str => (v.as_str().is_some(), "a string"),
+            Bool => (matches!(v, JsonValue::Bool(_)), "a boolean"),
+            True => (*v == JsonValue::Bool(true), "true"),
+            List | Rows(_) => (v.as_array().is_some(), "an array"),
+            Obj(_) => (matches!(v, JsonValue::Object(_)), "an object"),
+        }
+    }
+}
+
 /// A position in a parsed document: a value plus the path that reached it
 /// (`$` is the root, as in JSONPath), so every accessor can name the field
 /// it rejects. Documents come from outside the program: a failed read is
@@ -140,17 +415,6 @@ fn with_root<T>(doc: &str, check: impl FnOnce(&Cur) -> Result<T, String>) -> Res
     let v = parse(doc).map_err(|e| format!("not JSON: {e}"))?;
     let path = "$".to_string();
     check(&Cur { path, v: &v })
-}
-
-/// Wrap `pick` so that JSON `null` is a legal value, read as `None`.
-fn or_null<'a, T>(
-    v: &'a JsonValue,
-    pick: impl FnOnce(&'a JsonValue) -> Option<T>,
-) -> Option<Option<T>> {
-    match v {
-        JsonValue::Null => Some(None),
-        v => pick(v).map(Some),
-    }
 }
 
 impl<'a> Cur<'a> {
@@ -185,6 +449,35 @@ impl<'a> Cur<'a> {
         pick(v).ok_or_else(|| format!("{} must be {want}, got {v:?}", self.name(field)))
     }
 
+    /// Walk `table` over this object: its tag first, if it has one, then
+    /// every field — present unless optional, of its kind or a permitted
+    /// `null`, and nested tables walked in turn.
+    fn walk(&self, table: &Table) -> Result<(), String> {
+        if let Some(tag) = table.tag {
+            self.tagged(tag)?;
+        }
+        for f in table.fields {
+            let v = match self.v.get(f.key) {
+                None if f.required => return Err(format!("{} missing", self.name(f.key))),
+                None => continue,
+                Some(JsonValue::Null) if f.nullable => continue,
+                Some(v) => v,
+            };
+            let (holds, want) = f.kind.check(v);
+            if !holds {
+                let or_null = if f.nullable { " or null" } else { "" };
+                let name = self.name(f.key);
+                return Err(format!("{name} must be {want}{or_null}, got {v:?}"));
+            }
+            match f.kind {
+                Obj(nested) => self.obj(f.key)?.walk(nested)?,
+                Rows(nested) => self.rows(f.key)?.iter().try_for_each(|r| r.walk(nested))?,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     fn num(&self, field: &str) -> Result<f64, String> {
         self.get(field, "a number", JsonValue::as_f64)
     }
@@ -193,26 +486,17 @@ impl<'a> Cur<'a> {
         self.get(field, "a string", JsonValue::as_str)
     }
 
-    fn num_or_null(&self, field: &str) -> Result<Option<f64>, String> {
-        self.get(field, "a number or null", |v| or_null(v, JsonValue::as_f64))
-    }
-
-    fn str_or_null(&self, field: &str) -> Result<Option<&'a str>, String> {
-        self.get(field, "a string or null", |v| or_null(v, JsonValue::as_str))
-    }
-
-    fn as_obj(&self, field: &str, v: &'a JsonValue) -> Option<Cur<'a>> {
-        let path = self.name(field);
-        matches!(v, JsonValue::Object(_)).then_some(Cur { path, v })
-    }
-
     fn obj(&self, field: &str) -> Result<Cur<'a>, String> {
-        self.get(field, "an object", |v| self.as_obj(field, v))
+        let path = self.name(field);
+        let as_obj =
+            |v: &'a JsonValue| matches!(v, JsonValue::Object(_)).then_some(Cur { path, v });
+        self.get(field, "an object", as_obj)
     }
 
-    fn obj_or_null(&self, field: &str) -> Result<Option<Cur<'a>>, String> {
-        let as_obj = |v| self.as_obj(field, v);
-        self.get(field, "an object or null", |v| or_null(v, as_obj))
+    /// `field`'s value unless it is `null` (or absent): how rules read a
+    /// nullable field the table walk has already typed.
+    fn present(&self, field: &str) -> Option<&'a JsonValue> {
+        self.v.get(field).filter(|v| **v != JsonValue::Null)
     }
 
     /// The elements of the array `field`, each at `<path>.<field>[i]`.
@@ -221,16 +505,6 @@ impl<'a> Cur<'a> {
         let name = self.name(field);
         let paths = (0..).map(|i| format!("{name}[{i}]"));
         Ok(paths.zip(rows).map(|(path, v)| Cur { path, v }).collect())
-    }
-
-    /// Every one of `fields` must be a number.
-    fn nums(&self, fields: &[&str]) -> Result<(), String> {
-        fields.iter().try_for_each(|f| self.num(f).map(drop))
-    }
-
-    /// Every one of `fields` must be a string.
-    fn strs(&self, fields: &[&str]) -> Result<(), String> {
-        fields.iter().try_for_each(|f| self.str(f).map(drop))
     }
 
     /// A number that must be finite and `> 0`.
@@ -265,21 +539,13 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// The `scenario` block every record and bench artifact opens with.
-fn scenario<'a>(doc: &Cur<'a>, strs: &[&str], nums: &[&str]) -> Result<Cur<'a>, String> {
-    let s = doc.obj("scenario")?;
-    s.strs(strs)?;
-    s.nums(nums)?;
-    Ok(s)
-}
-
 /// The quantization axis of the degradation bench: at least one
 /// finite-`k` row, `k ≥ 1` strictly ascending, then exactly one `k: null`
 /// row — the exact-LSTF (K = ∞) reference. Returns `(finite, exact)`.
 fn k_axis<'a>(doc: &Cur<'a>, field: &str) -> Result<(Vec<Cur<'a>>, Cur<'a>), String> {
     let mut rows = doc.rows(field)?;
     let exact = match rows.pop() {
-        Some(last) if !rows.is_empty() && last.num_or_null("k")?.is_none() => last,
+        Some(last) if !rows.is_empty() && last.present("k").is_none() => last,
         _ => return doc.fail(field, "needs finite-K rows, then the k = null (exact) row"),
     };
     let mut prev = 0.0;
@@ -308,33 +574,21 @@ fn rate_axis<'a>(doc: &Cur<'a>, field: &str) -> Result<Vec<Cur<'a>>, String> {
     Ok(rows)
 }
 
-/// The five mismatch causes of `ups-forensics/v1`, in emission order.
-const DIVERGENCE_CAUSES: [&str; 5] = [
-    "overdue_within_t",
-    "overdue_beyond_t",
-    "missing_in_replay",
-    "dead_link_drop",
-    "buffer_drop",
+/// The two count families of [`FORENSICS`], in emission order: the five
+/// mismatch causes, then the five first-divergent-hop inversion classes.
+#[rustfmt::skip]
+const DIVERGENCE_FAMILIES: [[&str; 5]; 2] = [
+    ["overdue_within_t", "overdue_beyond_t", "missing_in_replay", "dead_link_drop", "buffer_drop"],
+    ["rank_tie_break", "bucket_collision", "reroute", "queue_overflow", "exit_only"],
 ];
 
-/// The five first-divergent-hop inversion classes, in emission order.
-const DIVERGENCE_INVERSIONS: [&str; 5] = [
-    "rank_tie_break",
-    "bucket_collision",
-    "reroute",
-    "queue_overflow",
-    "exit_only",
-];
-
-/// One `ups-forensics/v1` object wherever it appears (a record's
-/// `divergence` block, every degradation-bench row). Each mismatched
-/// packet got exactly one cause and one inversion class, so both families
-/// must sum back to `mismatches` — a block that doesn't is corrupt
-/// attribution, not a schema quirk. Returns the mismatch count.
-fn forensics_block(d: &Cur) -> Result<u64, String> {
-    d.tagged("ups-forensics/v1")?;
+/// The [`FORENSICS`] rule: each mismatched packet got exactly one cause
+/// and one inversion class, so both families must sum back to
+/// `mismatches` — a block that doesn't is corrupt attribution, not a
+/// schema quirk. Returns the mismatch count.
+fn conserved(d: &Cur) -> Result<u64, String> {
     let mismatches = d.num("mismatches")?;
-    for family in [DIVERGENCE_CAUSES, DIVERGENCE_INVERSIONS] {
+    for family in DIVERGENCE_FAMILIES {
         let mut sum = 0.0;
         for name in family {
             sum += d.num(name)?;
@@ -345,11 +599,6 @@ fn forensics_block(d: &Cur) -> Result<u64, String> {
             return d.fail("mismatches", &rule);
         }
     }
-    d.num_or_null("hop_lateness_p50_s")?;
-    d.num_or_null("hop_lateness_p99_s")?;
-    for node in d.rows("top_nodes")? {
-        node.nums(&["node", "mismatches"])?;
-    }
     Ok(mismatches as u64)
 }
 
@@ -359,12 +608,15 @@ fn forensics_block(d: &Cur) -> Result<u64, String> {
 /// offending field — never a panic — so `sweep --check` can print a
 /// usable diagnosis.
 pub fn validate_bench_sweep(doc: &str) -> Result<SweepDigest, String> {
-    with_root(doc, sweep_envelope)
+    with_root(doc, |doc| {
+        doc.walk(&SWEEP)?;
+        sweep_rules(doc)
+    })
 }
 
-fn sweep_envelope(doc: &Cur) -> Result<SweepDigest, String> {
-    doc.tagged(SWEEP_SCHEMA)?;
-    doc.obj("grid")?;
+/// The [`SWEEP`] rules: `jobs` counts the results, which run densely in
+/// job-id order, and each is a consistent [`record_rules`] line.
+fn sweep_rules(doc: &Cur) -> Result<SweepDigest, String> {
     let jobs = doc.num("jobs")? as usize;
     let workers = doc.num("workers")? as usize;
     let jobs_per_sec = doc.positive("jobs_per_sec")?;
@@ -375,7 +627,7 @@ fn sweep_envelope(doc: &Cur) -> Result<SweepDigest, String> {
     for (i, r) in results.iter().enumerate() {
         let id = r.num("job_id")?;
         r.ensure(id as usize == i, "job_id", "breaks the sorted/dense order")?;
-        sweep_record(r)?;
+        record_rules(r)?;
     }
     Ok(SweepDigest {
         jobs,
@@ -384,28 +636,23 @@ fn sweep_envelope(doc: &Cur) -> Result<SweepDigest, String> {
     })
 }
 
-/// One [`RECORD_SCHEMA`] result line. The optional axes travel together:
+/// The [`RECORD`] rules. The optional axes travel together:
 /// `queues`⇔`mapper` (and quantized metrics only with them),
 /// `failures`⇔`inflight`⇔the `disruption` block; a closed-loop record
 /// carries a `transport` block.
-fn sweep_record(r: &Cur) -> Result<(), String> {
-    r.tagged(RECORD_SCHEMA)?;
-    let s = scenario(
-        r,
-        &["topology", "profile", "scheduler"],
-        &["utilization", "seed", "window_ms"],
-    )?;
+fn record_rules(r: &Cur) -> Result<(), String> {
+    let s = r.obj("scenario")?;
     let traffic = s.str("traffic")?;
     let open_loop = traffic == "open-loop";
     let known = open_loop || traffic == "closed-loop";
     s.ensure(known, "traffic", "must be open-loop or closed-loop")?;
-    let queues = s.num_or_null("queues")?;
+    let queues = s.present("queues").and_then(JsonValue::as_f64);
     let countable = queues.is_none_or(|k| k >= 1.0);
     s.ensure(countable, "queues", "must be ≥ 1 or null")?;
-    let paired = queues.is_some() == s.str_or_null("mapper")?.is_some();
+    let paired = queues.is_some() == s.present("mapper").is_some();
     s.ensure(paired, "queues", "and mapper must be set together")?;
-    let churn = s.str_or_null("failures")?.is_some();
-    let paired = match s.str_or_null("inflight")? {
+    let churn = s.present("failures").is_some();
+    let paired = match s.present("inflight").and_then(JsonValue::as_str) {
         Some("reroute" | "drop") => churn,
         Some(_) => false,
         None => !churn,
@@ -414,68 +661,40 @@ fn sweep_record(r: &Cur) -> Result<(), String> {
     s.ensure(paired, "inflight", rule)?;
 
     let m = r.obj("metrics")?;
-    m.nums(&[
-        "flows",
-        "packets",
-        "delivered",
-        "dropped",
-        "delay_mean_s",
-        "delay_p99_s",
-        "fct_mean_s",
-    ])?;
-    m.rows("fct_buckets")?;
-    // Null on a zero-delivery run: a dead run is not "perfectly fair".
-    m.num_or_null("jain")?;
-    match m.obj_or_null("transport")? {
-        Some(t) => t.nums(&[
-            "completed_flows",
-            "goodput_bytes",
-            "retransmits",
-            "rto_events",
-            "slack_ooo",
-        ])?,
-        None => m.ensure(open_loop, "transport", "is null on a closed-loop record")?,
+    if m.present("transport").is_none() {
+        m.ensure(open_loop, "transport", "is null on a closed-loop record")?;
     }
     for field in [
         "quantized_match_rate",
         "quantized_frac_gt_t",
         "quantized_fct_delta_s",
     ] {
-        let orphan = m.num_or_null(field)?.is_some() && queues.is_none();
+        let orphan = m.present(field).is_some() && queues.is_none();
         m.ensure(!orphan, field, "set but the scenario has no queues axis")?;
     }
-    match m.obj_or_null("disruption")? {
-        Some(d) => {
-            m.ensure(churn, "disruption", "set on a static-network record")?;
-            d.nums(&["links_failed", "rerouted", "dropped_at_dead_link"])?;
-            d.num_or_null("churn_replay_match_rate")?;
-        }
+    match m.present("disruption") {
+        Some(_) => m.ensure(churn, "disruption", "set on a static-network record")?,
         None => m.ensure(!churn, "disruption", "is null on a failure record")?,
     }
-    if let Some(d) = m.obj_or_null("divergence")? {
-        forensics_block(&d)?;
+    if m.present("divergence").is_some() {
+        conserved(&m.obj("divergence")?)?;
     }
     Ok(())
 }
 
 fn sweep(doc: &Cur) -> Result<String, String> {
-    let d = sweep_envelope(doc)?;
+    let d = sweep_rules(doc)?;
     Ok(format!(
         "{} jobs, {} workers, {:.2} jobs/sec",
         d.jobs, d.workers, d.jobs_per_sec
     ))
 }
 
-/// `BENCH_scale.json`, the `scale` bench's bounded-memory streaming run:
-/// the ≥5M-packet and ≥10k-flow floors, packet conservation, peak RSS
-/// within the recorded budget, and a fully-green differential block (the
-/// streaming and resident layouts agree on records, reports and summaries).
+/// The [`SCALE`] rules, for the `scale` bench's bounded-memory streaming
+/// run: the ≥5M-packet and ≥10k-flow floors, packet conservation, peak
+/// RSS within the recorded budget, and a differential gate over at least
+/// 100k packets (its three `true` flags are in the table).
 fn scale(doc: &Cur) -> Result<String, String> {
-    scenario(
-        doc,
-        &["topology", "scheduler"],
-        &["utilization", "flow_bytes", "window_ms", "seed"],
-    )?;
     let packets = doc.within("packets", 5_000_000.0..)?;
     let flows = doc.within("flows", 10_000.0..)?;
     let conserved = doc.num("delivered")? + doc.num("dropped")? == packets;
@@ -487,19 +706,16 @@ fn scale(doc: &Cur) -> Result<String, String> {
     doc.within("replay_frac_gt_t", 0.0..=1.0)?;
     let diff = doc.obj("differential")?;
     diff.within("workload_packets", 100_000.0..)?;
-    diff.asserts_true("records_identical")?;
-    diff.asserts_true("reports_identical")?;
-    diff.asserts_true("summaries_identical")?;
     Ok(format!(
         "{packets} packets / {flows} flows streamed, peak RSS {:.1} MiB, match rate {match_rate:.4}",
         peak / (1024.0 * 1024.0)
     ))
 }
 
-/// The [`TIMESERIES_SCHEMA`] document `sweep --telemetry` writes: a
-/// non-empty history of untagged ticks, all of one sweep (one `total`),
-/// with monotone `t_s`/`done`, one row per worker on every tick in worker
-/// order, and a final completion tick where `done == total`.
+/// The [`TIMESERIES`] rules: a non-empty history of ticks, all of one
+/// sweep (one `total`), with monotone `t_s`/`done`, one row per worker on
+/// every tick in worker order, and a final completion tick where
+/// `done == total`.
 fn timeseries(doc: &Cur) -> Result<String, String> {
     let workers = doc.within("workers", 1.0..)?;
     let wall_s = doc.within("wall_s", 0.0..)?;
@@ -516,12 +732,10 @@ fn timeseries(doc: &Cur) -> Result<String, String> {
         // Progress never runs backwards, and never past the total.
         let t_s = tick.within("t_s", last_t..)?;
         let done = tick.within("done", last_done..=total)?;
-        tick.num("jobs_per_sec")?;
         let rows = tick.rows("workers")?;
         let rule = "must hold one row per pool worker";
         tick.ensure(rows.len() == workers as usize, "workers", rule)?;
         for (i, row) in rows.iter().enumerate() {
-            row.nums(&["jobs", "busy_s", "utilization"])?;
             let rule = format!("must be {i}, the row's index");
             row.ensure(row.num("worker")? == i as f64, "worker", &rule)?;
         }
@@ -535,33 +749,18 @@ fn timeseries(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-/// `BENCH_degradation.json`, the `degradation` bench's two curves with
-/// their attribution: both axes present ([`k_axis`], [`rate_axis`]), the
-/// curve fields and a conserved [`forensics_block`] on every row, both
-/// bit-identity flags asserted — and the one cell the axes share. The
-/// `k = null` row (exact LSTF, eager drive) and the `rate = 0` row (no
-/// churn, lazy drive) replay the same static schedule, so they must agree
-/// on what was compared and how much of it matched.
+/// The [`DEGRADATION`] rules, for the `degradation` bench's two curves:
+/// both axes ([`k_axis`], [`rate_axis`]), a conserved attribution on
+/// every row, both bit-identity flags asserted — and the one cell the
+/// axes share. The `k = null` row (exact LSTF, eager drive) and the
+/// `rate = 0` row (no churn, lazy drive) replay the same static schedule,
+/// so they must agree on what was compared and how much of it matched.
 fn degradation(doc: &Cur) -> Result<String, String> {
-    let strs = ["topology", "original", "mapper", "profile", "inflight"];
-    scenario(doc, &strs, &["packets", "seed", "utilization"])?;
     let (finite, exact) = k_axis(doc, "quantization")?;
     let failures = rate_axis(doc, "failures")?;
-    for r in finite.iter().chain([&exact]) {
-        r.num("mean_fct_s")?;
-    }
-    for r in &failures {
-        r.nums(&[
-            "links_failed",
-            "rerouted",
-            "dropped_at_dead_link",
-            "delivered",
-        ])?;
-    }
     let mut mismatches = 0;
     for r in finite.iter().chain([&exact]).chain(&failures) {
-        r.nums(&["compared", "match_rate", "frac_gt_t"])?;
-        mismatches += forensics_block(&r.obj("divergence")?)?;
+        mismatches += conserved(&r.obj("divergence")?)?;
     }
     exact.asserts_true("bit_identical_to_exact_lstf")?;
     // `rate_axis` returned at least two rows.
@@ -585,30 +784,36 @@ fn degradation(doc: &Cur) -> Result<String, String> {
     ))
 }
 
-type Validator = fn(&Cur) -> Result<String, String>;
+/// A family's cross-field rules, run once its table's walk has passed;
+/// they return the one-line confirmation.
+type Rules = fn(&Cur) -> Result<String, String>;
 
-/// Every schema tag the store accepts, with its validator. A tag is
-/// listed only while a committed artifact or a CI step produces it; an
-/// older version of a listed tag is rejected like any unknown one.
-const FAMILIES: [(&str, Validator); 4] = [
-    (SWEEP_SCHEMA, sweep),
-    ("ups-bench-degradation/v1", degradation),
-    ("ups-bench-scale/v1", scale),
-    (TIMESERIES_SCHEMA, timeseries),
+/// Every tag a document may open with, with its table and rules. A tag
+/// is listed only while a committed artifact or a CI step produces it;
+/// an older version of a listed tag is rejected like any unknown one.
+const FAMILIES: [(&Table, Rules); 4] = [
+    (&SWEEP, sweep),
+    (&DEGRADATION, degradation),
+    (&SCALE, scale),
+    (&TIMESERIES, timeseries),
 ];
 
 /// Validate any tagged artifact — the one entry point behind
 /// `sweep --validate`, the benches' write-then-check and
 /// `tests/artifacts.rs`. Parses `doc` once, dispatches on its top-level
-/// `schema` tag and returns that family's one-line confirmation. An unknown
-/// tag is an error naming it; every other failure names the offending field.
+/// `schema` tag, walks that tag's table and runs its rules, and returns
+/// the family's one-line confirmation. An unknown tag is an error naming
+/// it; every other failure names the offending field.
 pub fn validate_artifact(doc: &str) -> Result<String, String> {
     with_root(doc, |root| {
         let tag = root.str("schema")?;
-        match FAMILIES.iter().find(|(t, _)| *t == tag) {
-            Some((_, validate)) => validate(root),
+        match FAMILIES.iter().find(|(table, _)| table.tag == Some(tag)) {
+            Some((table, rules)) => {
+                root.walk(table)?;
+                rules(root)
+            }
             None => {
-                let accepted = FAMILIES.map(|(t, _)| t);
+                let accepted = FAMILIES.map(|(table, _)| table.tag.unwrap_or_default());
                 root.fail("schema", &format!("{tag:?} is not one of {accepted:?}"))
             }
         }
@@ -756,8 +961,11 @@ mod tests {
             &orphan,
             "quantized_match_rate set but the scenario has no queues",
         );
-        // failures and inflight must travel together.
-        let torn = doc.replace(r#""inflight":"reroute""#, r#""inflight":null"#);
+        // failures and inflight must travel together (the grid's own
+        // `inflight` default is left alone).
+        let (envelope, results) = doc.split_at(doc.find(r#""results""#).unwrap());
+        let torn =
+            envelope.to_owned() + &results.replace(r#""inflight":"reroute""#, r#""inflight":null"#);
         rejects(&torn, "$.results[3].scenario.inflight must be reroute/drop");
         // A failure record must carry its disruption block...
         let gone = doc.replace(r#""disruption":{"#, r#""disruption":null,"x":{"#);
@@ -786,25 +994,26 @@ mod tests {
   "schema": "ups-bench-degradation/v1",
   "scenario": {{"topology": "FatTree(k=4)", "original": "Random", "mapper": "sppifo",
                "profile": "random-links", "inflight": "reroute",
-               "utilization": 0.7, "seed": 42, "packets": 20000}},
+               "utilization": 0.7, "seed": 42, "packets": 20000, "flows": 41,
+               "window_ms": 8.0}},
   "quantization": [
     {{"k": 1, "mean_fct_s": 0.011, "compared": 20000, "match_rate": 0.42, "frac_gt_t": 0.3,
-      "divergence": {d}}},
+      "missing": 0, "max_lateness_us": 4.8, "divergence": {d}}},
     {{"k": 8, "mean_fct_s": 0.009, "compared": 20000, "match_rate": 0.9, "frac_gt_t": 0.01,
-      "divergence": {d}}},
+      "missing": 0, "max_lateness_us": 4.8, "divergence": {d}}},
     {{"k": null, "mean_fct_s": 0.008, "compared": 20000, "match_rate": 0.99, "frac_gt_t": 0.0,
-      "bit_identical_to_exact_lstf": true, "divergence": {d}}}
+      "missing": 0, "max_lateness_us": 4.8, "bit_identical_to_exact_lstf": true, "divergence": {d}}}
   ],
   "failures": [
     {{"rate": 0, "links_failed": 0, "rerouted": 0, "dropped_at_dead_link": 0,
       "delivered": 20000, "compared": 20000, "match_rate": 0.99, "frac_gt_t": 0.0,
-      "bit_identical_to_static_routing": true, "divergence": {d}}},
+      "missing": 0, "max_lateness_us": 4.8, "bit_identical_to_static_routing": true, "divergence": {d}}},
     {{"rate": 0.25, "links_failed": 8, "rerouted": 900, "dropped_at_dead_link": 12,
       "delivered": 19988, "compared": 19988, "match_rate": 0.93, "frac_gt_t": 0.02,
-      "divergence": {d}}},
+      "missing": 0, "max_lateness_us": 4.8, "divergence": {d}}},
     {{"rate": 0.5, "links_failed": 16, "rerouted": 2100, "dropped_at_dead_link": 60,
       "delivered": 19940, "compared": 19940, "match_rate": 0.81, "frac_gt_t": 0.09,
-      "divergence": {d}}}
+      "missing": 0, "max_lateness_us": 4.8, "divergence": {d}}}
   ]
 }}"#,
             d = DIV_BLOCK

@@ -41,7 +41,6 @@ pub struct WorkerRow {
 
 impl WorkerRow {
     /// One JSON object, flat.
-    // lint:schema(ups-obs-timeseries/v3)
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -91,7 +90,6 @@ impl HeartbeatRecord {
 
     /// One row of the time-series document, on one line (no trailing
     /// newline). The envelope carries the tag; the row carries none.
-    // lint:schema(ups-obs-timeseries/v3)
     pub fn to_json(&self) -> String {
         let workers: Vec<String> = self.workers.iter().map(|w| w.to_json()).collect();
         format!(
@@ -112,7 +110,6 @@ impl HeartbeatRecord {
 /// Render the run-level `ups-obs-timeseries/v3` document from the tick
 /// history. `workers` is the finished pool's width; `wall_s` the whole
 /// sweep.
-// lint:schema(ups-obs-timeseries/v3)
 pub fn timeseries_json(records: &[HeartbeatRecord], workers: usize, wall_s: f64) -> String {
     let body: Vec<String> = records
         .iter()

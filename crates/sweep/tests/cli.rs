@@ -70,32 +70,47 @@ fn an_uncreatable_out_path_exits_1_before_any_job_runs() {
     refuses_uncreatable("--out");
 }
 
-/// A run that fails after opening `--out` (here: `--jsonl` cannot be
-/// created) leaves `--out` as it found it: absent if it was absent,
+/// A run that fails after opening `flag`'s file (here: `--jsonl` cannot
+/// be created) leaves that file as it found it: absent if it was absent,
 /// byte-identical if it existed.
-#[test]
-fn a_failed_run_leaves_out_as_it_found_it() {
-    let tmp = TempDir::new("failed-out");
+fn a_failed_run_leaves_as_found(flag: &str, body: &str) {
+    let tmp = TempDir::new(&format!("failed{flag}"));
     let bad_jsonl = tmp.0.join("missing-dir").join("r.jsonl");
-    let out_path = tmp.0.join("out.json");
-    for existing in [None, Some("{\"kept\": true}\n")] {
+    let path = tmp.0.join("kept.json");
+    for existing in [None, Some(body)] {
         if let Some(body) = existing {
-            std::fs::write(&out_path, body).expect("seed --out");
+            std::fs::write(&path, body).expect("seed the file");
         }
-        let out = sweep(&tmp.0, &["--jsonl".as_ref(), bad_jsonl.as_os_str()]);
+        let args = [
+            flag.as_ref(),
+            path.as_os_str(),
+            "--jsonl".as_ref(),
+            bad_jsonl.as_os_str(),
+        ];
+        let out = sweep(&tmp.0, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{stderr}");
         let want = format!("sweep: cannot open {}", bad_jsonl.display());
         assert!(stderr.contains(&want), "{stderr}");
         match existing {
-            None => assert!(!out_path.exists(), "a failed run created --out"),
+            None => assert!(!path.exists(), "a failed run created {flag}"),
             Some(body) => assert_eq!(
-                std::fs::read_to_string(&out_path).expect("read --out"),
+                std::fs::read_to_string(&path).expect("read the file back"),
                 body,
-                "a failed run changed an existing --out"
+                "a failed run changed an existing {flag}"
             ),
         }
     }
+}
+
+#[test]
+fn a_failed_run_leaves_out_as_it_found_it() {
+    a_failed_run_leaves_as_found("--out", "{\"kept\": true}\n");
+}
+
+#[test]
+fn a_failed_run_leaves_telemetry_as_it_found_it() {
+    a_failed_run_leaves_as_found("--telemetry", "{\"old\": 1}\n");
 }
 
 /// A utilization the workload cannot generate used to panic every job

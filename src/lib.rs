@@ -23,7 +23,7 @@
 //! | [`metrics`] | CDFs, Jain index, FCT buckets, run summaries, table rendering |
 //! | [`obs`] | zero-cost-when-off probes, phase timers, time-series, Perfetto export |
 //! | [`sweep`] | parallel scenario-sweep engine: grids, job-cursor thread pool, result store |
-//! | [`lint`] | workspace determinism & schema-drift static analysis (`ups-lint`) |
+//! | [`lint`] | workspace determinism static analysis (`ups-lint`) |
 //!
 //! ## Quickstart
 //!
