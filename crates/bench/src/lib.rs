@@ -27,7 +27,10 @@
 //! [`JobSpec`]: ups_sweep::JobSpec
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the bench harness is outside the determinism scope: it times runs and builds scenarios, and no reading reaches a simulated schedule"
+)]
 
 pub mod objectives;
 pub mod scale;

@@ -53,11 +53,15 @@ fn tenths(t: u64) -> SimTime {
 
 impl CounterexampleSchedule {
     /// Id of the packet the paper calls `name`.
+    #[expect(
+        clippy::panic,
+        reason = "unknown name is a caller bug against a hand-built paper table"
+    )]
     pub fn packet_id(&self, name: &str) -> PacketId {
         *self
             .names
             .get(name)
-            .unwrap_or_else(|| panic!("unknown packet {name:?}")) // lint:allow(panic-path): unknown name is a caller bug against a hand-built paper table
+            .unwrap_or_else(|| panic!("unknown packet {name:?}"))
     }
 
     /// The table-specified original schedule, as a `PerHop` trace.
@@ -102,18 +106,26 @@ fn walk(net: &NamedTopology, row: &Row) -> (Vec<HopRecord>, SimTime, Dur) {
     let mut hops = Vec::with_capacity(path.len() - 1);
     let mut total_wait = Dur::ZERO;
     for w in path.windows(2) {
+        #[expect(
+            clippy::panic,
+            reason = "paper-table paths only name links the builder just created"
+        )]
         let link = net
             .topo
             .neighbor_link(w[0], w[1])
-            .unwrap_or_else(|| panic!("missing link on {}", row.name)); // lint:allow(panic-path): paper-table paths only name links the builder just created
+            .unwrap_or_else(|| panic!("missing link on {}", row.name));
         let tx = link.bandwidth.tx_time(UNIT_PKT);
         if tx >= CONGESTED_TX_MIN {
+            #[expect(
+                clippy::panic,
+                reason = "a hand-built table row missing a congested-hop time is a table authoring bug"
+            )]
             let sched = row
                 .scheds
                 .iter()
                 .find(|&&(n, _)| net.node(n) == w[0])
                 .map(|&(_, s)| tenths(s))
-                .unwrap_or_else(|| panic!("{}: no sched time at congested hop", row.name)); // lint:allow(panic-path): a hand-built table row missing a congested-hop time is a table authoring bug
+                .unwrap_or_else(|| panic!("{}: no sched time at congested hop", row.name));
             assert!(sched >= t, "{}: scheduled before arrival", row.name);
             let waited = sched - t;
             hops.push(HopRecord {
@@ -339,7 +351,11 @@ pub fn appendix_c_case(case: u8) -> CounterexampleSchedule {
     match case {
         1 => build(appendix_c(), "Appendix C case 1", &rows_case1),
         2 => build(appendix_c(), "Appendix C case 2", &rows_case2),
-        _ => panic!("Appendix C has cases 1 and 2, not {case}"), // lint:allow(panic-path): API contract: Appendix C defines exactly cases 1 and 2
+        #[expect(
+            clippy::panic,
+            reason = "API contract: Appendix C defines exactly cases 1 and 2"
+        )]
+        _ => panic!("Appendix C has cases 1 and 2, not {case}"),
     }
 }
 

@@ -18,7 +18,7 @@
 //! points; EDF and LSTF produce identical replays.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod counterexamples;
 pub mod divergence;

@@ -121,9 +121,13 @@ pub fn replay_packets<'a>(
 ) -> impl ExactSizeIterator<Item = Packet> + 'a {
     let stamp = stamper(topo, original, init);
     packets.iter().map(move |p| {
+        #[expect(
+            clippy::panic,
+            reason = "replay precondition: the trace was recorded over this packet set"
+        )]
         let rec = original
             .get(p.id)
-            .unwrap_or_else(|e| panic!("packet {} unavailable in original trace: {e}", p.id)); // lint:allow(panic-path): replay precondition: the trace was recorded over this packet set
+            .unwrap_or_else(|e| panic!("packet {} unavailable in original trace: {e}", p.id));
         let mut q = p.clone();
         stamp(rec, &mut q);
         q
@@ -180,9 +184,12 @@ fn stamper<'a>(
         init != HeaderInit::Omniscient || original.mode() == RecordMode::PerHop,
         "omniscient replay needs a PerHop original trace"
     );
+    #[expect(
+        clippy::panic,
+        reason = "App. F: >2 congestion points has no priority assignment; diagnostic"
+    )]
     let prios = (init == HeaderInit::PriorityFromSchedule).then(|| {
         priorities_from_schedule(topo, original).unwrap_or_else(|| {
-            // lint:allow(panic-path): App. F: >2 congestion points has no priority assignment; diagnostic
             panic!(
                 "original schedule has a priority cycle \
                  (≥2 congestion points per packet, App. F)"
@@ -190,9 +197,13 @@ fn stamper<'a>(
         })
     });
     move |rec, q| {
+        #[expect(
+            clippy::panic,
+            reason = "undelivered originals make the replay target undefined; fail loud"
+        )]
         let o = rec
             .exited
-            .unwrap_or_else(|| panic!("packet {} undelivered in original", q.id)); // lint:allow(panic-path): undelivered originals make the replay target undefined; fail loud
+            .unwrap_or_else(|| panic!("packet {} undelivered in original", q.id));
         q.hop = 0;
         q.cum_wait = Dur::ZERO;
         q.remaining_tx = None;
@@ -204,9 +215,12 @@ fn stamper<'a>(
                     o.as_ps() as i128 - q.injected_at.as_ps() as i128 - t.as_ps() as i128;
             }
             HeaderInit::PriorityOutputTime => q.header.prio = o.as_ps() as i128,
+            #[expect(
+                clippy::expect_used,
+                reason = "the topological sort above ranked every delivered packet"
+            )]
             HeaderInit::PriorityFromSchedule => {
                 let prio = prios.as_ref().and_then(|p| p.get(q.id));
-                // lint:allow(panic-path): the topological sort above ranked every delivered packet
                 q.header.prio = prio.expect("every packet ordered");
             }
             HeaderInit::EdfDeadline => {
@@ -368,7 +382,11 @@ pub fn compare_with_sink(
             }
         }
         while rep.peek().is_some_and(|(rid, r)| (r.injected, *rid) <= key) {
-            let (rid, r) = rep.next().expect("peeked"); // lint:allow(panic-path): peek on the same iterator returned Some
+            #[expect(
+                clippy::expect_used,
+                reason = "peek on the same iterator returned Some"
+            )]
+            let (rid, r) = rep.next().expect("peeked");
             window.insert((r.injected, rid), r);
             assert!(
                 window.len() <= REORDER_WINDOW,
@@ -423,11 +441,11 @@ pub fn compare_with_sink(
             report.overdue_gt_t += 1;
         }
         if orig.total_wait > Dur::ZERO {
-            // lint:allow(ps-narrowing): a dimensionless wait ratio — f64
-            // rounding of either operand shifts the ratio by ~1e-16,
-            // far below the bucket resolution it feeds.
-            let ratio = rep_wait.as_ps() as f64 / orig.total_wait.as_ps() as f64;
-            report.queueing_ratios.insert(ratio);
+            // The ratio's rounding is far below the bucket resolution
+            // it feeds.
+            report
+                .queueing_ratios
+                .insert(rep_wait.ratio(orig.total_wait));
         }
     }
     report
@@ -688,9 +706,13 @@ pub fn priorities_from_schedule(topo: &Topology, original: &Trace) -> Option<Pri
         scheduled += 1;
         for (i, h) in rec.hops.iter().enumerate() {
             let next = rec.path[i + 1]; // lint:allow(panic-path): recorder invariant: one hop record per path edge, so i+1 < path.len()
+            #[expect(
+                clippy::expect_used,
+                reason = "the trace was recorded on this same topology"
+            )]
             let link = topo
                 .neighbor_link(h.node, next)
-                .expect("trace hop uses a topology link"); // lint:allow(panic-path): the trace was recorded on this same topology
+                .expect("trace hop uses a topology link");
             let tx_end = h.tx_start + link.bandwidth.tx_time(rec.size);
             ports[h.node.index() * n_nodes + next.index()] // lint:allow(panic-path): node indices are < n_nodes; the port table is sized n_nodes^2
                 .push((h.tx_start, h.arrived, tx_end, id));

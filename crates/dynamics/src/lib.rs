@@ -31,7 +31,6 @@
 //!   `o(p)`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod routing;
 pub mod run;

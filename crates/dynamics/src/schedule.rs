@@ -157,10 +157,10 @@ impl FailureSchedule {
         let mut rng = SmallRng::seed_from_u64(seed ^ ((profile as u64) << 56) ^ 0xD1CE);
         let mut pool = eligible;
         let mut events = Vec::with_capacity(2 * count);
-        // lint:allow(ps-narrowing): failure windows are bounded by the
-        // run horizon (minutes of sim time, well under the 2^53 ps ~ 2.5 h
-        // f64-exact range), and the product only seeds down/up offsets.
-        let w = window.as_ps() as f64;
+        // Failure windows are bounded by the run horizon (minutes of sim
+        // time, well inside the f64-exact range), and the product only
+        // seeds down/up offsets.
+        let w = window.as_ps_f64();
         for k in 0..count {
             let pick = rng.gen_range(k..pool.len());
             pool.swap(k, pick);
@@ -248,7 +248,7 @@ mod tests {
             assert_ne!(topo.role(e.a), NodeRole::Host);
             assert_ne!(topo.role(e.b), NodeRole::Host);
         }
-        let mut down_at = std::collections::HashMap::new();
+        let mut down_at = std::collections::BTreeMap::new();
         for e in &s1.events {
             let prev = down_at.insert((e.a, e.b), e.up);
             match prev {

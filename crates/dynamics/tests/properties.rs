@@ -12,7 +12,7 @@
 //!    `Routing` paths (the scheduler-level bit-identity counterpart
 //!    lives in `src/run.rs` and the failures bench).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -53,7 +53,7 @@ proptest! {
         let topo = Arc::new(topology_by_name(topo_name).expect("registered"));
         let links = router_links(&topo);
         let mut dynamic = DynamicRouting::new(topo.clone());
-        let mut dead: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut dead: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for k in &kill {
             let (a, b) = links[k % links.len()];
             if dead.insert(norm(a, b)) {
@@ -88,7 +88,7 @@ proptest! {
                 );
             }
             // (2) loop-free.
-            let distinct: HashSet<NodeId> = path.iter().copied().collect();
+            let distinct: BTreeSet<NodeId> = path.iter().copied().collect();
             prop_assert_eq!(distinct.len(), path.len(), "failover path revisits a node");
         }
     }
@@ -105,7 +105,7 @@ proptest! {
         let links = router_links(&topo);
         let mut dynamic = DynamicRouting::new(topo.clone());
         let fixed = Routing::new(&topo);
-        let mut dead: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut dead: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for k in &kill {
             let (a, b) = links[k % links.len()];
             if dead.insert(norm(a, b)) {

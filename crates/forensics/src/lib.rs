@@ -30,7 +30,6 @@
 //! human-readable blame tables for `sweep explain`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod blame;
 mod topk;

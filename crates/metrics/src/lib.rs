@@ -15,7 +15,6 @@
 //! * [`table`] — paper-style plain-text rendering for the bench harness.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod accum;
 pub mod fct;

@@ -67,8 +67,12 @@ impl PacketArena {
                 PacketRef(idx)
             }
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = ">u32::MAX packets in flight exceeds the PacketRef format; fail fast beats a silent wrap"
+                )]
                 let idx =
-                    u32::try_from(self.slots.len()).expect("more than u32::MAX packets in flight"); // lint:allow(panic-path): >u32::MAX packets in flight exceeds the PacketRef format; fail fast beats a silent wrap
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX packets in flight");
                 self.slots.push(Some(packet));
                 PacketRef(idx)
             }
@@ -77,26 +81,38 @@ impl PacketArena {
 
     /// Shared access to a live packet.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale ref is a simulator logic bug the generation check must surface loudly"
+    )]
     pub fn get(&self, r: PacketRef) -> &Packet {
         self.slots[r.0 as usize]
             .as_ref()
-            .expect("stale PacketRef: slot already freed") // lint:allow(panic-path): a stale ref is a simulator logic bug the generation check must surface loudly
+            .expect("stale PacketRef: slot already freed")
     }
 
     /// Exclusive access to a live packet (header rewrites, hop advance).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale ref is a simulator logic bug the generation check must surface loudly"
+    )]
     pub fn get_mut(&mut self, r: PacketRef) -> &mut Packet {
         self.slots[r.0 as usize]
             .as_mut()
-            .expect("stale PacketRef: slot already freed") // lint:allow(panic-path): a stale ref is a simulator logic bug the generation check must surface loudly
+            .expect("stale PacketRef: slot already freed")
     }
 
     /// Move the packet out (final delivery), freeing its slot.
     #[inline]
     pub fn take(&mut self, r: PacketRef) -> Packet {
+        #[expect(
+            clippy::expect_used,
+            reason = "a stale ref is a simulator logic bug the generation check must surface loudly"
+        )]
         let p = self.slots[r.0 as usize]
             .take()
-            .expect("stale PacketRef: slot already freed"); // lint:allow(panic-path): a stale ref is a simulator logic bug the generation check must surface loudly
+            .expect("stale PacketRef: slot already freed");
         self.free.push(r.0);
         p
     }

@@ -505,6 +505,10 @@ impl EventQueue {
         if self.drained == self.drain.len() && self.late.is_empty() {
             self.advance();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "advance() only stops on an occupied bucket, and len > 0 guarantees one"
+        )]
         let e = match (self.drain.get(self.drained), self.late.peek()) {
             (Some(d), Some(l)) if l.key() < d.key() => self.late.pop(),
             (Some(&d), _) => {
@@ -513,7 +517,7 @@ impl EventQueue {
             }
             (None, _) => self.late.pop(),
         }
-        .expect("the cursor's bucket is non-empty"); // lint:allow(panic-path): advance() only stops on an occupied bucket, and len > 0 guarantees one
+        .expect("the cursor's bucket is non-empty");
         self.len -= 1;
         debug_assert!(e.time >= self.now);
         self.now = e.time;

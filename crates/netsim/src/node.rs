@@ -188,7 +188,11 @@ impl Port {
             // The last bit is leaving exactly now; completion wins.
             return;
         }
-        let InFlight { qp, .. } = self.inflight.take().expect("checked above"); // lint:allow(panic-path): guarded by the inflight check directly above
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by the inflight check directly above"
+        )]
+        let InFlight { qp, .. } = self.inflight.take().expect("checked above");
         arena.get_mut(qp.pkt).remaining_tx = Some(remaining);
         // Re-enter the queue: rank is recomputed from the *current* header
         // state, which for LSTF (slack already charged for past waits)
@@ -254,7 +258,11 @@ impl Port {
             Some(infl) if infl.token == token => {}
             _ => return, // stale wakeup from a preempted transmission
         }
-        let InFlight { qp, ends, .. } = self.inflight.take().expect("checked above"); // lint:allow(panic-path): guarded by the inflight check directly above
+        #[expect(
+            clippy::expect_used,
+            reason = "guarded by the inflight check directly above"
+        )]
+        let InFlight { qp, ends, .. } = self.inflight.take().expect("checked above");
         debug_assert_eq!(ends, now, "PortReady fired at the wrong time");
         arena.get_mut(qp.pkt).hop += 1;
         events.push(
@@ -346,6 +354,10 @@ impl Node {
         let pid = PortId(self.ports.len() as u32);
         self.ports
             .push(Port::new(self.id, pid, peer, link, scheduler, buffer_bytes));
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the assert above rules out an existing port towards peer, so the search reports the insertion point"
+        )]
         let pos = self
             .port_towards
             .binary_search_by_key(&peer, |&(n, _)| n)

@@ -159,7 +159,11 @@ impl RankHeap {
         }
         let last = self.v.len() - 1;
         self.v.swap(0, last);
-        let qp = self.v.pop().expect("non-empty"); // lint:allow(panic-path): caller checked non-empty before popping
+        #[expect(
+            clippy::expect_used,
+            reason = "caller checked non-empty before popping"
+        )]
+        let qp = self.v.pop().expect("non-empty");
         self.sift_down(0);
         self.bytes -= qp.size as u64;
         Some(qp)
@@ -179,9 +183,13 @@ impl RankHeap {
             return None;
         }
         let first_leaf = self.v.len() / 2;
+        #[expect(
+            clippy::expect_used,
+            reason = "a non-empty d-ary heap has a non-empty leaf range"
+        )]
         let idx = (first_leaf..self.v.len())
             .max_by_key(|&i| self.v[i].key())
-            .expect("leaf range non-empty for non-empty heap"); // lint:allow(panic-path): a non-empty d-ary heap has a non-empty leaf range
+            .expect("leaf range non-empty for non-empty heap");
         let victim = self.v.swap_remove(idx);
         if idx < self.v.len() {
             // The relocated ex-tail element may violate either direction.

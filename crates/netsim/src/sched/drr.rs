@@ -1,6 +1,6 @@
 //! Deficit round robin.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::id::FlowId;
@@ -16,10 +16,11 @@ use crate::time::SimTime;
 /// discipline and as an ablation reference for Figure 4.
 #[derive(Debug)]
 pub struct Drr {
-    // lint:allow(hash-container): per-packet hot path; service order
-    // comes from the ring, and the one iteration (select_drop) uses a
-    // total (bytes, flow id) key, so map order never escapes.
-    flows: HashMap<FlowId, VecDeque<QueuedPacket>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-packet hot path; service order comes from the ring, and the one iteration (select_drop) uses a total (bytes, flow id) key, so map order never escapes"
+    )]
+    flows: std::collections::HashMap<FlowId, VecDeque<QueuedPacket>>,
     /// Round-robin ring of active flows with their deficit counters.
     ring: VecDeque<(FlowId, u64)>,
     quantum: u64,
@@ -34,8 +35,7 @@ impl Drr {
     pub fn with_quantum(quantum: u64) -> Self {
         assert!(quantum > 0, "zero quantum would never serve anything");
         Drr {
-            // lint:allow(hash-container): see the field above.
-            flows: HashMap::new(),
+            flows: Default::default(),
             ring: VecDeque::new(),
             quantum,
             len: 0,
@@ -82,11 +82,27 @@ impl Scheduler for Drr {
             return None;
         }
         loop {
-            let (flow, mut deficit) = self.ring.pop_front().expect("len>0 implies active flows"); // lint:allow(panic-path): guarded by the len() > 0 check at entry
-            let q = self.flows.get_mut(&flow).expect("ring flow has a queue"); // lint:allow(panic-path): ring entries and flow queues are inserted and removed together
-            let head_size = q.front().expect("active flow is non-empty").size as u64; // lint:allow(panic-path): flows with empty queues are dropped from the ring on pop
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the len() > 0 check at entry"
+            )]
+            let (flow, mut deficit) = self.ring.pop_front().expect("len>0 implies active flows");
+            #[expect(
+                clippy::expect_used,
+                reason = "ring entries and flow queues are inserted and removed together"
+            )]
+            let q = self.flows.get_mut(&flow).expect("ring flow has a queue");
+            #[expect(
+                clippy::expect_used,
+                reason = "flows with empty queues are dropped from the ring on pop"
+            )]
+            let head_size = q.front().expect("active flow is non-empty").size as u64;
             if deficit >= head_size {
-                let qp = q.pop_front().expect("checked non-empty"); // lint:allow(panic-path): front() on this queue just returned Some
+                #[expect(
+                    clippy::expect_used,
+                    reason = "front() on this queue just returned Some"
+                )]
+                let qp = q.pop_front().expect("checked non-empty");
                 deficit -= head_size;
                 if q.is_empty() {
                     self.flows.remove(&flow);
@@ -126,8 +142,16 @@ impl Scheduler for Drr {
                 flow.0, // deterministic tie-break
             )
         })?;
-        let q = self.flows.get_mut(&flow).expect("just found it"); // lint:allow(panic-path): the max_by_key scan above found this flow in the map
-        let victim = q.pop_back().expect("non-empty"); // lint:allow(panic-path): victim selection only scans non-empty queues
+        #[expect(
+            clippy::expect_used,
+            reason = "the max_by_key scan above found this flow in the map"
+        )]
+        let q = self.flows.get_mut(&flow).expect("just found it");
+        #[expect(
+            clippy::expect_used,
+            reason = "victim selection only scans non-empty queues"
+        )]
+        let victim = q.pop_back().expect("non-empty");
         if q.is_empty() {
             self.flows.remove(&flow);
             self.ring.retain(|&(f, _)| f != flow);

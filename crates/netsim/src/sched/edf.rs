@@ -42,9 +42,13 @@ impl Rank for EdfRank {
     /// If the packet carries no `tmin_rem` table — silently scheduling
     /// with a wrong deadline would invalidate any experiment using it.
     fn admit(&mut self, p: &Packet, _now: SimTime, ctx: PortCtx) -> i128 {
+        #[expect(
+            clippy::expect_used,
+            reason = "config contract: EDF without tmin tables must fail loudly, not misschedule"
+        )]
         let tmin_rem = p
             .tmin_remaining()
-            .expect("EDF needs packets with a tmin_rem table (attach via routing layer)"); // lint:allow(panic-path): config contract: EDF without tmin tables must fail loudly, not misschedule
+            .expect("EDF needs packets with a tmin_rem table (attach via routing layer)");
         let t_here = ctx.bandwidth.tx_time(p.size);
         p.header.deadline.as_ps() as i128 - tmin_rem.as_ps() as i128 + t_here.as_ps() as i128
     }

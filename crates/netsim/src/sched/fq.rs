@@ -1,7 +1,5 @@
 //! Fair queueing via start-time fair queueing tags.
 
-use std::collections::HashMap;
-
 use super::rank_queue::{Rank, RankQueue};
 use crate::arena::PacketArena;
 use crate::id::FlowId;
@@ -27,9 +25,11 @@ pub type FairQueueing = RankQueue<FqRank>;
 #[derive(Debug, Default)]
 pub struct FqRank {
     /// Last assigned finish tag per flow, in virtual byte units.
-    // lint:allow(hash-container): per-packet hot path, lookup-only —
-    // never iterated, so map order cannot reach the schedule.
-    finish: HashMap<FlowId, i128>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-packet hot path, lookup-only; never iterated, so map order cannot reach the schedule"
+    )]
+    finish: std::collections::HashMap<FlowId, i128>,
     /// Virtual time: start tag of the packet last dequeued.
     vtime: i128,
 }

@@ -28,11 +28,15 @@ pub struct OmniscientRank;
 
 impl Rank for OmniscientRank {
     fn admit(&mut self, p: &Packet, _now: SimTime, _ctx: PortCtx) -> i128 {
+        #[expect(
+            clippy::expect_used,
+            reason = "config contract: omniscient headers are attached by the trace layer or the run is invalid"
+        )]
         let vec = p
             .header
             .omniscient
             .as_ref()
-            .expect("Omniscient scheduling needs header.omniscient per-hop times"); // lint:allow(panic-path): config contract: omniscient headers are attached by the trace layer or the run is invalid
+            .expect("Omniscient scheduling needs header.omniscient per-hop times");
         assert_eq!(
             vec.len(),
             p.path.len(),

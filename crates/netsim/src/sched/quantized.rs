@@ -225,14 +225,22 @@ impl Scheduler for Quantized {
                     // (the top level when every bound is above it). The
                     // packet is served too early — the bounded inversion
                     // real queue remapping pays.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the constructor enforces k >= 1 levels"
+                    )]
                     let target = levels
                         .range(..=rank)
                         .next_back()
                         .map(|(&r, _)| r)
-                        .unwrap_or_else(|| *levels.keys().next().expect("k ≥ 1 levels")); // lint:allow(panic-path): the constructor enforces k >= 1 levels
+                        .unwrap_or_else(|| *levels.keys().next().expect("k ≥ 1 levels"));
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the target key was just taken from this map's keys"
+                    )]
                     levels
                         .get_mut(&target)
-                        .expect("target chosen from keys") // lint:allow(panic-path): the target key was just taken from this map's keys
+                        .expect("target chosen from keys")
                         .push_back(qp);
                 }
             }
@@ -246,14 +254,22 @@ impl Scheduler for Quantized {
         ctx: PortCtx,
     ) -> Option<QueuedPacket> {
         let qp = match &mut self.queues {
+            #[expect(
+                clippy::expect_used,
+                reason = "the scan above found this level non-empty"
+            )]
             Queues::Fixed { queues, .. } => queues
                 .iter_mut()
                 .find(|q| !q.is_empty())?
                 .pop_front()
-                .expect("found non-empty"), // lint:allow(panic-path): the scan above found this level non-empty
+                .expect("found non-empty"),
             Queues::Dynamic { levels } => {
                 let mut entry = levels.first_entry()?;
-                let qp = entry.get_mut().pop_front().expect("levels are non-empty"); // lint:allow(panic-path): levels with emptied queues are removed eagerly
+                #[expect(
+                    clippy::expect_used,
+                    reason = "levels with emptied queues are removed eagerly"
+                )]
+                let qp = entry.get_mut().pop_front().expect("levels are non-empty");
                 if entry.get().is_empty() {
                     entry.remove(); // frees the queue for a new rank level
                 }
@@ -288,15 +304,23 @@ impl Scheduler for Quantized {
     /// arrival of the least-urgent bucket.
     fn select_drop(&mut self) -> Option<QueuedPacket> {
         let victim = match &mut self.queues {
+            #[expect(
+                clippy::expect_used,
+                reason = "the scan above found this level non-empty"
+            )]
             Queues::Fixed { queues, .. } => queues
                 .iter_mut()
                 .rev()
                 .find(|q| !q.is_empty())?
                 .pop_back()
-                .expect("found non-empty"), // lint:allow(panic-path): the scan above found this level non-empty
+                .expect("found non-empty"),
             Queues::Dynamic { levels } => {
                 let mut entry = levels.last_entry()?;
-                let qp = entry.get_mut().pop_back().expect("levels are non-empty"); // lint:allow(panic-path): levels with emptied queues are removed eagerly
+                #[expect(
+                    clippy::expect_used,
+                    reason = "levels with emptied queues are removed eagerly"
+                )]
+                let qp = entry.get_mut().pop_back().expect("levels are non-empty");
                 if entry.get().is_empty() {
                     entry.remove();
                 }

@@ -1,6 +1,6 @@
 //! Shortest remaining processing time, with starvation prevention.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::id::FlowId;
@@ -20,9 +20,11 @@ use crate::time::SimTime;
 /// flow's early packets).
 #[derive(Debug, Default)]
 pub struct Srpt {
-    // lint:allow(hash-container): per-packet hot path, lookup-only —
-    // selection order comes from the BTreeSet below, never from the map.
-    flows: HashMap<FlowId, FlowQueue>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-packet hot path, lookup-only; selection order comes from the BTreeSet below, never from the map"
+    )]
+    flows: std::collections::HashMap<FlowId, FlowQueue>,
     /// Flows ordered by (min rank over queued packets, flow id).
     order: BTreeSet<(i128, FlowId)>,
     len: usize,
@@ -103,8 +105,16 @@ impl Scheduler for Srpt {
         _ctx: PortCtx,
     ) -> Option<QueuedPacket> {
         let &(_, flow) = self.order.iter().next()?;
-        let mut fq = self.detach(flow).expect("order and flows in sync"); // lint:allow(panic-path): the order set and the flow map are updated together
-        let qp = fq.q.pop_front().expect("flows in order set are non-empty"); // lint:allow(panic-path): flows in the order set are non-empty; empties are detached
+        #[expect(
+            clippy::expect_used,
+            reason = "the order set and the flow map are updated together"
+        )]
+        let mut fq = self.detach(flow).expect("order and flows in sync");
+        #[expect(
+            clippy::expect_used,
+            reason = "flows in the order set are non-empty; empties are detached"
+        )]
+        let qp = fq.q.pop_front().expect("flows in order set are non-empty");
         if qp.rank <= fq.min_rank {
             fq.recompute_min();
         }
@@ -129,15 +139,27 @@ impl Scheduler for Srpt {
     /// flow with the largest remaining size (the pFabric drop rule).
     fn select_drop(&mut self) -> Option<QueuedPacket> {
         let &(_, flow) = self.order.iter().next_back()?;
-        let mut fq = self.detach(flow).expect("order and flows in sync"); // lint:allow(panic-path): the order set and the flow map are updated together
-                                                                          // Within the victim flow, drop the packet with the largest rank;
-                                                                          // newest arrival among ties.
+        #[expect(
+            clippy::expect_used,
+            reason = "the order set and the flow map are updated together"
+        )]
+        let mut fq = self.detach(flow).expect("order and flows in sync");
+        // Within the victim flow, drop the packet with the largest rank;
+        // newest arrival among ties.
+        #[expect(
+            clippy::expect_used,
+            reason = "max_by_key over a non-empty queue returns Some"
+        )]
         let (idx, _) =
             fq.q.iter()
                 .enumerate()
                 .max_by_key(|(_, qp)| (qp.rank, qp.arrival_seq))
-                .expect("non-empty"); // lint:allow(panic-path): max_by_key over a non-empty queue returns Some
-        let victim = fq.q.remove(idx).expect("index in range"); // lint:allow(panic-path): idx came from enumerate over this same queue
+                .expect("non-empty");
+        #[expect(
+            clippy::expect_used,
+            reason = "idx came from enumerate over this same queue"
+        )]
+        let victim = fq.q.remove(idx).expect("index in range");
         fq.recompute_min();
         self.attach(flow, fq);
         self.account_out(&victim);

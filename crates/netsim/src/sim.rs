@@ -403,7 +403,11 @@ impl Simulator {
                 (None, None) => break,
             };
             if due_now {
-                let p = pending.next().expect("peeked"); // lint:allow(panic-path): peek on the same iterator returned Some
+                #[expect(
+                    clippy::expect_used,
+                    reason = "peek on the same iterator returned Some"
+                )]
+                let p = pending.next().expect("peeked");
                 debug_assert!(
                     p.injected_at >= last_injected,
                     "run_with_injections needs an injection-time-sorted stream"
@@ -553,9 +557,13 @@ impl Simulator {
         }
         let mut displaced = Vec::new();
         for (from, to) in [(a, b), (b, a)] {
+            #[expect(
+                clippy::panic,
+                reason = "link-state schedules only reference links the builder created"
+            )]
             let pid = self.nodes[from.index()] // lint:allow(panic-path): NodeIds are issued densely by this simulator; index is in range by construction
                 .port_to(to)
-                .unwrap_or_else(|| panic!("link-state event for missing link {from} -> {to}")); // lint:allow(panic-path): link-state schedules only reference links the builder created
+                .unwrap_or_else(|| panic!("link-state event for missing link {from} -> {to}"));
             let port = &mut self.nodes[from.index()].ports[pid.index()]; // lint:allow(panic-path): port id was just resolved on this same node
             assert_ne!(
                 port.up,
@@ -668,9 +676,10 @@ impl Simulator {
         let base = self.egress_ports.len() as u32;
         for w in path.windows(2) {
             let (here, next) = (w[0], w[1]);
+            #[expect(clippy::panic, reason = "routed paths only traverse existing links")]
             let port = self.nodes[here.index()] // lint:allow(panic-path): NodeIds are issued densely by this simulator; index is in range by construction
                 .port_to(next)
-                .unwrap_or_else(|| panic!("no link {here} -> {next} for packet path")); // lint:allow(panic-path): routed paths only traverse existing links
+                .unwrap_or_else(|| panic!("no link {here} -> {next} for packet path"));
             self.egress_ports.push(port);
         }
         if path.index() >= self.egress_at.len() {
@@ -702,16 +711,13 @@ impl Simulator {
     /// Fraction of `[0, until]` each port spent transmitting, as
     /// `(node, peer, busy_fraction)` — used to verify workload calibration.
     pub fn port_utilizations(&self, until: SimTime) -> Vec<(NodeId, NodeId, f64)> {
-        // lint:allow(ps-narrowing): calibration diagnostic — a busy
-        // *fraction*; f64 rounding of the operands moves it by ~1e-16.
-        let total = until.as_ps() as f64;
+        let total = until - SimTime::ZERO;
         self.nodes
             .iter()
             .flat_map(|n| {
-                n.ports.iter().map(move |p| {
-                    // lint:allow(ps-narrowing): same dimensionless fraction.
-                    (n.id, p.peer, p.busy_time().as_ps() as f64 / total)
-                })
+                n.ports
+                    .iter()
+                    .map(move |p| (n.id, p.peer, p.busy_time().ratio(total)))
             })
             .collect()
     }

@@ -109,12 +109,16 @@ impl SpillFile {
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let path =
             std::env::temp_dir().join(format!("ups-trace-{}-{}.spill", std::process::id(), seq));
+        #[expect(
+            clippy::expect_used,
+            reason = "a failed trace spill cannot be recovered mid-run; abort is correct"
+        )]
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create_new(true)
             .open(&path)
-            .expect("create trace spill file"); // lint:allow(panic-path): a failed trace spill cannot be recovered mid-run; abort is correct
+            .expect("create trace spill file");
         SpillFile {
             file,
             path,
@@ -130,7 +134,11 @@ impl SpillFile {
         for (id, rec) in chunk {
             encode_record(buf, *id, rec, &mut self.paths);
         }
-        self.file.write_all(buf).expect("write trace spill chunk"); // lint:allow(panic-path): a failed trace spill cannot be recovered mid-run; abort is correct
+        #[expect(
+            clippy::expect_used,
+            reason = "a failed trace spill cannot be recovered mid-run; abort is correct"
+        )]
+        self.file.write_all(buf).expect("write trace spill chunk");
         ups_obs::count(ups_obs::Counter::SpillBytes, buf.len() as u64);
         self.chunks.push(SpilledChunk {
             off: self.write_off,
@@ -182,7 +190,11 @@ impl ChunkLog {
             ups_obs::count(ups_obs::Counter::SpillChunksSealed, 1);
             self.sealed.push_back(chunk);
             while self.sealed.len() > self.ring_cap {
-                let oldest = self.sealed.pop_front().expect("ring not empty"); // lint:allow(panic-path): guarded by the ring occupancy check above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by the ring occupancy check above"
+                )]
+                let oldest = self.sealed.pop_front().expect("ring not empty");
                 let spill = self.spill.get_or_insert_with(SpillFile::create);
                 let mut buf = Vec::with_capacity(READ_BUF);
                 spill.append_chunk(&oldest, &mut buf);
@@ -282,10 +294,14 @@ impl ChunkCursor<'_> {
             let take = left.min(READ_BUF.max(need - self.buf.len()));
             let old = self.buf.len();
             self.buf.resize(old + take, 0);
+            #[expect(
+                clippy::expect_used,
+                reason = "a truncated spill chunk is unrecoverable corruption; abort is correct"
+            )]
             let n = self
                 .file
                 .read_at(&mut self.buf[old..], self.next_off)
-                .expect("read trace spill chunk"); // lint:allow(panic-path): a truncated spill chunk is unrecoverable corruption; abort is correct
+                .expect("read trace spill chunk");
             assert!(n > 0, "unexpected EOF in trace spill chunk");
             self.buf.truncate(old + n);
             self.next_off += n as u64;
@@ -298,6 +314,10 @@ impl ChunkCursor<'_> {
         }
         self.remaining -= 1;
         self.refill(4);
+        #[expect(
+            clippy::unwrap_used,
+            reason = "framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail"
+        )]
         let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize; // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail
         self.refill(4 + len);
         let rec = decode_record(&self.buf[self.pos + 4..self.pos + 4 + len], self.paths); // lint:allow(panic-path): framing invariant: the length prefix bounds the record slice
@@ -360,11 +380,19 @@ impl Decoder<'_> {
         v
     }
     fn u32(&mut self) -> u32 {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail"
+        )]
         let v = u32::from_le_bytes(self.b[self.p..self.p + 4].try_into().unwrap()); // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 4-byte try_into cannot fail
         self.p += 4;
         v
     }
     fn u64(&mut self) -> u64 {
+        #[expect(
+            clippy::unwrap_used,
+            reason = "framing invariant: offsets bounded by the encoder-written chunk; 8-byte try_into cannot fail"
+        )]
         let v = u64::from_le_bytes(self.b[self.p..self.p + 8].try_into().unwrap()); // lint:allow(panic-path): framing invariant: offsets bounded by the encoder-written chunk; 8-byte try_into cannot fail
         self.p += 8;
         v
@@ -381,7 +409,11 @@ pub(crate) fn decode_record(bytes: &[u8], paths: &[PathId]) -> (u64, PacketRecor
     let kind = match d.u8() {
         0 => PacketKind::Data,
         1 => PacketKind::Ack,
-        k => panic!("bad packet kind tag {k} in trace spill"), // lint:allow(panic-path): tag bytes are written by the paired encoder; corruption must be loud
+        #[expect(
+            clippy::panic,
+            reason = "tag bytes are written by the paired encoder; corruption must be loud"
+        )]
+        k => panic!("bad packet kind tag {k} in trace spill"),
     };
     let flags = d.u8();
     let injected = SimTime::from_ps(d.u64());
@@ -406,7 +438,11 @@ pub(crate) fn decode_record(bytes: &[u8], paths: &[PathId]) -> (u64, PacketRecor
         0 => None,
         1 => Some(DropCause::Buffer),
         2 => Some(DropCause::DeadLink),
-        c => panic!("bad drop cause tag {c} in trace spill"), // lint:allow(panic-path): tag bytes are written by the paired encoder; corruption must be loud
+        #[expect(
+            clippy::panic,
+            reason = "tag bytes are written by the paired encoder; corruption must be loud"
+        )]
+        c => panic!("bad drop cause tag {c} in trace spill"),
     };
     (
         id,

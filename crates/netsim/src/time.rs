@@ -129,6 +129,18 @@ impl Dur {
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
+    /// This span in picoseconds as an `f64`: exact below 2^53 ps (about
+    /// 2.5 simulated hours), the bound every run horizon stays under.
+    #[inline]
+    pub fn as_ps_f64(self) -> f64 {
+        self.0 as f64
+    }
+    /// The dimensionless ratio `self / whole`. Rounding either operand
+    /// to `f64` moves it by about 1e-16.
+    #[inline]
+    pub fn ratio(self, whole: Dur) -> f64 {
+        self.0 as f64 / whole.0 as f64
+    }
 
     /// Integer multiple of the span. Panics on overflow in debug builds.
     #[inline]

@@ -409,7 +409,11 @@ impl Trace {
             Store::Resident(store) => {
                 let mut order: Vec<usize> =
                     (0..store.len()).filter(|&i| store[i].is_some()).collect();
-                order.sort_unstable_by_key(|&i| (store[i].as_ref().expect("filtered").injected, i)); // lint:allow(panic-path): order only holds indices of retained (Some) records
+                #[expect(
+                    clippy::expect_used,
+                    reason = "order only holds indices of retained (Some) records"
+                )]
+                order.sort_unstable_by_key(|&i| (store[i].as_ref().expect("filtered").injected, i));
                 RecordStream {
                     inner: StreamInner::Resident {
                         records: store,
@@ -511,10 +515,12 @@ impl Iterator for RecordStream<'_> {
         match &mut self.inner {
             StreamInner::Resident { records, order } => {
                 let i = order.next()?;
-                Some((
-                    PacketId(i as u64),
-                    records[i].as_ref().expect("ordered index").clone(), // lint:allow(panic-path): order only holds indices of retained (Some) records
-                ))
+                #[expect(
+                    clippy::expect_used,
+                    reason = "order only holds indices of retained (Some) records"
+                )]
+                let rec = records[i].as_ref().expect("ordered index").clone();
+                Some((PacketId(i as u64), rec))
             }
             StreamInner::Merge {
                 sources,
@@ -535,8 +541,12 @@ impl Iterator for RecordStream<'_> {
                         heads[src].take()
                     }
                 };
-                // lint:allow(panic-path): every source key in the heap has its head record in `heads`
-                Some((PacketId(id), rec.expect("a keyed source holds its head")))
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every source key in the heap has its head record in `heads`"
+                )]
+                let rec = rec.expect("a keyed source holds its head");
+                Some((PacketId(id), rec))
             }
         }
     }

@@ -14,7 +14,6 @@
 //! a single atomic word).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A coarse engine phase whose wall-clock time is accumulated while the
 /// gate is on. Sub-phases nest inside [`Phase::Dispatch`] (an enqueue
@@ -156,7 +155,10 @@ const N_COUNTERS: usize = Counter::ALL.len();
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 // `AtomicU64` is not `Copy`; spell the arrays out via const blocks.
-#[allow(clippy::declare_interior_mutable_const)]
+#[expect(
+    clippy::declare_interior_mutable_const,
+    reason = "ZERO is only ever copied into the static arrays below, never borrowed"
+)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
 static COUNTERS: [AtomicU64; N_COUNTERS] = [ZERO; N_COUNTERS];
 static PHASE_NS: [AtomicU64; N_PHASES] = [ZERO; N_PHASES];
@@ -214,10 +216,11 @@ pub fn count_max(c: Counter, v: u64) {
 /// read on the disabled path.
 #[must_use = "the timer records on drop; binding it to _ discards the span immediately"]
 pub struct PhaseTimer {
-    // lint:allow(wall-clock): obs is the annotated exception — phase
-    // timings feed only the obs artifacts, which DESIGN.md §3 excludes
-    // from the determinism surface; no reading reaches simulation state.
-    armed: Option<(Phase, Instant)>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "obs is the annotated exception: phase timings feed only the obs artifacts, which DESIGN.md §3 excludes from the determinism surface; no reading reaches simulation state"
+    )]
+    armed: Option<(Phase, std::time::Instant)>,
 }
 
 impl Drop for PhaseTimer {
@@ -233,10 +236,10 @@ impl Drop for PhaseTimer {
 /// Start timing `phase` if the gate is on; the returned guard records
 /// the elapsed wall time when dropped.
 #[inline(always)]
+#[expect(clippy::disallowed_types, reason = "see PhaseTimer::armed")]
 pub fn timer(phase: Phase) -> PhaseTimer {
     PhaseTimer {
-        // lint:allow(wall-clock): see PhaseTimer::armed.
-        armed: enabled().then(|| (phase, Instant::now())),
+        armed: enabled().then(|| (phase, std::time::Instant::now())),
     }
 }
 

@@ -31,8 +31,6 @@
 //! sweep-level telemetry (the per-worker accounting and its heartbeat
 //! records) lives with the pool in `ups-sweep` instead.
 
-#![forbid(unsafe_code)]
-
 pub mod gate;
 pub mod probe;
 pub mod trace_event;

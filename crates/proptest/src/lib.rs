@@ -18,8 +18,6 @@
 //!   deterministic, and flaky CI from random seeds would be worse than
 //!   reduced input diversity.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
 
@@ -216,7 +214,7 @@ macro_rules! impl_tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[expect(non_snake_case, reason = "the bindings reuse the type parameter names")]
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
             }

@@ -12,8 +12,6 @@
 //! the sequence is a pure function of the seed and is identical on every
 //! platform.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Construction of RNGs from integer seeds.

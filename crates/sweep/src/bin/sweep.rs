@@ -28,7 +28,6 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use ups_netsim::prelude::Dur;
 use ups_sweep::telemetry::timeseries_json;
@@ -591,9 +590,11 @@ fn main() -> ExitCode {
         );
     }
 
-    // lint:allow(wall-clock): feeds the envelope's wall_s/jobs_per_sec
-    // throughput fields, excluded from the determinism surface.
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "feeds the envelope's wall_s/jobs_per_sec throughput fields, excluded from the determinism surface"
+    )]
+    let t0 = std::time::Instant::now();
     let quiet = args.quiet;
     let stream_ref = &stream;
     // One topology build + all-pairs BFS per *distinct* topology, shared

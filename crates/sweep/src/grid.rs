@@ -316,9 +316,10 @@ pub struct Exclude {
 }
 
 impl Exclude {
-    // One parameter per matchable axis; a struct would just restate the
-    // field list.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per matchable axis; a struct would just restate the field list"
+    )]
     fn matches(
         &self,
         topo: &str,

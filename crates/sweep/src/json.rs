@@ -374,6 +374,10 @@ mod tests {
     /// of up to nine more while the verdict is still "no", so a noisy
     /// neighbour delays the answer without changing it.
     fn doubling_less_than_triples(small: &str, large: &str) -> bool {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a timing test: the wall clock is what it measures"
+        )]
         let secs = |doc: &str| {
             let t0 = std::time::Instant::now();
             std::hint::black_box(parse(std::hint::black_box(doc)).expect("parses"));

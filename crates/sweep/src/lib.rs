@@ -54,7 +54,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod explain;
 pub mod grid;

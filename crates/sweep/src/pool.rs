@@ -18,7 +18,6 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 use crate::telemetry::{HeartbeatConfig, HeartbeatRecord, Ticker, WorkerRow};
 
@@ -161,9 +160,11 @@ where
     let tel = PoolTelemetry::new(workers);
     let ticker = heartbeat.map(|config| Mutex::new(Ticker::new(config)));
     let cursor = AtomicU64::new(0);
-    // lint:allow(wall-clock): the one clock of the per-worker rows and
-    // the heartbeat ticks; jobs never read it.
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one clock of the per-worker rows and the heartbeat ticks; jobs never read it"
+    )]
+    let t0 = std::time::Instant::now();
 
     let mut slots: Vec<Option<Result<R, String>>> =
         std::iter::repeat_with(|| None).take(jobs.len()).collect();
@@ -185,9 +186,11 @@ where
                         // as *its own* failure, not as the collector's "job
                         // never executed". Billing happens after the catch,
                         // so a panicking job counts like any other.
-                        // lint:allow(wall-clock): worker busy-time
-                        // telemetry only; jobs never read it.
-                        let start = Instant::now();
+                        #[expect(
+                            clippy::disallowed_types,
+                            reason = "worker busy-time telemetry only; jobs never read it"
+                        )]
+                        let start = std::time::Instant::now();
                         let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &jobs[i])))
                             .map_err(|payload| panic_message(payload.as_ref()));
                         let cells = &tel.cells[w];

@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use ups_core::{replay_stream, run_schedule, HeaderInit, Replay, ReplayReport};
 use ups_dynamics::{run_schedule_with_failures, FailureSchedule};
@@ -332,9 +331,11 @@ pub fn execute(
 /// every job that names it (a topology the cache was not primed with is
 /// built on the spot) — and fold its replays into the record's summary.
 pub fn run_job_shared(spec: &JobSpec, shared: &SharedScenarios) -> JobRecord {
-    // lint:allow(wall-clock): feeds only the record's wall_s field,
-    // which to_json(false) excludes from the determinism surface.
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "feeds only the record's wall_s field, which to_json(false) excludes from the determinism surface"
+    )]
+    let t0 = std::time::Instant::now();
     let JobRun {
         flows,
         mut summary,

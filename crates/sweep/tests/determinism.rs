@@ -240,6 +240,10 @@ fn repeated_parallel_runs_agree_too() {
 fn aggregate_artifact_from_parallel_run_validates() {
     let grid = tiny_grid();
     let jobs = grid.expand().unwrap();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "feeds only the envelope's wall_s field, which the validator does not compare"
+    )]
     let t0 = std::time::Instant::now();
     let shared = runner::SharedScenarios::for_jobs(&jobs);
     let (records, stats) =

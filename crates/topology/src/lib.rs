@@ -19,7 +19,6 @@
 //! `ups-sweep` grids reference.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod build;
 pub mod fattree;

@@ -435,7 +435,7 @@ mod tests {
             })
             .collect();
         let r = Routing::new(&t);
-        let mut middles = std::collections::HashSet::new();
+        let mut middles = std::collections::BTreeSet::new();
         for &a in &leaves_a {
             for &b in &leaves_b {
                 let p = r.path(a, b);

@@ -293,7 +293,7 @@ mod tests {
             assert_ne!(f.src, f.dst);
         }
         // Starts are jittered, not identical.
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: std::collections::BTreeSet<u64> =
             flows.iter().map(|f| f.start.as_ps()).collect();
         assert!(distinct.len() > 50);
     }

@@ -23,7 +23,6 @@
 //! | [`metrics`] | CDFs, Jain index, FCT buckets, run summaries, table rendering |
 //! | [`obs`] | zero-cost-when-off probes, phase timers, time-series, Perfetto export |
 //! | [`sweep`] | parallel scenario-sweep engine: grids, job-cursor thread pool, result store |
-//! | [`lint`] | workspace determinism static analysis (`ups-lint`) |
 //!
 //! ## Quickstart
 //!
@@ -59,12 +58,9 @@
 //! See `examples/` for the paper's experiments and DESIGN.md for the
 //! system inventory.
 
-#![forbid(unsafe_code)]
-
 pub use ups_core as core;
 pub use ups_dynamics as dynamics;
 pub use ups_forensics as forensics;
-pub use ups_lint as lint;
 pub use ups_metrics as metrics;
 pub use ups_netsim as netsim;
 pub use ups_obs as obs;
